@@ -42,6 +42,7 @@ from .circuits import (
     ParseError,
     Stage,
     ValidationError,
+    _parse_gate_line,
     cnot,
     depth_metrics,
     flatten,
@@ -160,8 +161,11 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
                 t_count += 1
                 t_layers.add(start)
         else:
-            for v in ins.cond.variables():
-                start = max(start, var_ready.get(v.name, 0))
+            for m in ins.cond.monomials:
+                for v in m:
+                    ready = var_ready.get(v.name, 0)
+                    if ready > start:
+                        start = ready
             end = start + 1
         for q in ins.qubits:
             qubit_free[q] = end
@@ -269,24 +273,40 @@ def _poly_to_text(poly: KeyPoly) -> str:
     return str(poly)
 
 
-def _poly_from_text(text: str, lineno: int) -> KeyPoly:
+def _poly_from_text(text: str, lineno: int, terms: dict[str, frozenset],
+                    defined: set[str]) -> KeyPoly:
+    """Parse a condition, toggling each term in one mutable set.
+
+    ``terms`` interns monomials by term text for the whole parse; a term text
+    is checked (well-formed, variables defined) only when first seen, since
+    variables once defined stay defined.
+    """
     text = text.strip()
     if text == "0":
         return KeyPoly.zero()
-    poly = KeyPoly.zero()
+    monos: set = set()
+    constant = 0
     for part in text.split("^"):
         part = part.strip()
-        if not part:
-            raise ParseError("empty condition term", lineno)
         if part == "1":
-            poly = poly ^ KeyPoly.one()
+            constant ^= 1
             continue
-        names = [v.strip() for v in part.split("*")]
-        if any(not name or not name.isidentifier() for name in names):
-            raise ParseError(f"bad condition term {part!r}", lineno)
-        mono = frozenset(OutcomeVar(name, Owner.LOCAL) for name in names)
-        poly = poly ^ KeyPoly(frozenset({mono}))
-    return poly
+        mono = terms.get(part)
+        if mono is None:
+            if not part:
+                raise ParseError("empty condition term", lineno)
+            names = [v.strip() for v in part.split("*")]
+            if any(not name or not name.isidentifier() for name in names):
+                raise ParseError(f"bad condition term {part!r}", lineno)
+            for name in names:
+                if name not in defined:
+                    raise ParseError(f"condition references undefined variable {name!r}", lineno)
+            mono = terms[part] = frozenset(OutcomeVar(name, Owner.LOCAL) for name in names)
+        if mono in monos:
+            monos.remove(mono)
+        else:
+            monos.add(mono)
+    return KeyPoly(frozenset(monos), constant)
 
 
 def serialize_program(p: CompiledProgram) -> str:
@@ -309,16 +329,24 @@ def parse_program(text: str) -> CompiledProgram:
     total: int | None = None
     instrs: list[Instruction] = []
     outputs: dict[int, int] = {}
+    out_qubits: set[int] = set()
     defined: set[str] = set()
+    terms: dict[str, frozenset] = {}
 
     def q_index(tok: str, lineno: int) -> int:
         try:
             q = int(tok)
         except ValueError:
             raise ParseError("qubit index must be an integer", lineno) from None
-        if total is not None and not 0 <= q < total:
+        if not 0 <= q < total:
             raise ParseError(f"qubit index {q} out of range", lineno)
         return q
+
+    def q_pair(tokens: list[str], lineno: int) -> tuple[int, int]:
+        pair = (q_index(tokens[1], lineno), q_index(tokens[2], lineno))
+        if pair[0] == pair[1]:
+            raise ParseError(f"{tokens[0]} qubits must be distinct", lineno)
+        return pair
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -328,46 +356,52 @@ def parse_program(text: str) -> CompiledProgram:
         if total is None:
             if tokens[0] != "QUBITS" or len(tokens) != 2:
                 raise ParseError("expected 'QUBITS <n>' header", lineno)
-            total = int(tokens[1])
+            try:
+                total = int(tokens[1])
+            except ValueError:
+                raise ParseError("qubit count must be an integer", lineno) from None
+            if total < 1:
+                raise ParseError("qubit count must be positive", lineno)
             continue
         head = tokens[0]
         if head == "EPR":
             if len(tokens) != 3:
                 raise ParseError("EPR takes two qubits", lineno)
-            instrs.append(Instruction(InstrOp.EPR, (q_index(tokens[1], lineno), q_index(tokens[2], lineno))))
+            instrs.append(Instruction(InstrOp.EPR, q_pair(tokens, lineno)))
         elif head == "BELL":
             if len(tokens) != 6 or tokens[3] != "->":
                 raise ParseError("expected 'BELL r s -> vx vz'", lineno)
+            qubits = q_pair(tokens, lineno)
             vx, vz = tokens[4], tokens[5]
             if vx in defined or vz in defined:
                 raise ParseError("outcome variable redefined", lineno)
             defined.update((vx, vz))
-            instrs.append(Instruction(InstrOp.BELL,
-                                      (q_index(tokens[1], lineno), q_index(tokens[2], lineno)),
-                                      out_vars=(vx, vz)))
+            instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=(vx, vz)))
         elif head == "OUT":
             if len(tokens) != 3:
                 raise ParseError("expected 'OUT j q'", lineno)
-            outputs[int(tokens[1])] = q_index(tokens[2], lineno)
+            try:
+                j = int(tokens[1])
+            except ValueError:
+                raise ParseError("logical wire must be an integer", lineno) from None
+            if j < 0:
+                raise ParseError(f"logical wire {j} is negative", lineno)
+            if j in outputs:
+                raise ParseError(f"duplicate OUT for logical wire {j}", lineno)
+            q = q_index(tokens[2], lineno)
+            if q in out_qubits:
+                raise ParseError(f"qubit {q} is already an output", lineno)
+            outputs[j] = q
+            out_qubits.add(q)
         elif "IF" in tokens:
             if tokens[0] not in ("PDG", "X", "Z") or tokens[2] != "IF":
                 raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
             op = {"PDG": InstrOp.COND_PDG, "X": InstrOp.COND_X, "Z": InstrOp.COND_Z}[tokens[0]]
-            cond = _poly_from_text(line.split("IF", 1)[1], lineno)
-            for v in cond.variables():
-                if v.name not in defined:
-                    raise ParseError(f"condition references undefined variable {v.name!r}", lineno)
+            cond = _poly_from_text(line.split("IF", 1)[1], lineno, terms, defined)
             instrs.append(Instruction(op, (q_index(tokens[1], lineno),), cond=cond))
         else:
-            try:
-                kind = GateKind(head)
-            except ValueError:
-                raise ParseError(f"unknown instruction {head!r}", lineno) from None
-            args = tuple(q_index(tok, lineno) for tok in tokens[1:])
-            if len(args) != kind.arity:
-                raise ParseError(f"{kind.value} takes {kind.arity} qubit argument(s)", lineno)
-            g = Gate(kind, args)
-            instrs.append(Instruction(InstrOp.GATE, args, gate=g))
+            g = _parse_gate_line(tokens, total, lineno)
+            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
 
     if total is None:
         raise ParseError("missing 'QUBITS <n>' header", 1)

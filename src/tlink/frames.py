@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .circuits import CLIFFORD_KINDS, Gate, GateKind, ValidationError
+from .circuits import Gate, GateKind, ValidationError
 
 
 class Owner(Enum):
@@ -118,7 +118,10 @@ class KeyPoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = ["*".join(_mono_key(m)) for m in sorted(self.monomials, key=_mono_key)]
+        # '*' sorts below every identifier character, so sorting the joined
+        # terms gives the same order as sorting by the tuple of names.
+        parts = sorted([next(iter(m)).name if len(m) == 1 else "*".join(sorted(v.name for v in m))
+                        for m in self.monomials])
         if self.constant:
             parts.append("1")
         return " ^ ".join(parts)
@@ -205,46 +208,34 @@ class CliffordTableau:
     def identity(n: int) -> "CliffordTableau":
         return CliffordTableau(n, np.eye(2 * n, dtype=np.uint8))
 
-    def image_of_x(self, j: int) -> PauliMask:
-        col = self.matrix[:, j]
-        return PauliMask(tuple(int(v) for v in col[: self.n]), tuple(int(v) for v in col[self.n:]))
-
-    def image_of_z(self, j: int) -> PauliMask:
-        col = self.matrix[:, self.n + j]
-        return PauliMask(tuple(int(v) for v in col[: self.n]), tuple(int(v) for v in col[self.n:]))
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CliffordTableau) and self.n == other.n
                 and np.array_equal(self.matrix, other.matrix))
 
-    def __matmul__(self, other: "CliffordTableau") -> "CliffordTableau":
-        return CliffordTableau(self.n, (self.matrix @ other.matrix) % 2)
-
-
-def _gate_matrix_gf2(g: Gate, n: int) -> np.ndarray:
-    m = np.eye(2 * n, dtype=np.uint8)
-    if g.kind is GateKind.H:
-        (q,) = g.targets
-        m[[q, n + q]] = m[[n + q, q]]
-    elif g.kind in (GateKind.P, GateKind.PDG):
-        (q,) = g.targets
-        m[n + q, q] ^= 1
-    elif g.kind is GateKind.CNOT:
-        c, tgt = g.targets
-        m[tgt, c] ^= 1
-        m[n + c, n + tgt] ^= 1
-    elif g.kind in (GateKind.X, GateKind.Z):
-        pass
-    else:
-        raise ValidationError(f"non-Clifford gate {g.kind.value} in Clifford stage")
-    return m
-
 
 def tableau_from_stage(clifford: Iterable[Gate], n: int) -> CliffordTableau:
-    """Compose per-gate update rules in gate order."""
+    """Compose the per-gate update rules in gate order.
+
+    Each gate left-multiplies the matrix by a sparse GF(2) map, which is an
+    in-place row operation (Aaronson-Gottesman, quant-ph/0406196): H swaps
+    rows q and n+q, P/P† XORs row q into row n+q, and CNOT(c, t) XORs row c
+    into row t and row n+t into row n+c. X and Z leave the matrix unchanged.
+    """
     mat = np.eye(2 * n, dtype=np.uint8)
     for g in clifford:
-        mat = (_gate_matrix_gf2(g, n) @ mat) % 2
+        kind = g.kind
+        if kind is GateKind.H:
+            (q,) = g.targets
+            mat[[q, n + q]] = mat[[n + q, q]]
+        elif kind in (GateKind.P, GateKind.PDG):
+            (q,) = g.targets
+            mat[n + q] ^= mat[q]
+        elif kind is GateKind.CNOT:
+            c, tgt = g.targets
+            mat[tgt] ^= mat[c]
+            mat[n + c] ^= mat[n + tgt]
+        elif kind not in (GateKind.X, GateKind.Z):
+            raise ValidationError(f"non-Clifford gate {kind.value} in Clifford stage")
     return CliffordTableau(n, mat)
 
 
@@ -257,14 +248,20 @@ def apply_tableau(tab: CliffordTableau, mask: PauliMask | SymbolicMask):
         vec = np.array(mask.a + mask.b, dtype=np.uint8)
         out = (mat @ vec) % 2
         return PauliMask(tuple(int(v) for v in out[: tab.n]), tuple(int(v) for v in out[tab.n:]))
-    polys = list(mask.a) + list(mask.b)
+    polys = mask.a + mask.b
     out_polys = []
-    for row in range(2 * tab.n):
-        acc = KeyPoly.zero()
-        for col in range(2 * tab.n):
-            if mat[row, col]:
-                acc = acc ^ polys[col]
-        out_polys.append(acc)
+    for row in mat:
+        cols = np.flatnonzero(row)
+        if len(cols) == 1:
+            out_polys.append(polys[cols[0]])
+            continue
+        monos: set = set()
+        constant = 0
+        for col in cols:
+            poly = polys[col]
+            monos ^= poly.monomials
+            constant ^= poly.constant
+        out_polys.append(KeyPoly(frozenset(monos), constant))
     return SymbolicMask(tuple(out_polys[: tab.n]), tuple(out_polys[tab.n:]))
 
 

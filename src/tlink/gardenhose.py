@@ -76,7 +76,6 @@ class GadgetResult:
     register: Register | None = None
     output_phys: int | None = None
     junk_mask: PauliMask | None = None  # bookkeeping for the unused output wire
-    pdg_condition: KeyPoly | None = None
     epr_pairs_used: int = 4
     state: StateVector | None = None
 
@@ -191,7 +190,6 @@ def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
         register=reg,
         output_phys=out_q,
         junk_mask=junk,
-        pdg_condition=KeyPoly.from_bit(pdg_bit),
         state=reg.extract([out_q]),
     )
 
@@ -216,7 +214,6 @@ def _run_gadget_symbolic(p, q, mask: SymbolicMask, var_prefix: str) -> GadgetRes
         symbolic_mask=SymbolicMask((a_out,), (b_out,)),
         records=[],
         outcomes={},
-        pdg_condition=cond,
     )
 
 

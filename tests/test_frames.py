@@ -88,6 +88,21 @@ class TestCrossTerms:
         assert cross_terms(KeyPoly.of(P_BOB) * KeyPoly.of(w)) == []
 
 
+    def test_str_orders_terms_by_sorted_names(self, rng):
+        # Names that prefix each other: the printed order must equal sorting
+        # monomials by their tuple of sorted names.
+        pool = [OutcomeVar(v) for v in ("a", "ab", "a_", "b", "m1x", "m10x", "m1", "x9")]
+        for _ in range(200):
+            monos = frozenset(
+                frozenset(pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 4)),
+                                                      replace=False))
+                for _ in range(int(rng.integers(1, 8))))
+            key = KeyPoly(monos, int(rng.integers(2)))
+            names = sorted(tuple(sorted(v.name for v in m)) for m in monos)
+            want = " ^ ".join(["*".join(t) for t in names] + (["1"] if key.constant else []))
+            assert str(key) == want
+
+
 class TestTableau:
     def test_h_swaps_exponents(self):
         tab = tableau_from_stage([h(0)], 1)
@@ -150,6 +165,46 @@ class TestTableau:
             inv = [inverse_kind[g.kind.value](g.targets[0]) if g.kind.value in inverse_kind else g
                    for g in reversed(stage)]
             assert tableau_from_stage(stage + inv, n) == CliffordTableau.identity(n)
+
+
+    def test_matches_dense_per_gate_product(self, rng):
+        def dense(g, n):
+            m = np.eye(2 * n, dtype=np.int64)
+            if g.kind.value == "H":
+                (q,) = g.targets
+                m[[q, n + q]] = m[[n + q, q]]
+            elif g.kind.value in ("P", "PDG"):
+                (q,) = g.targets
+                m[n + q, q] = 1
+            elif g.kind.value == "CNOT":
+                c, tgt = g.targets
+                m[tgt, c] = 1
+                m[n + c, n + tgt] = 1
+            return m
+
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            stage = random_circuit(rng, n, 1, max_clifford=6 * n).stages[0].clifford
+            expected = np.eye(2 * n, dtype=np.int64)
+            for g in stage:
+                expected = dense(g, n) @ expected % 2
+            assert np.array_equal(tableau_from_stage(stage, n).matrix, expected)
+
+    def test_symbolic_apply_is_coefficientwise(self, rng):
+        names = [OutcomeVar(f"v{i}") for i in range(6)]
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            stage = random_circuit(rng, n, 1, max_clifford=4 * n).stages[0].clifford
+            tab = tableau_from_stage(stage, n)
+            keys = [KeyPoly(frozenset(frozenset({names[i]}) for i in range(6) if rng.random() < 0.4),
+                            int(rng.integers(2))) for _ in range(2 * n)]
+            out = apply_tableau(tab, SymbolicMask(tuple(keys[:n]), tuple(keys[n:])))
+            for row, got in enumerate(out.a + out.b):
+                want = KeyPoly.zero()
+                for col in range(2 * n):
+                    if tab.matrix[row, col]:
+                        want = want ^ keys[col]
+                assert got == want
 
 
 class TestTLayer:
