@@ -64,7 +64,13 @@ def _parse_wires(spec: str) -> frozenset[int]:
     spec = spec.strip()
     if not spec:
         return frozenset()
-    return frozenset(int(tok) for tok in spec.split(","))
+    wires = set()
+    for tok in spec.split(","):
+        try:
+            wires.add(int(tok))
+        except ValueError:
+            raise ParseError(f"wire list {spec!r}: {tok.strip()!r} is not an integer") from None
+    return frozenset(wires)
 
 
 def cmd_compile(args) -> int:

@@ -12,7 +12,10 @@ Pauli corrections from the tracked symbolic mask.
 to_unitary rewrites a compiled program as a plain unitary circuit via the
 deferred-measurement transform: each Bell measurement becomes a basis
 rotation plus coherent copies onto two fresh ancillas, and each conditioned
-correction becomes controlled gates on those ancillas.
+correction becomes gates controlled on those ancillas. A conditioned
+P-dagger computes its condition's parity onto one scratch qubit, applies a
+single controlled P-dagger from it and uncomputes: 3 T gates however many
+linear terms the condition has.
 
 compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: r stages at a time are
@@ -612,8 +615,15 @@ def _mono_controls(mono, var_qubits: dict[str, int]) -> list[int]:
     return [var_qubits[name] for name in names]
 
 
-def _expand_cond(ins: Instruction, var_qubits: dict[str, int], scratch: list[int],
-                 alloc_scratch) -> list[Gate]:
+def _expand_cond(ins: Instruction, var_qubits: dict[str, int], alloc_scratch) -> list[Gate]:
+    """Gates for one conditioned correction, controlled on the outcome ancillas.
+
+    X and Z take one controlled gate per condition term. P-dagger goes by
+    parity accumulation: a CNOT per linear term, a Toffoli per degree-2 term
+    and an X for the constant XOR the condition onto the scratch qubit, one
+    controlled P-dagger acts from it, and the same blocks in reverse order
+    return the scratch to |0>.
+    """
     q = ins.qubits[0]
     cond = ins.cond
     if cond.degree > 2:
@@ -634,30 +644,12 @@ def _expand_cond(ins: Instruction, var_qubits: dict[str, int], scratch: list[int
         if cond.constant:
             gates.append(z(q))
         return gates
-    # Conditioned P-dagger. XOR of conditions is not a product of the per-term
-    # gates, so cross corrections apply: (Pdg)^(u xor v) = (Pdg)^u (Pdg)^v Z^(uv).
-    degrees = [len(m) for m in monos]
-    if all(d <= 1 for d in degrees):
-        ctrls = [_mono_controls(m, var_qubits)[0] for m in monos]
-        for ctrl in ctrls:
-            gates += _cs_dag(ctrl, q)
-        for i, j in itertools.combinations(range(len(ctrls)), 2):
-            gates += _ccz(ctrls[i], ctrls[j], q)
-        if cond.constant:
-            gates.append(pdg(q))
-            for ctrl in ctrls:
-                gates += _cz(ctrl, q)
-        return gates
-    if len(monos) == 1 and degrees[0] == 2:
-        u, v = _mono_controls(monos[0], var_qubits)
-        s = alloc_scratch()
-        gates += _ccx(u, v, s) + _cs_dag(s, q) + _ccx(u, v, s)
-        if cond.constant:
-            gates.append(pdg(q))
-            gates += _ccz(u, v, q)
-        return gates
-    raise ValidationError("conditioned P-dagger with degree-2 terms mixed into a sum "
-                          "is not supported in unitary mode")
+    s = alloc_scratch()
+    parity = [[cnot(ctrls[0], s)] if len(ctrls) == 1 else _ccx(ctrls[0], ctrls[1], s)
+              for ctrls in (_mono_controls(m, var_qubits) for m in monos)]
+    if cond.constant:
+        parity.append([x(s)])
+    return [g for block in parity + [_cs_dag(s, q)] + parity[::-1] for g in block]
 
 
 def to_unitary(p: CompiledProgram) -> UnitaryProgram:
@@ -666,9 +658,11 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     Each Bell measurement becomes its basis rotation (CNOT, H) followed by
     coherent copies of the two outcome bits onto fresh ancillas; the measured
     qubits are left in the rotated basis and never touched again. Conditioned
-    corrections become gates controlled on the ancillas, decomposed over the
-    base gate alphabet. Discarding ancillas, the circuit acts on the logical
-    wires exactly as the measured program does on every branch.
+    corrections become gates controlled on the ancillas (_expand_cond); every
+    conditioned P-dagger computes its condition onto one shared scratch
+    qubit, allocated on first use, and uncomputes it. Discarding ancillas,
+    the circuit acts on the logical wires exactly as the measured program
+    does on every branch.
     """
     gates: list[Gate] = []
     var_qubits: dict[str, int] = {}
@@ -699,7 +693,7 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             gates += [cnot(r, s), h(r), cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
         else:
-            gates += _expand_cond(ins, var_qubits, scratch, alloc_scratch)
+            gates += _expand_cond(ins, var_qubits, alloc_scratch)
 
     circuit = layerize(gates, max(next_q, 1))
     return UnitaryProgram(

@@ -266,11 +266,14 @@ class Register:
     Fresh qubits are allocated on demand; Bell-measured pairs collapse to a
     computational product in the rotated frame and are dropped, so the live
     window stays small even for programs addressing many physical qubits.
+    A dropped qubit is retired: loading or allocating it again raises, and so
+    does an EPR pair on a qubit that is retired or already in the window.
     """
 
     def __init__(self) -> None:
         self._amps = np.ones((), dtype=complex)
         self._axis: dict[int, int] = {}
+        self._retired: set[int] = set()
 
     @property
     def width(self) -> int:
@@ -284,6 +287,7 @@ class Register:
         reg = Register()
         reg._amps = self._amps.copy()
         reg._axis = dict(self._axis)
+        reg._retired = set(self._retired)
         return reg
 
     def _require(self, *qubits: int) -> None:
@@ -297,6 +301,9 @@ class Register:
             raise ValidationError("qubit name count must match state size")
         if set(qubits) & set(self._axis):
             raise ValidationError("qubit collision on load")
+        if not self._retired.isdisjoint(qubits):
+            q = min(self._retired.intersection(qubits))
+            raise ValidationError(f"qubit {q} was already measured and cannot be reused")
         if self.width + state.n > MAX_QUBITS:
             raise ValidationError("register window exceeds the qubit cap")
         base = self.width
@@ -311,8 +318,9 @@ class Register:
         if q1 == q2:
             raise ValidationError("EPR qubits must be distinct (qubit collision)")
         for q in (q1, q2):
-            if q not in self._axis:
-                self.alloc(q)
+            if q in self._axis:
+                raise ValidationError(f"EPR qubit {q} is already in use")
+            self.alloc(q)
         shaped = self._amps
         shaped = _apply_1q(shaped, GATE_MATRICES[GateKind.H], self._axis[q1])
         self._amps = _apply_cnot(shaped, self._axis[q1], self._axis[q2])
@@ -325,12 +333,13 @@ class Register:
     def apply_gate(self, g: Gate) -> None:
         self.apply(g.kind, g.targets)
 
-    def _drop_axes(self, dropped: tuple[int, ...]) -> None:
-        # Called after the amplitude array has already lost these axes.
-        old_ndim = self._amps.ndim + len(dropped)
-        kept = [ax for ax in range(old_ndim) if ax not in dropped]
-        remap = {old: new for new, old in enumerate(kept)}
-        self._axis = {q: remap[ax] for q, ax in self._axis.items() if ax not in dropped}
+    def _drop_qubits(self, *qubits: int) -> None:
+        # Called after the amplitude array has already lost these qubits' axes;
+        # the remaining qubits keep their order and close up the gaps.
+        for q in qubits:
+            del self._axis[q]
+        self._retired.update(qubits)
+        self._axis = {q: ax for ax, q in enumerate(sorted(self._axis, key=self._axis.get))}
 
     def bell_probs(self, r: int, s: int) -> np.ndarray:
         self._require(r, s)
@@ -349,7 +358,7 @@ class Register:
         idx = [slice(None)] * rot.ndim
         idx[ar], idx[as_] = zv, x
         self._amps = rot[tuple(idx)] / np.sqrt(prob)
-        self._drop_axes((ar, as_))
+        self._drop_qubits(r, s)
         return prob
 
     def bell_measure(self, r: int, s: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -373,7 +382,7 @@ class Register:
         idx = [slice(None)] * self._amps.ndim
         idx[ax] = bit
         self._amps = self._amps[tuple(idx)] / np.sqrt(prob)
-        self._drop_axes((ax,))
+        self._drop_qubits(q)
         return prob
 
     def extract(self, qubits: list[int], tol: float = 1e-8) -> StateVector:

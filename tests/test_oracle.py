@@ -213,6 +213,23 @@ class TestRegister:
         got = apply_mask(reg.extract([2]), PauliMask((xv,), (zv,)))
         assert fidelity_up_to_phase(got, psi) >= 1 - 1e-10
 
+    def test_epr_on_live_qubit_rejected(self):
+        reg = Register()
+        reg.prepare_epr(1, 2)
+        with pytest.raises(ValidationError, match="already in use"):
+            reg.prepare_epr(1, 2)
+
+    def test_measured_qubit_is_retired(self, rng):
+        reg = Register()
+        reg.load(random_state(rng, 1), [0])
+        reg.prepare_epr(1, 2)
+        reg.bell_measure(0, 1, rng)
+        for reuse in (lambda: reg.alloc(1), lambda: reg.load(random_state(rng, 1), [0]),
+                      lambda: reg.prepare_epr(1, 3), lambda: reg.clone().alloc(0)):
+            with pytest.raises(ValidationError, match="already measured"):
+                reuse()
+        reg.alloc(3)  # an untouched qubit is still fresh
+
     def test_extract_rejects_entangled_cut(self):
         reg = Register()
         reg.load(init_state(2, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)]), [0, 1])

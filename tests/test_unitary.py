@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gates_matrix, random_circuit, random_state
-from tlink.circuits import GateKind, ValidationError, flatten, parse_circuit
+from tlink.circuits import GateKind, ValidationError, depth_metrics, flatten, parse_circuit
 from tlink.compiler import (
     CompiledProgram,
     Instruction,
@@ -25,7 +25,7 @@ def make_program(total, n, outputs, instrs):
     return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs), 0)
 
 
-def run_unitary_coherently(up: UnitaryProgram, psi):
+def coherent_register(up: UnitaryProgram, psi) -> Register:
     """Plain full-width simulation of the converted circuit, no measurements."""
     assert up.total_qubits <= 14
     reg = Register()
@@ -34,7 +34,15 @@ def run_unitary_coherently(up: UnitaryProgram, psi):
         reg.alloc(q)
     for g in flatten(up.circuit):
         reg.apply_gate(g)
-    return reg.extract(list(up.logical_outputs))
+    return reg
+
+
+def run_unitary_coherently(up: UnitaryProgram, psi):
+    return coherent_register(up, psi).extract(list(up.logical_outputs))
+
+
+def cond_pdg_count(prog: CompiledProgram) -> int:
+    return sum(1 for ins in prog.instructions if ins.op is InstrOp.COND_PDG)
 
 
 class TestDecompositions:
@@ -135,9 +143,9 @@ class TestAgainstDirectUnitary:
 
 
 class TestDegreeTwoConditions:
-    def _two_var_program(self, op):
+    def _two_var_program(self, op, cond=lambda a, b: a * b):
         # Teleport twice, undo the accumulated mask, then apply the gate
-        # conditioned on the product of the two x outcomes.
+        # conditioned on cond(m0x, m1x), by default their product.
         mx = [KeyPoly.of(OutcomeVar(f"m{i}x")) for i in (0, 1)]
         mz = [KeyPoly.of(OutcomeVar(f"m{i}z")) for i in (0, 1)]
         return make_program(5, 1, [4], [
@@ -147,7 +155,7 @@ class TestDegreeTwoConditions:
             Instruction(InstrOp.BELL, (2, 3), out_vars=("m1x", "m1z")),
             Instruction(InstrOp.COND_X, (4,), cond=mx[0] ^ mx[1]),
             Instruction(InstrOp.COND_Z, (4,), cond=mz[0] ^ mz[1]),
-            Instruction(op, (4,), cond=mx[0] * mx[1]),
+            Instruction(op, (4,), cond=cond(*mx)),
         ])
 
     @pytest.mark.parametrize("op", [InstrOp.COND_X, InstrOp.COND_Z, InstrOp.COND_PDG])
@@ -163,3 +171,64 @@ class TestDegreeTwoConditions:
         for b in branches:
             ref = measured[tuple(sorted(b.outcomes.items()))]
             assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
+
+    def test_mixed_linear_and_degree_two_pdg(self, rng):
+        # m0x ^ m0x*m1x ^ 1: a linear term, a product term and the constant
+        # feed one parity; unitary mode used to reject this sum.
+        from tlink.compiler import enumerate_branches
+        prog = self._two_var_program(InstrOp.COND_PDG, lambda a, b: a ^ a * b ^ KeyPoly.one())
+        psi = random_state(rng, 1)
+        measured = {tuple(sorted(b.outcomes.items())): b.state
+                    for b in enumerate_branches(prog, psi)}
+        up = to_unitary(prog)
+        branches = enumerate_unitary_branches(up, psi)
+        assert len(branches) == len(measured) == 16
+        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+        for b in branches:
+            ref = measured[tuple(sorted(b.outcomes.items()))]
+            assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
+
+
+class TestParityAccumulation:
+    def test_t_count_is_source_plus_three_per_conditioned_pdg(self, rng):
+        conds = 0
+        for n in (1, 2, 3):
+            for k in (1, 2, 4, 6):
+                c = random_circuit(rng, n, k, max_clifford=3 * n)
+                prog = compile_measure(c)
+                got = depth_metrics(to_unitary(prog).circuit).t_count
+                assert got == depth_metrics(c).t_count + 3 * cond_pdg_count(prog)
+                conds += cond_pdg_count(prog)
+        assert conds > 10
+
+    def test_branches_match_source_n3(self, rng):
+        for _ in range(3):
+            c = random_circuit(rng, 3, 2, max_clifford=9)
+            psi = random_state(rng, 3)
+            ref = apply_circuit(psi, c)
+            branches = enumerate_unitary_branches(to_unitary(compile_measure(c)), psi)
+            assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
+            for b in branches:
+                assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
+
+    def test_one_scratch_qubit_returns_to_zero(self, rng):
+        c = parse_circuit("QUBITS 1\nT 0\n---\nH 0\nT 0\n---\nH 0\n---")
+        prog = compile_measure(c)
+        assert cond_pdg_count(prog) >= 1
+        up = to_unitary(prog)
+        extra = set(range(prog.total_qubits, up.total_qubits)) - set(up.var_qubits.values())
+        assert len(extra) == 1
+        scratch = extra.pop()
+        psi = random_state(rng, 1)
+        reg = coherent_register(up, psi)
+        assert reg.measure_probs(scratch)[1] == pytest.approx(0.0, abs=1e-12)
+        assert fidelity_up_to_phase(reg.extract(list(up.logical_outputs)),
+                                    apply_circuit(psi, c)) >= 1 - 1e-10
+
+    def test_pdg_on_constant_condition(self, rng):
+        # Condition 1 alone: X on the scratch, controlled P-dagger, X back.
+        prog = make_program(1, 1, [0], [Instruction(InstrOp.COND_PDG, (0,), cond=KeyPoly.one())])
+        up = to_unitary(prog)
+        psi = random_state(rng, 1)
+        want = init_state(1, psi.amps * np.array([1, -1j]))
+        assert fidelity_up_to_phase(run_unitary_coherently(up, psi), want) >= 1 - 1e-10
