@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .gardenhose import (
     run_gadget,
     run_protocol1,
 )
-from .oracle import apply_circuit, fidelity_up_to_phase, init_state
+from .oracle import apply_circuit, basis_bits, fidelity_up_to_phase, init_state, random_state
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,21 +42,9 @@ EXIT_VALIDATION = 3
 EXIT_FIDELITY = 4
 
 
-@dataclass
-class CliConfig:
-    seed: int | None = None
-    tolerance: float = 1e-10
-
-
 def _read_circuit(path: str) -> LayeredCircuit:
     with open(path, encoding="utf-8") as fh:
         return parse_circuit(fh.read())
-
-
-def _random_state(n: int, seed: int) -> "np.ndarray":
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return amps / np.linalg.norm(amps)
 
 
 def _parse_wires(spec: str) -> frozenset[int]:
@@ -93,7 +80,7 @@ def cmd_verify(args) -> int:
     if circuit.n > args.nmax:
         raise ValidationError(f"circuit has {circuit.n} qubits; verify caps at nmax={args.nmax}")
     seed = args.seed if args.seed is not None else 0
-    psi = init_state(circuit.n, _random_state(circuit.n, seed))
+    psi = random_state(circuit.n, np.random.default_rng(seed))
     reference = apply_circuit(psi, circuit)
     if args.program:
         with open(args.program, encoding="utf-8") as fh:
@@ -134,8 +121,7 @@ def cmd_gadget(args) -> int:
     if args.seed is None:
         raise ValidationError("--seed is required unless --exhaustive is given")
     rng = np.random.default_rng(args.seed)
-    amps = _random_state(1, args.seed + 1)
-    psi = init_state(1, amps)
+    psi = random_state(1, np.random.default_rng(args.seed + 1))
     res = run_gadget(args.p, args.q, psi, rng=rng)
     print(f"pdg={res.applied_pdg} out={res.output_qubit}")
     print(f"mask_a={res.mask.a[0]} mask_b={res.mask.b[0]}")
@@ -159,7 +145,7 @@ def cmd_protocol1(args) -> int:
     seed = args.seed if args.seed is not None else 0
     plan = ResourcePlan(alice_wires=_parse_wires(args.alice),
                         return_to_alice=tuple(sorted(_parse_wires(args.return_wires))))
-    psi = init_state(circuit.n, _random_state(circuit.n, seed))
+    psi = random_state(circuit.n, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     final, transcript = run_protocol1(circuit, psi, plan, rng=rng)
     reference = apply_circuit(psi, circuit)
@@ -191,23 +177,13 @@ def cmd_speculate(args) -> int:
     program = compile_speculative(circuit, args.r, bits)
     rng = np.random.default_rng(seed)
     out_bits, _, rep = execute_speculative(program, rng)
-    direct = _direct_classical_eval(circuit, bits)
+    final = apply_circuit(init_state(circuit.n, bits), circuit)
+    direct = "".join(map(str, basis_bits(final, "direct run")))
     print(f"critical_path={rep.critical_path}")
     print(f"groups={rep.group_count}")
-    print(f"branch_counts={','.join(map(str, rep.branch_counts))}")
-    print(f"total_copies={rep.total_copies}")
     print(f"output={out_bits}")
     print(f"matches_direct={'true' if out_bits == direct else 'false'}")
     return EXIT_OK if out_bits == direct else EXIT_FIDELITY
-
-
-def _direct_classical_eval(circuit: LayeredCircuit, bits: str) -> str:
-    state = apply_circuit(init_state(circuit.n, bits), circuit)
-    probs = np.abs(state.amps) ** 2
-    idx = int(np.argmax(probs))
-    if probs[idx] < 1.0 - 1e-9:
-        raise ValidationError("circuit is not classical on this input")
-    return format(idx, f"0{circuit.n}b")
 
 
 def cmd_stats(args) -> int:

@@ -18,9 +18,11 @@ single controlled P-dagger from it and uncomputes: 3 T gates however many
 linear terms the condition has.
 
 compile_speculative / execute_speculative implement the grouped extension
-for circuits that act classically on basis states: r stages at a time are
-pre-evaluated under every assignment of the guessed corrections at in-group
-boundaries, and the realized link outcomes select the matching branch.
+for circuits that act classically on basis states: stages are linked r at a
+time. A stage that maps one basis state to a basis state maps all of them,
+affinely, and a pending P-dagger is only a phase there, so each group runs
+once on its teleported input while the link outcomes are tracked as a Pauli
+frame and undone on the output bits.
 
 Cost model for declared depth: every gate costs 1 layer, a Bell measurement
 costs 3 (CNOT, H, readout), a conditioned single-qubit correction costs 1,
@@ -31,8 +33,7 @@ read-only on their inputs and safe to parallelize externally.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -74,6 +75,7 @@ from .oracle import (
     Register,
     StateVector,
     apply_gate,
+    basis_bits,
     draw_bell_outcome,
     init_state,
 )
@@ -272,10 +274,6 @@ def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
 
 # -- program text format -----------------------------------------------------
 
-def _poly_to_text(poly: KeyPoly) -> str:
-    return str(poly)
-
-
 def _poly_from_text(text: str, lineno: int, terms: dict[str, frozenset],
                     defined: set[str]) -> KeyPoly:
     """Parse a condition, toggling each term in one mutable set.
@@ -322,7 +320,7 @@ def serialize_program(p: CompiledProgram) -> str:
         elif ins.op is InstrOp.BELL:
             lines.append(f"BELL {ins.qubits[0]} {ins.qubits[1]} -> {ins.out_vars[0]} {ins.out_vars[1]}")
         else:
-            lines.append(f"{ins.op.value} {ins.qubits[0]} IF {_poly_to_text(ins.cond)}")
+            lines.append(f"{ins.op.value} {ins.qubits[0]} IF {ins.cond}")
     for j, q in enumerate(p.logical_outputs):
         lines.append(f"OUT {j} {q}")
     return "\n".join(lines) + "\n"
@@ -332,7 +330,8 @@ def parse_program(text: str) -> CompiledProgram:
     total: int | None = None
     instrs: list[Instruction] = []
     outputs: dict[int, int] = {}
-    out_qubits: set[int] = set()
+    out_lines: dict[int, int] = {}
+    measured: set[int] = set()
     defined: set[str] = set()
     terms: dict[str, frozenset] = {}
 
@@ -379,6 +378,7 @@ def parse_program(text: str) -> CompiledProgram:
             if vx in defined or vz in defined:
                 raise ParseError("outcome variable redefined", lineno)
             defined.update((vx, vz))
+            measured.update(qubits)
             instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=(vx, vz)))
         elif head == "OUT":
             if len(tokens) != 3:
@@ -392,10 +392,10 @@ def parse_program(text: str) -> CompiledProgram:
             if j in outputs:
                 raise ParseError(f"duplicate OUT for logical wire {j}", lineno)
             q = q_index(tokens[2], lineno)
-            if q in out_qubits:
+            if q in out_lines:
                 raise ParseError(f"qubit {q} is already an output", lineno)
             outputs[j] = q
-            out_qubits.add(q)
+            out_lines[q] = lineno
         elif "IF" in tokens:
             if tokens[0] not in ("PDG", "X", "Z") or tokens[2] != "IF":
                 raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
@@ -412,6 +412,9 @@ def parse_program(text: str) -> CompiledProgram:
         raise ParseError("program has no OUT lines", 1)
     if sorted(outputs) != list(range(len(outputs))):
         raise ParseError("OUT logical wires must be 0..n-1", 1)
+    for q, lineno in out_lines.items():
+        if q in measured:
+            raise ParseError(f"output qubit {q} is Bell-measured", lineno)
     n = len(outputs)
     bells = sum(1 for ins in instrs if ins.op is InstrOp.BELL)
     links = bells // n if n and bells % n == 0 else bells
@@ -427,6 +430,34 @@ def parse_program(text: str) -> CompiledProgram:
 
 # -- execution ---------------------------------------------------------------
 
+def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
+                qubits) -> tuple[list, list]:
+    """Split buffered ``(qubits, op)`` items into the light cone of ``qubits``
+    and the rest, both in program order.
+
+    The cone is every item connected to ``qubits`` through shared qubits,
+    earlier or later in the buffer alike. Its qubits are the component of
+    ``qubits`` in the graph that links the qubits of each multi-qubit item:
+    one pass indexes those links, a breadth-first walk collects the
+    component, and an item is in the cone exactly when its first qubit is.
+    """
+    links: dict[int, list[int]] = {}
+    for qs, _ in buffer:
+        for q in qs[1:]:
+            links.setdefault(qs[0], []).append(q)
+            links.setdefault(q, []).append(qs[0])
+    reached = set(qubits)
+    frontier = list(reached)
+    while frontier:
+        for q in links.get(frontier.pop(), ()):
+            if q not in reached:
+                reached.add(q)
+                frontier.append(q)
+    cone = [item for item in buffer if item[0][0] in reached]
+    rest = [item for item in buffer if item[0][0] not in reached]
+    return cone, rest
+
+
 class _Runner:
     """Windowed executor: defers EPR/gate work until a measurement or
     conditioned correction needs the qubits, and drops measured pairs."""
@@ -437,7 +468,7 @@ class _Runner:
         self.program = program
         self.reg = Register()
         self.reg.load(input_state, list(range(program.n)))
-        self.buffer: list[tuple[int, Instruction]] = []
+        self.buffer: list[tuple[tuple[int, ...], Instruction]] = []
         self.pc = 0
         self.outcomes: dict[str, int] = {}
         self.records: list[MeasRecord] = []
@@ -467,20 +498,10 @@ class _Runner:
             self.reg.apply_gate(ins.gate)
 
     def _flush_for(self, qubits: tuple[int, ...]) -> None:
-        need = set(qubits)
-        chosen: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for idx, ins in self.buffer:
-                if idx not in chosen and set(ins.qubits) & need:
-                    chosen.add(idx)
-                    need |= set(ins.qubits)
-                    changed = True
-        for idx, ins in self.buffer:
-            if idx in chosen:
-                self._run_buffered(ins)
-        self.buffer = [(idx, ins) for idx, ins in self.buffer if idx not in chosen]
+        """Run the buffered light cone of ``qubits`` (see _light_cone)."""
+        cone, self.buffer = _light_cone(self.buffer, qubits)
+        for _, ins in cone:
+            self._run_buffered(ins)
 
     def advance(self) -> Instruction | None:
         """Run to the next Bell measurement (returned unresolved) or to the end."""
@@ -488,7 +509,7 @@ class _Runner:
         while self.pc < len(instrs):
             ins = instrs[self.pc]
             if ins.op in (InstrOp.EPR, InstrOp.GATE):
-                self.buffer.append((self.pc, ins))
+                self.buffer.append((ins.qubits, ins))
                 self.pc += 1
             elif ins.op is InstrOp.BELL:
                 self._flush_for(ins.qubits)
@@ -754,38 +775,22 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
     as controls of controlled gates or under diagonal gates, so measuring
     them there commutes with the remainder of the circuit. Gates are buffered
     and flushed only when a measurement or the output extraction needs their
-    qubits' light cone, which keeps the simulation window small; buffered
-    gates left over at the end act on qubits disjoint from the outputs' cone
-    and cannot affect the extracted state.
+    qubits' light cone (_light_cone), which keeps the simulation window
+    small; buffered gates left over at the end act on qubits disjoint from
+    the outputs' cone and cannot affect the extracted state.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     leaves: list[Branch] = []
-    Buffer = list[tuple[int, Gate]]
-
-    def flush_for(reg: Register, classical: dict[int, int], buffer: Buffer,
-                  qubits) -> Buffer:
-        need = set(qubits)
-        chosen: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for idx, g in buffer:
-                if idx not in chosen and set(g.targets) & need:
-                    chosen.add(idx)
-                    need |= set(g.targets)
-                    changed = True
-        for idx, g in buffer:
-            if idx in chosen:
-                _apply_hybrid(reg, classical, g)
-        return [(idx, g) for idx, g in buffer if idx not in chosen]
+    Buffer = list[tuple[tuple[int, ...], Gate]]
 
     def run(reg: Register, classical: dict[int, int], buffer: Buffer, gi: int,
             group_idx: int, prob: float, outcomes: dict[str, int]) -> None:
         end = up.bell_groups[group_idx].gate_end if group_idx < len(up.bell_groups) else len(gates)
-        buffer = buffer + [(i, gates[i]) for i in range(gi, end)]
+        buffer = buffer + [(g.targets, g) for g in gates[gi:end]]
         if group_idx == len(up.bell_groups):
-            flush_for(reg, classical, buffer, up.logical_outputs)
+            for _, g in _light_cone(buffer, up.logical_outputs)[0]:
+                _apply_hybrid(reg, classical, g)
             for q in up.logical_outputs:
                 if q not in reg.qubits:
                     reg.alloc(q)
@@ -793,7 +798,9 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
             return
         grp = up.bell_groups[group_idx]
         order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
-        buffer = flush_for(reg, classical, buffer, order)
+        cone, buffer = _light_cone(buffer, order)
+        for _, g in cone:
+            _apply_hybrid(reg, classical, g)
         for q in order:
             if q not in reg.qubits:
                 reg.alloc(q)
@@ -827,46 +834,18 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
 
 # -- speculative grouped execution for classical circuits --------------------
 
-@dataclass(frozen=True)
-class SpecBranch:
-    guess: tuple[int, ...]
-    output_bits: tuple[int, ...]
-
-
-@dataclass
-class GroupSpec:
-    stages: tuple[Stage, ...]
-    input_bits: tuple[int, ...]
-    boundaries: tuple[tuple[int, ...], ...]
-    branches: tuple[SpecBranch, ...]
-    selector: dict[tuple[int, ...], int]
-
-    def select(self, realized: tuple[int, ...]) -> int:
-        if realized not in self.selector:
-            raise ValidationError(f"selector mismatch: no branch for realized bits {realized}")
-        return self.selector[realized]
-
-
 @dataclass
 class SpeculativeProgram:
     n: int
     r: int
     stage_count: int
     input_bits: tuple[int, ...]
-    groups: tuple[GroupSpec, ...]
-
-
-@dataclass
-class SpecSelection:
-    group: int
-    realized: tuple[int, ...]
-    branch: int
+    groups: tuple[tuple[Stage, ...], ...]
 
 
 @dataclass
 class SpecTranscript:
     link_outcomes: dict[str, int]
-    selections: list[SpecSelection]
 
 
 @dataclass(frozen=True)
@@ -874,20 +853,6 @@ class SpecReport:
     critical_path: int
     stage_count: int
     group_count: int
-    branch_counts: tuple[int, ...]
-    total_copies: int
-    max_branch_factor: int
-
-
-_MAX_SPEC_BRANCHES = 2 ** 16
-
-
-def _bits_of_basis_state(state: StateVector, context: str) -> tuple[int, ...]:
-    probs = np.abs(state.amps) ** 2
-    idx = int(np.argmax(probs))
-    if probs[idx] < 1.0 - 1e-9:
-        raise ValidationError(f"{context}: state is not a basis state (circuit is not classical here)")
-    return tuple((idx >> (state.n - 1 - j)) & 1 for j in range(state.n))
 
 
 def _apply_stage(state: StateVector, st: Stage) -> StateVector:
@@ -899,13 +864,12 @@ def _apply_stage(state: StateVector, st: Stage) -> StateVector:
 
 
 def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, ...]) -> SpeculativeProgram:
-    """Group stages r at a time and pre-evaluate every guessed-correction branch.
+    """Group stages r at a time.
 
     Requires a circuit whose stages map the realized basis input to basis
-    outputs (up to phase); the oracle verifies this stage by stage. At each
-    boundary inside a group, all assignments of the pending correction bits on
-    that boundary's T layer are enumerated; boundaries between groups are real
-    links whose corrections are applied exactly, not guessed.
+    outputs (up to phase); the oracle verifies this stage by stage. Such a
+    stage maps every basis state to a basis state, so execute_speculative
+    may run it on any teleported input.
     """
     validate(c)
     if r < 1:
@@ -915,80 +879,42 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
         raise ValidationError(f"input must be a {c.n}-bit classical string")
 
     state = init_state(c.n, "".join(map(str, bits)))
-    stage_inputs = [bits]
     for i, st in enumerate(c.stages):
         state = _apply_stage(state, st)
-        stage_inputs.append(_bits_of_basis_state(state, f"stage {i + 1}"))
+        basis_bits(state, f"stage {i + 1}")
 
-    groups: list[GroupSpec] = []
-    for g0 in range(0, len(c.stages), r):
-        stages = c.stages[g0:g0 + r]
-        boundaries = tuple(tuple(sorted(st.t_layer)) for st in stages[:-1])
-        width = sum(len(b) for b in boundaries)
-        if 2 ** width > _MAX_SPEC_BRANCHES:
-            raise ValidationError(f"group at stage {g0 + 1} needs {2 ** width} branches; "
-                                  f"guard is {_MAX_SPEC_BRANCHES}")
-        u = stage_inputs[g0]
-        branches: list[SpecBranch] = []
-        selector: dict[tuple[int, ...], int] = {}
-        for guess in itertools.product((0, 1), repeat=width):
-            gstate = init_state(c.n, "".join(map(str, u)))
-            pos = 0
-            for si, st in enumerate(stages):
-                gstate = _apply_stage(gstate, st)
-                if si < len(stages) - 1:
-                    for q in boundaries[si]:
-                        if guess[pos]:
-                            gstate = apply_gate(gstate, pdg(q))
-                        pos += 1
-            out_bits = _bits_of_basis_state(gstate, f"group at stage {g0 + 1}")
-            selector[guess] = len(branches)
-            branches.append(SpecBranch(guess, out_bits))
-        groups.append(GroupSpec(stages, u, boundaries, tuple(branches), selector))
-
-    return SpeculativeProgram(c.n, r, len(c.stages), bits, tuple(groups))
+    groups = tuple(c.stages[g0:g0 + r] for g0 in range(0, len(c.stages), r))
+    return SpeculativeProgram(c.n, r, len(c.stages), bits, groups)
 
 
 def execute_speculative(sp: SpeculativeProgram,
                         rng: np.random.Generator) -> tuple[str, SpecTranscript, SpecReport]:
-    """Sequential link-by-link run: draw teleport outcomes between groups,
-    track the concrete mask, compute the realized in-group correction bits,
-    and select the matching pre-evaluated branch of each group."""
+    """Link-by-link run: draw the teleport outcomes between groups and run
+    each group once on its teleported input, the previous group's output bits
+    XOR the link X outcomes. The drawn Pauli frame is pushed through every
+    stage; its pending P-dagger corrections are phases on basis states and
+    are dropped, and its final X part is undone on the output bits."""
     n = sp.n
     uniform = np.full((2, 2), 0.25)
-    a = [0] * n
-    b = [0] * n
+    frame = PauliMask.zero(n)
     outcomes: dict[str, int] = {}
-    selections: list[SpecSelection] = []
-    selected_bits = sp.input_bits
-    for m, grp in enumerate(sp.groups):
+    bits = sp.input_bits
+    for m, stages in enumerate(sp.groups):
         if m > 0:
-            for j in range(n):
-                xv, zv = draw_bell_outcome(uniform, rng)
+            link = [draw_bell_outcome(uniform, rng) for _ in range(n)]
+            for j, (xv, zv) in enumerate(link):
                 outcomes[f"L{m}q{j}x"] = xv
                 outcomes[f"L{m}q{j}z"] = zv
-                a[j] ^= xv
-                b[j] ^= zv
-        realized: list[int] = []
-        for si, st in enumerate(grp.stages):
-            tab = tableau_from_stage(st.clifford, n)
-            vec = apply_tableau(tab, PauliMask(tuple(a), tuple(b)))
-            a, b = list(vec.a), list(vec.b)
-            _, pending = commute_through_t_layer(PauliMask(tuple(a), tuple(b)), st.t_layer)
-            if si < len(grp.stages) - 1:
-                realized.extend(pending[q] for q in sorted(st.t_layer))
-            # Pending keys at the group's final boundary are corrected exactly
-            # at link time, so they are never guessed.
-        branch_idx = grp.select(tuple(realized))
-        selections.append(SpecSelection(m, tuple(realized), branch_idx))
-        selected_bits = grp.branches[branch_idx].output_bits
-    counts = tuple(len(g.branches) for g in sp.groups)
-    rep = SpecReport(
-        critical_path=len(sp.groups),
-        stage_count=sp.stage_count,
-        group_count=len(sp.groups),
-        branch_counts=counts,
-        total_copies=sum(counts),
-        max_branch_factor=max(counts),
-    )
-    return "".join(map(str, selected_bits)), SpecTranscript(outcomes, selections), rep
+            xs = tuple(xv for xv, _ in link)
+            frame = frame ^ PauliMask(xs, tuple(zv for _, zv in link))
+            bits = tuple(b ^ xv for b, xv in zip(bits, xs))
+        state = init_state(n, "".join(map(str, bits)))
+        for st in stages:
+            state = _apply_stage(state, st)
+            frame = apply_tableau(tableau_from_stage(st.clifford, n), frame)
+            frame, _ = commute_through_t_layer(frame, st.t_layer)
+        bits = basis_bits(state, f"group {m + 1}")
+    out_bits = tuple(b ^ xv for b, xv in zip(bits, frame.a))
+    rep = SpecReport(critical_path=len(sp.groups), stage_count=sp.stage_count,
+                     group_count=len(sp.groups))
+    return "".join(map(str, out_bits)), SpecTranscript(outcomes), rep

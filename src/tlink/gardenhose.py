@@ -41,7 +41,7 @@ from .frames import (
     poly_eval,
     tableau_from_stage,
 )
-from .oracle import MeasRecord, Register, StateVector, draw_bell_outcome
+from .oracle import MeasRecord, Register, StateVector, random_state
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,25 @@ def _var(prefix: str, suffix: str, owner: Owner) -> OutcomeVar:
     return OutcomeVar(prefix + suffix, owner)
 
 
+def _bell_measure(reg: Register, r: int, s: int, vx: str, vz: str, outcomes: dict[str, int],
+                  rng: np.random.Generator | None, forced: dict[str, int] | None,
+                  caller: str) -> tuple[int, int, float]:
+    """Bell-measure (r, s) with the outcomes named in ``forced`` or, without
+    it, drawn from ``rng``; write them to ``outcomes`` as vx, vz and return
+    (x, z, probability), where the probability of a drawn outcome is 1.0."""
+    if forced is not None:
+        xv, zv = forced[vx] & 1, forced[vz] & 1
+        prob = reg.project_bell(r, s, xv, zv)
+    else:
+        if rng is None:
+            raise ValidationError(f"{caller} needs rng or forced outcomes")
+        xv, zv = reg.bell_measure(r, s, rng)
+        prob = 1.0
+    outcomes[vx] = xv
+    outcomes[vz] = zv
+    return xv, zv, prob
+
+
 def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
                forced: dict[str, int] | None = None, var_prefix: str = "") -> GadgetResult:
     """Run the gadget once.
@@ -144,15 +163,8 @@ def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
 
     def measure(r: int, s: int, vx: str, vz: str, owner: Owner) -> tuple[int, int]:
         nonlocal prob
-        if forced is not None:
-            xv, zv = forced[vx] & 1, forced[vz] & 1
-            prob *= reg.project_bell(r, s, xv, zv)
-        else:
-            if rng is None:
-                raise ValidationError("run_gadget needs rng or forced outcomes")
-            xv, zv = reg.bell_measure(r, s, rng)
-        outcomes[vx] = xv
-        outcomes[vz] = zv
+        xv, zv, factor = _bell_measure(reg, r, s, vx, vz, outcomes, rng, forced, "run_gadget")
+        prob *= factor
         records.append(MeasRecord(vx, vz, (xv, zv), (r, s)))
         return xv, zv
 
@@ -226,11 +238,11 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
     recovers the input, and every symbolic key evaluates to its concrete bit.
     Returns one summary row per (p, q); raises on any violation.
     """
-    from .oracle import apply_gate, apply_mask, fidelity_up_to_phase, init_state
+    from .oracle import apply_gate, apply_mask, fidelity_up_to_phase
 
     if input_states is None:
         gen = np.random.default_rng(seed)
-        input_states = [_random_1q_state(gen) for _ in range(3)]
+        input_states = [random_state(1, gen) for _ in range(3)]
     var_names = ["bx", "bz", "a1x", "a1z", "a2x", "a2z"]
     table = []
     for p_bit, q_bit in itertools.product((0, 1), repeat=2):
@@ -273,13 +285,6 @@ def _check_gadget_coherence(res: GadgetResult, p_bit: int) -> None:
         raise ValidationError("symbolic junk keys disagree with concrete bookkeeping")
 
 
-def _random_1q_state(rng: np.random.Generator) -> StateVector:
-    from .oracle import init_state
-
-    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return init_state(1, amps / np.linalg.norm(amps))
-
-
 _P_GATE = Gate(GateKind.P, (0,))
 
 
@@ -300,15 +305,11 @@ def bridge_teleport(result: GadgetResult, pair: tuple[int, int],
     reg = result.register
     half, dest = pair
     reg.prepare_epr(half, dest)
-    if forced is not None:
-        xv, zv = forced
-        prob = reg.project_bell(result.output_phys, half, xv, zv)
-    else:
-        if rng is None:
-            raise ValidationError("bridge_teleport needs rng or forced outcomes")
-        xv, zv = reg.bell_measure(result.output_phys, half, rng)
-        prob = 1.0
     vx, vz = var_prefix + "x", var_prefix + "z"
+    outcomes = dict(result.outcomes)
+    xv, zv, prob = _bell_measure(reg, result.output_phys, half, vx, vz, outcomes, rng,
+                                 None if forced is None else {vx: forced[0], vz: forced[1]},
+                                 "bridge_teleport")
     record = MeasRecord(vx, vz, (xv, zv), (result.output_phys, half))
     pdg_bit = result.applied_pdg or 0
     mask = PauliMask((result.mask.a[0] ^ xv,),
@@ -318,9 +319,6 @@ def bridge_teleport(result: GadgetResult, pair: tuple[int, int],
     path_idx = 0 if result.output_qubit == "out1" else 1
     a_key = result.symbolic_mask.a[path_idx] ^ bxp
     b_key = result.symbolic_mask.b[path_idx] ^ bzp ^ (bxp * KeyPoly.from_bit(pdg_bit))
-    outcomes = dict(result.outcomes)
-    outcomes[vx] = xv
-    outcomes[vz] = zv
     return replace(
         result,
         mask=mask,
@@ -465,15 +463,8 @@ def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePla
 
     def measure(r: int, s: int, vx: str, vz: str, owner: Owner) -> tuple[int, int]:
         nonlocal prob
-        if forced is not None:
-            xv, zv = forced[vx] & 1, forced[vz] & 1
-            prob *= reg.project_bell(r, s, xv, zv)
-        else:
-            if rng is None:
-                raise ValidationError("run_protocol1 needs rng or forced outcomes")
-            xv, zv = reg.bell_measure(r, s, rng)
-        outcomes[vx] = xv
-        outcomes[vz] = zv
+        xv, zv, factor = _bell_measure(reg, r, s, vx, vz, outcomes, rng, forced, "run_protocol1")
+        prob *= factor
         var_owners[vx] = owner
         var_owners[vz] = owner
         return xv, zv

@@ -93,6 +93,21 @@ def init_state(n: int, basis) -> StateVector:
     return _check_state(n, amps.copy())
 
 
+def random_state(n: int, rng: np.random.Generator) -> StateVector:
+    """Random n-qubit state: 2^n real normal draws, then 2^n imaginary ones."""
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return init_state(n, amps / np.linalg.norm(amps))
+
+
+def basis_bits(state: StateVector, context: str) -> tuple[int, ...]:
+    """The bits of a computational basis state (up to phase); raises otherwise."""
+    probs = np.abs(state.amps) ** 2
+    idx = int(np.argmax(probs))
+    if probs[idx] < 1.0 - 1e-9:
+        raise ValidationError(f"{context}: state is not a basis state (circuit is not classical here)")
+    return tuple((idx >> (state.n - 1 - j)) & 1 for j in range(state.n))
+
+
 _DIAG_VECS = {
     kind: np.array([mat[0, 0], mat[1, 1]]).reshape(1, 2, 1)
     for kind, mat in GATE_MATRICES.items()

@@ -13,6 +13,7 @@ from tlink.circuits import (
 )
 from tlink.compiler import (
     InstrOp,
+    _light_cone,
     compile_measure,
     enumerate_branches,
     execute,
@@ -138,6 +139,32 @@ class TestProgramText:
             assert exc.line == 2
         else:
             pytest.fail("expected ParseError")
+
+
+def fixpoint_cone(buffer, qubits):
+    """Reference: add every item touching the needed qubits until nothing changes."""
+    need, chosen = set(qubits), set()
+    changed = True
+    while changed:
+        changed = False
+        for i, (qs, _) in enumerate(buffer):
+            if i not in chosen and need & set(qs):
+                chosen.add(i)
+                need |= set(qs)
+                changed = True
+    return ([item for i, item in enumerate(buffer) if i in chosen],
+            [item for i, item in enumerate(buffer) if i not in chosen])
+
+
+def test_light_cone_matches_fixpoint(rng):
+    for _ in range(500):
+        nq = int(rng.integers(2, 16))
+        buffer = []
+        for i in range(int(rng.integers(0, 40))):
+            width = 2 if rng.random() < 0.3 else 1
+            buffer.append((tuple(int(q) for q in rng.choice(nq, size=width, replace=False)), i))
+        qubits = tuple(int(q) for q in rng.choice(nq, size=int(rng.integers(1, 3)), replace=False))
+        assert _light_cone(buffer, qubits) == fixpoint_cone(buffer, qubits)
 
 
 class TestExecute:

@@ -30,7 +30,8 @@ PINNED = [
 
 # Degree-2 and degree-3 terms, constants, a cancelling pair, and names that are
 # prefixes of each other (a, ab, a_; m1x, m10x), written out of canonical order.
-HAND = """QUBITS 6
+# Corrections and outputs sit on qubits 6 and 7, which no BELL measures.
+HAND = """QUBITS 8
 EPR 2 3
 EPR 4 5
 H 0
@@ -39,16 +40,16 @@ T 1
 BELL 0 2 -> a ab
 BELL 1 4 -> a_ m1x
 BELL 3 5 -> m10x b
-PDG 3 IF m10x*m1x ^ a*ab ^ ab ^ a_ ^ a ^ 1
-X 5 IF a_*a ^ a*ab ^ ab * a_ ^ m1x ^ m10x
-Z 5 IF b ^ m1x*b ^ b*m10x ^ a*b*ab
-X 3 IF 1
-Z 3 IF a ^ a
-OUT 0 3
-OUT 1 5
+PDG 6 IF m10x*m1x ^ a*ab ^ ab ^ a_ ^ a ^ 1
+X 7 IF a_*a ^ a*ab ^ ab * a_ ^ m1x ^ m10x
+Z 7 IF b ^ m1x*b ^ b*m10x ^ a*b*ab
+X 6 IF 1
+Z 6 IF a ^ a
+OUT 0 6
+OUT 1 7
 """
 
-HAND_CANONICAL = """QUBITS 6
+HAND_CANONICAL = """QUBITS 8
 EPR 2 3
 EPR 4 5
 H 0
@@ -57,15 +58,15 @@ T 1
 BELL 0 2 -> a ab
 BELL 1 4 -> a_ m1x
 BELL 3 5 -> m10x b
-PDG 3 IF a ^ a*ab ^ a_ ^ ab ^ m10x*m1x ^ 1
-X 5 IF a*a_ ^ a*ab ^ a_*ab ^ m10x ^ m1x
-Z 5 IF a*ab*b ^ b ^ b*m10x ^ b*m1x
-X 3 IF 1
-Z 3 IF 0
-OUT 0 3
-OUT 1 5
+PDG 6 IF a ^ a*ab ^ a_ ^ ab ^ m10x*m1x ^ 1
+X 7 IF a*a_ ^ a*ab ^ a_*ab ^ m10x ^ m1x
+Z 7 IF a*ab*b ^ b ^ b*m10x ^ b*m1x
+X 6 IF 1
+Z 6 IF 0
+OUT 0 6
+OUT 1 7
 """
-HAND_SHA256 = "8bd43c109c7ee386e4fa3c75b2a02596cbec827e009857d2a56c5747484529c7"
+HAND_SHA256 = "d670703b7e3e47cd0576aebd3f6f16d4d17eb8d2091bf47d0f04faf9b50d053c"
 
 
 def sha256(text: str) -> str:
@@ -114,6 +115,8 @@ BAD_PROGRAMS = [
     ("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a ^ c\nOUT 0 2\n", 3, "undefined"),
     ("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a ^ ^ b\nOUT 0 2\n", 3, "empty"),
     ("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a*1b\nOUT 0 2\n", 3, "bad condition term"),
+    ("QUBITS 2\nBELL 0 1 -> a b\nOUT 0 0\n", 3, "Bell-measured"),
+    ("QUBITS 2\nOUT 0 1\nBELL 0 1 -> a b\n", 2, "Bell-measured"),
 ]
 
 
