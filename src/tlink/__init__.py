@@ -35,7 +35,6 @@ from .compiler import (
     to_unitary,
 )
 from .frames import (
-    CliffordTableau,
     KeyPoly,
     OutcomeVar,
     Owner,

@@ -180,7 +180,7 @@ def cmd_speculate(args) -> int:
     final = apply_circuit(init_state(circuit.n, bits), circuit)
     direct = "".join(map(str, basis_bits(final, "direct run")))
     print(f"critical_path={rep.critical_path}")
-    print(f"groups={rep.group_count}")
+    print(f"groups={len(program.groups)}")
     print(f"output={out_bits}")
     print(f"matches_direct={'true' if out_bits == direct else 'false'}")
     return EXIT_OK if out_bits == direct else EXIT_FIDELITY

@@ -113,11 +113,6 @@ class CompiledProgram:
     logical_outputs: tuple[int, ...]
     instructions: tuple[Instruction, ...]
     declared_depth: DepthMetrics
-    link_steps: int
-    # Symbolic bookkeeping kept for coherence checks; empty on parsed programs.
-    link_keys: tuple[tuple[tuple[int, KeyPoly], ...], ...] = ()
-    terminal_keys: tuple[tuple[int, KeyPoly], ...] = ()
-    final_mask: SymbolicMask | None = None
 
 
 @dataclass(frozen=True)
@@ -213,17 +208,14 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
             instrs.append(Instruction(InstrOp.GATE, (carrier(i, q),), gate=t(carrier(i, q))))
 
     mask = SymbolicMask.zero(n)
-    link_keys: list[tuple[tuple[int, KeyPoly], ...]] = []
-    terminal_keys: list[tuple[int, KeyPoly]] = []
     var_idx = 0
     for i, st in enumerate(stages, start=1):
         mask = apply_tableau(tableau_from_stage(st.clifford, n), mask)
         mask, pending = commute_through_t_layer(mask, st.t_layer)
+        for j in sorted(pending):
+            if not pending[j].is_zero:
+                instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), cond=pending[j]))
         if i < k_stages:
-            link_keys.append(tuple((j, pending[j]) for j in sorted(pending)))
-            for j in sorted(pending):
-                if not pending[j].is_zero:
-                    instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), cond=pending[j]))
             for j in range(n):
                 vx, vz = f"m{var_idx}x", f"m{var_idx}z"
                 var_idx += 1
@@ -232,10 +224,6 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
                 mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(vx, Owner.LOCAL)),
                                    KeyPoly.of(OutcomeVar(vz, Owner.LOCAL)))
         else:
-            terminal_keys = [(j, pending[j]) for j in sorted(pending)]
-            for j, key in terminal_keys:
-                if not key.is_zero:
-                    instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), cond=key))
             for j in range(n):
                 out_q = carrier(i, j)
                 if not mask.a[j].is_zero:
@@ -245,18 +233,13 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
 
     outputs = tuple(carrier(k_stages, j) for j in range(n))
     total_qubits = n + 2 * n * (k_stages - 1)
-    program = CompiledProgram(
+    return CompiledProgram(
         total_qubits=total_qubits,
         n=n,
         logical_outputs=outputs,
         instructions=tuple(instrs),
         declared_depth=_schedule_depth(tuple(instrs)),
-        link_steps=k_stages - 1,
-        link_keys=tuple(link_keys),
-        terminal_keys=tuple(terminal_keys),
-        final_mask=mask,
     )
-    return program
 
 
 def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
@@ -265,7 +248,7 @@ def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
     return ResourceReport(
         epr_pairs=epr,
         total_qubits=p.total_qubits,
-        link_steps=p.link_steps,
+        link_steps=len(c.stages) - 1,
         compiled_depth=p.declared_depth.total_depth,
         original_depth=dm.total_depth,
         t_depth=dm.t_depth,
@@ -416,15 +399,12 @@ def parse_program(text: str) -> CompiledProgram:
         if q in measured:
             raise ParseError(f"output qubit {q} is Bell-measured", lineno)
     n = len(outputs)
-    bells = sum(1 for ins in instrs if ins.op is InstrOp.BELL)
-    links = bells // n if n and bells % n == 0 else bells
     return CompiledProgram(
         total_qubits=total,
         n=n,
         logical_outputs=tuple(outputs[j] for j in range(n)),
         instructions=tuple(instrs),
         declared_depth=_schedule_depth(tuple(instrs)),
-        link_steps=links,
     )
 
 
@@ -852,7 +832,6 @@ class SpecTranscript:
 class SpecReport:
     critical_path: int
     stage_count: int
-    group_count: int
 
 
 def _apply_stage(state: StateVector, st: Stage) -> StateVector:
@@ -915,6 +894,5 @@ def execute_speculative(sp: SpeculativeProgram,
             frame, _ = commute_through_t_layer(frame, st.t_layer)
         bits = basis_bits(state, f"group {m + 1}")
     out_bits = tuple(b ^ xv for b, xv in zip(bits, frame.a))
-    rep = SpecReport(critical_path=len(sp.groups), stage_count=sp.stage_count,
-                     group_count=len(sp.groups))
+    rep = SpecReport(critical_path=len(sp.groups), stage_count=sp.stage_count)
     return "".join(map(str, out_bits)), SpecTranscript(outcomes), rep

@@ -3,11 +3,12 @@ GF(2) Pauli-frame algebra.
 
 Per-qubit corrections are tracked as exponent pairs (a, b) of X^a Z^b, either
 as concrete bits (PauliMask) or as multilinear GF(2) polynomials in
-party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). Clifford
-conjugation acts linearly on the 2n-bit exponent vector (CliffordTableau); a
-T layer leaves exponents fixed but emits a pending phase-correction key per
-touched qubit. Global phases are discarded throughout: masks are only ever
-applied as physical corrections, where phases are unobservable.
+party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). A
+Clifford stage moves the exponents gate by gate with the rules below, using
+only XOR, so one push serves both mask kinds; a T layer leaves exponents
+fixed but emits a pending phase-correction key per touched qubit. Global
+phases are discarded throughout: masks are only ever applied as physical
+corrections, where phases are unobservable.
 
 Key update rules, pushed left-to-right through a gate:
 
@@ -22,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .circuits import Gate, GateKind, ValidationError
 
@@ -193,76 +192,43 @@ class SymbolicMask:
         return SymbolicMask(tuple(a), tuple(b))
 
 
-class CliffordTableau:
-    """GF(2)-linear action of a Clifford gate list on mask exponent vectors.
+_CLIFFORD_KINDS = frozenset({GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT,
+                             GateKind.X, GateKind.Z})
 
-    Exponent vectors are laid out (a_0..a_{n-1}, b_0..b_{n-1}); column j of
-    the matrix is the image of the X_j generator, column n+j of Z_j.
+
+def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
+    """Check that a stage's gates are Clifford and return them in gate order.
+
+    The result is what apply_tableau pushes a mask through; ``n`` is the
+    stage's qubit count, which the masks pushed through it share.
     """
-
-    def __init__(self, n: int, matrix: np.ndarray):
-        self.n = n
-        self.matrix = matrix.astype(np.uint8)
-
-    @staticmethod
-    def identity(n: int) -> "CliffordTableau":
-        return CliffordTableau(n, np.eye(2 * n, dtype=np.uint8))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CliffordTableau) and self.n == other.n
-                and np.array_equal(self.matrix, other.matrix))
+    gates = tuple(clifford)
+    for g in gates:
+        if g.kind not in _CLIFFORD_KINDS:
+            raise ValidationError(f"non-Clifford gate {g.kind.value} in Clifford stage")
+    return gates
 
 
-def tableau_from_stage(clifford: Iterable[Gate], n: int) -> CliffordTableau:
-    """Compose the per-gate update rules in gate order.
+def apply_tableau(gates: tuple[Gate, ...], mask: PauliMask | SymbolicMask):
+    """Push a mask through checked Clifford gates by the per-gate update rules.
 
-    Each gate left-multiplies the matrix by a sparse GF(2) map, which is an
-    in-place row operation (Aaronson-Gottesman, quant-ph/0406196): H swaps
-    rows q and n+q, P/P† XORs row q into row n+q, and CNOT(c, t) XORs row c
-    into row t and row n+t into row n+c. X and Z leave the matrix unchanged.
+    Exponents are only swapped or combined with ``^``, so concrete bits and
+    KeyPoly keys take the same path; X and Z leave the mask unchanged.
     """
-    mat = np.eye(2 * n, dtype=np.uint8)
-    for g in clifford:
+    a, b = list(mask.a), list(mask.b)
+    for g in gates:
         kind = g.kind
-        if kind is GateKind.H:
-            (q,) = g.targets
-            mat[[q, n + q]] = mat[[n + q, q]]
-        elif kind in (GateKind.P, GateKind.PDG):
-            (q,) = g.targets
-            mat[n + q] ^= mat[q]
-        elif kind is GateKind.CNOT:
+        if kind is GateKind.CNOT:
             c, tgt = g.targets
-            mat[tgt] ^= mat[c]
-            mat[n + c] ^= mat[n + tgt]
-        elif kind not in (GateKind.X, GateKind.Z):
-            raise ValidationError(f"non-Clifford gate {kind.value} in Clifford stage")
-    return CliffordTableau(n, mat)
-
-
-def apply_tableau(tab: CliffordTableau, mask: PauliMask | SymbolicMask):
-    """Apply the linear exponent map; coefficient-wise on symbolic masks."""
-    if mask.n != tab.n:
-        raise ValidationError(f"mask on {mask.n} qubits, tableau on {tab.n}")
-    mat = tab.matrix
-    if isinstance(mask, PauliMask):
-        vec = np.array(mask.a + mask.b, dtype=np.uint8)
-        out = (mat @ vec) % 2
-        return PauliMask(tuple(int(v) for v in out[: tab.n]), tuple(int(v) for v in out[tab.n:]))
-    polys = mask.a + mask.b
-    out_polys = []
-    for row in mat:
-        cols = np.flatnonzero(row)
-        if len(cols) == 1:
-            out_polys.append(polys[cols[0]])
-            continue
-        monos: set = set()
-        constant = 0
-        for col in cols:
-            poly = polys[col]
-            monos ^= poly.monomials
-            constant ^= poly.constant
-        out_polys.append(KeyPoly(frozenset(monos), constant))
-    return SymbolicMask(tuple(out_polys[: tab.n]), tuple(out_polys[tab.n:]))
+            a[tgt] ^= a[c]
+            b[c] ^= b[tgt]
+        elif kind is GateKind.H:
+            (q,) = g.targets
+            a[q], b[q] = b[q], a[q]
+        elif kind is GateKind.P or kind is GateKind.PDG:
+            (q,) = g.targets
+            b[q] ^= a[q]
+    return type(mask)(tuple(a), tuple(b))
 
 
 def commute_through_t_layer(mask: PauliMask | SymbolicMask, t_layer: Iterable[int]):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from tlink.circuits import Gate, GateKind, LayeredCircuit, Stage, flatten
+from tlink.compiler import InstrOp
 from tlink.frames import (
     KeyPoly,
     OutcomeVar,
@@ -134,32 +135,39 @@ def random_classical_circuit(rng: np.random.Generator, n: int, k: int) -> Layere
 
 
 def assert_frame_coherence(circuit: LayeredCircuit, program, outcomes: dict[str, int]) -> int:
-    """Replay the frame with concrete bits and compare every stored symbolic
-    key (link pendings, terminal pendings, final mask) at these outcomes.
-    Returns the number of compared bits."""
+    """Replay the frame with concrete bits and compare, at these outcomes,
+    every key the program's COND_PDG/COND_X/COND_Z instructions carry on the
+    stage carriers (a missing instruction is the key 0): each pending T-layer
+    bit and the final X and Z bits. Returns the number of compared bits."""
     n = circuit.n
+    conds = {(ins.op, ins.qubits[0]): ins.cond for ins in program.instructions
+             if ins.cond is not None}
+
+    def emitted(op: InstrOp, i: int, j: int) -> int:
+        key = conds.get((op, j if i == 1 else n + 2 * n * (i - 2) + n + j))
+        return 0 if key is None else poly_eval(key, outcomes)
+
     mask = PauliMask.zero(n)
     var_idx = 0
     checked = 0
+    k = len(circuit.stages)
     for i, st_ in enumerate(circuit.stages, start=1):
         mask = apply_tableau(tableau_from_stage(st_.clifford, n), mask)
         mask, pending = commute_through_t_layer(mask, st_.t_layer)
-        if i < len(circuit.stages):
-            for j, key in program.link_keys[i - 1]:
-                assert poly_eval(key, outcomes) == pending[j]
-                checked += 1
+        for j, bit in pending.items():
+            assert emitted(InstrOp.COND_PDG, i, j) == bit
+            checked += 1
+        if i < k:
             a, b = list(mask.a), list(mask.b)
             for j in range(n):
                 a[j] ^= outcomes[f"m{var_idx}x"]
                 b[j] ^= outcomes[f"m{var_idx}z"]
                 var_idx += 1
             mask = PauliMask(tuple(a), tuple(b))
-        else:
-            for j, key in program.terminal_keys:
-                assert poly_eval(key, outcomes) == pending[j]
-                checked += 1
-            assert program.final_mask.evaluate(outcomes) == mask
-            checked += 2 * n
+    for j in range(n):
+        assert emitted(InstrOp.COND_X, k, j) == mask.a[j]
+        assert emitted(InstrOp.COND_Z, k, j) == mask.b[j]
+        checked += 2
     return checked
 
 

@@ -52,7 +52,7 @@ class TestExecuteSpeculative:
         sp = compile_speculative(parse_circuit(CLASSICAL_K4), 2, "10")
         _, _, rep = execute_speculative(sp, np.random.default_rng(0))
         assert rep.critical_path == 2
-        assert rep.group_count == 2
+        assert len(sp.groups) == 2
         assert rep.stage_count == 4
 
     def test_output_matches_direct_and_linked(self):

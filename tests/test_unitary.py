@@ -22,7 +22,7 @@ from tlink.oracle import Register, apply_circuit, fidelity_up_to_phase, init_sta
 
 def make_program(total, n, outputs, instrs):
     instrs = tuple(instrs)
-    return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs), 0)
+    return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs))
 
 
 def coherent_register(up: UnitaryProgram, psi) -> Register:
