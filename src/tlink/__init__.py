@@ -41,7 +41,6 @@ from .frames import (
     PauliMask,
     SymbolicMask,
     apply_tableau,
-    commute_through_pdag,
     commute_through_t_layer,
     cross_terms,
     poly_eval,
@@ -67,11 +66,8 @@ from .oracle import (
     apply_circuit,
     apply_gate,
     apply_mask,
-    bell_branches,
-    bell_measure,
     fidelity_up_to_phase,
     init_state,
-    prepare_epr,
 )
 
 __version__ = "0.1.0"

@@ -88,18 +88,20 @@ def cmd_verify(args) -> int:
     else:
         program = compile_measure(circuit)
 
+    # Fidelities compare at the printed precision, so the reported worst
+    # branch (the first one at the minimum) does not depend on rounding noise.
     worst = (1.0, {})
     if args.exhaustive:
         branches = enumerate_branches(program, psi, max_outcome_bits=args.max_bits)
         for br in branches:
-            fid = fidelity_up_to_phase(br.state, reference)
+            fid = round(fidelity_up_to_phase(br.state, reference), 12)
             if fid < worst[0]:
                 worst = (fid, br.outcomes)
     else:
         rng = np.random.default_rng(seed)
         for _ in range(args.shots):
             out, transcript = execute(program, psi, rng)
-            fid = fidelity_up_to_phase(out, reference)
+            fid = round(fidelity_up_to_phase(out, reference), 12)
             if fid < worst[0]:
                 worst = (fid, transcript.outcomes)
     print(f"min_fidelity={worst[0]:.12f}")

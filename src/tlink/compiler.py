@@ -27,14 +27,15 @@ frame and undone on the output bits.
 Cost model for declared depth: every gate costs 1 layer, a Bell measurement
 costs 3 (CNOT, H, readout), a conditioned single-qubit correction costs 1,
 and EPR preparation is a layer-0 resource. Conditions wait for the readouts
-of the variables they reference. compile_* functions are pure; execution is
-sequential per program, while stage pre-execution and branch enumeration are
-read-only on their inputs and safe to parallelize externally.
+of the variables they reference. compile_* functions are pure. Execution
+runs from a plan built once per program on first use (see the execution
+section); runs only read it, so they are safe to parallelize externally.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,16 @@ from .frames import (
 )
 from .oracle import (
     _BELL_OUTCOMES,
+    MAX_QUBITS,
     MeasRecord,
-    Register,
     StateVector,
+    _apply_kind,
+    _bell_rotate,
+    _extract,
+    _grow,
+    _grow_epr,
+    _marginal,
+    _project,
     apply_gate,
     basis_bits,
     draw_bell_outcome,
@@ -106,13 +114,18 @@ class Instruction:
     cond: KeyPoly | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledProgram:
     total_qubits: int
     n: int
     logical_outputs: tuple[int, ...]
     instructions: tuple[Instruction, ...]
     declared_depth: DepthMetrics
+
+    @cached_property
+    def plan(self) -> "ExecPlan":
+        """The execution plan, built on first use and shared by every run."""
+        return _measure_plan(self)
 
 
 @dataclass(frozen=True)
@@ -409,127 +422,219 @@ def parse_program(text: str) -> CompiledProgram:
 
 
 # -- execution ---------------------------------------------------------------
+#
+# A program runs from an execution plan built once per program by replaying
+# its windowed schedule symbolically. EPR and gate instructions are buffered;
+# a Bell measurement, a conditioned correction (whether or not it will fire)
+# and the final extraction each flush only the backward light cone of their
+# qubits (_light_cone). That keeps the window at n+2 on compiled programs:
+# the n live carriers plus the EPR pair being linked, never the next stage's
+# pre-executed gates. The plan records each step with its tensor axes
+# resolved, so a shot or a branch only does numpy work between branch
+# points; its qubit checks (EPR on a live qubit, any use of a measured one,
+# the window cap) are static and raise when the plan is built.
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
-    """Split buffered ``(qubits, op)`` items into the light cone of ``qubits``
-    and the rest, both in program order.
+    """Split buffered ``(qubits, op)`` items into the backward light cone of
+    ``qubits`` and the rest, both in program order.
 
-    The cone is every item connected to ``qubits`` through shared qubits,
-    earlier or later in the buffer alike. Its qubits are the component of
-    ``qubits`` in the graph that links the qubits of each multi-qubit item:
-    one pass indexes those links, a breadth-first walk collects the
-    component, and an item is in the cone exactly when its first qubit is.
+    Scanning from the end, an item is in the cone when it shares a qubit with
+    ``qubits`` or with an item already kept by the scan. Every other item is
+    disjoint from the cone's later items and from ``qubits``, so it commutes
+    past them and may stay buffered.
     """
-    links: dict[int, list[int]] = {}
-    for qs, _ in buffer:
-        for q in qs[1:]:
-            links.setdefault(qs[0], []).append(q)
-            links.setdefault(q, []).append(qs[0])
-    reached = set(qubits)
-    frontier = list(reached)
-    while frontier:
-        for q in links.get(frontier.pop(), ()):
-            if q not in reached:
-                reached.add(q)
-                frontier.append(q)
-    cone = [item for item in buffer if item[0][0] in reached]
-    rest = [item for item in buffer if item[0][0] not in reached]
-    return cone, rest
+    need = set(qubits)
+    keep = [False] * len(buffer)
+    for i in range(len(buffer) - 1, -1, -1):
+        qs = buffer[i][0]
+        if not need.isdisjoint(qs):
+            keep[i] = True
+            need.update(qs)
+    return ([item for item, k in zip(buffer, keep) if k],
+            [item for item, k in zip(buffer, keep) if not k])
 
 
-class _Runner:
-    """Windowed executor: defers EPR/gate work until a measurement or
-    conditioned correction needs the qubits, and drops measured pairs."""
+# Plan step opcodes; each step is a tuple (op, ...) with axes resolved.
+_GATE, _ALLOC, _EPR, _COND, _BELL, _MEASURE, _XIF, _XOR, _FLIP = range(9)
 
-    def __init__(self, program: CompiledProgram, input_state: StateVector):
-        if input_state.n != program.n:
-            raise ValidationError("input state size does not match program wires")
-        self.program = program
-        self.reg = Register()
-        self.reg.load(input_state, list(range(program.n)))
-        self.buffer: list[tuple[tuple[int, ...], Instruction]] = []
-        self.pc = 0
-        self.outcomes: dict[str, int] = {}
-        self.records: list[MeasRecord] = []
-        self.prob = 1.0
 
-    def clone(self) -> "_Runner":
-        dup = object.__new__(_Runner)
-        dup.program = self.program
-        dup.reg = self.reg.clone()
-        dup.buffer = list(self.buffer)
-        dup.pc = self.pc
-        dup.outcomes = dict(self.outcomes)
-        dup.records = list(self.records)
-        dup.prob = self.prob
-        return dup
+@dataclass(frozen=True)
+class ExecPlan:
+    """Flat steps over a tensor window, the axes of the logical outputs at
+    the end, the largest window width, and the Bell instructions in run order
+    (for transcripts)."""
 
-    def _ensure(self, qubits: tuple[int, ...]) -> None:
+    n: int
+    steps: tuple[tuple, ...]
+    outputs: tuple[int, ...]
+    peak_width: int
+    bells: tuple[Instruction, ...] = ()
+
+
+class _Schedule:
+    """Symbolic window replay: which qubit each tensor axis holds, and which
+    qubits were measured and dropped."""
+
+    def __init__(self, n: int):
+        self.window = list(range(n))
+        self.retired: set[int] = set()
+        self.steps: list[tuple] = []
+        self.peak = n
+
+    def check_unmeasured(self, qubits) -> None:
         for q in qubits:
-            if q not in self.reg.qubits:
-                self.reg.alloc(q)
+            if q in self.retired:
+                raise ValidationError(f"qubit {q} was already measured and cannot be reused")
 
-    def _run_buffered(self, ins: Instruction) -> None:
-        if ins.op is InstrOp.EPR:
-            self.reg.prepare_epr(*ins.qubits)
-        else:
-            self._ensure(ins.qubits)
-            self.reg.apply_gate(ins.gate)
+    def _grow(self, qubits: list[int], step: tuple) -> None:
+        self.window += qubits
+        if len(self.window) > MAX_QUBITS:
+            raise ValidationError("register window exceeds the qubit cap")
+        self.peak = max(self.peak, len(self.window))
+        self.steps.append(step)
 
-    def _flush_for(self, qubits: tuple[int, ...]) -> None:
-        """Run the buffered light cone of ``qubits`` (see _light_cone)."""
-        cone, self.buffer = _light_cone(self.buffer, qubits)
-        for _, ins in cone:
-            self._run_buffered(ins)
+    def axes(self, qubits) -> tuple[int, ...]:
+        """Axes of ``qubits``, allocating fresh |0> ones as needed."""
+        for q in qubits:
+            if q not in self.window:
+                self._grow([q], (_ALLOC,))
+        return tuple(self.window.index(q) for q in qubits)
 
-    def advance(self) -> Instruction | None:
-        """Run to the next Bell measurement (returned unresolved) or to the end."""
-        instrs = self.program.instructions
-        while self.pc < len(instrs):
-            ins = instrs[self.pc]
-            if ins.op in (InstrOp.EPR, InstrOp.GATE):
-                self.buffer.append((ins.qubits, ins))
-                self.pc += 1
-            elif ins.op is InstrOp.BELL:
-                self._flush_for(ins.qubits)
-                self._ensure(ins.qubits)
-                return ins
+    def epr(self, a: int, b: int) -> None:
+        self._grow([a, b], (_EPR,))
+
+    def gate(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
+        self.steps.append((_GATE, kind, self.axes(qubits)))
+
+    def drop(self, *qubits: int) -> None:
+        for q in qubits:
+            self.window.remove(q)
+        self.retired.update(qubits)
+
+
+def _measure_plan(p: CompiledProgram) -> ExecPlan:
+    """Replay a measure-mode program's schedule into an ExecPlan."""
+    sched = _Schedule(p.n)
+    touched = set(range(p.n))
+    buffer: list[tuple[tuple[int, ...], Instruction]] = []
+    bells: list[Instruction] = []
+
+    def flush(qubits) -> None:
+        nonlocal buffer
+        cone, buffer = _light_cone(buffer, qubits)
+        for qs, ins in cone:
+            if ins.op is InstrOp.EPR:
+                sched.epr(*qs)
             else:
-                if poly_eval(ins.cond, self.outcomes):
-                    self._flush_for(ins.qubits)
-                    self._ensure(ins.qubits)
-                    self.reg.apply(_COND_KINDS[ins.op], ins.qubits)
-                self.pc += 1
-        return None
+                sched.gate(ins.gate.kind, qs)
 
-    def resolve_bell(self, ins: Instruction, xv: int, zv: int) -> None:
-        self.prob *= self.reg.project_bell(ins.qubits[0], ins.qubits[1], xv, zv)
-        vx, vz = ins.out_vars
-        self.outcomes[vx] = xv
-        self.outcomes[vz] = zv
-        self.records.append(MeasRecord(vx, vz, (xv, zv), ins.qubits))
-        self.pc += 1
+    for ins in p.instructions:
+        qs = ins.qubits
+        if len(set(qs)) != len(qs):
+            raise ValidationError(f"{ins.op.value} qubits must be distinct (qubit collision)")
+        sched.check_unmeasured(qs)
+        if ins.op is InstrOp.EPR and not touched.isdisjoint(qs):
+            raise ValidationError(f"EPR qubit {min(touched.intersection(qs))} is already in use")
+        touched.update(qs)
+        if ins.op is InstrOp.EPR or ins.op is InstrOp.GATE:
+            buffer.append((qs, ins))
+            continue
+        flush(qs)
+        axes = sched.axes(qs)
+        if ins.op is InstrOp.BELL:
+            sched.steps.append((_BELL, *axes, *ins.out_vars))
+            sched.drop(*qs)
+            bells.append(ins)
+        else:
+            sched.steps.append((_COND, _COND_KINDS[ins.op], axes, ins.cond))
+    sched.check_unmeasured(p.logical_outputs)
+    flush(p.logical_outputs)
+    return ExecPlan(p.n, tuple(sched.steps), sched.axes(p.logical_outputs), sched.peak,
+                    tuple(bells))
 
-    def finish(self) -> StateVector:
-        for _, ins in self.buffer:
-            self._run_buffered(ins)
-        self.buffer = []
-        self._ensure(self.program.logical_outputs)
-        return self.reg.extract(list(self.program.logical_outputs))
+
+def _outcomes_at(step: tuple, amps: np.ndarray, rng: np.random.Generator | None,
+                 cutoff: float) -> list[tuple]:
+    """The outcomes a branch point keeps, each as (collapsed amps,
+    probability, outcome-variable bits, measured-qubit bits). A Bell step
+    draws one outcome from ``rng`` when given; otherwise, and always for a
+    Z-measured qubit, every outcome above ``cutoff`` is kept, in order."""
+    if step[0] is _BELL:
+        _, ar, as_, vx, vz = step
+        rot, probs = _bell_rotate(amps, ar, as_)
+        picks = ([draw_bell_outcome(probs, rng)] if rng is not None else
+                 [(xv, zv) for xv, zv in _BELL_OUTCOMES if probs[zv, xv] > cutoff])
+        return [(*_project(rot, probs, (ar, as_), (zv, xv)), {vx: xv, vz: zv}, {})
+                for xv, zv in picks]
+    _, ax, q, var = step
+    probs = _marginal(amps, (ax,))
+    return [(*_project(amps, probs, (ax,), (bit,)), {} if var is None else {var: bit}, {q: bit})
+            for bit in (0, 1) if probs[bit] > cutoff]
+
+
+def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
+              cutoff: float, leaves: list[Branch], pc: int = 0, prob: float = 1.0,
+              outcomes: dict | None = None, bits: dict | None = None) -> None:
+    """Run ``plan`` from step ``pc`` and append one Branch per leaf, forking
+    depth-first where a branch point keeps several outcomes (_outcomes_at).
+    ``outcomes`` maps outcome variables to bits; ``bits`` holds the
+    classical value of each measured qubit of a unitary plan."""
+    outcomes = {} if outcomes is None else outcomes
+    bits = {} if bits is None else bits
+    steps = plan.steps
+    while pc < len(steps):
+        step = steps[pc]
+        pc += 1
+        op = step[0]
+        if op is _GATE:
+            amps = _apply_kind(amps, step[1], step[2])
+        elif op is _ALLOC:
+            amps = _grow(amps)
+        elif op is _EPR:
+            amps = _grow_epr(amps)
+        elif op is _COND:
+            if poly_eval(step[3], outcomes):
+                amps = _apply_kind(amps, step[1], step[2])
+        elif op is _XIF:
+            if bits[step[1]]:
+                amps = _apply_kind(amps, GateKind.X, step[2])
+        elif op is _XOR:
+            bits[step[2]] ^= bits[step[1]]
+        elif op is _FLIP:
+            bits[step[1]] ^= 1
+        else:
+            kept = _outcomes_at(step, amps, rng, cutoff)
+            if len(kept) != 1:
+                for child, p_, new_out, new_bits in kept:
+                    _run_plan(plan, child, rng, cutoff, leaves, pc, prob * p_,
+                              {**outcomes, **new_out}, {**bits, **new_bits})
+                return
+            amps, p_, new_out, new_bits = kept[0]
+            prob *= p_
+            outcomes.update(new_out)
+            bits.update(new_bits)
+    leaves.append(Branch(outcomes, prob, _extract(amps, list(plan.outputs))))
+
+
+def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None,
+         cutoff: float) -> list[Branch]:
+    if input_state.n != plan.n:
+        raise ValidationError("input state size does not match program wires")
+    leaves: list[Branch] = []
+    _run_plan(plan, input_state.shaped(), rng, cutoff, leaves)
+    return leaves
 
 
 def execute(p: CompiledProgram, input_state: StateVector,
             rng: np.random.Generator) -> tuple[StateVector, ExecTranscript]:
     """Run a compiled program, sampling Bell outcomes; returns the reduced
     state on the logical output wires plus the measurement transcript."""
-    runner = _Runner(p, input_state)
-    while (ins := runner.advance()) is not None:
-        probs = runner.reg.bell_probs(*ins.qubits)
-        xv, zv = draw_bell_outcome(probs, rng)
-        runner.resolve_bell(ins, xv, zv)
-    out = runner.finish()
-    return out, ExecTranscript(runner.records, runner.outcomes)
+    (leaf,) = _run(p.plan, input_state, rng, 0.0)
+    bits = leaf.outcomes
+    records = [MeasRecord(vx, vz, (bits[vx], bits[vz]), ins.qubits)
+               for ins in p.plan.bells for vx, vz in (ins.out_vars,)]
+    return leaf.state, ExecTranscript(records, bits)
 
 
 def enumerate_branches(p: CompiledProgram, input_state: StateVector,
@@ -543,23 +648,7 @@ def enumerate_branches(p: CompiledProgram, input_state: StateVector,
     if 2 * bells > max_outcome_bits:
         raise ValidationError(
             f"branch explosion: {bells} Bell measurements exceed {max_outcome_bits} outcome bits")
-    leaves: list[Branch] = []
-
-    def walk(runner: _Runner) -> None:
-        ins = runner.advance()
-        if ins is None:
-            leaves.append(Branch(dict(runner.outcomes), runner.prob, runner.finish()))
-            return
-        probs = runner.reg.bell_probs(*ins.qubits)
-        for xv, zv in _BELL_OUTCOMES:
-            if probs[zv, xv] <= cutoff:
-                continue
-            child = runner.clone()
-            child.resolve_bell(ins, xv, zv)
-            walk(child)
-
-    walk(_Runner(p, input_state))
-    return leaves
+    return _run(p.plan, input_state, None, cutoff)
 
 
 # -- unitary conversion ------------------------------------------------------
@@ -719,97 +808,63 @@ def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
 _DIAGONAL_1Q = frozenset({GateKind.P, GateKind.PDG, GateKind.Z, GateKind.T})
 
 
-def _apply_hybrid(reg: Register, classical: dict[int, int], g: Gate) -> None:
-    """Apply a gate where some qubits may have been measured off to classical bits."""
-    qs = g.targets
-    if not any(q in classical for q in qs):
-        for q in qs:
-            if q not in reg.qubits:
-                reg.alloc(q)
-        reg.apply_gate(g)
-        return
-    if g.kind is GateKind.CNOT:
-        c, tgt = qs
-        if c in classical and tgt in classical:
-            classical[tgt] ^= classical[c]
-        elif c in classical:
-            if classical[c]:
-                if tgt not in reg.qubits:
-                    reg.alloc(tgt)
-                reg.apply(GateKind.X, (tgt,))
-        else:
-            raise ValidationError("CNOT from a quantum qubit onto a measured qubit")
-    elif g.kind is GateKind.X:
-        classical[qs[0]] ^= 1
-    elif g.kind in _DIAGONAL_1Q:
-        pass  # branch-global phase only
-    else:
-        raise ValidationError(f"{g.kind.value} on a measured qubit")
+def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
+    """Replay a converted circuit's schedule into an ExecPlan.
+
+    After each Bell copy block its four qubits are Z-measured (one branch
+    point each): they are only ever reused as controls of controlled gates
+    or under diagonal gates, so measuring them there commutes with the rest
+    of the circuit. From then on a gate touching a measured qubit is resolved
+    here, once: a CNOT from it becomes an X on its target if its bit is set,
+    a CNOT between two of them a bit XOR, an X on one a bit flip, and a
+    diagonal gate on one only a branch phase, dropped. Gates left buffered at
+    the end are outside the outputs' light cone and cannot affect them.
+    """
+    gates = flatten(up.circuit)
+    var_of_qubit = {q: v for v, q in up.var_qubits.items()}
+    sched = _Schedule(up.n)
+    classical = sched.retired
+    buffer: list[tuple[tuple[int, ...], Gate]] = []
+
+    def flush(qubits) -> None:
+        nonlocal buffer
+        cone, buffer = _light_cone(buffer, qubits)
+        for qs, g in cone:
+            if classical.isdisjoint(qs):
+                sched.gate(g.kind, qs)
+            elif g.kind is GateKind.CNOT and qs[0] in classical:
+                if qs[1] in classical:
+                    sched.steps.append((_XOR, *qs))
+                else:
+                    sched.steps.append((_XIF, qs[0], sched.axes(qs[1:])))
+            elif g.kind is GateKind.CNOT:
+                raise ValidationError("CNOT from a quantum qubit onto a measured qubit")
+            elif g.kind is GateKind.X:
+                sched.steps.append((_FLIP, qs[0]))
+            elif g.kind not in _DIAGONAL_1Q:
+                raise ValidationError(f"{g.kind.value} on a measured qubit")
+
+    start = 0
+    for grp in up.bell_groups:
+        buffer += [(g.targets, g) for g in gates[start:grp.gate_end]]
+        start = grp.gate_end
+        order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
+        flush(order)
+        sched.axes(order)
+        for q in order:
+            sched.steps.append((_MEASURE, sched.window.index(q), q, var_of_qubit.get(q)))
+            sched.drop(q)
+    buffer += [(g.targets, g) for g in gates[start:]]
+    flush(up.logical_outputs)
+    return ExecPlan(up.n, tuple(sched.steps), sched.axes(up.logical_outputs), sched.peak)
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
                                cutoff: float = 1e-12) -> list[Branch]:
-    """Branch enumeration for a converted circuit.
-
-    After each Bell copy block the four qubits involved are only ever reused
-    as controls of controlled gates or under diagonal gates, so measuring
-    them there commutes with the remainder of the circuit. Gates are buffered
-    and flushed only when a measurement or the output extraction needs their
-    qubits' light cone (_light_cone), which keeps the simulation window
-    small; buffered gates left over at the end act on qubits disjoint from
-    the outputs' cone and cannot affect the extracted state.
-    """
-    gates = flatten(up.circuit)
-    var_of_qubit = {q: v for v, q in up.var_qubits.items()}
-    leaves: list[Branch] = []
-    Buffer = list[tuple[tuple[int, ...], Gate]]
-
-    def run(reg: Register, classical: dict[int, int], buffer: Buffer, gi: int,
-            group_idx: int, prob: float, outcomes: dict[str, int]) -> None:
-        end = up.bell_groups[group_idx].gate_end if group_idx < len(up.bell_groups) else len(gates)
-        buffer = buffer + [(g.targets, g) for g in gates[gi:end]]
-        if group_idx == len(up.bell_groups):
-            for _, g in _light_cone(buffer, up.logical_outputs)[0]:
-                _apply_hybrid(reg, classical, g)
-            for q in up.logical_outputs:
-                if q not in reg.qubits:
-                    reg.alloc(q)
-            leaves.append(Branch(outcomes, prob, reg.extract(list(up.logical_outputs))))
-            return
-        grp = up.bell_groups[group_idx]
-        order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
-        cone, buffer = _light_cone(buffer, order)
-        for _, g in cone:
-            _apply_hybrid(reg, classical, g)
-        for q in order:
-            if q not in reg.qubits:
-                reg.alloc(q)
-
-        def measure_seq(reg: Register, classical: dict[int, int], idx: int,
-                        prob: float, outcomes: dict[str, int]) -> None:
-            if idx == len(order):
-                run(reg, classical, buffer, end, group_idx + 1, prob, outcomes)
-                return
-            q = order[idx]
-            probs = reg.measure_probs(q)
-            live = [bit for bit in (0, 1) if probs[bit] > cutoff]
-            for bit in live:
-                if len(live) == 1:
-                    child, child_cls, child_out = reg, classical, outcomes
-                else:
-                    child, child_cls, child_out = reg.clone(), dict(classical), dict(outcomes)
-                child.project_qubit(q, bit)
-                child_cls[q] = bit
-                if q in var_of_qubit:
-                    child_out[var_of_qubit[q]] = bit
-                measure_seq(child, child_cls, idx + 1, prob * float(probs[bit]), child_out)
-
-        measure_seq(reg, classical, 0, prob, outcomes)
-
-    reg = Register()
-    reg.load(input_state, list(range(up.n)))
-    run(reg, {}, [], 0, 0, 1.0, {})
-    return leaves
+    """Branch enumeration for a converted circuit: every outcome of the
+    measured Bell and ancilla qubits (see _unitary_plan) of probability above
+    ``cutoff``, through the same runner as measure-mode programs."""
+    return _run(_unitary_plan(up), input_state, None, cutoff)
 
 
 # -- speculative grouped execution for classical circuits --------------------

@@ -239,30 +239,3 @@ def commute_through_t_layer(mask: PauliMask | SymbolicMask, t_layer: Iterable[in
     """
     pending = {q: mask.a[q] for q in sorted(t_layer)}
     return mask, pending
-
-
-def commute_through_pdag(mask: PauliMask | SymbolicMask, qubit: int,
-                         condition: KeyPoly | int | None = None):
-    """Push a mask through P (or P†, identical with phases dropped) on one qubit.
-
-    Unconditional: b += a. With a condition c (bit or polynomial), the gate is
-    applied only when c = 1, so b += a*c; a symbolic condition owned by the
-    other party is what raises key degree and creates cross terms.
-    """
-    if isinstance(mask, PauliMask):
-        if condition is None:
-            c = 1
-        elif isinstance(condition, KeyPoly):
-            raise ValidationError("symbolic condition requires a symbolic mask")
-        else:
-            c = condition & 1
-        b = list(mask.b)
-        b[qubit] ^= mask.a[qubit] & c
-        return PauliMask(mask.a, tuple(b))
-    if condition is None:
-        cond = KeyPoly.one()
-    elif isinstance(condition, KeyPoly):
-        cond = condition
-    else:
-        cond = KeyPoly.from_bit(condition)
-    return mask.xor_at(qubit, KeyPoly.zero(), mask.a[qubit] * cond)

@@ -8,14 +8,15 @@ capped at 14 qubits (desk scale).
 Bell measurement convention: measuring (r, s) rotates with CNOT(r, s) then
 H(r) and reads z from r, x from s. If s was half of an EPR pair whose partner
 carried a teleported state psi, the partner afterwards holds X^x Z^z psi.
-Measured qubits are retained, collapsed to the matching Bell state, so qubit
-indices stay stable. Each Bell measurement consumes exactly one uniform draw
-from the supplied generator.
+A sampled Bell measurement consumes exactly one uniform draw from the
+supplied generator.
 
-The Register class runs the same simulation over a dynamically allocated
-window of named qubits, factoring measured Bell pairs out of the state so
-long programs stay within the size cap. Distinct states and registers may be
-processed in parallel; none of these objects is shared-mutable.
+Bell measurements act on a Register: a window of named qubits from which
+measured pairs are factored out, so long runs stay within the size cap. The
+axis-level helpers defined before Register are the one implementation of
+allocation, EPR preparation, Bell rotation, projection and extraction;
+Register and the compiler's execution plan both call them. Distinct states and registers may
+be processed in parallel; none of these objects is shared-mutable.
 """
 from __future__ import annotations
 
@@ -165,21 +166,6 @@ def apply_circuit(state: StateVector, c: LayeredCircuit) -> StateVector:
     return state
 
 
-def prepare_epr(state: StateVector, q1: int, q2: int) -> StateVector:
-    """Turn two fresh |0> qubits into (|00> + |11>)/sqrt(2)."""
-    if q1 == q2:
-        raise ValidationError("EPR qubits must be distinct (qubit collision)")
-    shaped = state.shaped()
-    marg = np.abs(shaped) ** 2
-    axes = tuple(i for i in range(state.n) if i not in (q1, q2))
-    probs = marg.sum(axis=axes) if axes else marg
-    if abs(float(probs[0, 0]) - 1.0) > 1e-9:
-        raise ValidationError("EPR target qubits are not fresh |00> ancillas")
-    out = _apply_1q(shaped, GATE_MATRICES[GateKind.H], q1)
-    out = _apply_cnot(out, q1, q2)
-    return StateVector(state.n, out.reshape(-1))
-
-
 def apply_mask(state: StateVector, m: PauliMask) -> StateVector:
     """Apply the correction Z^b X^a per qubit; undoes X^a Z^b up to phase."""
     if m.n != state.n:
@@ -200,32 +186,66 @@ def fidelity_up_to_phase(u: StateVector, v: StateVector) -> float:
     return float(abs(np.vdot(u.amps, v.amps)) ** 2)
 
 
-def _bell_rotate(shaped: np.ndarray, r: int, s: int) -> np.ndarray:
-    out = _apply_cnot(shaped, r, s)
-    return _apply_1q(out, GATE_MATRICES[GateKind.H], r)
+# -- axis-level helpers --------------------------------------------------------
+# Shared by Register and the compiler's execution plan: each takes and returns
+# a plain (2,)*w amplitude array whose axes the caller names.
 
-
-def _bell_unrotate(shaped: np.ndarray, r: int, s: int) -> np.ndarray:
-    out = _apply_1q(shaped, GATE_MATRICES[GateKind.H], r)
-    return _apply_cnot(out, r, s)
-
-
-def _bell_probs(shaped: np.ndarray, r: int, s: int) -> np.ndarray:
-    """2x2 outcome probabilities indexed [z, x] after rotation."""
-    marg = np.abs(shaped) ** 2
-    axes = tuple(i for i in range(shaped.ndim) if i not in (r, s))
-    probs = marg.sum(axis=axes)
-    if r > s:
-        probs = probs.T
-    return probs
-
-
-def _project_pair(shaped: np.ndarray, r: int, s: int, zv: int, xv: int) -> np.ndarray:
-    idx = [slice(None)] * shaped.ndim
-    idx[r], idx[s] = zv, xv
-    out = np.zeros_like(shaped)
-    out[tuple(idx)] = shaped[tuple(idx)]
+def _grow(amps: np.ndarray) -> np.ndarray:
+    """Append one fresh |0> axis."""
+    out = np.zeros(amps.shape + (2,), dtype=complex)
+    out[..., 0] = amps
     return out
+
+
+def _grow_epr(amps: np.ndarray) -> np.ndarray:
+    """Append two axes holding (|00> + |11>)/sqrt(2): H then CNOT on fresh qubits."""
+    out = np.zeros(amps.shape + (2, 2), dtype=complex)
+    half = amps * _S
+    out[..., 0, 0] = half
+    out[..., 1, 1] = half
+    return out
+
+
+def _marginal(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    marg = np.abs(amps) ** 2
+    return marg.sum(axis=tuple(i for i in range(amps.ndim) if i not in keep))
+
+
+def _bell_rotate(amps: np.ndarray, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate axes (r, s) by CNOT(r, s) then H(r); return the rotated array
+    and its 2x2 outcome probabilities indexed [z, x]."""
+    rot = _apply_1q(_apply_cnot(amps, r, s), GATE_MATRICES[GateKind.H], r)
+    probs = _marginal(rot, (r, s))
+    return rot, (probs.T if r > s else probs)
+
+
+def _project(amps: np.ndarray, probs: np.ndarray, axes: tuple[int, ...],
+             bits: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Keep the slice where each axis reads its bit, dropping those axes, and
+    renormalize; ``probs`` is indexed by the bits in axis order given."""
+    prob = float(probs[bits])
+    if prob <= 0.0:
+        raise ValidationError(f"measurement outcome {bits} has zero probability")
+    idx = [slice(None)] * amps.ndim
+    for ax, bit in zip(axes, bits):
+        idx[ax] = bit
+    return amps[tuple(idx)] / np.sqrt(prob), prob
+
+
+def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> StateVector:
+    """Pure state on the axes ``front``; the other axes must factor out."""
+    rest = [ax for ax in range(amps.ndim) if ax not in front]
+    mat = np.transpose(amps, front + rest).reshape(2 ** len(front), -1)
+    if mat.shape[1] == 1:
+        vec = mat[:, 0]
+        return StateVector(len(front), vec / np.linalg.norm(vec))
+    col = int(np.argmax(np.linalg.norm(mat, axis=0)))
+    vec = mat[:, col]
+    vec = vec / np.linalg.norm(vec)
+    residual = mat - np.outer(vec, vec.conj() @ mat)
+    if np.linalg.norm(residual) > tol:
+        raise ValidationError("extraction target is entangled with the rest of the register")
+    return StateVector(len(front), vec)
 
 
 def draw_bell_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
@@ -239,50 +259,20 @@ def draw_bell_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int,
     return _BELL_OUTCOMES[-1]
 
 
-def bell_measure(state: StateVector, r: int, s: int, rng: np.random.Generator,
-                 var_x: str = "mx", var_z: str = "mz") -> tuple[StateVector, MeasRecord]:
-    """Measure (r, s) in the Bell basis; the pair collapses to a Bell state."""
-    if r == s:
-        raise ValidationError("Bell measurement qubits must be distinct")
-    for q in (r, s):
-        if not 0 <= q < state.n:
-            raise ValidationError(f"qubit index {q} out of range")
-    rot = _bell_rotate(state.shaped(), r, s)
-    probs = _bell_probs(rot, r, s)
-    x, zv = draw_bell_outcome(probs, rng)
-    proj = _project_pair(rot, r, s, zv, x)
-    proj /= np.sqrt(probs[zv, x])
-    out = _bell_unrotate(proj, r, s)
-    return (StateVector(state.n, out.reshape(-1)),
-            MeasRecord(var_x, var_z, (x, zv), (r, s)))
-
-
-def bell_branches(state: StateVector, r: int, s: int,
-                  cutoff: float = 1e-12) -> list[tuple[int, int, float, StateVector]]:
-    """All Bell outcomes (x, z) with positive probability and collapsed states."""
-    if r == s:
-        raise ValidationError("Bell measurement qubits must be distinct")
-    rot = _bell_rotate(state.shaped(), r, s)
-    probs = _bell_probs(rot, r, s)
-    out = []
-    for x, zv in _BELL_OUTCOMES:
-        prob = float(probs[zv, x])
-        if prob <= cutoff:
-            continue
-        proj = _project_pair(rot, r, s, zv, x) / np.sqrt(prob)
-        collapsed = _bell_unrotate(proj, r, s)
-        out.append((x, zv, prob, StateVector(state.n, collapsed.reshape(-1))))
-    return out
-
-
 class Register:
     """Statevector over a dynamic window of named (integer) qubits.
 
-    Fresh qubits are allocated on demand; Bell-measured pairs collapse to a
-    computational product in the rotated frame and are dropped, so the live
-    window stays small even for programs addressing many physical qubits.
-    A dropped qubit is retired: loading or allocating it again raises, and so
-    does an EPR pair on a qubit that is retired or already in the window.
+    Fresh qubits are allocated on demand; a Bell-measured pair collapses to a
+    computational product in the rotated frame and its axes are dropped, so
+    the live window stays small however many physical qubits a run
+    addresses. A dropped qubit is retired: loading or allocating it again
+    raises, and so does an EPR pair on a qubit that is retired or already in
+    the window. Register serves hand-driven runs (the garden-hose gadget and
+    protocol), which decide their next step from each outcome. Compiled
+    programs do not use it: the compiler replays their schedule once into an
+    execution plan whose steps call the same axis-level helpers
+    (``_grow``/``_grow_epr``, ``_bell_rotate``, ``_project``, ``_extract``)
+    on axes resolved in advance.
     """
 
     def __init__(self) -> None:
@@ -305,29 +295,34 @@ class Register:
         reg._retired = set(self._retired)
         return reg
 
-    def _require(self, *qubits: int) -> None:
+    def _require(self, *qubits: int) -> tuple[int, ...]:
         for q in qubits:
             if q not in self._axis:
                 raise ValidationError(f"qubit {q} is not allocated in the register")
+        return tuple(self._axis[q] for q in qubits)
 
-    def load(self, state: StateVector, qubits: list[int]) -> None:
-        """Tensor an input state onto fresh named qubits."""
-        if len(qubits) != state.n:
-            raise ValidationError("qubit name count must match state size")
+    def _claim(self, qubits: list[int]) -> None:
+        """Name new trailing axes after fresh qubits, within the cap."""
         if set(qubits) & set(self._axis):
             raise ValidationError("qubit collision on load")
         if not self._retired.isdisjoint(qubits):
             q = min(self._retired.intersection(qubits))
             raise ValidationError(f"qubit {q} was already measured and cannot be reused")
-        if self.width + state.n > MAX_QUBITS:
+        if self.width + len(qubits) > MAX_QUBITS:
             raise ValidationError("register window exceeds the qubit cap")
-        base = self.width
+        for q in qubits:
+            self._axis[q] = len(self._axis)
+
+    def load(self, state: StateVector, qubits: list[int]) -> None:
+        """Tensor an input state onto fresh named qubits."""
+        if len(qubits) != state.n:
+            raise ValidationError("qubit name count must match state size")
+        self._claim(qubits)
         self._amps = np.tensordot(self._amps, state.shaped(), axes=0)
-        for i, q in enumerate(qubits):
-            self._axis[q] = base + i
 
     def alloc(self, qubit: int) -> None:
-        self.load(init_state(1, "0"), [qubit])
+        self._claim([qubit])
+        self._amps = _grow(self._amps)
 
     def prepare_epr(self, q1: int, q2: int) -> None:
         if q1 == q2:
@@ -335,15 +330,11 @@ class Register:
         for q in (q1, q2):
             if q in self._axis:
                 raise ValidationError(f"EPR qubit {q} is already in use")
-            self.alloc(q)
-        shaped = self._amps
-        shaped = _apply_1q(shaped, GATE_MATRICES[GateKind.H], self._axis[q1])
-        self._amps = _apply_cnot(shaped, self._axis[q1], self._axis[q2])
+        self._claim([q1, q2])
+        self._amps = _grow_epr(self._amps)
 
     def apply(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
-        self._require(*qubits)
-        axes = tuple(self._axis[q] for q in qubits)
-        self._amps = _apply_kind(self._amps, kind, axes)
+        self._amps = _apply_kind(self._amps, kind, self._require(*qubits))
 
     def apply_gate(self, g: Gate) -> None:
         self.apply(g.kind, g.targets)
@@ -356,23 +347,19 @@ class Register:
         self._retired.update(qubits)
         self._axis = {q: ax for ax, q in enumerate(sorted(self._axis, key=self._axis.get))}
 
+    def _bell_axes(self, r: int, s: int) -> tuple[int, ...]:
+        if r == s:
+            raise ValidationError("Bell measurement qubits must be distinct")
+        return self._require(r, s)
+
     def bell_probs(self, r: int, s: int) -> np.ndarray:
-        self._require(r, s)
-        rot = _bell_rotate(self._amps, self._axis[r], self._axis[s])
-        return _bell_probs(rot, self._axis[r], self._axis[s])
+        return _bell_rotate(self._amps, *self._bell_axes(r, s))[1]
 
     def project_bell(self, r: int, s: int, x: int, zv: int) -> float:
         """Collapse (r, s) onto Bell outcome (x, z), drop the pair, return its probability."""
-        self._require(r, s)
-        ar, as_ = self._axis[r], self._axis[s]
-        rot = _bell_rotate(self._amps, ar, as_)
-        probs = _bell_probs(rot, ar, as_)
-        prob = float(probs[zv, x])
-        if prob <= 0.0:
-            raise ValidationError(f"Bell outcome ({x},{zv}) has zero probability")
-        idx = [slice(None)] * rot.ndim
-        idx[ar], idx[as_] = zv, x
-        self._amps = rot[tuple(idx)] / np.sqrt(prob)
+        axes = self._bell_axes(r, s)
+        rot, probs = _bell_rotate(self._amps, *axes)
+        self._amps, prob = _project(rot, probs, axes, (zv, x))
         self._drop_qubits(r, s)
         return prob
 
@@ -382,21 +369,12 @@ class Register:
         return x, zv
 
     def measure_probs(self, q: int) -> np.ndarray:
-        self._require(q)
-        marg = np.abs(self._amps) ** 2
-        axes = tuple(i for i in range(self._amps.ndim) if i != self._axis[q])
-        return marg.sum(axis=axes)
+        return _marginal(self._amps, self._require(q))
 
     def project_qubit(self, q: int, bit: int) -> float:
         """Collapse one qubit in the computational basis and drop it."""
-        probs = self.measure_probs(q)
-        prob = float(probs[bit])
-        if prob <= 0.0:
-            raise ValidationError(f"outcome {bit} on qubit {q} has zero probability")
-        ax = self._axis[q]
-        idx = [slice(None)] * self._amps.ndim
-        idx[ax] = bit
-        self._amps = self._amps[tuple(idx)] / np.sqrt(prob)
+        axes = self._require(q)
+        self._amps, prob = _project(self._amps, _marginal(self._amps, axes), axes, (bit,))
         self._drop_qubits(q)
         return prob
 
@@ -406,18 +384,4 @@ class Register:
         The remaining window qubits must be in tensor product with them;
         anything else is a compilation bug and raises.
         """
-        self._require(*qubits)
-        front = [self._axis[q] for q in qubits]
-        rest = [ax for ax in range(self._amps.ndim) if ax not in front]
-        arranged = np.transpose(self._amps, front + rest)
-        mat = arranged.reshape(2 ** len(qubits), -1)
-        if mat.shape[1] == 1:
-            vec = mat[:, 0]
-            return StateVector(len(qubits), vec / np.linalg.norm(vec))
-        col = int(np.argmax(np.linalg.norm(mat, axis=0)))
-        vec = mat[:, col]
-        vec = vec / np.linalg.norm(vec)
-        residual = mat - np.outer(vec, vec.conj() @ mat)
-        if np.linalg.norm(residual) > tol:
-            raise ValidationError("extraction target is entangled with the rest of the register")
-        return StateVector(len(qubits), vec)
+        return _extract(self._amps, list(self._require(*qubits)), tol)

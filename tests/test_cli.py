@@ -23,16 +23,21 @@ def test_bad_wire_list_exits_2(tmp_path, capsys, argv):
 
 
 # Programs that parse but reuse a qubit: an EPR pair prepared twice on the
-# same qubits, and a gate on a qubit after its Bell measurement.
+# same qubits, a gate on a qubit after its Bell measurement, and a correction
+# on a measured qubit whose condition is always 0 (a Bell pair measured
+# against itself reads a = b = 0). The execution plan checks qubit use
+# statically, so the last one fails although the correction never fires.
 REUSED_QUBIT_PROGRAMS = [
     ("QUBITS 3\nEPR 1 2\nEPR 1 2\nOUT 0 0\n", "already in use"),
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nH 1\nX 2 IF a\nZ 2 IF b\nOUT 0 2\n",
      "already measured"),
+    ("QUBITS 3\nEPR 1 2\nBELL 1 2 -> a b\nX 1 IF a\nH 0\nOUT 0 0\n", "already measured"),
 ]
 
 
 @pytest.mark.parametrize("exhaustive", [False, True])
-@pytest.mark.parametrize("text,match", REUSED_QUBIT_PROGRAMS, ids=["epr-twice", "gate-after-bell"])
+@pytest.mark.parametrize("text,match", REUSED_QUBIT_PROGRAMS,
+                         ids=["epr-twice", "gate-after-bell", "cond-after-bell"])
 def test_reused_qubit_exits_3(tmp_path, capsys, text, match, exhaustive):
     circuit = tmp_path / "c.txt"
     circuit.write_text("QUBITS 1\nH 0\n---\n")
@@ -58,3 +63,42 @@ def test_unitary_compile_then_stats(tmp_path, capsys, seed, n, k):
     stats = dict(line.split("=") for line in capsys.readouterr().out.split())
     conds = sum(1 for ins in compile_measure(c).instructions if ins.op is InstrOp.COND_PDG)
     assert int(stats["t_count"]) == depth_metrics(c).t_count + 3 * conds
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_verify_fits_the_window_at_n5_n6(tmp_path, capsys, n):
+    # rc(n, 2n) peaks at n + 2 live qubits; a 3n window would exceed the
+    # 14-qubit cap here.
+    c = random_circuit(np.random.default_rng(0), n, 2 * n, max_clifford=3 * n)
+    src = tmp_path / "c.txt"
+    src.write_text(serialize_circuit(c))
+    assert cli.main(["verify", "--in", str(src), "--seed", "1"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert float(out.split("min_fidelity=")[1].split()[0]) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_worst_branch_is_first_at_printed_minimum(tmp_path, capsys, monkeypatch, exhaustive):
+    # Two runs tie at the printed precision; the second reads lower only by
+    # rounding noise, so the first is reported.
+    from tlink.compiler import enumerate_branches, execute, parse_program
+    from tlink.oracle import random_state
+    src = tmp_path / "c.txt"
+    src.write_text("QUBITS 1\nH 0\nT 0\n---\nH 0\n---\n")
+    prog = tmp_path / "p.txt"
+    assert cli.main(["compile", "--in", str(src), "--out", str(prog)]) == 0
+    capsys.readouterr()
+    fids = iter([0.9, 0.5, 0.5 - 1e-15] + [0.7] * 20)
+    monkeypatch.setattr(cli, "fidelity_up_to_phase", lambda *_: next(fids))
+    argv = ["verify", "--in", str(src), "--program", str(prog), "--seed", "3"]
+    assert cli.main(argv + (["--exhaustive"] if exhaustive else [])) == cli.EXIT_FIDELITY
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    assert out["min_fidelity"] == "0.500000000000"
+
+    program, psi = parse_program(prog.read_text()), random_state(1, np.random.default_rng(3))
+    if exhaustive:
+        second = enumerate_branches(program, psi)[1].outcomes
+    else:
+        rng = np.random.default_rng(3)
+        second = [execute(program, psi, rng)[1].outcomes for _ in range(3)][1]
+    assert out["worst_branch"] == ",".join(f"{k}={v}" for k, v in sorted(second.items()))

@@ -21,7 +21,7 @@ from tlink.compiler import (
     report,
     serialize_program,
 )
-from tlink.oracle import apply_circuit, fidelity_up_to_phase, init_state
+from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
 
 
 def bells(p):
@@ -142,21 +142,26 @@ class TestProgramText:
 
 
 def fixpoint_cone(buffer, qubits):
-    """Reference: add every item touching the needed qubits until nothing changes."""
-    need, chosen = set(qubits), set()
+    """Reference backward closure: an item is in the cone when it touches
+    ``qubits`` or an item later in the buffer that is in the cone; add such
+    items until nothing changes."""
+    chosen = set()
     changed = True
     while changed:
         changed = False
         for i, (qs, _) in enumerate(buffer):
-            if i not in chosen and need & set(qs):
+            if i in chosen:
+                continue
+            later = (buffer[j][0] for j in chosen if j > i)
+            if set(qs) & set(qubits) or any(set(qs) & set(other) for other in later):
                 chosen.add(i)
-                need |= set(qs)
                 changed = True
     return ([item for i, item in enumerate(buffer) if i in chosen],
             [item for i, item in enumerate(buffer) if i not in chosen])
 
 
 def test_light_cone_matches_fixpoint(rng):
+    grew = 0
     for _ in range(500):
         nq = int(rng.integers(2, 16))
         buffer = []
@@ -164,7 +169,10 @@ def test_light_cone_matches_fixpoint(rng):
             width = 2 if rng.random() < 0.3 else 1
             buffer.append((tuple(int(q) for q in rng.choice(nq, size=width, replace=False)), i))
         qubits = tuple(int(q) for q in rng.choice(nq, size=int(rng.integers(1, 3)), replace=False))
-        assert _light_cone(buffer, qubits) == fixpoint_cone(buffer, qubits)
+        cone, rest = _light_cone(buffer, qubits)
+        assert (cone, rest) == fixpoint_cone(buffer, qubits)
+        grew += any(not set(qs) & set(qubits) for qs, _ in cone)
+    assert grew > 50  # the closure reaches past the items touching ``qubits``
 
 
 class TestExecute:
@@ -279,3 +287,40 @@ class TestDepthSchedule:
                 rep = report(c, compile_measure(c))
                 assert rep.compiled_depth <= depth + 3 + 6 * (k - 1)
                 assert rep.original_depth >= k * depth
+
+
+class TestExecPlan:
+    def test_peak_window_is_n_plus_2(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 7):
+            for _ in range(3):
+                c = random_circuit(rng, n, 2 * n, max_clifford=3 * n)
+                assert compile_measure(c).plan.peak_width <= n + 2
+
+    def test_shared_plan_gives_fresh_transcripts(self, rng):
+        c = random_circuit(rng, 3, 4, max_clifford=9)
+        psi = random_state(rng, 3)
+        shared = compile_measure(c)
+        runs = []
+        for programs in ([shared, shared], [compile_measure(c), compile_measure(c)]):
+            sampler = np.random.default_rng(11)
+            runs.append([execute(p, psi, sampler) for p in programs])
+        assert shared.plan is shared.plan
+        for (out_a, tr_a), (out_b, tr_b) in zip(*runs):
+            assert tr_a == tr_b
+            assert np.array_equal(out_a.amps, out_b.amps)
+        assert runs[0][0][1] != runs[0][1][1]  # the two shots drew differently
+
+    @pytest.mark.parametrize("text,match", [
+        ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
+        ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nEPR 0 2\nOUT 0 2\n", "already measured"),
+        ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nZ 0 IF b\nOUT 0 2\n", "already measured"),
+        ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nH 2\nT 1\nOUT 0 2\n", "already measured"),
+        (f"QUBITS {MAX_QUBITS + 1}\n"
+         + "".join(f"CNOT {q} {q + 1}\n" for q in range(MAX_QUBITS)) + f"OUT 0 {MAX_QUBITS}\n",
+         "cap"),
+    ], ids=["epr-on-live", "epr-on-measured", "cond-on-measured", "gate-on-measured", "cap"])
+    def test_qubit_checks_run_when_the_plan_is_built(self, text, match):
+        prog = parse_program(text)
+        with pytest.raises(ValidationError, match=match):
+            prog.plan

@@ -19,7 +19,6 @@ from tlink.frames import (
     PauliMask,
     SymbolicMask,
     apply_tableau,
-    commute_through_pdag,
     commute_through_t_layer,
     cross_terms,
     poly_eval,
@@ -259,8 +258,10 @@ class TestTLayer:
 
 
 class TestPdag:
+    # P-dagger pushes like P: b += a, with the phase dropped.
     def test_x_mask_gains_z(self):
-        assert commute_through_pdag(PauliMask((1,), (0,)), 0) == PauliMask((1,), (1,))
+        push = tableau_from_stage([pdg(0)], 1)
+        assert apply_tableau(push, PauliMask((1,), (0,))) == PauliMask((1,), (1,))
 
     def test_matrix_check_pdag_x(self):
         # P^dag X = -i X Z P^dag
@@ -270,17 +271,8 @@ class TestPdag:
         assert np.allclose(lhs, rhs)
 
     def test_z_mask_unchanged(self):
-        assert commute_through_pdag(PauliMask((0,), (1,)), 0) == PauliMask((0,), (1,))
-
-    def test_conditional_raises_degree_across_owners(self):
-        mask = SymbolicMask((KeyPoly.of(P_BOB),), (KeyPoly.zero(),))
-        out = commute_through_pdag(mask, 0, condition=KeyPoly.of(Q_ALICE))
-        assert out.b[0] == KeyPoly.of(P_BOB) * KeyPoly.of(Q_ALICE)
-        assert cross_terms(out.b[0]) == [frozenset({P_BOB, Q_ALICE})]
-
-    def test_concrete_condition_bit(self):
-        assert commute_through_pdag(PauliMask((1,), (0,)), 0, condition=0) == PauliMask((1,), (0,))
-        assert commute_through_pdag(PauliMask((1,), (0,)), 0, condition=1) == PauliMask((1,), (1,))
+        push = tableau_from_stage([pdg(0)], 1)
+        assert apply_tableau(push, PauliMask((0,), (1,))) == PauliMask((0,), (1,))
 
 
 @given(st.integers(0, 2 ** 30))
@@ -307,8 +299,11 @@ def test_symbolic_concrete_coherence_on_random_pipelines(seed):
             for j in s:
                 assert poly_eval(gs[j], env) == gc[j]
         else:
+            # P-dagger on qubit j conditioned on an outcome c: b_j += a_j * c
             j = int(rng.integers(n))
             cond = names[int(rng.integers(4))]
-            sym = commute_through_pdag(sym, j, condition=KeyPoly.of(cond))
-            conc = commute_through_pdag(conc, j, condition=env[cond.name])
+            sym = sym.xor_at(j, KeyPoly.zero(), sym.a[j] * KeyPoly.of(cond))
+            db = [0] * n
+            db[j] = conc.a[j] & env[cond.name]
+            conc = conc ^ PauliMask((0,) * n, tuple(db))
     assert sym.evaluate(env) == conc

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import gates_matrix, random_state
 from tlink.circuits import ValidationError, cnot, h, t, x
 from tlink.frames import PauliMask
 from tlink.oracle import (
@@ -9,12 +9,33 @@ from tlink.oracle import (
     StateVector,
     apply_gate,
     apply_mask,
-    bell_branches,
-    bell_measure,
     fidelity_up_to_phase,
     init_state,
-    prepare_epr,
 )
+
+EPR = np.array([1, 0, 0, 1]) / np.sqrt(2)
+
+
+def zeros(n):
+    return np.eye(2 ** n)[0]
+
+
+def matrix_bell(amps, n, r, s, xv, zv):
+    """Matrix-oracle Bell measurement of (r, s): rotate by CNOT(r, s) then
+    H(r), keep z on r and x on s. Returns the outcome probability and the
+    normalized state of the other qubits in index order."""
+    rot = (gates_matrix([cnot(r, s), h(r)], n) @ amps).reshape((2,) * n)
+    idx = [slice(None)] * n
+    idx[r], idx[s] = zv, xv
+    part = rot[tuple(idx)].reshape(-1)
+    prob = float(np.vdot(part, part).real)
+    return prob, part / np.sqrt(prob) if prob > 0 else part
+
+
+def register_with(state, qubits):
+    reg = Register()
+    reg.load(state, qubits)
+    return reg
 
 
 class TestInitState:
@@ -63,64 +84,80 @@ class TestGates:
 
 class TestEpr:
     def test_pair_amplitudes(self):
-        st = prepare_epr(init_state(2, "00"), 0, 1)
-        assert np.allclose(st.amps, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+        reg = Register()
+        reg.prepare_epr(0, 1)
+        want = gates_matrix([h(0), cnot(0, 1)], 2) @ zeros(2)
+        assert np.allclose(reg.extract([0, 1]).amps, want)
 
     def test_two_disjoint_pairs(self):
-        st = prepare_epr(prepare_epr(init_state(4, "0000"), 0, 1), 2, 3)
-        expected = np.kron([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)],
-                           [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-        assert np.allclose(st.amps, expected)
+        reg = Register()
+        reg.prepare_epr(0, 1)
+        reg.prepare_epr(2, 3)
+        want = gates_matrix([h(0), cnot(0, 1), h(2), cnot(2, 3)], 4) @ zeros(4)
+        assert np.allclose(reg.extract([0, 1, 2, 3]).amps, want)
+        assert np.allclose(want, np.kron(EPR, EPR))
 
     def test_spectator_untouched(self, rng):
         psi = random_state(rng, 1)
-        full = init_state(3, np.kron(psi.amps, [1, 0, 0, 0]))
-        st = prepare_epr(full, 1, 2)
-        epr = [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)]
-        assert np.allclose(st.amps, np.kron(psi.amps, epr))
+        reg = register_with(psi, [0])
+        reg.prepare_epr(1, 2)
+        assert np.allclose(reg.extract([0, 1, 2]).amps, np.kron(psi.amps, EPR))
 
     def test_collision_rejected(self):
         with pytest.raises(ValidationError, match="collision"):
-            prepare_epr(init_state(2, "00"), 1, 1)
+            Register().prepare_epr(1, 1)
 
     def test_non_fresh_rejected(self):
-        with pytest.raises(ValidationError, match="fresh"):
-            prepare_epr(init_state(2, "10"), 0, 1)
+        reg = register_with(init_state(1, "1"), [0])
+        with pytest.raises(ValidationError, match="already in use"):
+            reg.prepare_epr(0, 1)
 
 
 class TestBellMeasure:
     def test_epr_gives_outcome_00(self, rng):
-        st = prepare_epr(init_state(2, "00"), 0, 1)
-        _, rec = bell_measure(st, 0, 1, rng)
-        assert rec.bits == (0, 0)
+        reg = Register()
+        reg.prepare_epr(0, 1)
+        assert reg.bell_measure(0, 1, rng) == (0, 0)
 
     def test_fresh_epr_halves_equiprobable(self):
-        st = prepare_epr(prepare_epr(init_state(4, "0000"), 0, 1), 2, 3)
-        branches = bell_branches(st, 1, 2)
-        assert len(branches) == 4
-        for _, _, prob, _ in branches:
-            assert abs(prob - 0.25) < 1e-12
+        reg = Register()
+        reg.prepare_epr(0, 1)
+        reg.prepare_epr(2, 3)
+        probs = reg.bell_probs(1, 2)
+        flat = np.kron(EPR, EPR)
+        for xv in (0, 1):
+            for zv in (0, 1):
+                assert abs(probs[zv, xv] - 0.25) < 1e-12
+                assert abs(matrix_bell(flat, 4, 1, 2, xv, zv)[0] - 0.25) < 1e-12
 
     def test_teleportation_identity(self, rng):
         # For random psi and every outcome, the partner holds X^x Z^z psi.
         for _ in range(200):
             psi = random_state(rng, 1)
-            st = prepare_epr(init_state(3, np.kron(psi.amps, [1, 0, 0, 0])), 1, 2)
-            for xv, zv, prob, post in bell_branches(st, 0, 1):
-                assert abs(prob - 0.25) < 1e-12
-                partner = Register()
-                partner.load(post, [0, 1, 2])
-                got = partner.extract([2])
-                corrected = apply_mask(got, PauliMask((xv,), (zv,)))
-                assert fidelity_up_to_phase(corrected, psi) >= 1 - 1e-10
+            reg = register_with(psi, [0])
+            reg.prepare_epr(1, 2)
+            for xv in (0, 1):
+                for zv in (0, 1):
+                    post = reg.clone()
+                    prob = post.project_bell(0, 1, xv, zv)
+                    assert abs(prob - 0.25) < 1e-12
+                    got = post.extract([2])
+                    _, want = matrix_bell(np.kron(psi.amps, EPR), 3, 0, 1, xv, zv)
+                    assert fidelity_up_to_phase(got, StateVector(1, want)) >= 1 - 1e-12
+                    corrected = apply_mask(got, PauliMask((xv,), (zv,)))
+                    assert fidelity_up_to_phase(corrected, psi) >= 1 - 1e-10
 
     def test_collapse_leaves_bell_state(self, rng):
-        st = prepare_epr(prepare_epr(init_state(4, "0000"), 0, 1), 2, 3)
-        post, rec = bell_measure(st, 1, 2, rng)
-        # measuring the measured pair again must reproduce the same outcome
-        again, rec2 = bell_measure(post, 1, 2, rng)
-        assert rec2.bits == rec.bits
-        assert fidelity_up_to_phase(again, post) >= 1 - 1e-12
+        # Entanglement swapping: measuring the inner halves of two pairs
+        # leaves the outer halves in the Bell state of the same outcome.
+        reg = Register()
+        reg.prepare_epr(0, 1)
+        reg.prepare_epr(2, 3)
+        xv, zv = reg.bell_measure(1, 2, rng)
+        _, want = matrix_bell(np.kron(EPR, EPR), 4, 1, 2, xv, zv)
+        assert fidelity_up_to_phase(reg.extract([0, 3]), StateVector(2, want)) >= 1 - 1e-12
+        probs = reg.bell_probs(0, 3)
+        assert probs[zv, xv] == pytest.approx(1.0, abs=1e-12)
 
     def test_one_draw_per_measurement(self):
         class CountingRng:
@@ -131,25 +168,32 @@ class TestBellMeasure:
                 self.calls += 1
                 return 0.3
 
-        st = prepare_epr(init_state(2, "00"), 0, 1)
+        reg = Register()
+        reg.prepare_epr(0, 1)
         counter = CountingRng()
-        bell_measure(st, 0, 1, counter)
+        reg.bell_measure(0, 1, counter)
         assert counter.calls == 1
 
     def test_same_qubit_rejected(self, rng):
+        reg = register_with(init_state(2, "00"), [0, 1])
         with pytest.raises(ValidationError, match="distinct"):
-            bell_measure(init_state(2, "00"), 1, 1, rng)
+            reg.bell_measure(1, 1, rng)
 
     def test_sampling_matches_branch_probabilities(self):
         rng = np.random.default_rng(5)
         st = random_state(rng, 3)
-        probs = {(xv, zv): pr for xv, zv, pr, _ in bell_branches(st, 0, 2)}
+        base = register_with(st, [0, 1, 2])
+        got = base.bell_probs(0, 2)
+        probs = {}
+        for xv in (0, 1):
+            for zv in (0, 1):
+                probs[(xv, zv)] = matrix_bell(st.amps, 3, 0, 2, xv, zv)[0]
+                assert got[zv, xv] == pytest.approx(probs[(xv, zv)], abs=1e-12)
         shots = 10_000
         counts = {k: 0 for k in probs}
         sampler = np.random.default_rng(17)
         for _ in range(shots):
-            _, rec = bell_measure(st, 0, 2, sampler)
-            counts[rec.bits] += 1
+            counts[base.clone().bell_measure(0, 2, sampler)] += 1
         for key, pr in probs.items():
             bound = 3 * np.sqrt(pr * (1 - pr) / shots)
             assert abs(counts[key] / shots - pr) <= bound + 1e-9
@@ -195,13 +239,11 @@ class TestFidelity:
 class TestRegister:
     def test_matches_flat_state_ops(self, rng):
         psi = random_state(rng, 2)
-        reg = Register()
-        reg.load(psi, [0, 1])
+        reg = register_with(psi, [0, 1])
         reg.prepare_epr(2, 3)
         reg.apply_gate(cnot(1, 2))
-        flat = prepare_epr(init_state(4, np.kron(psi.amps, [1, 0, 0, 0])), 2, 3)
-        flat = apply_gate(flat, cnot(1, 2))
-        assert fidelity_up_to_phase(reg.extract([0, 1, 2, 3]), flat) >= 1 - 1e-12
+        flat = gates_matrix([h(2), cnot(2, 3), cnot(1, 2)], 4) @ np.kron(psi.amps, zeros(2))
+        assert fidelity_up_to_phase(reg.extract([0, 1, 2, 3]), StateVector(4, flat)) >= 1 - 1e-12
 
     def test_bell_drop_keeps_partner_state(self, rng):
         psi = random_state(rng, 1)

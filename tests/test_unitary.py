@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import gates_matrix, random_circuit, random_state
-from tlink.circuits import GateKind, ValidationError, depth_metrics, flatten, parse_circuit
+from tlink.circuits import (
+    GateKind,
+    ValidationError,
+    cnot,
+    depth_metrics,
+    flatten,
+    h,
+    layerize,
+    parse_circuit,
+    x,
+)
 from tlink.compiler import (
+    BellGroup,
     CompiledProgram,
     Instruction,
     InstrOp,
@@ -90,6 +101,37 @@ class TestConversionStructure:
         ])
         with pytest.raises(ValidationError, match="degree > 2"):
             to_unitary(prog)
+
+
+class TestMeasuredQubitGates:
+    """Gates after a Bell group that touch its measured qubits become bit
+    steps: a CNOT between two of them an XOR, an X a flip, a CNOT from one
+    an X on the target if its bit is set."""
+
+    def program(self, after):
+        gates = [h(1), h(2), *after]
+        up = UnitaryProgram(layerize(gates, 5), 5, 1, (0,), {"vr": 1, "vs": 2},
+                            (BellGroup(2, 1, 2, 3, 4),))
+        assert flatten(up.circuit) == gates
+        return up
+
+    def test_bit_steps(self, rng):
+        # s ^= r, r ^= 1, then X^s X^r on the output: X^(vs ^ 1) overall.
+        up = self.program([cnot(1, 2), x(1), cnot(2, 0), cnot(1, 0)])
+        psi = random_state(rng, 1)
+        branches = enumerate_unitary_branches(up, psi)
+        assert sorted((b.outcomes["vr"], b.outcomes["vs"]) for b in branches) == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        for b in branches:
+            assert b.probability == pytest.approx(0.25)
+            want = psi.amps[::-1] if b.outcomes["vs"] == 0 else psi.amps
+            assert fidelity_up_to_phase(b.state, init_state(1, want)) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("after,match", [([cnot(0, 1)], "quantum qubit onto a measured"),
+                                             ([h(2), cnot(2, 0)], "H on a measured qubit")])
+    def test_unsupported_gate_on_measured_qubit(self, rng, after, match):
+        with pytest.raises(ValidationError, match=match):
+            enumerate_unitary_branches(self.program(after), random_state(rng, 1))
 
 
 class TestTeleportOnly:
