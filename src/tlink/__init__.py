@@ -48,12 +48,10 @@ from .frames import (
 )
 from .gardenhose import (
     CrossTermReport,
-    GadgetLayout,
     GadgetResult,
     ProtocolTranscript,
     ResourcePlan,
     analyze_cross_terms,
-    bridge_teleport,
     causality_check,
     gadget_truth_table,
     run_gadget,

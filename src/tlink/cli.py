@@ -33,6 +33,7 @@ from .gardenhose import (
     gadget_truth_table,
     run_gadget,
     run_protocol1,
+    undo_gadget,
 )
 from .oracle import apply_circuit, basis_bits, fidelity_up_to_phase, init_state, random_state
 
@@ -79,6 +80,8 @@ def cmd_verify(args) -> int:
     circuit = _read_circuit(args.infile)
     if circuit.n > args.nmax:
         raise ValidationError(f"circuit has {circuit.n} qubits; verify caps at nmax={args.nmax}")
+    if not args.exhaustive and args.shots < 1:
+        raise ValidationError(f"--shots must be at least 1, got {args.shots}")
     seed = args.seed if args.seed is not None else 0
     psi = random_state(circuit.n, np.random.default_rng(seed))
     reference = apply_circuit(psi, circuit)
@@ -129,13 +132,7 @@ def cmd_gadget(args) -> int:
     print(f"mask_a={res.mask.a[0]} mask_b={res.mask.b[0]}")
     print(f"key_a={res.symbolic_mask.a[0 if args.p == 0 else 1]}")
     print(f"key_b={res.symbolic_mask.b[0 if args.p == 0 else 1]}")
-    from .oracle import apply_gate, apply_mask
-    from .circuits import p as p_gate
-    corrected = res.state
-    if res.applied_pdg:
-        corrected = apply_gate(corrected, p_gate(0))
-    corrected = apply_mask(corrected, res.mask)
-    print(f"fidelity={fidelity_up_to_phase(corrected, psi):.12f}")
+    print(f"fidelity={fidelity_up_to_phase(undo_gadget(res), psi):.12f}")
     return EXIT_OK
 
 

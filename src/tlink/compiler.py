@@ -12,10 +12,11 @@ Pauli corrections from the tracked symbolic mask.
 to_unitary rewrites a compiled program as a plain unitary circuit via the
 deferred-measurement transform: each Bell measurement becomes a basis
 rotation plus coherent copies onto two fresh ancillas, and each conditioned
-correction becomes gates controlled on those ancillas. A conditioned
-P-dagger computes its condition's parity onto one scratch qubit, applies a
-single controlled P-dagger from it and uncomputes: 3 T gates however many
-linear terms the condition has.
+correction becomes gates controlled on those ancillas. It converts linear
+conditions only, which is all compile_measure emits. A conditioned P-dagger
+computes its condition's parity onto one scratch qubit, applies a single
+controlled P-dagger from it and uncomputes: 3 T gates however many terms
+the condition has.
 
 compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: stages are linked r at a
@@ -393,7 +394,7 @@ def parse_program(text: str) -> CompiledProgram:
             outputs[j] = q
             out_lines[q] = lineno
         elif "IF" in tokens:
-            if tokens[0] not in ("PDG", "X", "Z") or tokens[2] != "IF":
+            if len(tokens) < 3 or tokens[0] not in ("PDG", "X", "Z") or tokens[2] != "IF":
                 raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
             op = {"PDG": InstrOp.COND_PDG, "X": InstrOp.COND_X, "Z": InstrOp.COND_Z}[tokens[0]]
             cond = _poly_from_text(line.split("IF", 1)[1], lineno, terms, defined)
@@ -456,7 +457,7 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 
 
 # Plan step opcodes; each step is a tuple (op, ...) with axes resolved.
-_GATE, _ALLOC, _EPR, _COND, _BELL, _MEASURE, _XIF, _XOR, _FLIP = range(9)
+_GATE, _ALLOC, _EPR, _COND, _BELL, _MEASURE, _XIF = range(7)
 
 
 @dataclass(frozen=True)
@@ -599,10 +600,6 @@ def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
         elif op is _XIF:
             if bits[step[1]]:
                 amps = _apply_kind(amps, GateKind.X, step[2])
-        elif op is _XOR:
-            bits[step[2]] ^= bits[step[1]]
-        elif op is _FLIP:
-            bits[step[1]] ^= 1
         else:
             kept = _outcomes_at(step, amps, rng, cutoff)
             if len(kept) != 1:
@@ -684,21 +681,9 @@ def _cz(a: int, q: int) -> list[Gate]:
     return [h(q), cnot(a, q), h(q)]
 
 
-def _tdg(q: int) -> list[Gate]:
-    return [pdg(q), t(q)]
-
-
-def _ccz(a: int, b: int, c: int) -> list[Gate]:
-    return [cnot(b, c), *_tdg(c), cnot(a, c), t(c), cnot(b, c), *_tdg(c), cnot(a, c), t(c),
-            t(a), t(b), cnot(a, b), *_tdg(b), cnot(a, b)]
-
-
-def _ccx(a: int, b: int, c: int) -> list[Gate]:
-    return [h(c), *_ccz(a, b, c), h(c)]
-
-
-def _mono_controls(mono, var_qubits: dict[str, int]) -> list[int]:
-    names = sorted(v.name for v in mono)
+def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:
+    """The outcome ancilla of each term of a linear condition, in name order."""
+    names = sorted(v.name for mono in cond.monomials for v in mono)
     missing = [name for name in names if name not in var_qubits]
     if missing:
         raise ValidationError(f"condition references unmeasured variable {missing[0]!r}")
@@ -708,38 +693,24 @@ def _mono_controls(mono, var_qubits: dict[str, int]) -> list[int]:
 def _expand_cond(ins: Instruction, var_qubits: dict[str, int], alloc_scratch) -> list[Gate]:
     """Gates for one conditioned correction, controlled on the outcome ancillas.
 
-    X and Z take one controlled gate per condition term. P-dagger goes by
-    parity accumulation: a CNOT per linear term, a Toffoli per degree-2 term
-    and an X for the constant XOR the condition onto the scratch qubit, one
-    controlled P-dagger acts from it, and the same blocks in reverse order
-    return the scratch to |0>.
+    The condition must be linear. X and Z take one controlled gate per term.
+    P-dagger goes by parity accumulation: a CNOT per term and an X for the
+    constant XOR the condition onto the scratch qubit, one controlled
+    P-dagger acts from it, and the same gates in reverse order return the
+    scratch to |0>.
     """
     q = ins.qubits[0]
     cond = ins.cond
-    if cond.degree > 2:
-        raise ValidationError("condition degree > 2 cannot be converted to controlled gates")
-    monos = sorted(cond.monomials, key=lambda m: sorted(v.name for v in m))
-    gates: list[Gate] = []
+    if cond.degree > 1:
+        raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
+    ctrls = _controls(cond, var_qubits)
     if ins.op is InstrOp.COND_X:
-        for mono in monos:
-            ctrls = _mono_controls(mono, var_qubits)
-            gates += [cnot(ctrls[0], q)] if len(ctrls) == 1 else _ccx(ctrls[0], ctrls[1], q)
-        if cond.constant:
-            gates.append(x(q))
-        return gates
+        return [cnot(a, q) for a in ctrls] + ([x(q)] if cond.constant else [])
     if ins.op is InstrOp.COND_Z:
-        for mono in monos:
-            ctrls = _mono_controls(mono, var_qubits)
-            gates += _cz(ctrls[0], q) if len(ctrls) == 1 else _ccz(ctrls[0], ctrls[1], q)
-        if cond.constant:
-            gates.append(z(q))
-        return gates
+        return [g for a in ctrls for g in _cz(a, q)] + ([z(q)] if cond.constant else [])
     s = alloc_scratch()
-    parity = [[cnot(ctrls[0], s)] if len(ctrls) == 1 else _ccx(ctrls[0], ctrls[1], s)
-              for ctrls in (_mono_controls(m, var_qubits) for m in monos)]
-    if cond.constant:
-        parity.append([x(s)])
-    return [g for block in parity + [_cs_dag(s, q)] + parity[::-1] for g in block]
+    parity = [cnot(a, s) for a in ctrls] + ([x(s)] if cond.constant else [])
+    return parity + _cs_dag(s, q) + parity[::-1]
 
 
 def to_unitary(p: CompiledProgram) -> UnitaryProgram:
@@ -748,11 +719,11 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     Each Bell measurement becomes its basis rotation (CNOT, H) followed by
     coherent copies of the two outcome bits onto fresh ancillas; the measured
     qubits are left in the rotated basis and never touched again. Conditioned
-    corrections become gates controlled on the ancillas (_expand_cond); every
-    conditioned P-dagger computes its condition onto one shared scratch
-    qubit, allocated on first use, and uncomputes it. Discarding ancillas,
-    the circuit acts on the logical wires exactly as the measured program
-    does on every branch.
+    corrections, which must be linear, become gates controlled on the
+    ancillas (_expand_cond); every conditioned P-dagger computes its
+    condition onto one shared scratch qubit, allocated on first use, and
+    uncomputes it. Discarding ancillas, the circuit acts on the logical wires
+    exactly as the measured program does on every branch.
     """
     gates: list[Gate] = []
     var_qubits: dict[str, int] = {}
@@ -805,20 +776,16 @@ def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
     return text + "\n".join(lines) + ("\n" if lines else "")
 
 
-_DIAGONAL_1Q = frozenset({GateKind.P, GateKind.PDG, GateKind.Z, GateKind.T})
-
-
 def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
-    """Replay a converted circuit's schedule into an ExecPlan.
+    """Replay a converted linear program's schedule into an ExecPlan.
 
     After each Bell copy block its four qubits are Z-measured (one branch
-    point each): they are only ever reused as controls of controlled gates
-    or under diagonal gates, so measuring them there commutes with the rest
-    of the circuit. From then on a gate touching a measured qubit is resolved
-    here, once: a CNOT from it becomes an X on its target if its bit is set,
-    a CNOT between two of them a bit XOR, an X on one a bit flip, and a
-    diagonal gate on one only a branch phase, dropped. Gates left buffered at
-    the end are outside the outputs' light cone and cannot affect them.
+    point each): from there on they are only ever controls of CNOTs, so
+    measuring them there commutes with the rest of the circuit. Each such
+    CNOT is resolved here, once, into an X on its target if the control's
+    bit is set; any other gate on a measured qubit raises. Gates left
+    buffered at the end are outside the outputs' light cone and cannot
+    affect them.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
@@ -832,17 +799,13 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
         for qs, g in cone:
             if classical.isdisjoint(qs):
                 sched.gate(g.kind, qs)
-            elif g.kind is GateKind.CNOT and qs[0] in classical:
-                if qs[1] in classical:
-                    sched.steps.append((_XOR, *qs))
-                else:
-                    sched.steps.append((_XIF, qs[0], sched.axes(qs[1:])))
-            elif g.kind is GateKind.CNOT:
-                raise ValidationError("CNOT from a quantum qubit onto a measured qubit")
-            elif g.kind is GateKind.X:
-                sched.steps.append((_FLIP, qs[0]))
-            elif g.kind not in _DIAGONAL_1Q:
+            elif g.kind is not GateKind.CNOT:
                 raise ValidationError(f"{g.kind.value} on a measured qubit")
+            elif qs[1] not in classical:
+                sched.steps.append((_XIF, qs[0], sched.axes(qs[1:])))
+            else:
+                source = "measured" if qs[0] in classical else "quantum"
+                raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
 
     start = 0
     for grp in up.bell_groups:

@@ -199,8 +199,9 @@ _CLIFFORD_KINDS = frozenset({GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT
 def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
     """Check that a stage's gates are Clifford and return them in gate order.
 
-    The result is what apply_tableau pushes a mask through; ``n`` is the
-    stage's qubit count, which the masks pushed through it share.
+    The result is what apply_tableau pushes a mask through. ``n`` is unused;
+    it is kept so that existing callers, the benchmark's frame push among
+    them, keep their call shape.
     """
     gates = tuple(clifford)
     for g in gates:

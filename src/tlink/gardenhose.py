@@ -10,20 +10,23 @@ measurements covering all four of her halves: (alice 1, alice 3) first, then
 lower-numbered qubit first (pairing 1 when q = 1, pairing 2 when q = 0). The
 input state ends on Bob's half of pair 3 ("out1") when p = 0, else on his
 half of pair 4 ("out2"); which of Alice's measurements mattered is therefore
-decided by Bob alone.
+decided by Bob alone. run_gadget simulates the gadget on concrete bits p and
+q and returns its output with the Pauli mask as bits and as keys;
+undo_gadget recovers the input from that result.
 
 The protocol runner executes a T-depth <= 1 circuit with one simultaneous
 classical exchange: Alice teleports her input wires to Bob up front and keeps
 the outcome masks secret, Bob runs the circuit with one gadget per T gate
 (routing bits are the parties' local shares of the pending correction key),
 and both parties apply Pauli corrections only after the single exchange.
-Protocol runs are single-threaded per transcript; independent runs may be
-executed in parallel.
+Each gadget's effect on the frame is one update (_gadget_frame_update), which
+the protocol runner and the cross-term analysis share. Protocol runs are
+single-threaded per transcript; independent runs may be executed in parallel.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,56 +44,37 @@ from .frames import (
     poly_eval,
     tableau_from_stage,
 )
-from .oracle import MeasRecord, Register, StateVector, random_state
-
-
-@dataclass(frozen=True)
-class GadgetLayout:
-    """Fixed 9-qubit wiring: the input plus four EPR pairs."""
-
-    input: int = 0
-    bob_halves: tuple[int, int, int, int] = (1, 2, 3, 4)
-    alice_halves: tuple[int, int, int, int] = (5, 6, 7, 8)
-
-    @property
-    def out1(self) -> int:
-        return self.bob_halves[2]
-
-    @property
-    def out2(self) -> int:
-        return self.bob_halves[3]
-
-
-LAYOUT = GadgetLayout()
+from .oracle import (
+    MeasRecord,
+    Register,
+    StateVector,
+    apply_gate,
+    apply_mask,
+    fidelity_up_to_phase,
+    random_state,
+)
 
 
 @dataclass
 class GadgetResult:
-    output_qubit: str | None            # "out1" / "out2"; None in symbolic mode
-    applied_pdg: int | None             # p xor q; None when p or q is symbolic
-    mask: PauliMask | None              # realized output wire, 1 qubit
-    symbolic_mask: SymbolicMask         # concrete mode: (out1, out2); symbolic mode: 1 wire
+    output_qubit: str                   # "out1" / "out2"
+    applied_pdg: int                    # p xor q
+    mask: PauliMask                     # realized output wire, 1 qubit
+    symbolic_mask: SymbolicMask         # keys of (out1, out2)
     records: list[MeasRecord]
     outcomes: dict[str, int]
-    probability: float = 1.0
-    register: Register | None = None
-    output_phys: int | None = None
-    junk_mask: PauliMask | None = None  # bookkeeping for the unused output wire
-    epr_pairs_used: int = 4
-    state: StateVector | None = None
-
-
-def _as_poly(v) -> KeyPoly:
-    if isinstance(v, KeyPoly):
-        return v
-    if isinstance(v, OutcomeVar):
-        return KeyPoly.of(v)
-    return KeyPoly.from_bit(int(v))
+    probability: float
+    junk_mask: PauliMask                # bookkeeping for the unused output wire
+    state: StateVector                  # the realized output wire
 
 
 def _gadget_core(reg: Register, in_q: int, base: int, p_bit: int, q_bit: int,
                  measure, prefix: str):
-    """Shared wiring for the concrete gadget; ``measure`` resolves Bell outcomes."""
+    """Run one gadget on ``in_q``: four EPR pairs with Bob's halves at
+    base..base+3 and Alice's at base+4..base+7, routed by p and q.
+    ``measure`` resolves Bell outcomes. Returns Bob's outcomes, the on-path
+    and off-path pairings of Alice as (name, outcomes), and the output
+    qubit."""
     bobh = [base + k for k in range(4)]
     alich = [base + 4 + k for k in range(4)]
     for k in range(4):
@@ -104,10 +88,9 @@ def _gadget_core(reg: Register, in_q: int, base: int, p_bit: int, q_bit: int,
         reg.apply(GateKind.PDG, (alich[1],))
     x2, z2 = measure(alich[1], alich[3], prefix + "a2x", prefix + "a2z", Owner.ALICE)
     out_q = bobh[2] if p_bit == 0 else bobh[3]
-    junk_q = bobh[3] if p_bit == 0 else bobh[2]
     on_path = ("a1", (x1, z1)) if p_bit == 0 else ("a2", (x2, z2))
     off_path = ("a2", (x2, z2)) if p_bit == 0 else ("a1", (x1, z1))
-    return bobh, alich, (xb, zb), on_path, off_path, out_q, junk_q
+    return (xb, zb), on_path, off_path, out_q
 
 
 def _var(prefix: str, suffix: str, owner: Owner) -> OutcomeVar:
@@ -133,30 +116,24 @@ def _bell_measure(reg: Register, r: int, s: int, vx: str, vz: str, outcomes: dic
     return xv, zv, prob
 
 
-def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
+def run_gadget(p: int, q: int, input_state: StateVector,
+               rng: np.random.Generator | None = None,
                forced: dict[str, int] | None = None, var_prefix: str = "") -> GadgetResult:
-    """Run the gadget once.
+    """Run the gadget once on a 1-qubit input and routing bits p, q.
 
-    With a 1-qubit StateVector input and bits p, q, the gadget is simulated on
-    the 9-qubit register and the realized output wire carries
+    The gadget is simulated on a 9-qubit register: the input on qubit 0, the
+    four pairs on 1..8. The realized output wire carries
     (Pdg)^(p xor q) X^a Z^b psi, with (a, b) returned both as concrete bits
     and as polynomials in the six outcome variables (the correction is kept
     outermost in this presentation). Outcomes come from ``rng`` or, for branch
     enumeration, from ``forced`` keyed by variable name.
-
-    With a 1-qubit SymbolicMask input, only the frame bookkeeping runs; p and
-    q may themselves be variables. The conditioned correction is absorbed
-    into the returned keys (b gains (a xor bob_x) * (p xor q)), which is what
-    raises key degree when the condition spans both parties.
     """
-    if isinstance(input_state, SymbolicMask):
-        return _run_gadget_symbolic(p, q, input_state, var_prefix)
     if input_state.n != 1:
         raise ValidationError("gadget input must be a single qubit")
     p_bit, q_bit = int(p) & 1, int(q) & 1
 
     reg = Register()
-    reg.load(input_state, [LAYOUT.input])
+    reg.load(input_state, [0])
     outcomes: dict[str, int] = {}
     records: list[MeasRecord] = []
     prob = 1.0
@@ -168,8 +145,8 @@ def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
         records.append(MeasRecord(vx, vz, (xv, zv), (r, s)))
         return xv, zv
 
-    _, _, (xb, zb), on_path, off_path, out_q, junk_q = _gadget_core(
-        reg, LAYOUT.input, 1, p_bit, q_bit, measure, var_prefix)
+    (xb, zb), on_path, off_path, out_q = _gadget_core(
+        reg, 0, 1, p_bit, q_bit, measure, var_prefix)
     pdg_bit = p_bit ^ q_bit
     xa, za = on_path[1]
     xj, zj = off_path[1]
@@ -199,34 +176,18 @@ def run_gadget(p, q, input_state, rng: np.random.Generator | None = None,
         records=records,
         outcomes=outcomes,
         probability=prob,
-        register=reg,
-        output_phys=out_q,
         junk_mask=junk,
         state=reg.extract([out_q]),
     )
 
 
-def _run_gadget_symbolic(p, q, mask: SymbolicMask, var_prefix: str) -> GadgetResult:
-    if mask.n != 1:
-        raise ValidationError("symbolic gadget input must be a single wire")
-    cond = _as_poly(p) ^ _as_poly(q)
-    bx = KeyPoly.of(_var(var_prefix, "bx", Owner.BOB))
-    bz = KeyPoly.of(_var(var_prefix, "bz", Owner.BOB))
-    ax = KeyPoly.of(_var(var_prefix, "ax", Owner.ALICE))
-    az = KeyPoly.of(_var(var_prefix, "az", Owner.ALICE))
-    a0, b0 = mask.a[0], mask.b[0]
-    a_out = a0 ^ bx ^ ax
-    b_out = b0 ^ bz ^ ((a0 ^ bx) * cond) ^ az
-    p_bit = int(p) & 1 if isinstance(p, int) else None
-    q_bit = int(q) & 1 if isinstance(q, int) else None
-    return GadgetResult(
-        output_qubit=None if p_bit is None else ("out1" if p_bit == 0 else "out2"),
-        applied_pdg=None if (p_bit is None or q_bit is None) else p_bit ^ q_bit,
-        mask=None,
-        symbolic_mask=SymbolicMask((a_out,), (b_out,)),
-        records=[],
-        outcomes={},
-    )
+def undo_gadget(res: GadgetResult) -> StateVector:
+    """The gadget's input recovered from its output: P when a P-dagger was
+    applied, then the recorded Pauli mask."""
+    state = res.state
+    if res.applied_pdg:
+        state = apply_gate(state, Gate(GateKind.P, (0,)))
+    return apply_mask(state, res.mask)
 
 
 def gadget_truth_table(input_states: list[StateVector] | None = None,
@@ -238,8 +199,6 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
     recovers the input, and every symbolic key evaluates to its concrete bit.
     Returns one summary row per (p, q); raises on any violation.
     """
-    from .oracle import apply_gate, apply_mask, fidelity_up_to_phase
-
     if input_states is None:
         gen = np.random.default_rng(seed)
         input_states = [random_state(1, gen) for _ in range(3)]
@@ -257,11 +216,7 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
                     raise ValidationError("gadget applied_pdg disagrees with p xor q")
                 if res.output_qubit != ("out1" if p_bit == 0 else "out2"):
                     raise ValidationError("gadget output position disagrees with p")
-                corrected = res.state
-                if res.applied_pdg:
-                    corrected = apply_gate(corrected, _P_GATE)
-                corrected = apply_mask(corrected, res.mask)
-                fid = fidelity_up_to_phase(corrected, psi)
+                fid = fidelity_up_to_phase(undo_gadget(res), psi)
                 min_fid = min(min_fid, fid)
                 if fid < 1.0 - tol:
                     raise ValidationError(
@@ -285,51 +240,18 @@ def _check_gadget_coherence(res: GadgetResult, p_bit: int) -> None:
         raise ValidationError("symbolic junk keys disagree with concrete bookkeeping")
 
 
-_P_GATE = Gate(GateKind.P, (0,))
-
-
-def bridge_teleport(result: GadgetResult, pair: tuple[int, int],
-                    rng: np.random.Generator | None = None,
-                    forced: tuple[int, int] | None = None,
-                    var_prefix: str = "br") -> GadgetResult:
-    """Teleport the realized gadget output onto a fixed wire.
-
-    ``pair`` is a fresh EPR pair (half, destination): the realized output
-    qubit (out1 or out2, per p) is Bell-measured against the half, leaving the
-    state on the destination regardless of p. The new outcome folds into the
-    mask; the outstanding correction, if any, stays outermost, so the
-    teleport's x bit conditionally feeds the z key.
-    """
-    if result.register is None or result.output_phys is None:
-        raise ValidationError("bridge_teleport needs a concrete gadget result")
-    reg = result.register
-    half, dest = pair
-    reg.prepare_epr(half, dest)
-    vx, vz = var_prefix + "x", var_prefix + "z"
-    outcomes = dict(result.outcomes)
-    xv, zv, prob = _bell_measure(reg, result.output_phys, half, vx, vz, outcomes, rng,
-                                 None if forced is None else {vx: forced[0], vz: forced[1]},
-                                 "bridge_teleport")
-    record = MeasRecord(vx, vz, (xv, zv), (result.output_phys, half))
-    pdg_bit = result.applied_pdg or 0
-    mask = PauliMask((result.mask.a[0] ^ xv,),
-                     (result.mask.b[0] ^ zv ^ (xv & pdg_bit),))
-    bxp = KeyPoly.of(OutcomeVar(vx, Owner.BOB))
-    bzp = KeyPoly.of(OutcomeVar(vz, Owner.BOB))
-    path_idx = 0 if result.output_qubit == "out1" else 1
-    a_key = result.symbolic_mask.a[path_idx] ^ bxp
-    b_key = result.symbolic_mask.b[path_idx] ^ bzp ^ (bxp * KeyPoly.from_bit(pdg_bit))
-    return replace(
-        result,
-        mask=mask,
-        symbolic_mask=SymbolicMask((a_key,), (b_key,)),
-        records=result.records + [record],
-        outcomes=outcomes,
-        probability=result.probability * prob,
-        output_phys=dest,
-        epr_pairs_used=result.epr_pairs_used + 1,
-        state=reg.extract([dest]),
-    )
+def _gadget_frame_update(mask: SymbolicMask, j: int, prefix: str, on_path: str,
+                         g_key: KeyPoly) -> SymbolicMask:
+    """Fold the gadget that fixes wire j's pending correction ``g_key`` into
+    the protocol frame: teleport in, clear the correction, teleport on, so
+    a += bx + ax and b += bz + az + bx*g. Bob's outcomes are ``prefix`` bx/bz,
+    Alice's on-path pairing ``prefix + on_path`` x/z. A Bob-owned bx times a
+    key with Alice-owned terms is where mixed-owner monomials come from."""
+    bx = KeyPoly.of(OutcomeVar(prefix + "bx", Owner.BOB))
+    bz = KeyPoly.of(OutcomeVar(prefix + "bz", Owner.BOB))
+    ax = KeyPoly.of(OutcomeVar(prefix + on_path + "x", Owner.ALICE))
+    az = KeyPoly.of(OutcomeVar(prefix + on_path + "z", Owner.ALICE))
+    return mask.xor_at(j, bx ^ ax, bz ^ az ^ (bx * g_key))
 
 
 # -- instantaneous two-party protocol -----------------------------------------
@@ -503,18 +425,10 @@ def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePla
             events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", bob_deps, "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing1", alice_deps, "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing2", alice_deps, "measure"))
-            _, _, _, _, _, out_q, _ = _gadget_core(
-                reg, carriers[j], base, p_bit, q_bit, measure, prefix)
+            *_, out_q = _gadget_core(reg, carriers[j], base, p_bit, q_bit, measure, prefix)
             carriers[j] = out_q
             gadget_count += 1
-            bx = KeyPoly.of(OutcomeVar(prefix + "bx", Owner.BOB))
-            bz = KeyPoly.of(OutcomeVar(prefix + "bz", Owner.BOB))
-            on = "a1" if p_bit == 0 else "a2"
-            ax = KeyPoly.of(OutcomeVar(prefix + on + "x", Owner.ALICE))
-            az = KeyPoly.of(OutcomeVar(prefix + on + "z", Owner.ALICE))
-            # Teleport in, clear the pending correction, teleport on:
-            # a += bx + ax, b += bz + az + bx*g.
-            mask = mask.xor_at(j, bx ^ ax, bz ^ az ^ (bx * g_key))
+            mask = _gadget_frame_update(mask, j, prefix, "a1" if p_bit == 0 else "a2", g_key)
 
     for j in plan.return_to_alice:
         hb, ha = next_q, next_q + 1
@@ -585,12 +499,7 @@ def _symbolic_analysis_mask(c: LayeredCircuit, alice_wires) -> SymbolicMask:
     mask = apply_tableau(tableau_from_stage(first.clifford, c.n), mask)
     mask, pending = commute_through_t_layer(mask, first.t_layer)
     for j in sorted(first.t_layer):
-        g_key = pending[j]
-        bx = KeyPoly.of(OutcomeVar(f"g{j}bx", Owner.BOB))
-        bz = KeyPoly.of(OutcomeVar(f"g{j}bz", Owner.BOB))
-        ax = KeyPoly.of(OutcomeVar(f"g{j}ax", Owner.ALICE))
-        az = KeyPoly.of(OutcomeVar(f"g{j}az", Owner.ALICE))
-        mask = mask.xor_at(j, bx ^ ax, bz ^ az ^ (bx * g_key))
+        mask = _gadget_frame_update(mask, j, f"g{j}", "a", pending[j])
     if len(c.stages) >= 2:
         mask = apply_tableau(tableau_from_stage(c.stages[1].clifford, c.n), mask)
     return mask

@@ -371,13 +371,6 @@ class Register:
     def measure_probs(self, q: int) -> np.ndarray:
         return _marginal(self._amps, self._require(q))
 
-    def project_qubit(self, q: int, bit: int) -> float:
-        """Collapse one qubit in the computational basis and drop it."""
-        axes = self._require(q)
-        self._amps, prob = _project(self._amps, _marginal(self._amps, axes), axes, (bit,))
-        self._drop_qubits(q)
-        return prob
-
     def extract(self, qubits: list[int], tol: float = 1e-8) -> StateVector:
         """Pull out the pure state on the given qubits.
 

@@ -102,3 +102,13 @@ def test_worst_branch_is_first_at_printed_minimum(tmp_path, capsys, monkeypatch,
         rng = np.random.default_rng(3)
         second = [execute(program, psi, rng)[1].outcomes for _ in range(3)][1]
     assert out["worst_branch"] == ",".join(f"{k}={v}" for k, v in sorted(second.items()))
+
+
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_sampled_verify_needs_a_shot(tmp_path, capsys, shots):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 1\nT 0\n---\n")
+    assert cli.main(["verify", "--in", str(circuit), "--shots", shots]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--shots must be at least 1" in captured.err

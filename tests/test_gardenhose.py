@@ -7,31 +7,20 @@ from conftest import random_state
 from tlink.circuits import ValidationError, parse_circuit
 from tlink.frames import KeyPoly, OutcomeVar, Owner, SymbolicMask, cross_terms, poly_eval
 from tlink.gardenhose import (
-    LAYOUT,
     CausalityResult,
     Event,
     ProtocolTranscript,
     ResourcePlan,
+    _gadget_frame_update,
     analyze_cross_terms,
-    bridge_teleport,
     causality_check,
     gadget_truth_table,
     run_gadget,
     run_protocol1,
 )
-from tlink.oracle import apply_circuit, apply_gate, apply_mask, fidelity_up_to_phase, init_state
-from tlink.circuits import p as p_gate
+from tlink.oracle import apply_circuit, apply_mask, fidelity_up_to_phase, init_state
 
 GADGET_VARS = ["bx", "bz", "a1x", "a1z", "a2x", "a2z"]
-
-
-class TestLayout:
-    def test_fixed_wiring(self):
-        assert LAYOUT.input == 0
-        assert LAYOUT.bob_halves == (1, 2, 3, 4)
-        assert LAYOUT.alice_halves == (5, 6, 7, 8)
-        assert LAYOUT.out1 == 3
-        assert LAYOUT.out2 == 4
 
 
 class TestRunGadget:
@@ -39,7 +28,6 @@ class TestRunGadget:
         res = run_gadget(0, 1, random_state(rng, 1), rng=rng)
         assert res.output_qubit == "out1"
         assert res.applied_pdg == 1
-        assert res.output_phys == LAYOUT.out1
 
     def test_p1_q1_no_net_correction(self, rng):
         res = run_gadget(1, 1, random_state(rng, 1), rng=rng)
@@ -59,7 +47,6 @@ class TestRunGadget:
     def test_records_and_pair_budget(self, rng):
         res = run_gadget(1, 0, random_state(rng, 1), rng=rng)
         assert len(res.records) == 3
-        assert res.epr_pairs_used == 4
         assert set(res.outcomes) == set(GADGET_VARS)
 
     def test_variable_owners(self, rng):
@@ -78,49 +65,30 @@ class TestTruthTable:
         assert all(r["min_fidelity"] >= 1 - 1e-10 for r in rows)
 
 
-class TestSymbolicGadget:
-    def test_bob_input_mask_creates_cross_terms(self):
-        w = OutcomeVar("w", Owner.BOB)
-        mask = SymbolicMask((KeyPoly.of(w),), (KeyPoly.zero(),))
-        res = run_gadget(OutcomeVar("p", Owner.BOB), OutcomeVar("q", Owner.ALICE),
-                         mask, var_prefix="g")
-        crosses = cross_terms(res.symbolic_mask.b[0])
-        assert crosses
-        assert frozenset({w, OutcomeVar("q", Owner.ALICE)}) in crosses
+class TestGadgetFrameUpdate:
+    """The one frame update that run_protocol1 and the cross-term analysis
+    apply per gadget: a += bx + ax, b += bz + az + bx*g."""
 
-    def test_concrete_bits_reduce_to_linear_keys(self):
-        mask = SymbolicMask((KeyPoly.zero(),), (KeyPoly.zero(),))
-        res = run_gadget(0, 1, mask, var_prefix="g")
-        assert res.applied_pdg == 1
-        assert res.symbolic_mask.b[0].degree == 1
-        assert cross_terms(res.symbolic_mask.b[0]) == []
+    def test_bob_x_times_alice_key_is_mixed(self):
+        t0x = OutcomeVar("t0x", Owner.ALICE)
+        mask = _gadget_frame_update(SymbolicMask.zero(1), 0, "g", "a1", KeyPoly.of(t0x))
+        bx = OutcomeVar("gbx", Owner.BOB)
+        assert mask.a[0] == KeyPoly.of(bx) ^ KeyPoly.of(OutcomeVar("ga1x", Owner.ALICE))
+        assert mask.b[0].degree == 2
+        assert cross_terms(mask.b[0]) == [frozenset({bx, t0x})]
 
+    def test_constant_key_stays_linear(self):
+        mask = _gadget_frame_update(SymbolicMask.zero(1), 0, "g", "a2", KeyPoly.one())
+        assert mask.b[0] == (KeyPoly.of(OutcomeVar("gbz", Owner.BOB))
+                             ^ KeyPoly.of(OutcomeVar("ga2z", Owner.ALICE))
+                             ^ KeyPoly.of(OutcomeVar("gbx", Owner.BOB)))
+        assert cross_terms(mask.b[0]) == []
 
-class TestBridge:
-    @pytest.mark.parametrize("p_bit", [0, 1])
-    def test_bridge_lands_on_fixed_wire(self, p_bit, rng):
-        psi = random_state(rng, 1)
-        res = run_gadget(p_bit, 1, psi, rng=rng)
-        bridged = bridge_teleport(res, (9, 10), rng=rng)
-        assert bridged.output_phys == 10
-        assert bridged.epr_pairs_used == 5
-        fixed = bridged.state
-        if bridged.applied_pdg:
-            fixed = apply_gate(fixed, p_gate(0))
-        fixed = apply_mask(fixed, bridged.mask)
-        assert fidelity_up_to_phase(fixed, psi) >= 1 - 1e-10
-
-    def test_bridge_exhaustive_branches(self, rng):
-        psi = random_state(rng, 1)
-        for bits in itertools.product((0, 1), repeat=8):
-            forced = dict(zip(GADGET_VARS, bits[:6]))
-            res = run_gadget(0, 1, psi, forced=forced)
-            bridged = bridge_teleport(res, (9, 10), forced=(bits[6], bits[7]))
-            fixed = apply_gate(bridged.state, p_gate(0))
-            fixed = apply_mask(fixed, bridged.mask)
-            assert fidelity_up_to_phase(fixed, psi) >= 1 - 1e-10
-            evaluated = bridged.symbolic_mask.evaluate(bridged.outcomes)
-            assert (evaluated.a[0], evaluated.b[0]) == (bridged.mask.a[0], bridged.mask.b[0])
+    def test_bob_key_raises_degree_without_mixing(self):
+        w = KeyPoly.of(OutcomeVar("w", Owner.BOB))
+        mask = _gadget_frame_update(SymbolicMask.zero(1), 0, "g", "a1", w)
+        assert mask.b[0].degree == 2
+        assert cross_terms(mask.b[0]) == []
 
 
 class TestProtocol1:

@@ -117,6 +117,8 @@ BAD_PROGRAMS = [
     ("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a*1b\nOUT 0 2\n", 3, "bad condition term"),
     ("QUBITS 2\nBELL 0 1 -> a b\nOUT 0 0\n", 3, "Bell-measured"),
     ("QUBITS 2\nOUT 0 1\nBELL 0 1 -> a b\n", 2, "Bell-measured"),
+    ("QUBITS 3\nBELL 0 1 -> a b\nX IF\nOUT 0 2\n", 3, "q IF <condition>"),
+    ("QUBITS 3\nBELL 0 1 -> a b\nPDG IF\nOUT 0 2\n", 3, "q IF <condition>"),
 ]
 
 

@@ -11,6 +11,7 @@ from tlink.circuits import (
     h,
     layerize,
     parse_circuit,
+    t,
     x,
 )
 from tlink.compiler import (
@@ -19,11 +20,10 @@ from tlink.compiler import (
     Instruction,
     InstrOp,
     UnitaryProgram,
-    _ccx,
-    _ccz,
     _cs_dag,
     _schedule_depth,
     compile_measure,
+    enumerate_branches,
     enumerate_unitary_branches,
     to_unitary,
 )
@@ -61,17 +61,6 @@ class TestDecompositions:
         got = gates_matrix(_cs_dag(0, 1), 2)
         assert np.allclose(got, np.diag([1, 1, 1, -1j]))
 
-    def test_ccz_exact(self):
-        got = gates_matrix(_ccz(0, 1, 2), 3)
-        want = np.diag([1, 1, 1, 1, 1, 1, 1, -1])
-        assert np.allclose(got, want)
-
-    def test_ccx_exact(self):
-        got = gates_matrix(_ccx(0, 1, 2), 3)
-        want = np.eye(8, dtype=complex)
-        want[[6, 7]] = want[[7, 6]]
-        assert np.allclose(got, want)
-
 
 class TestConversionStructure:
     def test_no_measurements_passes_gates_through(self):
@@ -99,14 +88,14 @@ class TestConversionStructure:
             Instruction(InstrOp.EPR, (1, 2)),  # defines nothing; decoy
             Instruction(InstrOp.COND_X, (0,), cond=cond),
         ])
-        with pytest.raises(ValidationError, match="degree > 2"):
+        with pytest.raises(ValidationError, match="degree > 1"):
             to_unitary(prog)
 
 
 class TestMeasuredQubitGates:
-    """Gates after a Bell group that touch its measured qubits become bit
-    steps: a CNOT between two of them an XOR, an X a flip, a CNOT from one
-    an X on the target if its bit is set."""
+    """A CNOT from a measured qubit of a Bell group onto a live one becomes
+    an X on the target if the qubit's bit is set; any other gate on a
+    measured qubit is rejected."""
 
     def program(self, after):
         gates = [h(1), h(2), *after]
@@ -116,19 +105,23 @@ class TestMeasuredQubitGates:
         return up
 
     def test_bit_steps(self, rng):
-        # s ^= r, r ^= 1, then X^s X^r on the output: X^(vs ^ 1) overall.
-        up = self.program([cnot(1, 2), x(1), cnot(2, 0), cnot(1, 0)])
+        # X^s X^r on the output: X^(vs ^ vr) overall.
+        up = self.program([cnot(2, 0), cnot(1, 0)])
         psi = random_state(rng, 1)
         branches = enumerate_unitary_branches(up, psi)
         assert sorted((b.outcomes["vr"], b.outcomes["vs"]) for b in branches) == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
         for b in branches:
             assert b.probability == pytest.approx(0.25)
-            want = psi.amps[::-1] if b.outcomes["vs"] == 0 else psi.amps
+            want = psi.amps[::-1] if b.outcomes["vs"] ^ b.outcomes["vr"] else psi.amps
             assert fidelity_up_to_phase(b.state, init_state(1, want)) >= 1 - 1e-10
 
     @pytest.mark.parametrize("after,match", [([cnot(0, 1)], "quantum qubit onto a measured"),
-                                             ([h(2), cnot(2, 0)], "H on a measured qubit")])
+                                             ([h(2), cnot(2, 0)], "H on a measured qubit"),
+                                             ([x(1), cnot(1, 0)], "X on a measured qubit"),
+                                             ([t(1), cnot(1, 0)], "T on a measured qubit"),
+                                             ([cnot(1, 2), cnot(2, 0)],
+                                              "measured qubit onto a measured")])
     def test_unsupported_gate_on_measured_qubit(self, rng, after, match):
         with pytest.raises(ValidationError, match=match):
             enumerate_unitary_branches(self.program(after), random_state(rng, 1))
@@ -185,50 +178,27 @@ class TestAgainstDirectUnitary:
 
 
 class TestDegreeTwoConditions:
-    def _two_var_program(self, op, cond=lambda a, b: a * b):
+    """compile_measure emits linear conditions only, and to_unitary converts
+    nothing else; measure mode still runs a product condition."""
+
+    @pytest.mark.parametrize("op", [InstrOp.COND_X, InstrOp.COND_Z, InstrOp.COND_PDG])
+    def test_degree_two_is_rejected(self, op, rng):
         # Teleport twice, undo the accumulated mask, then apply the gate
-        # conditioned on cond(m0x, m1x), by default their product.
+        # conditioned on the product m0x*m1x.
         mx = [KeyPoly.of(OutcomeVar(f"m{i}x")) for i in (0, 1)]
         mz = [KeyPoly.of(OutcomeVar(f"m{i}z")) for i in (0, 1)]
-        return make_program(5, 1, [4], [
+        prog = make_program(5, 1, [4], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.EPR, (3, 4)),
             Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
             Instruction(InstrOp.BELL, (2, 3), out_vars=("m1x", "m1z")),
             Instruction(InstrOp.COND_X, (4,), cond=mx[0] ^ mx[1]),
             Instruction(InstrOp.COND_Z, (4,), cond=mz[0] ^ mz[1]),
-            Instruction(op, (4,), cond=cond(*mx)),
+            Instruction(op, (4,), cond=mx[0] * mx[1]),
         ])
-
-    @pytest.mark.parametrize("op", [InstrOp.COND_X, InstrOp.COND_Z, InstrOp.COND_PDG])
-    def test_degree_two_matches_measured_semantics(self, op, rng):
-        from tlink.compiler import enumerate_branches
-        prog = self._two_var_program(op)
-        psi = random_state(rng, 1)
-        measured = {tuple(sorted(b.outcomes.items())): b.state
-                    for b in enumerate_branches(prog, psi)}
-        up = to_unitary(prog)
-        branches = enumerate_unitary_branches(up, psi)
-        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
-        for b in branches:
-            ref = measured[tuple(sorted(b.outcomes.items()))]
-            assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
-
-    def test_mixed_linear_and_degree_two_pdg(self, rng):
-        # m0x ^ m0x*m1x ^ 1: a linear term, a product term and the constant
-        # feed one parity; unitary mode used to reject this sum.
-        from tlink.compiler import enumerate_branches
-        prog = self._two_var_program(InstrOp.COND_PDG, lambda a, b: a ^ a * b ^ KeyPoly.one())
-        psi = random_state(rng, 1)
-        measured = {tuple(sorted(b.outcomes.items())): b.state
-                    for b in enumerate_branches(prog, psi)}
-        up = to_unitary(prog)
-        branches = enumerate_unitary_branches(up, psi)
-        assert len(branches) == len(measured) == 16
-        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
-        for b in branches:
-            ref = measured[tuple(sorted(b.outcomes.items()))]
-            assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
+        assert len(enumerate_branches(prog, random_state(rng, 1))) == 16
+        with pytest.raises(ValidationError, match="degree > 1"):
+            to_unitary(prog)
 
 
 class TestParityAccumulation:
