@@ -59,7 +59,6 @@ from .gardenhose import (
 )
 from .oracle import (
     MeasRecord,
-    Register,
     StateVector,
     apply_circuit,
     apply_gate,

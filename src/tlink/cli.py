@@ -61,6 +61,15 @@ def _parse_wires(spec: str) -> frozenset[int]:
     return frozenset(wires)
 
 
+def _seed(args) -> int:
+    """The --seed value, 0 when absent; numpy takes only non-negative seeds."""
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def cmd_compile(args) -> int:
     circuit = _read_circuit(args.infile)
     program = compile_measure(circuit)
@@ -82,7 +91,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"circuit has {circuit.n} qubits; verify caps at nmax={args.nmax}")
     if not args.exhaustive and args.shots < 1:
         raise ValidationError(f"--shots must be at least 1, got {args.shots}")
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     psi = random_state(circuit.n, np.random.default_rng(seed))
     reference = apply_circuit(psi, circuit)
     if args.program:
@@ -117,21 +126,21 @@ def cmd_verify(args) -> int:
 
 def cmd_gadget(args) -> int:
     if args.exhaustive:
-        rows = gadget_truth_table(seed=args.seed if args.seed is not None else 0,
-                                  tol=args.tolerance)
+        rows = gadget_truth_table(seed=_seed(args), tol=args.tolerance)
         for row in rows:
             print(f"p={row['p']} q={row['q']} pdg={row['pdg']} out={row['out']} "
                   f"min_fidelity={row['min_fidelity']:.12f}")
         return EXIT_OK
     if args.seed is None:
         raise ValidationError("--seed is required unless --exhaustive is given")
-    rng = np.random.default_rng(args.seed)
-    psi = random_state(1, np.random.default_rng(args.seed + 1))
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
+    psi = random_state(1, np.random.default_rng(seed + 1))
     res = run_gadget(args.p, args.q, psi, rng=rng)
     print(f"pdg={res.applied_pdg} out={res.output_qubit}")
     print(f"mask_a={res.mask.a[0]} mask_b={res.mask.b[0]}")
-    print(f"key_a={res.symbolic_mask.a[0 if args.p == 0 else 1]}")
-    print(f"key_b={res.symbolic_mask.b[0 if args.p == 0 else 1]}")
+    print(f"key_a={res.symbolic_mask.a[0]}")
+    print(f"key_b={res.symbolic_mask.b[0]}")
     print(f"fidelity={fidelity_up_to_phase(undo_gadget(res), psi):.12f}")
     return EXIT_OK
 
@@ -141,7 +150,7 @@ def cmd_protocol1(args) -> int:
     if circuit.t_depth > 1:
         print("error=t_depth_above_1 hint=use_crossterms", file=sys.stderr)
         return EXIT_VALIDATION
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     plan = ResourcePlan(alice_wires=_parse_wires(args.alice),
                         return_to_alice=tuple(sorted(_parse_wires(args.return_wires))))
     psi = random_state(circuit.n, np.random.default_rng(seed))
@@ -171,7 +180,7 @@ def cmd_crossterms(args) -> int:
 
 def cmd_speculate(args) -> int:
     circuit = _read_circuit(args.infile)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     bits = args.input if args.input is not None else "0" * circuit.n
     program = compile_speculative(circuit, args.r, bits)
     rng = np.random.default_rng(seed)

@@ -190,7 +190,7 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
 def compile_measure(c: LayeredCircuit) -> CompiledProgram:
     """Compile a layered circuit into a teleportation-linked program.
 
-    Register layout: inputs occupy 0..n-1; the pair block for stage i >= 2
+    Qubit layout: inputs occupy 0..n-1; the pair block for stage i >= 2
     occupies 2n indices starting at n + 2n(i-2), first halves before second
     halves. Stage 1 runs on the inputs, stage i on its second halves; link i
     applies the pending conditioned P-dagger corrections on stage i's outputs
@@ -551,8 +551,8 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             sched.steps.append((_COND, _COND_KINDS[ins.op], axes, ins.cond))
     sched.check_unmeasured(p.logical_outputs)
     flush(p.logical_outputs)
-    return ExecPlan(p.n, tuple(sched.steps), sched.axes(p.logical_outputs), sched.peak,
-                    tuple(bells))
+    outputs = sched.axes(p.logical_outputs)  # allocates untouched outputs: before tuple(steps)
+    return ExecPlan(p.n, tuple(sched.steps), outputs, sched.peak, tuple(bells))
 
 
 def _outcomes_at(step: tuple, amps: np.ndarray, rng: np.random.Generator | None,
@@ -819,7 +819,8 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
             sched.drop(q)
     buffer += [(g.targets, g) for g in gates[start:]]
     flush(up.logical_outputs)
-    return ExecPlan(up.n, tuple(sched.steps), sched.axes(up.logical_outputs), sched.peak)
+    outputs = sched.axes(up.logical_outputs)  # allocates untouched outputs: before tuple(steps)
+    return ExecPlan(up.n, tuple(sched.steps), outputs, sched.peak)
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
@@ -871,9 +872,9 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
     validate(c)
     if r < 1:
         raise ValidationError("group size r must be at least 1")
-    bits = tuple(int(b) for b in input_bits)
-    if len(bits) != c.n or any(b not in (0, 1) for b in bits):
+    if len(input_bits) != c.n or any(str(b) not in ("0", "1") for b in input_bits):
         raise ValidationError(f"input must be a {c.n}-bit classical string")
+    bits = tuple(int(b) for b in input_bits)
 
     state = init_state(c.n, "".join(map(str, bits)))
     for i, st in enumerate(c.stages):

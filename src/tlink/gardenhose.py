@@ -10,18 +10,27 @@ measurements covering all four of her halves: (alice 1, alice 3) first, then
 lower-numbered qubit first (pairing 1 when q = 1, pairing 2 when q = 0). The
 input state ends on Bob's half of pair 3 ("out1") when p = 0, else on his
 half of pair 4 ("out2"); which of Alice's measurements mattered is therefore
-decided by Bob alone. run_gadget simulates the gadget on concrete bits p and
-q and returns its output with the Pauli mask as bits and as keys;
-undo_gadget recovers the input from that result.
+decided by Bob alone.
 
-The protocol runner executes a T-depth <= 1 circuit with one simultaneous
+The gadget and the protocol are compiled programs (compiler.CompiledProgram),
+run by the compiler's executor like any other: execute samples them and
+enumerate_branches expands every Bell outcome, so there is one Bell-measure
+path. _gadget_instructions emits one gadget for both gadget_program and
+protocol_program. Alice's choice is two P-daggers conditioned on her bit q
+and on q xor 1, so the instructions do not depend on outcomes. Bob's bit p is
+a compile-time constant: at T-depth <= 1 the only outcomes measured before
+the T layer are Alice's teleport bits, so a pending key's Bob share is its
+constant. run_gadget returns the output wire with its Pauli mask as keys and
+as their values at the run's outcomes; undo_gadget recovers the input.
+
+The protocol executes a T-depth <= 1 circuit with one simultaneous
 classical exchange: Alice teleports her input wires to Bob up front and keeps
 the outcome masks secret, Bob runs the circuit with one gadget per T gate
-(routing bits are the parties' local shares of the pending correction key),
-and both parties apply Pauli corrections only after the single exchange.
-Each gadget's effect on the frame is one update (_gadget_frame_update), which
-the protocol runner and the cross-term analysis share. Protocol runs are
-single-threaded per transcript; independent runs may be executed in parallel.
+(routing bits are the parties' shares of the pending correction key), and
+both parties apply Pauli corrections only after the single exchange. Each
+gadget's effect on the frame is one update (_gadget_frame_update), which the
+protocol builder and the cross-term analysis share. A transcript event
+depends on the variables of the conditions its party evaluates.
 """
 from __future__ import annotations
 
@@ -30,7 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Gate, GateKind, LayeredCircuit, ValidationError, validate
+from .circuits import Gate, GateKind, LayeredCircuit, ValidationError, t, validate
+from .compiler import (
+    CompiledProgram,
+    Instruction,
+    InstrOp,
+    _schedule_depth,
+    enumerate_branches,
+    execute,
+)
 from .frames import (
     KeyPoly,
     Monomial,
@@ -41,12 +58,9 @@ from .frames import (
     apply_tableau,
     commute_through_t_layer,
     cross_terms,
-    poly_eval,
     tableau_from_stage,
 )
 from .oracle import (
-    MeasRecord,
-    Register,
     StateVector,
     apply_gate,
     apply_mask,
@@ -59,131 +73,85 @@ from .oracle import (
 class GadgetResult:
     output_qubit: str                   # "out1" / "out2"
     applied_pdg: int                    # p xor q
-    mask: PauliMask                     # realized output wire, 1 qubit
-    symbolic_mask: SymbolicMask         # keys of (out1, out2)
-    records: list[MeasRecord]
+    symbolic_mask: SymbolicMask         # keys of the output wire
+    mask: PauliMask                     # the keys at the run's outcomes
     outcomes: dict[str, int]
-    probability: float
-    junk_mask: PauliMask                # bookkeeping for the unused output wire
     state: StateVector                  # the realized output wire
 
 
-def _gadget_core(reg: Register, in_q: int, base: int, p_bit: int, q_bit: int,
-                 measure, prefix: str):
-    """Run one gadget on ``in_q``: four EPR pairs with Bob's halves at
-    base..base+3 and Alice's at base+4..base+7, routed by p and q.
-    ``measure`` resolves Bell outcomes. Returns Bob's outcomes, the on-path
-    and off-path pairings of Alice as (name, outcomes), and the output
-    qubit."""
-    bobh = [base + k for k in range(4)]
-    alich = [base + 4 + k for k in range(4)]
-    for k in range(4):
-        reg.prepare_epr(bobh[k], alich[k])
-    xb, zb = measure(in_q, bobh[0] if p_bit == 0 else bobh[1],
-                     prefix + "bx", prefix + "bz", Owner.BOB)
-    if q_bit == 1:
-        reg.apply(GateKind.PDG, (alich[0],))
-    x1, z1 = measure(alich[0], alich[2], prefix + "a1x", prefix + "a1z", Owner.ALICE)
-    if q_bit == 0:
-        reg.apply(GateKind.PDG, (alich[1],))
-    x2, z2 = measure(alich[1], alich[3], prefix + "a2x", prefix + "a2z", Owner.ALICE)
-    out_q = bobh[2] if p_bit == 0 else bobh[3]
-    on_path = ("a1", (x1, z1)) if p_bit == 0 else ("a2", (x2, z2))
-    off_path = ("a2", (x2, z2)) if p_bit == 0 else ("a1", (x1, z1))
-    return (xb, zb), on_path, off_path, out_q
+def _program(n: int, total: int, outputs, instrs) -> CompiledProgram:
+    instrs = tuple(instrs)
+    return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs))
 
 
-def _var(prefix: str, suffix: str, owner: Owner) -> OutcomeVar:
-    return OutcomeVar(prefix + suffix, owner)
+def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
+                         prefix: str) -> tuple[list[Instruction], int]:
+    """One gadget on ``in_q``: four EPR pairs with Bob's halves at
+    base..base+3 and Alice's at base+4..base+7, routed by Bob's bit p and by
+    Alice's bit, the key ``q_key``. Outcomes are ``prefix`` bx/bz (Bob's),
+    a1x/a1z and a2x/a2z (Alice's two pairings). Returns the instructions and
+    the output qubit."""
+    bobh = range(base, base + 4)
+    alich = range(base + 4, base + 8)
+
+    def bell(r: int, s: int, name: str) -> Instruction:
+        return Instruction(InstrOp.BELL, (r, s), out_vars=(prefix + name + "x", prefix + name + "z"))
+
+    instrs = [Instruction(InstrOp.EPR, pair) for pair in zip(bobh, alich)]
+    instrs += [
+        bell(in_q, bobh[p_bit], "b"),
+        Instruction(InstrOp.COND_PDG, (alich[0],), cond=q_key),
+        bell(alich[0], alich[2], "a1"),
+        Instruction(InstrOp.COND_PDG, (alich[1],), cond=q_key ^ KeyPoly.one()),
+        bell(alich[1], alich[3], "a2"),
+    ]
+    return instrs, bobh[2 + p_bit]
 
 
-def _bell_measure(reg: Register, r: int, s: int, vx: str, vz: str, outcomes: dict[str, int],
-                  rng: np.random.Generator | None, forced: dict[str, int] | None,
-                  caller: str) -> tuple[int, int, float]:
-    """Bell-measure (r, s) with the outcomes named in ``forced`` or, without
-    it, drawn from ``rng``; write them to ``outcomes`` as vx, vz and return
-    (x, z, probability), where the probability of a drawn outcome is 1.0."""
-    if forced is not None:
-        xv, zv = forced[vx] & 1, forced[vz] & 1
-        prob = reg.project_bell(r, s, xv, zv)
-    else:
-        if rng is None:
-            raise ValidationError(f"{caller} needs rng or forced outcomes")
-        xv, zv = reg.bell_measure(r, s, rng)
-        prob = 1.0
-    outcomes[vx] = xv
-    outcomes[vz] = zv
-    return xv, zv, prob
+def gadget_program(p: int, q: int) -> CompiledProgram:
+    """The gadget for bits p and q: the input on qubit 0, Bob's pair halves
+    on 1..4 and Alice's on 5..8."""
+    instrs, out_q = _gadget_instructions(0, 1, p & 1, KeyPoly.from_bit(q), "")
+    return _program(1, 9, (out_q,), instrs)
+
+
+def _gadget_vars(prefix: str, on_path: str) -> tuple[KeyPoly, ...]:
+    """Bob's outcomes bx, bz and those of Alice's pairing on his path, as keys."""
+    return (KeyPoly.of(OutcomeVar(prefix + "bx", Owner.BOB)),
+            KeyPoly.of(OutcomeVar(prefix + "bz", Owner.BOB)),
+            KeyPoly.of(OutcomeVar(prefix + on_path + "x", Owner.ALICE)),
+            KeyPoly.of(OutcomeVar(prefix + on_path + "z", Owner.ALICE)))
+
+
+def gadget_keys(p: int, q: int) -> SymbolicMask:
+    """Keys (a, b) of the gadget's output wire, which carries
+    (P-dagger)^(p xor q) X^a Z^b psi (the correction kept outermost):
+    a = bx + ax and b = bz + az + ax*(p xor q), where ax, az come from
+    Alice's pairing on Bob's path (a1 for p = 0, a2 for p = 1)."""
+    bx, bz, ax, az = _gadget_vars("", "a1" if p == 0 else "a2")
+    return SymbolicMask((bx ^ ax,), (bz ^ az ^ (ax * KeyPoly.from_bit(p ^ q)),))
+
+
+def _gadget_result(p: int, q: int, keys: SymbolicMask, outcomes: dict[str, int],
+                   state: StateVector) -> GadgetResult:
+    return GadgetResult("out1" if p == 0 else "out2", p ^ q, keys, keys.evaluate(outcomes),
+                        outcomes, state)
 
 
 def run_gadget(p: int, q: int, input_state: StateVector,
-               rng: np.random.Generator | None = None,
-               forced: dict[str, int] | None = None, var_prefix: str = "") -> GadgetResult:
-    """Run the gadget once on a 1-qubit input and routing bits p, q.
-
-    The gadget is simulated on a 9-qubit register: the input on qubit 0, the
-    four pairs on 1..8. The realized output wire carries
-    (Pdg)^(p xor q) X^a Z^b psi, with (a, b) returned both as concrete bits
-    and as polynomials in the six outcome variables (the correction is kept
-    outermost in this presentation). Outcomes come from ``rng`` or, for branch
-    enumeration, from ``forced`` keyed by variable name.
-    """
+               rng: np.random.Generator) -> GadgetResult:
+    """Run the gadget program once on a 1-qubit input and routing bits p, q,
+    drawing one uniform from ``rng`` per Bell measurement."""
     if input_state.n != 1:
         raise ValidationError("gadget input must be a single qubit")
     p_bit, q_bit = int(p) & 1, int(q) & 1
-
-    reg = Register()
-    reg.load(input_state, [0])
-    outcomes: dict[str, int] = {}
-    records: list[MeasRecord] = []
-    prob = 1.0
-
-    def measure(r: int, s: int, vx: str, vz: str, owner: Owner) -> tuple[int, int]:
-        nonlocal prob
-        xv, zv, factor = _bell_measure(reg, r, s, vx, vz, outcomes, rng, forced, "run_gadget")
-        prob *= factor
-        records.append(MeasRecord(vx, vz, (xv, zv), (r, s)))
-        return xv, zv
-
-    (xb, zb), on_path, off_path, out_q = _gadget_core(
-        reg, 0, 1, p_bit, q_bit, measure, var_prefix)
-    pdg_bit = p_bit ^ q_bit
-    xa, za = on_path[1]
-    xj, zj = off_path[1]
-    mask = PauliMask((xb ^ xa,), (zb ^ za ^ (xa & pdg_bit),))
-    junk = PauliMask((xj,), (zj ^ (xj & (1 ^ pdg_bit)),))
-
-    bx = KeyPoly.of(_var(var_prefix, "bx", Owner.BOB))
-    bz = KeyPoly.of(_var(var_prefix, "bz", Owner.BOB))
-    ax = KeyPoly.of(_var(var_prefix, on_path[0] + "x", Owner.ALICE))
-    az = KeyPoly.of(_var(var_prefix, on_path[0] + "z", Owner.ALICE))
-    jx = KeyPoly.of(_var(var_prefix, off_path[0] + "x", Owner.ALICE))
-    jz = KeyPoly.of(_var(var_prefix, off_path[0] + "z", Owner.ALICE))
-    path_a = bx ^ ax
-    path_b = bz ^ az ^ (ax * KeyPoly.from_bit(pdg_bit))
-    junk_a = jx
-    junk_b = jz ^ (jx * KeyPoly.from_bit(1 ^ pdg_bit))
-    if p_bit == 0:
-        sym = SymbolicMask((path_a, junk_a), (path_b, junk_b))
-    else:
-        sym = SymbolicMask((junk_a, path_a), (junk_b, path_b))
-
-    return GadgetResult(
-        output_qubit="out1" if p_bit == 0 else "out2",
-        applied_pdg=pdg_bit,
-        mask=mask,
-        symbolic_mask=sym,
-        records=records,
-        outcomes=outcomes,
-        probability=prob,
-        junk_mask=junk,
-        state=reg.extract([out_q]),
-    )
+    state, run = execute(gadget_program(p_bit, q_bit), input_state, rng)
+    return _gadget_result(p_bit, q_bit, gadget_keys(p_bit, q_bit), run.outcomes, state)
 
 
 def undo_gadget(res: GadgetResult) -> StateVector:
     """The gadget's input recovered from its output: P when a P-dagger was
-    applied, then the recorded Pauli mask."""
+    applied, then the Pauli mask."""
     state = res.state
     if res.applied_pdg:
         state = apply_gate(state, Gate(GateKind.P, (0,)))
@@ -194,50 +162,35 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
                        seed: int = 0, tol: float = 1e-10) -> list[dict]:
     """Verify the gadget over all (p, q) and every measurement branch.
 
-    For each setting and branch: the correction bit equals p xor q, the output
-    sits on out1 iff p = 0, undoing the recorded mask and the correction
-    recovers the input, and every symbolic key evaluates to its concrete bit.
-    Returns one summary row per (p, q); raises on any violation.
+    Each (p, q) program is expanded over every Bell outcome
+    (enumerate_branches). The branch probabilities must sum to 1, and on
+    every branch the keys evaluated at its outcomes, with P when p xor q = 1,
+    must undo the output back to the input. Returns one summary row per
+    (p, q); raises on any violation.
     """
     if input_states is None:
         gen = np.random.default_rng(seed)
         input_states = [random_state(1, gen) for _ in range(3)]
-    var_names = ["bx", "bz", "a1x", "a1z", "a2x", "a2z"]
     table = []
     for p_bit, q_bit in itertools.product((0, 1), repeat=2):
+        program, keys = gadget_program(p_bit, q_bit), gadget_keys(p_bit, q_bit)
         min_fid = 1.0
         for psi in input_states:
-            total_prob = 0.0
-            for bits in itertools.product((0, 1), repeat=6):
-                forced = dict(zip(var_names, bits))
-                res = run_gadget(p_bit, q_bit, psi, forced=forced)
-                total_prob += res.probability
-                if res.applied_pdg != (p_bit ^ q_bit):
-                    raise ValidationError("gadget applied_pdg disagrees with p xor q")
-                if res.output_qubit != ("out1" if p_bit == 0 else "out2"):
-                    raise ValidationError("gadget output position disagrees with p")
+            branches = enumerate_branches(program, psi)
+            if abs(sum(br.probability for br in branches) - 1.0) > 1e-9:
+                raise ValidationError("gadget branch probabilities do not sum to 1")
+            for br in branches:
+                res = _gadget_result(p_bit, q_bit, keys, br.outcomes, br.state)
                 fid = fidelity_up_to_phase(undo_gadget(res), psi)
                 min_fid = min(min_fid, fid)
                 if fid < 1.0 - tol:
                     raise ValidationError(
-                        f"gadget failed at (p,q)=({p_bit},{q_bit}), branch {bits}: fidelity {fid}")
-                _check_gadget_coherence(res, p_bit)
-            if abs(total_prob - 1.0) > 1e-9:
-                raise ValidationError("gadget branch probabilities do not sum to 1")
+                        f"gadget failed at (p,q)=({p_bit},{q_bit}), branch {br.outcomes}: "
+                        f"fidelity {fid}")
         table.append({"p": p_bit, "q": q_bit,
                       "out": "out1" if p_bit == 0 else "out2",
                       "pdg": p_bit ^ q_bit, "min_fidelity": min_fid})
     return table
-
-
-def _check_gadget_coherence(res: GadgetResult, p_bit: int) -> None:
-    path_idx = 0 if p_bit == 0 else 1
-    junk_idx = 1 - path_idx
-    evaluated = res.symbolic_mask.evaluate(res.outcomes)
-    if (evaluated.a[path_idx], evaluated.b[path_idx]) != (res.mask.a[0], res.mask.b[0]):
-        raise ValidationError("symbolic output keys disagree with concrete mask")
-    if (evaluated.a[junk_idx], evaluated.b[junk_idx]) != (res.junk_mask.a[0], res.junk_mask.b[0]):
-        raise ValidationError("symbolic junk keys disagree with concrete bookkeeping")
 
 
 def _gadget_frame_update(mask: SymbolicMask, j: int, prefix: str, on_path: str,
@@ -247,10 +200,7 @@ def _gadget_frame_update(mask: SymbolicMask, j: int, prefix: str, on_path: str,
     a += bx + ax and b += bz + az + bx*g. Bob's outcomes are ``prefix`` bx/bz,
     Alice's on-path pairing ``prefix + on_path`` x/z. A Bob-owned bx times a
     key with Alice-owned terms is where mixed-owner monomials come from."""
-    bx = KeyPoly.of(OutcomeVar(prefix + "bx", Owner.BOB))
-    bz = KeyPoly.of(OutcomeVar(prefix + "bz", Owner.BOB))
-    ax = KeyPoly.of(OutcomeVar(prefix + on_path + "x", Owner.ALICE))
-    az = KeyPoly.of(OutcomeVar(prefix + on_path + "z", Owner.ALICE))
+    bx, bz, ax, az = _gadget_vars(prefix, on_path)
     return mask.xor_at(j, bx ^ ax, bz ^ az ^ (bx * g_key))
 
 
@@ -280,7 +230,6 @@ class ProtocolTranscript:
     epr_ledger: dict[str, int]
     exchange_round: int
     outcomes: dict[str, int]
-    probability: float = 1.0
 
     @property
     def total_pairs(self) -> int:
@@ -331,138 +280,135 @@ def causality_check(t: ProtocolTranscript) -> CausalityResult:
     return CausalityResult(True)
 
 
-def _split_key_by_owner(key: KeyPoly) -> tuple[KeyPoly, KeyPoly]:
-    """Split a linear key into Bob-evaluable and Alice-evaluable shares."""
-    bob = KeyPoly.from_bit(key.constant)
-    alice = KeyPoly.zero()
+def _split_key_by_owner(key: KeyPoly) -> tuple[int, KeyPoly]:
+    """Split a pending key into Bob's routing bit, its constant, and Alice's
+    share, the rest. A term with a variable Alice does not hold raises: at
+    T-depth <= 1 Bob measures nothing before the T layer."""
     for mono in key.monomials:
-        owners = {v.owner for v in mono}
-        if owners == {Owner.ALICE}:
-            alice = alice ^ KeyPoly(frozenset({mono}))
-        elif Owner.ALICE not in owners:
-            bob = bob ^ KeyPoly(frozenset({mono}))
-        else:
+        if any(v.owner is not Owner.ALICE for v in mono):
             raise ValidationError(
-                "pending correction key mixes both parties' bits; the simplified "
-                "gadget cannot route it (see analyze_cross_terms)")
-    return bob, alice
+                "pending correction key depends on bits Alice does not hold; the "
+                "simplified gadget cannot route it (see analyze_cross_terms)")
+    return key.constant, KeyPoly(key.monomials)
 
 
-def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePlan,
-                  rng: np.random.Generator | None = None,
-                  forced: dict[str, int] | None = None,
-                  ) -> tuple[StateVector, ProtocolTranscript]:
-    """Execute a T-depth <= 1 circuit as an instantaneous two-party protocol.
+def _deps(instrs) -> frozenset[str]:
+    """Names of the outcome variables read by the instructions' conditions."""
+    return frozenset(v.name for ins in instrs if ins.cond is not None
+                     for v in ins.cond.variables())
+
+
+def protocol_program(c: LayeredCircuit, plan: ResourcePlan
+                     ) -> tuple[CompiledProgram, ProtocolTranscript]:
+    """Build the instantaneous two-party protocol for a T-depth <= 1 circuit
+    as one program, with its event transcript (outcomes left empty).
 
     Alice first teleports her wires to Bob, withholding the outcome masks.
     Bob runs the Clifford gates and T gates, fixing each T's pending
-    correction with one gadget whose routing bits are the parties' shares of
-    the pending key. After one simultaneous exchange both parties apply their
-    Pauli corrections. Returns the final state on the logical wires (in wire
-    order) and the event transcript.
+    correction with one gadget routed by the key's constant (Bob's share)
+    and by the rest (Alice's). Wires in ``plan.return_to_alice`` are
+    teleported back. After one simultaneous exchange each wire gets X and Z
+    conditioned on the tracked frame. The program's inputs and outputs are
+    the logical wires in order.
     """
     validate(c)
     if c.t_depth > 1:
         raise ValidationError(
             "T-depth > 1 needs corrections that mix both parties' bits; the "
             "simplified gadget does not extend (see analyze_cross_terms)")
-    if input_state.n != c.n:
-        raise ValidationError("input state size does not match circuit")
     if not plan.alice_wires <= set(range(c.n)):
         raise ValidationError("alice_wires out of range")
     if not set(plan.return_to_alice) <= set(range(c.n)):
         raise ValidationError("return_to_alice out of range")
 
-    reg = Register()
-    reg.load(input_state, list(range(c.n)))
+    carriers = list(range(c.n))
     next_q = c.n
-    carriers = {j: j for j in range(c.n)}
-    outcomes: dict[str, int] = {}
+    instrs: list[Instruction] = []
     var_owners: dict[str, Owner] = {}
     events: list[Event] = []
     mask = SymbolicMask.zero(c.n)
-    prob = 1.0
 
-    def measure(r: int, s: int, vx: str, vz: str, owner: Owner) -> tuple[int, int]:
-        nonlocal prob
-        xv, zv, factor = _bell_measure(reg, r, s, vx, vz, outcomes, rng, forced, "run_protocol1")
-        prob *= factor
-        var_owners[vx] = owner
-        var_owners[vz] = owner
-        return xv, zv
-
-    # Alice teleports her inputs to Bob; masks stay with her until the exchange.
-    for j in sorted(plan.alice_wires):
+    def teleport(j: int, name: str, owner: Owner) -> None:
+        # ``owner`` Bell-measures wire j with its half of a fresh pair; the
+        # other half carries the wire on.
+        nonlocal next_q, mask
         hb, ha = next_q, next_q + 1
         next_q += 2
-        reg.prepare_epr(hb, ha)
-        measure(carriers[j], ha, f"t{j}x", f"t{j}z", Owner.ALICE)
+        mine, other = (ha, hb) if owner is Owner.ALICE else (hb, ha)
+        vx, vz = name + "x", name + "z"
+        instrs.append(Instruction(InstrOp.EPR, (hb, ha)))
+        instrs.append(Instruction(InstrOp.BELL, (carriers[j], mine), out_vars=(vx, vz)))
+        var_owners[vx] = var_owners[vz] = owner
+        carriers[j] = other
+        mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(vx, owner)), KeyPoly.of(OutcomeVar(vz, owner)))
+
+    for j in sorted(plan.alice_wires):
+        teleport(j, f"t{j}", Owner.ALICE)
         events.append(Event(Owner.ALICE, f"teleport_wire_{j}", frozenset(), "measure"))
-        mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(f"t{j}x", Owner.ALICE)),
-                           KeyPoly.of(OutcomeVar(f"t{j}z", Owner.ALICE)))
-        carriers[j] = hb
 
     gadget_count = 0
     for st in c.stages:
         for g in st.clifford:
-            reg.apply(g.kind, tuple(carriers[q] for q in g.targets))
+            targets = tuple(carriers[q] for q in g.targets)
+            instrs.append(Instruction(InstrOp.GATE, targets, gate=Gate(g.kind, targets)))
         if st.clifford:
             events.append(Event(Owner.BOB, "clifford_stage", frozenset(), "gate"))
         mask = apply_tableau(tableau_from_stage(st.clifford, c.n), mask)
         mask, pending = commute_through_t_layer(mask, st.t_layer)
         for j in sorted(st.t_layer):
-            reg.apply(GateKind.T, (carriers[j],))
+            instrs.append(Instruction(InstrOp.GATE, (carriers[j],), gate=t(carriers[j])))
             events.append(Event(Owner.BOB, f"t_gate_wire_{j}", frozenset(), "gate"))
-            g_key = pending[j]
-            bob_share, alice_share = _split_key_by_owner(g_key)
-            p_bit = poly_eval(bob_share, outcomes)
-            q_bit = poly_eval(alice_share, outcomes)
+            p_bit, alice_key = _split_key_by_owner(pending[j])
             prefix = f"g{gadget_count}"
-            base = next_q
+            gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, p_bit, alice_key, prefix)
             next_q += 8
-            bob_deps = frozenset(v.name for v in bob_share.variables())
-            alice_deps = frozenset(v.name for v in alice_share.variables())
-            events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", bob_deps, "measure"))
+            instrs += gadget
+            var_owners.update({prefix + v: Owner.BOB for v in ("bx", "bz")})
+            var_owners.update({prefix + v: Owner.ALICE for v in ("a1x", "a1z", "a2x", "a2z")})
+            alice_deps = _deps(gadget)
+            events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", frozenset(), "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing1", alice_deps, "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing2", alice_deps, "measure"))
-            *_, out_q = _gadget_core(reg, carriers[j], base, p_bit, q_bit, measure, prefix)
-            carriers[j] = out_q
             gadget_count += 1
-            mask = _gadget_frame_update(mask, j, prefix, "a1" if p_bit == 0 else "a2", g_key)
+            mask = _gadget_frame_update(mask, j, prefix, "a1" if p_bit == 0 else "a2", pending[j])
 
     for j in plan.return_to_alice:
-        hb, ha = next_q, next_q + 1
-        next_q += 2
-        reg.prepare_epr(hb, ha)
-        measure(carriers[j], hb, f"r{j}x", f"r{j}z", Owner.BOB)
+        teleport(j, f"r{j}", Owner.BOB)
         events.append(Event(Owner.BOB, f"return_wire_{j}", frozenset(), "measure"))
-        mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(f"r{j}x", Owner.BOB)),
-                           KeyPoly.of(OutcomeVar(f"r{j}z", Owner.BOB)))
-        carriers[j] = ha
 
     exchange_round = len(events)
     events.append(Event(Owner.LOCAL, "exchange", frozenset(), "exchange"))
 
     returned = set(plan.return_to_alice)
     for j in range(c.n):
-        a_bit = poly_eval(mask.a[j], outcomes)
-        b_bit = poly_eval(mask.b[j], outcomes)
-        if a_bit:
-            reg.apply(GateKind.X, (carriers[j],))
-        if b_bit:
-            reg.apply(GateKind.Z, (carriers[j],))
+        fix = [Instruction(op, (carriers[j],), cond=key)
+               for op, key in ((InstrOp.COND_X, mask.a[j]), (InstrOp.COND_Z, mask.b[j]))
+               if not key.is_zero]
+        instrs += fix
         party = Owner.ALICE if j in returned else Owner.BOB
-        deps = frozenset(v.name for v in mask.a[j].variables() | mask.b[j].variables())
-        events.append(Event(party, f"correct_wire_{j}", deps, "correct"))
+        events.append(Event(party, f"correct_wire_{j}", _deps(fix), "correct"))
 
     ledger = {
         "initial_teleport": len(plan.alice_wires),
         "gadget": 4 * gadget_count,
         "return_teleport": len(plan.return_to_alice),
     }
-    transcript = ProtocolTranscript(events, var_owners, ledger, exchange_round,
-                                    dict(outcomes), prob)
-    final = reg.extract([carriers[j] for j in range(c.n)])
+    transcript = ProtocolTranscript(events, var_owners, ledger, exchange_round, {})
+    return _program(c.n, next_q, carriers, instrs), transcript
+
+
+def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePlan,
+                  rng: np.random.Generator) -> tuple[StateVector, ProtocolTranscript]:
+    """Execute a T-depth <= 1 circuit as an instantaneous two-party protocol
+    (protocol_program), drawing one uniform from ``rng`` per Bell
+    measurement. Returns the final state on the logical wires (in wire
+    order) and the event transcript with the run's outcomes.
+    """
+    program, transcript = protocol_program(c, plan)
+    if input_state.n != c.n:
+        raise ValidationError("input state size does not match circuit")
+    final, run = execute(program, input_state, rng)
+    transcript.outcomes = run.outcomes
     return final, transcript
 
 

@@ -11,12 +11,12 @@ carried a teleported state psi, the partner afterwards holds X^x Z^z psi.
 A sampled Bell measurement consumes exactly one uniform draw from the
 supplied generator.
 
-Bell measurements act on a Register: a window of named qubits from which
-measured pairs are factored out, so long runs stay within the size cap. The
-axis-level helpers defined before Register are the one implementation of
-allocation, EPR preparation, Bell rotation, projection and extraction;
-Register and the compiler's execution plan both call them. Distinct states and registers may
-be processed in parallel; none of these objects is shared-mutable.
+The axis-level helpers at the end (allocation, EPR preparation, Bell
+rotation, projection, extraction) serve the compiler's execution plan only:
+it runs every program, the garden-hose gadget and protocol included, over a
+window of qubits from which measured pairs are factored out, so long runs
+stay within the size cap. Distinct states may be processed in parallel; none
+of these objects is shared-mutable.
 """
 from __future__ import annotations
 
@@ -187,8 +187,8 @@ def fidelity_up_to_phase(u: StateVector, v: StateVector) -> float:
 
 
 # -- axis-level helpers --------------------------------------------------------
-# Shared by Register and the compiler's execution plan: each takes and returns
-# a plain (2,)*w amplitude array whose axes the caller names.
+# Used by the compiler's execution plan: each takes and returns a plain
+# (2,)*w amplitude array whose axes the caller names.
 
 def _grow(amps: np.ndarray) -> np.ndarray:
     """Append one fresh |0> axis."""
@@ -257,124 +257,3 @@ def draw_bell_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int,
         if u < acc:
             return x, zv
     return _BELL_OUTCOMES[-1]
-
-
-class Register:
-    """Statevector over a dynamic window of named (integer) qubits.
-
-    Fresh qubits are allocated on demand; a Bell-measured pair collapses to a
-    computational product in the rotated frame and its axes are dropped, so
-    the live window stays small however many physical qubits a run
-    addresses. A dropped qubit is retired: loading or allocating it again
-    raises, and so does an EPR pair on a qubit that is retired or already in
-    the window. Register serves hand-driven runs (the garden-hose gadget and
-    protocol), which decide their next step from each outcome. Compiled
-    programs do not use it: the compiler replays their schedule once into an
-    execution plan whose steps call the same axis-level helpers
-    (``_grow``/``_grow_epr``, ``_bell_rotate``, ``_project``, ``_extract``)
-    on axes resolved in advance.
-    """
-
-    def __init__(self) -> None:
-        self._amps = np.ones((), dtype=complex)
-        self._axis: dict[int, int] = {}
-        self._retired: set[int] = set()
-
-    @property
-    def width(self) -> int:
-        return len(self._axis)
-
-    @property
-    def qubits(self) -> set[int]:
-        return set(self._axis)
-
-    def clone(self) -> "Register":
-        reg = Register()
-        reg._amps = self._amps.copy()
-        reg._axis = dict(self._axis)
-        reg._retired = set(self._retired)
-        return reg
-
-    def _require(self, *qubits: int) -> tuple[int, ...]:
-        for q in qubits:
-            if q not in self._axis:
-                raise ValidationError(f"qubit {q} is not allocated in the register")
-        return tuple(self._axis[q] for q in qubits)
-
-    def _claim(self, qubits: list[int]) -> None:
-        """Name new trailing axes after fresh qubits, within the cap."""
-        if set(qubits) & set(self._axis):
-            raise ValidationError("qubit collision on load")
-        if not self._retired.isdisjoint(qubits):
-            q = min(self._retired.intersection(qubits))
-            raise ValidationError(f"qubit {q} was already measured and cannot be reused")
-        if self.width + len(qubits) > MAX_QUBITS:
-            raise ValidationError("register window exceeds the qubit cap")
-        for q in qubits:
-            self._axis[q] = len(self._axis)
-
-    def load(self, state: StateVector, qubits: list[int]) -> None:
-        """Tensor an input state onto fresh named qubits."""
-        if len(qubits) != state.n:
-            raise ValidationError("qubit name count must match state size")
-        self._claim(qubits)
-        self._amps = np.tensordot(self._amps, state.shaped(), axes=0)
-
-    def alloc(self, qubit: int) -> None:
-        self._claim([qubit])
-        self._amps = _grow(self._amps)
-
-    def prepare_epr(self, q1: int, q2: int) -> None:
-        if q1 == q2:
-            raise ValidationError("EPR qubits must be distinct (qubit collision)")
-        for q in (q1, q2):
-            if q in self._axis:
-                raise ValidationError(f"EPR qubit {q} is already in use")
-        self._claim([q1, q2])
-        self._amps = _grow_epr(self._amps)
-
-    def apply(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
-        self._amps = _apply_kind(self._amps, kind, self._require(*qubits))
-
-    def apply_gate(self, g: Gate) -> None:
-        self.apply(g.kind, g.targets)
-
-    def _drop_qubits(self, *qubits: int) -> None:
-        # Called after the amplitude array has already lost these qubits' axes;
-        # the remaining qubits keep their order and close up the gaps.
-        for q in qubits:
-            del self._axis[q]
-        self._retired.update(qubits)
-        self._axis = {q: ax for ax, q in enumerate(sorted(self._axis, key=self._axis.get))}
-
-    def _bell_axes(self, r: int, s: int) -> tuple[int, ...]:
-        if r == s:
-            raise ValidationError("Bell measurement qubits must be distinct")
-        return self._require(r, s)
-
-    def bell_probs(self, r: int, s: int) -> np.ndarray:
-        return _bell_rotate(self._amps, *self._bell_axes(r, s))[1]
-
-    def project_bell(self, r: int, s: int, x: int, zv: int) -> float:
-        """Collapse (r, s) onto Bell outcome (x, z), drop the pair, return its probability."""
-        axes = self._bell_axes(r, s)
-        rot, probs = _bell_rotate(self._amps, *axes)
-        self._amps, prob = _project(rot, probs, axes, (zv, x))
-        self._drop_qubits(r, s)
-        return prob
-
-    def bell_measure(self, r: int, s: int, rng: np.random.Generator) -> tuple[int, int]:
-        x, zv = draw_bell_outcome(self.bell_probs(r, s), rng)
-        self.project_bell(r, s, x, zv)
-        return x, zv
-
-    def measure_probs(self, q: int) -> np.ndarray:
-        return _marginal(self._amps, self._require(q))
-
-    def extract(self, qubits: list[int], tol: float = 1e-8) -> StateVector:
-        """Pull out the pure state on the given qubits.
-
-        The remaining window qubits must be in tensor product with them;
-        anything else is a compilation bug and raises.
-        """
-        return _extract(self._amps, list(self._require(*qubits)), tol)

@@ -112,3 +112,41 @@ def test_sampled_verify_needs_a_shot(tmp_path, capsys, shots):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--shots must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gadget"],
+    ["verify", "--in", "{c}"],
+    ["protocol1", "--in", "{c}", "--alice", "0"],
+    ["speculate", "--in", "{c}", "--r", "1"],
+])
+def test_negative_seed_exits_3(tmp_path, capsys, argv):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nX 0\nT 0\n---\nCNOT 0 1\n---\n")
+    argv = [a.format(c=circuit) for a in argv] + ["--seed", "-1"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("bits", ["0a", "2", "0 "])
+def test_speculate_non_bit_input_exits_3(tmp_path, capsys, bits):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nX 0\nT 0\n---\nCNOT 0 1\n---\n")
+    argv = ["speculate", "--in", str(circuit), "--r", "1", "--input", bits]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "classical string" in capsys.readouterr().err
+
+
+def test_protocol1_four_wires(tmp_path, capsys):
+    # Four gadgets peak at the 14-qubit window cap.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 4\n" + "".join(f"H {j}\n" for j in range(4)) + "CNOT 0 1\nCNOT 2 3\n"
+                       + "".join(f"T {j}\n" for j in range(4)) + "---\nH 0\n---\n")
+    argv = ["protocol1", "--in", str(circuit), "--alice", "0,1,2,3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert out["causality"] == "pass"
+    assert out["ledger_pairs"] == "20"
+    assert float(out["fidelity"]) >= 1 - 1e-10

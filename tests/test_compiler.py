@@ -311,6 +311,14 @@ class TestExecPlan:
             assert np.array_equal(out_a.amps, out_b.amps)
         assert runs[0][0][1] != runs[0][1][1]  # the two shots drew differently
 
+    def test_untouched_output_is_fresh(self, rng):
+        # An OUT qubit nothing acts on is allocated as |0> before the outputs
+        # are extracted.
+        prog = parse_program("QUBITS 2\nOUT 0 1\n")
+        assert prog.plan.peak_width == 2
+        out, _ = execute(prog, random_state(rng, 1), rng)
+        assert fidelity_up_to_phase(out, init_state(1, "0")) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
         ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nEPR 0 2\nOUT 0 2\n", "already measured"),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_state
 from tlink.circuits import ValidationError, parse_circuit
+from tlink.compiler import InstrOp, enumerate_branches
 from tlink.frames import KeyPoly, OutcomeVar, Owner, SymbolicMask, cross_terms, poly_eval
 from tlink.gardenhose import (
     CausalityResult,
@@ -12,9 +13,13 @@ from tlink.gardenhose import (
     ProtocolTranscript,
     ResourcePlan,
     _gadget_frame_update,
+    _split_key_by_owner,
     analyze_cross_terms,
     causality_check,
+    gadget_keys,
+    gadget_program,
     gadget_truth_table,
+    protocol_program,
     run_gadget,
     run_protocol1,
 )
@@ -36,18 +41,26 @@ class TestRunGadget:
 
     def test_p0_q0_restores_input_on_every_branch(self, rng):
         psi = random_state(rng, 1)
-        total = 0.0
-        for bits in itertools.product((0, 1), repeat=6):
-            res = run_gadget(0, 0, psi, forced=dict(zip(GADGET_VARS, bits)))
-            total += res.probability
-            fixed = apply_mask(res.state, res.mask)
+        branches = enumerate_branches(gadget_program(0, 0), psi)
+        assert len(branches) == 64
+        assert sum(br.probability for br in branches) == pytest.approx(1.0, abs=1e-10)
+        for br in branches:
+            fixed = apply_mask(br.state, gadget_keys(0, 0).evaluate(br.outcomes))
             assert fidelity_up_to_phase(fixed, psi) >= 1 - 1e-10
-        assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_records_and_pair_budget(self, rng):
+        ops = [ins.op for ins in gadget_program(1, 0).instructions]
+        assert ops.count(InstrOp.EPR) == 4
+        assert ops.count(InstrOp.BELL) == 3
         res = run_gadget(1, 0, random_state(rng, 1), rng=rng)
-        assert len(res.records) == 3
         assert set(res.outcomes) == set(GADGET_VARS)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_alice_bit_is_a_condition(self, q):
+        # Alice's P-dagger goes on pairing 1 iff q = 1, on pairing 2 iff q = 0.
+        conds = [ins.cond for ins in gadget_program(0, q).instructions
+                 if ins.op is InstrOp.COND_PDG]
+        assert conds == [KeyPoly.from_bit(q), KeyPoly.from_bit(q ^ 1)]
 
     def test_variable_owners(self, rng):
         res = run_gadget(0, 1, random_state(rng, 1), rng=rng)
@@ -104,15 +117,44 @@ class TestProtocol1:
         c = parse_circuit("QUBITS 1\nH 0\nT 0\n---\n")
         psi = random_state(rng, 1)
         ref = apply_circuit(psi, c)
-        names = ["t0x", "t0z", "g0bx", "g0bz", "g0a1x", "g0a1z", "g0a2x", "g0a2z"]
-        total = 0.0
-        for bits in itertools.product((0, 1), repeat=8):
-            final, tr = run_protocol1(c, psi, ResourcePlan(alice_wires=frozenset({0})),
-                                      forced=dict(zip(names, bits)))
-            total += tr.probability
-            assert fidelity_up_to_phase(final, ref) >= 1 - 1e-10
-            assert causality_check(tr).ok
-        assert total == pytest.approx(1.0, abs=1e-9)
+        program, tr = protocol_program(c, ResourcePlan(alice_wires=frozenset({0})))
+        assert causality_check(tr).ok
+        branches = enumerate_branches(program, psi)
+        assert len(branches) == 256
+        assert sum(br.probability for br in branches) == pytest.approx(1.0, abs=1e-9)
+        for br in branches:
+            assert set(br.outcomes) == set(tr.var_owners)
+            assert fidelity_up_to_phase(br.state, ref) >= 1 - 1e-10
+
+    def test_deps_are_the_condition_variables(self):
+        # The pending key of T after H is Alice's t0z: Bob routes by its
+        # constant alone and Alice's pairings read t0z.
+        c = parse_circuit("QUBITS 1\nH 0\nT 0\n---\n")
+        program, tr = protocol_program(c, ResourcePlan(alice_wires=frozenset({0})))
+        deps = {ev.action: ev.deps for ev in tr.events}
+        assert deps["g0_route_and_bell"] == frozenset()
+        assert deps["g0_pairing1"] == deps["g0_pairing2"] == frozenset({"t0z"})
+        conds = [ins.cond for ins in program.instructions if ins.op is not InstrOp.COND_PDG
+                 and ins.cond is not None]
+        assert deps["correct_wire_0"] == frozenset(
+            v.name for cond in conds for v in cond.variables())
+        assert any(cond.degree == 2 for cond in conds)
+
+    def test_key_with_a_bob_variable_is_refused(self):
+        bob = KeyPoly.of(OutcomeVar("w", Owner.BOB))
+        with pytest.raises(ValidationError, match="Alice does not hold"):
+            _split_key_by_owner(bob ^ KeyPoly.one())
+        alice = KeyPoly.of(OutcomeVar("t0x", Owner.ALICE))
+        assert _split_key_by_owner(alice ^ KeyPoly.one()) == (1, alice)
+
+    def test_four_wires_fit_the_window(self):
+        # Four gadgets: the plan holds the four carriers and each gadget's
+        # two unused halves, peaking at the 14-qubit cap (the run itself is
+        # test_cli.py::test_protocol1_four_wires).
+        text = ("QUBITS 4\n" + "".join(f"H {j}\n" for j in range(4)) + "CNOT 0 1\nCNOT 2 3\n"
+                + "".join(f"T {j}\n" for j in range(4)) + "---\nH 0\n---\n")
+        program, _ = protocol_program(parse_circuit(text), ResourcePlan(frozenset(range(4))))
+        assert program.plan.peak_width == 14
 
     def test_ledger_counts_pairs(self, rng):
         c = parse_circuit("QUBITS 2\nCNOT 0 1\nT 0\nT 1\n---\nH 0\n---\n")

@@ -3,9 +3,18 @@ import pytest
 
 from conftest import gates_matrix, random_state
 from tlink.circuits import ValidationError, cnot, h, t, x
+from tlink.compiler import (
+    CompiledProgram,
+    Instruction,
+    InstrOp,
+    _schedule_depth,
+    enumerate_branches,
+    execute,
+    parse_program,
+)
 from tlink.frames import PauliMask
 from tlink.oracle import (
-    Register,
+    MAX_QUBITS,
     StateVector,
     apply_gate,
     apply_mask,
@@ -32,10 +41,21 @@ def matrix_bell(amps, n, r, s, xv, zv):
     return prob, part / np.sqrt(prob) if prob > 0 else part
 
 
-def register_with(state, qubits):
-    reg = Register()
-    reg.load(state, qubits)
-    return reg
+# The Bell and EPR conventions are checked on small programs run by the
+# compiler's execution plan, the one executor: inputs are qubits 0..n-1, and
+# the rest of the window must factor out of the OUT qubits.
+
+def run_once(text, state, rng=None):
+    out, run = execute(parse_program(text), state, rng or np.random.default_rng(0))
+    return out, run.outcomes
+
+
+def raw_program(instr):
+    """A one-instruction program that parse_program would refuse."""
+    return CompiledProgram(3, 1, (0,), (instr,), _schedule_depth((instr,)))
+
+
+TELEPORT = "QUBITS 3\nEPR 1 2\nBELL 0 1 -> x z\nOUT 0 2\n"
 
 
 class TestInitState:
@@ -84,80 +104,75 @@ class TestGates:
 
 class TestEpr:
     def test_pair_amplitudes(self):
-        reg = Register()
-        reg.prepare_epr(0, 1)
+        out, _ = run_once("QUBITS 4\nEPR 2 3\nOUT 0 2\nOUT 1 3\n", init_state(2, "00"))
         want = gates_matrix([h(0), cnot(0, 1)], 2) @ zeros(2)
-        assert np.allclose(reg.extract([0, 1]).amps, want)
+        assert fidelity_up_to_phase(out, StateVector(2, want)) >= 1 - 1e-12
 
     def test_two_disjoint_pairs(self):
-        reg = Register()
-        reg.prepare_epr(0, 1)
-        reg.prepare_epr(2, 3)
+        text = "QUBITS 8\nEPR 4 5\nEPR 6 7\n" + "".join(f"OUT {j} {j + 4}\n" for j in range(4))
+        out, _ = run_once(text, init_state(4, "0000"))
         want = gates_matrix([h(0), cnot(0, 1), h(2), cnot(2, 3)], 4) @ zeros(4)
-        assert np.allclose(reg.extract([0, 1, 2, 3]).amps, want)
+        assert fidelity_up_to_phase(out, StateVector(4, want)) >= 1 - 1e-12
         assert np.allclose(want, np.kron(EPR, EPR))
 
     def test_spectator_untouched(self, rng):
         psi = random_state(rng, 1)
-        reg = register_with(psi, [0])
-        reg.prepare_epr(1, 2)
-        assert np.allclose(reg.extract([0, 1, 2]).amps, np.kron(psi.amps, EPR))
+        start = StateVector(3, np.kron(psi.amps, zeros(2)))
+        out, _ = run_once("QUBITS 5\nEPR 3 4\nOUT 0 0\nOUT 1 3\nOUT 2 4\n", start)
+        assert fidelity_up_to_phase(out, StateVector(3, np.kron(psi.amps, EPR))) >= 1 - 1e-12
 
     def test_collision_rejected(self):
+        prog = raw_program(Instruction(InstrOp.EPR, (1, 1)))
         with pytest.raises(ValidationError, match="collision"):
-            Register().prepare_epr(1, 1)
+            execute(prog, init_state(1, "0"), np.random.default_rng(0))
 
     def test_non_fresh_rejected(self):
-        reg = register_with(init_state(1, "1"), [0])
         with pytest.raises(ValidationError, match="already in use"):
-            reg.prepare_epr(0, 1)
+            run_once("QUBITS 2\nEPR 0 1\nOUT 0 1\n", init_state(1, "1"))
 
 
 class TestBellMeasure:
     def test_epr_gives_outcome_00(self, rng):
-        reg = Register()
-        reg.prepare_epr(0, 1)
-        assert reg.bell_measure(0, 1, rng) == (0, 0)
+        _, bits = run_once("QUBITS 3\nEPR 1 2\nBELL 1 2 -> x z\nOUT 0 0\n", init_state(1, "0"), rng)
+        assert bits == {"x": 0, "z": 0}
 
     def test_fresh_epr_halves_equiprobable(self):
-        reg = Register()
-        reg.prepare_epr(0, 1)
-        reg.prepare_epr(2, 3)
-        probs = reg.bell_probs(1, 2)
+        prog = parse_program("QUBITS 5\nEPR 1 2\nEPR 3 4\nBELL 2 3 -> x z\nOUT 0 0\n")
+        branches = enumerate_branches(prog, init_state(1, "0"))
+        assert len(branches) == 4
         flat = np.kron(EPR, EPR)
-        for xv in (0, 1):
-            for zv in (0, 1):
-                assert abs(probs[zv, xv] - 0.25) < 1e-12
-                assert abs(matrix_bell(flat, 4, 1, 2, xv, zv)[0] - 0.25) < 1e-12
+        for br in branches:
+            xv, zv = br.outcomes["x"], br.outcomes["z"]
+            assert abs(br.probability - 0.25) < 1e-12
+            assert abs(matrix_bell(flat, 4, 1, 2, xv, zv)[0] - 0.25) < 1e-12
 
     def test_teleportation_identity(self, rng):
         # For random psi and every outcome, the partner holds X^x Z^z psi.
+        prog = parse_program(TELEPORT)
         for _ in range(200):
             psi = random_state(rng, 1)
-            reg = register_with(psi, [0])
-            reg.prepare_epr(1, 2)
-            for xv in (0, 1):
-                for zv in (0, 1):
-                    post = reg.clone()
-                    prob = post.project_bell(0, 1, xv, zv)
-                    assert abs(prob - 0.25) < 1e-12
-                    got = post.extract([2])
-                    _, want = matrix_bell(np.kron(psi.amps, EPR), 3, 0, 1, xv, zv)
-                    assert fidelity_up_to_phase(got, StateVector(1, want)) >= 1 - 1e-12
-                    corrected = apply_mask(got, PauliMask((xv,), (zv,)))
-                    assert fidelity_up_to_phase(corrected, psi) >= 1 - 1e-10
+            branches = enumerate_branches(prog, psi)
+            assert len(branches) == 4
+            for br in branches:
+                xv, zv = br.outcomes["x"], br.outcomes["z"]
+                assert abs(br.probability - 0.25) < 1e-12
+                _, want = matrix_bell(np.kron(psi.amps, EPR), 3, 0, 1, xv, zv)
+                assert fidelity_up_to_phase(br.state, StateVector(1, want)) >= 1 - 1e-12
+                corrected = apply_mask(br.state, PauliMask((xv,), (zv,)))
+                assert fidelity_up_to_phase(corrected, psi) >= 1 - 1e-10
 
     def test_collapse_leaves_bell_state(self, rng):
         # Entanglement swapping: measuring the inner halves of two pairs
         # leaves the outer halves in the Bell state of the same outcome.
-        reg = Register()
-        reg.prepare_epr(0, 1)
-        reg.prepare_epr(2, 3)
-        xv, zv = reg.bell_measure(1, 2, rng)
-        _, want = matrix_bell(np.kron(EPR, EPR), 4, 1, 2, xv, zv)
-        assert fidelity_up_to_phase(reg.extract([0, 3]), StateVector(2, want)) >= 1 - 1e-12
-        probs = reg.bell_probs(0, 3)
-        assert probs[zv, xv] == pytest.approx(1.0, abs=1e-12)
+        swap = "QUBITS 6\nEPR 2 3\nEPR 4 5\nBELL 3 4 -> x z\n"
+        out, bits = run_once(swap + "OUT 0 2\nOUT 1 5\n", init_state(2, "00"), rng)
+        _, want = matrix_bell(np.kron(EPR, EPR), 4, 1, 2, bits["x"], bits["z"])
+        assert fidelity_up_to_phase(out, StateVector(2, want)) >= 1 - 1e-12
+        prog = parse_program(swap + "BELL 2 5 -> u v\nOUT 0 0\nOUT 1 1\n")
+        branches = enumerate_branches(prog, init_state(2, "00"))
+        assert len(branches) == 4
+        for br in branches:
+            assert (br.outcomes["u"], br.outcomes["v"]) == (br.outcomes["x"], br.outcomes["z"])
 
     def test_one_draw_per_measurement(self):
         class CountingRng:
@@ -168,32 +183,34 @@ class TestBellMeasure:
                 self.calls += 1
                 return 0.3
 
-        reg = Register()
-        reg.prepare_epr(0, 1)
         counter = CountingRng()
-        reg.bell_measure(0, 1, counter)
-        assert counter.calls == 1
+        text = "QUBITS 5\nEPR 1 2\nEPR 3 4\nBELL 0 1 -> a b\nBELL 2 3 -> c d\nOUT 0 4\n"
+        run_once(text, init_state(1, "0"), counter)
+        assert counter.calls == 2
 
-    def test_same_qubit_rejected(self, rng):
-        reg = register_with(init_state(2, "00"), [0, 1])
+    def test_same_qubit_rejected(self):
+        prog = raw_program(Instruction(InstrOp.BELL, (1, 1), out_vars=("x", "z")))
         with pytest.raises(ValidationError, match="distinct"):
-            reg.bell_measure(1, 1, rng)
+            execute(prog, init_state(1, "0"), np.random.default_rng(0))
 
     def test_sampling_matches_branch_probabilities(self):
+        # Bell-measure qubits 0 and 2 of a random 3-qubit input; qubits 3
+        # and 4 are fresh |0> outputs that keep the output count at 3.
         rng = np.random.default_rng(5)
         st = random_state(rng, 3)
-        base = register_with(st, [0, 1, 2])
-        got = base.bell_probs(0, 2)
+        prog = parse_program("QUBITS 5\nBELL 0 2 -> x z\nOUT 0 1\nOUT 1 3\nOUT 2 4\n")
         probs = {}
-        for xv in (0, 1):
-            for zv in (0, 1):
-                probs[(xv, zv)] = matrix_bell(st.amps, 3, 0, 2, xv, zv)[0]
-                assert got[zv, xv] == pytest.approx(probs[(xv, zv)], abs=1e-12)
+        for br in enumerate_branches(prog, st):
+            key = (br.outcomes["x"], br.outcomes["z"])
+            probs[key] = matrix_bell(st.amps, 3, 0, 2, *key)[0]
+            assert br.probability == pytest.approx(probs[key], abs=1e-12)
+        assert len(probs) == 4
         shots = 10_000
         counts = {k: 0 for k in probs}
         sampler = np.random.default_rng(17)
         for _ in range(shots):
-            counts[base.clone().bell_measure(0, 2, sampler)] += 1
+            bits = execute(prog, st, sampler)[1].outcomes
+            counts[(bits["x"], bits["z"])] += 1
         for key, pr in probs.items():
             bound = 3 * np.sqrt(pr * (1 - pr) / shots)
             assert abs(counts[key] / shots - pr) <= bound + 1e-9
@@ -237,59 +254,53 @@ class TestFidelity:
 
 
 class TestRegister:
+    """The execution plan's register window: live qubits, measured pairs
+    dropped and retired, extraction and the size cap."""
+
     def test_matches_flat_state_ops(self, rng):
         psi = random_state(rng, 2)
-        reg = register_with(psi, [0, 1])
-        reg.prepare_epr(2, 3)
-        reg.apply_gate(cnot(1, 2))
+        start = StateVector(4, np.kron(psi.amps, zeros(2)))
+        text = "QUBITS 6\nEPR 4 5\nCNOT 1 4\nOUT 0 0\nOUT 1 1\nOUT 2 4\nOUT 3 5\n"
+        out, _ = run_once(text, start)
         flat = gates_matrix([h(2), cnot(2, 3), cnot(1, 2)], 4) @ np.kron(psi.amps, zeros(2))
-        assert fidelity_up_to_phase(reg.extract([0, 1, 2, 3]), StateVector(4, flat)) >= 1 - 1e-12
+        assert fidelity_up_to_phase(out, StateVector(4, flat)) >= 1 - 1e-12
 
     def test_bell_drop_keeps_partner_state(self, rng):
         psi = random_state(rng, 1)
-        reg = Register()
-        reg.load(psi, [0])
-        reg.prepare_epr(1, 2)
-        xv, zv = reg.bell_measure(0, 1, rng)
-        assert reg.qubits == {2}
-        got = apply_mask(reg.extract([2]), PauliMask((xv,), (zv,)))
+        prog = parse_program(TELEPORT)
+        out, run = execute(prog, psi, rng)
+        assert prog.plan.peak_width == 3
+        assert prog.plan.outputs == (0,)  # the measured pair's axes are gone
+        got = apply_mask(out, PauliMask((run.outcomes["x"],), (run.outcomes["z"],)))
         assert fidelity_up_to_phase(got, psi) >= 1 - 1e-10
 
     def test_epr_on_live_qubit_rejected(self):
-        reg = Register()
-        reg.prepare_epr(1, 2)
         with pytest.raises(ValidationError, match="already in use"):
-            reg.prepare_epr(1, 2)
+            parse_program("QUBITS 3\nEPR 1 2\nEPR 1 2\nOUT 0 0\n").plan
 
-    def test_measured_qubit_is_retired(self, rng):
-        reg = Register()
-        reg.load(random_state(rng, 1), [0])
-        reg.prepare_epr(1, 2)
-        reg.bell_measure(0, 1, rng)
-        for reuse in (lambda: reg.alloc(1), lambda: reg.load(random_state(rng, 1), [0]),
-                      lambda: reg.prepare_epr(1, 3), lambda: reg.clone().alloc(0)):
+    def test_measured_qubit_is_retired(self):
+        base = "QUBITS 4\nEPR 1 2\nBELL 0 1 -> x z\n"
+        for reuse in ("EPR 1 3\n", "H 1\n", "X 0 IF x\n", "CNOT 2 0\n"):
             with pytest.raises(ValidationError, match="already measured"):
-                reuse()
-        reg.alloc(3)  # an untouched qubit is still fresh
+                parse_program(base + reuse + "OUT 0 2\n").plan
+        parse_program(base + "H 3\nOUT 0 3\n").plan  # an untouched qubit is still fresh
 
     def test_extract_rejects_entangled_cut(self):
-        reg = Register()
-        reg.load(init_state(2, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)]), [0, 1])
+        bell_pair = init_state(2, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
         with pytest.raises(ValidationError, match="entangled"):
-            reg.extract([0])
+            run_once("QUBITS 3\nOUT 0 0\nOUT 1 2\n", bell_pair)
 
     def test_extract_factors_product(self, rng):
         psi = random_state(rng, 1)
         phi = random_state(rng, 2)
-        reg = Register()
-        reg.load(psi, [5])
-        reg.load(phi, [7, 9])
-        assert fidelity_up_to_phase(reg.extract([5]), psi) >= 1 - 1e-12
-        assert fidelity_up_to_phase(reg.extract([7, 9]), phi) >= 1 - 1e-12
+        start = StateVector(3, np.kron(psi.amps, phi.amps))
+        out, _ = run_once("QUBITS 5\nOUT 0 1\nOUT 1 2\nOUT 2 3\n", start)
+        assert fidelity_up_to_phase(out, StateVector(3, np.kron(phi.amps, zeros(1)))) >= 1 - 1e-12
+        out, _ = run_once("QUBITS 5\nOUT 0 0\nOUT 1 3\nOUT 2 4\n", start)
+        assert fidelity_up_to_phase(out, StateVector(3, np.kron(psi.amps, zeros(2)))) >= 1 - 1e-12
 
-    def test_window_cap(self, rng):
-        reg = Register()
-        reg.load(random_state(rng, 1), [0])
+    def test_window_cap(self):
+        text = (f"QUBITS {MAX_QUBITS + 1}\n" + "".join(f"CNOT 0 {q}\n" for q in range(1, MAX_QUBITS + 1))
+                + "OUT 0 0\n")
         with pytest.raises(ValidationError, match="cap"):
-            for i in range(1, 20):
-                reg.alloc(i)
+            parse_program(text).plan

@@ -28,7 +28,7 @@ from tlink.compiler import (
     to_unitary,
 )
 from tlink.frames import KeyPoly, OutcomeVar
-from tlink.oracle import Register, apply_circuit, fidelity_up_to_phase, init_state
+from tlink.oracle import StateVector, _extract, apply_circuit, fidelity_up_to_phase, init_state
 
 
 def make_program(total, n, outputs, instrs):
@@ -36,20 +36,15 @@ def make_program(total, n, outputs, instrs):
     return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs))
 
 
-def coherent_register(up: UnitaryProgram, psi) -> Register:
-    """Plain full-width simulation of the converted circuit, no measurements."""
-    assert up.total_qubits <= 14
-    reg = Register()
-    reg.load(psi, list(range(up.n)))
-    for q in range(up.n, up.total_qubits):
-        reg.alloc(q)
-    for g in flatten(up.circuit):
-        reg.apply_gate(g)
-    return reg
+def coherent_state(up: UnitaryProgram, psi) -> StateVector:
+    """Plain full-width simulation of the converted circuit, no measurements:
+    the input on the logical wires, |0> on every other qubit."""
+    zeros = np.eye(2 ** (up.total_qubits - up.n))[0]
+    return apply_circuit(init_state(up.total_qubits, np.kron(psi.amps, zeros)), up.circuit)
 
 
 def run_unitary_coherently(up: UnitaryProgram, psi):
-    return coherent_register(up, psi).extract(list(up.logical_outputs))
+    return _extract(coherent_state(up, psi).shaped(), list(up.logical_outputs))
 
 
 def cond_pdg_count(prog: CompiledProgram) -> int:
@@ -232,9 +227,9 @@ class TestParityAccumulation:
         assert len(extra) == 1
         scratch = extra.pop()
         psi = random_state(rng, 1)
-        reg = coherent_register(up, psi)
-        assert reg.measure_probs(scratch)[1] == pytest.approx(0.0, abs=1e-12)
-        assert fidelity_up_to_phase(reg.extract(list(up.logical_outputs)),
+        full = coherent_state(up, psi).shaped()
+        assert np.sum(np.abs(np.take(full, 1, axis=scratch)) ** 2) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity_up_to_phase(_extract(full, list(up.logical_outputs)),
                                     apply_circuit(psi, c)) >= 1 - 1e-10
 
     def test_pdg_on_constant_condition(self, rng):
