@@ -9,6 +9,7 @@ byte-identical output. Exit codes: 0 ok, 2 parse error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -43,9 +44,19 @@ EXIT_VALIDATION = 3
 EXIT_FIDELITY = 4
 
 
+def _read_text(path: str) -> str:
+    """A text input file; bytes that are not UTF-8 are a parse error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})", line) from None
+
+
 def _read_circuit(path: str) -> LayeredCircuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    return parse_circuit(_read_text(path))
 
 
 def _parse_wires(spec: str) -> frozenset[int]:
@@ -70,6 +81,14 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _tolerance(args) -> float:
+    """The --tolerance value; a fidelity check against NaN or a negative
+    tolerance would pass or fail whatever the fidelity."""
+    if not math.isfinite(args.tolerance) or args.tolerance < 0:
+        raise ValidationError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    return args.tolerance
+
+
 def cmd_compile(args) -> int:
     circuit = _read_circuit(args.infile)
     program = compile_measure(circuit)
@@ -86,6 +105,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tolerance = _tolerance(args)
     circuit = _read_circuit(args.infile)
     if circuit.n > args.nmax:
         raise ValidationError(f"circuit has {circuit.n} qubits; verify caps at nmax={args.nmax}")
@@ -95,8 +115,7 @@ def cmd_verify(args) -> int:
     psi = random_state(circuit.n, np.random.default_rng(seed))
     reference = apply_circuit(psi, circuit)
     if args.program:
-        with open(args.program, encoding="utf-8") as fh:
-            program = parse_program(fh.read())
+        program = parse_program(_read_text(args.program))
     else:
         program = compile_measure(circuit)
 
@@ -117,7 +136,7 @@ def cmd_verify(args) -> int:
             if fid < worst[0]:
                 worst = (fid, transcript.outcomes)
     print(f"min_fidelity={worst[0]:.12f}")
-    if worst[0] < 1.0 - args.tolerance:
+    if worst[0] < 1.0 - tolerance:
         assignment = ",".join(f"{k}={v}" for k, v in sorted(worst[1].items())) or "-"
         print(f"worst_branch={assignment}")
         return EXIT_FIDELITY
@@ -125,8 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gadget(args) -> int:
+    tolerance = _tolerance(args)
     if args.exhaustive:
-        rows = gadget_truth_table(seed=_seed(args), tol=args.tolerance)
+        rows = gadget_truth_table(seed=_seed(args), tol=tolerance)
         for row in rows:
             print(f"p={row['p']} q={row['q']} pdg={row['pdg']} out={row['out']} "
                   f"min_fidelity={row['min_fidelity']:.12f}")
@@ -146,6 +166,7 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_protocol1(args) -> int:
+    tolerance = _tolerance(args)
     circuit = _read_circuit(args.infile)
     if circuit.t_depth > 1:
         print("error=t_depth_above_1 hint=use_crossterms", file=sys.stderr)
@@ -166,7 +187,7 @@ def cmd_protocol1(args) -> int:
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript.to_text())
-    if not check.ok or fid < 1.0 - args.tolerance:
+    if not check.ok or fid < 1.0 - tolerance:
         return EXIT_FIDELITY
     return EXIT_OK
 

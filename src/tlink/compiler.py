@@ -34,6 +34,7 @@ section); runs only read it, so they are safe to parallelize externally.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -68,8 +69,10 @@ from .frames import (
     SymbolicMask,
     apply_tableau,
     commute_through_t_layer,
-    poly_eval,
+    mask_of,
+    name_mask,
     tableau_from_stage,
+    var_bit,
 )
 from .oracle import (
     _BELL_OUTCOMES,
@@ -104,6 +107,7 @@ _COND_KINDS = {
     InstrOp.COND_X: GateKind.X,
     InstrOp.COND_Z: GateKind.Z,
 }
+_COND_OPS = {op.value: op for op in _COND_KINDS}
 
 
 @dataclass(frozen=True)
@@ -153,37 +157,59 @@ class Branch:
 
 
 def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
-    """ASAP schedule under the declared cost model, honoring readout dependencies."""
+    """ASAP schedule under the declared cost model, honoring readout dependencies.
+
+    A conditioned correction starts once its qubit is free and every variable
+    of its condition has been read out. Readouts are kept as one variable
+    mask per readout time: a BELL adds the bits of its two outcome names
+    (frames.name_mask) to the mask of the time it ends. A condition scans the
+    readout times from the latest down, only while they are later than its
+    qubit's free time, and waits for the first one whose mask meets the
+    condition's support. That is its latest readout, found with a few int
+    ANDs instead of one lookup per term.
+    """
     qubit_free: dict[int, int] = {}
-    var_ready: dict[str, int] = {}
+    read_at: dict[int, int] = {}  # readout time -> mask of the variables read then
+    read_times: list[int] = []  # the keys of read_at, ascending
     total = 0
     t_layers: set[int] = set()
     gate_count = 0
     t_count = 0
     for ins in instructions:
-        if ins.op is InstrOp.EPR:
+        op, qubits = ins.op, ins.qubits
+        if op is InstrOp.EPR:
             continue
-        start = max((qubit_free.get(q, 0) for q in ins.qubits), default=0)
-        if ins.op is InstrOp.BELL:
+        start = 0
+        for q in qubits:
+            free = qubit_free.get(q, 0)
+            if free > start:
+                start = free
+        if op is InstrOp.BELL:
             end = start + 3
-            for v in ins.out_vars:
-                var_ready[v] = end
-        elif ins.op is InstrOp.GATE:
+            read = name_mask(ins.out_vars[0]) | name_mask(ins.out_vars[1])
+            if end not in read_at:
+                read_at[end] = 0
+                insort(read_times, end)
+            read_at[end] |= read
+        elif op is InstrOp.GATE:
             end = start + 1
             gate_count += 1
             if ins.gate.kind is GateKind.T:
                 t_count += 1
                 t_layers.add(start)
         else:
-            for m in ins.cond.monomials:
-                for v in m:
-                    ready = var_ready.get(v.name, 0)
-                    if ready > start:
-                        start = ready
+            support = ins.cond.support
+            for ready in reversed(read_times):
+                if ready <= start:
+                    break
+                if read_at[ready] & support:
+                    start = ready
+                    break
             end = start + 1
-        for q in ins.qubits:
+        for q in qubits:
             qubit_free[q] = end
-        total = max(total, end)
+        if end > total:
+            total = end
     return DepthMetrics(total, len(t_layers), t_count, gate_count)
 
 
@@ -271,40 +297,41 @@ def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
 
 # -- program text format -----------------------------------------------------
 
-def _poly_from_text(text: str, lineno: int, terms: dict[str, frozenset],
+def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int],
                     defined: set[str]) -> KeyPoly:
-    """Parse a condition, toggling each term in one mutable set.
+    """Parse a condition (the text after ``IF``) straight into masks.
 
-    ``terms`` interns monomials by term text for the whole parse; a term text
-    is checked (well-formed, variables defined) only when first seen, since
-    variables once defined stay defined.
+    The text is split at ``^`` with a space added at each end, so in the
+    canonical form every term of a linear condition reads `` name ``.
+    ``linear_terms`` maps that text to the variable's bit for every variable
+    defined so far, so such a condition costs one dict lookup per term and
+    one mask build. Any other condition is checked term by term
+    (well-formed, variables defined).
     """
-    text = text.strip()
     if text == "0":
         return KeyPoly.zero()
-    monos: set = set()
+    parts = f" {text} ".split("^")
+    try:
+        return KeyPoly(mask_of(list(map(linear_terms.__getitem__, parts))))
+    except KeyError:
+        pass
+    terms: list[set[OutcomeVar]] = []
     constant = 0
-    for part in text.split("^"):
-        part = part.strip()
-        if part == "1":
+    for part in parts:
+        term = part.strip()
+        if term == "1":
             constant ^= 1
             continue
-        mono = terms.get(part)
-        if mono is None:
-            if not part:
-                raise ParseError("empty condition term", lineno)
-            names = [v.strip() for v in part.split("*")]
-            if any(not name or not name.isidentifier() for name in names):
-                raise ParseError(f"bad condition term {part!r}", lineno)
-            for name in names:
-                if name not in defined:
-                    raise ParseError(f"condition references undefined variable {name!r}", lineno)
-            mono = terms[part] = frozenset(OutcomeVar(name, Owner.LOCAL) for name in names)
-        if mono in monos:
-            monos.remove(mono)
-        else:
-            monos.add(mono)
-    return KeyPoly(frozenset(monos), constant)
+        if not term:
+            raise ParseError("empty condition term", lineno)
+        names = [v.strip() for v in term.split("*")]
+        if any(not name or not name.isidentifier() for name in names):
+            raise ParseError(f"bad condition term {term!r}", lineno)
+        for name in names:
+            if name not in defined:
+                raise ParseError(f"condition references undefined variable {name!r}", lineno)
+        terms.append({OutcomeVar(name, Owner.LOCAL) for name in names})
+    return KeyPoly.from_monomials(terms, constant)
 
 
 def serialize_program(p: CompiledProgram) -> str:
@@ -330,7 +357,7 @@ def parse_program(text: str) -> CompiledProgram:
     out_lines: dict[int, int] = {}
     measured: set[int] = set()
     defined: set[str] = set()
-    terms: dict[str, frozenset] = {}
+    linear_terms: dict[str, int] = {}
 
     def q_index(tok: str, lineno: int) -> int:
         try:
@@ -348,10 +375,18 @@ def parse_program(text: str) -> CompiledProgram:
         return pair
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        tokens = line.split()
+        # A condition can be long: split off its first three tokens only.
+        tokens = line.split(None, 3)
+        if len(tokens) > 3:
+            if total is not None and tokens[2] == "IF" and tokens[0] in _COND_OPS:
+                cond = _cond_from_text(tokens[3], lineno, linear_terms, defined)
+                instrs.append(Instruction(_COND_OPS[tokens[0]], (q_index(tokens[1], lineno),),
+                                          cond=cond))
+                continue
+            tokens = line.split()
         if total is None:
             if tokens[0] != "QUBITS" or len(tokens) != 2:
                 raise ParseError("expected 'QUBITS <n>' header", lineno)
@@ -372,9 +407,16 @@ def parse_program(text: str) -> CompiledProgram:
                 raise ParseError("expected 'BELL r s -> vx vz'", lineno)
             qubits = q_pair(tokens, lineno)
             vx, vz = tokens[4], tokens[5]
+            for name in (vx, vz):
+                if not name.isidentifier():
+                    raise ParseError(f"outcome variable {name!r} is not an identifier", lineno)
+            if vx == vz:
+                raise ParseError("BELL outcome variables must be distinct", lineno)
             if vx in defined or vz in defined:
                 raise ParseError("outcome variable redefined", lineno)
             defined.update((vx, vz))
+            for name in (vx, vz):
+                linear_terms[f" {name} "] = var_bit(OutcomeVar(name, Owner.LOCAL))
             measured.update(qubits)
             instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=(vx, vz)))
         elif head == "OUT":
@@ -394,11 +436,7 @@ def parse_program(text: str) -> CompiledProgram:
             outputs[j] = q
             out_lines[q] = lineno
         elif "IF" in tokens:
-            if len(tokens) < 3 or tokens[0] not in ("PDG", "X", "Z") or tokens[2] != "IF":
-                raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
-            op = {"PDG": InstrOp.COND_PDG, "X": InstrOp.COND_X, "Z": InstrOp.COND_Z}[tokens[0]]
-            cond = _poly_from_text(line.split("IF", 1)[1], lineno, terms, defined)
-            instrs.append(Instruction(op, (q_index(tokens[1], lineno),), cond=cond))
+            raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
         else:
             g = _parse_gate_line(tokens, total, lineno)
             instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
@@ -520,6 +558,7 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     touched = set(range(p.n))
     buffer: list[tuple[tuple[int, ...], Instruction]] = []
     bells: list[Instruction] = []
+    read = 0  # the variables read out so far, as a mask
 
     def flush(qubits) -> None:
         nonlocal buffer
@@ -544,10 +583,16 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
         flush(qs)
         axes = sched.axes(qs)
         if ins.op is InstrOp.BELL:
-            sched.steps.append((_BELL, *axes, *ins.out_vars))
+            masks = tuple(name_mask(v) for v in ins.out_vars)
+            sched.steps.append((_BELL, *axes, *ins.out_vars, *masks))
             sched.drop(*qs)
             bells.append(ins)
+            read |= masks[0] | masks[1]
         else:
+            unbound = ins.cond.support & ~read
+            if unbound:
+                name = min(v.name for v in KeyPoly(unbound).variables())
+                raise ValidationError(f"unbound outcome variable {name!r}")
             sched.steps.append((_COND, _COND_KINDS[ins.op], axes, ins.cond))
     sched.check_unmeasured(p.logical_outputs)
     flush(p.logical_outputs)
@@ -558,29 +603,33 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 def _outcomes_at(step: tuple, amps: np.ndarray, rng: np.random.Generator | None,
                  cutoff: float) -> list[tuple]:
     """The outcomes a branch point keeps, each as (collapsed amps,
-    probability, outcome-variable bits, measured-qubit bits). A Bell step
-    draws one outcome from ``rng`` when given; otherwise, and always for a
-    Z-measured qubit, every outcome above ``cutoff`` is kept, in order."""
+    probability, outcome-variable bits, measured-qubit bits, mask of the
+    outcome variables that read 1). A Bell step draws one outcome from
+    ``rng`` when given; otherwise, and always for a Z-measured qubit, every
+    outcome above ``cutoff`` is kept, in order."""
     if step[0] is _BELL:
-        _, ar, as_, vx, vz = step
+        _, ar, as_, vx, vz, mx, mz = step
         rot, probs = _bell_rotate(amps, ar, as_)
         picks = ([draw_bell_outcome(probs, rng)] if rng is not None else
                  [(xv, zv) for xv, zv in _BELL_OUTCOMES if probs[zv, xv] > cutoff])
-        return [(*_project(rot, probs, (ar, as_), (zv, xv)), {vx: xv, vz: zv}, {})
+        return [(*_project(rot, probs, (ar, as_), (zv, xv)), {vx: xv, vz: zv}, {},
+                 (mx if xv else 0) | (mz if zv else 0))
                 for xv, zv in picks]
     _, ax, q, var = step
     probs = _marginal(amps, (ax,))
-    return [(*_project(amps, probs, (ax,), (bit,)), {} if var is None else {var: bit}, {q: bit})
+    return [(*_project(amps, probs, (ax,), (bit,)), {} if var is None else {var: bit}, {q: bit}, 0)
             for bit in (0, 1) if probs[bit] > cutoff]
 
 
 def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
               cutoff: float, leaves: list[Branch], pc: int = 0, prob: float = 1.0,
-              outcomes: dict | None = None, bits: dict | None = None) -> None:
+              outcomes: dict | None = None, bits: dict | None = None, ones: int = 0) -> None:
     """Run ``plan`` from step ``pc`` and append one Branch per leaf, forking
     depth-first where a branch point keeps several outcomes (_outcomes_at).
-    ``outcomes`` maps outcome variables to bits; ``bits`` holds the
-    classical value of each measured qubit of a unitary plan."""
+    ``outcomes`` maps outcome variables to bits, and ``ones`` is the mask of
+    those that read 1, which conditions are evaluated against (KeyPoly.at);
+    ``bits`` holds the classical value of each measured qubit of a unitary
+    plan."""
     outcomes = {} if outcomes is None else outcomes
     bits = {} if bits is None else bits
     steps = plan.steps
@@ -595,7 +644,7 @@ def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
         elif op is _EPR:
             amps = _grow_epr(amps)
         elif op is _COND:
-            if poly_eval(step[3], outcomes):
+            if step[3].at(ones):
                 amps = _apply_kind(amps, step[1], step[2])
         elif op is _XIF:
             if bits[step[1]]:
@@ -603,14 +652,15 @@ def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
         else:
             kept = _outcomes_at(step, amps, rng, cutoff)
             if len(kept) != 1:
-                for child, p_, new_out, new_bits in kept:
+                for child, p_, new_out, new_bits, new_ones in kept:
                     _run_plan(plan, child, rng, cutoff, leaves, pc, prob * p_,
-                              {**outcomes, **new_out}, {**bits, **new_bits})
+                              {**outcomes, **new_out}, {**bits, **new_bits}, ones | new_ones)
                 return
-            amps, p_, new_out, new_bits = kept[0]
+            amps, p_, new_out, new_bits, new_ones = kept[0]
             prob *= p_
             outcomes.update(new_out)
             bits.update(new_bits)
+            ones |= new_ones
     leaves.append(Branch(outcomes, prob, _extract(amps, list(plan.outputs))))
 
 
@@ -683,7 +733,7 @@ def _cz(a: int, q: int) -> list[Gate]:
 
 def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:
     """The outcome ancilla of each term of a linear condition, in name order."""
-    names = sorted(v.name for mono in cond.monomials for v in mono)
+    names = sorted(v.name for v in cond.variables())
     missing = [name for name in names if name not in var_qubits]
     if missing:
         raise ValidationError(f"condition references unmeasured variable {missing[0]!r}")

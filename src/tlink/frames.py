@@ -10,6 +10,16 @@ fixed but emits a pending phase-correction key per touched qubit. Global
 phases are discarded throughout: masks are only ever applied as physical
 corrections, where phases are unobservable.
 
+A KeyPoly is held as integer bitmasks, the packed GF(2) rows of
+Aaronson-Gottesman (quant-ph/0406196): bit i stands for the i-th entry of
+one process-wide variable table, which hands each distinct OutcomeVar
+(name and owner) the next bit the first time a key mentions it. So the push
+is int XOR, a condition's support is one int, and a key prints by walking
+its set bits. The table only grows; it is shared by every program in the
+process because keys are also built outside any program (the garden-hose
+frame), and it is extended under a lock, so keys may be built from several
+threads.
+
 Key update rules, pushed left-to-right through a gate:
 
     H:      (a, b) -> (b, a)
@@ -20,9 +30,15 @@ Key update rules, pushed left-to-right through a gate:
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .circuits import Gate, GateKind, ValidationError
 
@@ -44,20 +60,99 @@ class OutcomeVar:
 Monomial = frozenset  # frozenset[OutcomeVar]
 
 
+# -- the variable table ---------------------------------------------------------
+#
+# Bit i of a key mask is _VARS[i]. _BITS is keyed by (name, owner value), plain
+# strings, which hash and compare without calling back into Python.
+# _NAME_MASKS maps a name to the bits of every variable of that name, whatever
+# its owner: a BELL line names its outcomes without owners. Readers go without
+# the lock; an entry is appended to the lists before its bit is published in
+# the dicts.
+
+_VARS: list[OutcomeVar] = []
+_NAMES: list[str] = []
+_BITS: dict[tuple[str, str], int] = {}
+_NAME_MASKS: dict[str, int] = {}
+_TABLE_LOCK = threading.Lock()
+
+
+def var_bit(var: OutcomeVar) -> int:
+    """The bit of ``var`` in the variable table, assigned on first use."""
+    key = (var.name, var.owner._value_)
+    bit = _BITS.get(key)
+    if bit is None:
+        with _TABLE_LOCK:
+            bit = _BITS.get(key)
+            if bit is None:
+                bit = len(_VARS)
+                _VARS.append(var)
+                _NAMES.append(var.name)
+                _NAME_MASKS[var.name] = _NAME_MASKS.get(var.name, 0) | 1 << bit
+                _BITS[key] = bit
+    return bit
+
+
+def name_mask(name: str) -> int:
+    """The bits of every variable called ``name`` (0 when there is none)."""
+    return _NAME_MASKS.get(name, 0)
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: 1 where set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
+
+
+def mask_of(bits: list[int]) -> int:
+    """The mask with bit b set for each b that occurs an odd number of times.
+
+    Shifting and XORing one bit at a time costs a pass over the growing mask
+    per bit, so a long list is counted with numpy and packed in one pass.
+    """
+    if len(bits) < 64:
+        mask = 0
+        for b in bits:
+            mask ^= 1 << b
+        return mask
+    odd = np.bincount(np.fromiter(bits, np.intp, len(bits))).astype(np.uint8) & 1
+    return int.from_bytes(np.packbits(odd, bitorder="little").tobytes(), "little")
+
+
+def _names(mask: int) -> Iterable[str]:
+    return compress(_NAMES, _flags(mask))
+
+
+def _term_vars(term: int) -> list[OutcomeVar]:
+    """The variables of a term of degree >= 2; it has few bits, so they are
+    peeled off one at a time."""
+    out = []
+    while term:
+        low = term & -term
+        out.append(_VARS[low.bit_length() - 1])
+        term ^= low
+    return out
+
+
 def _mono_key(m: Monomial) -> tuple[str, ...]:
     return tuple(sorted(v.name for v in m))
 
 
 @dataclass(frozen=True)
 class KeyPoly:
-    """Multilinear polynomial over GF(2) in outcome variables.
+    """Multilinear polynomial over GF(2) in outcome variables, as bitmasks.
 
-    Monomials are nonempty sets of distinct variables (x^2 = x); the empty
-    monomial is the separate constant bit. Stored sets are canonical, so
-    equality is syntactic.
+    ``linear`` has one bit per degree-1 term, ``nonlinear`` holds one mask per
+    term of degree >= 2 (x^2 = x, so a term is a set of variables), and
+    ``constant`` is the degree-0 bit. Bits index the module's variable table.
+    The representation is canonical: a one-bit term always sits in
+    ``linear``, so equality is syntactic. ``monomials`` gives the terms back
+    as frozensets of OutcomeVar.
     """
 
-    monomials: frozenset = frozenset()
+    linear: int = 0
+    nonlinear: frozenset = frozenset()
     constant: int = 0
 
     @staticmethod
@@ -70,46 +165,93 @@ class KeyPoly:
 
     @staticmethod
     def of(var: OutcomeVar) -> "KeyPoly":
-        return KeyPoly(frozenset({frozenset({var})}))
+        return KeyPoly(1 << var_bit(var))
 
     @staticmethod
     def from_bit(bit: int) -> "KeyPoly":
         return KeyPoly(constant=bit & 1)
 
+    @staticmethod
+    def from_monomials(monomials: Iterable[Monomial], constant: int = 0) -> "KeyPoly":
+        """The sum of the given terms (sets of variables) plus ``constant``."""
+        return KeyPoly._from_terms([mask_of([var_bit(v) for v in m]) for m in monomials],
+                                   constant)
+
+    @staticmethod
+    def _from_terms(terms: Iterable[int], constant: int) -> "KeyPoly":
+        """The sum of term masks, repeated ones cancelling; the empty term
+        (mask 0) is the constant 1."""
+        linear = 0
+        nonlinear: set[int] = set()
+        for m in terms:
+            if m & (m - 1):
+                nonlinear ^= {m}
+            elif m:
+                linear ^= m
+            else:
+                constant ^= 1
+        return KeyPoly(linear, frozenset(nonlinear), constant & 1)
+
+    def __reduce__(self):
+        # Bits are numbered per process, so a pickled key names its variables.
+        return KeyPoly.from_monomials, (self.monomials, self.constant)
+
+    def _terms(self) -> list[int]:
+        """Every term as a mask, the linear bits one by one."""
+        terms = list(self.nonlinear)
+        linear = self.linear
+        while linear:
+            low = linear & -linear
+            terms.append(low)
+            linear ^= low
+        return terms
+
+    @property
+    def monomials(self) -> frozenset:
+        singles = [frozenset((v,)) for v in compress(_VARS, _flags(self.linear))]
+        return frozenset(singles + [frozenset(_term_vars(m)) for m in self.nonlinear])
+
+    @property
+    def support(self) -> int:
+        """The mask of every variable the key mentions."""
+        return reduce(or_, self.nonlinear, self.linear)
+
     @property
     def is_zero(self) -> bool:
-        return not self.monomials and self.constant == 0
+        return not (self.linear or self.nonlinear or self.constant)
 
     @property
     def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
+        return max((m.bit_count() for m in self.nonlinear), default=1 if self.linear else 0)
 
     def variables(self) -> set[OutcomeVar]:
-        out: set[OutcomeVar] = set()
-        for m in self.monomials:
-            out |= m
-        return out
+        return set(compress(_VARS, _flags(self.support)))
 
     def __xor__(self, other: "KeyPoly") -> "KeyPoly":
-        return KeyPoly(self.monomials ^ other.monomials, self.constant ^ other.constant)
+        nonlinear = self.nonlinear ^ other.nonlinear if other.nonlinear else self.nonlinear
+        return KeyPoly(self.linear ^ other.linear, nonlinear, self.constant ^ other.constant)
 
     def __mul__(self, other: "KeyPoly") -> "KeyPoly":
-        parity: dict[Monomial, int] = {}
-
-        def flip(m: Monomial) -> None:
-            parity[m] = parity.get(m, 0) ^ 1
-
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                flip(m1 | m2)
+        if not (other.linear or other.nonlinear):
+            return self if other.constant else KeyPoly()
+        if not (self.linear or self.nonlinear):
+            return other if self.constant else KeyPoly()
+        mine, theirs = self._terms(), other._terms()
+        products = [m1 | m2 for m1 in mine for m2 in theirs]
         if other.constant:
-            for m1 in self.monomials:
-                flip(m1)
+            products += mine
         if self.constant:
-            for m2 in other.monomials:
-                flip(m2)
-        monos = frozenset(m for m, c in parity.items() if c)
-        return KeyPoly(monos, self.constant & other.constant)
+            products += theirs
+        return KeyPoly._from_terms(products, self.constant & other.constant)
+
+    def at(self, ones: int) -> int:
+        """The value when exactly the variables whose bits are set in ``ones``
+        are 1: the parity of the linear bits set there, plus each term whose
+        variables are all set, plus the constant."""
+        acc = (self.linear & ones).bit_count() + self.constant
+        for m in self.nonlinear:
+            acc += m & ones == m
+        return acc & 1
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         return poly_eval(self, assignment)
@@ -119,8 +261,9 @@ class KeyPoly:
             return "0"
         # '*' sorts below every identifier character, so sorting the joined
         # terms gives the same order as sorting by the tuple of names.
-        parts = sorted([next(iter(m)).name if len(m) == 1 else "*".join(sorted(v.name for v in m))
-                        for m in self.monomials])
+        parts = list(_names(self.linear))
+        parts += ["*".join(sorted(v.name for v in _term_vars(m))) for m in self.nonlinear]
+        parts.sort()
         if self.constant:
             parts.append("1")
         return " ^ ".join(parts)
@@ -128,20 +271,27 @@ class KeyPoly:
 
 def poly_eval(p: KeyPoly, assignment: Mapping[str, int]) -> int:
     """Evaluate at a bit assignment keyed by variable name."""
-    acc = p.constant
-    for m in p.monomials:
-        term = 1
-        for v in m:
-            if v.name not in assignment:
-                raise ValidationError(f"unbound outcome variable {v.name!r}")
-            term &= assignment[v.name] & 1
-        acc ^= term
-    return acc
+    try:
+        acc = p.constant
+        for name in _names(p.linear):
+            acc ^= assignment[name] & 1
+        for m in p.nonlinear:
+            term = 1
+            for v in _term_vars(m):
+                term &= assignment[v.name] & 1
+            acc ^= term
+        return acc
+    except KeyError as exc:
+        raise ValidationError(f"unbound outcome variable {exc.args[0]!r}") from None
 
 
 def cross_terms(p: KeyPoly) -> list[Monomial]:
     """Monomials of degree >= 2 whose variables span more than one owner."""
-    out = [m for m in p.monomials if len(m) >= 2 and len({v.owner for v in m}) >= 2]
+    out = []
+    for m in p.nonlinear:
+        vs = _term_vars(m)
+        if any(v.owner is not vs[0].owner for v in vs):
+            out.append(frozenset(vs))
     return sorted(out, key=_mono_key)
 
 

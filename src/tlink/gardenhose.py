@@ -284,12 +284,11 @@ def _split_key_by_owner(key: KeyPoly) -> tuple[int, KeyPoly]:
     """Split a pending key into Bob's routing bit, its constant, and Alice's
     share, the rest. A term with a variable Alice does not hold raises: at
     T-depth <= 1 Bob measures nothing before the T layer."""
-    for mono in key.monomials:
-        if any(v.owner is not Owner.ALICE for v in mono):
-            raise ValidationError(
-                "pending correction key depends on bits Alice does not hold; the "
-                "simplified gadget cannot route it (see analyze_cross_terms)")
-    return key.constant, KeyPoly(key.monomials)
+    if any(v.owner is not Owner.ALICE for v in key.variables()):
+        raise ValidationError(
+            "pending correction key depends on bits Alice does not hold; the "
+            "simplified gadget cannot route it (see analyze_cross_terms)")
+    return key.constant, KeyPoly(key.linear, key.nonlinear)
 
 
 def _deps(instrs) -> frozenset[str]:

@@ -208,7 +208,7 @@ _POLY_VARS = (
 )
 
 monomials = st.frozensets(st.sampled_from(_POLY_VARS), min_size=1, max_size=3)
-keypolys = st.builds(KeyPoly, st.frozensets(monomials, max_size=4), st.integers(0, 1))
+keypolys = st.builds(KeyPoly.from_monomials, st.frozensets(monomials, max_size=4), st.integers(0, 1))
 assignments = st.fixed_dictionaries({v.name: st.integers(0, 1) for v in _POLY_VARS})
 
 

@@ -150,3 +150,38 @@ def test_protocol1_four_wires(tmp_path, capsys):
     assert out["causality"] == "pass"
     assert out["ledger_pairs"] == "20"
     assert float(out["fidelity"]) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--in", "{bad}"],
+    ["compile", "--in", "{bad}", "--out", "{out}"],
+    ["verify", "--in", "{good}", "--program", "{bad}"],
+], ids=["stats", "compile", "verify-program"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"QUBITS 1\nT 0\n# caf\xe9\n---\n")
+    good = tmp_path / "good.txt"
+    good.write_text("QUBITS 1\nT 0\n---\n")
+    argv = [a.format(bad=bad, good=good, out=tmp_path / "out.txt") for a in argv]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 3:")
+    assert "not UTF-8" in captured.err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{c}"],
+    ["protocol1", "--in", "{c}", "--alice", "0"],
+    ["gadget", "--exhaustive"],
+], ids=["verify", "protocol1", "gadget"])
+def test_bad_tolerance_exits_3(tmp_path, capsys, argv, value):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nH 0\nCNOT 0 1\nT 1\n---\n")
+    argv = [a.format(c=circuit) for a in argv] + [f"--tolerance={value}"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance must be finite and non-negative" in captured.err

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_frame_coherence, random_circuit, random_state
+from test_program_text import HAND
 from tlink.circuits import (
+    DepthMetrics,
     Gate,
     GateKind,
     LayeredCircuit,
@@ -262,7 +264,51 @@ class TestExecute:
             assert abs(counts[key] / shots - pr) <= bound + 1e-9
 
 
+def per_term_schedule(instructions) -> DepthMetrics:
+    """Reference for _schedule_depth: the same ASAP cost model, with each
+    condition waiting for the readout of every variable of every term,
+    looked up one by one."""
+    qubit_free, var_ready = {}, {}
+    total, gate_count, t_count = 0, 0, 0
+    t_layers = set()
+    for ins in instructions:
+        if ins.op is InstrOp.EPR:
+            continue
+        start = max((qubit_free.get(q, 0) for q in ins.qubits), default=0)
+        if ins.op is InstrOp.BELL:
+            end = start + 3
+            for v in ins.out_vars:
+                var_ready[v] = end
+        elif ins.op is InstrOp.GATE:
+            end = start + 1
+            gate_count += 1
+            if ins.gate.kind is GateKind.T:
+                t_count += 1
+                t_layers.add(start)
+        else:
+            for mono in ins.cond.monomials:
+                for v in mono:
+                    start = max(start, var_ready.get(v.name, 0))
+            end = start + 1
+        for q in ins.qubits:
+            qubit_free[q] = end
+        total = max(total, end)
+    return DepthMetrics(total, len(t_layers), t_count, gate_count)
+
+
 class TestDepthSchedule:
+    def test_matches_per_term_reference_on_compiled_programs(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            for _ in range(3):
+                prog = compile_measure(random_circuit(rng, n, 2 * n))
+                assert prog.declared_depth == per_term_schedule(prog.instructions)
+
+    def test_matches_per_term_reference_on_higher_degree_terms(self):
+        prog = parse_program(HAND)
+        assert max(ins.cond.degree for ins in prog.instructions if ins.cond is not None) == 3
+        assert prog.declared_depth == per_term_schedule(prog.instructions)
+
     def test_k1_depth_is_stage_depth(self):
         c = parse_circuit("QUBITS 1\nH 0\nP 0\nT 0\n---")
         prog = compile_measure(c)

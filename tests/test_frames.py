@@ -1,3 +1,10 @@
+import os
+import pickle
+import random
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +18,7 @@ from conftest import (
     random_circuit,
     sigma,
 )
+from tlink import frames
 from tlink.circuits import ValidationError, cnot, h, p, pdg, x, z
 from tlink.frames import (
     KeyPoly,
@@ -21,8 +29,11 @@ from tlink.frames import (
     apply_tableau,
     commute_through_t_layer,
     cross_terms,
+    mask_of,
+    name_mask,
     poly_eval,
     tableau_from_stage,
+    var_bit,
 )
 
 P_BOB = OutcomeVar("p", Owner.BOB)
@@ -105,6 +116,77 @@ class TestKeyPoly:
         assert f * (g ^ k) == (f * g) ^ (f * k)
 
 
+class TestBitmaskKeys:
+    @given(keypolys, assignments)
+    def test_mask_evaluation_matches_by_name(self, f, env):
+        ones = 0
+        for v in f.variables():
+            if env[v.name]:
+                ones |= 1 << var_bit(v)
+        assert f.at(ones) == poly_eval(f, env)
+
+    @given(keypolys)
+    def test_monomials_round_trip(self, f):
+        assert KeyPoly.from_monomials(f.monomials, f.constant) == f
+        assert f.support == sum(1 << var_bit(v) for v in f.variables())
+
+    @pytest.mark.parametrize("size", [0, 5, 63, 64, 500])
+    def test_mask_of_keeps_odd_bits(self, size):
+        rng = np.random.default_rng(size)
+        bits = [int(b) for b in rng.integers(0, 3 * size + 1, size)]
+        want = 0
+        for b in bits:
+            want ^= 1 << b
+        assert mask_of(bits) == want
+
+    def test_one_bit_per_variable_across_threads(self):
+        # Threads race to add the same new variables in different orders; a
+        # lost update would give a variable two bits or two variables one.
+        fresh = [OutcomeVar(f"race{i}", owner) for i in range(300) for owner in Owner]
+        seen: list[dict] = []
+
+        def work(seed):
+            order = list(fresh)
+            random.Random(seed).shuffle(order)
+            seen.append({v: KeyPoly.of(v).linear for v in order})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(seen) == 8 and all(masks == seen[0] for masks in seen)
+        masks = list(seen[0].values())
+        assert len(set(masks)) == len(fresh) and all(m.bit_count() == 1 for m in masks)
+        for v, m in seen[0].items():
+            assert KeyPoly(m).variables() == {v}
+            assert name_mask(v.name) == sum(seen[0][OutcomeVar(v.name, o)] for o in Owner)
+
+
+    def test_pickled_key_names_its_variables(self):
+        # Another process numbers its variables in its own order.
+        key = (KeyPoly.of(OutcomeVar("pk_b", Owner.BOB)) * KeyPoly.of(OutcomeVar("pk_a", Owner.ALICE))
+               ^ KeyPoly.of(OutcomeVar("pk_c")) ^ KeyPoly.one())
+        assert pickle.loads(pickle.dumps(key)) == key
+        code = ("import pickle, sys\n"
+                "from tlink.frames import KeyPoly, OutcomeVar\n"
+                "KeyPoly.of(OutcomeVar('pk_c'))\n"
+                "key = pickle.loads(sys.stdin.buffer.read())\n"
+                "print(key, sorted((v.name, v.owner.value) for v in key.variables()))\n")
+        src = os.path.dirname(os.path.dirname(frames.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(key), env=env,
+                             capture_output=True, timeout=60, check=True)
+        assert run.stdout.decode().strip() == (
+            "pk_a*pk_b ^ pk_c ^ 1 [('pk_a', 'alice'), ('pk_b', 'bob'), ('pk_c', 'local')]")
+
+
 class TestCrossTerms:
     def test_degree_one_terms_only(self):
         poly = KeyPoly.of(P_BOB) ^ KeyPoly.of(Q_ALICE)
@@ -128,7 +210,7 @@ class TestCrossTerms:
                 frozenset(pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 4)),
                                                       replace=False))
                 for _ in range(int(rng.integers(1, 8))))
-            key = KeyPoly(monos, int(rng.integers(2)))
+            key = KeyPoly.from_monomials(monos, int(rng.integers(2)))
             names = sorted(tuple(sorted(v.name for v in m)) for m in monos)
             want = " ^ ".join(["*".join(t) for t in names] + (["1"] if key.constant else []))
             assert str(key) == want
@@ -212,8 +294,8 @@ class TestTableau:
             n = int(rng.integers(1, 5))
             stage = random_circuit(rng, n, 1, max_clifford=4 * n).stages[0].clifford
             matrix = dense_stage_matrix(stage, n)
-            keys = [KeyPoly(frozenset(frozenset({names[i]}) for i in range(6) if rng.random() < 0.4),
-                            int(rng.integers(2))) for _ in range(2 * n)]
+            keys = [KeyPoly.from_monomials([{names[i]} for i in range(6) if rng.random() < 0.4],
+                                           int(rng.integers(2))) for _ in range(2 * n)]
             out = apply_tableau(tableau_from_stage(stage, n),
                                 SymbolicMask(tuple(keys[:n]), tuple(keys[n:])))
             for row, got in enumerate(out.a + out.b):

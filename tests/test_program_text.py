@@ -9,6 +9,7 @@ from conftest import random_circuit
 from tlink import cli
 from tlink.circuits import ParseError
 from tlink.compiler import InstrOp, compile_measure, parse_program, serialize_program
+from tlink.frames import KeyPoly, OutcomeVar
 
 # (seed, n, K) of random_circuit(default_rng(seed), n, K, max_clifford=3n), with
 # the SHA-256 of serialize_program(compile_measure(c)) as the text format stood
@@ -93,11 +94,16 @@ def test_cancelling_terms_parse_to_zero():
     assert [c.is_zero for c in conds] == [True, True]
 
 
-def test_repeated_term_text_shares_one_monomial():
-    prog = parse_program("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a ^ b\nZ 2 IF a\nOUT 0 2\n")
-    x_cond, z_cond = (ins.cond for ins in prog.instructions if ins.cond is not None)
-    (shared,) = z_cond.monomials
-    assert any(m is shared for m in x_cond.monomials)
+def test_repeated_name_maps_to_one_bit():
+    # However a term is written, one name is one bit in every condition.
+    prog = parse_program("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a ^ b\nZ 2 IF a\n"
+                         "PDG 2 IF b*a ^  a\nOUT 0 2\n")
+    x_cond, z_cond, pdg_cond = (ins.cond for ins in prog.instructions if ins.cond is not None)
+    a_bit = z_cond.linear
+    assert a_bit.bit_count() == 1 and z_cond == KeyPoly.of(OutcomeVar("a"))
+    assert x_cond.linear & a_bit and x_cond.linear.bit_count() == 2
+    assert pdg_cond.linear == a_bit
+    assert pdg_cond.nonlinear == {x_cond.linear}
 
 
 BAD_PROGRAMS = [
@@ -119,6 +125,11 @@ BAD_PROGRAMS = [
     ("QUBITS 2\nOUT 0 1\nBELL 0 1 -> a b\n", 2, "Bell-measured"),
     ("QUBITS 3\nBELL 0 1 -> a b\nX IF\nOUT 0 2\n", 3, "q IF <condition>"),
     ("QUBITS 3\nBELL 0 1 -> a b\nPDG IF\nOUT 0 2\n", 3, "q IF <condition>"),
+    ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a a\nX 2 IF a\nOUT 0 2\n", 3,
+     "outcome variables must be distinct"),
+    ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> 1 x\nX 2 IF x\nOUT 0 2\n", 3, "'1' is not an identifier"),
+    ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> x 0\nX 2 IF x\nOUT 0 2\n", 3, "'0' is not an identifier"),
+    ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a*b c\nOUT 0 2\n", 3, "'a\\*b' is not an identifier"),
 ]
 
 

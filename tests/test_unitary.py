@@ -78,7 +78,7 @@ class TestConversionStructure:
 
     def test_condition_degree_guard(self):
         u, v, w = (OutcomeVar(s) for s in ("u", "v", "w"))
-        cond = KeyPoly(frozenset({frozenset({u, v, w})}))
+        cond = KeyPoly.from_monomials([{u, v, w}])
         prog = make_program(1, 1, [0], [
             Instruction(InstrOp.EPR, (1, 2)),  # defines nothing; decoy
             Instruction(InstrOp.COND_X, (0,), cond=cond),
