@@ -47,7 +47,8 @@ class GateKind(Enum):
         return 2 if self is GateKind.CNOT else 1
 
 
-CLIFFORD_KINDS = frozenset(k for k in GateKind if k is not GateKind.T)
+# A tuple: membership tests identity first, so no gate pays for Enum.__hash__.
+CLIFFORD_KINDS = tuple(k for k in GateKind if k is not GateKind.T)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,20 +75,16 @@ from .frames import (
     var_bit,
 )
 from .oracle import (
-    _BELL_OUTCOMES,
     MAX_QUBITS,
     MeasRecord,
     StateVector,
-    _apply_kind,
-    _bell_rotate,
     _extract,
     _grow,
     _grow_epr,
-    _marginal,
-    _project,
     apply_gate,
     basis_bits,
     draw_bell_outcome,
+    gate_kernel,
     init_state,
 )
 
@@ -149,7 +145,7 @@ class ExecTranscript:
     outcomes: dict[str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch:
     outcomes: dict[str, int]
     probability: float
@@ -468,10 +464,20 @@ def parse_program(text: str) -> CompiledProgram:
 # and the final extraction each flush only the backward light cone of their
 # qubits (_light_cone). That keeps the window at n+2 on compiled programs:
 # the n live carriers plus the EPR pair being linked, never the next stage's
-# pre-executed gates. The plan records each step with its tensor axes
-# resolved, so a shot or a branch only does numpy work between branch
-# points; its qubit checks (EPR on a live qubit, any use of a measured one,
-# the window cap) are static and raise when the plan is built.
+# pre-executed gates. The plan records each step with its tensor axes and its
+# numpy kernel resolved; its qubit checks (EPR on a live qubit, any use of a
+# measured one, the window cap) are static and raise when the plan is built.
+#
+# One runner (_run) executes a plan over a frontier: every live branch is
+# one entry of a batch axis of the amplitude array, so each step is one numpy
+# call for all branches at once instead of one per branch. The batch axis
+# leads: the gate kernels address a qubit axis by the amplitudes after it, so
+# they never see it; fresh qubit axes are appended after it; and the kept
+# children of a branch point come out of one fancy index already contiguous.
+# A branch point replaces each entry by its kept outcomes, parent-major, which
+# is the order a depth-first expansion visits them. A sampled shot is a
+# frontier of one and draws each Bell outcome from the same table as an
+# exhaustive run keeps them from.
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
@@ -494,31 +500,37 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
             [item for item, k in zip(buffer, keep) if not k])
 
 
-# Plan step opcodes; each step is a tuple (op, ...) with axes resolved.
-_GATE, _ALLOC, _EPR, _COND, _BELL, _MEASURE, _XIF = range(7)
+# Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
+# whole frontier. (_COND, test, kernel, args) runs it on the entries whose
+# mask of classical bits that read 1 passes ``test``. (_BRANCH, rotation,
+# sum_axes, order, measured, bits) is a branch point (_Schedule.branch).
+_APPLY, _COND, _BRANCH = range(3)
 
 
 @dataclass(frozen=True)
 class ExecPlan:
     """Flat steps over a tensor window, the axes of the logical outputs at
-    the end, the largest window width, and the Bell instructions in run order
-    (for transcripts)."""
+    the end, the largest window width, the Bell instructions in run order
+    (for transcripts), and each named outcome with its classical bits."""
 
     n: int
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
     peak_width: int
     bells: tuple[Instruction, ...] = ()
+    names: tuple[tuple[str, int], ...] = ()
 
 
 class _Schedule:
     """Symbolic window replay: which qubit each tensor axis holds, and which
-    qubits were measured and dropped."""
+    qubits were measured and dropped. Array axis 0 is the frontier's batch
+    axis, so the qubit on window slot i is array axis i + 1."""
 
     def __init__(self, n: int):
         self.window = list(range(n))
         self.retired: set[int] = set()
         self.steps: list[tuple] = []
+        self.names: list[tuple[str, int]] = []
         self.peak = n
 
     def check_unmeasured(self, qubits) -> None:
@@ -526,34 +538,88 @@ class _Schedule:
             if q in self.retired:
                 raise ValidationError(f"qubit {q} was already measured and cannot be reused")
 
-    def _grow(self, qubits: list[int], step: tuple) -> None:
+    def _grow(self, qubits: list[int], kernel) -> None:
         self.window += qubits
         if len(self.window) > MAX_QUBITS:
             raise ValidationError("register window exceeds the qubit cap")
         self.peak = max(self.peak, len(self.window))
-        self.steps.append(step)
+        self.steps.append((_APPLY, kernel, ()))
 
     def axes(self, qubits) -> tuple[int, ...]:
-        """Axes of ``qubits``, allocating fresh |0> ones as needed."""
+        """Array axes of ``qubits``, allocating fresh |0> ones as needed."""
+        window = self.window
         for q in qubits:
-            if q not in self.window:
-                self._grow([q], (_ALLOC,))
-        return tuple(self.window.index(q) for q in qubits)
+            if q not in window:
+                self._grow([q], _grow)
+        return tuple([window.index(q) + 1 for q in qubits])
 
     def epr(self, a: int, b: int) -> None:
-        self._grow([a, b], (_EPR,))
+        self._grow([a, b], _grow_epr)
 
     def gate(self, kind: GateKind, qubits: tuple[int, ...]) -> None:
-        self.steps.append((_GATE, kind, self.axes(qubits)))
+        axes = self.axes(qubits)
+        self.steps.append((_APPLY, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
+
+    def cond(self, test, kind: GateKind, qubits: tuple[int, ...]) -> None:
+        axes = self.axes(qubits)
+        self.steps.append((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
+
+    def branch(self, qubits: tuple[int, ...], outcomes) -> None:
+        """Measure ``qubits`` (see _branch_layout), then drop them.
+        ``outcomes`` gives each qubit's outcome name (or None) and classical
+        bit. Outcome k reads bit j of k, the first qubit highest, from qubit
+        j, and sets the classical bits ``bits[k]``."""
+        measured = self.axes(qubits)
+        bits = [0]
+        for _, bit in reversed(outcomes):
+            bits += [b | bit for b in bits]
+        self.names += [(name, bit) for name, bit in outcomes if name is not None]
+        self.steps.append((_BRANCH, *_branch_layout(measured, len(self.window) + 1),
+                           measured, tuple(bits)))
+        self.drop(*qubits)
 
     def drop(self, *qubits: int) -> None:
         for q in qubits:
             self.window.remove(q)
         self.retired.update(qubits)
 
+    def plan(self, n: int, outputs, bells: tuple[Instruction, ...] = ()) -> ExecPlan:
+        axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
+        return ExecPlan(n, tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
+                        bells, tuple(self.names))
+
+
+@lru_cache(maxsize=None)
+def _cached_kernel(kind: str, axes: tuple[int, ...], ndim: int) -> tuple:
+    """gate_kernel for the gate kind of this value. Plans repeat a few
+    layouts many times, so each is resolved once and its arguments shared;
+    the window cap bounds how many there are."""
+    return gate_kernel(GateKind(kind), axes, ndim)
+
+
+@lru_cache(maxsize=None)
+def _branch_layout(measured: tuple[int, ...], ndim: int) -> tuple:
+    """The rotation kernels of a branch point measuring array axes
+    ``measured`` of an ``ndim``-axis frontier, the axes its marginal sums
+    over, and the transpose that puts the table it leaves, whose axes are in
+    array order, in outcome order. Two axes (s, r) are a Bell measurement,
+    rotated by CNOT(r, s) then H(r); one axis is measured as it is."""
+    rotation = ()
+    if len(measured) == 2:
+        s, r = measured
+        rotation = (gate_kernel(GateKind.CNOT, (r, s), ndim), gate_kernel(GateKind.H, (r,), ndim))
+    sum_axes = tuple([ax for ax in range(1, ndim) if ax not in measured])
+    return rotation, sum_axes, (0, *[sorted(measured).index(ax) + 1 for ax in measured])
+
 
 def _measure_plan(p: CompiledProgram) -> ExecPlan:
-    """Replay a measure-mode program's schedule into an ExecPlan."""
+    """Replay a measure-mode program's schedule into an ExecPlan.
+
+    A Bell step measures (s, r) after CNOT(r, s) and H(r), so its outcome
+    index is 2x + z, the position of (x, z) in _BELL_OUTCOMES. The classical
+    bits of its outcomes are the bits of their variables (frames.name_mask),
+    which the conditions are evaluated against (KeyPoly.at).
+    """
     sched = _Schedule(p.n)
     touched = set(range(p.n))
     buffer: list[tuple[tuple[int, ...], Instruction]] = []
@@ -581,96 +647,103 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             buffer.append((qs, ins))
             continue
         flush(qs)
-        axes = sched.axes(qs)
         if ins.op is InstrOp.BELL:
-            masks = tuple(name_mask(v) for v in ins.out_vars)
-            sched.steps.append((_BELL, *axes, *ins.out_vars, *masks))
-            sched.drop(*qs)
+            r, s = qs
+            vx, vz = ins.out_vars
+            mx, mz = (name_mask(v) or 1 << var_bit(OutcomeVar(v, Owner.LOCAL))
+                      for v in ins.out_vars)
+            sched.branch((s, r), ((vx, mx), (vz, mz)))
             bells.append(ins)
-            read |= masks[0] | masks[1]
+            read |= mx | mz
         else:
             unbound = ins.cond.support & ~read
             if unbound:
                 name = min(v.name for v in KeyPoly(unbound).variables())
                 raise ValidationError(f"unbound outcome variable {name!r}")
-            sched.steps.append((_COND, _COND_KINDS[ins.op], axes, ins.cond))
+            sched.cond(ins.cond.at, _COND_KINDS[ins.op], qs)
     sched.check_unmeasured(p.logical_outputs)
     flush(p.logical_outputs)
-    outputs = sched.axes(p.logical_outputs)  # allocates untouched outputs: before tuple(steps)
-    return ExecPlan(p.n, tuple(sched.steps), outputs, sched.peak, tuple(bells))
+    return sched.plan(p.n, p.logical_outputs, tuple(bells))
 
 
-def _outcomes_at(step: tuple, amps: np.ndarray, rng: np.random.Generator | None,
-                 cutoff: float) -> list[tuple]:
-    """The outcomes a branch point keeps, each as (collapsed amps,
-    probability, outcome-variable bits, measured-qubit bits, mask of the
-    outcome variables that read 1). A Bell step draws one outcome from
-    ``rng`` when given; otherwise, and always for a Z-measured qubit, every
-    outcome above ``cutoff`` is kept, in order."""
-    if step[0] is _BELL:
-        _, ar, as_, vx, vz, mx, mz = step
-        rot, probs = _bell_rotate(amps, ar, as_)
-        picks = ([draw_bell_outcome(probs, rng)] if rng is not None else
-                 [(xv, zv) for xv, zv in _BELL_OUTCOMES if probs[zv, xv] > cutoff])
-        return [(*_project(rot, probs, (ar, as_), (zv, xv)), {vx: xv, vz: zv}, {},
-                 (mx if xv else 0) | (mz if zv else 0))
-                for xv, zv in picks]
-    _, ax, q, var = step
-    probs = _marginal(amps, (ax,))
-    return [(*_project(amps, probs, (ax,), (bit,)), {} if var is None else {var: bit}, {q: bit}, 0)
-            for bit in (0, 1) if probs[bit] > cutoff]
+def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
+            rng: np.random.Generator | None, cutoff: float) -> tuple:
+    """One branch point over the whole frontier, already rotated by the
+    step's rotation kernels.
 
-
-def _run_plan(plan: ExecPlan, amps: np.ndarray, rng: np.random.Generator | None,
-              cutoff: float, leaves: list[Branch], pc: int = 0, prob: float = 1.0,
-              outcomes: dict | None = None, bits: dict | None = None, ones: int = 0) -> None:
-    """Run ``plan`` from step ``pc`` and append one Branch per leaf, forking
-    depth-first where a branch point keeps several outcomes (_outcomes_at).
-    ``outcomes`` maps outcome variables to bits, and ``ones`` is the mask of
-    those that read 1, which conditions are evaluated against (KeyPoly.at);
-    ``bits`` holds the classical value of each measured qubit of a unitary
-    plan."""
-    outcomes = {} if outcomes is None else outcomes
-    bits = {} if bits is None else bits
-    steps = plan.steps
-    while pc < len(steps):
-        step = steps[pc]
-        pc += 1
-        op = step[0]
-        if op is _GATE:
-            amps = _apply_kind(amps, step[1], step[2])
-        elif op is _ALLOC:
-            amps = _grow(amps)
-        elif op is _EPR:
-            amps = _grow_epr(amps)
-        elif op is _COND:
-            if step[3].at(ones):
-                amps = _apply_kind(amps, step[1], step[2])
-        elif op is _XIF:
-            if bits[step[1]]:
-                amps = _apply_kind(amps, GateKind.X, step[2])
-        else:
-            kept = _outcomes_at(step, amps, rng, cutoff)
-            if len(kept) != 1:
-                for child, p_, new_out, new_bits, new_ones in kept:
-                    _run_plan(plan, child, rng, cutoff, leaves, pc, prob * p_,
-                              {**outcomes, **new_out}, {**bits, **new_bits}, ones | new_ones)
-                return
-            amps, p_, new_out, new_bits, new_ones = kept[0]
-            prob *= p_
-            outcomes.update(new_out)
-            bits.update(new_bits)
-            ones |= new_ones
-    leaves.append(Branch(outcomes, prob, _extract(amps, list(plan.outputs))))
+    The outcome marginals are taken once, as a (batch, outcome) table. With
+    ``rng`` the frontier is one shot of a measure plan, whose branch points
+    are all Bell steps, and one outcome is drawn from its [z, x] table with
+    draw_bell_outcome. Otherwise every outcome above ``cutoff`` is kept,
+    parent-major and in outcome order, and the kept children are gathered
+    with one fancy index. Returns the new frontier's amplitudes, branch
+    probabilities and classical-bit masks.
+    """
+    _, _, sum_axes, order, measured, bits = step
+    table = np.abs(amps)
+    table = np.square(table, out=table).sum(axis=sum_axes).transpose(order)
+    if rng is not None:
+        x, zv = draw_bell_outcome(table[0].T, rng)
+        prob = float(table[0, x, zv])
+        if prob <= 0.0:
+            raise ValidationError(f"measurement outcome {(zv, x)} has zero probability")
+        idx = [slice(None)] * amps.ndim
+        idx[measured[0]], idx[measured[1]] = x, zv
+        return amps[tuple(idx)] / np.sqrt(prob), probs * prob, [ones[0] | bits[2 * x + zv]]
+    flat = table.reshape(-1)
+    kept = np.flatnonzero(flat > cutoff)
+    prob = flat[kept]
+    if kept.size and prob.min() <= 0.0:
+        raise ValidationError("measurement outcome has zero probability")
+    parents, ks = np.divmod(kept, len(bits))
+    idx: list = [parents] + [slice(None)] * (amps.ndim - 1)
+    for j, ax in enumerate(measured):
+        idx[ax] = ks >> (len(measured) - 1 - j) & 1
+    children = amps[tuple(idx)]
+    children /= np.sqrt(prob).reshape((-1,) + (1,) * (children.ndim - 1))
+    ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
+    return children, probs[parents] * prob, ones
 
 
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None,
          cutoff: float) -> list[Branch]:
+    """Run ``plan`` over a frontier that starts as the input state alone and
+    return one Branch per leaf, in depth-first order.
+
+    ``ones`` holds, per frontier entry, the mask of classical bits that read
+    1: outcome-variable bits for a measure plan, measured-qubit bits for a
+    unitary one. A conditioned step applies its kernel to the entries whose
+    mask passes its test, in one call when all or none of them do. Each
+    leaf's outcome dict is read off its mask once, at the end.
+    """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
-    leaves: list[Branch] = []
-    _run_plan(plan, input_state.shaped(), rng, cutoff, leaves)
-    return leaves
+    amps = input_state.amps.reshape((1,) + (2,) * plan.n)
+    probs = np.ones(1)
+    ones = [0]
+    for step in plan.steps:
+        op = step[0]
+        if op is _APPLY:
+            amps = step[1](amps, *step[2])
+        elif op is _COND:
+            _, test, kernel, args = step
+            fire = [i for i, m in enumerate(ones) if test(m)]
+            if len(fire) == len(ones):
+                amps = kernel(amps, *args)
+            elif fire:  # so two entries or more: amps no longer shares the input's buffer
+                amps[fire] = kernel(amps[fire], *args)
+        else:
+            for kernel, args in step[1]:
+                amps = kernel(amps, *args)
+            amps, probs, ones = _branch(step, amps, probs, ones, rng, cutoff)
+    if not ones:
+        return []
+    states = _extract(amps, list(plan.outputs))
+    del amps  # the branches keep only the rows
+    names = plan.names
+    return [Branch({name: 1 if m & bit else 0 for name, bit in names}, prob,
+                   StateVector(plan.n, vec))
+            for m, prob, vec in zip(ones, probs.tolist(), states)]
 
 
 def execute(p: CompiledProgram, input_state: StateVector,
@@ -684,17 +757,22 @@ def execute(p: CompiledProgram, input_state: StateVector,
     return leaf.state, ExecTranscript(records, bits)
 
 
+def _check_branch_bits(bells: int, max_outcome_bits: int) -> None:
+    if 2 * bells > max_outcome_bits:
+        raise ValidationError(
+            f"branch explosion: {bells} Bell measurements exceed {max_outcome_bits} outcome bits")
+
+
 def enumerate_branches(p: CompiledProgram, input_state: StateVector,
                        max_outcome_bits: int = 12, cutoff: float = 1e-12) -> list[Branch]:
     """Exhaustively expand every Bell outcome of positive probability.
 
     Branch probabilities partition 1. Refuses programs whose measurements
     carry more than max_outcome_bits classical bits (2 per Bell measurement).
+    Every branch is live at once, so memory grows with the branch count.
     """
-    bells = sum(1 for ins in p.instructions if ins.op is InstrOp.BELL)
-    if 2 * bells > max_outcome_bits:
-        raise ValidationError(
-            f"branch explosion: {bells} Bell measurements exceed {max_outcome_bits} outcome bits")
+    _check_branch_bits(sum(1 for ins in p.instructions if ins.op is InstrOp.BELL),
+                       max_outcome_bits)
     return _run(p.plan, input_state, None, cutoff)
 
 
@@ -831,28 +909,28 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
 
     After each Bell copy block its four qubits are Z-measured (one branch
     point each): from there on they are only ever controls of CNOTs, so
-    measuring them there commutes with the rest of the circuit. Each such
-    CNOT is resolved here, once, into an X on its target if the control's
-    bit is set; any other gate on a measured qubit raises. Gates left
-    buffered at the end are outside the outputs' light cone and cannot
-    affect them.
+    measuring them there commutes with the rest of the circuit. The i-th
+    measured qubit's classical bit is 1 << i, and each such CNOT is resolved
+    here, once, into an X on its target conditioned on that bit; any other
+    gate on a measured qubit raises. Gates left buffered at the end are
+    outside the outputs' light cone and cannot affect them.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     sched = _Schedule(up.n)
-    classical = sched.retired
+    classical: dict[int, int] = {}  # measured qubit -> its classical bit
     buffer: list[tuple[tuple[int, ...], Gate]] = []
 
     def flush(qubits) -> None:
         nonlocal buffer
         cone, buffer = _light_cone(buffer, qubits)
         for qs, g in cone:
-            if classical.isdisjoint(qs):
+            if classical.keys().isdisjoint(qs):
                 sched.gate(g.kind, qs)
             elif g.kind is not GateKind.CNOT:
                 raise ValidationError(f"{g.kind.value} on a measured qubit")
             elif qs[1] not in classical:
-                sched.steps.append((_XIF, qs[0], sched.axes(qs[1:])))
+                sched.cond(classical[qs[0]].__and__, GateKind.X, qs[1:])
             else:
                 source = "measured" if qs[0] in classical else "quantum"
                 raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
@@ -865,19 +943,22 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
         flush(order)
         sched.axes(order)
         for q in order:
-            sched.steps.append((_MEASURE, sched.window.index(q), q, var_of_qubit.get(q)))
-            sched.drop(q)
+            classical[q] = 1 << len(classical)
+            sched.branch((q,), ((var_of_qubit.get(q), classical[q]),))
     buffer += [(g.targets, g) for g in gates[start:]]
     flush(up.logical_outputs)
-    outputs = sched.axes(up.logical_outputs)  # allocates untouched outputs: before tuple(steps)
-    return ExecPlan(up.n, tuple(sched.steps), outputs, sched.peak)
+    return sched.plan(up.n, up.logical_outputs)
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
+                               max_outcome_bits: int = 12,
                                cutoff: float = 1e-12) -> list[Branch]:
     """Branch enumeration for a converted circuit: every outcome of the
     measured Bell and ancilla qubits (see _unitary_plan) of probability above
-    ``cutoff``, through the same runner as measure-mode programs."""
+    ``cutoff``, through the same runner as measure-mode programs. Refuses,
+    before any amplitude work, circuits whose Bell groups carry more than
+    max_outcome_bits classical bits (2 per group)."""
+    _check_branch_bits(len(up.bell_groups), max_outcome_bits)
     return _run(_unitary_plan(up), input_state, None, cutoff)
 
 

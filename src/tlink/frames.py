@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .circuits import Gate, GateKind, ValidationError
+from .circuits import CLIFFORD_KINDS, Gate, GateKind, ValidationError
 
 
 class Owner(Enum):
@@ -342,10 +342,6 @@ class SymbolicMask:
         return SymbolicMask(tuple(a), tuple(b))
 
 
-_CLIFFORD_KINDS = frozenset({GateKind.H, GateKind.P, GateKind.PDG, GateKind.CNOT,
-                             GateKind.X, GateKind.Z})
-
-
 def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
     """Check that a stage's gates are Clifford and return them in gate order.
 
@@ -355,7 +351,7 @@ def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
     """
     gates = tuple(clifford)
     for g in gates:
-        if g.kind not in _CLIFFORD_KINDS:
+        if g.kind not in CLIFFORD_KINDS:
             raise ValidationError(f"non-Clifford gate {g.kind.value} in Clifford stage")
     return gates
 

@@ -11,12 +11,13 @@ carried a teleported state psi, the partner afterwards holds X^x Z^z psi.
 A sampled Bell measurement consumes exactly one uniform draw from the
 supplied generator.
 
-The axis-level helpers at the end (allocation, EPR preparation, Bell
-rotation, projection, extraction) serve the compiler's execution plan only:
-it runs every program, the garden-hose gadget and protocol included, over a
-window of qubits from which measured pairs are factored out, so long runs
-stay within the size cap. Distinct states may be processed in parallel; none
-of these objects is shared-mutable.
+The gate kernels (gate_kernel) and the axis-level helpers at the end
+(allocation, EPR preparation, extraction) also serve the compiler's
+execution plan: it runs every program, the garden-hose gadget and protocol
+included, over a window of qubits from which measured pairs are factored
+out, so long runs stay within the size cap, with every live branch as one
+entry of a leading batch axis. Distinct states may be processed in parallel;
+none of these objects is shared-mutable.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ GATE_MATRICES = {
 _BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass
+@dataclass(slots=True)
 class StateVector:
     n: int
     amps: np.ndarray
@@ -109,16 +110,22 @@ def basis_bits(state: StateVector, context: str) -> tuple[int, ...]:
     return tuple((idx >> (state.n - 1 - j)) & 1 for j in range(state.n))
 
 
-_DIAG_VECS = {
-    kind: np.array([mat[0, 0], mat[1, 1]]).reshape(1, 2, 1)
+# The gate kernels below take an amplitude array of any shape whose trailing
+# axes are qubits; leading axes, such as the execution plan's batch of
+# branches, ride along. A kernel is resolved once per gate by gate_kernel and
+# returns a new array.
+
+_PHASES = tuple(
+    (kind, np.array([mat[0, 0], mat[1, 1]]).reshape(1, 2, 1))
     for kind, mat in GATE_MATRICES.items()
     if mat[0, 1] == 0 and mat[1, 0] == 0
-}
+)
+_H_MATRIX = GATE_MATRICES[GateKind.H]
 
 
-def _apply_1q(shaped: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    pre = 1 << axis
-    v = shaped.reshape(pre, 2, -1)
+def _mix(shaped: np.ndarray, mat: np.ndarray, post: int) -> np.ndarray:
+    """A 2x2 matrix on the axis followed by ``post`` amplitudes."""
+    v = shaped.reshape(-1, 2, post)
     out = np.empty_like(v)
     a0, a1 = v[:, 0, :], v[:, 1, :]
     out[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
@@ -126,27 +133,49 @@ def _apply_1q(shaped: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(shaped.shape)
 
 
-def _apply_cnot(shaped: np.ndarray, control: int, target: int) -> np.ndarray:
+def _phase(shaped: np.ndarray, vec: np.ndarray, post: int) -> np.ndarray:
+    """A diagonal gate, as its (1, 2, 1) diagonal."""
+    return (shaped.reshape(-1, 2, post) * vec).reshape(shaped.shape)
+
+
+def _flip(shaped: np.ndarray, post: int) -> np.ndarray:
+    """X: swap the halves of the axis."""
+    return shaped.reshape(-1, 2, post)[:, ::-1, :].reshape(shaped.shape)
+
+
+def _swap(shaped: np.ndarray, idx10: tuple, idx11: tuple) -> np.ndarray:
+    """CNOT: exchange the slices where control reads 1 and target 0 or 1."""
     out = shaped.copy()
-    idx10 = [slice(None)] * shaped.ndim
-    idx11 = [slice(None)] * shaped.ndim
-    idx10[control], idx10[target] = 1, 0
-    idx11[control], idx11[target] = 1, 1
-    out[tuple(idx10)] = shaped[tuple(idx11)]
-    out[tuple(idx11)] = shaped[tuple(idx10)]
+    out[idx10] = shaped[idx11]
+    out[idx11] = shaped[idx10]
     return out
 
 
-def _apply_kind(shaped: np.ndarray, kind: GateKind, qubits: tuple[int, ...]) -> np.ndarray:
+def gate_kernel(kind: GateKind, axes: tuple[int, ...], ndim: int) -> tuple:
+    """``(kernel, args)`` applying ``kind`` on array ``axes`` of an
+    ``ndim``-axis array, for ``kernel(array, *args)``. Kinds are told apart
+    by identity, so no gate pays for hashing an Enum."""
     if kind is GateKind.CNOT:
-        return _apply_cnot(shaped, *qubits)
-    axis = qubits[0]
-    diag = _DIAG_VECS.get(kind)
-    if diag is not None:
-        return (shaped.reshape(1 << axis, 2, -1) * diag).reshape(shaped.shape)
+        control, target = axes
+        idx10 = [slice(None)] * (max(axes) + 1)
+        idx11 = list(idx10)
+        idx10[control], idx10[target] = 1, 0
+        idx11[control], idx11[target] = 1, 1
+        return _swap, (tuple(idx10), tuple(idx11))
+    post = 1 << (ndim - 1 - axes[0])
     if kind is GateKind.X:
-        return shaped.reshape(1 << axis, 2, -1)[:, ::-1, :].reshape(shaped.shape)
-    return _apply_1q(shaped, GATE_MATRICES[kind], axis)
+        return _flip, (post,)
+    if kind is GateKind.H:
+        return _mix, (_H_MATRIX, post)
+    for diag_kind, vec in _PHASES:
+        if diag_kind is kind:
+            return _phase, (vec, post)
+    raise ValidationError(f"no kernel for gate {kind.value}")
+
+
+def _apply_kind(shaped: np.ndarray, kind: GateKind, qubits: tuple[int, ...]) -> np.ndarray:
+    kernel, args = gate_kernel(kind, qubits, shaped.ndim)
+    return kernel(shaped, *args)
 
 
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
@@ -173,10 +202,10 @@ def apply_mask(state: StateVector, m: PauliMask) -> StateVector:
     shaped = state.shaped()
     for q in range(state.n):
         if m.a[q]:
-            shaped = _apply_1q(shaped, GATE_MATRICES[GateKind.X], q)
+            shaped = _apply_kind(shaped, GateKind.X, (q,))
     for q in range(state.n):
         if m.b[q]:
-            shaped = _apply_1q(shaped, GATE_MATRICES[GateKind.Z], q)
+            shaped = _apply_kind(shaped, GateKind.Z, (q,))
     return StateVector(state.n, shaped.reshape(-1))
 
 
@@ -187,8 +216,9 @@ def fidelity_up_to_phase(u: StateVector, v: StateVector) -> float:
 
 
 # -- axis-level helpers --------------------------------------------------------
-# Used by the compiler's execution plan: each takes and returns a plain
-# (2,)*w amplitude array whose axes the caller names.
+# Used by the compiler's execution plan, whose amplitude array carries one
+# leading batch axis (one entry per live branch) before the window's qubit
+# axes. Each helper returns a new array.
 
 def _grow(amps: np.ndarray) -> np.ndarray:
     """Append one fresh |0> axis."""
@@ -206,46 +236,25 @@ def _grow_epr(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _marginal(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    marg = np.abs(amps) ** 2
-    return marg.sum(axis=tuple(i for i in range(amps.ndim) if i not in keep))
-
-
-def _bell_rotate(amps: np.ndarray, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate axes (r, s) by CNOT(r, s) then H(r); return the rotated array
-    and its 2x2 outcome probabilities indexed [z, x]."""
-    rot = _apply_1q(_apply_cnot(amps, r, s), GATE_MATRICES[GateKind.H], r)
-    probs = _marginal(rot, (r, s))
-    return rot, (probs.T if r > s else probs)
-
-
-def _project(amps: np.ndarray, probs: np.ndarray, axes: tuple[int, ...],
-             bits: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Keep the slice where each axis reads its bit, dropping those axes, and
-    renormalize; ``probs`` is indexed by the bits in axis order given."""
-    prob = float(probs[bits])
-    if prob <= 0.0:
-        raise ValidationError(f"measurement outcome {bits} has zero probability")
-    idx = [slice(None)] * amps.ndim
-    for ax, bit in zip(axes, bits):
-        idx[ax] = bit
-    return amps[tuple(idx)] / np.sqrt(prob), prob
-
-
-def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> StateVector:
-    """Pure state on the axes ``front``; the other axes must factor out."""
-    rest = [ax for ax in range(amps.ndim) if ax not in front]
-    mat = np.transpose(amps, front + rest).reshape(2 ** len(front), -1)
-    if mat.shape[1] == 1:
-        vec = mat[:, 0]
-        return StateVector(len(front), vec / np.linalg.norm(vec))
-    col = int(np.argmax(np.linalg.norm(mat, axis=0)))
-    vec = mat[:, col]
-    vec = vec / np.linalg.norm(vec)
-    residual = mat - np.outer(vec, vec.conj() @ mat)
-    if np.linalg.norm(residual) > tol:
+def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> np.ndarray:
+    """For each batch entry of ``amps`` (batch axis first, then qubit axes),
+    the normalized pure state on the qubit axes ``front``, one row each; the
+    other axes must factor out of every entry."""
+    width = amps.ndim - 1
+    rest = [ax for ax in range(width) if ax not in front]
+    mats = np.transpose(amps, [0] + [ax + 1 for ax in front + rest])
+    mats = mats.reshape(amps.shape[0], 2 ** len(front), -1)
+    if mats.shape[2] == 1:
+        vecs = mats[:, :, 0]
+        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    cols = np.argmax(np.linalg.norm(mats, axis=1), axis=1)
+    vecs = mats[np.arange(mats.shape[0]), :, cols]
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    overlap = np.einsum("bf,bfr->br", vecs.conj(), mats)
+    residual = mats - vecs[:, :, None] * overlap[:, None, :]
+    if mats.shape[0] and np.linalg.norm(residual, axis=(1, 2)).max() > tol:
         raise ValidationError("extraction target is entangled with the rest of the register")
-    return StateVector(len(front), vec)
+    return vecs
 
 
 def draw_bell_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:

@@ -75,6 +75,44 @@ def circuit_matrix(c: LayeredCircuit) -> np.ndarray:
     return gates_matrix(flatten(c), c.n)
 
 
+def apply_gates(amps: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply gates to an n-qubit amplitude vector one qubit axis at a time,
+    with the literal 2x2 matrices above and CNOT as a basis permutation: the
+    matrix oracle for registers too wide for full 2^n x 2^n matrices."""
+    out = np.asarray(amps, dtype=complex).reshape((2,) * n)
+    for g in gates:
+        if g.kind is GateKind.CNOT:
+            c, t = g.targets
+            out = out.copy()
+            on = [slice(None)] * n
+            on[c] = 1
+            out[tuple(on)] = np.flip(out[tuple(on)], axis=t - (t > c)).copy()
+        else:
+            q = g.targets[0]
+            out = np.moveaxis(np.tensordot(MAT_1Q[g.kind.value], out, axes=([1], [q])), 0, q)
+    return out.reshape(-1)
+
+
+def project(amps: np.ndarray, n: int, bits: dict[int, int]) -> np.ndarray:
+    """Zero every amplitude where some qubit q does not read ``bits[q]``."""
+    out = np.zeros((2,) * n, dtype=complex)
+    idx = [slice(None)] * n
+    for q, b in bits.items():
+        idx[q] = b
+    out[tuple(idx)] = np.asarray(amps).reshape((2,) * n)[tuple(idx)]
+    return out.reshape(-1)
+
+
+def factor_state(amps: np.ndarray, n: int, front) -> StateVector:
+    """The normalized state on the qubits ``front`` of a product state whose
+    other qubits are in one basis state: its largest column."""
+    rest = [q for q in range(n) if q not in front]
+    mat = np.transpose(np.asarray(amps).reshape((2,) * n), list(front) + rest)
+    mat = mat.reshape(2 ** len(front), -1)
+    vec = mat[:, int(np.argmax(np.linalg.norm(mat, axis=0)))]
+    return StateVector(len(front), vec / np.linalg.norm(vec))
+
+
 def sigma(mask: PauliMask) -> np.ndarray:
     """Tensor product of X^a Z^b per qubit."""
     out = np.eye(1, dtype=complex)

@@ -1,8 +1,10 @@
 """SHA-256 pins of CLI output on fixed seeds: the garden-hose gadget, the
-one-exchange protocol with its transcript file, the cross-term report and the
-unitary-mode circuit file. The digests were taken before the gadget's
-symbolic mode, its bridge teleport and the degree-2 unitary conversion were
-removed, so they show that the remaining paths print what they printed."""
+one-exchange protocol with its transcript file, the cross-term report, the
+unitary-mode circuit file and `tlink verify` on a faulty program. The digests
+were taken before the gadget's symbolic mode, its bridge teleport and the
+degree-2 unitary conversion were removed, and the verify ones before the
+executor moved every branch through each step at once, so they show that the
+remaining paths print what they printed."""
 import hashlib
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from conftest import random_circuit
 from tlink import cli
 from tlink.circuits import serialize_circuit
-from tlink.compiler import InstrOp, compile_measure
+from tlink.compiler import InstrOp, compile_measure, serialize_program
 
 # (p, q) of `tlink gadget --p p --q q --seed 7`, with the SHA-256 of its stdout.
 GADGET = [
@@ -31,6 +33,14 @@ PROTOCOL_TRANSCRIPT = "99c529fc07213fa3b0cebcb43736be054c25cbcfafe048e3719347c00
 # on wires 0 and 1, and the unitary-mode file of its compiled program.
 CROSSTERMS = "4ef9a7d883c1888f5a456526be5d69ba882c4129b5d51064db6f3da638fe5eed"
 UNITARY_FILE = "31cf8025b918ee401d54065c2eb22b5d0ff43f1ba96eb1de4f8b7838a9e2559a"
+
+# random_circuit(default_rng(2), 2, 3, max_clifford=6) compiled, with one
+# conditioned P-dagger line dropped: `tlink verify --program` exits 4 and
+# prints the worst fidelity and the first branch that reaches it. The sampled
+# run fixes the Bell draws; the exhaustive one the branch order.
+FAULTY_DROPPED = "PDG 8 IF m0x ^ m1x ^ m2x\n"
+VERIFY_SAMPLED = "c06d5d99d640124065a045273f5a961250ad0577f5076914929e5f615b28b47f"
+VERIFY_EXHAUSTIVE = "e0fac2fdbd0f456056d3a10596934e3e0ab846ddf7ee79db769649e6120f408d"
 
 
 def sha256(text: str) -> str:
@@ -84,3 +94,19 @@ def test_unitary_circuit_file_is_pinned(tmp_path, capsys, rc_3_4):
     out = tmp_path / "u.txt"
     stdout_of(capsys, ["compile", "--in", str(src), "--out", str(out), "--mode", "unitary"])
     assert sha256(out.read_text()) == UNITARY_FILE
+
+
+@pytest.mark.parametrize("extra,digest", [(["--seed", "3"], VERIFY_SAMPLED),
+                                          (["--exhaustive"], VERIFY_EXHAUSTIVE)])
+def test_verify_of_a_faulty_program_is_pinned(tmp_path, capsys, extra, digest):
+    c = random_circuit(np.random.default_rng(2), 2, 3, max_clifford=6)
+    text = serialize_program(compile_measure(c))
+    assert FAULTY_DROPPED in text
+    src, prog = tmp_path / "c.txt", tmp_path / "p.prog"
+    src.write_text(serialize_circuit(c))
+    prog.write_text(text.replace(FAULTY_DROPPED, ""))
+    code = cli.main(["verify", "--in", str(src), "--program", str(prog), *extra])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_FIDELITY
+    assert "worst_branch=" in out
+    assert sha256(out) == digest

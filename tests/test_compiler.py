@@ -1,7 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import assert_frame_coherence, random_circuit, random_state
+from conftest import (
+    apply_gates,
+    assert_frame_coherence,
+    factor_state,
+    project,
+    random_circuit,
+    random_state,
+)
 from test_program_text import HAND
 from tlink.circuits import (
     DepthMetrics,
@@ -11,6 +20,8 @@ from tlink.circuits import (
     ParseError,
     Stage,
     ValidationError,
+    cnot,
+    h,
     parse_circuit,
 )
 from tlink.compiler import (
@@ -23,7 +34,8 @@ from tlink.compiler import (
     report,
     serialize_program,
 )
-from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
+from tlink.frames import poly_eval
+from tlink.oracle import _BELL_OUTCOMES, MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
 
 
 def bells(p):
@@ -378,3 +390,99 @@ class TestExecPlan:
         prog = parse_program(text)
         with pytest.raises(ValidationError, match=match):
             prog.plan
+
+
+_COND_GATES = {InstrOp.COND_PDG: GateKind.PDG, InstrOp.COND_X: GateKind.X,
+               InstrOp.COND_Z: GateKind.Z}
+
+
+def branch_reference(p, psi, outcomes: dict[str, int]):
+    """Probability and output state of one outcome assignment, from the full
+    register with the conftest matrix oracle: each instruction as literal
+    gates, each Bell rotated and projected onto its assigned bits, each
+    condition evaluated at the assignment."""
+    total = p.total_qubits
+    amps = np.kron(psi.amps, np.eye(2 ** (total - p.n))[0])
+    for ins in p.instructions:
+        if ins.op is InstrOp.EPR:
+            amps = apply_gates(amps, [h(ins.qubits[0]), cnot(*ins.qubits)], total)
+        elif ins.op is InstrOp.GATE:
+            amps = apply_gates(amps, [ins.gate], total)
+        elif ins.op is InstrOp.BELL:
+            r, s = ins.qubits
+            vx, vz = ins.out_vars
+            amps = apply_gates(amps, [cnot(r, s), h(r)], total)
+            amps = project(amps, total, {r: outcomes[vz], s: outcomes[vx]})
+        elif poly_eval(ins.cond, outcomes):
+            amps = apply_gates(amps, [Gate(_COND_GATES[ins.op], ins.qubits)], total)
+    prob = float(np.linalg.norm(amps) ** 2)
+    return prob, (factor_state(amps, total, p.logical_outputs) if prob > 0 else None)
+
+
+def assert_matches_reference(p, psi, cutoff: float = 1e-12) -> int:
+    """Every branch of enumerate_branches against branch_reference: the
+    branches are exactly the assignments above ``cutoff``, in lexicographic
+    _BELL_OUTCOMES order per Bell in program order."""
+    names = [ins.out_vars for ins in bells(p)]
+    want = []
+    for choice in itertools.product(_BELL_OUTCOMES, repeat=len(names)):
+        outcomes = {v: bit for (vx, vz), (xv, zv) in zip(names, choice)
+                    for v, bit in ((vx, xv), (vz, zv))}
+        prob, state = branch_reference(p, psi, outcomes)
+        if prob > cutoff:
+            want.append((outcomes, prob, state))
+    got = enumerate_branches(p, psi)
+    assert [b.outcomes for b in got] == [w[0] for w in want]
+    for b, (_, prob, state) in zip(got, want):
+        assert list(b.outcomes) == [v for pair in names for v in pair]
+        assert b.probability == pytest.approx(prob, abs=1e-12)
+        assert fidelity_up_to_phase(b.state, state) >= 1 - 1e-10
+    return len(got)
+
+
+# Two links whose corrections fire on some frontier entries and not on others,
+# one of them on a product of two outcomes.
+PARTIAL = """QUBITS 6
+EPR 2 3
+EPR 4 5
+H 0
+T 0
+CNOT 0 1
+BELL 0 2 -> a b
+X 3 IF a
+PDG 3 IF a * b
+H 3
+BELL 1 4 -> c d
+Z 5 IF b ^ d ^ 1
+X 5 IF c
+T 5
+OUT 0 3
+OUT 1 5
+"""
+
+
+class TestFrontier:
+    """The frontier runner against the independent matrix oracle, branch by
+    branch."""
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+    def test_random_circuits_match_reference(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        for _ in range(3):
+            c = random_circuit(rng, n, k, max_clifford=3 * n)
+            psi = random_state(rng, n)
+            assert assert_matches_reference(compile_measure(c), psi) == 4 ** (n * (k - 1))
+
+    def test_partial_conditions_match_reference(self, rng):
+        prog = parse_program(PARTIAL)
+        for _ in range(3):
+            assert assert_matches_reference(prog, random_state(rng, 2)) == 16
+
+    def test_sampled_shot_is_one_enumerated_branch(self, rng):
+        prog = parse_program(PARTIAL)
+        psi = random_state(rng, 2)
+        branches = {tuple(b.outcomes.items()): b for b in enumerate_branches(prog, psi)}
+        for _ in range(8):
+            out, transcript = execute(prog, psi, rng)
+            b = branches[tuple(transcript.outcomes.items())]
+            assert fidelity_up_to_phase(out, b.state) >= 1 - 1e-12

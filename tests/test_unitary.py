@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import gates_matrix, random_circuit, random_state
+from conftest import apply_gates, factor_state, gates_matrix, project, random_circuit, random_state
 from tlink.circuits import (
     GateKind,
     ValidationError,
@@ -20,8 +22,10 @@ from tlink.compiler import (
     Instruction,
     InstrOp,
     UnitaryProgram,
+    _COND,
     _cs_dag,
     _schedule_depth,
+    _unitary_plan,
     compile_measure,
     enumerate_branches,
     enumerate_unitary_branches,
@@ -43,8 +47,13 @@ def coherent_state(up: UnitaryProgram, psi) -> StateVector:
     return apply_circuit(init_state(up.total_qubits, np.kron(psi.amps, zeros)), up.circuit)
 
 
+def outputs_of(up: UnitaryProgram, shaped: np.ndarray) -> StateVector:
+    """The state on the logical wires; every other qubit must factor out."""
+    return StateVector(up.n, _extract(shaped[None], list(up.logical_outputs))[0])
+
+
 def run_unitary_coherently(up: UnitaryProgram, psi):
-    return _extract(coherent_state(up, psi).shaped(), list(up.logical_outputs))
+    return outputs_of(up, coherent_state(up, psi).shaped())
 
 
 def cond_pdg_count(prog: CompiledProgram) -> int:
@@ -229,8 +238,7 @@ class TestParityAccumulation:
         psi = random_state(rng, 1)
         full = coherent_state(up, psi).shaped()
         assert np.sum(np.abs(np.take(full, 1, axis=scratch)) ** 2) == pytest.approx(0.0, abs=1e-12)
-        assert fidelity_up_to_phase(_extract(full, list(up.logical_outputs)),
-                                    apply_circuit(psi, c)) >= 1 - 1e-10
+        assert fidelity_up_to_phase(outputs_of(up, full), apply_circuit(psi, c)) >= 1 - 1e-10
 
     def test_pdg_on_constant_condition(self, rng):
         # Condition 1 alone: X on the scratch, controlled P-dagger, X back.
@@ -239,3 +247,54 @@ class TestParityAccumulation:
         psi = random_state(rng, 1)
         want = init_state(1, psi.amps * np.array([1, -1j]))
         assert fidelity_up_to_phase(run_unitary_coherently(up, psi), want) >= 1 - 1e-10
+
+
+class TestFrontierAgainstReference:
+    """enumerate_unitary_branches against the conftest matrix oracle: the
+    whole converted circuit run coherently, then projected onto each branch's
+    outcome ancillas."""
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (1, 4), (2, 2)])
+    def test_random_circuits(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        for _ in range(3):
+            c = random_circuit(rng, n, k, max_clifford=3 * n)
+            up = to_unitary(compile_measure(c))
+            # the final corrections are CNOTs from measured ancillas: conditioned X steps
+            assert any(step[0] is _COND for step in _unitary_plan(up).steps)
+            psi = random_state(rng, n)
+            total = up.total_qubits
+            full = apply_gates(np.kron(psi.amps, np.eye(2 ** (total - n))[0]),
+                               flatten(up.circuit), total)
+            var_of = {q: v for v, q in up.var_qubits.items()}
+            groups = [(var_of[g.anc_z], var_of[g.anc_x]) for g in up.bell_groups]
+            want = []
+            # The plan measures r (the z bit) before s (the x bit): per group,
+            # branches come in lexicographic (z, x) order.
+            for choice in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=len(groups)):
+                outcomes = {v: bit for (vz, vx), (zv, xv) in zip(groups, choice)
+                            for v, bit in ((vz, zv), (vx, xv))}
+                amps = project(full, total, {up.var_qubits[v]: bit for v, bit in outcomes.items()})
+                prob = float(np.linalg.norm(amps) ** 2)
+                if prob > 1e-12:
+                    want.append((outcomes, prob, factor_state(amps, total, up.logical_outputs)))
+            got = enumerate_unitary_branches(up, psi)
+            assert [b.outcomes for b in got] == [w[0] for w in want]
+            assert len(got) == 4 ** len(groups)
+            for b, (_, prob, state) in zip(got, want):
+                assert b.probability == pytest.approx(prob, abs=1e-12)
+                assert fidelity_up_to_phase(b.state, state) >= 1 - 1e-10
+
+    def test_branch_explosion_guard(self, rng):
+        def converted(k):
+            c = random_circuit(np.random.default_rng(k), 1, k, allow_empty_final=False)
+            return to_unitary(compile_measure(c))
+
+        six, seven = converted(7), converted(8)
+        assert (len(six.bell_groups), len(seven.bell_groups)) == (6, 7)
+        assert len(enumerate_unitary_branches(six, random_state(rng, 1))) == 4 ** 6
+        # A 2-qubit input does not fit: the guard raises before any amplitude work.
+        with pytest.raises(ValidationError, match="branch explosion: 7 Bell measurements"):
+            enumerate_unitary_branches(seven, random_state(rng, 2))
+        assert len(enumerate_unitary_branches(seven, random_state(rng, 1),
+                                              max_outcome_bits=14)) == 4 ** 7
