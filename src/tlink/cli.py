@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuits import LayeredCircuit, ParseError, ValidationError, depth_metrics, parse_circuit
 from .compiler import (
+    MAX_OUTCOME_BITS,
     compile_measure,
     compile_speculative,
     enumerate_branches,
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--nmax", type=int, default=6)
     sp.add_argument("--shots", type=int, default=20)
-    sp.add_argument("--max-bits", type=int, default=12, dest="max_bits")
+    sp.add_argument("--max-bits", type=int, default=MAX_OUTCOME_BITS, dest="max_bits")
     sp.add_argument("--program", default=None, help="verify this program file instead of recompiling")
     sp.set_defaults(func=cmd_verify)
 

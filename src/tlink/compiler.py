@@ -730,7 +730,10 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
             fire = [i for i, m in enumerate(ones) if test(m)]
             if len(fire) == len(ones):
                 amps = kernel(amps, *args)
-            elif fire:  # so two entries or more: amps no longer shares the input's buffer
+            elif fire:
+                # A partial selection needs two entries or more, and a frontier
+                # that wide comes from _branch's gather, so the runner owns amps
+                # and may write into it (a kernel such as X may return a view).
                 amps[fire] = kernel(amps[fire], *args)
         else:
             for kernel, args in step[1]:
@@ -757,6 +760,11 @@ def execute(p: CompiledProgram, input_state: StateVector,
     return leaf.state, ExecTranscript(records, bits)
 
 
+# Exhaustive enumeration keeps every branch live at once, so both enumerations
+# refuse programs whose measurements carry more classical bits than this.
+MAX_OUTCOME_BITS = 12
+
+
 def _check_branch_bits(bells: int, max_outcome_bits: int) -> None:
     if 2 * bells > max_outcome_bits:
         raise ValidationError(
@@ -764,7 +772,8 @@ def _check_branch_bits(bells: int, max_outcome_bits: int) -> None:
 
 
 def enumerate_branches(p: CompiledProgram, input_state: StateVector,
-                       max_outcome_bits: int = 12, cutoff: float = 1e-12) -> list[Branch]:
+                       max_outcome_bits: int = MAX_OUTCOME_BITS,
+                       cutoff: float = 1e-12) -> list[Branch]:
     """Exhaustively expand every Bell outcome of positive probability.
 
     Branch probabilities partition 1. Refuses programs whose measurements
@@ -951,14 +960,13 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
-                               max_outcome_bits: int = 12,
                                cutoff: float = 1e-12) -> list[Branch]:
     """Branch enumeration for a converted circuit: every outcome of the
     measured Bell and ancilla qubits (see _unitary_plan) of probability above
     ``cutoff``, through the same runner as measure-mode programs. Refuses,
     before any amplitude work, circuits whose Bell groups carry more than
-    max_outcome_bits classical bits (2 per group)."""
-    _check_branch_bits(len(up.bell_groups), max_outcome_bits)
+    MAX_OUTCOME_BITS classical bits (2 per group)."""
+    _check_branch_bits(len(up.bell_groups), MAX_OUTCOME_BITS)
     return _run(_unitary_plan(up), input_state, None, cutoff)
 
 

@@ -112,8 +112,9 @@ def basis_bits(state: StateVector, context: str) -> tuple[int, ...]:
 
 # The gate kernels below take an amplitude array of any shape whose trailing
 # axes are qubits; leading axes, such as the execution plan's batch of
-# branches, ride along. A kernel is resolved once per gate by gate_kernel and
-# returns a new array.
+# branches, ride along. A kernel is resolved once per gate by gate_kernel.
+# The X kernel (_flip) may return a reversed-stride view of its input; the
+# others return a new array.
 
 _PHASES = tuple(
     (kind, np.array([mat[0, 0], mat[1, 1]]).reshape(1, 2, 1))

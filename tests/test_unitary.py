@@ -296,5 +296,3 @@ class TestFrontierAgainstReference:
         # A 2-qubit input does not fit: the guard raises before any amplitude work.
         with pytest.raises(ValidationError, match="branch explosion: 7 Bell measurements"):
             enumerate_unitary_branches(seven, random_state(rng, 2))
-        assert len(enumerate_unitary_branches(seven, random_state(rng, 1),
-                                              max_outcome_bits=14)) == 4 ** 7
