@@ -58,7 +58,6 @@ from .gardenhose import (
     run_protocol1,
 )
 from .oracle import (
-    MeasRecord,
     StateVector,
     apply_circuit,
     apply_gate,

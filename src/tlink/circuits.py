@@ -224,6 +224,20 @@ def _parse_gate_line(tokens: list[str], n: int, lineno: int) -> Gate:
     return Gate(kind, targets)
 
 
+def _parse_header(tokens: list[str], lineno: int) -> int:
+    """The qubit count of the ``QUBITS <n>`` line that opens circuit and
+    program text."""
+    if tokens[0] != "QUBITS" or len(tokens) != 2:
+        raise ParseError("expected 'QUBITS <n>' header", lineno)
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise ParseError("qubit count must be an integer", lineno) from None
+    if n < 1:
+        raise ParseError("qubit count must be positive", lineno)
+    return n
+
+
 def parse_circuit(text: str) -> LayeredCircuit:
     """Parse circuit text; inverse of serialize_circuit on canonical form."""
     n: int | None = None
@@ -238,14 +252,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
             continue
         tokens = line.split()
         if n is None:
-            if tokens[0] != "QUBITS" or len(tokens) != 2:
-                raise ParseError("expected 'QUBITS <n>' header", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError("qubit count must be an integer", lineno) from None
-            if n < 1:
-                raise ParseError("qubit count must be positive", lineno)
+            n = _parse_header(tokens, lineno)
             continue
         if line == "---":
             stages.append(Stage(tuple(cliff), frozenset(t_layer)))

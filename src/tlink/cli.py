@@ -16,7 +16,6 @@ import numpy as np
 
 from .circuits import LayeredCircuit, ParseError, ValidationError, depth_metrics, parse_circuit
 from .compiler import (
-    MAX_OUTCOME_BITS,
     compile_measure,
     compile_speculative,
     enumerate_branches,
@@ -124,7 +123,7 @@ def cmd_verify(args) -> int:
     # branch (the first one at the minimum) does not depend on rounding noise.
     worst = (1.0, {})
     if args.exhaustive:
-        branches = enumerate_branches(program, psi, max_outcome_bits=args.max_bits)
+        branches = enumerate_branches(program, psi)
         for br in branches:
             fid = round(fidelity_up_to_phase(br.state, reference), 12)
             if fid < worst[0]:
@@ -132,10 +131,10 @@ def cmd_verify(args) -> int:
     else:
         rng = np.random.default_rng(seed)
         for _ in range(args.shots):
-            out, transcript = execute(program, psi, rng)
+            out, outcomes = execute(program, psi, rng)
             fid = round(fidelity_up_to_phase(out, reference), 12)
             if fid < worst[0]:
-                worst = (fid, transcript.outcomes)
+                worst = (fid, outcomes)
     print(f"min_fidelity={worst[0]:.12f}")
     if worst[0] < 1.0 - tolerance:
         assignment = ",".join(f"{k}={v}" for k, v in sorted(worst[1].items())) or "-"
@@ -206,10 +205,10 @@ def cmd_speculate(args) -> int:
     bits = args.input if args.input is not None else "0" * circuit.n
     program = compile_speculative(circuit, args.r, bits)
     rng = np.random.default_rng(seed)
-    out_bits, _, rep = execute_speculative(program, rng)
+    out_bits, _ = execute_speculative(program, rng)
     final = apply_circuit(init_state(circuit.n, bits), circuit)
     direct = "".join(map(str, basis_bits(final, "direct run")))
-    print(f"critical_path={rep.critical_path}")
+    print(f"critical_path={len(program.groups)}")
     print(f"groups={len(program.groups)}")
     print(f"output={out_bits}")
     print(f"matches_direct={'true' if out_bits == direct else 'false'}")
@@ -229,56 +228,51 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Clifford+T teleportation-link toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_in=True):
-        if needs_in:
+    def add(name, func, help, infile=True, seed=False, tolerance=False):
+        """A subcommand with only the common options its command reads."""
+        sp = sub.add_parser(name, help=help)
+        if infile:
             sp.add_argument("--in", dest="infile", required=True, help="circuit file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tolerance", type=float, default=1e-10)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
+        if tolerance:
+            sp.add_argument("--tolerance", type=float, default=1e-10)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("compile", help="compile a circuit into a linked program")
-    add_common(sp)
+    sp = add("compile", cmd_compile, "compile a circuit into a linked program")
     sp.add_argument("--out", dest="outfile", required=True)
     sp.add_argument("--mode", choices=("measure", "unitary"), default="measure")
-    sp.set_defaults(func=cmd_compile)
 
-    sp = sub.add_parser("verify", help="check a compiled program against the oracle")
-    add_common(sp)
+    sp = add("verify", cmd_verify, "check a compiled program against the oracle",
+             seed=True, tolerance=True)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--nmax", type=int, default=6)
     sp.add_argument("--shots", type=int, default=20)
-    sp.add_argument("--max-bits", type=int, default=MAX_OUTCOME_BITS, dest="max_bits")
     sp.add_argument("--program", default=None, help="verify this program file instead of recompiling")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("gadget", help="run or tabulate the garden-hose gadget")
-    add_common(sp, needs_in=False)
+    sp = add("gadget", cmd_gadget, "run or tabulate the garden-hose gadget",
+             infile=False, seed=True, tolerance=True)
     sp.add_argument("--p", type=int, choices=(0, 1), default=0)
     sp.add_argument("--q", type=int, choices=(0, 1), default=0)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.set_defaults(func=cmd_gadget)
 
-    sp = sub.add_parser("protocol1", help="run the instantaneous two-party protocol")
-    add_common(sp)
+    sp = add("protocol1", cmd_protocol1, "run the instantaneous two-party protocol",
+             seed=True, tolerance=True)
     sp.add_argument("--alice", default="", help="comma-separated wires Alice holds")
     sp.add_argument("--return-wires", default="", dest="return_wires",
                     help="wires teleported back to Alice")
     sp.add_argument("--transcript", default=None, help="write the event log here")
-    sp.set_defaults(func=cmd_protocol1)
 
-    sp = sub.add_parser("crossterms", help="report mixed-owner key monomials")
-    add_common(sp)
+    sp = add("crossterms", cmd_crossterms, "report mixed-owner key monomials")
     sp.add_argument("--alice", default="0")
-    sp.set_defaults(func=cmd_crossterms)
 
-    sp = sub.add_parser("speculate", help="grouped speculative run for classical circuits")
-    add_common(sp)
+    sp = add("speculate", cmd_speculate, "grouped speculative run for classical circuits",
+             seed=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--input", default=None, help="classical input bitstring")
-    sp.set_defaults(func=cmd_speculate)
 
-    sp = sub.add_parser("stats", help="depth metrics of a circuit")
-    add_common(sp)
-    sp.set_defaults(func=cmd_stats)
+    add("stats", cmd_stats, "depth metrics of a circuit")
     return parser
 
 

@@ -23,7 +23,16 @@ for circuits that act classically on basis states: stages are linked r at a
 time. A stage that maps one basis state to a basis state maps all of them,
 affinely, and a pending P-dagger is only a phase there, so each group runs
 once on its teleported input while the link outcomes are tracked as a Pauli
-frame and undone on the output bits.
+frame and undone on the output bits. Its critical path is one step per group.
+
+Programs store only what cannot be recomputed. A CompiledProgram is its
+qubit count, its output wires and its instructions; its wire count n, its
+declared depth and its execution plan are derived from them on first use,
+so no program can carry a depth or a width that disagrees with its own
+instructions. UnitaryProgram and SpeculativeProgram derive their sizes the
+same way. A run returns its results and the outcomes it drew, nothing more:
+execute gives the output state and the value of every outcome variable,
+execute_speculative the output bits and the link outcomes.
 
 Cost model for declared depth: every gate costs 1 layer, a Bell measurement
 costs 3 (CNOT, H, readout), a conditioned single-qubit correction costs 1,
@@ -50,6 +59,7 @@ from .circuits import (
     Stage,
     ValidationError,
     _parse_gate_line,
+    _parse_header,
     cnot,
     depth_metrics,
     flatten,
@@ -76,7 +86,6 @@ from .frames import (
 )
 from .oracle import (
     MAX_QUBITS,
-    MeasRecord,
     StateVector,
     _extract,
     _grow,
@@ -117,11 +126,21 @@ class Instruction:
 
 @dataclass(frozen=True)
 class CompiledProgram:
+    """A program holds only its instructions, its qubit count and its
+    output wires; everything else is derived from them on first use."""
+
     total_qubits: int
-    n: int
     logical_outputs: tuple[int, ...]
     instructions: tuple[Instruction, ...]
-    declared_depth: DepthMetrics
+
+    @property
+    def n(self) -> int:
+        return len(self.logical_outputs)
+
+    @cached_property
+    def declared_depth(self) -> DepthMetrics:
+        """The ASAP depth of the instructions under the cost model."""
+        return _schedule_depth(self.instructions)
 
     @cached_property
     def plan(self) -> "ExecPlan":
@@ -137,12 +156,6 @@ class ResourceReport:
     compiled_depth: int
     original_depth: int
     t_depth: int
-
-
-@dataclass
-class ExecTranscript:
-    records: list[MeasRecord]
-    outcomes: dict[str, int]
 
 
 @dataclass(slots=True)
@@ -268,14 +281,7 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
                     instrs.append(Instruction(InstrOp.COND_Z, (out_q,), cond=mask.b[j]))
 
     outputs = tuple(carrier(k_stages, j) for j in range(n))
-    total_qubits = n + 2 * n * (k_stages - 1)
-    return CompiledProgram(
-        total_qubits=total_qubits,
-        n=n,
-        logical_outputs=outputs,
-        instructions=tuple(instrs),
-        declared_depth=_schedule_depth(tuple(instrs)),
-    )
+    return CompiledProgram(n + 2 * n * (k_stages - 1), outputs, tuple(instrs))
 
 
 def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
@@ -293,8 +299,7 @@ def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
 
 # -- program text format -----------------------------------------------------
 
-def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int],
-                    defined: set[str]) -> KeyPoly:
+def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int]) -> KeyPoly:
     """Parse a condition (the text after ``IF``) straight into masks.
 
     The text is split at ``^`` with a space added at each end, so in the
@@ -302,7 +307,7 @@ def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int],
     ``linear_terms`` maps that text to the variable's bit for every variable
     defined so far, so such a condition costs one dict lookup per term and
     one mask build. Any other condition is checked term by term
-    (well-formed, variables defined).
+    (well-formed, variables defined: keys of ``linear_terms``).
     """
     if text == "0":
         return KeyPoly.zero()
@@ -324,7 +329,7 @@ def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int],
         if any(not name or not name.isidentifier() for name in names):
             raise ParseError(f"bad condition term {term!r}", lineno)
         for name in names:
-            if name not in defined:
+            if f" {name} " not in linear_terms:
                 raise ParseError(f"condition references undefined variable {name!r}", lineno)
         terms.append({OutcomeVar(name, Owner.LOCAL) for name in names})
     return KeyPoly.from_monomials(terms, constant)
@@ -352,7 +357,6 @@ def parse_program(text: str) -> CompiledProgram:
     outputs: dict[int, int] = {}
     out_lines: dict[int, int] = {}
     measured: set[int] = set()
-    defined: set[str] = set()
     linear_terms: dict[str, int] = {}
 
     def q_index(tok: str, lineno: int) -> int:
@@ -378,20 +382,13 @@ def parse_program(text: str) -> CompiledProgram:
         tokens = line.split(None, 3)
         if len(tokens) > 3:
             if total is not None and tokens[2] == "IF" and tokens[0] in _COND_OPS:
-                cond = _cond_from_text(tokens[3], lineno, linear_terms, defined)
+                cond = _cond_from_text(tokens[3], lineno, linear_terms)
                 instrs.append(Instruction(_COND_OPS[tokens[0]], (q_index(tokens[1], lineno),),
                                           cond=cond))
                 continue
             tokens = line.split()
         if total is None:
-            if tokens[0] != "QUBITS" or len(tokens) != 2:
-                raise ParseError("expected 'QUBITS <n>' header", lineno)
-            try:
-                total = int(tokens[1])
-            except ValueError:
-                raise ParseError("qubit count must be an integer", lineno) from None
-            if total < 1:
-                raise ParseError("qubit count must be positive", lineno)
+            total = _parse_header(tokens, lineno)
             continue
         head = tokens[0]
         if head == "EPR":
@@ -408,9 +405,8 @@ def parse_program(text: str) -> CompiledProgram:
                     raise ParseError(f"outcome variable {name!r} is not an identifier", lineno)
             if vx == vz:
                 raise ParseError("BELL outcome variables must be distinct", lineno)
-            if vx in defined or vz in defined:
+            if f" {vx} " in linear_terms or f" {vz} " in linear_terms:
                 raise ParseError("outcome variable redefined", lineno)
-            defined.update((vx, vz))
             for name in (vx, vz):
                 linear_terms[f" {name} "] = var_bit(OutcomeVar(name, Owner.LOCAL))
             measured.update(qubits)
@@ -446,14 +442,7 @@ def parse_program(text: str) -> CompiledProgram:
     for q, lineno in out_lines.items():
         if q in measured:
             raise ParseError(f"output qubit {q} is Bell-measured", lineno)
-    n = len(outputs)
-    return CompiledProgram(
-        total_qubits=total,
-        n=n,
-        logical_outputs=tuple(outputs[j] for j in range(n)),
-        instructions=tuple(instrs),
-        declared_depth=_schedule_depth(tuple(instrs)),
-    )
+    return CompiledProgram(total, tuple(outputs[j] for j in range(len(outputs))), tuple(instrs))
 
 
 # -- execution ---------------------------------------------------------------
@@ -510,15 +499,14 @@ _APPLY, _COND, _BRANCH = range(3)
 @dataclass(frozen=True)
 class ExecPlan:
     """Flat steps over a tensor window, the axes of the logical outputs at
-    the end, the largest window width, the Bell instructions in run order
-    (for transcripts), and each named outcome with its classical bits."""
+    the end, the largest window width, and each named outcome with its
+    classical bits."""
 
     n: int
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
     peak_width: int
-    bells: tuple[Instruction, ...] = ()
-    names: tuple[tuple[str, int], ...] = ()
+    names: tuple[tuple[str, int], ...]
 
 
 class _Schedule:
@@ -583,10 +571,10 @@ class _Schedule:
             self.window.remove(q)
         self.retired.update(qubits)
 
-    def plan(self, n: int, outputs, bells: tuple[Instruction, ...] = ()) -> ExecPlan:
+    def plan(self, n: int, outputs) -> ExecPlan:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
         return ExecPlan(n, tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
-                        bells, tuple(self.names))
+                        tuple(self.names))
 
 
 @lru_cache(maxsize=None)
@@ -623,7 +611,6 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     sched = _Schedule(p.n)
     touched = set(range(p.n))
     buffer: list[tuple[tuple[int, ...], Instruction]] = []
-    bells: list[Instruction] = []
     read = 0  # the variables read out so far, as a mask
 
     def flush(qubits) -> None:
@@ -653,7 +640,6 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             mx, mz = (name_mask(v) or 1 << var_bit(OutcomeVar(v, Owner.LOCAL))
                       for v in ins.out_vars)
             sched.branch((s, r), ((vx, mx), (vz, mz)))
-            bells.append(ins)
             read |= mx | mz
         else:
             unbound = ins.cond.support & ~read
@@ -663,7 +649,7 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             sched.cond(ins.cond.at, _COND_KINDS[ins.op], qs)
     sched.check_unmeasured(p.logical_outputs)
     flush(p.logical_outputs)
-    return sched.plan(p.n, p.logical_outputs, tuple(bells))
+    return sched.plan(p.n, p.logical_outputs)
 
 
 def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
@@ -750,14 +736,11 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
 
 
 def execute(p: CompiledProgram, input_state: StateVector,
-            rng: np.random.Generator) -> tuple[StateVector, ExecTranscript]:
+            rng: np.random.Generator) -> tuple[StateVector, dict[str, int]]:
     """Run a compiled program, sampling Bell outcomes; returns the reduced
-    state on the logical output wires plus the measurement transcript."""
+    state on the logical output wires and the outcome of every variable."""
     (leaf,) = _run(p.plan, input_state, rng, 0.0)
-    bits = leaf.outcomes
-    records = [MeasRecord(vx, vz, (bits[vx], bits[vz]), ins.qubits)
-               for ins in p.plan.bells for vx, vz in (ins.out_vars,)]
-    return leaf.state, ExecTranscript(records, bits)
+    return leaf.state, leaf.outcomes
 
 
 # Exhaustive enumeration keeps every branch live at once, so both enumerations
@@ -778,8 +761,12 @@ def enumerate_branches(p: CompiledProgram, input_state: StateVector,
 
     Branch probabilities partition 1. Refuses programs whose measurements
     carry more than max_outcome_bits classical bits (2 per Bell measurement).
-    Every branch is live at once, so memory grows with the branch count.
+    Every branch is live at once, so memory grows with the branch count, and
+    max_outcome_bits may lower the MAX_OUTCOME_BITS cap but not raise it.
     """
+    if max_outcome_bits > MAX_OUTCOME_BITS:
+        raise ValidationError(
+            f"max_outcome_bits {max_outcome_bits} exceeds the {MAX_OUTCOME_BITS}-bit cap")
     _check_branch_bits(sum(1 for ins in p.instructions if ins.op is InstrOp.BELL),
                        max_outcome_bits)
     return _run(p.plan, input_state, None, cutoff)
@@ -799,14 +786,20 @@ class BellGroup:
     anc_x: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnitaryProgram:
     circuit: LayeredCircuit
-    total_qubits: int
-    n: int
     logical_outputs: tuple[int, ...]
     var_qubits: dict[str, int]
     bell_groups: tuple[BellGroup, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.logical_outputs)
+
+    @property
+    def total_qubits(self) -> int:
+        return self.circuit.n
 
 
 def _cs_dag(a: int, q: int) -> list[Gate]:
@@ -893,15 +886,7 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
         else:
             gates += _expand_cond(ins, var_qubits, alloc_scratch)
 
-    circuit = layerize(gates, max(next_q, 1))
-    return UnitaryProgram(
-        circuit=circuit,
-        total_qubits=next_q,
-        n=p.n,
-        logical_outputs=p.logical_outputs,
-        var_qubits=var_qubits,
-        bell_groups=tuple(groups),
-    )
+    return UnitaryProgram(layerize(gates, next_q), p.logical_outputs, var_qubits, tuple(groups))
 
 
 def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
@@ -972,24 +957,21 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
 
 # -- speculative grouped execution for classical circuits --------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SpeculativeProgram:
-    n: int
-    r: int
-    stage_count: int
+    """The classical input and the stages in groups; its critical path is
+    one step per group."""
+
     input_bits: tuple[int, ...]
     groups: tuple[tuple[Stage, ...], ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.input_bits)
 
-@dataclass
-class SpecTranscript:
-    link_outcomes: dict[str, int]
-
-
-@dataclass(frozen=True)
-class SpecReport:
-    critical_path: int
-    stage_count: int
+    @property
+    def stage_count(self) -> int:
+        return sum(map(len, self.groups))
 
 
 def _apply_stage(state: StateVector, st: Stage) -> StateVector:
@@ -1021,16 +1003,17 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
         basis_bits(state, f"stage {i + 1}")
 
     groups = tuple(c.stages[g0:g0 + r] for g0 in range(0, len(c.stages), r))
-    return SpeculativeProgram(c.n, r, len(c.stages), bits, groups)
+    return SpeculativeProgram(bits, groups)
 
 
 def execute_speculative(sp: SpeculativeProgram,
-                        rng: np.random.Generator) -> tuple[str, SpecTranscript, SpecReport]:
+                        rng: np.random.Generator) -> tuple[str, dict[str, int]]:
     """Link-by-link run: draw the teleport outcomes between groups and run
     each group once on its teleported input, the previous group's output bits
     XOR the link X outcomes. The drawn Pauli frame is pushed through every
     stage; its pending P-dagger corrections are phases on basis states and
-    are dropped, and its final X part is undone on the output bits."""
+    are dropped, and its final X part is undone on the output bits. Returns
+    the output bits and the link outcomes, named L<link>q<wire>x / z."""
     n = sp.n
     uniform = np.full((2, 2), 0.25)
     frame = PauliMask.zero(n)
@@ -1052,5 +1035,4 @@ def execute_speculative(sp: SpeculativeProgram,
             frame, _ = commute_through_t_layer(frame, st.t_layer)
         bits = basis_bits(state, f"group {m + 1}")
     out_bits = tuple(b ^ xv for b, xv in zip(bits, frame.a))
-    rep = SpecReport(critical_path=len(sp.groups), stage_count=sp.stage_count)
-    return "".join(map(str, out_bits)), SpecTranscript(outcomes), rep
+    return "".join(map(str, out_bits)), outcomes

@@ -44,7 +44,6 @@ from .compiler import (
     CompiledProgram,
     Instruction,
     InstrOp,
-    _schedule_depth,
     enumerate_branches,
     execute,
 )
@@ -79,11 +78,6 @@ class GadgetResult:
     state: StateVector                  # the realized output wire
 
 
-def _program(n: int, total: int, outputs, instrs) -> CompiledProgram:
-    instrs = tuple(instrs)
-    return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs))
-
-
 def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
                          prefix: str) -> tuple[list[Instruction], int]:
     """One gadget on ``in_q``: four EPR pairs with Bob's halves at
@@ -112,7 +106,7 @@ def gadget_program(p: int, q: int) -> CompiledProgram:
     """The gadget for bits p and q: the input on qubit 0, Bob's pair halves
     on 1..4 and Alice's on 5..8."""
     instrs, out_q = _gadget_instructions(0, 1, p & 1, KeyPoly.from_bit(q), "")
-    return _program(1, 9, (out_q,), instrs)
+    return CompiledProgram(9, (out_q,), tuple(instrs))
 
 
 def _gadget_vars(prefix: str, on_path: str) -> tuple[KeyPoly, ...]:
@@ -145,8 +139,8 @@ def run_gadget(p: int, q: int, input_state: StateVector,
     if input_state.n != 1:
         raise ValidationError("gadget input must be a single qubit")
     p_bit, q_bit = int(p) & 1, int(q) & 1
-    state, run = execute(gadget_program(p_bit, q_bit), input_state, rng)
-    return _gadget_result(p_bit, q_bit, gadget_keys(p_bit, q_bit), run.outcomes, state)
+    state, outcomes = execute(gadget_program(p_bit, q_bit), input_state, rng)
+    return _gadget_result(p_bit, q_bit, gadget_keys(p_bit, q_bit), outcomes, state)
 
 
 def undo_gadget(res: GadgetResult) -> StateVector:
@@ -228,8 +222,13 @@ class ProtocolTranscript:
     events: list[Event]
     var_owners: dict[str, Owner]
     epr_ledger: dict[str, int]
-    exchange_round: int
     outcomes: dict[str, int]
+
+    @property
+    def exchange_round(self) -> int:
+        """The index of the first exchange event (causality_check requires
+        exactly one)."""
+        return next(i for i, ev in enumerate(self.events) if ev.kind == "exchange")
 
     @property
     def total_pairs(self) -> int:
@@ -375,7 +374,6 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
         teleport(j, f"r{j}", Owner.BOB)
         events.append(Event(Owner.BOB, f"return_wire_{j}", frozenset(), "measure"))
 
-    exchange_round = len(events)
     events.append(Event(Owner.LOCAL, "exchange", frozenset(), "exchange"))
 
     returned = set(plan.return_to_alice)
@@ -392,8 +390,8 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
         "gadget": 4 * gadget_count,
         "return_teleport": len(plan.return_to_alice),
     }
-    transcript = ProtocolTranscript(events, var_owners, ledger, exchange_round, {})
-    return _program(c.n, next_q, carriers, instrs), transcript
+    transcript = ProtocolTranscript(events, var_owners, ledger, {})
+    return CompiledProgram(next_q, tuple(carriers), tuple(instrs)), transcript
 
 
 def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePlan,
@@ -406,8 +404,7 @@ def run_protocol1(c: LayeredCircuit, input_state: StateVector, plan: ResourcePla
     program, transcript = protocol_program(c, plan)
     if input_state.n != c.n:
         raise ValidationError("input state size does not match circuit")
-    final, run = execute(program, input_state, rng)
-    transcript.outcomes = run.outcomes
+    final, transcript.outcomes = execute(program, input_state, rng)
     return final, transcript
 
 

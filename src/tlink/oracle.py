@@ -3,7 +3,9 @@ Dense statevector oracle: brute-force ground truth for every transformation.
 
 Qubit q is tensor axis q, so basis strings read left-to-right as qubit
 0..n-1 and the flat amplitude index is big-endian in qubit 0. States are
-capped at 14 qubits (desk scale).
+capped at 14 qubits (desk scale); init_state and random_state check the cap
+before anything of size 2^n is allocated or drawn, so an oversized input is
+a ValidationError, never an allocation failure.
 
 Bell measurement convention: measuring (r, s) rotates with CNOT(r, s) then
 H(r) and reads z from r, x from s. If s was half of an EPR pair whose partner
@@ -62,41 +64,33 @@ class StateVector:
         return "\n".join(lines) or "0"
 
 
-@dataclass(frozen=True)
-class MeasRecord:
-    """One Bell measurement: variable names, realized bits, measured qubits."""
-
-    var_x: str
-    var_z: str
-    bits: tuple[int, int]
-    measured: tuple[int, int]
-
-
-def _check_state(n: int, amps: np.ndarray) -> StateVector:
+def _check_qubits(n: int) -> None:
+    """The size cap, checked before anything of size 2^n is allocated or drawn."""
     if n > MAX_QUBITS:
         raise ValidationError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+
+
+def init_state(n: int, basis) -> StateVector:
+    """Build a state from a basis bitstring or an amplitude sequence."""
+    _check_qubits(n)
+    if isinstance(basis, str):
+        if len(basis) != n or set(basis) - {"0", "1"}:
+            raise ValidationError(f"basis string must be {n} bits")
+        amps = np.zeros(2 ** n, dtype=complex)
+        amps[int(basis, 2)] = 1.0
+    else:
+        amps = np.asarray(basis, dtype=complex).ravel()
+        if amps.shape[0] != 2 ** n:
+            raise ValidationError(f"expected {2 ** n} amplitudes, got {amps.shape[0]}")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(f"state norm {norm} is not 1")
     return StateVector(n, amps / norm)
 
 
-def init_state(n: int, basis) -> StateVector:
-    """Build a state from a basis bitstring or an amplitude sequence."""
-    if isinstance(basis, str):
-        if len(basis) != n or set(basis) - {"0", "1"}:
-            raise ValidationError(f"basis string must be {n} bits")
-        amps = np.zeros(2 ** n, dtype=complex)
-        amps[int(basis, 2)] = 1.0
-        return _check_state(n, amps)
-    amps = np.asarray(basis, dtype=complex).ravel()
-    if amps.shape[0] != 2 ** n:
-        raise ValidationError(f"expected {2 ** n} amplitudes, got {amps.shape[0]}")
-    return _check_state(n, amps.copy())
-
-
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Random n-qubit state: 2^n real normal draws, then 2^n imaginary ones."""
+    _check_qubits(n)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return init_state(n, amps / np.linalg.norm(amps))
 

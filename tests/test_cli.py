@@ -100,7 +100,7 @@ def test_worst_branch_is_first_at_printed_minimum(tmp_path, capsys, monkeypatch,
         second = enumerate_branches(program, psi)[1].outcomes
     else:
         rng = np.random.default_rng(3)
-        second = [execute(program, psi, rng)[1].outcomes for _ in range(3)][1]
+        second = [execute(program, psi, rng)[1] for _ in range(3)][1]
     assert out["worst_branch"] == ",".join(f"{k}={v}" for k, v in sorted(second.items()))
 
 
@@ -128,6 +128,47 @@ def test_negative_seed_exits_3(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seed must be non-negative" in captured.err
+
+
+# Options a command does not read are not offered: each is an argparse usage
+# error, exit 2, and the command does not run.
+@pytest.mark.parametrize("argv", [
+    ["compile", "--in", "{c}", "--out", "{out}", "--seed", "1"],
+    ["compile", "--in", "{c}", "--out", "{out}", "--tolerance", "0.1"],
+    ["stats", "--in", "{c}", "--seed", "1"],
+    ["stats", "--in", "{c}", "--tolerance", "0.1"],
+    ["crossterms", "--in", "{c}", "--seed", "1"],
+    ["crossterms", "--in", "{c}", "--tolerance", "0.1"],
+    ["speculate", "--in", "{c}", "--r", "1", "--tolerance", "0.1"],
+    ["verify", "--in", "{c}", "--max-bits", "12"],
+], ids=["compile-seed", "compile-tolerance", "stats-seed", "stats-tolerance",
+        "crossterms-seed", "crossterms-tolerance", "speculate-tolerance", "verify-max-bits"])
+def test_unread_option_exits_2(tmp_path, capsys, argv):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nX 0\nT 0\n---\nCNOT 0 1\n---\n")
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(c=circuit, out=out) for a in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol1", "--in", "{c}", "--alice", "0"],
+    ["speculate", "--in", "{c}", "--r", "1"],
+])
+def test_forty_qubits_exit_3(tmp_path, capsys, argv):
+    # Both commands build a 40-qubit input state; the qubit cap refuses it
+    # before 2^40 amplitudes are drawn or allocated.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 40\nX 0\nT 0\n---\n")
+    assert cli.main([a.format(c=circuit) for a in argv]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "40 qubits exceeds the 14-qubit cap" in captured.err
 
 
 @pytest.mark.parametrize("bits", ["0a", "2", "0 "])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -193,9 +194,9 @@ class TestExecute:
     def test_identity_circuit(self, rng):
         psi = random_state(rng, 2)
         prog = compile_measure(parse_circuit("QUBITS 2\n---\n"))
-        out, transcript = execute(prog, psi, rng)
+        out, outcomes = execute(prog, psi, rng)
         assert fidelity_up_to_phase(out, psi) >= 1 - 1e-10
-        assert transcript.records == []
+        assert outcomes == {}
 
     def test_single_stage_direct(self, rng):
         c = parse_circuit("QUBITS 1\nH 0\nT 0\n---")
@@ -237,9 +238,25 @@ class TestExecute:
         ref = apply_circuit(psi, c)
         prog = compile_measure(c)
         for _ in range(10):
-            out, transcript = execute(prog, psi, rng)
+            out, outcomes = execute(prog, psi, rng)
             assert fidelity_up_to_phase(out, ref) >= 1 - 1e-10
-            assert len(transcript.records) == len(bells(prog))
+            assert len(outcomes) == 2 * len(bells(prog))
+
+    def test_outcome_bit_cap_cannot_be_raised(self):
+        prog = compile_measure(parse_circuit("QUBITS 1\nH 0\nT 0\n---\nH 0\n---"))
+        # A wrong-width input: the refusal comes before any amplitude work.
+        with pytest.raises(ValidationError, match="13 exceeds the 12-bit cap"):
+            enumerate_branches(prog, init_state(2, "00"), max_outcome_bits=13)
+        assert len(enumerate_branches(prog, init_state(1, "0"), max_outcome_bits=12)) == 4
+
+    def test_program_keeps_only_what_it_cannot_derive(self, rng):
+        c = random_circuit(rng, 2, 3)
+        prog = compile_measure(c)
+        assert [f.name for f in dataclasses.fields(prog)] == [
+            "total_qubits", "logical_outputs", "instructions"]
+        assert prog.n == c.n == len(prog.logical_outputs)
+        assert prog.declared_depth is prog.declared_depth
+        assert prog.declared_depth == parse_program(serialize_program(prog)).declared_depth
 
     def test_branch_explosion_guard(self):
         c = parse_circuit("QUBITS 2\n" + "T 0\nT 1\n---\n" * 5)
@@ -269,8 +286,8 @@ class TestExecute:
         counts = {k: 0 for k in probs}
         sampler = np.random.default_rng(23)
         for _ in range(shots):
-            _, tr = execute(prog, psi, sampler)
-            counts[tuple(sorted(tr.outcomes.items()))] += 1
+            _, outcomes = execute(prog, psi, sampler)
+            counts[tuple(sorted(outcomes.items()))] += 1
         for key, pr in probs.items():
             bound = 3 * np.sqrt(pr * (1 - pr) / shots)
             assert abs(counts[key] / shots - pr) <= bound + 1e-9
@@ -483,6 +500,6 @@ class TestFrontier:
         psi = random_state(rng, 2)
         branches = {tuple(b.outcomes.items()): b for b in enumerate_branches(prog, psi)}
         for _ in range(8):
-            out, transcript = execute(prog, psi, rng)
-            b = branches[tuple(transcript.outcomes.items())]
+            out, outcomes = execute(prog, psi, rng)
+            b = branches[tuple(outcomes.items())]
             assert fidelity_up_to_phase(out, b.state) >= 1 - 1e-12

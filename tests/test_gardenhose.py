@@ -214,13 +214,13 @@ class TestCausality:
 
     def test_valid_transcript_passes(self):
         events, owners = self._base()
-        tr = ProtocolTranscript(events, owners, {"gadget": 4}, 2, {})
+        tr = ProtocolTranscript(events, owners, {"gadget": 4}, {})
         assert causality_check(tr).ok
 
     def test_foreign_dependency_before_exchange_fails(self):
         events, owners = self._base()
         events[1] = Event(Owner.BOB, "gate_b", frozenset({"a1"}), "gate")
-        res = causality_check(ProtocolTranscript(events, owners, {}, 2, {}))
+        res = causality_check(ProtocolTranscript(events, owners, {}, {}))
         assert not res.ok
         assert res.violation == 1
         assert "a1" in res.reason
@@ -228,13 +228,13 @@ class TestCausality:
     def test_two_exchanges_fail(self):
         events, owners = self._base()
         events.append(Event(Owner.LOCAL, "exchange", frozenset(), "exchange"))
-        res = causality_check(ProtocolTranscript(events, owners, {}, 2, {}))
+        res = causality_check(ProtocolTranscript(events, owners, {}, {}))
         assert not res.ok
 
     def test_measurement_after_exchange_fails(self):
         events, owners = self._base()
         events.append(Event(Owner.BOB, "late_measure", frozenset(), "measure"))
-        res = causality_check(ProtocolTranscript(events, owners, {}, 2, {}))
+        res = causality_check(ProtocolTranscript(events, owners, {}, {}))
         assert not res.ok
         assert "measurement" in res.reason
 

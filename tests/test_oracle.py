@@ -7,7 +7,6 @@ from tlink.compiler import (
     CompiledProgram,
     Instruction,
     InstrOp,
-    _schedule_depth,
     enumerate_branches,
     execute,
     parse_program,
@@ -21,6 +20,7 @@ from tlink.oracle import (
     fidelity_up_to_phase,
     init_state,
 )
+from tlink.oracle import random_state as oracle_random_state
 
 EPR = np.array([1, 0, 0, 1]) / np.sqrt(2)
 
@@ -46,13 +46,12 @@ def matrix_bell(amps, n, r, s, xv, zv):
 # the rest of the window must factor out of the OUT qubits.
 
 def run_once(text, state, rng=None):
-    out, run = execute(parse_program(text), state, rng or np.random.default_rng(0))
-    return out, run.outcomes
+    return execute(parse_program(text), state, rng or np.random.default_rng(0))
 
 
 def raw_program(instr):
     """A one-instruction program that parse_program would refuse."""
-    return CompiledProgram(3, 1, (0,), (instr,), _schedule_depth((instr,)))
+    return CompiledProgram(3, (0,), (instr,))
 
 
 TELEPORT = "QUBITS 3\nEPR 1 2\nBELL 0 1 -> x z\nOUT 0 2\n"
@@ -80,6 +79,16 @@ class TestInitState:
     def test_qubit_cap(self):
         with pytest.raises(ValidationError, match="cap"):
             init_state(15, "0" * 15)
+
+    def test_qubit_cap_comes_before_allocation(self):
+        # 2^40 amplitudes would be 16 TiB: the cap must refuse them first,
+        # and random_state must refuse before drawing from the generator.
+        with pytest.raises(ValidationError, match="40 qubits exceeds the 14-qubit cap"):
+            init_state(40, "0" * 40)
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="40 qubits exceeds the 14-qubit cap"):
+            oracle_random_state(40, gen)
+        assert gen.random() == np.random.default_rng(0).random()
 
 
 class TestGates:
@@ -209,7 +218,7 @@ class TestBellMeasure:
         counts = {k: 0 for k in probs}
         sampler = np.random.default_rng(17)
         for _ in range(shots):
-            bits = execute(prog, st, sampler)[1].outcomes
+            bits = execute(prog, st, sampler)[1]
             counts[(bits["x"], bits["z"])] += 1
         for key, pr in probs.items():
             bound = 3 * np.sqrt(pr * (1 - pr) / shots)
@@ -268,10 +277,10 @@ class TestRegister:
     def test_bell_drop_keeps_partner_state(self, rng):
         psi = random_state(rng, 1)
         prog = parse_program(TELEPORT)
-        out, run = execute(prog, psi, rng)
+        out, outcomes = execute(prog, psi, rng)
         assert prog.plan.peak_width == 3
         assert prog.plan.outputs == (0,)  # the measured pair's axes are gone
-        got = apply_mask(out, PauliMask((run.outcomes["x"],), (run.outcomes["z"],)))
+        got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
         assert fidelity_up_to_phase(got, psi) >= 1 - 1e-10
 
     def test_epr_on_live_qubit_rejected(self):

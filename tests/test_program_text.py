@@ -1,15 +1,26 @@
-"""Program text: byte-identity pins for serialize_program, condition parsing,
-and the ParseError raised for each malformed line (exit code 2 in the CLI)."""
+"""Program text: byte-identity pins for serialize_program, round trips of the
+garden-hose programs, condition parsing, and the ParseError raised for each
+malformed line (exit code 2 in the CLI)."""
 import hashlib
 
 import numpy as np
 import pytest
 
 from conftest import random_circuit
+from test_cli_pins import PROTOCOL_CIRCUIT
 from tlink import cli
-from tlink.circuits import ParseError
-from tlink.compiler import InstrOp, compile_measure, parse_program, serialize_program
+from tlink.circuits import ParseError, parse_circuit
+from tlink.compiler import (
+    InstrOp,
+    _run,
+    compile_measure,
+    enumerate_branches,
+    parse_program,
+    serialize_program,
+)
 from tlink.frames import KeyPoly, OutcomeVar
+from tlink.gardenhose import ResourcePlan, gadget_program, protocol_program
+from tlink.oracle import random_state
 
 # (seed, n, K) of random_circuit(default_rng(seed), n, K, max_clifford=3n), with
 # the SHA-256 of serialize_program(compile_measure(c)) as the text format stood
@@ -88,6 +99,45 @@ def test_hand_written_program_canonicalizes():
     assert sha256(HAND_CANONICAL) == HAND_SHA256
 
 
+def round_trip(program):
+    """The program read back from its text, which must print the same text
+    and schedule to the same depth."""
+    text = serialize_program(program)
+    parsed = parse_program(text)
+    assert serialize_program(parsed) == text
+    assert parsed.declared_depth == program.declared_depth
+    return parsed
+
+
+def assert_same_branches(got, want):
+    assert [b.outcomes for b in got] == [b.outcomes for b in want]
+    assert [b.probability for b in got] == [b.probability for b in want]
+    for a, b in zip(got, want):
+        assert np.abs(a.state.amps - b.state.amps).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_gadget_program_round_trips(p, q):
+    program = gadget_program(p, q)
+    parsed = round_trip(program)
+    psi = random_state(1, np.random.default_rng(2 * p + q))
+    assert_same_branches(enumerate_branches(parsed, psi), enumerate_branches(program, psi))
+
+
+def test_protocol_program_round_trips():
+    # With Alice holding wire 0 the final corrections carry owner-tagged
+    # degree-2 terms (Bob's bx times Alice's teleport bit), which the parsed
+    # program evaluates as plain variables.
+    c = parse_circuit(PROTOCOL_CIRCUIT)
+    program, _ = protocol_program(c, ResourcePlan(alice_wires=frozenset({0})))
+    assert max(ins.cond.degree for ins in program.instructions if ins.cond is not None) == 2
+    parsed = round_trip(program)
+    psi = random_state(2, np.random.default_rng(3))
+    # Seven Bell measurements are 14 outcome bits, above enumerate_branches'
+    # 12-bit cap, so both plans go through its runner directly.
+    assert_same_branches(_run(parsed.plan, psi, None, 1e-12), _run(program.plan, psi, None, 1e-12))
+
+
 def test_cancelling_terms_parse_to_zero():
     prog = parse_program("QUBITS 3\nBELL 0 1 -> a b\nX 2 IF a ^ a\nZ 2 IF a*b ^ 1 ^ b*a ^ 1\nOUT 0 2\n")
     conds = [ins.cond for ins in prog.instructions if ins.op in (InstrOp.COND_X, InstrOp.COND_Z)]
@@ -130,6 +180,7 @@ BAD_PROGRAMS = [
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> 1 x\nX 2 IF x\nOUT 0 2\n", 3, "'1' is not an identifier"),
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> x 0\nX 2 IF x\nOUT 0 2\n", 3, "'0' is not an identifier"),
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a*b c\nOUT 0 2\n", 3, "'a\\*b' is not an identifier"),
+    ("QUBITS 5\nBELL 0 1 -> a b\nBELL 2 3 -> c a\nOUT 0 4\n", 3, "redefined"),
 ]
 
 

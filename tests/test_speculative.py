@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,13 @@ class TestCompileSpeculative:
 
     def test_h_pair_that_cancels_is_classical(self):
         c = parse_circuit("QUBITS 1\nH 0\nH 0\nX 0\nT 0\n---\n")
-        bits, _, _ = execute_speculative(compile_speculative(c, 1, "0"), np.random.default_rng(0))
+        bits, _ = execute_speculative(compile_speculative(c, 1, "0"), np.random.default_rng(0))
         assert bits == "1"
+
+    def test_sizes_are_derived(self):
+        sp = compile_speculative(parse_circuit(CLASSICAL_K4), 3, "10")
+        assert [f.name for f in dataclasses.fields(sp)] == ["input_bits", "groups"]
+        assert (sp.n, sp.stage_count, len(sp.groups)) == (2, 4, 2)
 
     def test_bad_input_length(self):
         with pytest.raises(ValidationError, match="bit"):
@@ -50,21 +57,21 @@ class TestCompileSpeculative:
 class TestExecuteSpeculative:
     def test_critical_path_groups(self):
         sp = compile_speculative(parse_circuit(CLASSICAL_K4), 2, "10")
-        _, _, rep = execute_speculative(sp, np.random.default_rng(0))
-        assert rep.critical_path == 2
-        assert len(sp.groups) == 2
-        assert rep.stage_count == 4
+        _, outcomes = execute_speculative(sp, np.random.default_rng(0))
+        assert len(sp.groups) == 2  # the critical path: one step per group
+        assert len(outcomes) == 2 * sp.n * (len(sp.groups) - 1)
+        assert sp.stage_count == 4
 
     def test_output_matches_direct_and_linked(self):
         c = parse_circuit(CLASSICAL_K4)
         sp = compile_speculative(c, 2, "10")
-        bits, transcript, _ = execute_speculative(sp, np.random.default_rng(3))
+        bits, outcomes = execute_speculative(sp, np.random.default_rng(3))
         assert bits == direct_bits(c, "10")
         out, _ = execute(compile_measure(c), init_state(2, "10"), np.random.default_rng(8))
         probs = np.abs(out.amps) ** 2
         assert format(int(np.argmax(probs)), "02b") == bits
         # One link between the two groups: an x and a z bit per wire.
-        assert sorted(transcript.link_outcomes) == ["L1q0x", "L1q0z", "L1q1x", "L1q1z"]
+        assert sorted(outcomes) == ["L1q0x", "L1q0z", "L1q1x", "L1q1z"]
 
     def test_every_link_frame_gives_the_direct_output(self):
         # r = 1 on four stages: three links of two wires, so 2^6 link X patterns,
@@ -74,9 +81,9 @@ class TestExecuteSpeculative:
         expected = direct_bits(c, "10")
         seen = set()
         for seed in range(1000):
-            bits, transcript, _ = execute_speculative(sp, np.random.default_rng(seed))
+            bits, outcomes = execute_speculative(sp, np.random.default_rng(seed))
             assert bits == expected
-            seen.add(tuple(v for name, v in sorted(transcript.link_outcomes.items())
+            seen.add(tuple(v for name, v in sorted(outcomes.items())
                            if name.endswith("x")))
         assert len(seen) == 64
 
@@ -89,6 +96,6 @@ class TestExecuteSpeculative:
             expected = direct_bits(c, bits)
             for r in (1, 2):
                 sp = compile_speculative(c, r, bits)
-                got, _, rep = execute_speculative(sp, rng)
+                got, _ = execute_speculative(sp, rng)
                 assert got == expected
-                assert rep.critical_path == -(-k // r)
+                assert len(sp.groups) == -(-k // r)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,7 +25,6 @@ from tlink.compiler import (
     UnitaryProgram,
     _COND,
     _cs_dag,
-    _schedule_depth,
     _unitary_plan,
     compile_measure,
     enumerate_branches,
@@ -35,9 +35,8 @@ from tlink.frames import KeyPoly, OutcomeVar
 from tlink.oracle import StateVector, _extract, apply_circuit, fidelity_up_to_phase, init_state
 
 
-def make_program(total, n, outputs, instrs):
-    instrs = tuple(instrs)
-    return CompiledProgram(total, n, tuple(outputs), instrs, _schedule_depth(instrs))
+def make_program(total, outputs, instrs):
+    return CompiledProgram(total, tuple(outputs), tuple(instrs))
 
 
 def coherent_state(up: UnitaryProgram, psi) -> StateVector:
@@ -75,7 +74,7 @@ class TestConversionStructure:
         assert up.total_qubits == prog.total_qubits
 
     def test_bell_becomes_rotation_and_copies(self):
-        prog = make_program(3, 1, [2], [
+        prog = make_program(3, [2], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
         ])
@@ -88,7 +87,7 @@ class TestConversionStructure:
     def test_condition_degree_guard(self):
         u, v, w = (OutcomeVar(s) for s in ("u", "v", "w"))
         cond = KeyPoly.from_monomials([{u, v, w}])
-        prog = make_program(1, 1, [0], [
+        prog = make_program(1, [0], [
             Instruction(InstrOp.EPR, (1, 2)),  # defines nothing; decoy
             Instruction(InstrOp.COND_X, (0,), cond=cond),
         ])
@@ -103,7 +102,7 @@ class TestMeasuredQubitGates:
 
     def program(self, after):
         gates = [h(1), h(2), *after]
-        up = UnitaryProgram(layerize(gates, 5), 5, 1, (0,), {"vr": 1, "vs": 2},
+        up = UnitaryProgram(layerize(gates, 5), (0,), {"vr": 1, "vs": 2},
                             (BellGroup(2, 1, 2, 3, 4),))
         assert flatten(up.circuit) == gates
         return up
@@ -133,7 +132,7 @@ class TestMeasuredQubitGates:
 
 class TestTeleportOnly:
     def test_acts_as_identity(self, rng):
-        prog = make_program(3, 1, [2], [
+        prog = make_program(3, [2], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
             Instruction(InstrOp.COND_X, (2,), cond=KeyPoly.of(OutcomeVar("m0x"))),
@@ -191,7 +190,7 @@ class TestDegreeTwoConditions:
         # conditioned on the product m0x*m1x.
         mx = [KeyPoly.of(OutcomeVar(f"m{i}x")) for i in (0, 1)]
         mz = [KeyPoly.of(OutcomeVar(f"m{i}z")) for i in (0, 1)]
-        prog = make_program(5, 1, [4], [
+        prog = make_program(5, [4], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.EPR, (3, 4)),
             Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
@@ -242,7 +241,7 @@ class TestParityAccumulation:
 
     def test_pdg_on_constant_condition(self, rng):
         # Condition 1 alone: X on the scratch, controlled P-dagger, X back.
-        prog = make_program(1, 1, [0], [Instruction(InstrOp.COND_PDG, (0,), cond=KeyPoly.one())])
+        prog = make_program(1, [0], [Instruction(InstrOp.COND_PDG, (0,), cond=KeyPoly.one())])
         up = to_unitary(prog)
         psi = random_state(rng, 1)
         want = init_state(1, psi.amps * np.array([1, -1j]))
@@ -296,3 +295,13 @@ class TestFrontierAgainstReference:
         # A 2-qubit input does not fit: the guard raises before any amplitude work.
         with pytest.raises(ValidationError, match="branch explosion: 7 Bell measurements"):
             enumerate_unitary_branches(seven, random_state(rng, 2))
+
+
+def test_unitary_program_sizes_are_derived(rng):
+    prog = compile_measure(random_circuit(rng, 2, 3))
+    up = to_unitary(prog)
+    assert [f.name for f in dataclasses.fields(up)] == [
+        "circuit", "logical_outputs", "var_qubits", "bell_groups"]
+    assert up.n == prog.n == len(up.logical_outputs)
+    scratch = 1 if cond_pdg_count(prog) else 0
+    assert up.total_qubits == up.circuit.n == prog.total_qubits + 2 * len(up.bell_groups) + scratch
