@@ -107,8 +107,6 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     tolerance = _tolerance(args)
     circuit = _read_circuit(args.infile)
-    if circuit.n > args.nmax:
-        raise ValidationError(f"circuit has {circuit.n} qubits; verify caps at nmax={args.nmax}")
     if not args.exhaustive and args.shots < 1:
         raise ValidationError(f"--shots must be at least 1, got {args.shots}")
     seed = _seed(args)
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", cmd_verify, "check a compiled program against the oracle",
              seed=True, tolerance=True)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--nmax", type=int, default=6)
     sp.add_argument("--shots", type=int, default=20)
     sp.add_argument("--program", default=None, help="verify this program file instead of recompiling")
 

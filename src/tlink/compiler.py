@@ -47,6 +47,7 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,7 +81,7 @@ from .frames import (
     apply_tableau,
     commute_through_t_layer,
     mask_of,
-    name_mask,
+    outcome_var,
     tableau_from_stage,
     var_bit,
 )
@@ -92,7 +93,6 @@ from .oracle import (
     _grow_epr,
     apply_gate,
     basis_bits,
-    draw_bell_outcome,
     gate_kernel,
     init_state,
 )
@@ -120,7 +120,7 @@ class Instruction:
     op: InstrOp
     qubits: tuple[int, ...]
     gate: Gate | None = None
-    out_vars: tuple[str, str] | None = None
+    out_vars: tuple[OutcomeVar, OutcomeVar] | None = None
     cond: KeyPoly | None = None
 
 
@@ -170,8 +170,8 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
 
     A conditioned correction starts once its qubit is free and every variable
     of its condition has been read out. Readouts are kept as one variable
-    mask per readout time: a BELL adds the bits of its two outcome names
-    (frames.name_mask) to the mask of the time it ends. A condition scans the
+    mask per readout time: a BELL adds the bits of its two outcome variables
+    (frames.var_bit) to the mask of the time it ends. A condition scans the
     readout times from the latest down, only while they are later than its
     qubit's free time, and waits for the first one whose mask meets the
     condition's support. That is its latest readout, found with a few int
@@ -195,7 +195,7 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
                 start = free
         if op is InstrOp.BELL:
             end = start + 3
-            read = name_mask(ins.out_vars[0]) | name_mask(ins.out_vars[1])
+            read = 1 << var_bit(ins.out_vars[0]) | 1 << var_bit(ins.out_vars[1])
             if end not in read_at:
                 read_at[end] = 0
                 insort(read_times, end)
@@ -266,12 +266,11 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
                 instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), cond=pending[j]))
         if i < k_stages:
             for j in range(n):
-                vx, vz = f"m{var_idx}x", f"m{var_idx}z"
+                vx, vz = outcome_var(f"m{var_idx}x"), outcome_var(f"m{var_idx}z")
                 var_idx += 1
                 instrs.append(Instruction(InstrOp.BELL, (carrier(i, j), first_half(i + 1, j)),
                                           out_vars=(vx, vz)))
-                mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(vx, Owner.LOCAL)),
-                                   KeyPoly.of(OutcomeVar(vz, Owner.LOCAL)))
+                mask = mask.xor_at(j, KeyPoly.of(vx), KeyPoly.of(vz))
         else:
             for j in range(n):
                 out_q = carrier(i, j)
@@ -343,7 +342,7 @@ def serialize_program(p: CompiledProgram) -> str:
         elif ins.op is InstrOp.GATE:
             lines.append(str(ins.gate))
         elif ins.op is InstrOp.BELL:
-            lines.append(f"BELL {ins.qubits[0]} {ins.qubits[1]} -> {ins.out_vars[0]} {ins.out_vars[1]}")
+            lines.append("BELL {} {} -> {} {}".format(*ins.qubits, *(v.name for v in ins.out_vars)))
         else:
             lines.append(f"{ins.op.value} {ins.qubits[0]} IF {ins.cond}")
     for j, q in enumerate(p.logical_outputs):
@@ -407,10 +406,10 @@ def parse_program(text: str) -> CompiledProgram:
                 raise ParseError("BELL outcome variables must be distinct", lineno)
             if f" {vx} " in linear_terms or f" {vz} " in linear_terms:
                 raise ParseError("outcome variable redefined", lineno)
-            for name in (vx, vz):
-                linear_terms[f" {name} "] = var_bit(OutcomeVar(name, Owner.LOCAL))
+            out_vars = (outcome_var(vx), outcome_var(vz))
+            linear_terms.update((f" {v.name} ", var_bit(v)) for v in out_vars)
             measured.update(qubits)
-            instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=(vx, vz)))
+            instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=out_vars))
         elif head == "OUT":
             if len(tokens) != 3:
                 raise ParseError("expected 'OUT j q'", lineno)
@@ -465,8 +464,8 @@ def parse_program(text: str) -> CompiledProgram:
 # children of a branch point come out of one fancy index already contiguous.
 # A branch point replaces each entry by its kept outcomes, parent-major, which
 # is the order a depth-first expansion visits them. A sampled shot is a
-# frontier of one and draws each Bell outcome from the same table as an
-# exhaustive run keeps them from.
+# frontier of one and draws each Bell outcome, with one uniform, from the same
+# table of outcome probabilities as an exhaustive run keeps them from.
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
@@ -604,9 +603,9 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """Replay a measure-mode program's schedule into an ExecPlan.
 
     A Bell step measures (s, r) after CNOT(r, s) and H(r), so its outcome
-    index is 2x + z, the position of (x, z) in _BELL_OUTCOMES. The classical
-    bits of its outcomes are the bits of their variables (frames.name_mask),
-    which the conditions are evaluated against (KeyPoly.at).
+    index is k = 2x + z. The classical bit of each outcome is the bit of its
+    variable (frames.var_bit), which the conditions are evaluated against
+    (KeyPoly.at).
     """
     sched = _Schedule(p.n)
     touched = set(range(p.n))
@@ -637,9 +636,8 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
         if ins.op is InstrOp.BELL:
             r, s = qs
             vx, vz = ins.out_vars
-            mx, mz = (name_mask(v) or 1 << var_bit(OutcomeVar(v, Owner.LOCAL))
-                      for v in ins.out_vars)
-            sched.branch((s, r), ((vx, mx), (vz, mz)))
+            mx, mz = 1 << var_bit(vx), 1 << var_bit(vz)
+            sched.branch((s, r), ((vx.name, mx), (vz.name, mz)))
             read |= mx | mz
         else:
             unbound = ins.cond.support & ~read
@@ -653,31 +651,37 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 
 
 def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
-            rng: np.random.Generator | None, cutoff: float) -> tuple:
+            rng: np.random.Generator | None) -> tuple:
     """One branch point over the whole frontier, already rotated by the
     step's rotation kernels.
 
-    The outcome marginals are taken once, as a (batch, outcome) table. With
-    ``rng`` the frontier is one shot of a measure plan, whose branch points
-    are all Bell steps, and one outcome is drawn from its [z, x] table with
-    draw_bell_outcome. Otherwise every outcome above ``cutoff`` is kept,
-    parent-major and in outcome order, and the kept children are gathered
-    with one fancy index. Returns the new frontier's amplitudes, branch
-    probabilities and classical-bit masks.
+    The outcome marginals are taken once, as a (batch, outcome) table in
+    outcome order, k = 2x + z at a Bell step. With ``rng`` the frontier is
+    one shot of a measure plan, whose branch points are all Bell steps: its
+    outcome is the first k at which the running sum of its row passes one
+    uniform draw (the last k if none does), sliced out by basic indexing.
+    Otherwise every outcome above _CUTOFF is kept, parent-major and in
+    outcome order, and the kept children are gathered with one fancy index.
+    Returns the new frontier's amplitudes, branch probabilities and
+    classical-bit masks.
     """
     _, _, sum_axes, order, measured, bits = step
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=sum_axes).transpose(order)
     if rng is not None:
-        x, zv = draw_bell_outcome(table[0].T, rng)
-        prob = float(table[0, x, zv])
+        row = table[0].ravel().tolist()
+        u = rng.random()
+        for k, acc in enumerate(accumulate(row)):
+            if u < acc:
+                break  # else k stays at the last outcome
+        prob = row[k]
         if prob <= 0.0:
-            raise ValidationError(f"measurement outcome {(zv, x)} has zero probability")
+            raise ValidationError(f"measurement outcome {(k & 1, k >> 1)} has zero probability")
         idx = [slice(None)] * amps.ndim
-        idx[measured[0]], idx[measured[1]] = x, zv
-        return amps[tuple(idx)] / np.sqrt(prob), probs * prob, [ones[0] | bits[2 * x + zv]]
+        idx[measured[0]], idx[measured[1]] = k >> 1, k & 1
+        return amps[tuple(idx)] / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
     flat = table.reshape(-1)
-    kept = np.flatnonzero(flat > cutoff)
+    kept = np.flatnonzero(flat > _CUTOFF)
     prob = flat[kept]
     if kept.size and prob.min() <= 0.0:
         raise ValidationError("measurement outcome has zero probability")
@@ -691,8 +695,7 @@ def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
     return children, probs[parents] * prob, ones
 
 
-def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None,
-         cutoff: float) -> list[Branch]:
+def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
     """Run ``plan`` over a frontier that starts as the input state alone and
     return one Branch per leaf, in depth-first order.
 
@@ -724,7 +727,7 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         else:
             for kernel, args in step[1]:
                 amps = kernel(amps, *args)
-            amps, probs, ones = _branch(step, amps, probs, ones, rng, cutoff)
+            amps, probs, ones = _branch(step, amps, probs, ones, rng)
     if not ones:
         return []
     states = _extract(amps, list(plan.outputs))
@@ -739,13 +742,14 @@ def execute(p: CompiledProgram, input_state: StateVector,
             rng: np.random.Generator) -> tuple[StateVector, dict[str, int]]:
     """Run a compiled program, sampling Bell outcomes; returns the reduced
     state on the logical output wires and the outcome of every variable."""
-    (leaf,) = _run(p.plan, input_state, rng, 0.0)
+    (leaf,) = _run(p.plan, input_state, rng)
     return leaf.state, leaf.outcomes
 
 
 # Exhaustive enumeration keeps every branch live at once, so both enumerations
 # refuse programs whose measurements carry more classical bits than this.
 MAX_OUTCOME_BITS = 12
+_CUTOFF = 1e-12  # exhaustive runs keep the outcomes of probability above this
 
 
 def _check_branch_bits(bells: int, max_outcome_bits: int) -> None:
@@ -755,8 +759,7 @@ def _check_branch_bits(bells: int, max_outcome_bits: int) -> None:
 
 
 def enumerate_branches(p: CompiledProgram, input_state: StateVector,
-                       max_outcome_bits: int = MAX_OUTCOME_BITS,
-                       cutoff: float = 1e-12) -> list[Branch]:
+                       max_outcome_bits: int = MAX_OUTCOME_BITS) -> list[Branch]:
     """Exhaustively expand every Bell outcome of positive probability.
 
     Branch probabilities partition 1. Refuses programs whose measurements
@@ -769,7 +772,7 @@ def enumerate_branches(p: CompiledProgram, input_state: StateVector,
             f"max_outcome_bits {max_outcome_bits} exceeds the {MAX_OUTCOME_BITS}-bit cap")
     _check_branch_bits(sum(1 for ins in p.instructions if ins.op is InstrOp.BELL),
                        max_outcome_bits)
-    return _run(p.plan, input_state, None, cutoff)
+    return _run(p.plan, input_state, None)
 
 
 # -- unitary conversion ------------------------------------------------------
@@ -879,8 +882,8 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             vx, vz = ins.out_vars
             anc_z, anc_x = next_q, next_q + 1
             next_q += 2
-            var_qubits[vz] = anc_z
-            var_qubits[vx] = anc_x
+            var_qubits[vz.name] = anc_z
+            var_qubits[vx.name] = anc_x
             gates += [cnot(r, s), h(r), cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
         else:
@@ -944,15 +947,14 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     return sched.plan(up.n, up.logical_outputs)
 
 
-def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector,
-                               cutoff: float = 1e-12) -> list[Branch]:
+def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector) -> list[Branch]:
     """Branch enumeration for a converted circuit: every outcome of the
-    measured Bell and ancilla qubits (see _unitary_plan) of probability above
-    ``cutoff``, through the same runner as measure-mode programs. Refuses,
+    measured Bell and ancilla qubits (see _unitary_plan) of positive
+    probability, through the same runner as measure-mode programs. Refuses,
     before any amplitude work, circuits whose Bell groups carry more than
     MAX_OUTCOME_BITS classical bits (2 per group)."""
     _check_branch_bits(len(up.bell_groups), MAX_OUTCOME_BITS)
-    return _run(_unitary_plan(up), input_state, None, cutoff)
+    return _run(_unitary_plan(up), input_state, None)
 
 
 # -- speculative grouped execution for classical circuits --------------------
@@ -1013,15 +1015,15 @@ def execute_speculative(sp: SpeculativeProgram,
     XOR the link X outcomes. The drawn Pauli frame is pushed through every
     stage; its pending P-dagger corrections are phases on basis states and
     are dropped, and its final X part is undone on the output bits. Returns
-    the output bits and the link outcomes, named L<link>q<wire>x / z."""
+    the output bits and the link outcomes, named L<link>q<wire>x / z. Each
+    link outcome is uniform: one draw u picks k = 2x + z = floor(4u)."""
     n = sp.n
-    uniform = np.full((2, 2), 0.25)
     frame = PauliMask.zero(n)
     outcomes: dict[str, int] = {}
     bits = sp.input_bits
     for m, stages in enumerate(sp.groups):
         if m > 0:
-            link = [draw_bell_outcome(uniform, rng) for _ in range(n)]
+            link = [divmod(int(4 * rng.random()), 2) for _ in range(n)]
             for j, (xv, zv) in enumerate(link):
                 outcomes[f"L{m}q{j}x"] = xv
                 outcomes[f"L{m}q{j}z"] = zv

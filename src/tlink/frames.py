@@ -13,12 +13,12 @@ corrections, where phases are unobservable.
 A KeyPoly is held as integer bitmasks, the packed GF(2) rows of
 Aaronson-Gottesman (quant-ph/0406196): bit i stands for the i-th entry of
 one process-wide variable table, which hands each distinct OutcomeVar
-(name and owner) the next bit the first time a key mentions it. So the push
-is int XOR, a condition's support is one int, and a key prints by walking
-its set bits. The table only grows; it is shared by every program in the
-process because keys are also built outside any program (the garden-hose
-frame), and it is extended under a lock, so keys may be built from several
-threads.
+(name and owner) the next bit the first time a key or a BELL mentions it.
+So the push is int XOR, a condition's support is one int, and a key prints
+by walking its set bits. The table only grows; it is shared by every program
+in the process because keys are also built outside any program (the
+garden-hose frame), and it is extended under a lock, so keys may be built
+from several threads.
 
 Key update rules, pushed left-to-right through a gate:
 
@@ -51,10 +51,14 @@ class Owner(Enum):
 
 @dataclass(frozen=True)
 class OutcomeVar:
-    """A named measurement-outcome bit tagged with the party that knows it."""
+    """A named measurement-outcome bit tagged with the party that knows it.
+    It hashes by the owner's value, a str, without calling Enum.__hash__."""
 
     name: str
     owner: Owner = Owner.LOCAL
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.owner._value_))
 
 
 Monomial = frozenset  # frozenset[OutcomeVar]
@@ -63,16 +67,13 @@ Monomial = frozenset  # frozenset[OutcomeVar]
 # -- the variable table ---------------------------------------------------------
 #
 # Bit i of a key mask is _VARS[i]. _BITS is keyed by (name, owner value), plain
-# strings, which hash and compare without calling back into Python.
-# _NAME_MASKS maps a name to the bits of every variable of that name, whatever
-# its owner: a BELL line names its outcomes without owners. Readers go without
-# the lock; an entry is appended to the lists before its bit is published in
-# the dicts.
+# strings, which hash and compare without calling back into Python. Readers go
+# without the lock; an entry is appended to the lists before its bit is
+# published in the dict.
 
 _VARS: list[OutcomeVar] = []
 _NAMES: list[str] = []
 _BITS: dict[tuple[str, str], int] = {}
-_NAME_MASKS: dict[str, int] = {}
 _TABLE_LOCK = threading.Lock()
 
 
@@ -87,14 +88,14 @@ def var_bit(var: OutcomeVar) -> int:
                 bit = len(_VARS)
                 _VARS.append(var)
                 _NAMES.append(var.name)
-                _NAME_MASKS[var.name] = _NAME_MASKS.get(var.name, 0) | 1 << bit
                 _BITS[key] = bit
     return bit
 
 
-def name_mask(name: str) -> int:
-    """The bits of every variable called ``name`` (0 when there is none)."""
-    return _NAME_MASKS.get(name, 0)
+def outcome_var(name: str, owner: Owner = Owner.LOCAL) -> OutcomeVar:
+    """The table's own instance of OutcomeVar(name, owner), added on first use."""
+    bit = _BITS.get((name, owner._value_))
+    return _VARS[var_bit(OutcomeVar(name, owner)) if bit is None else bit]
 
 
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .frames import (
     apply_tableau,
     commute_through_t_layer,
     cross_terms,
+    outcome_var,
     tableau_from_stage,
 )
 from .oracle import (
@@ -68,14 +70,31 @@ from .oracle import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadgetResult:
-    output_qubit: str                   # "out1" / "out2"
-    applied_pdg: int                    # p xor q
-    symbolic_mask: SymbolicMask         # keys of the output wire
-    mask: PauliMask                     # the keys at the run's outcomes
+    """One gadget run: the routing bits, the outcomes drawn and the output
+    wire; everything else is derived from them."""
+
+    p: int
+    q: int
     outcomes: dict[str, int]
     state: StateVector                  # the realized output wire
+
+    @property
+    def output_qubit(self) -> str:
+        return "out1" if self.p == 0 else "out2"
+
+    @property
+    def applied_pdg(self) -> int:
+        return self.p ^ self.q
+
+    @property
+    def symbolic_mask(self) -> SymbolicMask:  # the keys of the output wire
+        return gadget_keys(self.p, self.q)
+
+    @property
+    def mask(self) -> PauliMask:  # the keys at the run's outcomes
+        return self.symbolic_mask.evaluate(self.outcomes)
 
 
 def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
@@ -88,16 +107,17 @@ def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
     bobh = range(base, base + 4)
     alich = range(base + 4, base + 8)
 
-    def bell(r: int, s: int, name: str) -> Instruction:
-        return Instruction(InstrOp.BELL, (r, s), out_vars=(prefix + name + "x", prefix + name + "z"))
+    def bell(r: int, s: int, name: str, owner: Owner) -> Instruction:
+        return Instruction(InstrOp.BELL, (r, s), out_vars=(outcome_var(prefix + name + "x", owner),
+                                                           outcome_var(prefix + name + "z", owner)))
 
     instrs = [Instruction(InstrOp.EPR, pair) for pair in zip(bobh, alich)]
     instrs += [
-        bell(in_q, bobh[p_bit], "b"),
+        bell(in_q, bobh[p_bit], "b", Owner.BOB),
         Instruction(InstrOp.COND_PDG, (alich[0],), cond=q_key),
-        bell(alich[0], alich[2], "a1"),
+        bell(alich[0], alich[2], "a1", Owner.ALICE),
         Instruction(InstrOp.COND_PDG, (alich[1],), cond=q_key ^ KeyPoly.one()),
-        bell(alich[1], alich[3], "a2"),
+        bell(alich[1], alich[3], "a2", Owner.ALICE),
     ]
     return instrs, bobh[2 + p_bit]
 
@@ -117,6 +137,7 @@ def _gadget_vars(prefix: str, on_path: str) -> tuple[KeyPoly, ...]:
             KeyPoly.of(OutcomeVar(prefix + on_path + "z", Owner.ALICE)))
 
 
+@lru_cache(maxsize=None)
 def gadget_keys(p: int, q: int) -> SymbolicMask:
     """Keys (a, b) of the gadget's output wire, which carries
     (P-dagger)^(p xor q) X^a Z^b psi (the correction kept outermost):
@@ -124,12 +145,6 @@ def gadget_keys(p: int, q: int) -> SymbolicMask:
     Alice's pairing on Bob's path (a1 for p = 0, a2 for p = 1)."""
     bx, bz, ax, az = _gadget_vars("", "a1" if p == 0 else "a2")
     return SymbolicMask((bx ^ ax,), (bz ^ az ^ (ax * KeyPoly.from_bit(p ^ q)),))
-
-
-def _gadget_result(p: int, q: int, keys: SymbolicMask, outcomes: dict[str, int],
-                   state: StateVector) -> GadgetResult:
-    return GadgetResult("out1" if p == 0 else "out2", p ^ q, keys, keys.evaluate(outcomes),
-                        outcomes, state)
 
 
 def run_gadget(p: int, q: int, input_state: StateVector,
@@ -140,7 +155,7 @@ def run_gadget(p: int, q: int, input_state: StateVector,
         raise ValidationError("gadget input must be a single qubit")
     p_bit, q_bit = int(p) & 1, int(q) & 1
     state, outcomes = execute(gadget_program(p_bit, q_bit), input_state, rng)
-    return _gadget_result(p_bit, q_bit, gadget_keys(p_bit, q_bit), outcomes, state)
+    return GadgetResult(p_bit, q_bit, outcomes, state)
 
 
 def undo_gadget(res: GadgetResult) -> StateVector:
@@ -160,30 +175,31 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
     (enumerate_branches). The branch probabilities must sum to 1, and on
     every branch the keys evaluated at its outcomes, with P when p xor q = 1,
     must undo the output back to the input. Returns one summary row per
-    (p, q); raises on any violation.
+    (p, q) from its GadgetResults; raises on any violation.
     """
     if input_states is None:
         gen = np.random.default_rng(seed)
         input_states = [random_state(1, gen) for _ in range(3)]
+    if not input_states:
+        raise ValidationError("the gadget truth table needs at least one input state")
     table = []
     for p_bit, q_bit in itertools.product((0, 1), repeat=2):
-        program, keys = gadget_program(p_bit, q_bit), gadget_keys(p_bit, q_bit)
+        program = gadget_program(p_bit, q_bit)
         min_fid = 1.0
         for psi in input_states:
             branches = enumerate_branches(program, psi)
             if abs(sum(br.probability for br in branches) - 1.0) > 1e-9:
                 raise ValidationError("gadget branch probabilities do not sum to 1")
             for br in branches:
-                res = _gadget_result(p_bit, q_bit, keys, br.outcomes, br.state)
+                res = GadgetResult(p_bit, q_bit, br.outcomes, br.state)
                 fid = fidelity_up_to_phase(undo_gadget(res), psi)
                 min_fid = min(min_fid, fid)
                 if fid < 1.0 - tol:
                     raise ValidationError(
                         f"gadget failed at (p,q)=({p_bit},{q_bit}), branch {br.outcomes}: "
                         f"fidelity {fid}")
-        table.append({"p": p_bit, "q": q_bit,
-                      "out": "out1" if p_bit == 0 else "out2",
-                      "pdg": p_bit ^ q_bit, "min_fidelity": min_fid})
+        table.append({"p": p_bit, "q": q_bit, "out": res.output_qubit,
+                      "pdg": res.applied_pdg, "min_fidelity": min_fid})
     return table
 
 
@@ -322,7 +338,6 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
     carriers = list(range(c.n))
     next_q = c.n
     instrs: list[Instruction] = []
-    var_owners: dict[str, Owner] = {}
     events: list[Event] = []
     mask = SymbolicMask.zero(c.n)
 
@@ -333,12 +348,11 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
         hb, ha = next_q, next_q + 1
         next_q += 2
         mine, other = (ha, hb) if owner is Owner.ALICE else (hb, ha)
-        vx, vz = name + "x", name + "z"
+        vx, vz = outcome_var(name + "x", owner), outcome_var(name + "z", owner)
         instrs.append(Instruction(InstrOp.EPR, (hb, ha)))
         instrs.append(Instruction(InstrOp.BELL, (carriers[j], mine), out_vars=(vx, vz)))
-        var_owners[vx] = var_owners[vz] = owner
         carriers[j] = other
-        mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(vx, owner)), KeyPoly.of(OutcomeVar(vz, owner)))
+        mask = mask.xor_at(j, KeyPoly.of(vx), KeyPoly.of(vz))
 
     for j in sorted(plan.alice_wires):
         teleport(j, f"t{j}", Owner.ALICE)
@@ -361,8 +375,6 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
             gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, p_bit, alice_key, prefix)
             next_q += 8
             instrs += gadget
-            var_owners.update({prefix + v: Owner.BOB for v in ("bx", "bz")})
-            var_owners.update({prefix + v: Owner.ALICE for v in ("a1x", "a1z", "a2x", "a2z")})
             alice_deps = _deps(gadget)
             events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", frozenset(), "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing1", alice_deps, "measure"))
@@ -390,6 +402,7 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
         "gadget": 4 * gadget_count,
         "return_teleport": len(plan.return_to_alice),
     }
+    var_owners = {v.name: v.owner for ins in instrs if ins.op is InstrOp.BELL for v in ins.out_vars}
     transcript = ProtocolTranscript(events, var_owners, ledger, {})
     return CompiledProgram(next_q, tuple(carriers), tuple(instrs)), transcript
 

@@ -10,8 +10,8 @@ a ValidationError, never an allocation failure.
 Bell measurement convention: measuring (r, s) rotates with CNOT(r, s) then
 H(r) and reads z from r, x from s. If s was half of an EPR pair whose partner
 carried a teleported state psi, the partner afterwards holds X^x Z^z psi.
-A sampled Bell measurement consumes exactly one uniform draw from the
-supplied generator.
+Outcomes are drawn by the compiler's branch step (compiler._branch), one
+uniform per Bell measurement.
 
 The gate kernels (gate_kernel) and the axis-level helpers at the end
 (allocation, EPR preparation, extraction) also serve the compiler's
@@ -44,9 +44,6 @@ GATE_MATRICES = {
     GateKind.T: np.diag([1, np.exp(1j * pi / 4)]).astype(complex),
 }
 
-# Outcome order for the single uniform draw per Bell measurement.
-_BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 @dataclass(slots=True)
 class StateVector:
@@ -55,13 +52,6 @@ class StateVector:
 
     def shaped(self) -> np.ndarray:
         return self.amps.reshape((2,) * self.n)
-
-    def __str__(self) -> str:
-        lines = []
-        for i, amp in enumerate(self.amps):
-            if abs(amp) > 1e-12:
-                lines.append(f"{i:0{self.n}b}: {amp:.6g}")
-        return "\n".join(lines) or "0"
 
 
 def _check_qubits(n: int) -> None:
@@ -250,14 +240,3 @@ def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> np.ndarra
     if mats.shape[0] and np.linalg.norm(residual, axis=(1, 2)).max() > tol:
         raise ValidationError("extraction target is entangled with the rest of the register")
     return vecs
-
-
-def draw_bell_outcome(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
-    """Pick (x, z) from a [z, x] probability table with one uniform draw."""
-    u = rng.random()
-    acc = 0.0
-    for x, zv in _BELL_OUTCOMES:
-        acc += probs[zv, x]
-        if u < acc:
-            return x, zv
-    return _BELL_OUTCOMES[-1]

@@ -141,8 +141,10 @@ def test_negative_seed_exits_3(tmp_path, capsys, argv):
     ["crossterms", "--in", "{c}", "--tolerance", "0.1"],
     ["speculate", "--in", "{c}", "--r", "1", "--tolerance", "0.1"],
     ["verify", "--in", "{c}", "--max-bits", "12"],
+    ["verify", "--in", "{c}", "--nmax", "6"],
 ], ids=["compile-seed", "compile-tolerance", "stats-seed", "stats-tolerance",
-        "crossterms-seed", "crossterms-tolerance", "speculate-tolerance", "verify-max-bits"])
+        "crossterms-seed", "crossterms-tolerance", "speculate-tolerance", "verify-max-bits",
+        "verify-nmax"])
 def test_unread_option_exits_2(tmp_path, capsys, argv):
     circuit = tmp_path / "c.txt"
     circuit.write_text("QUBITS 2\nX 0\nT 0\n---\nCNOT 0 1\n---\n")
@@ -154,6 +156,17 @@ def test_unread_option_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
     assert not out.exists()
+
+
+def test_seven_qubits_verify(tmp_path, capsys):
+    # verify has no qubit option of its own: the plan's window cap and the
+    # oracle's qubit cap are what refuse an oversized input.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 7\n" + "".join(f"H {j}\n" for j in range(7))
+                       + "".join(f"CNOT {j} {j + 1}\n" for j in range(6))
+                       + "".join(f"T {j}\n" for j in range(7)) + "---\nH 3\nT 3\n---\n")
+    assert cli.main(["verify", "--in", str(circuit), "--seed", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "min_fidelity=1.000000000000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,8 +35,11 @@ from tlink.compiler import (
     report,
     serialize_program,
 )
-from tlink.frames import poly_eval
-from tlink.oracle import _BELL_OUTCOMES, MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
+from tlink.frames import Owner, outcome_var, poly_eval
+from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
+
+# The (x, z) outcomes of a Bell measurement in outcome order k = 2x + z.
+_BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def bells(p):
@@ -73,8 +76,18 @@ class TestCompileStructure:
     def test_outcome_variable_naming(self):
         c = parse_circuit("QUBITS 2\nT 0\n---\nT 1\n---\nT 0\n---")
         prog = compile_measure(c)
-        assert [ins.out_vars for ins in bells(prog)] == [
+        assert [tuple(v.name for v in ins.out_vars) for ins in bells(prog)] == [
             ("m0x", "m0z"), ("m1x", "m1z"), ("m2x", "m2z"), ("m3x", "m3z")]
+
+    def test_bells_hold_the_tables_variables(self):
+        # Compiled and parsed BELLs name their outcomes by the variable
+        # table's own instances, owned by LOCAL.
+        prog = compile_measure(parse_circuit("QUBITS 2\nT 0\n---\nT 1\n---"))
+        parsed = parse_program(serialize_program(prog))
+        for ins, back in zip(bells(prog), bells(parsed), strict=True):
+            for v, w in zip(ins.out_vars, back.out_vars):
+                assert v is outcome_var(v.name) and w is v
+                assert v.owner is Owner.LOCAL
 
     def test_t_count_preserved(self, rng):
         for _ in range(15):
@@ -307,7 +320,7 @@ def per_term_schedule(instructions) -> DepthMetrics:
         if ins.op is InstrOp.BELL:
             end = start + 3
             for v in ins.out_vars:
-                var_ready[v] = end
+                var_ready[v.name] = end
         elif ins.op is InstrOp.GATE:
             end = start + 1
             gate_count += 1
@@ -429,7 +442,7 @@ def branch_reference(p, psi, outcomes: dict[str, int]):
             r, s = ins.qubits
             vx, vz = ins.out_vars
             amps = apply_gates(amps, [cnot(r, s), h(r)], total)
-            amps = project(amps, total, {r: outcomes[vz], s: outcomes[vx]})
+            amps = project(amps, total, {r: outcomes[vz.name], s: outcomes[vx.name]})
         elif poly_eval(ins.cond, outcomes):
             amps = apply_gates(amps, [Gate(_COND_GATES[ins.op], ins.qubits)], total)
     prob = float(np.linalg.norm(amps) ** 2)
@@ -440,7 +453,7 @@ def assert_matches_reference(p, psi, cutoff: float = 1e-12) -> int:
     """Every branch of enumerate_branches against branch_reference: the
     branches are exactly the assignments above ``cutoff``, in lexicographic
     _BELL_OUTCOMES order per Bell in program order."""
-    names = [ins.out_vars for ins in bells(p)]
+    names = [tuple(v.name for v in ins.out_vars) for ins in bells(p)]
     want = []
     for choice in itertools.product(_BELL_OUTCOMES, repeat=len(names)):
         outcomes = {v: bit for (vx, vz), (xv, zv) in zip(names, choice)

@@ -30,7 +30,7 @@ from tlink.frames import (
     commute_through_t_layer,
     cross_terms,
     mask_of,
-    name_mask,
+    outcome_var,
     poly_eval,
     tableau_from_stage,
     var_bit,
@@ -166,7 +166,6 @@ class TestBitmaskKeys:
         assert len(set(masks)) == len(fresh) and all(m.bit_count() == 1 for m in masks)
         for v, m in seen[0].items():
             assert KeyPoly(m).variables() == {v}
-            assert name_mask(v.name) == sum(seen[0][OutcomeVar(v.name, o)] for o in Owner)
 
 
     def test_pickled_key_names_its_variables(self):
@@ -185,6 +184,36 @@ class TestBitmaskKeys:
                              capture_output=True, timeout=60, check=True)
         assert run.stdout.decode().strip() == (
             "pk_a*pk_b ^ pk_c ^ 1 [('pk_a', 'alice'), ('pk_b', 'bob'), ('pk_c', 'local')]")
+
+
+class TestOutcomeVar:
+    def test_equal_variables_hash_equal(self):
+        a, b = OutcomeVar("hv", Owner.ALICE), OutcomeVar("hv", Owner.ALICE)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(("hv", "alice"))
+        assert len({a, b}) == 1
+
+    def test_same_name_other_owner_is_another_member(self):
+        members = {OutcomeVar("hv", owner) for owner in Owner}
+        assert len(members) == len(Owner)
+        assert OutcomeVar("hv", Owner.BOB) in members
+        assert len({KeyPoly.of(v).linear for v in members}) == len(Owner)
+
+    def test_hash_does_not_hash_the_owner(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Owner hashed")
+
+        monkeypatch.setattr(Owner, "__hash__", refuse)
+        key = KeyPoly.of(P_BOB) * KeyPoly.of(Q_ALICE)
+        assert cross_terms(key) == [frozenset({P_BOB, Q_ALICE})]
+        assert key.variables() == {P_BOB, Q_ALICE}
+
+    def test_outcome_var_is_the_tables_instance(self):
+        v = outcome_var("ov_fresh", Owner.BOB)
+        assert v == OutcomeVar("ov_fresh", Owner.BOB)
+        assert outcome_var("ov_fresh", Owner.BOB) is v
+        assert frames._VARS[var_bit(v)] is v
+        assert outcome_var("ov_fresh") is not v and outcome_var("ov_fresh").owner is Owner.LOCAL
 
 
 class TestCrossTerms:

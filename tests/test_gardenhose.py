@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_circuit, random_state
 from tlink.circuits import ValidationError, parse_circuit
 from tlink.compiler import InstrOp, enumerate_branches
 from tlink.frames import KeyPoly, OutcomeVar, Owner, SymbolicMask, cross_terms, poly_eval
@@ -62,6 +63,21 @@ class TestRunGadget:
                  if ins.op is InstrOp.COND_PDG]
         assert conds == [KeyPoly.from_bit(q), KeyPoly.from_bit(q ^ 1)]
 
+    def test_result_stores_only_its_inputs(self, rng):
+        res = run_gadget(1, 0, random_state(rng, 1), rng=rng)
+        assert [f.name for f in dataclasses.fields(res)] == ["p", "q", "outcomes", "state"]
+        assert (res.output_qubit, res.applied_pdg) == ("out2", 1)
+        assert res.symbolic_mask is gadget_keys(1, 0)
+        assert res.mask == gadget_keys(1, 0).evaluate(res.outcomes)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.p = 0
+
+    def test_bell_outcomes_carry_their_owners(self):
+        owners = {v.name: v.owner for ins in gadget_program(0, 1).instructions
+                  if ins.op is InstrOp.BELL for v in ins.out_vars}
+        assert owners == {"bx": Owner.BOB, "bz": Owner.BOB, "a1x": Owner.ALICE,
+                          "a1z": Owner.ALICE, "a2x": Owner.ALICE, "a2z": Owner.ALICE}
+
     def test_variable_owners(self, rng):
         res = run_gadget(0, 1, random_state(rng, 1), rng=rng)
         owners = {v.name: v.owner for key in (*res.symbolic_mask.a, *res.symbolic_mask.b)
@@ -105,6 +121,27 @@ class TestGadgetFrameUpdate:
 
 
 class TestProtocol1:
+    def test_ledger_and_owners_agree_with_the_program(self):
+        # Random T-depth-1 circuits and resource plans: the ledger counts the
+        # program's EPR instructions, and every outcome's owner is the party
+        # that measures it (t: Alice's teleports, r: Bob's returns, g<i>b:
+        # Bob's gadget Bell, g<i>a: Alice's pairings).
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            c = random_circuit(rng, n, 1)
+            alice = frozenset(int(j) for j in np.flatnonzero(rng.integers(0, 2, n)))
+            returns = tuple(int(j) for j in np.flatnonzero(rng.integers(0, 2, n)))
+            program, tr = protocol_program(c, ResourcePlan(alice, returns))
+            eprs = sum(1 for ins in program.instructions if ins.op is InstrOp.EPR)
+            t_count = sum(len(st.t_layer) for st in c.stages)
+            assert tr.total_pairs == eprs == len(alice) + 4 * t_count + len(returns)
+            bells = [ins for ins in program.instructions if ins.op is InstrOp.BELL]
+            assert len(tr.var_owners) == 2 * len(bells)
+            for name, owner in tr.var_owners.items():
+                bob = name[0] == "r" or (name[0] == "g" and name.rstrip("xz")[-1] == "b")
+                assert owner is (Owner.BOB if bob else Owner.ALICE), name
+
     def test_clifford_only(self, rng):
         c = parse_circuit("QUBITS 1\nH 0\n---\n")
         psi = random_state(rng, 1)

@@ -11,7 +11,7 @@ from tlink.compiler import (
     execute,
     parse_program,
 )
-from tlink.frames import PauliMask
+from tlink.frames import OutcomeVar, PauliMask
 from tlink.oracle import (
     MAX_QUBITS,
     StateVector,
@@ -197,8 +197,20 @@ class TestBellMeasure:
         run_once(text, init_state(1, "0"), counter)
         assert counter.calls == 2
 
+    @pytest.mark.parametrize("u,z", [(0.0, 0), (0.3, 0), (0.7, 1)])
+    def test_draw_walks_outcomes_in_order(self, u, z):
+        # |0> against a fresh |0>: outcomes k = 2x + z have probabilities
+        # 1/2, 1/2, 0, 0, so the running total passes u at z = 0 when u is
+        # below 1/2 and at z = 1 above it.
+        class FixedRng:
+            def random(self):
+                return u
+
+        _, bits = run_once("QUBITS 3\nBELL 0 1 -> x z\nOUT 0 2\n", init_state(1, "0"), FixedRng())
+        assert bits == {"x": 0, "z": z}
+
     def test_same_qubit_rejected(self):
-        prog = raw_program(Instruction(InstrOp.BELL, (1, 1), out_vars=("x", "z")))
+        prog = raw_program(Instruction(InstrOp.BELL, (1, 1), out_vars=(OutcomeVar("x"), OutcomeVar("z"))))
         with pytest.raises(ValidationError, match="distinct"):
             execute(prog, init_state(1, "0"), np.random.default_rng(0))
 

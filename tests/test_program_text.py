@@ -135,7 +135,7 @@ def test_protocol_program_round_trips():
     psi = random_state(2, np.random.default_rng(3))
     # Seven Bell measurements are 14 outcome bits, above enumerate_branches'
     # 12-bit cap, so both plans go through its runner directly.
-    assert_same_branches(_run(parsed.plan, psi, None, 1e-12), _run(program.plan, psi, None, 1e-12))
+    assert_same_branches(_run(parsed.plan, psi, None), _run(program.plan, psi, None))
 
 
 def test_cancelling_terms_parse_to_zero():

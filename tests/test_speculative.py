@@ -73,6 +73,20 @@ class TestExecuteSpeculative:
         # One link between the two groups: an x and a z bit per wire.
         assert sorted(outcomes) == ["L1q0x", "L1q0z", "L1q1x", "L1q1z"]
 
+    def test_link_outcomes_walk_the_uniform_table(self):
+        # Each link outcome takes one uniform u, and k = 2x + z is the first
+        # outcome whose running total of 1/4 per outcome exceeds u.
+        sp = compile_speculative(parse_circuit(CLASSICAL_K4), 1, "10")
+        _, outcomes = execute_speculative(sp, np.random.default_rng(9))
+        draws = iter(np.random.default_rng(9).random(len(outcomes) // 2))
+        want = {}
+        for m in range(1, len(sp.groups)):
+            for j in range(sp.n):
+                u = next(draws)
+                k = next(k for k in range(4) if u < 0.25 * (k + 1))
+                want[f"L{m}q{j}x"], want[f"L{m}q{j}z"] = k >> 1, k & 1
+        assert outcomes == want
+
     def test_every_link_frame_gives_the_direct_output(self):
         # r = 1 on four stages: three links of two wires, so 2^6 link X patterns,
         # each feeding the groups a different teleported input.

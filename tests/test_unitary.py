@@ -76,7 +76,7 @@ class TestConversionStructure:
     def test_bell_becomes_rotation_and_copies(self):
         prog = make_program(3, [2], [
             Instruction(InstrOp.EPR, (1, 2)),
-            Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
         ])
         up = to_unitary(prog)
         kinds = [g.kind.value for g in flatten(up.circuit)]
@@ -134,7 +134,7 @@ class TestTeleportOnly:
     def test_acts_as_identity(self, rng):
         prog = make_program(3, [2], [
             Instruction(InstrOp.EPR, (1, 2)),
-            Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
             Instruction(InstrOp.COND_X, (2,), cond=KeyPoly.of(OutcomeVar("m0x"))),
             Instruction(InstrOp.COND_Z, (2,), cond=KeyPoly.of(OutcomeVar("m0z"))),
         ])
@@ -193,8 +193,8 @@ class TestDegreeTwoConditions:
         prog = make_program(5, [4], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.EPR, (3, 4)),
-            Instruction(InstrOp.BELL, (0, 1), out_vars=("m0x", "m0z")),
-            Instruction(InstrOp.BELL, (2, 3), out_vars=("m1x", "m1z")),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
+            Instruction(InstrOp.BELL, (2, 3), out_vars=(OutcomeVar("m1x"), OutcomeVar("m1z"))),
             Instruction(InstrOp.COND_X, (4,), cond=mx[0] ^ mx[1]),
             Instruction(InstrOp.COND_Z, (4,), cond=mz[0] ^ mz[1]),
             Instruction(op, (4,), cond=mx[0] * mx[1]),
