@@ -160,15 +160,15 @@ def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
     Clifford gates accumulate; T gates on fresh qubits join the open T layer.
     A Clifford gate, or a second T on a qubit already in the layer, closes the
     stage immediately before itself. Gates sharing a qubit are never reordered,
-    so flattening the result is circuit-equivalent to the input.
+    so flattening the result is circuit-equivalent to the input. T gates are
+    checked here, the Clifford gates by validate.
     """
-    for g in gates:
-        _check_gate(g, n)
     stages: list[Stage] = []
     cliff: list[Gate] = []
     t_layer: set[int] = set()
     for g in gates:
         if g.kind is GateKind.T:
+            _check_gate(g, n)
             q = g.targets[0]
             if q in t_layer:
                 stages.append(Stage(tuple(cliff), frozenset(t_layer)))

@@ -67,6 +67,7 @@ from .circuits import (
     h,
     layerize,
     pdg,
+    serialize_circuit,
     t,
     validate,
     x,
@@ -447,14 +448,16 @@ def parse_program(text: str) -> CompiledProgram:
 # -- execution ---------------------------------------------------------------
 #
 # A program runs from an execution plan built once per program by replaying
-# its windowed schedule symbolically. EPR and gate instructions are buffered;
+# its windowed schedule symbolically. EPR and gate instructions are deferred;
 # a Bell measurement, a conditioned correction (whether or not it will fire)
 # and the final extraction each flush only the backward light cone of their
-# qubits (_light_cone). That keeps the window at n+2 on compiled programs:
+# qubits (_Schedule.flush). That keeps the window at n+2 on compiled programs:
 # the n live carriers plus the EPR pair being linked, never the next stage's
 # pre-executed gates. The plan records each step with its tensor axes and its
 # numpy kernel resolved; its qubit checks (EPR on a live qubit, any use of a
 # measured one, the window cap) are static and raise when the plan is built.
+# A branch point is a plain Z measurement: a Bell measurement is planned as
+# its rotation (_bell_rotation), two gate steps, then a two-qubit branch point.
 #
 # One runner (_run) executes a plan over a frontier: every live branch is
 # one entry of a batch axis of the amplitude array, so each step is one numpy
@@ -469,29 +472,27 @@ def parse_program(text: str) -> CompiledProgram:
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
-    """Split buffered ``(qubits, op)`` items into the backward light cone of
-    ``qubits`` and the rest, both in program order.
-
-    Scanning from the end, an item is in the cone when it shares a qubit with
-    ``qubits`` or with an item already kept by the scan. Every other item is
-    disjoint from the cone's later items and from ``qubits``, so it commutes
-    past them and may stay buffered.
+    """Split deferred ``(qubits, item)`` pairs into the backward light cone
+    of ``qubits`` and the rest, both in program order. Scanning from the end,
+    an item is in the cone when it shares a qubit with ``qubits`` or with an
+    item already kept by the scan; every other item is disjoint from both, so
+    it commutes past them and may stay deferred.
     """
     need = set(qubits)
-    keep = [False] * len(buffer)
-    for i in range(len(buffer) - 1, -1, -1):
-        qs = buffer[i][0]
-        if not need.isdisjoint(qs):
-            keep[i] = True
-            need.update(qs)
-    return ([item for item, k in zip(buffer, keep) if k],
-            [item for item, k in zip(buffer, keep) if not k])
+    cone, rest = [], []
+    for item in reversed(buffer):
+        if need.isdisjoint(item[0]):
+            rest.append(item)
+        else:
+            cone.append(item)
+            need.update(item[0])
+    return cone[::-1], rest[::-1]
 
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
 # whole frontier. (_COND, test, kernel, args) runs it on the entries whose
-# mask of classical bits that read 1 passes ``test``. (_BRANCH, rotation,
-# sum_axes, order, measured, bits) is a branch point (_Schedule.branch).
+# mask of classical bits that read 1 passes ``test``. (_BRANCH, sum_axes,
+# order, measured, bits) is a branch point (_Schedule.branch).
 _APPLY, _COND, _BRANCH = range(3)
 
 
@@ -509,13 +510,15 @@ class ExecPlan:
 
 
 class _Schedule:
-    """Symbolic window replay: which qubit each tensor axis holds, and which
-    qubits were measured and dropped. Array axis 0 is the frontier's batch
-    axis, so the qubit on window slot i is array axis i + 1."""
+    """Symbolic window replay: which qubit each tensor axis holds, which
+    qubits were measured and dropped, and the items deferred until a flush
+    reaches their light cone. Array axis 0 is the frontier's batch axis, so
+    the qubit on window slot i is array axis i + 1."""
 
     def __init__(self, n: int):
         self.window = list(range(n))
         self.retired: set[int] = set()
+        self.deferred: list[tuple[tuple[int, ...], object]] = []
         self.steps: list[tuple] = []
         self.names: list[tuple[str, int]] = []
         self.peak = n
@@ -551,11 +554,20 @@ class _Schedule:
         axes = self.axes(qubits)
         self.steps.append((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
 
+    def defer(self, qubits: tuple[int, ...], item) -> None:
+        self.deferred.append((qubits, item))
+
+    def flush(self, qubits, emit) -> None:
+        """Emit, in program order, each deferred item in the light cone of ``qubits``."""
+        cone, self.deferred = _light_cone(self.deferred, qubits)
+        for qs, item in cone:
+            emit(qs, item)
+
     def branch(self, qubits: tuple[int, ...], outcomes) -> None:
-        """Measure ``qubits`` (see _branch_layout), then drop them.
-        ``outcomes`` gives each qubit's outcome name (or None) and classical
-        bit. Outcome k reads bit j of k, the first qubit highest, from qubit
-        j, and sets the classical bits ``bits[k]``."""
+        """Measure ``qubits`` in the Z basis, then drop them. ``outcomes``
+        gives each qubit's outcome name (or None) and classical bit. Outcome
+        k reads bit j of k, the first qubit highest, from qubit j, and sets
+        the classical bits ``bits[k]``."""
         measured = self.axes(qubits)
         bits = [0]
         for _, bit in reversed(outcomes):
@@ -563,9 +575,6 @@ class _Schedule:
         self.names += [(name, bit) for name, bit in outcomes if name is not None]
         self.steps.append((_BRANCH, *_branch_layout(measured, len(self.window) + 1),
                            measured, tuple(bits)))
-        self.drop(*qubits)
-
-    def drop(self, *qubits: int) -> None:
         for q in qubits:
             self.window.remove(q)
         self.retired.update(qubits)
@@ -586,40 +595,38 @@ def _cached_kernel(kind: str, axes: tuple[int, ...], ndim: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _branch_layout(measured: tuple[int, ...], ndim: int) -> tuple:
-    """The rotation kernels of a branch point measuring array axes
-    ``measured`` of an ``ndim``-axis frontier, the axes its marginal sums
-    over, and the transpose that puts the table it leaves, whose axes are in
-    array order, in outcome order. Two axes (s, r) are a Bell measurement,
-    rotated by CNOT(r, s) then H(r); one axis is measured as it is."""
-    rotation = ()
-    if len(measured) == 2:
-        s, r = measured
-        rotation = (gate_kernel(GateKind.CNOT, (r, s), ndim), gate_kernel(GateKind.H, (r,), ndim))
+    """For a branch point Z-measuring array axes ``measured`` of an
+    ``ndim``-axis frontier: the axes its marginal sums over, and the
+    transpose that puts the table it leaves, whose axes are in array order,
+    in outcome order. Any basis change is an ordinary gate step before it."""
     sum_axes = tuple([ax for ax in range(1, ndim) if ax not in measured])
-    return rotation, sum_axes, (0, *[sorted(measured).index(ax) + 1 for ax in measured])
+    return sum_axes, (0, *[sorted(measured).index(ax) + 1 for ax in measured])
+
+
+def _bell_rotation(r: int, s: int) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
+    """The Bell measurement convention, as (kind, qubits) gates: CNOT(r, s)
+    then H(r) rotate the Bell basis of (r, s) onto the computational one, so
+    that a Z measurement reads the outcome z from r and x from s."""
+    return (GateKind.CNOT, (r, s)), (GateKind.H, (r,))
 
 
 def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """Replay a measure-mode program's schedule into an ExecPlan.
 
-    A Bell step measures (s, r) after CNOT(r, s) and H(r), so its outcome
-    index is k = 2x + z. The classical bit of each outcome is the bit of its
-    variable (frames.var_bit), which the conditions are evaluated against
-    (KeyPoly.at).
+    A Bell step is its rotation (_bell_rotation) as two gate steps, then a
+    Z measurement of (s, r), so its outcome index is k = 2x + z. The
+    classical bit of each outcome is the bit of its variable
+    (frames.var_bit), which the conditions are evaluated against (KeyPoly.at).
     """
     sched = _Schedule(p.n)
     touched = set(range(p.n))
-    buffer: list[tuple[tuple[int, ...], Instruction]] = []
     read = 0  # the variables read out so far, as a mask
 
-    def flush(qubits) -> None:
-        nonlocal buffer
-        cone, buffer = _light_cone(buffer, qubits)
-        for qs, ins in cone:
-            if ins.op is InstrOp.EPR:
-                sched.epr(*qs)
-            else:
-                sched.gate(ins.gate.kind, qs)
+    def emit(qs: tuple[int, ...], ins: Instruction) -> None:
+        if ins.op is InstrOp.EPR:
+            sched.epr(*qs)
+        else:
+            sched.gate(ins.gate.kind, qs)
 
     for ins in p.instructions:
         qs = ins.qubits
@@ -630,11 +637,14 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             raise ValidationError(f"EPR qubit {min(touched.intersection(qs))} is already in use")
         touched.update(qs)
         if ins.op is InstrOp.EPR or ins.op is InstrOp.GATE:
-            buffer.append((qs, ins))
+            sched.defer(qs, ins)
             continue
-        flush(qs)
+        sched.flush(qs, emit)
         if ins.op is InstrOp.BELL:
             r, s = qs
+            sched.axes((s, r))  # a fresh s is allocated before a fresh r
+            for kind, rotated in _bell_rotation(r, s):
+                sched.gate(kind, rotated)
             vx, vz = ins.out_vars
             mx, mz = 1 << var_bit(vx), 1 << var_bit(vz)
             sched.branch((s, r), ((vx.name, mx), (vz.name, mz)))
@@ -646,26 +656,25 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
                 raise ValidationError(f"unbound outcome variable {name!r}")
             sched.cond(ins.cond.at, _COND_KINDS[ins.op], qs)
     sched.check_unmeasured(p.logical_outputs)
-    flush(p.logical_outputs)
+    sched.flush(p.logical_outputs, emit)
     return sched.plan(p.n, p.logical_outputs)
 
 
 def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
             rng: np.random.Generator | None) -> tuple:
-    """One branch point over the whole frontier, already rotated by the
-    step's rotation kernels.
+    """One branch point, a Z measurement of the step's axes, over the whole
+    frontier; returns its amplitudes, branch probabilities and bit masks.
 
     The outcome marginals are taken once, as a (batch, outcome) table in
     outcome order, k = 2x + z at a Bell step. With ``rng`` the frontier is
-    one shot of a measure plan, whose branch points are all Bell steps: its
-    outcome is the first k at which the running sum of its row passes one
-    uniform draw (the last k if none does), sliced out by basic indexing.
+    one shot of a measure plan: its outcome is the first k at which the
+    running sum of its row passes one uniform draw (else the last k).
     Otherwise every outcome above _CUTOFF is kept, parent-major and in
-    outcome order, and the kept children are gathered with one fancy index.
-    Returns the new frontier's amplitudes, branch probabilities and
-    classical-bit masks.
+    outcome order. Each measured axis is indexed by its bit of k, the first
+    axis highest; a shot's child is a view, maybe of the caller's input, so
+    it is divided out of place.
     """
-    _, _, sum_axes, order, measured, bits = step
+    _, sum_axes, order, measured, bits = step
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=sum_axes).transpose(order)
     if rng is not None:
@@ -677,19 +686,20 @@ def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
         prob = row[k]
         if prob <= 0.0:
             raise ValidationError(f"measurement outcome {(k & 1, k >> 1)} has zero probability")
-        idx = [slice(None)] * amps.ndim
-        idx[measured[0]], idx[measured[1]] = k >> 1, k & 1
-        return amps[tuple(idx)] / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
-    flat = table.reshape(-1)
-    kept = np.flatnonzero(flat > _CUTOFF)
-    prob = flat[kept]
-    if kept.size and prob.min() <= 0.0:
-        raise ValidationError("measurement outcome has zero probability")
-    parents, ks = np.divmod(kept, len(bits))
+        parents, ks = slice(None), k
+    else:
+        flat = table.reshape(-1)
+        kept = np.flatnonzero(flat > _CUTOFF)
+        prob = flat[kept]
+        if kept.size and prob.min() <= 0.0:
+            raise ValidationError("measurement outcome has zero probability")
+        parents, ks = np.divmod(kept, len(bits))
     idx: list = [parents] + [slice(None)] * (amps.ndim - 1)
-    for j, ax in enumerate(measured):
-        idx[ax] = ks >> (len(measured) - 1 - j) & 1
+    for shift, ax in enumerate(reversed(measured)):
+        idx[ax] = ks >> shift & 1
     children = amps[tuple(idx)]
+    if rng is not None:
+        return children / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
     children /= np.sqrt(prob).reshape((-1,) + (1,) * (children.ndim - 1))
     ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
     return children, probs[parents] * prob, ones
@@ -725,8 +735,6 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
                 # and may write into it (a kernel such as X may return a view).
                 amps[fire] = kernel(amps[fire], *args)
         else:
-            for kernel, args in step[1]:
-                amps = kernel(amps, *args)
             amps, probs, ones = _branch(step, amps, probs, ones, rng)
     if not ones:
         return []
@@ -823,7 +831,7 @@ def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:
     return [var_qubits[name] for name in names]
 
 
-def _expand_cond(ins: Instruction, var_qubits: dict[str, int], alloc_scratch) -> list[Gate]:
+def _expand_cond(ins: Instruction, var_qubits: dict[str, int], scratch: int | None) -> list[Gate]:
     """Gates for one conditioned correction, controlled on the outcome ancillas.
 
     The condition must be linear. X and Z take one controlled gate per term.
@@ -841,16 +849,16 @@ def _expand_cond(ins: Instruction, var_qubits: dict[str, int], alloc_scratch) ->
         return [cnot(a, q) for a in ctrls] + ([x(q)] if cond.constant else [])
     if ins.op is InstrOp.COND_Z:
         return [g for a in ctrls for g in _cz(a, q)] + ([z(q)] if cond.constant else [])
-    s = alloc_scratch()
-    parity = [cnot(a, s) for a in ctrls] + ([x(s)] if cond.constant else [])
-    return parity + _cs_dag(s, q) + parity[::-1]
+    parity = [cnot(a, scratch) for a in ctrls] + ([x(scratch)] if cond.constant else [])
+    return parity + _cs_dag(scratch, q) + parity[::-1]
 
 
 def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     """Deferred-measurement transform of a measure-mode program.
 
-    Each Bell measurement becomes its basis rotation (CNOT, H) followed by
-    coherent copies of the two outcome bits onto fresh ancillas; the measured
+    Each Bell measurement becomes its basis rotation (_bell_rotation)
+    followed by coherent copies of the two outcome bits onto fresh ancillas:
+    the Z measurement that would read them is deferred, and the measured
     qubits are left in the rotated basis and never touched again. Conditioned
     corrections, which must be linear, become gates controlled on the
     ancillas (_expand_cond); every conditioned P-dagger computes its
@@ -862,15 +870,7 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     var_qubits: dict[str, int] = {}
     groups: list[BellGroup] = []
     next_q = p.total_qubits
-    scratch: list[int] = []
-
-    def alloc_scratch() -> int:
-        nonlocal next_q
-        if not scratch:
-            scratch.append(next_q)
-            next_q += 1
-        return scratch[0]
-
+    scratch = None  # the conditioned P-daggers' shared scratch qubit, from first use
     for ins in p.instructions:
         if ins.op is InstrOp.EPR:
             a, b = ins.qubits
@@ -884,18 +884,19 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
-            gates += [cnot(r, s), h(r), cnot(r, anc_z), cnot(s, anc_x)]
+            gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
+            gates += [cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
         else:
-            gates += _expand_cond(ins, var_qubits, alloc_scratch)
+            if scratch is None and ins.op is InstrOp.COND_PDG:
+                scratch, next_q = next_q, next_q + 1
+            gates += _expand_cond(ins, var_qubits, scratch)
 
     return UnitaryProgram(layerize(gates, next_q), p.logical_outputs, var_qubits, tuple(groups))
 
 
 def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
     """Circuit-file text of a converted program; output wires go in comments."""
-    from .circuits import serialize_circuit
-
     text = serialize_circuit(up.circuit)
     lines = [f"# OUT {j} {q}" for j, q in enumerate(up.logical_outputs)]
     return text + "\n".join(lines) + ("\n" if lines else "")
@@ -904,46 +905,43 @@ def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
 def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     """Replay a converted linear program's schedule into an ExecPlan.
 
-    After each Bell copy block its four qubits are Z-measured (one branch
-    point each): from there on they are only ever controls of CNOTs, so
-    measuring them there commutes with the rest of the circuit. The i-th
-    measured qubit's classical bit is 1 << i, and each such CNOT is resolved
-    here, once, into an X on its target conditioned on that bit; any other
-    gate on a measured qubit raises. Gates left buffered at the end are
-    outside the outputs' light cone and cannot affect them.
+    After each Bell copy block its four qubits (r, s, anc_z, anc_x) are
+    Z-measured in one branch point: from there on they are only ever
+    controls of CNOTs, so measuring them there commutes with the rest of the
+    circuit. The i-th measured qubit's classical bit is 1 << i, and each
+    such CNOT is resolved here, once, into an X on its target conditioned on
+    that bit; any other gate on a measured qubit raises. Gates left deferred
+    at the end are outside the outputs' light cone and cannot affect them.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     sched = _Schedule(up.n)
     classical: dict[int, int] = {}  # measured qubit -> its classical bit
-    buffer: list[tuple[tuple[int, ...], Gate]] = []
 
-    def flush(qubits) -> None:
-        nonlocal buffer
-        cone, buffer = _light_cone(buffer, qubits)
-        for qs, g in cone:
-            if classical.keys().isdisjoint(qs):
-                sched.gate(g.kind, qs)
-            elif g.kind is not GateKind.CNOT:
-                raise ValidationError(f"{g.kind.value} on a measured qubit")
-            elif qs[1] not in classical:
-                sched.cond(classical[qs[0]].__and__, GateKind.X, qs[1:])
-            else:
-                source = "measured" if qs[0] in classical else "quantum"
-                raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
+    def emit(qs: tuple[int, ...], g: Gate) -> None:
+        if classical.keys().isdisjoint(qs):
+            sched.gate(g.kind, qs)
+        elif g.kind is not GateKind.CNOT:
+            raise ValidationError(f"{g.kind.value} on a measured qubit")
+        elif qs[1] not in classical:
+            sched.cond(classical[qs[0]].__and__, GateKind.X, qs[1:])
+        else:
+            source = "measured" if qs[0] in classical else "quantum"
+            raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
 
     start = 0
     for grp in up.bell_groups:
-        buffer += [(g.targets, g) for g in gates[start:grp.gate_end]]
+        for g in gates[start:grp.gate_end]:
+            sched.defer(g.targets, g)
         start = grp.gate_end
         order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
-        flush(order)
-        sched.axes(order)
+        sched.flush(order, emit)
         for q in order:
             classical[q] = 1 << len(classical)
-            sched.branch((q,), ((var_of_qubit.get(q), classical[q]),))
-    buffer += [(g.targets, g) for g in gates[start:]]
-    flush(up.logical_outputs)
+        sched.branch(order, [(var_of_qubit.get(q), classical[q]) for q in order])
+    for g in gates[start:]:
+        sched.defer(g.targets, g)
+    sched.flush(up.logical_outputs, emit)
     return sched.plan(up.n, up.logical_outputs)
 
 

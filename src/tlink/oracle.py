@@ -7,11 +7,12 @@ capped at 14 qubits (desk scale); init_state and random_state check the cap
 before anything of size 2^n is allocated or drawn, so an oversized input is
 a ValidationError, never an allocation failure.
 
-Bell measurement convention: measuring (r, s) rotates with CNOT(r, s) then
-H(r) and reads z from r, x from s. If s was half of an EPR pair whose partner
-carried a teleported state psi, the partner afterwards holds X^x Z^z psi.
-Outcomes are drawn by the compiler's branch step (compiler._branch), one
-uniform per Bell measurement.
+Bell measurement convention (compiler._bell_rotation, its one
+implementation): measuring (r, s) rotates with CNOT(r, s) then H(r), then
+Z-measures both and reads z from r, x from s. If s was half of an EPR pair
+whose partner carried a teleported state psi, the partner afterwards holds
+X^x Z^z psi. Outcomes are drawn by the compiler's branch step
+(compiler._branch), one uniform per Bell measurement.
 
 The gate kernels (gate_kernel) and the axis-level helpers at the end
 (allocation, EPR preparation, extraction) also serve the compiler's
@@ -32,7 +33,7 @@ from .circuits import Gate, GateKind, LayeredCircuit, ValidationError, flatten
 from .frames import PauliMask
 
 MAX_QUBITS = 14
-_NORM_TOL = 1e-12
+_FACTOR_TOL = 1e-8  # the residual norm _extract accepts as factoring out
 
 _S = 1 / sqrt(2)
 GATE_MATRICES = {
@@ -221,7 +222,7 @@ def _grow_epr(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> np.ndarray:
+def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
     """For each batch entry of ``amps`` (batch axis first, then qubit axes),
     the normalized pure state on the qubit axes ``front``, one row each; the
     other axes must factor out of every entry."""
@@ -237,6 +238,6 @@ def _extract(amps: np.ndarray, front: list[int], tol: float = 1e-8) -> np.ndarra
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     overlap = np.einsum("bf,bfr->br", vecs.conj(), mats)
     residual = mats - vecs[:, :, None] * overlap[:, None, :]
-    if mats.shape[0] and np.linalg.norm(residual, axis=(1, 2)).max() > tol:
+    if mats.shape[0] and np.linalg.norm(residual, axis=(1, 2)).max() > _FACTOR_TOL:
         raise ValidationError("extraction target is entangled with the rest of the register")
     return vecs

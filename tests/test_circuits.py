@@ -126,9 +126,11 @@ class TestLayerize:
             c = layerize(gates, n)
             assert mats_equal_up_to_phase(gates_matrix(flatten(c), n), gates_matrix(gates, n))
 
-    def test_validates_indices(self):
+    @pytest.mark.parametrize("gate", [h(3), Gate(GateKind.T, (0, 1)), t(2)],
+                             ids=["clifford-out-of-range", "two-target-t", "t-out-of-range"])
+    def test_validates_indices(self, gate):
         with pytest.raises(ValidationError):
-            layerize([h(3)], 2)
+            layerize([gate], 2)
 
 
 class TestDepthMetrics:

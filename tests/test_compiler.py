@@ -26,6 +26,8 @@ from tlink.circuits import (
     parse_circuit,
 )
 from tlink.compiler import (
+    _APPLY,
+    _BRANCH,
     InstrOp,
     _light_cone,
     compile_measure,
@@ -36,7 +38,8 @@ from tlink.compiler import (
     serialize_program,
 )
 from tlink.frames import Owner, outcome_var, poly_eval
-from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, init_state
+from tlink.gardenhose import gadget_program
+from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, gate_kernel, init_state
 
 # The (x, z) outcomes of a Bell measurement in outcome order k = 2x + z.
 _BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -406,6 +409,24 @@ class TestExecPlan:
         assert prog.plan.peak_width == 2
         out, _ = execute(prog, random_state(rng, 1), rng)
         assert fidelity_up_to_phase(out, init_state(1, "0")) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
+    def test_bell_is_its_rotation_then_a_two_axis_z_measurement(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        programs = [compile_measure(random_circuit(rng, n, k, max_clifford=3 * n)),
+                    gadget_program(n & 1, k & 1)]
+        for p in programs:
+            steps = p.plan.steps
+            at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
+            assert len(at) == len(bells(p))
+            for i in at:
+                _, sum_axes, _, measured, _ = steps[i]
+                s_ax, r_ax = measured  # BELL r s measures (s, r): k = 2x + z
+                ndim = len(sum_axes) + 3
+                assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
+                assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
+                # a plain Z measurement: axes and bit masks only, no kernels
+                assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
 
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),

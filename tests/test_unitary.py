@@ -6,6 +6,7 @@ import pytest
 
 from conftest import apply_gates, factor_state, gates_matrix, project, random_circuit, random_state
 from tlink.circuits import (
+    Gate,
     GateKind,
     ValidationError,
     cnot,
@@ -23,7 +24,9 @@ from tlink.compiler import (
     Instruction,
     InstrOp,
     UnitaryProgram,
+    _BRANCH,
     _COND,
+    _bell_rotation,
     _cs_dag,
     _unitary_plan,
     compile_measure,
@@ -79,8 +82,9 @@ class TestConversionStructure:
             Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
         ])
         up = to_unitary(prog)
-        kinds = [g.kind.value for g in flatten(up.circuit)]
-        assert kinds == ["H", "CNOT", "CNOT", "H", "CNOT", "CNOT"]
+        gates = flatten(up.circuit)
+        assert [g.kind.value for g in gates] == ["H", "CNOT", "CNOT", "H", "CNOT", "CNOT"]
+        assert gates[2:4] == [Gate(*g) for g in _bell_rotation(0, 1)] == [cnot(0, 1), h(0)]
         assert up.var_qubits == {"m0z": 3, "m0x": 4}
         assert len(up.bell_groups) == 1
 
@@ -295,6 +299,15 @@ class TestFrontierAgainstReference:
         # A 2-qubit input does not fit: the guard raises before any amplitude work.
         with pytest.raises(ValidationError, match="branch explosion: 7 Bell measurements"):
             enumerate_unitary_branches(seven, random_state(rng, 2))
+
+
+def test_each_bell_group_is_one_four_axis_z_measurement(rng):
+    for k in (2, 3, 4):
+        up = to_unitary(compile_measure(random_circuit(rng, 1, k, allow_empty_final=False)))
+        branches = [step for step in _unitary_plan(up).steps if step[0] is _BRANCH]
+        assert [len(step[3]) for step in branches] == [4] * len(up.bell_groups)
+        # a plain Z measurement: axes and bit masks only, no kernels
+        assert all(isinstance(v, int) for step in branches for part in step[1:] for v in part)
 
 
 def test_unitary_program_sizes_are_derived(rng):
