@@ -14,6 +14,15 @@ stage may have an empty T layer. The text format is line-based UTF-8:
 
 ``---`` closes a stage, ``#`` starts a comment line, blank lines are ignored.
 In canonical form the T lines of a stage come after its Clifford lines.
+
+Where each invariant is checked: malformed text raises ParseError in
+parse_circuit, with its line number. A built circuit raises ValidationError
+from validate: every gate goes through the one per-gate check, _check_gate
+(arity from the _ARITY table, distinct CNOT qubits, indices in range), and
+validate adds the stage rules (no T in a Clifford block, T-layer indices in
+range, a T layer on every stage but the last). layerize calls _check_gate on
+the T gates it packs and validate on the circuit it builds, so each gate is
+checked once there too.
 """
 from __future__ import annotations
 
@@ -42,10 +51,16 @@ class GateKind(Enum):
     CNOT = "CNOT"
     T = "T"
 
-    @property
-    def arity(self) -> int:
-        return 2 if self is GateKind.CNOT else 1
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with ==, and a dict keyed by kind (_ARITY) is looked up without
+    # running Enum.__hash__, which is Python code.
+    __hash__ = object.__hash__
 
+
+# Per-gate lookups are plain dict lookups, not Enum properties or
+# GateKind(text) calls, which run Python code on every gate.
+_ARITY = {kind: 2 if kind is GateKind.CNOT else 1 for kind in GateKind}
+_KINDS = {kind.value: kind for kind in GateKind}
 
 # A tuple: membership tests identity first, so no gate pays for Enum.__hash__.
 CLIFFORD_KINDS = tuple(k for k in GateKind if k is not GateKind.T)
@@ -117,11 +132,14 @@ class DepthMetrics:
 
 
 def _check_gate(g: Gate, n: int) -> None:
-    if len(g.targets) != g.kind.arity:
-        raise ValidationError(f"{g.kind.value} takes {g.kind.arity} target(s), got {len(g.targets)}")
-    if g.kind is GateKind.CNOT and g.targets[0] == g.targets[1]:
+    """The one per-gate invariant check: arity, distinct CNOT qubits, indices."""
+    targets = g.targets
+    arity = _ARITY[g.kind]
+    if len(targets) != arity:
+        raise ValidationError(f"{g.kind.value} takes {arity} target(s), got {len(targets)}")
+    if arity == 2 and targets[0] == targets[1]:
         raise ValidationError("CNOT control and target must be distinct")
-    for q in g.targets:
+    for q in targets:
         if not 0 <= q < n:
             raise ValidationError(f"qubit index {q} out of range for {n} qubits")
 
@@ -186,14 +204,26 @@ def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
 
 
 def clifford_depth(gates: tuple[Gate, ...] | list[Gate]) -> int:
-    """ASAP layering depth of a gate list; every gate costs one layer."""
+    """ASAP layering depth of a gate list of 1- and 2-target gates; every
+    gate costs one layer."""
     free: dict[int, int] = {}
     depth = 0
     for g in gates:
-        layer = 1 + max((free.get(q, 0) for q in g.targets), default=0)
-        for q in g.targets:
+        targets = g.targets
+        if len(targets) == 1:
+            q = targets[0]
+            layer = free.get(q, 0) + 1
             free[q] = layer
-        depth = max(depth, layer)
+        else:
+            a, b = targets
+            layer = free.get(a, 0)
+            later = free.get(b, 0)
+            if later > layer:
+                layer = later
+            layer += 1
+            free[a] = free[b] = layer
+        if layer > depth:
+            depth = layer
     return depth
 
 
@@ -205,15 +235,15 @@ def depth_metrics(c: LayeredCircuit) -> DepthMetrics:
 
 
 def _parse_gate_line(tokens: list[str], n: int, lineno: int) -> Gate:
-    try:
-        kind = GateKind(tokens[0])
-    except ValueError:
-        raise ParseError(f"unknown gate {tokens[0]!r}", lineno) from None
+    kind = _KINDS.get(tokens[0])
+    if kind is None:
+        raise ParseError(f"unknown gate {tokens[0]!r}", lineno)
     args = tokens[1:]
-    if len(args) != kind.arity:
-        raise ParseError(f"{kind.value} takes {kind.arity} qubit argument(s)", lineno)
+    arity = _ARITY[kind]
+    if len(args) != arity:
+        raise ParseError(f"{kind.value} takes {arity} qubit argument(s)", lineno)
     try:
-        targets = tuple(int(a) for a in args)
+        targets = tuple(map(int, args))
     except ValueError:
         raise ParseError("qubit arguments must be integers", lineno) from None
     for q in targets:

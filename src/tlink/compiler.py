@@ -251,11 +251,14 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
         for j in range(n):
             instrs.append(Instruction(InstrOp.EPR, (first_half(i, j), second_half(i, j))))
     for i, st in enumerate(stages, start=1):
+        off = carrier(i, 0)  # stage 1 keeps its gates as they are
         for g in st.clifford:
-            mapped = Gate(g.kind, tuple(carrier(i, q) for q in g.targets))
-            instrs.append(Instruction(InstrOp.GATE, mapped.targets, gate=mapped))
+            if off:
+                g = Gate(g.kind, tuple(q + off for q in g.targets))
+            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
         for q in sorted(st.t_layer):
-            instrs.append(Instruction(InstrOp.GATE, (carrier(i, q),), gate=t(carrier(i, q))))
+            g = t(q + off)
+            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
 
     mask = SymbolicMask.zero(n)
     var_idx = 0
@@ -819,7 +822,8 @@ def _cs_dag(a: int, q: int) -> list[Gate]:
 
 
 def _cz(a: int, q: int) -> list[Gate]:
-    return [h(q), cnot(a, q), h(q)]
+    hq = h(q)
+    return [hq, cnot(a, q), hq]
 
 
 def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:

@@ -106,16 +106,17 @@ _PHASES = tuple(
     for kind, mat in GATE_MATRICES.items()
     if mat[0, 1] == 0 and mat[1, 0] == 0
 )
-_H_MATRIX = GATE_MATRICES[GateKind.H]
 
 
-def _mix(shaped: np.ndarray, mat: np.ndarray, post: int) -> np.ndarray:
-    """A 2x2 matrix on the axis followed by ``post`` amplitudes."""
+def _hadamard(shaped: np.ndarray, post: int) -> np.ndarray:
+    """H on the axis followed by ``post`` amplitudes: the sum and the
+    difference of its halves, scaled by 1/sqrt(2) in place."""
     v = shaped.reshape(-1, 2, post)
     out = np.empty_like(v)
     a0, a1 = v[:, 0, :], v[:, 1, :]
-    out[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    out[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+    np.add(a0, a1, out=out[:, 0, :])
+    np.subtract(a0, a1, out=out[:, 1, :])
+    out *= _S
     return out.reshape(shaped.shape)
 
 
@@ -152,7 +153,7 @@ def gate_kernel(kind: GateKind, axes: tuple[int, ...], ndim: int) -> tuple:
     if kind is GateKind.X:
         return _flip, (post,)
     if kind is GateKind.H:
-        return _mix, (_H_MATRIX, post)
+        return _hadamard, (post,)
     for diag_kind, vec in _PHASES:
         if diag_kind is kind:
             return _phase, (vec, post)

@@ -1,8 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import circuit_matrix, gates_matrix, layered_circuits, mats_equal_up_to_phase, random_circuit
+from conftest import (
+    circuit_matrix,
+    gate_strategy,
+    gates_matrix,
+    layered_circuits,
+    mats_equal_up_to_phase,
+    random_circuit,
+)
 from tlink.circuits import (
     Gate,
     GateKind,
@@ -10,6 +20,7 @@ from tlink.circuits import (
     ParseError,
     Stage,
     ValidationError,
+    clifford_depth,
     cnot,
     depth_metrics,
     flatten,
@@ -20,6 +31,30 @@ from tlink.circuits import (
     t,
     validate,
 )
+
+# One malformed Clifford gate each on 2 qubits, with the exact ValidationError
+# message it raises.
+MALFORMED_CLIFFORD = [
+    pytest.param(Gate(GateKind.H, (0, 1)), "H takes 1 target(s), got 2", id="h-two-targets"),
+    pytest.param(Gate(GateKind.CNOT, (0,)), "CNOT takes 2 target(s), got 1", id="cnot-one-target"),
+    pytest.param(cnot(1, 1), "CNOT control and target must be distinct", id="cnot-c-eq-t"),
+    pytest.param(h(2), "qubit index 2 out of range for 2 qubits", id="index-n"),
+    pytest.param(cnot(0, 2), "qubit index 2 out of range for 2 qubits", id="cnot-index-n"),
+    pytest.param(h(-1), "qubit index -1 out of range for 2 qubits", id="index-minus-1"),
+]
+
+
+def reference_clifford_depth(gates) -> int:
+    """ASAP depth with one max over a generator per gate, for any number of
+    targets: what clifford_depth computes with its two cases written out."""
+    free: dict[int, int] = {}
+    depth = 0
+    for g in gates:
+        layer = 1 + max((free.get(q, 0) for q in g.targets), default=0)
+        for q in g.targets:
+            free[q] = layer
+        depth = max(depth, layer)
+    return depth
 
 
 class TestParse:
@@ -136,6 +171,15 @@ class TestLayerize:
         with pytest.raises(ValidationError):
             layerize([gate], 2)
 
+    @pytest.mark.parametrize("gate,message", [
+        *MALFORMED_CLIFFORD,
+        pytest.param(Gate(GateKind.T, (0, 1)), "T takes 1 target(s), got 2", id="t-two-targets"),
+        pytest.param(t(2), "qubit index 2 out of range for 2 qubits", id="t-index-n"),
+    ])
+    def test_malformed_gate_message(self, gate, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            layerize([h(0), gate, t(0)], 2)
+
 
 class TestDepthMetrics:
     def test_identity_circuit(self):
@@ -162,6 +206,10 @@ class TestDepthMetrics:
             dm = depth_metrics(c)
             assert dm.t_depth <= dm.total_depth
 
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(gate_strategy(n), max_size=40)))
+    def test_clifford_depth_matches_the_generator_version(self, gates):
+        assert clifford_depth(gates) == reference_clifford_depth(gates)
+
 
 class TestValidation:
     def test_cnot_repeated_target(self):
@@ -176,6 +224,15 @@ class TestValidation:
     def test_needs_a_stage(self):
         with pytest.raises(ValidationError):
             validate(LayeredCircuit(1, ()))
+
+    @pytest.mark.parametrize("gate,message", [
+        *MALFORMED_CLIFFORD,
+        pytest.param(t(0), "T gate inside a Clifford block; use layerize", id="t-in-clifford-block"),
+    ])
+    def test_malformed_gate_message(self, gate, message):
+        bad = LayeredCircuit(2, (Stage((h(0), gate), frozenset({0})),))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate(bad)
 
 
 @given(layered_circuits(max_n=2, max_k=2))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ from tlink.compiler import (
     compile_measure,
     enumerate_branches,
     enumerate_unitary_branches,
+    serialize_circuit_of_unitary,
     to_unitary,
 )
 from tlink.frames import KeyPoly, OutcomeVar
@@ -318,3 +320,24 @@ def test_unitary_program_sizes_are_derived(rng):
     assert up.n == prog.n == len(up.logical_outputs)
     scratch = 1 if cond_pdg_count(prog) else 0
     assert up.total_qubits == up.circuit.n == prog.total_qubits + 2 * len(up.bell_groups) + scratch
+
+
+# SHA-256 over 24 seeded circuits with n = 1..6: for each, its unitary-mode
+# circuit file text, then the repr of that circuit's depth_metrics. Taken
+# before the per-gate check, the ASAP depth loop, the gate parser and
+# compile_measure's gate mapping were rewritten for speed.
+CONVERSIONS = "e83aebafb6ae1c52aa5f82611c57d23a193245314efee09882a90b73221cdc08"
+
+
+def test_conversions_and_their_depths_are_pinned():
+    rng = np.random.default_rng(14)
+    digest = hashlib.sha256()
+    pdgs = 0
+    for i in range(24):
+        prog = compile_measure(random_circuit(rng, i % 6 + 1, int(rng.integers(1, 5))))
+        pdgs += cond_pdg_count(prog)
+        up = to_unitary(prog)
+        digest.update(serialize_circuit_of_unitary(up).encode())
+        digest.update(repr(depth_metrics(up.circuit)).encode())
+    assert pdgs > 0
+    assert digest.hexdigest() == CONVERSIONS
