@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     apply_gates,
@@ -23,12 +25,16 @@ from tlink.circuits import (
     ValidationError,
     cnot,
     h,
+    layerize,
     parse_circuit,
 )
 from tlink.compiler import (
     _APPLY,
     _BRANCH,
+    _FUSE_WIDTH,
     InstrOp,
+    _Schedule,
+    _gather,
     _light_cone,
     compile_measure,
     enumerate_branches,
@@ -39,7 +45,15 @@ from tlink.compiler import (
 )
 from tlink.frames import Owner, outcome_var, poly_eval
 from tlink.gardenhose import gadget_program
-from tlink.oracle import MAX_QUBITS, apply_circuit, fidelity_up_to_phase, gate_kernel, init_state
+from tlink.oracle import (
+    MAX_QUBITS,
+    _grow,
+    _grow_epr,
+    apply_circuit,
+    fidelity_up_to_phase,
+    gate_kernel,
+    init_state,
+)
 
 # The (x, z) outcomes of a Bell measurement in outcome order k = 2x + z.
 _BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -422,11 +436,49 @@ class TestExecPlan:
             for i in at:
                 _, sum_axes, _, measured, _ = steps[i]
                 s_ax, r_ax = measured  # BELL r s measures (s, r): k = 2x + z
-                ndim = len(sum_axes) + 3
-                assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
-                assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
+                assert s_ax != r_ax and r_ax not in sum_axes and s_ax not in sum_axes
+                assert steps[i - 1][0] is _APPLY  # the rotation, fused or per gate
                 # a plain Z measurement: axes and bit masks only, no kernels
                 assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
+
+    def test_bell_rotation_is_fused_into_the_step_before_its_branch(self):
+        # Each BELL's cone is only its EPR pair, so on this narrow window the
+        # step before each branch is the pair's allocation, CNOT(r, s) and
+        # H(r) as one gather.
+        prog = parse_program("QUBITS 5\nEPR 1 2\nBELL 0 1 -> a b\nX 2 IF a\nZ 2 IF b\n"
+                             "EPR 3 4\nBELL 2 3 -> c d\nX 4 IF c\nZ 4 IF d\nOUT 0 4\n")
+        steps = prog.plan.steps
+        at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
+        assert len(at) == 2
+        rng = np.random.default_rng(3)
+        for i in at:
+            _, sum_axes, _, (s_ax, r_ax), _ = steps[i]
+            ndim = len(sum_axes) + 3
+            op, kernel, args = steps[i - 1]
+            assert op is _APPLY and kernel is _gather
+            shape = (4,) + (2,) * (ndim - 3)
+            frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = _grow_epr(frontier)
+            for kind, axes in ((GateKind.CNOT, (r_ax, s_ax)), (GateKind.H, (r_ax,))):
+                gk, gargs = gate_kernel(kind, axes, ndim)
+                want = gk(want, *gargs)
+            got = kernel(frontier, *args)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_wide_window_keeps_per_gate_bell_rotation(self):
+        # n = 7 links at window 9, above the fusion width: the rotation stays
+        # two per-gate kernel steps.
+        p = compile_measure(random_circuit(np.random.default_rng(7), 7, 3, max_clifford=21))
+        steps = p.plan.steps
+        at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
+        assert len(at) == len(bells(p)) > 0
+        for i in at:
+            _, sum_axes, _, (s_ax, r_ax), _ = steps[i]
+            ndim = len(sum_axes) + 3
+            assert ndim - 1 > _FUSE_WIDTH
+            assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
+            assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
 
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
@@ -441,6 +493,111 @@ class TestExecPlan:
         prog = parse_program(text)
         with pytest.raises(ValidationError, match=match):
             prog.plan
+
+
+_FUSED_KINDS = (GateKind.H, GateKind.P, GateKind.PDG, GateKind.T, GateKind.X, GateKind.Z,
+                GateKind.CNOT)
+
+# Two teleport links that build their pair from gates: H on a fresh qubit
+# takes the window from 8 to 9 qubits, the links' Bells bring it back to 8.
+CROSSING = """QUBITS 12
+H 0
+T 0
+CNOT 0 1
+H 2
+P 3
+CNOT 3 4
+T 5
+H 6
+CNOT 6 7
+T 7
+H 8
+CNOT 8 9
+BELL 7 8 -> a b
+X 9 IF a
+Z 9 IF b
+T 9
+CNOT 9 0
+H 10
+CNOT 10 11
+BELL 9 10 -> c d
+X 11 IF c
+Z 11 IF d
+H 11
+""" + "".join(f"OUT {j} {j}\n" for j in range(7)) + "OUT 7 11\n"
+
+
+class TestFusion:
+    """Fused gather steps against the per-gate kernels they replace."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_fused_map_equals_per_gate_kernels(self, data):
+        width = data.draw(st.integers(1, _FUSE_WIDTH), label="width")
+        rows = data.draw(st.integers(1, 4), label="rows")
+        sched = _Schedule(width)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        shape = (rows,) + (2,) * width
+        frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = frontier
+        for _ in range(data.draw(st.integers(1, 16), label="ops")):
+            op = data.draw(st.sampled_from(
+                ["gate"] + ["zero"] * (width < _FUSE_WIDTH) + ["epr"] * (width + 2 <= _FUSE_WIDTH)))
+            if op == "zero":
+                sched.axes((width,))  # qubit labels are window slots
+                want = _grow(want)
+                width += 1
+            elif op == "epr":
+                sched.epr(width, width + 1)
+                want = _grow_epr(want)
+                width += 2
+            else:
+                kind = data.draw(st.sampled_from(_FUSED_KINDS))
+                arity = 2 if kind is GateKind.CNOT else 1
+                if arity > width:
+                    continue
+                qubits = tuple(data.draw(st.permutations(range(width)))[:arity])
+                sched.gate(kind, qubits)
+                kernel, args = gate_kernel(kind, tuple(q + 1 for q in qubits), width + 1)
+                want = kernel(want, *args)
+        steps = sched.plan(0, ()).steps
+        assert steps and all(step[:2] == (_APPLY, _gather) for step in steps)
+        got = frontier
+        for _, kernel, args in steps:
+            got = kernel(got, *args)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+    @staticmethod
+    def _crosses(plan):
+        kernels = [step[1] for step in plan.steps if step[0] is _APPLY]
+        return _gather in kernels and any(k is not _gather for k in kernels)
+
+    def test_sampled_window_crossing_the_fusion_width(self):
+        rng = np.random.default_rng(9)
+        c = random_circuit(rng, 7, 3)
+        prog = compile_measure(c)
+        assert prog.plan.peak_width == 9 and self._crosses(prog.plan)
+        for seed in range(4):
+            psi = random_state(rng, 7)
+            out, _ = execute(prog, psi, np.random.default_rng(seed))
+            assert fidelity_up_to_phase(out, apply_circuit(psi, c)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_exhaustive_window_crossing_the_fusion_width(self, rng):
+        prog = parse_program(CROSSING)
+        assert prog.plan.peak_width == 10 and self._crosses(prog.plan)
+        relabel = {9: 7, 11: 7}
+        gates = [Gate(ins.gate.kind, tuple(relabel.get(q, q) for q in ins.qubits))
+                 for ins in prog.instructions
+                 if ins.op is InstrOp.GATE and not {8, 10}.intersection(ins.qubits)]
+        circuit = layerize(gates, 8)
+        psi = random_state(rng, 8)
+        ref = apply_circuit(psi, circuit)
+        branches = enumerate_branches(prog, psi)
+        assert len(branches) == 16
+        assert sum(b.probability for b in branches) == pytest.approx(1.0)
+        for b in branches:
+            assert fidelity_up_to_phase(b.state, ref) == pytest.approx(1.0, abs=1e-10)
 
 
 _COND_GATES = {InstrOp.COND_PDG: GateKind.PDG, InstrOp.COND_X: GateKind.X,
