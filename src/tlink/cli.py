@@ -82,10 +82,11 @@ def _seed(args) -> int:
 
 
 def _tolerance(args) -> float:
-    """The --tolerance value; a fidelity check against NaN or a negative
-    tolerance would pass or fail whatever the fidelity."""
-    if not math.isfinite(args.tolerance) or args.tolerance < 0:
-        raise ValidationError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
+    """The --tolerance value; a fidelity check against NaN, a negative
+    tolerance or one of 1 or more would pass or fail whatever the fidelity."""
+    if not math.isfinite(args.tolerance) or not 0 <= args.tolerance < 1:
+        raise ValidationError("--tolerance must be finite and non-negative and below 1, "
+                              f"got {args.tolerance}")
     return args.tolerance
 
 

@@ -43,6 +43,7 @@ section); runs only read it, so they are safe to parallelize externally.
 """
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
@@ -463,13 +464,16 @@ def parse_program(text: str) -> CompiledProgram:
 # measured one, the window cap) are static and raise when the plan is built.
 # A branch point is a plain Z measurement: a Bell measurement is planned as
 # its rotation (_bell_rotation), two gate steps, then a two-qubit branch point.
+# The step before a branch point also moves the measured qubits to the front,
+# in outcome order, so the branch point reads a (batch, outcome, rest) array.
 #
 # Gate steps and allocations (|0> or EPR) are fused while the window holds at
 # most _FUSE_WIDTH = 8 qubits. Each is composed, when the plan is built, into
 # a pending pull map over the flattened window, and the map is flushed as one
 # gather step (_gather: a take, a multiply and, after an H, an add) before
-# every conditioned step, every branch point, the final extraction and any
-# step on a wider window. A map holds at most two terms, so at most one H.
+# every conditioned step, every branch point (with the reorder composed in),
+# the final extraction and any step on a wider window. A map holds at most
+# two terms, so at most one H.
 # On narrow windows a numpy call costs far more than its amplitude work, and
 # one gather replaces a run of per-gate kernel calls. The limit is where that
 # stops paying (timed on a 2-CPU x86-64 host): at 64-256 amplitudes composing
@@ -483,12 +487,14 @@ def parse_program(text: str) -> CompiledProgram:
 # one entry of a batch axis of the amplitude array, so each step is one numpy
 # call for all branches at once instead of one per branch. The batch axis
 # leads: the gate kernels address a qubit axis by the amplitudes after it, so
-# they never see it; fresh qubit axes are appended after it; and the kept
-# children of a branch point come out of one fancy index already contiguous.
-# A branch point replaces each entry by its kept outcomes, parent-major, which
-# is the order a depth-first expansion visits them. A sampled shot is a
-# frontier of one and draws each Bell outcome, with one uniform, from the same
-# table of outcome probabilities as an exhaustive run keeps them from.
+# they never see it; fresh qubit axes are appended after it; and with the
+# measured qubits next, row (entry, outcome) of the flattened first two axes
+# is one child, so the kept children of a branch point come out of one take
+# already contiguous. A branch point replaces each entry by its kept
+# outcomes, parent-major, which is the order a depth-first expansion visits
+# them. A sampled shot is a frontier of one and draws each Bell outcome, with
+# one uniform, from the same table of outcome probabilities as an exhaustive
+# run keeps them from; its child is one row of that layout.
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
@@ -510,10 +516,12 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
-# whole frontier; the kernel is a per-gate one or a fused _gather. (_COND,
-# test, kernel, args) runs a per-gate kernel on the entries whose mask of
-# classical bits that read 1 passes ``test``. (_BRANCH, sum_axes, order,
-# measured, bits) is a branch point (_Schedule.branch).
+# whole frontier; the kernel is a per-gate one, a fused _gather or the
+# reorder _lead. (_COND, test, kernel, args) runs a per-gate kernel on the
+# entries whose mask of classical bits that read 1 passes ``test``. (_BRANCH,
+# bits, shape) is a branch point (_Schedule.branch) on a (batch, outcome,
+# rest) frontier: outcome k sets the classical bits ``bits[k]``, and the
+# children take ``shape``, one axis per remaining qubit.
 _APPLY, _COND, _BRANCH = range(3)
 
 
@@ -584,8 +592,8 @@ class _Schedule:
             self._fuse(width, *_gate_map(kind._value_, axes, width))
 
     def _fuse(self, width: int, src: np.ndarray | None, coef: np.ndarray | None) -> None:
-        """Compose one gate's or allocation's pull map, onto a ``width``-qubit
-        window, after the pending map. A map holds at most two terms, so one
+        """Compose one gate's, allocation's or reorder's pull map, onto a
+        ``width``-qubit window, after the pending map. A map holds at most two terms, so one
         with two terms (from an H) is flushed before the next H."""
         if self.pending is None or (src is not None and src.ndim == 2 and self.pending[0].ndim == 2):
             self._flush_map()
@@ -600,10 +608,13 @@ class _Schedule:
             pcoef = pcoef * coef
         self.pending = psrc, pcoef
 
-    def _flush_map(self) -> None:
-        """Emit the pending map, if any, as one gather step."""
+    def _flush_map(self, shape: tuple[int, ...] | None = None) -> None:
+        """Emit the pending map, if any, as one gather step that leaves the
+        frontier in ``shape``, by default one axis per window qubit."""
         if self.pending is not None:
-            self.steps.append((_APPLY, _gather, (*self.pending, (-1,) + (2,) * len(self.window))))
+            if shape is None:
+                shape = (-1,) + (2,) * len(self.window)
+            self.steps.append((_APPLY, _gather, (*self.pending, shape)))
             self.pending = None
 
     def cond(self, test, kind: GateKind, qubits: tuple[int, ...]) -> None:
@@ -624,18 +635,33 @@ class _Schedule:
         """Measure ``qubits`` in the Z basis, then drop them. ``outcomes``
         gives each qubit's outcome name (or None) and classical bit. Outcome
         k reads bit j of k, the first qubit highest, from qubit j, and sets
-        the classical bits ``bits[k]``."""
+        the classical bits ``bits[k]``.
+
+        The step before the branch point lays the frontier out as (batch,
+        2^m, rest): the m measured qubits lead in outcome order, so row k of
+        axis 1 is outcome k, and the other qubits follow in window order. On
+        a narrow window the reorder is composed into the pending gather
+        (_lead_map), so the allocations, the basis change and the reorder
+        stay one step; on a wider one it is one transpose-and-reshape step
+        (_lead)."""
         measured = self.axes(qubits)
-        self._flush_map()
+        width, m = len(self.window), len(qubits)
+        layout = (-1, 1 << m, 1 << (width - m))
+        if width > _FUSE_WIDTH:
+            self._flush_map()
+            rest = [ax for ax in range(1, width + 1) if ax not in measured]
+            self.steps.append((_APPLY, _lead, ((0, *measured, *rest), layout)))
+        else:
+            self._fuse(width, _lead_map(measured, width), None)
+            self._flush_map(layout)
         bits = [0]
         for _, bit in reversed(outcomes):
             bits += [b | bit for b in bits]
         self.names += [(name, bit) for name, bit in outcomes if name is not None]
-        self.steps.append((_BRANCH, *_branch_layout(measured, len(self.window) + 1),
-                           measured, tuple(bits)))
         for q in qubits:
             self.window.remove(q)
         self.retired.update(qubits)
+        self.steps.append((_BRANCH, tuple(bits), (-1,) + (2,) * len(self.window)))
 
     def plan(self, n: int, outputs) -> ExecPlan:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
@@ -707,13 +733,20 @@ def _gather(amps: np.ndarray, src: np.ndarray, coef: np.ndarray, shape: tuple) -
 
 
 @lru_cache(maxsize=None)
-def _branch_layout(measured: tuple[int, ...], ndim: int) -> tuple:
-    """For a branch point Z-measuring array axes ``measured`` of an
-    ``ndim``-axis frontier: the axes its marginal sums over, and the
-    transpose that puts the table it leaves, whose axes are in array order,
-    in outcome order. Any basis change is an ordinary gate step before it."""
-    sum_axes = tuple([ax for ax in range(1, ndim) if ax not in measured])
-    return sum_axes, (0, *[sorted(measured).index(ax) + 1 for ax in measured])
+def _lead_map(measured: tuple[int, ...], width: int) -> np.ndarray:
+    """src of the permutation of a ``width``-qubit window that moves array
+    axes ``measured`` to the front, in that order, the others keeping theirs."""
+    slots = [ax - 1 for ax in measured] + [s for s in range(width) if s + 1 not in measured]
+    i = np.arange(1 << width)
+    src = np.zeros_like(i)
+    for j, slot in enumerate(slots):
+        src |= (i >> (width - 1 - j) & 1) << (width - 1 - slot)
+    return src
+
+
+def _lead(amps: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The reorder before a branch point on a wide window (_Schedule.branch)."""
+    return amps.transpose(perm).reshape(shape)
 
 
 def _bell_rotation(r: int, s: int) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
@@ -775,23 +808,25 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 
 def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
             rng: np.random.Generator | None) -> tuple:
-    """One branch point, a Z measurement of the step's axes, over the whole
-    frontier; returns its amplitudes, branch probabilities and bit masks.
+    """One branch point, a Z measurement of the leading qubits of a (batch,
+    outcome, rest) frontier (_Schedule.branch); returns the children,
+    reshaped to one axis per remaining qubit, their branch probabilities and
+    their bit masks.
 
-    The outcome marginals are taken once, as a (batch, outcome) table in
-    outcome order, k = 2x + z at a Bell step. With ``rng`` the frontier is
-    one shot of a measure plan: its outcome is the first k at which the
-    running sum of its row passes one uniform draw (else the last k).
-    Otherwise every outcome above _CUTOFF is kept, parent-major and in
-    outcome order. Each measured axis is indexed by its bit of k, the first
-    axis highest; a shot's child is a view, maybe of the caller's input, so
-    it is divided out of place.
+    The outcome marginals are one (batch, outcome) table, k = 2x + z at a
+    Bell step. With ``rng`` the frontier is one shot of a measure plan: its
+    outcome is the first k at which the running sum of its row passes one
+    uniform draw (else the last k), and its child is row k divided by the
+    square root of its probability. Otherwise every outcome above _CUTOFF is
+    kept, parent-major and in outcome order, as the rows of the flattened
+    (batch * outcome) axis that one take gathers. Either way a child is a
+    new array, never a view of the caller's input.
     """
-    _, sum_axes, order, measured, bits = step
+    _, bits, shape = step
     table = np.abs(amps)
-    table = np.square(table, out=table).sum(axis=sum_axes).transpose(order)
+    table = np.square(table, out=table).sum(axis=2)
     if rng is not None:
-        row = table[0].ravel().tolist()
+        row = table[0].tolist()
         u = rng.random()
         for k, acc in enumerate(accumulate(row)):
             if u < acc:
@@ -799,23 +834,15 @@ def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
         prob = row[k]
         if prob <= 0.0:
             raise ValidationError(f"measurement outcome {(k & 1, k >> 1)} has zero probability")
-        parents, ks = slice(None), k
-    else:
-        flat = table.reshape(-1)
-        kept = np.flatnonzero(flat > _CUTOFF)
-        prob = flat[kept]
-        if kept.size and prob.min() <= 0.0:
-            raise ValidationError("measurement outcome has zero probability")
-        parents, ks = np.divmod(kept, len(bits))
-    idx: list = [parents] + [slice(None)] * (amps.ndim - 1)
-    for shift, ax in enumerate(reversed(measured)):
-        idx[ax] = ks >> shift & 1
-    children = amps[tuple(idx)]
-    if rng is not None:
-        return children / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
-    children /= np.sqrt(prob).reshape((-1,) + (1,) * (children.ndim - 1))
+        return (amps[0, k] / math.sqrt(prob)).reshape(shape), probs * prob, [ones[0] | bits[k]]
+    flat = table.reshape(-1)
+    kept = np.flatnonzero(flat > _CUTOFF)
+    prob = flat[kept]
+    children = amps.reshape(flat.size, -1).take(kept, axis=0)
+    children /= np.sqrt(prob)[:, None]
+    parents, ks = np.divmod(kept, len(bits))
     ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
-    return children, probs[parents] * prob, ones
+    return children.reshape(shape), probs[parents] * prob, ones
 
 
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
@@ -844,7 +871,7 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
                 amps = kernel(amps, *args)
             elif fire:
                 # A partial selection needs two entries or more, and a frontier
-                # that wide comes from _branch's gather, so the runner owns amps
+                # that wide comes from _branch's take, so the runner owns amps
                 # and may write into it (a kernel such as X may return a view).
                 amps[fire] = kernel(amps[fire], *args)
         else:

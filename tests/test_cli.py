@@ -225,7 +225,7 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out.txt").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3", "1", "5"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--in", "{c}"],
     ["protocol1", "--in", "{c}", "--alice", "0"],

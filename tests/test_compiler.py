@@ -23,6 +23,7 @@ from tlink.circuits import (
     ParseError,
     Stage,
     ValidationError,
+    clifford_depth,
     cnot,
     h,
     layerize,
@@ -31,10 +32,13 @@ from tlink.circuits import (
 from tlink.compiler import (
     _APPLY,
     _BRANCH,
+    _CUTOFF,
     _FUSE_WIDTH,
     InstrOp,
     _Schedule,
+    _branch,
     _gather,
+    _lead,
     _light_cone,
     compile_measure,
     enumerate_branches,
@@ -43,7 +47,7 @@ from tlink.compiler import (
     report,
     serialize_program,
 )
-from tlink.frames import Owner, outcome_var, poly_eval
+from tlink.frames import Owner, outcome_var, poly_eval, var_bit
 from tlink.gardenhose import gadget_program
 from tlink.oracle import (
     MAX_QUBITS,
@@ -393,6 +397,15 @@ class TestDepthSchedule:
                 assert rep.compiled_depth <= depth + 3 + 6 * (k - 1)
                 assert rep.original_depth >= k * depth
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_depth_is_the_deepest_stage_plus_four_per_link(self, n, k, seed):
+        # The paper's claim as a tight bound: each link adds a constant to
+        # the compiled depth, however deep the stages are.
+        c = random_circuit(np.random.default_rng(seed), n, k, max_clifford=3 * n)
+        deepest = max(clifford_depth(s.clifford) + bool(s.t_layer) for s in c.stages)
+        assert compile_measure(c).declared_depth.total_depth <= deepest + 4 * (k - 1) + 2
+
 
 class TestExecPlan:
     def test_peak_window_is_n_plus_2(self):
@@ -433,52 +446,58 @@ class TestExecPlan:
             steps = p.plan.steps
             at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
             assert len(at) == len(bells(p))
-            for i in at:
-                _, sum_axes, _, measured, _ = steps[i]
-                s_ax, r_ax = measured  # BELL r s measures (s, r): k = 2x + z
-                assert s_ax != r_ax and r_ax not in sum_axes and s_ax not in sum_axes
-                assert steps[i - 1][0] is _APPLY  # the rotation, fused or per gate
-                # a plain Z measurement: axes and bit masks only, no kernels
+            for i, ins in zip(at, bells(p)):
+                _, bits, child = steps[i]
+                # BELL r s measures (s, r): outcome k = 2x + z sets x's bit and z's
+                mx, mz = (1 << var_bit(v) for v in ins.out_vars)
+                assert bits == (0, mz, mx, mx | mz)
+                # the rotation, fused or per gate, ends in the (batch, outcome, rest) layout
+                op, _, args = steps[i - 1]
+                assert op is _APPLY and args[-1] == (-1, 4, 2 ** (len(child) - 1))
+                # a plain Z measurement: bit masks and a shape only, no kernels
                 assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
 
     def test_bell_rotation_is_fused_into_the_step_before_its_branch(self):
         # Each BELL's cone is only its EPR pair, so on this narrow window the
-        # step before each branch is the pair's allocation, CNOT(r, s) and
-        # H(r) as one gather.
+        # step before each branch is the pair's allocation, CNOT(r, s), H(r)
+        # and the reorder that puts (s, r) first as one gather. Both times the
+        # window is the carrier then the pair, so r is array axis 1 and s axis 2.
         prog = parse_program("QUBITS 5\nEPR 1 2\nBELL 0 1 -> a b\nX 2 IF a\nZ 2 IF b\n"
                              "EPR 3 4\nBELL 2 3 -> c d\nX 4 IF c\nZ 4 IF d\nOUT 0 4\n")
         steps = prog.plan.steps
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == 2
+        r_ax, s_ax, ndim = 1, 2, 4
         rng = np.random.default_rng(3)
         for i in at:
-            _, sum_axes, _, (s_ax, r_ax), _ = steps[i]
-            ndim = len(sum_axes) + 3
             op, kernel, args = steps[i - 1]
             assert op is _APPLY and kernel is _gather
-            shape = (4,) + (2,) * (ndim - 3)
-            frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            frontier = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             want = _grow_epr(frontier)
             for kind, axes in ((GateKind.CNOT, (r_ax, s_ax)), (GateKind.H, (r_ax,))):
                 gk, gargs = gate_kernel(kind, axes, ndim)
                 want = gk(want, *gargs)
+            want = want.transpose(0, s_ax, r_ax, 3).reshape(4, 4, 2)
             got = kernel(frontier, *args)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
 
     def test_wide_window_keeps_per_gate_bell_rotation(self):
         # n = 7 links at window 9, above the fusion width: the rotation stays
-        # two per-gate kernel steps.
+        # two per-gate kernel steps, and the reorder is one transpose step.
         p = compile_measure(random_circuit(np.random.default_rng(7), 7, 3, max_clifford=21))
         steps = p.plan.steps
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == len(bells(p)) > 0
         for i in at:
-            _, sum_axes, _, (s_ax, r_ax), _ = steps[i]
-            ndim = len(sum_axes) + 3
+            op, kernel, (perm, layout) = steps[i - 1]
+            assert op is _APPLY and kernel is _lead
+            ndim = len(perm)
+            s_ax, r_ax = perm[1:3]
             assert ndim - 1 > _FUSE_WIDTH
-            assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
-            assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
+            assert sorted(perm) == list(range(ndim)) and layout == (-1, 4, 2 ** (ndim - 3))
+            assert steps[i - 3] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
+            assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
 
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
@@ -598,6 +617,90 @@ class TestFusion:
         assert sum(b.probability for b in branches) == pytest.approx(1.0)
         for b in branches:
             assert fidelity_up_to_phase(b.state, ref) == pytest.approx(1.0, abs=1e-10)
+
+
+def per_axis_branch(qubits, outcomes, amps, probs, ones, rng):
+    """The branch point as it was before the measured-first layout: the
+    outcome table is summed over the unmeasured axes of an unordered window,
+    transposed into outcome order, and each measured axis is indexed by its
+    bit of k."""
+    measured = tuple(q + 1 for q in qubits)  # qubit labels are window slots
+    bits = [0]
+    for _, bit in reversed(outcomes):
+        bits += [b | bit for b in bits]
+    sum_axes = tuple(ax for ax in range(1, amps.ndim) if ax not in measured)
+    order = (0, *[sorted(measured).index(ax) + 1 for ax in measured])
+    table = np.abs(amps)
+    table = np.square(table, out=table).sum(axis=sum_axes).transpose(order)
+    if rng is not None:
+        row = table[0].ravel().tolist()
+        u = rng.random()
+        for k, acc in enumerate(itertools.accumulate(row)):
+            if u < acc:
+                break
+        prob = row[k]
+        parents, ks = slice(None), k
+    else:
+        flat = table.reshape(-1)
+        kept = np.flatnonzero(flat > _CUTOFF)
+        prob = flat[kept]
+        parents, ks = np.divmod(kept, len(bits))
+    idx = [parents] + [slice(None)] * (amps.ndim - 1)
+    for shift, ax in enumerate(reversed(measured)):
+        idx[ax] = ks >> shift & 1
+    children = amps[tuple(idx)]
+    if rng is not None:
+        return children / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
+    children /= np.sqrt(prob).reshape((-1,) + (1,) * (children.ndim - 1))
+    ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
+    return children, probs[parents] * prob, ones
+
+
+class TestBranch:
+    """The measured-first branch point against the per-axis one it replaced."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_branch_matches_the_per_axis_branch(self, data):
+        width = data.draw(st.integers(2, 10), label="width")  # both sides of _FUSE_WIDTH
+        batch = data.draw(st.integers(1, 4), label="batch")
+        m = data.draw(st.integers(1, min(4, width)), label="measured")
+        qubits = tuple(data.draw(st.permutations(range(width)), label="order")[:m])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        shape = (batch,) + (2,) * width
+        frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if data.draw(st.booleans(), label="dead"):  # outcomes of probability 0
+            frontier[(slice(None),) * (qubits[-1] + 1) + (1,)] = 0
+        frontier /= np.linalg.norm(frontier.reshape(batch, -1), axis=1).reshape((-1,) + (1,) * width)
+        outcomes = [(None, 1 << j) for j in range(m)]
+        sched = _Schedule(width)
+        sched.branch(qubits, outcomes)
+        *layout, step = sched.plan(0, ()).steps
+        assert len(layout) == 1 and step[0] is _BRANCH
+
+        def run(amps, probs, ones, draw):
+            _, kernel, args = layout[0]
+            return _branch(step, kernel(amps, *args), probs, ones, draw)
+
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")
+        shot = frontier[:1]
+        got = run(shot, np.ones(1), [0], np.random.default_rng(seed))
+        want = per_axis_branch(qubits, outcomes, shot, np.ones(1), [0], np.random.default_rng(seed))
+        self._agree(got, want, frontier)
+
+        probs, ones = rng.random(batch), [i << m for i in range(batch)]  # masks name the parent
+        got = run(frontier, probs, ones, None)
+        want = per_axis_branch(qubits, outcomes, frontier, probs, ones, None)
+        self._agree(got, want, frontier)
+
+    @staticmethod
+    def _agree(got, want, frontier):
+        (got_amps, got_probs, got_ones), (want_amps, want_probs, want_ones) = got, want
+        assert got_ones == want_ones  # the same outcomes of the same parents
+        assert np.abs(got_probs - want_probs).max() < 1e-12
+        assert got_amps.shape == want_amps.shape
+        assert np.abs(got_amps - want_amps).max(initial=0.0) < 1e-12
+        assert not np.shares_memory(got_amps, frontier)
 
 
 _COND_GATES = {InstrOp.COND_PDG: GateKind.PDG, InstrOp.COND_X: GateKind.X,

@@ -307,8 +307,8 @@ def test_each_bell_group_is_one_four_axis_z_measurement(rng):
     for k in (2, 3, 4):
         up = to_unitary(compile_measure(random_circuit(rng, 1, k, allow_empty_final=False)))
         branches = [step for step in _unitary_plan(up).steps if step[0] is _BRANCH]
-        assert [len(step[3]) for step in branches] == [4] * len(up.bell_groups)
-        # a plain Z measurement: axes and bit masks only, no kernels
+        assert [len(step[1]) for step in branches] == [16] * len(up.bell_groups)
+        # a plain Z measurement: bit masks and a shape only, no kernels
         assert all(isinstance(v, int) for step in branches for part in step[1:] for v in part)
 
 
