@@ -16,18 +16,21 @@ stage may have an empty T layer. The text format is line-based UTF-8:
 In canonical form the T lines of a stage come after its Clifford lines.
 
 Where each invariant is checked: malformed text raises ParseError in
-parse_circuit, with its line number. A built circuit raises ValidationError
-from validate: every gate goes through the one per-gate check, _check_gate
-(arity from the _ARITY table, distinct CNOT qubits, indices in range), and
-validate adds the stage rules (no T in a Clifford block, T-layer indices in
-range, a T layer on every stage but the last). layerize calls _check_gate on
-the T gates it packs and validate on the circuit it builds, so each gate is
-checked once there too.
+parse_circuit, with its line number. Integers in the text (the qubit count
+and qubit indices) are an optional ``-`` followed by ASCII digits (_int);
+other text int() would take, such as ``1_0`` or ``+3``, is malformed. A
+built circuit raises ValidationError from validate: every gate goes through
+the one per-gate check, _check_gate (arity from the _ARITY table, distinct
+CNOT qubits, indices in range), and validate adds the stage rules (no T in a
+Clifford block, T-layer indices in range, a T layer on every stage but the
+last). layerize calls _check_gate on the T gates it packs and validate on
+the circuit it builds, so each gate is checked once there too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -66,15 +69,19 @@ _KINDS = {kind.value: kind for kind in GateKind}
 CLIFFORD_KINDS = tuple(k for k in GateKind if k is not GateKind.T)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate application; CNOT targets are (control, target)."""
+class Gate(NamedTuple):
+    """One gate application; CNOT targets are (control, target).
+
+    A NamedTuple, not a dataclass: compiled programs and unitary circuits
+    hold one per gate, and a tuple record is cheaper to build than a frozen
+    dataclass. Its fields are read-only, and ``kind, targets = g`` unpacks it.
+    """
 
     kind: GateKind
     targets: tuple[int, ...]
 
     def __str__(self) -> str:
-        return " ".join([self.kind.value, *map(str, self.targets)])
+        return " ".join([self.kind._value_, *map(str, self.targets)])
 
 
 def h(q: int) -> Gate:
@@ -234,16 +241,44 @@ def depth_metrics(c: LayeredCircuit) -> DepthMetrics:
     return DepthMetrics(total, c.t_depth, t_count, gate_count)
 
 
+# The short paths of the text parsers take an index of at most this many
+# ASCII digits straight to int(), which converts any such token. Longer ones
+# go through _int and its error handling, since int() refuses strings of more
+# digits than the interpreter's limit (sys.get_int_max_str_digits).
+_SHORT_DIGITS = 18
+
+
+def _int(tok: str) -> int:
+    """The value of a canonical integer token: an optional ``-`` followed by
+    ASCII digits. Anything else raises ValueError, also text that int()
+    would take (``1_0``, ``+3``, non-ASCII digits)."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a canonical integer: {tok!r}")
+    return int(tok)
+
+
 def _parse_gate_line(tokens: list[str], n: int, lineno: int) -> Gate:
+    """The one gate-line parser, for circuit and program text. A one-qubit
+    gate on an in-range index of a few ASCII digits takes the short path;
+    every other line goes through the full checks in order (known kind,
+    arity, integers, range, distinct CNOT qubits), which raise on the
+    first that fails."""
     kind = _KINDS.get(tokens[0])
     if kind is None:
         raise ParseError(f"unknown gate {tokens[0]!r}", lineno)
+    if len(tokens) == 2 and kind is not GateKind.CNOT:
+        tok = tokens[1]
+        if tok.isascii() and tok.isdigit() and len(tok) <= _SHORT_DIGITS:
+            q = int(tok)
+            if q < n:
+                return Gate(kind, (q,))
     args = tokens[1:]
     arity = _ARITY[kind]
     if len(args) != arity:
         raise ParseError(f"{kind.value} takes {arity} qubit argument(s)", lineno)
     try:
-        targets = tuple(map(int, args))
+        targets = tuple(map(_int, args))
     except ValueError:
         raise ParseError("qubit arguments must be integers", lineno) from None
     for q in targets:
@@ -260,7 +295,7 @@ def _parse_header(tokens: list[str], lineno: int) -> int:
     if tokens[0] != "QUBITS" or len(tokens) != 2:
         raise ParseError("expected 'QUBITS <n>' header", lineno)
     try:
-        n = int(tokens[1])
+        n = _int(tokens[1])
     except ValueError:
         raise ParseError("qubit count must be an integer", lineno) from None
     if n < 1:

@@ -49,10 +49,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import (
+    _SHORT_DIGITS,
     DepthMetrics,
     Gate,
     GateKind,
@@ -60,6 +62,7 @@ from .circuits import (
     ParseError,
     Stage,
     ValidationError,
+    _int,
     _parse_gate_line,
     _parse_header,
     cnot,
@@ -79,11 +82,12 @@ from .frames import (
     OutcomeVar,
     Owner,
     PauliMask,
-    SymbolicMask,
+    _names,
     apply_tableau,
     commute_through_t_layer,
     mask_of,
     outcome_var,
+    push_gates,
     tableau_from_stage,
     var_bit,
 )
@@ -119,8 +123,11 @@ _COND_KINDS = {
 _COND_OPS = {op.value: op for op in _COND_KINDS}
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
+    """One program instruction. A NamedTuple, like Gate: a compiled program
+    holds one per operation, and a tuple record is cheap to build. Its
+    fields are read-only."""
+
     op: InstrOp
     qubits: tuple[int, ...]
     gate: Gate | None = None
@@ -188,8 +195,7 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
     t_layers: set[int] = set()
     gate_count = 0
     t_count = 0
-    for ins in instructions:
-        op, qubits = ins.op, ins.qubits
+    for op, qubits, gate, out_vars, cond in instructions:
         if op is InstrOp.EPR:
             continue
         start = 0
@@ -197,21 +203,21 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
             free = qubit_free.get(q, 0)
             if free > start:
                 start = free
-        if op is InstrOp.BELL:
+        if op is InstrOp.GATE:
+            end = start + 1
+            gate_count += 1
+            if gate.kind is GateKind.T:
+                t_count += 1
+                t_layers.add(start)
+        elif op is InstrOp.BELL:
             end = start + 3
-            read = 1 << var_bit(ins.out_vars[0]) | 1 << var_bit(ins.out_vars[1])
+            read = 1 << var_bit(out_vars[0]) | 1 << var_bit(out_vars[1])
             if end not in read_at:
                 read_at[end] = 0
                 insort(read_times, end)
             read_at[end] |= read
-        elif op is InstrOp.GATE:
-            end = start + 1
-            gate_count += 1
-            if ins.gate.kind is GateKind.T:
-                t_count += 1
-                t_layers.add(start)
         else:
-            support = ins.cond.support
+            support = cond.support
             for ready in reversed(read_times):
                 if ready <= start:
                     break
@@ -235,6 +241,11 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
     applies the pending conditioned P-dagger corrections on stage i's outputs
     and Bell-measures them against stage i+1's first halves. Outcome variables
     are named m<k>x / m<k>z in program order. The initial mask is zero.
+
+    Every key here is linear (links only XOR in single variables), so the
+    frame is pushed as plain int masks, the ``linear`` bits of a KeyPoly,
+    through frames.push_gates; a KeyPoly is built only for a condition that
+    is emitted.
     """
     validate(c)
     n, stages = c.n, c.stages
@@ -257,34 +268,38 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
         off = carrier(i, 0)  # stage 1 keeps its gates as they are
         for g in st.clifford:
             if off:
-                g = Gate(g.kind, tuple(q + off for q in g.targets))
-            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
+                kind, targets = g
+                targets = ((targets[0] + off,) if len(targets) == 1
+                           else (targets[0] + off, targets[1] + off))
+                g = Gate(kind, targets)
+            instrs.append(Instruction(InstrOp.GATE, g.targets, g))
         for q in sorted(st.t_layer):
             g = t(q + off)
-            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
+            instrs.append(Instruction(InstrOp.GATE, g.targets, g))
 
-    mask = SymbolicMask.zero(n)
+    a, b = [0] * n, [0] * n  # the frame's X and Z exponents as int masks
     var_idx = 0
     for i, st in enumerate(stages, start=1):
-        mask = apply_tableau(tableau_from_stage(st.clifford, n), mask)
-        mask, pending = commute_through_t_layer(mask, st.t_layer)
-        for j in sorted(pending):
-            if not pending[j].is_zero:
-                instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), cond=pending[j]))
+        push_gates(st.clifford, a, b)  # validate(c) checked that they are Clifford
+        for j in sorted(st.t_layer):
+            if a[j]:
+                instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), None, None,
+                                          KeyPoly(a[j])))
         if i < k_stages:
             for j in range(n):
                 vx, vz = outcome_var(f"m{var_idx}x"), outcome_var(f"m{var_idx}z")
                 var_idx += 1
                 instrs.append(Instruction(InstrOp.BELL, (carrier(i, j), first_half(i + 1, j)),
-                                          out_vars=(vx, vz)))
-                mask = mask.xor_at(j, KeyPoly.of(vx), KeyPoly.of(vz))
+                                          None, (vx, vz)))
+                a[j] ^= 1 << var_bit(vx)
+                b[j] ^= 1 << var_bit(vz)
         else:
             for j in range(n):
                 out_q = carrier(i, j)
-                if not mask.a[j].is_zero:
-                    instrs.append(Instruction(InstrOp.COND_X, (out_q,), cond=mask.a[j]))
-                if not mask.b[j].is_zero:
-                    instrs.append(Instruction(InstrOp.COND_Z, (out_q,), cond=mask.b[j]))
+                if a[j]:
+                    instrs.append(Instruction(InstrOp.COND_X, (out_q,), None, None, KeyPoly(a[j])))
+                if b[j]:
+                    instrs.append(Instruction(InstrOp.COND_Z, (out_q,), None, None, KeyPoly(b[j])))
 
     outputs = tuple(carrier(k_stages, j) for j in range(n))
     return CompiledProgram(n + 2 * n * (k_stages - 1), outputs, tuple(instrs))
@@ -343,15 +358,15 @@ def _cond_from_text(text: str, lineno: int, linear_terms: dict[str, int]) -> Key
 
 def serialize_program(p: CompiledProgram) -> str:
     lines = [f"QUBITS {p.total_qubits}"]
-    for ins in p.instructions:
-        if ins.op is InstrOp.EPR:
-            lines.append(f"EPR {ins.qubits[0]} {ins.qubits[1]}")
-        elif ins.op is InstrOp.GATE:
-            lines.append(str(ins.gate))
-        elif ins.op is InstrOp.BELL:
-            lines.append("BELL {} {} -> {} {}".format(*ins.qubits, *(v.name for v in ins.out_vars)))
+    for op, qubits, gate, out_vars, cond in p.instructions:
+        if op is InstrOp.GATE:
+            lines.append(str(gate))
+        elif op is InstrOp.EPR:
+            lines.append(f"EPR {qubits[0]} {qubits[1]}")
+        elif op is InstrOp.BELL:
+            lines.append(f"BELL {qubits[0]} {qubits[1]} -> {out_vars[0].name} {out_vars[1].name}")
         else:
-            lines.append(f"{ins.op.value} {ins.qubits[0]} IF {ins.cond}")
+            lines.append(f"{op._value_} {qubits[0]} IF {cond}")
     for j, q in enumerate(p.logical_outputs):
         lines.append(f"OUT {j} {q}")
     return "\n".join(lines) + "\n"
@@ -366,8 +381,12 @@ def parse_program(text: str) -> CompiledProgram:
     linear_terms: dict[str, int] = {}
 
     def q_index(tok: str, lineno: int) -> int:
-        try:
+        if tok.isascii() and tok.isdigit() and len(tok) <= _SHORT_DIGITS:
             q = int(tok)
+            if q < total:
+                return q
+        try:
+            q = _int(tok)
         except ValueError:
             raise ParseError("qubit index must be an integer", lineno) from None
         if not 0 <= q < total:
@@ -380,19 +399,20 @@ def parse_program(text: str) -> CompiledProgram:
             raise ParseError(f"{tokens[0]} qubits must be distinct", lineno)
         return pair
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         # A condition can be long: split off its first three tokens only.
         tokens = line.split(None, 3)
         if len(tokens) > 3:
             if total is not None and tokens[2] == "IF" and tokens[0] in _COND_OPS:
-                cond = _cond_from_text(tokens[3], lineno, linear_terms)
+                cond = _cond_from_text(tokens[3].rstrip(), lineno, linear_terms)
                 instrs.append(Instruction(_COND_OPS[tokens[0]], (q_index(tokens[1], lineno),),
-                                          cond=cond))
+                                          None, None, cond))
                 continue
             tokens = line.split()
+        elif not tokens:
+            continue
         if total is None:
             total = _parse_header(tokens, lineno)
             continue
@@ -414,14 +434,15 @@ def parse_program(text: str) -> CompiledProgram:
             if f" {vx} " in linear_terms or f" {vz} " in linear_terms:
                 raise ParseError("outcome variable redefined", lineno)
             out_vars = (outcome_var(vx), outcome_var(vz))
-            linear_terms.update((f" {v.name} ", var_bit(v)) for v in out_vars)
+            linear_terms[f" {vx} "] = var_bit(out_vars[0])
+            linear_terms[f" {vz} "] = var_bit(out_vars[1])
             measured.update(qubits)
-            instrs.append(Instruction(InstrOp.BELL, qubits, out_vars=out_vars))
+            instrs.append(Instruction(InstrOp.BELL, qubits, None, out_vars))
         elif head == "OUT":
             if len(tokens) != 3:
                 raise ParseError("expected 'OUT j q'", lineno)
             try:
-                j = int(tokens[1])
+                j = _int(tokens[1])
             except ValueError:
                 raise ParseError("logical wire must be an integer", lineno) from None
             if j < 0:
@@ -437,7 +458,7 @@ def parse_program(text: str) -> CompiledProgram:
             raise ParseError("expected '<PDG|X|Z> q IF <condition>'", lineno)
         else:
             g = _parse_gate_line(tokens, total, lineno)
-            instrs.append(Instruction(InstrOp.GATE, g.targets, gate=g))
+            instrs.append(Instruction(InstrOp.GATE, g.targets, g))
 
     if total is None:
         raise ParseError("missing 'QUBITS <n>' header", 1)
@@ -965,7 +986,7 @@ def _cz(a: int, q: int) -> list[Gate]:
 
 def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:
     """The outcome ancilla of each term of a linear condition, in name order."""
-    names = sorted(v.name for v in cond.variables())
+    names = sorted(_names(cond.support))
     missing = [name for name in names if name not in var_qubits]
     if missing:
         raise ValidationError(f"condition references unmeasured variable {missing[0]!r}")

@@ -3,12 +3,16 @@ GF(2) Pauli-frame algebra.
 
 Per-qubit corrections are tracked as exponent pairs (a, b) of X^a Z^b, either
 as concrete bits (PauliMask) or as multilinear GF(2) polynomials in
-party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). A
-Clifford stage moves the exponents gate by gate with the rules below, using
-only XOR, so one push serves both mask kinds; a T layer leaves exponents
-fixed but emits a pending phase-correction key per touched qubit. Global
-phases are discarded throughout: masks are only ever applied as physical
-corrections, where phases are unobservable.
+party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). The
+per-gate rules below live in one place, push_gates, which updates two
+exponent lists in place using only swaps and XOR, so any exponent type with
+``^`` takes the same path: compile_measure pushes plain int masks (the
+``linear`` bits of its keys, all of which are linear) and builds a KeyPoly
+only for a condition it emits; apply_tableau wraps push_gates for PauliMask
+and SymbolicMask, as the garden-hose frame and the tests use it. A T layer
+leaves exponents fixed but emits a pending phase-correction key per touched
+qubit. Global phases are discarded throughout: masks are only ever applied
+as physical corrections, where phases are unobservable.
 
 A KeyPoly is held as integer bitmasks, the packed GF(2) rows of
 Aaronson-Gottesman (quant-ph/0406196): bit i stands for the i-th entry of
@@ -258,16 +262,15 @@ class KeyPoly:
         return poly_eval(self, assignment)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         # '*' sorts below every identifier character, so sorting the joined
         # terms gives the same order as sorting by the tuple of names.
         parts = list(_names(self.linear))
-        parts += ["*".join(sorted(v.name for v in _term_vars(m))) for m in self.nonlinear]
+        if self.nonlinear:
+            parts += ["*".join(sorted(v.name for v in _term_vars(m))) for m in self.nonlinear]
         parts.sort()
         if self.constant:
             parts.append("1")
-        return " ^ ".join(parts)
+        return " ^ ".join(parts) if parts else "0"
 
 
 def poly_eval(p: KeyPoly, assignment: Mapping[str, int]) -> int:
@@ -357,25 +360,29 @@ def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
     return gates
 
 
-def apply_tableau(gates: tuple[Gate, ...], mask: PauliMask | SymbolicMask):
-    """Push a mask through checked Clifford gates by the per-gate update rules.
-
-    Exponents are only swapped or combined with ``^``, so concrete bits and
-    KeyPoly keys take the same path; X and Z leave the mask unchanged.
-    """
-    a, b = list(mask.a), list(mask.b)
-    for g in gates:
-        kind = g.kind
+def push_gates(gates: Iterable[Gate], a: list, b: list) -> None:
+    """Push X/Z exponents through checked Clifford gates, in place, by the
+    per-gate update rules. ``a[q]`` and ``b[q]`` are qubit q's exponents;
+    they are only swapped or combined with ``^``, so bits, int masks and
+    KeyPoly keys all take this path. X and Z leave them unchanged."""
+    for kind, targets in gates:
         if kind is GateKind.CNOT:
-            c, tgt = g.targets
+            c, tgt = targets
             a[tgt] ^= a[c]
             b[c] ^= b[tgt]
         elif kind is GateKind.H:
-            (q,) = g.targets
+            (q,) = targets
             a[q], b[q] = b[q], a[q]
         elif kind is GateKind.P or kind is GateKind.PDG:
-            (q,) = g.targets
+            (q,) = targets
             b[q] ^= a[q]
+
+
+def apply_tableau(gates: tuple[Gate, ...], mask: PauliMask | SymbolicMask):
+    """Push a mask through checked Clifford gates (push_gates) and return
+    the pushed mask, of the same type."""
+    a, b = list(mask.a), list(mask.b)
+    push_gates(gates, a, b)
     return type(mask)(tuple(a), tuple(b))
 
 

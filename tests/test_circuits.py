@@ -13,6 +13,7 @@ from conftest import (
     mats_equal_up_to_phase,
     random_circuit,
 )
+from tlink import cli
 from tlink.circuits import (
     Gate,
     GateKind,
@@ -107,6 +108,43 @@ class TestParse:
             assert exc.line == 3
         else:
             pytest.fail("expected ParseError")
+
+
+    # Integers are an optional '-' then ASCII digits, not whatever int() takes.
+    @pytest.mark.parametrize("text,line,message", [
+        ("QUBITS 1_2\nT 0\n---", 1, "qubit count must be an integer"),
+        ("QUBITS +2\nT 0\n---", 1, "qubit count must be an integer"),
+        ("QUBITS \u0662\nT 0\n---", 1, "qubit count must be an integer"),
+        ("QUBITS 12\nH 1_0\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 4\nT +3\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 2\nT \u0661\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 2\nT \uff11\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 2\nT -\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 2\nCNOT 0 1_0\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS 2\nCNOT \u0660 1\n---", 2, "qubit arguments must be integers"),
+        ("QUBITS -1\nT 0\n---", 1, "qubit count must be positive"),
+        ("QUBITS 2\nT -1\n---", 2, "qubit index -1 out of range"),
+        ("QUBITS 2\nCNOT 0 -1\n---", 2, "qubit index -1 out of range"),
+        ("QUBITS 2\nH 2\n---", 2, "qubit index 2 out of range"),
+        pytest.param(f"QUBITS 2\nT {'1' * 5000}\n---", 2, "qubit arguments must be integers",
+                     id="index-past-the-int-digit-limit"),
+    ])
+    def test_non_canonical_integer_rejected(self, text, line, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as info:
+            parse_circuit(text)
+        assert info.value.line == line
+
+    def test_canonical_integers_accept_leading_zeros_and_minus_zero(self):
+        c = parse_circuit("QUBITS 02\nH 01\nCNOT -0 1\nT -0\n---")
+        assert c.n == 2
+        assert c.stages[0].clifford == (h(1), cnot(0, 1))
+        assert c.stages[0].t_layer == frozenset({0})
+
+    def test_non_canonical_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("QUBITS 12\nH 1_0\nT 0\n---\n")
+        assert cli.main(["stats", "--in", str(path)]) == cli.EXIT_PARSE
+        assert "line 2: qubit arguments must be integers" in capsys.readouterr().err
 
 
 class TestSerialize:

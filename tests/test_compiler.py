@@ -10,6 +10,7 @@ from conftest import (
     apply_gates,
     assert_frame_coherence,
     factor_state,
+    layered_circuits,
     project,
     random_circuit,
     random_state,
@@ -35,6 +36,7 @@ from tlink.compiler import (
     _CUTOFF,
     _FUSE_WIDTH,
     InstrOp,
+    Instruction,
     _Schedule,
     _branch,
     _gather,
@@ -47,7 +49,17 @@ from tlink.compiler import (
     report,
     serialize_program,
 )
-from tlink.frames import Owner, outcome_var, poly_eval, var_bit
+from tlink.frames import (
+    KeyPoly,
+    OutcomeVar,
+    Owner,
+    SymbolicMask,
+    apply_tableau,
+    outcome_var,
+    poly_eval,
+    tableau_from_stage,
+    var_bit,
+)
 from tlink.gardenhose import gadget_program
 from tlink.oracle import (
     MAX_QUBITS,
@@ -139,6 +151,95 @@ class TestCompileStructure:
         rep = report(c, compile_measure(c))
         assert rep.epr_pairs == 0
         assert rep.link_steps == 0
+
+
+def reference_push(g: Gate, mask: SymbolicMask) -> SymbolicMask:
+    """One gate's update rule, written out here on KeyPoly keys with
+    xor_at, independently of frames.push_gates."""
+    a, b = mask.a, mask.b
+    if g.kind is GateKind.H:
+        (q,) = g.targets
+        return mask.xor_at(q, a[q] ^ b[q], a[q] ^ b[q])
+    if g.kind in (GateKind.P, GateKind.PDG):
+        (q,) = g.targets
+        return mask.xor_at(q, KeyPoly.zero(), a[q])
+    if g.kind is GateKind.CNOT:
+        c, tgt = g.targets
+        mask = mask.xor_at(tgt, a[c], KeyPoly.zero())
+        return mask.xor_at(c, KeyPoly.zero(), mask.b[tgt])
+    return mask
+
+
+def reference_keys(c: LayeredCircuit) -> dict:
+    """Every condition compile_measure should emit, keyed by (op, qubit), from
+    a SymbolicMask of KeyPoly keys pushed gate by gate (reference_push), with
+    each link XORing in KeyPoly.of its two outcome variables. apply_tableau
+    must agree with the written-out rules on every stage."""
+    n, k = c.n, len(c.stages)
+    mask = SymbolicMask.zero(n)
+    keys = {}
+    var = 0
+    for i, st_ in enumerate(c.stages, start=1):
+        pushed = apply_tableau(tableau_from_stage(st_.clifford, n), mask)
+        for g in st_.clifford:
+            mask = reference_push(g, mask)
+        assert pushed == mask
+        base = 0 if i == 1 else n + 2 * n * (i - 2) + n
+        for j in sorted(st_.t_layer):
+            if not mask.a[j].is_zero:
+                keys[InstrOp.COND_PDG, base + j] = mask.a[j]
+        if i < k:
+            for j in range(n):
+                mask = mask.xor_at(j, KeyPoly.of(OutcomeVar(f"m{var}x")),
+                                   KeyPoly.of(OutcomeVar(f"m{var}z")))
+                var += 1
+        else:
+            for j in range(n):
+                if not mask.a[j].is_zero:
+                    keys[InstrOp.COND_X, base + j] = mask.a[j]
+                if not mask.b[j].is_zero:
+                    keys[InstrOp.COND_Z, base + j] = mask.b[j]
+    return keys
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(layered_circuits(max_n=6, max_k=8))
+def test_compiled_keys_match_the_symbolic_push(c):
+    # compile_measure pushes int masks; the keys must be the ones a
+    # SymbolicMask of KeyPoly keys gives, term for term.
+    prog = compile_measure(c)
+    got = {}
+    for ins in prog.instructions:
+        if ins.cond is not None:
+            assert (ins.op, ins.qubits[0]) not in got
+            got[ins.op, ins.qubits[0]] = ins.cond
+    assert got == reference_keys(c)
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        g = cnot(0, 1)
+        ins = Instruction(InstrOp.GATE, g.targets, gate=g)
+        bell = Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("a"), OutcomeVar("b")))
+        cond = Instruction(InstrOp.COND_X, (2,), cond=KeyPoly.of(OutcomeVar("a")))
+        fields = ("op", "qubits", "gate", "out_vars", "cond")
+        for record, names in ((g, ("kind", "targets")), (ins, fields), (bell, fields),
+                              (cond, fields)):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert g == cnot(0, 1) and ins.gate is g and ins.qubits == (0, 1)
+
+    def test_keyword_and_positional_forms_agree(self):
+        g = h(3)
+        assert Gate(kind=GateKind.H, targets=(3,)) == Gate(GateKind.H, (3,)) == g
+        assert Instruction(InstrOp.GATE, g.targets, gate=g) == Instruction(InstrOp.GATE, (3,), g)
+        key = KeyPoly.of(OutcomeVar("a"))
+        assert (Instruction(InstrOp.COND_Z, (1,), cond=key)
+                == Instruction(InstrOp.COND_Z, (1,), None, None, key))
+        ins = Instruction(InstrOp.EPR, (0, 1))
+        assert (ins.gate, ins.out_vars, ins.cond) == (None, None, None)
+        assert str(g) == "H 3" and str(cnot(2, 0)) == "CNOT 2 0"
 
 
 class TestProgramText:

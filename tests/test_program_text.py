@@ -181,6 +181,25 @@ BAD_PROGRAMS = [
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> x 0\nX 2 IF x\nOUT 0 2\n", 3, "'0' is not an identifier"),
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a*b c\nOUT 0 2\n", 3, "'a\\*b' is not an identifier"),
     ("QUBITS 5\nBELL 0 1 -> a b\nBELL 2 3 -> c a\nOUT 0 4\n", 3, "redefined"),
+    # Integers are an optional '-' then ASCII digits, not whatever int() takes.
+    ("QUBITS 1_2\nOUT 0 0\n", 1, "qubit count must be an integer"),
+    ("QUBITS +3\nOUT 0 0\n", 1, "qubit count must be an integer"),
+    ("QUBITS 2\nH 1_0\nOUT 0 1\n", 2, "qubit arguments must be integers"),
+    ("QUBITS 4\nT +3\nOUT 0 1\n", 2, "qubit arguments must be integers"),
+    ("QUBITS 2\nT \u0661\nOUT 0 1\n", 2, "qubit arguments must be integers"),
+    ("QUBITS 2\nCNOT 0 +1\nOUT 0 1\n", 2, "qubit arguments must be integers"),
+    ("QUBITS 3\nEPR 1 +2\nOUT 0 0\n", 2, "qubit index must be an integer"),
+    ("QUBITS 3\nBELL 0_0 1 -> a b\nOUT 0 2\n", 2, "qubit index must be an integer"),
+    ("QUBITS 3\nBELL 0 1 -> a b\nX \u0662 IF a\nOUT 0 2\n", 3, "qubit index must be an integer"),
+    ("QUBITS 2\nOUT +0 1\n", 2, "logical wire must be an integer"),
+    ("QUBITS 2\nOUT 0 1_0\n", 2, "qubit index must be an integer"),
+    ("QUBITS 2\nH -1\nOUT 0 1\n", 2, "qubit index -1 out of range"),
+    ("QUBITS 2\nEPR -1 0\nOUT 0 1\n", 2, "qubit index -1 out of range"),
+    # More digits than int() converts: the same error, not a ValueError.
+    pytest.param(f"QUBITS 3\nEPR 1 {'2' * 5000}\nOUT 0 0\n", 2, "qubit index must be an integer",
+                 id="index-past-the-int-digit-limit"),
+    pytest.param(f"QUBITS 3\nH {'2' * 5000}\nOUT 0 0\n", 2, "qubit arguments must be integers",
+                 id="gate-index-past-the-int-digit-limit"),
 ]
 
 
