@@ -14,7 +14,14 @@ import sys
 
 import numpy as np
 
-from .circuits import LayeredCircuit, ParseError, ValidationError, depth_metrics, parse_circuit
+from .circuits import (
+    LayeredCircuit,
+    ParseError,
+    ValidationError,
+    _int,
+    depth_metrics,
+    parse_circuit,
+)
 from .compiler import (
     compile_measure,
     compile_speculative,
@@ -60,13 +67,15 @@ def _read_circuit(path: str) -> LayeredCircuit:
 
 
 def _parse_wires(spec: str) -> frozenset[int]:
+    """A comma-separated wire list; each entry, stripped, must be a
+    canonical integer (circuits._int), as in circuit text."""
     spec = spec.strip()
     if not spec:
         return frozenset()
     wires = set()
     for tok in spec.split(","):
         try:
-            wires.add(int(tok))
+            wires.add(_int(tok.strip()))
         except ValueError:
             raise ParseError(f"wire list {spec!r}: {tok.strip()!r} is not an integer") from None
     return frozenset(wires)

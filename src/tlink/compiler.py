@@ -22,8 +22,10 @@ compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: stages are linked r at a
 time. A stage that maps one basis state to a basis state maps all of them,
 affinely, and a pending P-dagger is only a phase there, so each group runs
-once on its teleported input while the link outcomes are tracked as a Pauli
-frame and undone on the output bits. Its critical path is one step per group.
+once on its teleported input. Both modes are built by one linked builder
+(_linked), which takes the groups and the outcome names: compile_measure
+links every stage, a SpeculativeProgram links its groups, and execute runs
+either program. A grouped run's critical path is one step per group.
 
 Programs store only what cannot be recomputed. A CompiledProgram is its
 qubit count, its output wires and its instructions; its wire count n, its
@@ -81,14 +83,10 @@ from .frames import (
     KeyPoly,
     OutcomeVar,
     Owner,
-    PauliMask,
     _names,
-    apply_tableau,
-    commute_through_t_layer,
     mask_of,
     outcome_var,
     push_gates,
-    tableau_from_stage,
     var_bit,
 )
 from .oracle import (
@@ -99,7 +97,7 @@ from .oracle import (
     _extract,
     _grow,
     _grow_epr,
-    apply_gate,
+    apply_circuit,
     basis_bits,
     gate_kernel,
     init_state,
@@ -232,24 +230,28 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
     return DepthMetrics(total, len(t_layers), t_count, gate_count)
 
 
-def compile_measure(c: LayeredCircuit) -> CompiledProgram:
-    """Compile a layered circuit into a teleportation-linked program.
+def _linked(n: int, groups: tuple[tuple[Stage, ...], ...], name) -> CompiledProgram:
+    """Link ``groups`` of stages on n wires by teleportation: each group's
+    gates are pre-executed as one piece, and consecutive groups are joined
+    by Bell measurements.
 
-    Qubit layout: inputs occupy 0..n-1; the pair block for stage i >= 2
+    Qubit layout: inputs occupy 0..n-1; the pair block for group i >= 2
     occupies 2n indices starting at n + 2n(i-2), first halves before second
-    halves. Stage 1 runs on the inputs, stage i on its second halves; link i
-    applies the pending conditioned P-dagger corrections on stage i's outputs
-    and Bell-measures them against stage i+1's first halves. Outcome variables
-    are named m<k>x / m<k>z in program order. The initial mask is zero.
+    halves. Group 1 runs on the inputs, group i on its second halves; link i
+    applies the pending conditioned P-dagger corrections of group i's last T
+    layer on its outputs and Bell-measures them against group i+1's first
+    halves. The outcomes of link i on wire j are named name(i, j) + "x" /
+    "z". The initial mask is zero, and the run ends with conditioned X and
+    Z corrections. A P-dagger pending at a T layer inside a group is not
+    corrected: that is exact only where it is a phase, on stages that map
+    basis states to basis states (compile_speculative checks that).
 
     Every key here is linear (links only XOR in single variables), so the
     frame is pushed as plain int masks, the ``linear`` bits of a KeyPoly,
     through frames.push_gates; a KeyPoly is built only for a condition that
     is emitted.
     """
-    validate(c)
-    n, stages = c.n, c.stages
-    k_stages = len(stages)
+    k_groups = len(groups)
 
     def first_half(i: int, j: int) -> int:
         return n + 2 * n * (i - 2) + j
@@ -261,34 +263,35 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
         return j if i == 1 else second_half(i, j)
 
     instrs: list[Instruction] = []
-    for i in range(2, k_stages + 1):
+    for i in range(2, k_groups + 1):
         for j in range(n):
             instrs.append(Instruction(InstrOp.EPR, (first_half(i, j), second_half(i, j))))
-    for i, st in enumerate(stages, start=1):
-        off = carrier(i, 0)  # stage 1 keeps its gates as they are
-        for g in st.clifford:
-            if off:
-                kind, targets = g
-                targets = ((targets[0] + off,) if len(targets) == 1
-                           else (targets[0] + off, targets[1] + off))
-                g = Gate(kind, targets)
-            instrs.append(Instruction(InstrOp.GATE, g.targets, g))
-        for q in sorted(st.t_layer):
-            g = t(q + off)
-            instrs.append(Instruction(InstrOp.GATE, g.targets, g))
+    for i, group in enumerate(groups, start=1):
+        off = carrier(i, 0)  # group 1 keeps its gates as they are
+        for st in group:
+            for g in st.clifford:
+                if off:
+                    kind, targets = g
+                    targets = ((targets[0] + off,) if len(targets) == 1
+                               else (targets[0] + off, targets[1] + off))
+                    g = Gate(kind, targets)
+                instrs.append(Instruction(InstrOp.GATE, g.targets, g))
+            for q in sorted(st.t_layer):
+                g = t(q + off)
+                instrs.append(Instruction(InstrOp.GATE, g.targets, g))
 
     a, b = [0] * n, [0] * n  # the frame's X and Z exponents as int masks
-    var_idx = 0
-    for i, st in enumerate(stages, start=1):
-        push_gates(st.clifford, a, b)  # validate(c) checked that they are Clifford
-        for j in sorted(st.t_layer):
+    for i, group in enumerate(groups, start=1):
+        for st in group:
+            push_gates(st.clifford, a, b)  # both callers validate(), so these are Clifford
+        for j in sorted(group[-1].t_layer):
             if a[j]:
                 instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), None, None,
                                           KeyPoly(a[j])))
-        if i < k_stages:
+        if i < k_groups:
             for j in range(n):
-                vx, vz = outcome_var(f"m{var_idx}x"), outcome_var(f"m{var_idx}z")
-                var_idx += 1
+                prefix = name(i, j)
+                vx, vz = outcome_var(prefix + "x"), outcome_var(prefix + "z")
                 instrs.append(Instruction(InstrOp.BELL, (carrier(i, j), first_half(i + 1, j)),
                                           None, (vx, vz)))
                 a[j] ^= 1 << var_bit(vx)
@@ -301,8 +304,22 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
                 if b[j]:
                     instrs.append(Instruction(InstrOp.COND_Z, (out_q,), None, None, KeyPoly(b[j])))
 
-    outputs = tuple(carrier(k_stages, j) for j in range(n))
-    return CompiledProgram(n + 2 * n * (k_stages - 1), outputs, tuple(instrs))
+    outputs = tuple(carrier(k_groups, j) for j in range(n))
+    return CompiledProgram(n + 2 * n * (k_groups - 1), outputs, tuple(instrs))
+
+
+def compile_measure(c: LayeredCircuit) -> CompiledProgram:
+    """Compile a layered circuit into a teleportation-linked program.
+
+    Each stage is its own group of _linked, which holds the qubit layout and
+    the frame push: stage i is pre-executed on the second halves of its pair
+    block, and link i corrects its pending P-daggers and Bell-measures its
+    outputs into the next block. Outcome variables are named m<k>x / m<k>z
+    in program order.
+    """
+    validate(c)
+    n = c.n
+    return _linked(n, tuple((st,) for st in c.stages), lambda i, j: f"m{(i - 1) * n + j}")
 
 
 def report(c: LayeredCircuit, p: CompiledProgram) -> ResourceReport:
@@ -1122,7 +1139,7 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector) -> 
 @dataclass(frozen=True)
 class SpeculativeProgram:
     """The classical input and the stages in groups; its critical path is
-    one step per group."""
+    one step per group. Its program is derived on first use."""
 
     input_bits: tuple[int, ...]
     groups: tuple[tuple[Stage, ...], ...]
@@ -1135,13 +1152,11 @@ class SpeculativeProgram:
     def stage_count(self) -> int:
         return sum(map(len, self.groups))
 
-
-def _apply_stage(state: StateVector, st: Stage) -> StateVector:
-    for g in st.clifford:
-        state = apply_gate(state, g)
-    for q in sorted(st.t_layer):
-        state = apply_gate(state, t(q))
-    return state
+    @cached_property
+    def program(self) -> CompiledProgram:
+        """The groups linked by teleportation (_linked), with the outcomes
+        of link m on wire j named L<m>q<j>x / z."""
+        return _linked(self.n, self.groups, lambda m, j: f"L{m}q{j}")
 
 
 def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, ...]) -> SpeculativeProgram:
@@ -1149,8 +1164,8 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
 
     Requires a circuit whose stages map the realized basis input to basis
     outputs (up to phase); the oracle verifies this stage by stage. Such a
-    stage maps every basis state to a basis state, so execute_speculative
-    may run it on any teleported input.
+    stage maps every basis state to a basis state, so the linked program may
+    run it on any teleported input.
     """
     validate(c)
     if r < 1:
@@ -1161,7 +1176,7 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
 
     state = init_state(c.n, "".join(map(str, bits)))
     for i, st in enumerate(c.stages):
-        state = _apply_stage(state, st)
+        state = apply_circuit(state, LayeredCircuit(c.n, (st,)))
         basis_bits(state, f"stage {i + 1}")
 
     groups = tuple(c.stages[g0:g0 + r] for g0 in range(0, len(c.stages), r))
@@ -1170,31 +1185,11 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
 
 def execute_speculative(sp: SpeculativeProgram,
                         rng: np.random.Generator) -> tuple[str, dict[str, int]]:
-    """Link-by-link run: draw the teleport outcomes between groups and run
-    each group once on its teleported input, the previous group's output bits
-    XOR the link X outcomes. The drawn Pauli frame is pushed through every
-    stage; its pending P-dagger corrections are phases on basis states and
-    are dropped, and its final X part is undone on the output bits. Returns
-    the output bits and the link outcomes, named L<link>q<wire>x / z. Each
-    link outcome is uniform: one draw u picks k = 2x + z = floor(4u)."""
-    n = sp.n
-    frame = PauliMask.zero(n)
-    outcomes: dict[str, int] = {}
-    bits = sp.input_bits
-    for m, stages in enumerate(sp.groups):
-        if m > 0:
-            link = [divmod(int(4 * rng.random()), 2) for _ in range(n)]
-            for j, (xv, zv) in enumerate(link):
-                outcomes[f"L{m}q{j}x"] = xv
-                outcomes[f"L{m}q{j}z"] = zv
-            xs = tuple(xv for xv, _ in link)
-            frame = frame ^ PauliMask(xs, tuple(zv for _, zv in link))
-            bits = tuple(b ^ xv for b, xv in zip(bits, xs))
-        state = init_state(n, "".join(map(str, bits)))
-        for st in stages:
-            state = _apply_stage(state, st)
-            frame = apply_tableau(tableau_from_stage(st.clifford, n), frame)
-            frame, _ = commute_through_t_layer(frame, st.t_layer)
-        bits = basis_bits(state, f"group {m + 1}")
-    out_bits = tuple(b ^ xv for b, xv in zip(bits, frame.a))
-    return "".join(map(str, out_bits)), outcomes
+    """Run the linked program on the classical input with execute and read
+    the output bits. Each group runs once on its teleported input; its
+    pending P-dagger corrections are phases on basis states, and the final
+    conditioned X undoes the link frame. Returns the output bits and the
+    link outcomes. Each link outcome is uniform: one draw u picks the first
+    k = 2x + z whose running total of outcome probabilities passes u."""
+    out, outcomes = execute(sp.program, init_state(sp.n, "".join(map(str, sp.input_bits))), rng)
+    return "".join(map(str, basis_bits(out, "speculative output"))), outcomes

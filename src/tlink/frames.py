@@ -6,12 +6,13 @@ as concrete bits (PauliMask) or as multilinear GF(2) polynomials in
 party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). The
 per-gate rules below live in one place, push_gates, which updates two
 exponent lists in place using only swaps and XOR, so any exponent type with
-``^`` takes the same path: compile_measure pushes plain int masks (the
+``^`` takes the same path: the compiler's one linked builder, behind
+compile_measure and the speculative programs, pushes plain int masks (the
 ``linear`` bits of its keys, all of which are linear) and builds a KeyPoly
 only for a condition it emits; apply_tableau wraps push_gates for PauliMask
-and SymbolicMask, as the garden-hose frame and the tests use it. A T layer
-leaves exponents fixed but emits a pending phase-correction key per touched
-qubit. Global phases are discarded throughout: masks are only ever applied
+and SymbolicMask, for the garden-hose frame, the benchmark's frame replay
+and the tests. A T layer leaves exponents fixed but emits a pending
+phase-correction key per touched qubit. Global phases are discarded throughout: masks are only ever applied
 as physical corrections, where phases are unobservable.
 
 A KeyPoly is held as integer bitmasks, the packed GF(2) rows of

@@ -18,10 +18,10 @@ measurement.
 
 The gate kernels (gate_kernel) and the axis-level helpers at the end
 (allocation, EPR preparation, extraction) also serve the compiler's
-execution plan: it runs every program, the garden-hose gadget and protocol
-included, over a window of qubits from which measured pairs are factored
-out, so long runs stay within the size cap, with every live branch as one
-entry of a leading batch axis. The plan uses these kernels only for its
+execution plan: it runs every program, the garden-hose gadget, the
+protocol and the grouped speculative runs included, over a window of qubits
+from which measured pairs are factored out, so long runs stay within the
+size cap, with every live branch as one entry of a leading batch axis. The plan uses these kernels only for its
 conditioned steps and on windows wider than 8 qubits; on narrower ones it
 fuses runs of gates and allocations into gather steps of its own
 (compiler._gather), so there the executor no longer shares kernels with

@@ -13,6 +13,14 @@ from tlink.compiler import InstrOp, compile_measure
     ["crossterms", "--alice", "0,,1"],
     ["protocol1", "--alice", "0,y"],
     ["protocol1", "--alice", "0", "--return-wires", "z"],
+    # Entries are canonical integers, as in circuit text: no '_', no '+',
+    # no digits outside ASCII.
+    ["crossterms", "--alice", "0_1"],
+    ["crossterms", "--alice", " +1"],
+    ["crossterms", "--alice", "0,\u0661"],
+    ["protocol1", "--alice", "0", "--return-wires", "0_1"],
+    ["protocol1", "--alice", "0", "--return-wires", "+1"],
+    ["protocol1", "--alice", "0", "--return-wires", "\u0661"],
 ])
 def test_bad_wire_list_exits_2(tmp_path, capsys, argv):
     circuit = tmp_path / "c.txt"
@@ -20,6 +28,16 @@ def test_bad_wire_list_exits_2(tmp_path, capsys, argv):
     code = cli.main([argv[0], "--in", str(circuit), *argv[1:]])
     assert code == cli.EXIT_PARSE
     assert "is not an integer" in capsys.readouterr().err
+
+
+def test_wire_list_entries_may_be_padded(tmp_path, capsys):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nH 0\nCNOT 0 1\nT 1\n---\n")
+    outs = []
+    for spec in ("0,1", " 0 , 1 "):
+        assert cli.main(["crossterms", "--in", str(circuit), "--alice", spec]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # Programs that parse but reuse a qubit: an EPR pair prepared twice on the
@@ -239,3 +257,33 @@ def test_bad_tolerance_exits_3(tmp_path, capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tolerance must be finite and non-negative" in captured.err
+
+
+def _speculate(tmp_path, capsys, n: int, r: int) -> tuple[int, str, str]:
+    """`tlink speculate` on an n-wire classical circuit of two stages."""
+    circuit = tmp_path / "c.txt"
+    circuit.write_text(f"QUBITS {n}\nX 0\nT 0\n---\nCNOT 0 1\nT 1\n---\n")
+    code = cli.main(["speculate", "--in", str(circuit), "--r", str(r), "--seed", "1"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_speculate_link_needs_an_n_plus_2_window(tmp_path, capsys):
+    # A link runs in a window of n + 2 qubits: 13 wires exceed the 14-qubit cap.
+    code, out, err = _speculate(tmp_path, capsys, 13, 1)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "register window exceeds the qubit cap" in err
+
+
+def test_speculate_single_group_runs_at_13_wires(tmp_path, capsys):
+    code, out, _ = _speculate(tmp_path, capsys, 13, 2)
+    assert code == cli.EXIT_OK
+    assert "groups=1\n" in out and "matches_direct=true\n" in out
+
+
+def test_speculate_link_fits_at_12_wires(tmp_path, capsys):
+    code, out, _ = _speculate(tmp_path, capsys, 12, 1)
+    assert code == cli.EXIT_OK
+    assert out == ("critical_path=2\ngroups=2\noutput=" + "11" + "0" * 10
+                   + "\nmatches_direct=true\n")

@@ -1,17 +1,22 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_classical_circuit
-from tlink.circuits import ValidationError, parse_circuit
+from tlink.circuits import ValidationError, parse_circuit, t
 from tlink.compiler import (
+    InstrOp,
     compile_measure,
     compile_speculative,
     execute,
     execute_speculative,
 )
-from tlink.oracle import apply_circuit, init_state
+from tlink.frames import PauliMask, apply_tableau, commute_through_t_layer, tableau_from_stage
+from tlink.oracle import apply_circuit, apply_gate, basis_bits, init_state
 
 
 def direct_bits(circuit, bits):
@@ -27,6 +32,39 @@ CLASSICAL_K4 = ("QUBITS 2\n"
                 "CNOT 0 1\nT 1\n---\n"
                 "X 1\nT 0\n---\n"
                 "CNOT 1 0\nT 0\n---\n")
+
+
+def dense_speculative(sp, rng):
+    """The reference runner: each group runs on the dense oracle, once, from
+    the previous group's output bits XOR the link X outcomes. A concrete
+    PauliMask frame is pushed through every stage; its pending P-dagger
+    corrections are phases on basis states and are dropped, and its final X
+    part is undone on the output bits. Each link outcome is one draw u,
+    k = 2x + z = floor(4u), in wire order."""
+    n = sp.n
+    frame = PauliMask.zero(n)
+    outcomes = {}
+    bits = sp.input_bits
+    for m, stages in enumerate(sp.groups):
+        if m > 0:
+            link = [divmod(int(4 * rng.random()), 2) for _ in range(n)]
+            for j, (xv, zv) in enumerate(link):
+                outcomes[f"L{m}q{j}x"] = xv
+                outcomes[f"L{m}q{j}z"] = zv
+            xs = tuple(xv for xv, _ in link)
+            frame = frame ^ PauliMask(xs, tuple(zv for _, zv in link))
+            bits = tuple(b ^ xv for b, xv in zip(bits, xs))
+        state = init_state(n, "".join(map(str, bits)))
+        for st_ in stages:
+            for g in st_.clifford:
+                state = apply_gate(state, g)
+            for q in sorted(st_.t_layer):
+                state = apply_gate(state, t(q))
+            frame = apply_tableau(tableau_from_stage(st_.clifford, n), frame)
+            frame, _ = commute_through_t_layer(frame, st_.t_layer)
+        bits = basis_bits(state, f"group {m + 1}")
+    out_bits = tuple(b ^ xv for b, xv in zip(bits, frame.a))
+    return "".join(map(str, out_bits)), outcomes
 
 
 class TestCompileSpeculative:
@@ -113,3 +151,60 @@ class TestExecuteSpeculative:
                 got, _ = execute_speculative(sp, rng)
                 assert got == expected
                 assert len(sp.groups) == -(-k // r)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 8), r=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matches_the_dense_reference(n, k, r, seed):
+    # The linked program draws the same link outcomes, in the same order, as
+    # the dense runner, and undoes the same frame.
+    rng = np.random.default_rng(seed)
+    c = random_classical_circuit(rng, n, k)
+    bits = "".join(str(int(b)) for b in rng.integers(0, 2, n))
+    sp = compile_speculative(c, r, bits)
+    for run in range(2):
+        got = execute_speculative(sp, np.random.default_rng(seed + run))
+        assert got == dense_speculative(sp, np.random.default_rng(seed + run))
+
+
+class TestLinkedProgram:
+    """compile_measure is the grouped program with one stage per group."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_stage_per_group_is_measure_mode(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        c = random_classical_circuit(rng, n, k)
+        bits = "".join(str(int(b)) for b in rng.integers(0, 2, n))
+        grouped = compile_speculative(c, 1, bits).program
+        measured = compile_measure(c)
+        assert ([ins[:3] for ins in grouped.instructions]
+                == [ins[:3] for ins in measured.instructions])
+        assert (sum(ins.cond is not None for ins in grouped.instructions)
+                == sum(ins.cond is not None for ins in measured.instructions))
+        assert (grouped.total_qubits, grouped.logical_outputs) == (
+            measured.total_qubits, measured.logical_outputs)
+
+        # Only the outcome names differ: L<m>q<j> is measure mode's m<(m-1)n + j>.
+        def rename(name: str) -> str:
+            link, wire, xz = re.fullmatch(r"L(\d+)q(\d+)([xz])", name).groups()
+            return f"m{(int(link) - 1) * n + int(wire)}{xz}"
+
+        for g, m in zip(grouped.instructions, measured.instructions):
+            if g.out_vars is not None:
+                assert [rename(v.name) for v in g.out_vars] == [v.name for v in m.out_vars]
+            if g.cond is not None:
+                assert g.cond.constant == m.cond.constant
+                assert ({rename(v.name) for v in g.cond.variables()}
+                        == {v.name for v in m.cond.variables()})
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 4), (2, 5), (3, 2), (3, 7), (4, 8)])
+    def test_pairs_of_groups_of_two(self, rng, n, k):
+        c = random_classical_circuit(rng, n, k)
+        program = compile_speculative(c, 2, "0" * n).program
+        ops = [ins.op for ins in program.instructions]
+        links = n * (-(-k // 2) - 1)
+        assert ops.count(InstrOp.EPR) == links
+        assert ops.count(InstrOp.BELL) == links
+        assert program.total_qubits == n + 2 * links
