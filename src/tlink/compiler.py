@@ -12,11 +12,14 @@ Pauli corrections from the tracked symbolic mask.
 to_unitary rewrites a compiled program as a plain unitary circuit via the
 deferred-measurement transform: each Bell measurement becomes a basis
 rotation plus coherent copies onto two fresh ancillas, and each conditioned
-correction becomes gates controlled on those ancillas. It converts linear
-conditions only, which is all compile_measure emits. A conditioned P-dagger
-computes its condition's parity onto one scratch qubit, applies a single
-controlled P-dagger from it and uncomputes: 3 T gates however many terms
-the condition has.
+correction becomes one gate controlled on a single qubit. It converts linear
+conditions only, which is all compile_measure emits. The control is an
+outcome ancilla when an X or Z waits on one outcome alone, and otherwise a
+parity qubit from a reusable pool: each holds a known XOR of ancillas, is
+moved onto the condition by one CNOT per differing term, and is never
+uncomputed. A conditioned P-dagger is therefore 3 T gates however many terms
+its condition has. _unitary_plan resolves the parity qubits as classical
+bit masks, so they never widen the execution window.
 
 compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: stages are linked r at a
@@ -77,7 +80,6 @@ from .circuits import (
     t,
     validate,
     x,
-    z,
 )
 from .frames import (
     KeyPoly,
@@ -555,11 +557,12 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
 # whole frontier; the kernel is a per-gate one, a fused _gather or the
-# reorder _lead. (_COND, test, kernel, args) runs a per-gate kernel on the
-# entries whose mask of classical bits that read 1 passes ``test``. (_BRANCH,
-# bits, shape) is a branch point (_Schedule.branch) on a (batch, outcome,
-# rest) frontier: outcome k sets the classical bits ``bits[k]``, and the
-# children take ``shape``, one axis per remaining qubit.
+# reorder _lead. (_COND, test, kernel, args) runs a per-gate kernel, or the
+# phase _scale, on the entries whose mask of classical bits that read 1
+# passes ``test``. (_BRANCH, bits, shape) is a branch point
+# (_Schedule.branch) on a (batch, outcome, rest) frontier: outcome k sets
+# the classical bits ``bits[k]``, and the children take ``shape``, one axis
+# per remaining qubit.
 _APPLY, _COND, _BRANCH = range(3)
 
 
@@ -659,6 +662,10 @@ class _Schedule:
         axes = self.axes(qubits)
         self._flush_map()
         self.steps.append((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
+
+    def phase(self, test, phase: complex) -> None:
+        self._flush_map()
+        self.steps.append((_COND, test, _scale, (phase,)))
 
     def defer(self, qubits: tuple[int, ...], item) -> None:
         self.deferred.append((qubits, item))
@@ -1001,35 +1008,11 @@ def _cz(a: int, q: int) -> list[Gate]:
     return [hq, cnot(a, q), hq]
 
 
-def _controls(cond: KeyPoly, var_qubits: dict[str, int]) -> list[int]:
-    """The outcome ancilla of each term of a linear condition, in name order."""
-    names = sorted(_names(cond.support))
-    missing = [name for name in names if name not in var_qubits]
-    if missing:
-        raise ValidationError(f"condition references unmeasured variable {missing[0]!r}")
-    return [var_qubits[name] for name in names]
+def _cx(a: int, q: int) -> list[Gate]:
+    return [cnot(a, q)]
 
 
-def _expand_cond(ins: Instruction, var_qubits: dict[str, int], scratch: int | None) -> list[Gate]:
-    """Gates for one conditioned correction, controlled on the outcome ancillas.
-
-    The condition must be linear. X and Z take one controlled gate per term.
-    P-dagger goes by parity accumulation: a CNOT per term and an X for the
-    constant XOR the condition onto the scratch qubit, one controlled
-    P-dagger acts from it, and the same gates in reverse order return the
-    scratch to |0>.
-    """
-    q = ins.qubits[0]
-    cond = ins.cond
-    if cond.degree > 1:
-        raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
-    ctrls = _controls(cond, var_qubits)
-    if ins.op is InstrOp.COND_X:
-        return [cnot(a, q) for a in ctrls] + ([x(q)] if cond.constant else [])
-    if ins.op is InstrOp.COND_Z:
-        return [g for a in ctrls for g in _cz(a, q)] + ([z(q)] if cond.constant else [])
-    parity = [cnot(a, scratch) for a in ctrls] + ([x(scratch)] if cond.constant else [])
-    return parity + _cs_dag(scratch, q) + parity[::-1]
+_CONTROLLED = {InstrOp.COND_X: _cx, InstrOp.COND_Z: _cz, InstrOp.COND_PDG: _cs_dag}
 
 
 def to_unitary(p: CompiledProgram) -> UnitaryProgram:
@@ -1038,18 +1021,30 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     Each Bell measurement becomes its basis rotation (_bell_rotation)
     followed by coherent copies of the two outcome bits onto fresh ancillas:
     the Z measurement that would read them is deferred, and the measured
-    qubits are left in the rotated basis and never touched again. Conditioned
-    corrections, which must be linear, become gates controlled on the
-    ancillas (_expand_cond); every conditioned P-dagger computes its
-    condition onto one shared scratch qubit, allocated on first use, and
-    uncomputes it. Discarding ancillas, the circuit acts on the logical wires
-    exactly as the measured program does on every branch.
+    qubits are left in the rotated basis and never touched again.
+
+    Each conditioned correction, which must be linear, becomes one
+    controlled gate (_CONTROLLED). An X or Z conditioned on one outcome
+    alone is controlled straight from its ancilla. Any other condition is
+    first brought onto a parity qubit; so is every P-dagger's, because its
+    controlled form puts P-dagger and T on the control, and the ancillas
+    stay read-only (_unitary_plan). Each parity qubit holds a known XOR
+    of ancillas plus a constant. The condition takes the one whose value
+    differs from it in the fewest terms, the constant counting as one and
+    ties going to the earliest, if that one is strictly nearer than a fresh
+    qubit, which holds 0; otherwise it takes a fresh one, so the pool keeps
+    more values to reuse. One CNOT per differing ancilla, in name order, and
+    an X if the constants differ set it to the condition. Parity qubits are
+    never uncomputed: like the ancillas, each holds a classical function of
+    the outcomes and is discarded. Discarding both, the circuit acts on the
+    logical wires exactly as the measured program does on every branch.
     """
     gates: list[Gate] = []
     var_qubits: dict[str, int] = {}
     groups: list[BellGroup] = []
     next_q = p.total_qubits
-    scratch = None  # the conditioned P-daggers' shared scratch qubit, from first use
+    copied = 0  # the outcome variables copied onto ancillas so far, as a mask
+    pool: dict[int, tuple[int, int]] = {}  # parity qubit -> (variable mask, constant)
     for ins in p.instructions:
         if ins.op is InstrOp.EPR:
             a, b = ins.qubits
@@ -1063,13 +1058,37 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
+            copied |= 1 << var_bit(vz) | 1 << var_bit(vx)
             gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
             gates += [cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
         else:
-            if scratch is None and ins.op is InstrOp.COND_PDG:
-                scratch, next_q = next_q, next_q + 1
-            gates += _expand_cond(ins, var_qubits, scratch)
+            cond = ins.cond
+            if cond.degree > 1:
+                raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
+            mask, const = cond.linear, cond.constant
+            if mask & ~copied:
+                name = min(_names(mask & ~copied))
+                raise ValidationError(f"condition references unmeasured variable {name!r}")
+            controlled = _CONTROLLED[ins.op]
+            if mask.bit_count() == 1 and not const and ins.op is not InstrOp.COND_PDG:
+                (name,) = _names(mask)
+                gates += controlled(var_qubits[name], ins.qubits[0])
+                continue
+            a, distance = None, mask.bit_count() + const  # a fresh qubit holds 0
+            for q, (m, c) in pool.items():
+                d = (m ^ mask).bit_count() + (c ^ const)
+                if d < distance:
+                    a, distance = q, d
+            if a is None:
+                a, next_q = next_q, next_q + 1
+                pool[a] = 0, 0
+            m, c = pool[a]
+            gates += [cnot(var_qubits[name], a) for name in sorted(_names(m ^ mask))]
+            if c != const:
+                gates.append(x(a))
+            pool[a] = mask, const
+            gates += controlled(a, ins.qubits[0])
 
     return UnitaryProgram(layerize(gates, next_q), p.logical_outputs, var_qubits, tuple(groups))
 
@@ -1081,32 +1100,77 @@ def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
     return text + "\n".join(lines) + ("\n" if lines else "")
 
 
+def _parity_test(mask: int, constant: int):
+    """The _COND test of a parity: the XOR of the classical bits in ``mask``
+    that read 1, plus ``constant``."""
+    if not constant and mask.bit_count() == 1:
+        return mask.__and__
+    return lambda ones: ((ones & mask).bit_count() + constant) & 1
+
+
+def _scale(amps: np.ndarray, phase: complex) -> np.ndarray:
+    """A per-branch phase: the selected frontier entries times ``phase``."""
+    return amps * phase
+
+
 def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     """Replay a converted linear program's schedule into an ExecPlan.
 
     After each Bell copy block its four qubits (r, s, anc_z, anc_x) are
     Z-measured in one branch point: from there on they are only ever
     controls of CNOTs, so measuring them there commutes with the rest of the
-    circuit. The i-th measured qubit's classical bit is 1 << i, and each
-    such CNOT is resolved here, once, into an X on its target conditioned on
-    that bit; any other gate on a measured qubit raises. Gates left deferred
-    at the end are outside the outputs' light cone and cannot affect them.
+    circuit. The i-th measured qubit's classical bit is 1 << i. A measured
+    qubit is read-only: any gate on it but a CNOT from it raises.
+
+    ``classical`` holds the parity of every classical qubit, measured or
+    parity, as (mask of classical bits, constant). A parity qubit is one
+    that has never been a window axis, is neither an output nor in a Bell
+    group, and is first written by a CNOT from a classical qubit. It never
+    enters the window; its gates are resolved here, once. A CNOT from a
+    classical qubit onto it XORs the control's parity into its own, and an
+    X flips its constant, so neither adds a step. P, P-dagger, T or Z on it
+    is a phase on the branches where it holds 1, and a CNOT from a classical
+    qubit onto a window qubit an X on the branches where the control holds
+    1: one conditioned step each. H on a parity qubit, or a CNOT from a
+    window qubit onto one, raises. Gates left deferred at the end are
+    outside the outputs' light cone and cannot affect them.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     sched = _Schedule(up.n)
-    classical: dict[int, int] = {}  # measured qubit -> its classical bit
+    measured = sched.retired
+    classical: dict[int, tuple[int, int]] = {}  # classical qubit -> (mask, constant)
+    quantum = set(up.logical_outputs).union(  # qubits that are never parity qubits
+        *((grp.r, grp.s, grp.anc_z, grp.anc_x) for grp in up.bell_groups))
 
     def emit(qs: tuple[int, ...], g: Gate) -> None:
+        kind = g.kind
         if classical.keys().isdisjoint(qs):
-            sched.gate(g.kind, qs)
-        elif g.kind is not GateKind.CNOT:
-            raise ValidationError(f"{g.kind.value} on a measured qubit")
-        elif qs[1] not in classical:
-            sched.cond(classical[qs[0]].__and__, GateKind.X, qs[1:])
+            sched.gate(kind, qs)
+        elif kind is not GateKind.CNOT:
+            (q,) = qs
+            if q in measured or kind is GateKind.H:
+                role = "measured" if q in measured else "parity"
+                raise ValidationError(f"{kind.value} on a {role} qubit")
+            mask, constant = classical[q]
+            if kind is GateKind.X:
+                classical[q] = mask, constant ^ 1
+            else:
+                sched.phase(_parity_test(mask, constant), complex(GATE_MATRICES[kind][1, 1]))
         else:
-            source = "measured" if qs[0] in classical else "quantum"
-            raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
+            a, b = qs
+            control = classical.get(a)
+            if b in measured:
+                source = "quantum" if control is None else "measured" if a in measured else "parity"
+                raise ValidationError(f"CNOT from a {source} qubit onto a measured qubit")
+            if control is None:
+                raise ValidationError("CNOT from a quantum qubit onto a parity qubit")
+            held = classical.get(b)
+            if held is None and (b in quantum or b in sched.window):
+                sched.cond(_parity_test(*control), GateKind.X, (b,))
+            else:
+                mask, constant = held or (0, 0)
+                classical[b] = mask ^ control[0], constant ^ control[1]
 
     start = 0
     for grp in up.bell_groups:
@@ -1115,9 +1179,10 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
         start = grp.gate_end
         order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
         sched.flush(order, emit)
-        for q in order:
-            classical[q] = 1 << len(classical)
-        sched.branch(order, [(var_of_qubit.get(q), classical[q]) for q in order])
+        base = len(measured)
+        bits = [1 << (base + j) for j in range(len(order))]
+        classical.update((q, (bit, 0)) for q, bit in zip(order, bits))
+        sched.branch(order, [(var_of_qubit.get(q), bit) for q, bit in zip(order, bits)])
     for g in gates[start:]:
         sched.defer(g.targets, g)
     sched.flush(up.logical_outputs, emit)

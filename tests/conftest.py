@@ -78,19 +78,29 @@ def circuit_matrix(c: LayeredCircuit) -> np.ndarray:
 def apply_gates(amps: np.ndarray, gates, n: int) -> np.ndarray:
     """Apply gates to an n-qubit amplitude vector one qubit axis at a time,
     with the literal 2x2 matrices above and CNOT as a basis permutation: the
-    matrix oracle for registers too wide for full 2^n x 2^n matrices."""
-    out = np.asarray(amps, dtype=complex).reshape((2,) * n)
+    matrix oracle for registers too wide for full 2^n x 2^n matrices. The
+    amplitudes stay one contiguous copy of the input: a 2x2 matrix multiplies
+    the (before, qubit, after) view, a diagonal one scales the qubit's two
+    halves in place, and a CNOT flips its target within the control's 1 half
+    in place."""
+    out = np.array(amps, dtype=complex).reshape(-1)
     for g in gates:
         if g.kind is GateKind.CNOT:
             c, t = g.targets
-            out = out.copy()
             on = [slice(None)] * n
             on[c] = 1
-            out[tuple(on)] = np.flip(out[tuple(on)], axis=t - (t > c)).copy()
+            half = out.reshape((2,) * n)[tuple(on)]
+            half[...] = np.flip(half, axis=t - (t > c)).copy()
         else:
             q = g.targets[0]
-            out = np.moveaxis(np.tensordot(MAT_1Q[g.kind.value], out, axes=([1], [q])), 0, q)
-    return out.reshape(-1)
+            mat = MAT_1Q[g.kind.value]
+            view = out.reshape(2 ** q, 2, -1)
+            if mat[0, 1] == 0 and mat[1, 0] == 0:
+                view[:, 0] *= mat[0, 0]
+                view[:, 1] *= mat[1, 1]
+            else:
+                out = np.matmul(mat, view).reshape(-1)
+    return out
 
 
 def project(amps: np.ndarray, n: int, bits: dict[int, int]) -> np.ndarray:

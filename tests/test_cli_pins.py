@@ -4,7 +4,8 @@ unitary-mode circuit file and `tlink verify` on a faulty program. The digests
 were taken before the gadget's symbolic mode, its bridge teleport and the
 degree-2 unitary conversion were removed, and the verify ones before the
 executor moved every branch through each step at once, so they show that the
-remaining paths print what they printed."""
+remaining paths print what they printed. The unitary-mode file's digest was
+re-taken when each condition became one controlled gate from a parity qubit."""
 import hashlib
 
 import numpy as np
@@ -32,7 +33,7 @@ PROTOCOL_TRANSCRIPT = "99c529fc07213fa3b0cebcb43736be054c25cbcfafe048e3719347c00
 # random_circuit(default_rng(2), 3, 4, max_clifford=9): cross terms with Alice
 # on wires 0 and 1, and the unitary-mode file of its compiled program.
 CROSSTERMS = "4ef9a7d883c1888f5a456526be5d69ba882c4129b5d51064db6f3da638fe5eed"
-UNITARY_FILE = "31cf8025b918ee401d54065c2eb22b5d0ff43f1ba96eb1de4f8b7838a9e2559a"
+UNITARY_FILE = "e40a6fab6e7a8e5cfdc9f04d980cc8328ecd072daf49e1badfc3be4af2a5868e"
 
 # random_circuit(default_rng(2), 2, 3, max_clifford=6) compiled, with one
 # conditioned P-dagger line dropped: `tlink verify --program` exits 4 and

@@ -4,8 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import apply_gates, factor_state, gates_matrix, project, random_circuit, random_state
+from conftest import (
+    apply_gates,
+    factor_state,
+    gates_matrix,
+    layered_circuits,
+    project,
+    random_circuit,
+    random_state,
+)
+from tlink import cli
 from tlink.circuits import (
     Gate,
     GateKind,
@@ -27,6 +37,7 @@ from tlink.compiler import (
     UnitaryProgram,
     _BRANCH,
     _COND,
+    _Schedule,
     _bell_rotation,
     _cs_dag,
     _unitary_plan,
@@ -37,18 +48,31 @@ from tlink.compiler import (
     to_unitary,
 )
 from tlink.frames import KeyPoly, OutcomeVar
-from tlink.oracle import StateVector, _extract, apply_circuit, fidelity_up_to_phase, init_state
+from tlink.oracle import (
+    MAX_QUBITS,
+    StateVector,
+    _extract,
+    apply_circuit,
+    fidelity_up_to_phase,
+    init_state,
+)
 
 
 def make_program(total, outputs, instrs):
     return CompiledProgram(total, tuple(outputs), tuple(instrs))
 
 
+def padded(psi: StateVector, total: int) -> np.ndarray:
+    """The amplitudes of ``psi`` on the first wires and |0> on the rest."""
+    amps = np.zeros(2 ** total, dtype=complex)
+    amps[::2 ** (total - psi.n)] = psi.amps
+    return amps
+
+
 def coherent_state(up: UnitaryProgram, psi) -> StateVector:
     """Plain full-width simulation of the converted circuit, no measurements:
     the input on the logical wires, |0> on every other qubit."""
-    zeros = np.eye(2 ** (up.total_qubits - up.n))[0]
-    return apply_circuit(init_state(up.total_qubits, np.kron(psi.amps, zeros)), up.circuit)
+    return apply_circuit(init_state(up.total_qubits, padded(psi, up.total_qubits)), up.circuit)
 
 
 def outputs_of(up: UnitaryProgram, shaped: np.ndarray) -> StateVector:
@@ -62,6 +86,59 @@ def run_unitary_coherently(up: UnitaryProgram, psi):
 
 def cond_pdg_count(prog: CompiledProgram) -> int:
     return sum(1 for ins in prog.instructions if ins.op is InstrOp.COND_PDG)
+
+
+def held_parities(up: UnitaryProgram, first: int) -> dict[int, tuple[frozenset, int]]:
+    """Each parity qubit of a converted program, a qubit from ``first`` up
+    that is no outcome ancilla, with the parity it ends up holding: the
+    variables of the ancillas that CNOT onto it and the parity of its X
+    count. A parity qubit is written by nothing else."""
+    var_of = {q: v for v, q in up.var_qubits.items()}
+    held = {q: (frozenset(), 0) for q in range(first, up.total_qubits) if q not in var_of}
+    for g in flatten(up.circuit):
+        target = g.targets[-1]
+        if target not in held:
+            continue
+        names, const = held[target]
+        if g.kind is GateKind.CNOT:
+            held[target] = names ^ {var_of[g.targets[0]]}, const
+        elif g.kind is GateKind.X:
+            held[target] = names, const ^ 1
+        else:
+            assert g.kind in (GateKind.PDG, GateKind.T), g
+    return held
+
+
+def assert_branches_match_the_matrix_oracle(up: UnitaryProgram, psi: StateVector) -> list:
+    """enumerate_unitary_branches against the conftest matrix oracle: the
+    whole converted circuit run coherently, then read on each branch's
+    values of the outcome ancillas. Returns the branches."""
+    total = up.total_qubits
+    full = apply_gates(padded(psi, total), flatten(up.circuit), total)
+    var_of = {q: v for v, q in up.var_qubits.items()}
+    groups = [(var_of[g.anc_z], var_of[g.anc_x]) for g in up.bell_groups]
+    ancillas = [up.var_qubits[v] for pair in groups for v in pair]
+    rest = [q for q in range(total) if q not in ancillas]
+    front = [rest.index(q) for q in up.logical_outputs]
+    # one row per value of the ancillas, the first one's bit highest
+    rows = np.moveaxis(full.reshape((2,) * total), ancillas, range(len(ancillas)))
+    rows = rows.reshape(2 ** len(ancillas), -1)
+    want = []
+    # The plan measures r (the z bit) before s (the x bit): per group,
+    # branches come in lexicographic (z, x) order.
+    for row, bits in enumerate(itertools.product((0, 1), repeat=len(ancillas))):
+        amps = rows[row]
+        prob = float(np.linalg.norm(amps) ** 2)
+        if prob > 1e-12:
+            outcomes = {var_of[q]: bit for q, bit in zip(ancillas, bits)}
+            want.append((outcomes, prob, factor_state(amps, len(rest), front)))
+    got = enumerate_unitary_branches(up, psi)
+    assert [b.outcomes for b in got] == [w[0] for w in want]
+    assert len(got) == 4 ** len(groups)
+    for b, (_, prob, state) in zip(got, want):
+        assert b.probability == pytest.approx(prob, abs=1e-12)
+        assert fidelity_up_to_phase(b.state, state) >= 1 - 1e-10
+    return got
 
 
 class TestDecompositions:
@@ -100,15 +177,27 @@ class TestConversionStructure:
         with pytest.raises(ValidationError, match="degree > 1"):
             to_unitary(prog)
 
+    def test_unmeasured_variable_is_named(self):
+        # the first unmeasured variable in name order
+        m0x, m3z, m5x = (KeyPoly.of(OutcomeVar(name)) for name in ("m0x", "m3z", "m5x"))
+        prog = make_program(3, [2], [
+            Instruction(InstrOp.EPR, (1, 2)),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
+            Instruction(InstrOp.COND_Z, (2,), cond=m0x ^ m5x ^ m3z),
+        ])
+        with pytest.raises(ValidationError, match="unmeasured variable 'm3z'"):
+            to_unitary(prog)
+
 
 class TestMeasuredQubitGates:
     """A CNOT from a measured qubit of a Bell group onto a live one becomes
     an X on the target if the qubit's bit is set; any other gate on a
-    measured qubit is rejected."""
+    measured qubit is rejected. Qubit 5, never in the window, becomes a
+    parity qubit when a CNOT from a measured qubit first writes it."""
 
     def program(self, after):
         gates = [h(1), h(2), *after]
-        up = UnitaryProgram(layerize(gates, 5), (0,), {"vr": 1, "vs": 2},
+        up = UnitaryProgram(layerize(gates, 6), (0,), {"vr": 1, "vs": 2},
                             (BellGroup(2, 1, 2, 3, 4),))
         assert flatten(up.circuit) == gates
         return up
@@ -134,6 +223,44 @@ class TestMeasuredQubitGates:
     def test_unsupported_gate_on_measured_qubit(self, rng, after, match):
         with pytest.raises(ValidationError, match=match):
             enumerate_unitary_branches(self.program(after), random_state(rng, 1))
+
+    def test_parity_steps(self, rng):
+        # qubit 5 holds vr ^ vs ^ 1 and is never allocated: X^(vr ^ vs ^ 1)
+        # and a T phase on the branches where it holds 1, in two steps
+        up = self.program([cnot(1, 5), cnot(2, 5), x(5), t(5), cnot(5, 0)])
+        plan = _unitary_plan(up)
+        assert plan.peak_width == 5
+        assert sum(1 for step in plan.steps if step[0] is _COND) == 2
+        psi = random_state(rng, 1)
+        for b in enumerate_unitary_branches(up, psi):
+            flip = b.outcomes["vr"] ^ b.outcomes["vs"] ^ 1
+            want = (psi.amps[::-1] if flip else psi.amps) * (np.exp(1j * np.pi / 4) if flip else 1)
+            assert np.allclose(b.state.amps, want, atol=1e-12)
+
+    def test_an_output_is_never_a_parity_qubit(self, rng):
+        # output 5 is first written by a CNOT from measured qubit 1: it is
+        # allocated and flipped on the branches where vr = 1, not left at |0>
+        up = self.program([cnot(1, 5)])
+        up = dataclasses.replace(up, logical_outputs=(5,))
+        for b in enumerate_unitary_branches(up, random_state(rng, 1)):
+            assert np.allclose(np.abs(b.state.amps), np.eye(2)[b.outcomes["vr"]], atol=1e-12)
+
+    PARITY_ERRORS = [([cnot(1, 5), h(5), cnot(5, 0)], "H on a parity qubit"),
+                     ([cnot(1, 5), cnot(0, 5), cnot(5, 0)],
+                      "CNOT from a quantum qubit onto a parity qubit")]
+
+    @pytest.mark.parametrize("after,match", PARITY_ERRORS)
+    def test_unsupported_gate_on_parity_qubit_exits_3(self, monkeypatch, capsys, rng,
+                                                       after, match):
+        up = self.program(after)
+        with pytest.raises(ValidationError, match=match):
+            enumerate_unitary_branches(up, random_state(rng, 1))
+        # No command runs a unitary plan, so a stubbed one shows that the
+        # CLI maps the plan's error to exit 3.
+        monkeypatch.setattr(cli, "cmd_stats",
+                            lambda args: enumerate_unitary_branches(up, random_state(rng, 1)))
+        assert cli.main(["stats", "--in", "unused.txt"]) == cli.EXIT_VALIDATION
+        assert f"validation error: {match}" in capsys.readouterr().err
 
 
 class TestTeleportOnly:
@@ -232,21 +359,38 @@ class TestParityAccumulation:
             for b in branches:
                 assert fidelity_up_to_phase(b.state, ref) >= 1 - 1e-10
 
-    def test_one_scratch_qubit_returns_to_zero(self, rng):
-        c = parse_circuit("QUBITS 1\nT 0\n---\nH 0\nT 0\n---\nH 0\n---")
+    @pytest.mark.parametrize("seed,n,k", [(3, 1, 3), (4, 2, 2), (5, 1, 4)])
+    def test_parity_qubits_hold_their_parity_on_every_branch(self, seed, n, k):
+        # The dense coherent run, projected onto each outcome branch: every
+        # parity qubit is in the basis state of the parity it was left holding.
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, n, k, max_clifford=3 * n, allow_empty_final=False)
         prog = compile_measure(c)
-        assert cond_pdg_count(prog) >= 1
         up = to_unitary(prog)
-        extra = set(range(prog.total_qubits, up.total_qubits)) - set(up.var_qubits.values())
-        assert len(extra) == 1
-        scratch = extra.pop()
-        psi = random_state(rng, 1)
-        full = coherent_state(up, psi).shaped()
-        assert np.sum(np.abs(np.take(full, 1, axis=scratch)) ** 2) == pytest.approx(0.0, abs=1e-12)
-        assert fidelity_up_to_phase(outputs_of(up, full), apply_circuit(psi, c)) >= 1 - 1e-10
+        held = held_parities(up, prog.total_qubits)
+        assert held and cond_pdg_count(prog) >= 1
+        psi = random_state(rng, n)
+        total = up.total_qubits
+        full = apply_gates(padded(psi, total), flatten(up.circuit), total)
+        ancillas = sorted(up.var_qubits.items())
+        branches = 0
+        for bits in itertools.product((0, 1), repeat=len(ancillas)):
+            outcomes = {v: bit for (v, _), bit in zip(ancillas, bits)}
+            amps = project(full, total, {q: bit for (_, q), bit in zip(ancillas, bits)})
+            if np.linalg.norm(amps) ** 2 <= 1e-12:
+                continue
+            branches += 1
+            for q, (names, const) in held.items():
+                value = const ^ (sum(outcomes[v] for v in names) & 1)
+                wrong = project(amps, total, {q: 1 - value})
+                assert np.linalg.norm(wrong) == pytest.approx(0.0, abs=1e-12)
+            state = factor_state(amps, total, up.logical_outputs)
+            assert fidelity_up_to_phase(state, apply_circuit(psi, c)) >= 1 - 1e-10
+        assert branches == 4 ** len(up.bell_groups)
 
     def test_pdg_on_constant_condition(self, rng):
-        # Condition 1 alone: X on the scratch, controlled P-dagger, X back.
+        # Condition 1 alone: an X sets a fresh parity qubit to 1, and one
+        # controlled P-dagger acts from it.
         prog = make_program(1, [0], [Instruction(InstrOp.COND_PDG, (0,), cond=KeyPoly.one())])
         up = to_unitary(prog)
         psi = random_state(rng, 1)
@@ -255,9 +399,8 @@ class TestParityAccumulation:
 
 
 class TestFrontierAgainstReference:
-    """enumerate_unitary_branches against the conftest matrix oracle: the
-    whole converted circuit run coherently, then projected onto each branch's
-    outcome ancillas."""
+    """enumerate_unitary_branches against the conftest matrix oracle
+    (assert_branches_match_the_matrix_oracle)."""
 
     @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (1, 4), (2, 2)])
     def test_random_circuits(self, n, k):
@@ -267,28 +410,20 @@ class TestFrontierAgainstReference:
             up = to_unitary(compile_measure(c))
             # the final corrections are CNOTs from measured ancillas: conditioned X steps
             assert any(step[0] is _COND for step in _unitary_plan(up).steps)
-            psi = random_state(rng, n)
-            total = up.total_qubits
-            full = apply_gates(np.kron(psi.amps, np.eye(2 ** (total - n))[0]),
-                               flatten(up.circuit), total)
-            var_of = {q: v for v, q in up.var_qubits.items()}
-            groups = [(var_of[g.anc_z], var_of[g.anc_x]) for g in up.bell_groups]
-            want = []
-            # The plan measures r (the z bit) before s (the x bit): per group,
-            # branches come in lexicographic (z, x) order.
-            for choice in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=len(groups)):
-                outcomes = {v: bit for (vz, vx), (zv, xv) in zip(groups, choice)
-                            for v, bit in ((vz, zv), (vx, xv))}
-                amps = project(full, total, {up.var_qubits[v]: bit for v, bit in outcomes.items()})
-                prob = float(np.linalg.norm(amps) ** 2)
-                if prob > 1e-12:
-                    want.append((outcomes, prob, factor_state(amps, total, up.logical_outputs)))
-            got = enumerate_unitary_branches(up, psi)
-            assert [b.outcomes for b in got] == [w[0] for w in want]
-            assert len(got) == 4 ** len(groups)
-            for b, (_, prob, state) in zip(got, want):
-                assert b.probability == pytest.approx(prob, abs=1e-12)
-                assert fidelity_up_to_phase(b.state, state) >= 1 - 1e-10
+            assert_branches_match_the_matrix_oracle(up, random_state(rng, n))
+
+    # Up to 4 Bell groups: the converted circuit of a 2-wire, 3-stage input
+    # has 20-22 qubits, about two seconds of dense simulation each.
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(layered_circuits(max_n=2, max_k=3))
+    def test_matches_the_matrix_oracle(self, c):
+        # The branches equal the converted circuit's dense run, and every one
+        # of them carries the source circuit's output.
+        up = to_unitary(compile_measure(c))
+        psi = random_state(np.random.default_rng(c.n), c.n)
+        want = StateVector(c.n, apply_gates(psi.amps, flatten(c), c.n))
+        for b in assert_branches_match_the_matrix_oracle(up, psi):
+            assert fidelity_up_to_phase(b.state, want) >= 1 - 1e-10
 
     def test_branch_explosion_guard(self, rng):
         def converted(k):
@@ -318,15 +453,36 @@ def test_unitary_program_sizes_are_derived(rng):
     assert [f.name for f in dataclasses.fields(up)] == [
         "circuit", "logical_outputs", "var_qubits", "bell_groups"]
     assert up.n == prog.n == len(up.logical_outputs)
-    scratch = 1 if cond_pdg_count(prog) else 0
-    assert up.total_qubits == up.circuit.n == prog.total_qubits + 2 * len(up.bell_groups) + scratch
+    parity = held_parities(up, prog.total_qubits)
+    assert parity
+    assert up.total_qubits == up.circuit.n == prog.total_qubits + 2 * len(up.bell_groups) + len(parity)
+
+
+@pytest.mark.parametrize("n,k", [(4, 8), (4, 16), (4, 32), (4, 64), (16, 16)])
+def test_rc_family_keeps_the_t_count_and_the_window(monkeypatch, n, k):
+    # Each conditioned P-dagger costs 3 T gates, and the parity qubits never
+    # enter the execution window, which peaks at n + 4. rc(16,16) has no
+    # plan: its window would exceed the qubit cap.
+    c = random_circuit(np.random.default_rng(0), n, k, max_clifford=3 * n)
+    prog = compile_measure(c)
+    up = to_unitary(prog)
+    assert depth_metrics(up.circuit).t_count == depth_metrics(c).t_count + 3 * cond_pdg_count(prog)
+    if n + 4 > MAX_QUBITS:
+        return
+    allocated = []
+    allocate = _Schedule._allocate
+    monkeypatch.setattr(_Schedule, "_allocate",
+                        lambda sched, qubits: allocate(sched, allocated.extend(qubits) or qubits))
+    assert _unitary_plan(up).peak_width <= n + 4
+    parity = held_parities(up, prog.total_qubits)
+    assert parity and parity.keys().isdisjoint(allocated)
 
 
 # SHA-256 over 24 seeded circuits with n = 1..6: for each, its unitary-mode
 # circuit file text, then the repr of that circuit's depth_metrics. Taken
-# before the per-gate check, the ASAP depth loop, the gate parser and
-# compile_measure's gate mapping were rewritten for speed.
-CONVERSIONS = "e83aebafb6ae1c52aa5f82611c57d23a193245314efee09882a90b73221cdc08"
+# when each condition became one controlled gate from a parity qubit,
+# after every fidelity test above passed.
+CONVERSIONS = "ed54fe1e588ad60aa44225cb6e9f75718abcfcf5d2ff74c2700c3f7a4f32699e"
 
 
 def test_conversions_and_their_depths_are_pinned():
