@@ -25,9 +25,22 @@ CNOT qubits, indices in range), and validate adds the stage rules (no T in a
 Clifford block, T-layer indices in range, a T layer on every stage but the
 last). layerize calls _check_gate on the T gates it packs and validate on
 the circuit it builds, so each gate is checked once there too.
+
+parse_circuit parses each distinct gate line once per process: a line that
+_parse_gate_line accepted, with no comment and no surrounding whitespace, is
+kept in one process-wide dict (_GATE_LINES) from the raw line to its Gate and
+highest qubit index, up to a fixed 4,096 lines; later lines are parsed but
+not kept. A kept line is reused only after the header, and only when its
+highest qubit is below the file's qubit count. Everything else the cold parse
+checks (known kind, arity, integer form, distinct CNOT qubits) does not
+depend on the qubit count, so a reused line passes exactly the checks a
+cold parse would, and a line that does not fit takes the cold parse and its
+errors. parse_program does not use it: program lines name carrier qubits
+that differ from program to program, so a bounded memo would thrash.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -303,28 +316,48 @@ def _parse_header(tokens: list[str], lineno: int) -> int:
     return n
 
 
+# Checked gate lines of circuit text: raw line -> (Gate, highest qubit index).
+# The bound is fixed, not an option: lines past it are parsed but not kept.
+# Readers go without the lock; a line is added under it, so that parses on
+# several threads keep the bound.
+_GATE_LINES: dict[str, tuple[Gate, int]] = {}
+_GATE_LINES_MAX = 4096
+_GATE_LINES_LOCK = threading.Lock()
+
+
 def parse_circuit(text: str) -> LayeredCircuit:
-    """Parse circuit text; inverse of serialize_circuit on canonical form."""
+    """Parse circuit text; inverse of serialize_circuit on canonical form.
+    Gate lines seen before are taken from _GATE_LINES (see the module
+    docstring)."""
     n: int | None = None
     stages: list[Stage] = []
     cliff: list[Gate] = []
     t_layer: set[int] = set()
     have_content = False
+    memo = _GATE_LINES
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if n is None:
-            n = _parse_header(tokens, lineno)
-            continue
-        if line == "---":
-            stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-            cliff, t_layer = [], set()
-            have_content = False
-            continue
-        g = _parse_gate_line(tokens, n, lineno)
+        hit = memo.get(raw)
+        if hit is not None and n is not None and hit[1] < n:
+            g = hit[0]
+        else:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if n is None:
+                n = _parse_header(tokens, lineno)
+                continue
+            if line == "---":
+                stages.append(Stage(tuple(cliff), frozenset(t_layer)))
+                cliff, t_layer = [], set()
+                have_content = False
+                continue
+            g = _parse_gate_line(tokens, n, lineno)
+            if line == raw and len(memo) < _GATE_LINES_MAX:
+                with _GATE_LINES_LOCK:
+                    if len(memo) < _GATE_LINES_MAX:
+                        memo[raw] = (g, max(g.targets))
         have_content = True
         if g.kind is GateKind.T:
             q = g.targets[0]

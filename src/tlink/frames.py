@@ -6,14 +6,17 @@ as concrete bits (PauliMask) or as multilinear GF(2) polynomials in
 party-tagged measurement-outcome variables (SymbolicMask / KeyPoly). The
 per-gate rules below live in one place, push_gates, which updates two
 exponent lists in place using only swaps and XOR, so any exponent type with
-``^`` takes the same path: the compiler's one linked builder, behind
+``^`` takes the same path. The compiler's one linked builder, behind
 compile_measure and the speculative programs, pushes plain int masks (the
-``linear`` bits of its keys, all of which are linear) and builds a KeyPoly
-only for a condition it emits; apply_tableau wraps push_gates for PauliMask
-and SymbolicMask, for the garden-hose frame, the benchmark's frame replay
-and the tests. A T layer leaves exponents fixed but emits a pending
-phase-correction key per touched qubit. Global phases are discarded throughout: masks are only ever applied
-as physical corrections, where phases are unobservable.
+``linear`` bits of its keys, all of which are linear), and so do the
+garden-hose protocol builder and cross-term analysis, whose degree-2
+products ride along as lifted bits above the variable table (see
+gardenhose); each builds a KeyPoly only for a condition it emits.
+apply_tableau and tableau_from_stage wrap push_gates for PauliMask and
+SymbolicMask; they serve the benchmark's frame replay and the tests. A T
+layer leaves exponents fixed but emits a pending phase-correction key per
+touched qubit. Global phases are discarded throughout: masks are only ever
+applied as physical corrections, where phases are unobservable.
 
 A KeyPoly is held as integer bitmasks, the packed GF(2) rows of
 Aaronson-Gottesman (quant-ph/0406196): bit i stands for the i-th entry of
@@ -22,8 +25,10 @@ one process-wide variable table, which hands each distinct OutcomeVar
 So the push is int XOR, a condition's support is one int, and a key prints
 by walking its set bits. The table only grows; it is shared by every program
 in the process because keys are also built outside any program (the
-garden-hose frame), and it is extended under a lock, so keys may be built
-from several threads.
+garden-hose gadget keys and cross-term reports), and it is extended under a
+lock, so keys may be built from several threads. table_size() bounds every
+bit assigned so far, which is where the garden-hose frame starts its lifted
+product bits.
 
 Key update rules, pushed left-to-right through a gate:
 
@@ -97,10 +102,20 @@ def var_bit(var: OutcomeVar) -> int:
     return bit
 
 
+def outcome_bit(name: str, owner: Owner = Owner.LOCAL) -> int:
+    """The bit of OutcomeVar(name, owner) in the variable table, added on first use."""
+    bit = _BITS.get((name, owner._value_))
+    return var_bit(OutcomeVar(name, owner)) if bit is None else bit
+
+
 def outcome_var(name: str, owner: Owner = Owner.LOCAL) -> OutcomeVar:
     """The table's own instance of OutcomeVar(name, owner), added on first use."""
-    bit = _BITS.get((name, owner._value_))
-    return _VARS[var_bit(OutcomeVar(name, owner)) if bit is None else bit]
+    return _VARS[outcome_bit(name, owner)]
+
+
+def table_size() -> int:
+    """The number of variables in the table: every bit assigned so far is below it."""
+    return len(_VARS)
 
 
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -130,15 +145,20 @@ def _names(mask: int) -> Iterable[str]:
     return compress(_NAMES, _flags(mask))
 
 
-def _term_vars(term: int) -> list[OutcomeVar]:
-    """The variables of a term of degree >= 2; it has few bits, so they are
-    peeled off one at a time."""
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, lowest first, peeled off one
+    at a time: for masks with few bits."""
     out = []
-    while term:
-        low = term & -term
-        out.append(_VARS[low.bit_length() - 1])
-        term ^= low
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _term_vars(term: int) -> list[OutcomeVar]:
+    """The variables of a term of degree >= 2; it has few bits."""
+    return [_VARS[i] for i in _set_bits(term)]
 
 
 def _mono_key(m: Monomial) -> tuple[str, ...]:
@@ -350,9 +370,10 @@ class SymbolicMask:
 def tableau_from_stage(clifford: Iterable[Gate], n: int) -> tuple[Gate, ...]:
     """Check that a stage's gates are Clifford and return them in gate order.
 
-    The result is what apply_tableau pushes a mask through. ``n`` is unused;
-    it is kept so that existing callers, the benchmark's frame push among
-    them, keep their call shape.
+    The result is what apply_tableau pushes a mask through; the two serve
+    the benchmark's frame replay and the tests, while the builders push int
+    masks through push_gates. ``n`` is unused; it is kept so that existing
+    callers, the benchmark's frame push among them, keep their call shape.
     """
     gates = tuple(clifford)
     for g in gates:

@@ -27,10 +27,20 @@ The protocol executes a T-depth <= 1 circuit with one simultaneous
 classical exchange: Alice teleports her input wires to Bob up front and keeps
 the outcome masks secret, Bob runs the circuit with one gadget per T gate
 (routing bits are the parties' shares of the pending correction key), and
-both parties apply Pauli corrections only after the single exchange. Each
-gadget's effect on the frame is one update (_gadget_frame_update), which the
-protocol builder and the cross-term analysis share. A transcript event
-depends on the variables of the conditions its party evaluates.
+both parties apply Pauli corrections only after the single exchange. A
+transcript event depends on the variables of the conditions its party
+evaluates.
+
+The protocol builder and the cross-term analysis push their frame the way the
+compiler's linked builder does: X and Z exponents are plain int masks over the
+variable table, pushed through frames.push_gates. A gadget adds a degree-2
+product bx*v per variable v of the key it fixes; products are lifted bits.
+Each call first creates every outcome variable it puts in the frame and then
+fixes lift, the table size: bit lift + i of a frame mask stands for term i of
+the call's own term list, so the push and the XOR stay int operations. Each
+gadget's effect on the frame is one update (_gadget_frame_update), which both
+share. A KeyPoly is built only for a condition that is emitted, and a
+Monomial only for a reported cross term.
 """
 from __future__ import annotations
 
@@ -55,11 +65,15 @@ from .frames import (
     Owner,
     PauliMask,
     SymbolicMask,
-    apply_tableau,
-    commute_through_t_layer,
-    cross_terms,
+    _mono_key,
+    _names,
+    _set_bits,
+    _term_vars,
+    outcome_bit,
     outcome_var,
-    tableau_from_stage,
+    push_gates,
+    table_size,
+    var_bit,
 )
 from .oracle import (
     StateVector,
@@ -97,27 +111,34 @@ class GadgetResult:
         return self.symbolic_mask.evaluate(self.outcomes)
 
 
+# A gadget's outcomes: Bob's Bell measurement, then Alice's two pairings.
+_GADGET_OUTCOMES = (("bx", Owner.BOB), ("bz", Owner.BOB), ("a1x", Owner.ALICE),
+                    ("a1z", Owner.ALICE), ("a2x", Owner.ALICE), ("a2z", Owner.ALICE))
+
+
+def _gadget_vars(prefix: str) -> tuple[OutcomeVar, ...]:
+    """The outcome variables of the gadget named ``prefix``, in the order of
+    _GADGET_OUTCOMES: bx, bz, a1x, a1z, a2x, a2z."""
+    return tuple(outcome_var(prefix + name, owner) for name, owner in _GADGET_OUTCOMES)
+
+
 def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
-                         prefix: str) -> tuple[list[Instruction], int]:
+                         gvars: tuple[OutcomeVar, ...]) -> tuple[list[Instruction], int]:
     """One gadget on ``in_q``: four EPR pairs with Bob's halves at
     base..base+3 and Alice's at base+4..base+7, routed by Bob's bit p and by
-    Alice's bit, the key ``q_key``. Outcomes are ``prefix`` bx/bz (Bob's),
-    a1x/a1z and a2x/a2z (Alice's two pairings). Returns the instructions and
-    the output qubit."""
+    Alice's bit, the key ``q_key``. Outcomes are ``gvars`` (_gadget_vars):
+    Bob's bx/bz, then a1x/a1z and a2x/a2z of Alice's two pairings. Returns
+    the instructions and the output qubit."""
     bobh = range(base, base + 4)
     alich = range(base + 4, base + 8)
-
-    def bell(r: int, s: int, name: str, owner: Owner) -> Instruction:
-        return Instruction(InstrOp.BELL, (r, s), out_vars=(outcome_var(prefix + name + "x", owner),
-                                                           outcome_var(prefix + name + "z", owner)))
-
+    bx, bz, a1x, a1z, a2x, a2z = gvars
     instrs = [Instruction(InstrOp.EPR, pair) for pair in zip(bobh, alich)]
     instrs += [
-        bell(in_q, bobh[p_bit], "b", Owner.BOB),
+        Instruction(InstrOp.BELL, (in_q, bobh[p_bit]), out_vars=(bx, bz)),
         Instruction(InstrOp.COND_PDG, (alich[0],), cond=q_key),
-        bell(alich[0], alich[2], "a1", Owner.ALICE),
+        Instruction(InstrOp.BELL, (alich[0], alich[2]), out_vars=(a1x, a1z)),
         Instruction(InstrOp.COND_PDG, (alich[1],), cond=q_key ^ KeyPoly.one()),
-        bell(alich[1], alich[3], "a2", Owner.ALICE),
+        Instruction(InstrOp.BELL, (alich[1], alich[3]), out_vars=(a2x, a2z)),
     ]
     return instrs, bobh[2 + p_bit]
 
@@ -125,16 +146,8 @@ def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
 def gadget_program(p: int, q: int) -> CompiledProgram:
     """The gadget for bits p and q: the input on qubit 0, Bob's pair halves
     on 1..4 and Alice's on 5..8."""
-    instrs, out_q = _gadget_instructions(0, 1, p & 1, KeyPoly.from_bit(q), "")
+    instrs, out_q = _gadget_instructions(0, 1, p & 1, KeyPoly.from_bit(q), _gadget_vars(""))
     return CompiledProgram(9, (out_q,), tuple(instrs))
-
-
-def _gadget_vars(prefix: str, on_path: str) -> tuple[KeyPoly, ...]:
-    """Bob's outcomes bx, bz and those of Alice's pairing on his path, as keys."""
-    return (KeyPoly.of(OutcomeVar(prefix + "bx", Owner.BOB)),
-            KeyPoly.of(OutcomeVar(prefix + "bz", Owner.BOB)),
-            KeyPoly.of(OutcomeVar(prefix + on_path + "x", Owner.ALICE)),
-            KeyPoly.of(OutcomeVar(prefix + on_path + "z", Owner.ALICE)))
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +156,8 @@ def gadget_keys(p: int, q: int) -> SymbolicMask:
     (P-dagger)^(p xor q) X^a Z^b psi (the correction kept outermost):
     a = bx + ax and b = bz + az + ax*(p xor q), where ax, az come from
     Alice's pairing on Bob's path (a1 for p = 0, a2 for p = 1)."""
-    bx, bz, ax, az = _gadget_vars("", "a1" if p == 0 else "a2")
+    bx, bz, a1x, a1z, a2x, a2z = (KeyPoly.of(v) for v in _gadget_vars(""))
+    ax, az = (a1x, a1z) if p == 0 else (a2x, a2z)
     return SymbolicMask((bx ^ ax,), (bz ^ az ^ (ax * KeyPoly.from_bit(p ^ q)),))
 
 
@@ -203,15 +217,36 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
     return table
 
 
-def _gadget_frame_update(mask: SymbolicMask, j: int, prefix: str, on_path: str,
-                         g_key: KeyPoly) -> SymbolicMask:
-    """Fold the gadget that fixes wire j's pending correction ``g_key`` into
-    the protocol frame: teleport in, clear the correction, teleport on, so
-    a += bx + ax and b += bz + az + bx*g. Bob's outcomes are ``prefix`` bx/bz,
-    Alice's on-path pairing ``prefix + on_path`` x/z. A Bob-owned bx times a
-    key with Alice-owned terms is where mixed-owner monomials come from."""
-    bx, bz, ax, az = _gadget_vars(prefix, on_path)
-    return mask.xor_at(j, bx ^ ax, bz ^ az ^ (bx * g_key))
+# -- the frame as int masks ------------------------------------------------------
+
+def _gadget_frame_update(a: list[int], b: list[int], j: int, bits: tuple[int, int, int, int],
+                         g: int, lift: int, terms: list[int]) -> None:
+    """Fold the gadget that fixes wire j's pending correction ``g`` into the
+    frame, in place: teleport in, clear the correction, teleport on, so
+    a += bx + ax and b += bz + az + bx*g. ``bits`` are the table bits of
+    Bob's outcomes bx, bz and of Alice's on-path pairing ax, az.
+
+    A frame mask holds a variable at its table bit, below ``lift``, and term
+    i of ``terms`` (a mask of two or more variables) at bit lift + i. Each
+    product of bx with a term of g is a new term, as bx is fresh, so it is
+    appended and its lifted bit set. A Bob-owned bx times a key with
+    Alice-owned terms is where mixed-owner monomials come from."""
+    bx, bz, ax, az = bits
+    a[j] ^= (1 << bx) ^ (1 << ax)
+    db = (1 << bz) ^ (1 << az)
+    for i in _set_bits(g):
+        db ^= 1 << (lift + len(terms))
+        terms.append((1 << bx) | (1 << i if i < lift else terms[i - lift]))
+    b[j] ^= db
+
+
+def _frame_key(mask: int, lift: int, terms: list[int]) -> KeyPoly:
+    """The KeyPoly of a frame mask (see _gadget_frame_update), for a
+    condition that is emitted."""
+    high = mask >> lift
+    if not high:
+        return KeyPoly(mask)
+    return KeyPoly(mask & ((1 << lift) - 1), frozenset(terms[i] for i in _set_bits(high)))
 
 
 # -- instantaneous two-party protocol -----------------------------------------
@@ -295,21 +330,16 @@ def causality_check(t: ProtocolTranscript) -> CausalityResult:
     return CausalityResult(True)
 
 
-def _split_key_by_owner(key: KeyPoly) -> tuple[int, KeyPoly]:
-    """Split a pending key into Bob's routing bit, its constant, and Alice's
-    share, the rest. A term with a variable Alice does not hold raises: at
-    T-depth <= 1 Bob measures nothing before the T layer."""
-    if any(v.owner is not Owner.ALICE for v in key.variables()):
+def _split_key_by_owner(key: int, alice: int) -> tuple[int, int]:
+    """Split a pending key, a frame mask, into Bob's routing bit, its
+    constant, and Alice's share, the rest. The frame holds no constant, so
+    Bob's bit is 0. A bit outside ``alice``, the mask of Alice's teleport
+    bits, raises: at T-depth <= 1 Bob measures nothing before the T layer."""
+    if key & ~alice:
         raise ValidationError(
             "pending correction key depends on bits Alice does not hold; the "
             "simplified gadget cannot route it (see analyze_cross_terms)")
-    return key.constant, KeyPoly(key.linear, key.nonlinear)
-
-
-def _deps(instrs) -> frozenset[str]:
-    """Names of the outcome variables read by the instructions' conditions."""
-    return frozenset(v.name for ins in instrs if ins.cond is not None
-                     for v in ins.cond.variables())
+    return 0, key
 
 
 def protocol_program(c: LayeredCircuit, plan: ResourcePlan
@@ -335,27 +365,42 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
     if not set(plan.return_to_alice) <= set(range(c.n)):
         raise ValidationError("return_to_alice out of range")
 
-    carriers = list(range(c.n))
-    next_q = c.n
+    n = c.n
+    # Every variable the frame holds gets its table bit before lift is fixed:
+    # from lift up, a bit stands for a product term.
+    sent = [(j, outcome_var(f"t{j}x", Owner.ALICE), outcome_var(f"t{j}z", Owner.ALICE))
+            for j in sorted(plan.alice_wires)]
+    back = [(j, outcome_var(f"r{j}x", Owner.BOB), outcome_var(f"r{j}z", Owner.BOB))
+            for j in plan.return_to_alice]
+    gadget_vars = [_gadget_vars(f"g{k}") for k in range(sum(len(st.t_layer) for st in c.stages))]
+    lift = table_size()
+    terms: list[int] = []
+    a, b = [0] * n, [0] * n  # the frame's X and Z exponents
+    alice = 0  # the mask of Alice's teleport bits
+
+    carriers = list(range(n))
+    next_q = n
     instrs: list[Instruction] = []
     events: list[Event] = []
-    mask = SymbolicMask.zero(c.n)
 
-    def teleport(j: int, name: str, owner: Owner) -> None:
-        # ``owner`` Bell-measures wire j with its half of a fresh pair; the
-        # other half carries the wire on.
-        nonlocal next_q, mask
+    def teleport(j: int, vx: OutcomeVar, vz: OutcomeVar) -> int:
+        # The owner of vx and vz Bell-measures wire j with its half of a
+        # fresh pair; the other half carries the wire on. Returns the
+        # outcome bits.
+        nonlocal next_q
         hb, ha = next_q, next_q + 1
         next_q += 2
-        mine, other = (ha, hb) if owner is Owner.ALICE else (hb, ha)
-        vx, vz = outcome_var(name + "x", owner), outcome_var(name + "z", owner)
+        mine, other = (ha, hb) if vx.owner is Owner.ALICE else (hb, ha)
         instrs.append(Instruction(InstrOp.EPR, (hb, ha)))
         instrs.append(Instruction(InstrOp.BELL, (carriers[j], mine), out_vars=(vx, vz)))
         carriers[j] = other
-        mask = mask.xor_at(j, KeyPoly.of(vx), KeyPoly.of(vz))
+        x_bit, z_bit = 1 << var_bit(vx), 1 << var_bit(vz)
+        a[j] ^= x_bit
+        b[j] ^= z_bit
+        return x_bit | z_bit
 
-    for j in sorted(plan.alice_wires):
-        teleport(j, f"t{j}", Owner.ALICE)
+    for j, vx, vz in sent:
+        alice |= teleport(j, vx, vz)
         events.append(Event(Owner.ALICE, f"teleport_wire_{j}", frozenset(), "measure"))
 
     gadget_count = 0
@@ -365,37 +410,43 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
             instrs.append(Instruction(InstrOp.GATE, targets, gate=Gate(g.kind, targets)))
         if st.clifford:
             events.append(Event(Owner.BOB, "clifford_stage", frozenset(), "gate"))
-        mask = apply_tableau(tableau_from_stage(st.clifford, c.n), mask)
-        mask, pending = commute_through_t_layer(mask, st.t_layer)
+        push_gates(st.clifford, a, b)  # validate() above: these are Clifford
         for j in sorted(st.t_layer):
             instrs.append(Instruction(InstrOp.GATE, (carriers[j],), gate=t(carriers[j])))
             events.append(Event(Owner.BOB, f"t_gate_wire_{j}", frozenset(), "gate"))
-            p_bit, alice_key = _split_key_by_owner(pending[j])
+            pending = a[j]  # the T layer's key on wire j; only its own gadget changes a[j]
+            p_bit, alice_key = _split_key_by_owner(pending, alice)
             prefix = f"g{gadget_count}"
-            gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, p_bit, alice_key, prefix)
+            gvars = gadget_vars[gadget_count]
+            gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, p_bit,
+                                                       KeyPoly(alice_key), gvars)
             next_q += 8
             instrs += gadget
-            alice_deps = _deps(gadget)
+            alice_deps = frozenset(_names(alice_key))
             events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", frozenset(), "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing1", alice_deps, "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing2", alice_deps, "measure"))
             gadget_count += 1
-            mask = _gadget_frame_update(mask, j, prefix, "a1" if p_bit == 0 else "a2", pending[j])
+            bx, bz, *pairings = (var_bit(v) for v in gvars)
+            ax, az = pairings[2 * p_bit:2 * p_bit + 2]
+            _gadget_frame_update(a, b, j, (bx, bz, ax, az), pending, lift, terms)
 
-    for j in plan.return_to_alice:
-        teleport(j, f"r{j}", Owner.BOB)
+    for j, vx, vz in back:
+        teleport(j, vx, vz)
         events.append(Event(Owner.BOB, f"return_wire_{j}", frozenset(), "measure"))
 
     events.append(Event(Owner.LOCAL, "exchange", frozenset(), "exchange"))
 
     returned = set(plan.return_to_alice)
-    for j in range(c.n):
-        fix = [Instruction(op, (carriers[j],), cond=key)
-               for op, key in ((InstrOp.COND_X, mask.a[j]), (InstrOp.COND_Z, mask.b[j]))
-               if not key.is_zero]
-        instrs += fix
+    for j in range(n):
+        support = 0
+        for op, mask in ((InstrOp.COND_X, a[j]), (InstrOp.COND_Z, b[j])):
+            if mask:
+                key = _frame_key(mask, lift, terms)
+                instrs.append(Instruction(op, (carriers[j],), cond=key))
+                support |= key.support
         party = Owner.ALICE if j in returned else Owner.BOB
-        events.append(Event(party, f"correct_wire_{j}", _deps(fix), "correct"))
+        events.append(Event(party, f"correct_wire_{j}", frozenset(_names(support)), "correct"))
 
     ledger = {
         "initial_teleport": len(plan.alice_wires),
@@ -440,24 +491,31 @@ class CrossTermReport:
         return "\n".join(lines) + "\n"
 
 
-def _symbolic_analysis_mask(c: LayeredCircuit, alice_wires) -> SymbolicMask:
-    """Symbolic mask after the first T layer's gadgets and, when present, the
-    next stage's Clifford. Alice's hidden teleport masks seed the frame; each
-    gadget adds fresh outcome variables and the conditioned term bx * key."""
-    a_keys = [KeyPoly.of(OutcomeVar(f"t{j}x", Owner.ALICE)) if j in alice_wires else KeyPoly.zero()
-              for j in range(c.n)]
-    b_keys = [KeyPoly.of(OutcomeVar(f"t{j}z", Owner.ALICE)) if j in alice_wires else KeyPoly.zero()
-              for j in range(c.n)]
-    mask = SymbolicMask(tuple(a_keys), tuple(b_keys))
+# The analysis names gadget j's outcomes g<j>bx, g<j>bz (Bob's) and g<j>ax,
+# g<j>az (Alice's pairing on Bob's path).
+_ANALYSIS_OUTCOMES = (("bx", Owner.BOB), ("bz", Owner.BOB), ("ax", Owner.ALICE), ("az", Owner.ALICE))
 
+
+def _analysis_frame(c: LayeredCircuit, alice_wires) -> tuple[list[int], list[int], int, list[int]]:
+    """The frame after the first T layer's gadgets and the second stage's
+    Clifford, as int masks: the X and Z exponents, lift and the term list
+    (see _gadget_frame_update). Alice's hidden teleport masks seed the frame;
+    each gadget adds fresh outcome variables and the products bx * key."""
+    n = c.n
+    a, b = [0] * n, [0] * n
+    for j in alice_wires:
+        a[j] = 1 << outcome_bit(f"t{j}x", Owner.ALICE)
+        b[j] = 1 << outcome_bit(f"t{j}z", Owner.ALICE)
     first = c.stages[0]
-    mask = apply_tableau(tableau_from_stage(first.clifford, c.n), mask)
-    mask, pending = commute_through_t_layer(mask, first.t_layer)
-    for j in sorted(first.t_layer):
-        mask = _gadget_frame_update(mask, j, f"g{j}", "a", pending[j])
-    if len(c.stages) >= 2:
-        mask = apply_tableau(tableau_from_stage(c.stages[1].clifford, c.n), mask)
-    return mask
+    gadgets = [(j, tuple(outcome_bit(f"g{j}{name}", owner) for name, owner in _ANALYSIS_OUTCOMES))
+               for j in sorted(first.t_layer)]
+    lift = table_size()  # every variable above is below it
+    terms: list[int] = []
+    push_gates(first.clifford, a, b)  # validate() has checked both stages
+    for j, bits in gadgets:
+        _gadget_frame_update(a, b, j, bits, a[j], lift, terms)  # gadget j changes only wire j
+    push_gates(c.stages[1].clifford, a, b)
+    return a, b, lift, terms
 
 
 def analyze_cross_terms(c: LayeredCircuit, alice_wires: frozenset[int] | set[int]) -> CrossTermReport:
@@ -477,8 +535,18 @@ def analyze_cross_terms(c: LayeredCircuit, alice_wires: frozenset[int] | set[int
         empty = tuple(() for _ in range(c.n))
         return CrossTermReport(empty, empty, True, None)
 
-    mask = _symbolic_analysis_mask(c, set(alice_wires))
-    x_cross = tuple(tuple(cross_terms(mask.a[j])) for j in range(c.n))
-    z_cross = tuple(tuple(cross_terms(mask.b[j])) for j in range(c.n))
+    a, b, lift, terms = _analysis_frame(c, alice_wires)
+    mixed = 0  # the lifted bits of the terms whose variables span more than one owner
+    for i, term in enumerate(terms):
+        vs = _term_vars(term)
+        if any(v.owner is not vs[0].owner for v in vs):
+            mixed |= 1 << (lift + i)
+
+    def cross(mask: int) -> tuple[Monomial, ...]:
+        monomials = [frozenset(_term_vars(terms[i])) for i in _set_bits((mask & mixed) >> lift)]
+        return tuple(sorted(monomials, key=_mono_key))
+
+    x_cross = tuple(cross(a[j]) for j in range(c.n))
+    z_cross = tuple(cross(b[j]) for j in range(c.n))
     any_cross = any(x_cross[j] or z_cross[j] for j in range(c.n))
     return CrossTermReport(x_cross, z_cross, not any_cross, c.stages[1].t_layer)

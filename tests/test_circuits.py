@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import (
     mats_equal_up_to_phase,
     random_circuit,
 )
-from tlink import cli
+from tlink import circuits, cli
 from tlink.circuits import (
     Gate,
     GateKind,
@@ -145,6 +147,102 @@ class TestParse:
         path.write_text("QUBITS 12\nH 1_0\nT 0\n---\n")
         assert cli.main(["stats", "--in", str(path)]) == cli.EXIT_PARSE
         assert "line 2: qubit arguments must be integers" in capsys.readouterr().err
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty gate-line memo for the test; the process-wide one is restored after."""
+    memo: dict = {}
+    monkeypatch.setattr(circuits, "_GATE_LINES", memo)
+    return memo
+
+
+def parse_error(text: str) -> tuple[str, int | None]:
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    return str(info.value), info.value.line
+
+
+class TestGateLineMemo:
+    """parse_circuit keeps each checked gate line, and reuses it only where a
+    cold parse would accept it."""
+
+    def test_line_kept_under_a_wider_header_is_range_checked(self, cold_memo):
+        parse_circuit("QUBITS 8\nCNOT 6 7\nT 0\n---\n")
+        assert cold_memo["CNOT 6 7"] == (cnot(6, 7), 7)
+        narrow = "QUBITS 4\nH 0\nCNOT 6 7\nT 0\n---\n"
+        warm = parse_error(narrow)
+        cold_memo.clear()
+        assert warm == parse_error(narrow) == ("line 3: qubit index 6 out of range", 3)
+
+    def test_comments_and_surrounding_spaces_parse_as_before_and_are_not_kept(self, cold_memo):
+        text = "QUBITS 2\n  H 0  \nCNOT 0 1 # link\n\tT 1\n---\n"
+        plain = "QUBITS 2\nH 0\nCNOT 0 1\nT 1\n---\n"
+        first = parse_circuit(text)
+        assert cold_memo == {}
+        assert parse_circuit(plain) == first
+        assert set(cold_memo) == {"H 0", "CNOT 0 1", "T 1"}
+        assert parse_circuit(text) == first
+
+    def test_memo_stays_within_its_bound(self, cold_memo):
+        n = 70  # 70 * 69 = 4830 distinct CNOT lines, past the bound
+        lines = [f"CNOT {c} {d}" for c in range(n) for d in range(n) if c != d]
+        assert len(lines) > circuits._GATE_LINES_MAX == 4096
+        text = f"QUBITS {n}\n" + "\n".join(lines) + "\nT 0\n---\n"
+        first = parse_circuit(text)
+        assert len(cold_memo) == circuits._GATE_LINES_MAX
+        assert parse_circuit(text) == first
+        assert len(cold_memo) == circuits._GATE_LINES_MAX
+
+    def test_warm_and_cold_parses_are_equal(self, cold_memo):
+        rng = np.random.default_rng(5)
+        texts = [serialize_circuit(random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5))))
+                 for _ in range(40)]
+        cold = []
+        for text in texts:
+            cold_memo.clear()
+            cold.append(parse_circuit(text))
+        cold_memo.clear()
+        assert [parse_circuit(text) for text in texts] == cold
+        assert [parse_circuit(text) for text in texts] == cold
+
+    def test_bound_holds_across_threads(self, cold_memo):
+        # Eight threads add distinct lines past the bound at once; an unlocked
+        # check-then-add could leave the memo above it.
+        n = 70
+        lines = [f"CNOT {c} {d}" for c in range(n) for d in range(n) if c != d]
+        texts = [f"QUBITS {n}\n" + "\n".join(lines[i::8]) + "\nT 0\n---\n" for i in range(8)]
+        parsed: dict[int, LayeredCircuit] = {}
+
+        def work(i: int) -> None:
+            parsed[i] = parse_circuit(texts[i])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(cold_memo) == circuits._GATE_LINES_MAX
+        assert all(str(g) == line and top == max(g.targets) for line, (g, top) in cold_memo.items())
+        cold_memo.clear()
+        assert [parsed[i] for i in range(8)] == [parse_circuit(text) for text in texts]
+
+    @pytest.mark.parametrize("warmup,text", [
+        ("QUBITS 2\nT 0\n---\n", "QUBITS 2\nT 0\nT 0\n---\n"),
+        ("QUBITS 2\nH 0\nT 0\n---\n", "QUBITS 2\nT 0\nH 0\n---\n"),
+        ("QUBITS 2\nH 1\nT 0\n---\n", "H 1\nQUBITS 2\n---\n"),
+        ("QUBITS 3\nH 2\nT 0\n---\n", "QUBITS 2\nH 2\n---\n"),
+    ], ids=["duplicate-t", "clifford-after-t", "before-header", "index-n"])
+    def test_errors_are_unchanged_by_a_warm_memo(self, cold_memo, warmup, text):
+        cold = parse_error(text)
+        parse_circuit(warmup)
+        assert parse_error(text) == cold
 
 
 class TestSerialize:
