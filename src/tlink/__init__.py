@@ -14,7 +14,6 @@ from .circuits import (
     layerize,
     parse_circuit,
     serialize_circuit,
-    validate,
 )
 from .compiler import (
     Branch,

@@ -15,16 +15,16 @@ stage may have an empty T layer. The text format is line-based UTF-8:
 ``---`` closes a stage, ``#`` starts a comment line, blank lines are ignored.
 In canonical form the T lines of a stage come after its Clifford lines.
 
-Where each invariant is checked: malformed text raises ParseError in
-parse_circuit, with its line number. Integers in the text (the qubit count
+Where each invariant is checked: text faults raise ParseError in
+parse_circuit, with their line number. Integers in the text (the qubit count
 and qubit indices) are an optional ``-`` followed by ASCII digits (_int);
-other text int() would take, such as ``1_0`` or ``+3``, is malformed. A
-built circuit raises ValidationError from validate: every gate goes through
-the one per-gate check, _check_gate (arity from the _ARITY table, distinct
-CNOT qubits, indices in range), and validate adds the stage rules (no T in a
-Clifford block, T-layer indices in range, a T layer on every stage but the
-last). layerize calls _check_gate on the T gates it packs and validate on
-the circuit it builds, so each gate is checked once there too.
+other text int() would take, such as ``1_0`` or ``+3``, is malformed. IR
+faults raise ValidationError from the LayeredCircuit constructor, which
+checks every circuit once however it is built, so no consumer re-checks
+one: each Clifford gate goes through _check_gate (arity, distinct CNOT
+qubits, indices in range), then the stage rules (no T in a Clifford block,
+T-layer indices in range, a T layer on every stage but the last; the one
+rule parsed text can break). layerize checks the T gates it packs.
 
 parse_circuit parses each distinct gate line once per process: a line that
 _parse_gate_line accepted, with no comment and no surrounding whitespace, is
@@ -135,8 +135,28 @@ class Stage:
 
 @dataclass(frozen=True)
 class LayeredCircuit:
+    """Stages of Clifford gates, each followed by one T layer. The
+    constructor raises ValidationError on the first invariant that fails."""
+
     n: int
     stages: tuple[Stage, ...]
+
+    def __post_init__(self) -> None:
+        n, stages = self.n, self.stages
+        if n < 1:
+            raise ValidationError("qubit count must be positive")
+        if len(stages) < 1:
+            raise ValidationError("circuit needs at least one stage")
+        for i, st in enumerate(stages):
+            for g in st.clifford:
+                if g.kind not in CLIFFORD_KINDS:
+                    raise ValidationError("T gate inside a Clifford block; use layerize")
+                _check_gate(g, n)
+            for q in st.t_layer:
+                if not 0 <= q < n:
+                    raise ValidationError(f"T-layer qubit {q} out of range for {n} qubits")
+            if not st.t_layer and i != len(stages) - 1:
+                raise ValidationError("only the final stage may have an empty T layer")
 
     @property
     def t_depth(self) -> int:
@@ -164,25 +184,6 @@ def _check_gate(g: Gate, n: int) -> None:
             raise ValidationError(f"qubit index {q} out of range for {n} qubits")
 
 
-def validate(c: LayeredCircuit) -> LayeredCircuit:
-    """Check all IR invariants; returns the circuit for chaining."""
-    if c.n < 1:
-        raise ValidationError("qubit count must be positive")
-    if len(c.stages) < 1:
-        raise ValidationError("circuit needs at least one stage")
-    for i, st in enumerate(c.stages):
-        for g in st.clifford:
-            if g.kind not in CLIFFORD_KINDS:
-                raise ValidationError("T gate inside a Clifford block; use layerize")
-            _check_gate(g, c.n)
-        for q in st.t_layer:
-            if not 0 <= q < c.n:
-                raise ValidationError(f"T-layer qubit {q} out of range for {c.n} qubits")
-        if not st.t_layer and i != len(c.stages) - 1:
-            raise ValidationError("only the final stage may have an empty T layer")
-    return c
-
-
 def flatten(c: LayeredCircuit) -> list[Gate]:
     """Canonical flat gate order: per stage, Clifford gates then sorted T gates."""
     gates: list[Gate] = []
@@ -199,7 +200,7 @@ def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
     A Clifford gate, or a second T on a qubit already in the layer, closes the
     stage immediately before itself. Gates sharing a qubit are never reordered,
     so flattening the result is circuit-equivalent to the input. T gates are
-    checked here, the Clifford gates by validate.
+    checked here, the Clifford gates by the LayeredCircuit constructor.
     """
     stages: list[Stage] = []
     cliff: list[Gate] = []
@@ -220,7 +221,7 @@ def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
             else:
                 cliff.append(g)
     stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-    return validate(LayeredCircuit(n, tuple(stages)))
+    return LayeredCircuit(n, tuple(stages))
 
 
 def clifford_depth(gates: tuple[Gate, ...] | list[Gate]) -> int:
@@ -374,7 +375,7 @@ def parse_circuit(text: str) -> LayeredCircuit:
         raise ParseError("missing 'QUBITS <n>' header", 1)
     if have_content or not stages:
         stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-    return validate(LayeredCircuit(n, tuple(stages)))
+    return LayeredCircuit(n, tuple(stages))
 
 
 def serialize_circuit(c: LayeredCircuit) -> str:

@@ -78,7 +78,6 @@ from .circuits import (
     pdg,
     serialize_circuit,
     t,
-    validate,
     x,
 )
 from .frames import (
@@ -99,7 +98,7 @@ from .oracle import (
     _extract,
     _grow,
     _grow_epr,
-    apply_circuit,
+    apply_gate,
     basis_bits,
     gate_kernel,
     init_state,
@@ -285,7 +284,7 @@ def _linked(n: int, groups: tuple[tuple[Stage, ...], ...], name) -> CompiledProg
     a, b = [0] * n, [0] * n  # the frame's X and Z exponents as int masks
     for i, group in enumerate(groups, start=1):
         for st in group:
-            push_gates(st.clifford, a, b)  # both callers validate(), so these are Clifford
+            push_gates(st.clifford, a, b)  # a LayeredCircuit's stage gates are Clifford
         for j in sorted(group[-1].t_layer):
             if a[j]:
                 instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), None, None,
@@ -319,7 +318,6 @@ def compile_measure(c: LayeredCircuit) -> CompiledProgram:
     outputs into the next block. Outcome variables are named m<k>x / m<k>z
     in program order.
     """
-    validate(c)
     n = c.n
     return _linked(n, tuple((st,) for st in c.stages), lambda i, j: f"m{(i - 1) * n + j}")
 
@@ -838,8 +836,11 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
                 sched.gate(kind, rotated)
             vx, vz = ins.out_vars
             mx, mz = 1 << var_bit(vx), 1 << var_bit(vz)
+            for v, m in ((vx, mx), (vz, mz)):
+                if read & m:
+                    raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
+                read |= m
             sched.branch((s, r), ((vx.name, mx), (vz.name, mz)))
-            read |= mx | mz
         else:
             unbound = ins.cond.support & ~read
             if unbound:
@@ -1058,7 +1059,11 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
-            copied |= 1 << var_bit(vz) | 1 << var_bit(vx)
+            for v in (vz, vx):
+                m = 1 << var_bit(v)
+                if copied & m:
+                    raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
+                copied |= m
             gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
             gates += [cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
@@ -1203,19 +1208,30 @@ def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector) -> 
 
 @dataclass(frozen=True)
 class SpeculativeProgram:
-    """The classical input and the stages in groups; its critical path is
-    one step per group. Its program is derived on first use."""
+    """The classical input, the circuit and the group size r; its groups (one
+    critical-path step each) and its program are derived on first use."""
 
     input_bits: tuple[int, ...]
-    groups: tuple[tuple[Stage, ...], ...]
+    circuit: LayeredCircuit
+    r: int
+
+    def __post_init__(self) -> None:
+        if self.r < 1:
+            raise ValidationError("group size r must be at least 1")
+        if len(self.input_bits) != self.n or any(b not in (0, 1) for b in self.input_bits):
+            raise ValidationError(f"input must be a {self.n}-bit classical string")
 
     @property
     def n(self) -> int:
-        return len(self.input_bits)
+        return self.circuit.n
 
     @property
     def stage_count(self) -> int:
-        return sum(map(len, self.groups))
+        return len(self.circuit.stages)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[Stage, ...], ...]:
+        return tuple(self.circuit.stages[g0:g0 + self.r] for g0 in range(0, self.stage_count, self.r))
 
     @cached_property
     def program(self) -> CompiledProgram:
@@ -1232,20 +1248,14 @@ def compile_speculative(c: LayeredCircuit, r: int, input_bits: str | tuple[int, 
     stage maps every basis state to a basis state, so the linked program may
     run it on any teleported input.
     """
-    validate(c)
-    if r < 1:
-        raise ValidationError("group size r must be at least 1")
-    if len(input_bits) != c.n or any(str(b) not in ("0", "1") for b in input_bits):
-        raise ValidationError(f"input must be a {c.n}-bit classical string")
-    bits = tuple(int(b) for b in input_bits)
-
-    state = init_state(c.n, "".join(map(str, bits)))
+    bits = tuple(int(b) if str(b) in ("0", "1") else None for b in input_bits)  # None is refused
+    sp = SpeculativeProgram(bits, c, r)
+    state = init_state(c.n, "".join(map(str, sp.input_bits)))
     for i, st in enumerate(c.stages):
-        state = apply_circuit(state, LayeredCircuit(c.n, (st,)))
+        for g in (*st.clifford, *map(t, sorted(st.t_layer))):
+            state = apply_gate(state, g)
         basis_bits(state, f"stage {i + 1}")
-
-    groups = tuple(c.stages[g0:g0 + r] for g0 in range(0, len(c.stages), r))
-    return SpeculativeProgram(bits, groups)
+    return sp
 
 
 def execute_speculative(sp: SpeculativeProgram,

@@ -20,8 +20,9 @@ protocol_program. Alice's choice is two P-daggers conditioned on her bit q
 and on q xor 1, so the instructions do not depend on outcomes. Bob's bit p is
 a compile-time constant: at T-depth <= 1 the only outcomes measured before
 the T layer are Alice's teleport bits, so a pending key's Bob share is its
-constant. run_gadget returns the output wire with its Pauli mask as keys and
-as their values at the run's outcomes; undo_gadget recovers the input.
+constant, and the frame holds none: every protocol gadget has p = 0.
+run_gadget returns the output wire with its Pauli mask as keys and as their
+values at the run's outcomes; undo_gadget recovers the input.
 
 The protocol executes a T-depth <= 1 circuit with one simultaneous
 classical exchange: Alice teleports her input wires to Bob up front and keeps
@@ -50,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Gate, GateKind, LayeredCircuit, ValidationError, t, validate
+from .circuits import Gate, GateKind, LayeredCircuit, ValidationError, t
 from .compiler import (
     CompiledProgram,
     Instruction,
@@ -330,18 +331,6 @@ def causality_check(t: ProtocolTranscript) -> CausalityResult:
     return CausalityResult(True)
 
 
-def _split_key_by_owner(key: int, alice: int) -> tuple[int, int]:
-    """Split a pending key, a frame mask, into Bob's routing bit, its
-    constant, and Alice's share, the rest. The frame holds no constant, so
-    Bob's bit is 0. A bit outside ``alice``, the mask of Alice's teleport
-    bits, raises: at T-depth <= 1 Bob measures nothing before the T layer."""
-    if key & ~alice:
-        raise ValidationError(
-            "pending correction key depends on bits Alice does not hold; the "
-            "simplified gadget cannot route it (see analyze_cross_terms)")
-    return 0, key
-
-
 def protocol_program(c: LayeredCircuit, plan: ResourcePlan
                      ) -> tuple[CompiledProgram, ProtocolTranscript]:
     """Build the instantaneous two-party protocol for a T-depth <= 1 circuit
@@ -349,13 +338,11 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
 
     Alice first teleports her wires to Bob, withholding the outcome masks.
     Bob runs the Clifford gates and T gates, fixing each T's pending
-    correction with one gadget routed by the key's constant (Bob's share)
-    and by the rest (Alice's). Wires in ``plan.return_to_alice`` are
-    teleported back. After one simultaneous exchange each wire gets X and Z
-    conditioned on the tracked frame. The program's inputs and outputs are
-    the logical wires in order.
+    correction with one gadget routed by p = 0 and by Alice's share, the
+    whole key. Wires in ``plan.return_to_alice`` are teleported back. After
+    one simultaneous exchange each wire gets X and Z conditioned on the
+    tracked frame. The program's inputs and outputs are the logical wires, in order.
     """
-    validate(c)
     if c.t_depth > 1:
         raise ValidationError(
             "T-depth > 1 needs corrections that mix both parties' bits; the "
@@ -364,6 +351,8 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
         raise ValidationError("alice_wires out of range")
     if not set(plan.return_to_alice) <= set(range(c.n)):
         raise ValidationError("return_to_alice out of range")
+    if len(set(plan.return_to_alice)) != len(plan.return_to_alice):
+        raise ValidationError("return_to_alice repeats a wire")
 
     n = c.n
     # Every variable the frame holds gets its table bit before lift is fixed:
@@ -410,25 +399,26 @@ def protocol_program(c: LayeredCircuit, plan: ResourcePlan
             instrs.append(Instruction(InstrOp.GATE, targets, gate=Gate(g.kind, targets)))
         if st.clifford:
             events.append(Event(Owner.BOB, "clifford_stage", frozenset(), "gate"))
-        push_gates(st.clifford, a, b)  # validate() above: these are Clifford
+        push_gates(st.clifford, a, b)  # a LayeredCircuit's stage gates are Clifford
         for j in sorted(st.t_layer):
             instrs.append(Instruction(InstrOp.GATE, (carriers[j],), gate=t(carriers[j])))
             events.append(Event(Owner.BOB, f"t_gate_wire_{j}", frozenset(), "gate"))
             pending = a[j]  # the T layer's key on wire j; only its own gadget changes a[j]
-            p_bit, alice_key = _split_key_by_owner(pending, alice)
+            if pending & ~alice:  # Bob measures nothing before the T layer
+                raise ValidationError(
+                    "pending correction key depends on bits Alice does not hold; the "
+                    "simplified gadget cannot route it (see analyze_cross_terms)")
             prefix = f"g{gadget_count}"
             gvars = gadget_vars[gadget_count]
-            gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, p_bit,
-                                                       KeyPoly(alice_key), gvars)
+            gadget, carriers[j] = _gadget_instructions(carriers[j], next_q, 0, KeyPoly(pending), gvars)
             next_q += 8
             instrs += gadget
-            alice_deps = frozenset(_names(alice_key))
+            alice_deps = frozenset(_names(pending))
             events.append(Event(Owner.BOB, f"{prefix}_route_and_bell", frozenset(), "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing1", alice_deps, "measure"))
             events.append(Event(Owner.ALICE, f"{prefix}_pairing2", alice_deps, "measure"))
             gadget_count += 1
-            bx, bz, *pairings = (var_bit(v) for v in gvars)
-            ax, az = pairings[2 * p_bit:2 * p_bit + 2]
+            bx, bz, ax, az = (var_bit(v) for v in gvars[:4])  # p = 0: Alice's pairing 1
             _gadget_frame_update(a, b, j, (bx, bz, ax, az), pending, lift, terms)
 
     for j, vx, vz in back:
@@ -511,7 +501,7 @@ def _analysis_frame(c: LayeredCircuit, alice_wires) -> tuple[list[int], list[int
                for j in sorted(first.t_layer)]
     lift = table_size()  # every variable above is below it
     terms: list[int] = []
-    push_gates(first.clifford, a, b)  # validate() has checked both stages
+    push_gates(first.clifford, a, b)  # a LayeredCircuit's stage gates are Clifford
     for j, bits in gadgets:
         _gadget_frame_update(a, b, j, bits, a[j], lift, terms)  # gadget j changes only wire j
     push_gates(c.stages[1].clifford, a, b)
@@ -524,7 +514,6 @@ def analyze_cross_terms(c: LayeredCircuit, alice_wires: frozenset[int] | set[int
     second T layer would consume. Keys that stay single-owner per monomial can
     be absorbed by the simplified gadget; a mixed product cannot.
     """
-    validate(c)
     if c.t_depth < 1:
         raise ValidationError("cross-term analysis needs at least one T layer")
     if not set(alice_wires) <= set(range(c.n)):

@@ -1,10 +1,12 @@
+import dataclasses
 import re
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,7 +34,6 @@ from tlink.circuits import (
     parse_circuit,
     serialize_circuit,
     t,
-    validate,
 )
 
 # One malformed Clifford gate each on 2 qubits, with the exact ValidationError
@@ -45,6 +46,58 @@ MALFORMED_CLIFFORD = [
     pytest.param(cnot(0, 2), "qubit index 2 out of range for 2 qubits", id="cnot-index-n"),
     pytest.param(h(-1), "qubit index -1 out of range for 2 qubits", id="index-minus-1"),
 ]
+
+
+def reference_validate(c) -> None:
+    """The standalone IR check the LayeredCircuit constructor replaced, with
+    its per-gate check written out: the same checks, order and messages, on
+    anything with ``n`` and ``stages``."""
+    if c.n < 1:
+        raise ValidationError("qubit count must be positive")
+    if len(c.stages) < 1:
+        raise ValidationError("circuit needs at least one stage")
+    for i, st_ in enumerate(c.stages):
+        for g in st_.clifford:
+            if g.kind not in circuits.CLIFFORD_KINDS:
+                raise ValidationError("T gate inside a Clifford block; use layerize")
+            arity = 2 if g.kind is GateKind.CNOT else 1
+            if len(g.targets) != arity:
+                raise ValidationError(f"{g.kind.value} takes {arity} target(s), got {len(g.targets)}")
+            if arity == 2 and g.targets[0] == g.targets[1]:
+                raise ValidationError("CNOT control and target must be distinct")
+            for q in g.targets:
+                if not 0 <= q < c.n:
+                    raise ValidationError(f"qubit index {q} out of range for {c.n} qubits")
+        for q in st_.t_layer:
+            if not 0 <= q < c.n:
+                raise ValidationError(f"T-layer qubit {q} out of range for {c.n} qubits")
+        if not st_.t_layer and i != len(c.stages) - 1:
+            raise ValidationError("only the final stage may have an empty T layer")
+
+
+@st.composite
+def raw_circuits(draw):
+    """(n, stages) mixing valid gates and T layers with every fault the IR
+    check knows: n = 0, no stages, negative and out-of-range indices, a CNOT
+    on one qubit, wrong arity, a T in a Clifford list, an empty non-final T
+    layer."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4]))
+    width = max(n, 1)
+    index = st.one_of(st.integers(0, width - 1), st.sampled_from([-2, -1, width, width + 3]))
+    faulty_gate = st.one_of(
+        st.builds(lambda k, q: Gate(k, (q,)), st.sampled_from(circuits.CLIFFORD_KINDS), index),
+        st.builds(lambda c, d: Gate(GateKind.CNOT, (c, d)), index, index),
+        st.builds(lambda q: Gate(GateKind.CNOT, (q, q)), index),
+        st.builds(lambda k, qs: Gate(k, tuple(qs)), st.sampled_from(list(GateKind)),
+                  st.lists(index, max_size=3)),
+        st.builds(t, index),
+    )
+    gate = st.one_of(*[gate_strategy(width)] * 3, faulty_gate)
+    valid_layer = st.frozensets(st.integers(0, width - 1), min_size=1)
+    layer = st.one_of(valid_layer, valid_layer, st.just(frozenset()),
+                      st.frozensets(index, min_size=1, max_size=3))
+    stage = st.builds(Stage, st.lists(gate, max_size=3).map(tuple), layer)
+    return n, tuple(draw(st.lists(stage, max_size=3)))
 
 
 def reference_clifford_depth(gates) -> int:
@@ -350,25 +403,48 @@ class TestDepthMetrics:
 class TestValidation:
     def test_cnot_repeated_target(self):
         with pytest.raises(ValidationError, match="distinct"):
-            validate(LayeredCircuit(2, (Stage((Gate(GateKind.CNOT, (1, 1)),), frozenset({0})),)))
+            LayeredCircuit(2, (Stage((Gate(GateKind.CNOT, (1, 1)),), frozenset({0})),))
 
     def test_t_inside_clifford_list(self):
-        bad = LayeredCircuit(1, (Stage((Gate(GateKind.T, (0,)),), frozenset()),))
         with pytest.raises(ValidationError, match="Clifford block"):
-            validate(bad)
+            LayeredCircuit(1, (Stage((Gate(GateKind.T, (0,)),), frozenset()),))
 
     def test_needs_a_stage(self):
         with pytest.raises(ValidationError):
-            validate(LayeredCircuit(1, ()))
+            LayeredCircuit(1, ())
 
     @pytest.mark.parametrize("gate,message", [
         *MALFORMED_CLIFFORD,
         pytest.param(t(0), "T gate inside a Clifford block; use layerize", id="t-in-clifford-block"),
     ])
     def test_malformed_gate_message(self, gate, message):
-        bad = LayeredCircuit(2, (Stage((h(0), gate), frozenset({0})),))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            validate(bad)
+            LayeredCircuit(2, (Stage((h(0), gate), frozenset({0})),))
+
+    def test_replace_is_checked(self):
+        valid = parse_circuit("QUBITS 2\nH 0\nT 0\n---\nT 1\n---\n")
+        with pytest.raises(ValidationError, match="^only the final stage may have an empty T layer$"):
+            dataclasses.replace(valid, stages=(Stage((h(0),), frozenset()), valid.stages[1]))
+        with pytest.raises(ValidationError, match="^qubit index 2 out of range for 2 qubits$"):
+            dataclasses.replace(valid, stages=(Stage((cnot(0, 2),), frozenset({0})),))
+        with pytest.raises(ValidationError, match="^T-layer qubit 1 out of range for 1 qubits$"):
+            dataclasses.replace(valid, n=1)
+        assert dataclasses.replace(valid, n=3).stages == valid.stages
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(raw_circuits())
+    def test_constructor_matches_the_reference_check(self, raw):
+        # The constructor raises exactly when the reference does, with the
+        # same message.
+        n, stages = raw
+        try:
+            reference_validate(types.SimpleNamespace(n=n, stages=stages))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                LayeredCircuit(n, stages)
+            assert str(caught.value) == str(exc)
+        else:
+            assert LayeredCircuit(n, stages).stages == stages
 
 
 @given(layered_circuits(max_n=2, max_k=2))

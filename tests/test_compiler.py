@@ -132,10 +132,9 @@ class TestCompileStructure:
 
     def test_merged_stage_variant_rejected(self):
         # Folding a T layer into the next stage's Clifford list is invalid IR.
-        merged = LayeredCircuit(1, (
-            Stage((Gate(GateKind.T, (0,)), Gate(GateKind.H, (0,))), frozenset({0})),))
         with pytest.raises(ValidationError, match="Clifford block"):
-            compile_measure(merged)
+            LayeredCircuit(1, (
+                Stage((Gate(GateKind.T, (0,)), Gate(GateKind.H, (0,))), frozenset({0})),))
 
     def test_resource_report(self):
         c = parse_circuit("QUBITS 2\nT 0\n---\nT 1\n---\nT 0\nT 1\n---")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gate_strategy, random_circuit, random_state
-from tlink.circuits import Gate, LayeredCircuit, Stage, ValidationError, parse_circuit, t, validate
+from tlink import gardenhose
+from tlink.circuits import Gate, LayeredCircuit, Stage, ValidationError, parse_circuit, t
 from tlink.compiler import CompiledProgram, Instruction, InstrOp, enumerate_branches
 from tlink.frames import (
     KeyPoly,
@@ -33,7 +34,6 @@ from tlink.gardenhose import (
     _analysis_frame,
     _frame_key,
     _gadget_frame_update,
-    _split_key_by_owner,
     analyze_cross_terms,
     causality_check,
     gadget_keys,
@@ -190,6 +190,16 @@ class TestProtocol1:
                 bob = name[0] == "r" or (name[0] == "g" and name.rstrip("xz")[-1] == "b")
                 assert owner is (Owner.BOB if bob else Owner.ALICE), name
 
+    def test_repeated_return_wire_refused(self, rng):
+        # Wire 0 teleported back twice under the same r0x/r0z used to cancel
+        # its frame bits and run to a wrong state without an error.
+        c = parse_circuit("QUBITS 2\nH 0\nCNOT 0 1\nT 0\nT 1\n---\nH 1\n---\n")
+        psi = random_state(rng, 2)
+        with pytest.raises(ValidationError, match="^return_to_alice repeats a wire$"):
+            run_protocol1(c, psi, ResourcePlan(frozenset({0}), (0, 0)), rng)
+        final, _ = run_protocol1(c, psi, ResourcePlan(frozenset({0}), (0,)), rng)
+        assert fidelity_up_to_phase(final, apply_circuit(psi, c)) >= 1 - 1e-10
+
     def test_clifford_only(self, rng):
         c = parse_circuit("QUBITS 1\nH 0\n---\n")
         psi = random_state(rng, 1)
@@ -225,13 +235,23 @@ class TestProtocol1:
             v.name for cond in conds for v in cond.variables())
         assert any(cond.degree == 2 for cond in conds)
 
-    def test_key_with_a_bob_variable_is_refused(self):
+    def test_key_with_a_bob_variable_is_refused(self, monkeypatch):
+        # At T-depth 1 the only bits before the T layer are Alice's teleport
+        # bits, so the check needs a frame update patched to leave a Bob
+        # variable in wire 1's key after wire 0's gadget.
+        c = parse_circuit("QUBITS 2\nT 0\nT 1\n---\n")
+        plan = ResourcePlan(frozenset({0}))
+        protocol_program(c, plan)
         bob = 1 << var_bit(outcome_var("w", Owner.BOB))
-        alice = 1 << var_bit(outcome_var("t0x", Owner.ALICE))
+        update = gardenhose._gadget_frame_update
+
+        def leaky(a, b, j, *rest):
+            update(a, b, j, *rest)
+            a[1] ^= bob
+
+        monkeypatch.setattr(gardenhose, "_gadget_frame_update", leaky)
         with pytest.raises(ValidationError, match="Alice does not hold"):
-            _split_key_by_owner(bob | alice, alice)
-        assert _split_key_by_owner(alice, alice) == (0, alice)
-        assert _split_key_by_owner(0, 0) == (0, 0)
+            protocol_program(c, plan)
 
     def test_four_wires_fit_the_window(self):
         # Four gadgets: the plan holds the four carriers and each gadget's
@@ -404,7 +424,6 @@ def reference_deps(instrs):
 
 
 def reference_protocol_program(c, plan):
-    validate(c)
     carriers = list(range(c.n))
     next_q = c.n
     instrs, events = [], []
@@ -470,7 +489,6 @@ def reference_protocol_program(c, plan):
 
 
 def reference_analyze_cross_terms(c, alice_wires):
-    validate(c)
     if not (len(c.stages) >= 2 and c.stages[1].t_layer):
         empty = tuple(() for _ in range(c.n))
         return CrossTermReport(empty, empty, True, None)

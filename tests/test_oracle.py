@@ -141,6 +141,23 @@ class TestEpr:
 
 
 class TestBellMeasure:
+    @pytest.mark.parametrize("names,repeated", [
+        ("abac", "a"), ("abca", "a"), ("abcc", "c"),
+    ], ids=["x-twice", "x-then-z", "one-bell"])
+    def test_outcome_variable_read_twice_rejected(self, names, repeated):
+        # parse_program refuses these in text. A hand-built program used to
+        # run with both readouts merged into one bit; the plan refuses it.
+        a, b, c, d = map(OutcomeVar, names)
+        prog = CompiledProgram(5, (4,), (
+            Instruction(InstrOp.EPR, (1, 2)),
+            Instruction(InstrOp.EPR, (3, 4)),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(a, b)),
+            Instruction(InstrOp.BELL, (2, 3), out_vars=(c, d)),
+        ))
+        with pytest.raises(ValidationError,
+                           match=f"^outcome variable '{repeated}' is read by two BELLs$"):
+            execute(prog, init_state(1, "0"), np.random.default_rng(0))
+
     def test_epr_gives_outcome_00(self, rng):
         _, bits = run_once("QUBITS 3\nEPR 1 2\nBELL 1 2 -> x z\nOUT 0 0\n", init_state(1, "0"), rng)
         assert bits == {"x": 0, "z": 0}

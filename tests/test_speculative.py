@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_classical_circuit
-from tlink.circuits import ValidationError, parse_circuit, t
+from tlink.circuits import LayeredCircuit, Stage, ValidationError, cnot, parse_circuit, t
 from tlink.compiler import (
     InstrOp,
+    SpeculativeProgram,
     compile_measure,
     compile_speculative,
     execute,
@@ -84,8 +85,23 @@ class TestCompileSpeculative:
 
     def test_sizes_are_derived(self):
         sp = compile_speculative(parse_circuit(CLASSICAL_K4), 3, "10")
-        assert [f.name for f in dataclasses.fields(sp)] == ["input_bits", "groups"]
+        assert [f.name for f in dataclasses.fields(sp)] == ["input_bits", "circuit", "r"]
         assert (sp.n, sp.stage_count, len(sp.groups)) == (2, 4, 2)
+
+    def test_hand_built_program_is_checked(self):
+        # Its stages used to be unchecked: a CNOT on qubit 5 of 1 ran into an
+        # IndexError in execute_speculative. Now the circuit refuses it.
+        stages = (Stage((cnot(0, 5),), frozenset({0})), Stage((), frozenset()))
+        with pytest.raises(ValidationError, match="^qubit index 5 out of range for 1 qubits$"):
+            SpeculativeProgram((0,), LayeredCircuit(1, stages), 1)
+        c = parse_circuit(CLASSICAL_K4)
+        with pytest.raises(ValidationError, match="^group size r must be at least 1$"):
+            SpeculativeProgram((1, 0), c, 0)
+        with pytest.raises(ValidationError, match="^input must be a 2-bit classical string$"):
+            SpeculativeProgram((1,), c, 1)
+        with pytest.raises(ValidationError, match="^input must be a 2-bit classical string$"):
+            SpeculativeProgram((1, 2), c, 1)
+        assert SpeculativeProgram((1, 0), c, 3).groups == (c.stages[:3], c.stages[3:])
 
     def test_bad_input_length(self):
         with pytest.raises(ValidationError, match="bit"):

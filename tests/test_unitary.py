@@ -189,6 +189,23 @@ class TestConversionStructure:
             to_unitary(prog)
 
 
+    @pytest.mark.parametrize("names,repeated", [
+        ("abac", "a"), ("abca", "a"), ("abcc", "c"),
+    ], ids=["x-twice", "x-then-z", "one-bell"])
+    def test_outcome_variable_read_twice_rejected(self, names, repeated):
+        # Two readouts of one variable would share one ancilla name.
+        a, b, c, d = map(OutcomeVar, names)
+        prog = make_program(5, [4], [
+            Instruction(InstrOp.EPR, (1, 2)),
+            Instruction(InstrOp.EPR, (3, 4)),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(a, b)),
+            Instruction(InstrOp.BELL, (2, 3), out_vars=(c, d)),
+        ])
+        with pytest.raises(ValidationError,
+                           match=f"^outcome variable '{repeated}' is read by two BELLs$"):
+            to_unitary(prog)
+
+
 class TestMeasuredQubitGates:
     """A CNOT from a measured qubit of a Bell group onto a live one becomes
     an X on the target if the qubit's bit is set; any other gate on a
