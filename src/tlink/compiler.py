@@ -85,6 +85,7 @@ from .frames import (
     OutcomeVar,
     Owner,
     _names,
+    _set_bits,
     mask_of,
     outcome_var,
     push_gates,
@@ -170,9 +171,21 @@ class ResourceReport:
 
 @dataclass(slots=True)
 class Branch:
-    outcomes: dict[str, int]
+    """One leaf of a run: its probability, its output state, and the
+    classical bits it read, as the mask ``bits`` over the plan's
+    ``(name, bit)`` pairs ``names``. ``outcomes`` is read off the mask when
+    asked for, so a run builds no dict per leaf."""
+
     probability: float
     state: StateVector
+    bits: int
+    names: tuple[tuple[str, int], ...]
+
+    @property
+    def outcomes(self) -> dict[str, int]:
+        """The value of every named outcome, in the order the run read them."""
+        bits = self.bits
+        return {name: 1 if bits & bit else 0 for name, bit in self.names}
 
 
 def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
@@ -533,6 +546,18 @@ def parse_program(text: str) -> CompiledProgram:
 # them. A sampled shot is a frontier of one and draws each Bell outcome, with
 # one uniform, from the same table of outcome probabilities as an exhaustive
 # run keeps them from; its child is one row of that layout.
+#
+# Classical bits are numbered per plan: a measure plan gives the i-th outcome
+# variable it reads bit i, and a unitary plan the i-th qubit it measures. Each
+# condition is compiled once, when the plan is built, into a test over those
+# bits, (linear mask, masks of the terms of degree >= 2, constant), so a plan
+# does not depend on the process-wide variable table. An exhaustive run keeps
+# its rows' bits as one int64 array (at most 24 bits: MAX_OUTCOME_BITS for a
+# measure plan, four per Bell group for a unitary one), so a conditioned step
+# is one vectorized test of every row (_fires); a sampled shot keeps its one
+# row's bits as a Python int, which any number of bits fits, and its
+# probability as a float (_fires_one). A leaf keeps its mask, and its
+# outcome dict is built only when read (Branch.outcomes).
 
 def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
                 qubits) -> tuple[list, list]:
@@ -557,7 +582,8 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 # whole frontier; the kernel is a per-gate one, a fused _gather or the
 # reorder _lead. (_COND, test, kernel, args) runs a per-gate kernel, or the
 # phase _scale, on the entries whose mask of classical bits that read 1
-# passes ``test``. (_BRANCH, bits, shape) is a branch point
+# passes ``test``, a compiled (linear, terms, constant) triple (_plan_test).
+# (_BRANCH, bits, shape) is a branch point
 # (_Schedule.branch) on a (batch, outcome, rest) frontier: outcome k sets
 # the classical bits ``bits[k]``, and the children take ``shape``, one axis
 # per remaining qubit.
@@ -568,7 +594,7 @@ _APPLY, _COND, _BRANCH = range(3)
 class ExecPlan:
     """Flat steps over a tensor window, the axes of the logical outputs at
     the end, the largest window width, and each named outcome with its
-    classical bits."""
+    plan-local classical bit (as a one-bit mask)."""
 
     n: int
     steps: tuple[tuple, ...]
@@ -662,8 +688,14 @@ class _Schedule:
         self.steps.append((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
 
     def phase(self, test, phase: complex) -> None:
+        """A per-branch phase. Right after a phase step with the same test,
+        nothing between them, it folds into that step as the product phase."""
         self._flush_map()
-        self.steps.append((_COND, test, _scale, (phase,)))
+        last = self.steps[-1] if self.steps else None
+        if last is not None and last[0] is _COND and last[2] is _scale and last[1] == test:
+            self.steps[-1] = (_COND, test, _scale, (last[3][0] * phase,))
+        else:
+            self.steps.append((_COND, test, _scale, (phase,)))
 
     def defer(self, qubits: tuple[int, ...], item) -> None:
         self.deferred.append((qubits, item))
@@ -803,13 +835,14 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """Replay a measure-mode program's schedule into an ExecPlan.
 
     A Bell step is its rotation (_bell_rotation) as two gate steps, then a
-    Z measurement of (s, r), so its outcome index is k = 2x + z. The
-    classical bit of each outcome is the bit of its variable
-    (frames.var_bit), which the conditions are evaluated against (KeyPoly.at).
+    Z measurement of (s, r), so its outcome index is k = 2x + z. The plan
+    numbers its own classical bits: the i-th outcome variable it reads gets
+    bit i, so the i-th BELL's x and z get bits 2i and 2i + 1. Each
+    condition is compiled into a test over those bits (_plan_test).
     """
     sched = _Schedule(p.n)
     touched = set(range(p.n))
-    read = 0  # the variables read out so far, as a mask
+    plan_bit: dict[int, int] = {}  # table bit -> plan bit of each variable read so far
 
     def emit(qs: tuple[int, ...], ins: Instruction) -> None:
         if ins.op is InstrOp.EPR:
@@ -834,39 +867,90 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             sched.axes((s, r))  # a fresh s is allocated before a fresh r
             for kind, rotated in _bell_rotation(r, s):
                 sched.gate(kind, rotated)
-            vx, vz = ins.out_vars
-            mx, mz = 1 << var_bit(vx), 1 << var_bit(vz)
-            for v, m in ((vx, mx), (vz, mz)):
-                if read & m:
+            outcomes = []
+            for v in ins.out_vars:
+                table_bit = var_bit(v)
+                if table_bit in plan_bit:
                     raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
-                read |= m
-            sched.branch((s, r), ((vx.name, mx), (vz.name, mz)))
+                plan_bit[table_bit] = len(plan_bit)
+                outcomes.append((v.name, 1 << plan_bit[table_bit]))
+            sched.branch((s, r), outcomes)
         else:
-            unbound = ins.cond.support & ~read
-            if unbound:
-                name = min(v.name for v in KeyPoly(unbound).variables())
-                raise ValidationError(f"unbound outcome variable {name!r}")
-            sched.cond(ins.cond.at, _COND_KINDS[ins.op], qs)
+            try:
+                test = _plan_test(ins.cond, plan_bit)
+            except KeyError:
+                name = min(v.name for v in ins.cond.variables() if var_bit(v) not in plan_bit)
+                raise ValidationError(f"unbound outcome variable {name!r}") from None
+            sched.cond(test, _COND_KINDS[ins.op], qs)
     sched.check_unmeasured(p.logical_outputs)
     sched.flush(p.logical_outputs, emit)
     return sched.plan(p.n, p.logical_outputs)
 
 
-def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
-            rng: np.random.Generator | None) -> tuple:
+def _plan_test(cond: KeyPoly, plan_bit: dict[int, int]) -> tuple[int, tuple[int, ...], int]:
+    """A condition compiled into a test over plan bits: (linear mask, one
+    mask per term of degree >= 2, constant), with each table bit b of
+    ``cond`` moved to plan bit ``plan_bit[b]``. Raises KeyError on a
+    variable that has no plan bit."""
+
+    def local(mask: int) -> int:
+        out = 0
+        for b in _set_bits(mask):
+            out |= 1 << plan_bit[b]
+        return out
+
+    return local(cond.linear), tuple(local(m) for m in cond.nonlinear), cond.constant
+
+
+def _fires_one(test: tuple, ones: int) -> int:
+    """Whether the one row of a sampled shot, whose set bits ``ones`` are the
+    classical bits that read 1, passes ``test``: the parity of its linear
+    bits set there, plus each term whose bits are all set, plus the constant."""
+    linear, terms, constant = test
+    acc = (ones & linear).bit_count() + constant
+    for term in terms:
+        acc += ones & term == term
+    return acc & 1
+
+
+# The parity of every 12-bit value. An exhaustive frontier's masks hold at
+# most 24 bits, so a linear test is one or two lookups.
+_PARITY_BITS = 12
+_PARITY_MASK = (1 << _PARITY_BITS) - 1
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _PARITY_BITS)], dtype=bool)
+
+
+def _fires(test: tuple, ones: np.ndarray) -> np.ndarray:
+    """_fires_one for every row of an exhaustive frontier at once: ``ones``
+    holds one int64 mask per row, and the result is a bool per row."""
+    linear, terms, constant = test
+    masked = ones & linear
+    fire = _PARITY[masked & _PARITY_MASK]
+    for shift in range(_PARITY_BITS, linear.bit_length(), _PARITY_BITS):
+        fire ^= _PARITY[masked >> shift & _PARITY_MASK]
+    if constant:
+        fire = ~fire
+    for term in terms:
+        fire ^= ones & term == term
+    return fire
+
+
+def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator | None) -> tuple:
     """One branch point, a Z measurement of the leading qubits of a (batch,
     outcome, rest) frontier (_Schedule.branch); returns the children,
     reshaped to one axis per remaining qubit, their branch probabilities and
     their bit masks.
 
     The outcome marginals are one (batch, outcome) table, k = 2x + z at a
-    Bell step. With ``rng`` the frontier is one shot of a measure plan: its
-    outcome is the first k at which the running sum of its row passes one
-    uniform draw (else the last k), and its child is row k divided by the
-    square root of its probability. Otherwise every outcome above _CUTOFF is
-    kept, parent-major and in outcome order, as the rows of the flattened
-    (batch * outcome) axis that one take gathers. Either way a child is a
-    new array, never a view of the caller's input.
+    Bell step. With ``rng`` the frontier is one shot of a measure plan, its
+    probability a float and its mask an int: its outcome is the first k at
+    which the running sum of its row passes one uniform draw (else the last
+    k), and its child is row k divided by the square root of its
+    probability. Otherwise ``probs`` and ``ones`` are arrays with one entry
+    per row, and every outcome above _CUTOFF is kept, parent-major and in
+    outcome order, as the rows of the flattened (batch * outcome) axis that
+    one take gathers. Either way a child is a new array, never a view of
+    the caller's input.
     """
     _, bits, shape = step
     table = np.abs(amps)
@@ -880,14 +964,14 @@ def _branch(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: list[int],
         prob = row[k]
         if prob <= 0.0:
             raise ValidationError(f"measurement outcome {(k & 1, k >> 1)} has zero probability")
-        return (amps[0, k] / math.sqrt(prob)).reshape(shape), probs * prob, [ones[0] | bits[k]]
+        return (amps[0, k] / math.sqrt(prob)).reshape(shape), probs * prob, ones | bits[k]
     flat = table.reshape(-1)
     kept = np.flatnonzero(flat > _CUTOFF)
     prob = flat[kept]
     children = amps.reshape(flat.size, -1).take(kept, axis=0)
     children /= np.sqrt(prob)[:, None]
     parents, ks = np.divmod(kept, len(bits))
-    ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
+    ones = ones[parents] | np.array(bits, dtype=np.int64)[ks]
     return children.reshape(shape), probs[parents] * prob, ones
 
 
@@ -895,41 +979,52 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     """Run ``plan`` over a frontier that starts as the input state alone and
     return one Branch per leaf, in depth-first order.
 
-    ``ones`` holds, per frontier entry, the mask of classical bits that read
-    1: outcome-variable bits for a measure plan, measured-qubit bits for a
-    unitary one. A conditioned step applies its kernel to the entries whose
-    mask passes its test, in one call when all or none of them do. Each
-    leaf's outcome dict is read off its mask once, at the end.
+    ``ones`` holds the mask of plan bits that read 1 (outcome variables for
+    a measure plan, measured qubits for a unitary one): one int64 per row of
+    an exhaustive frontier, a Python int for a sampled shot. A conditioned
+    step tests every row at once (_fires, or _fires_one for a shot) and
+    applies its kernel to the rows that pass, in one call when all or none
+    of them do. A leaf keeps its mask; its outcome dict is built when read.
     """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
     amps = input_state.amps.reshape((1,) + (2,) * plan.n)
-    probs = np.ones(1)
-    ones = [0]
+    if rng is None:
+        probs, ones = np.ones(1), np.zeros(1, dtype=np.int64)
+    else:
+        probs, ones = 1.0, 0
     for step in plan.steps:
         op = step[0]
         if op is _APPLY:
             amps = step[1](amps, *step[2])
         elif op is _COND:
             _, test, kernel, args = step
-            fire = [i for i, m in enumerate(ones) if test(m)]
-            if len(fire) == len(ones):
+            if rng is not None:
+                if _fires_one(test, ones):
+                    amps = kernel(amps, *args)
+                continue
+            fire = _fires(test, ones)
+            count = np.count_nonzero(fire)
+            if count == len(fire):
                 amps = kernel(amps, *args)
-            elif fire:
+            elif count:
                 # A partial selection needs two entries or more, and a frontier
                 # that wide comes from _branch's take, so the runner owns amps
                 # and may write into it (a kernel such as X may return a view).
                 amps[fire] = kernel(amps[fire], *args)
         else:
             amps, probs, ones = _branch(step, amps, probs, ones, rng)
+    if rng is not None:
+        probs, ones = [probs], [ones]
+    else:
+        probs, ones = probs.tolist(), ones.tolist()
     if not ones:
         return []
     states = _extract(amps, list(plan.outputs))
     del amps  # the branches keep only the rows
-    names = plan.names
-    return [Branch({name: 1 if m & bit else 0 for name, bit in names}, prob,
-                   StateVector(plan.n, vec))
-            for m, prob, vec in zip(ones, probs.tolist(), states)]
+    n, names = plan.n, plan.names
+    return [Branch(prob, StateVector(n, vec), m, names)
+            for m, prob, vec in zip(ones, probs, states)]
 
 
 def execute(p: CompiledProgram, input_state: StateVector,
@@ -1105,14 +1200,6 @@ def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:
     return text + "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parity_test(mask: int, constant: int):
-    """The _COND test of a parity: the XOR of the classical bits in ``mask``
-    that read 1, plus ``constant``."""
-    if not constant and mask.bit_count() == 1:
-        return mask.__and__
-    return lambda ones: ((ones & mask).bit_count() + constant) & 1
-
-
 def _scale(amps: np.ndarray, phase: complex) -> np.ndarray:
     """A per-branch phase: the selected frontier entries times ``phase``."""
     return amps * phase
@@ -1136,9 +1223,12 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     X flips its constant, so neither adds a step. P, P-dagger, T or Z on it
     is a phase on the branches where it holds 1, and a CNOT from a classical
     qubit onto a window qubit an X on the branches where the control holds
-    1: one conditioned step each. H on a parity qubit, or a CNOT from a
-    window qubit onto one, raises. Gates left deferred at the end are
-    outside the outputs' light cone and cannot affect them.
+    1: one conditioned step each, whose test is the parity's (mask, (),
+    constant). A phase right after another on the same parity, as a
+    controlled P-dagger's P-dagger then T, folds into one step
+    (_Schedule.phase). H on a parity qubit, or a CNOT from a window qubit
+    onto one, raises. Gates left deferred at the end are outside the
+    outputs' light cone and cannot affect them.
     """
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
@@ -1161,7 +1251,7 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
             if kind is GateKind.X:
                 classical[q] = mask, constant ^ 1
             else:
-                sched.phase(_parity_test(mask, constant), complex(GATE_MATRICES[kind][1, 1]))
+                sched.phase((mask, (), constant), complex(GATE_MATRICES[kind][1, 1]))
         else:
             a, b = qs
             control = classical.get(a)
@@ -1172,7 +1262,7 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
                 raise ValidationError("CNOT from a quantum qubit onto a parity qubit")
             held = classical.get(b)
             if held is None and (b in quantum or b in sched.window):
-                sched.cond(_parity_test(*control), GateKind.X, (b,))
+                sched.cond((control[0], (), control[1]), GateKind.X, (b,))
             else:
                 mask, constant = held or (0, 0)
                 classical[b] = mask ^ control[0], constant ^ control[1]

@@ -23,7 +23,10 @@ Aaronson-Gottesman (quant-ph/0406196): bit i stands for the i-th entry of
 one process-wide variable table, which hands each distinct OutcomeVar
 (name and owner) the next bit the first time a key or a BELL mentions it.
 So the push is int XOR, a condition's support is one int, and a key prints
-by walking its set bits. The table only grows; it is shared by every program
+by walking its set bits. Keys are not evaluated against table bits at run
+time: an execution plan numbers its own classical bits and compiles each
+condition once into a test over them (compiler._plan_test). The table only
+grows; it is shared by every program
 in the process because keys are also built outside any program (the
 garden-hose gadget keys and cross-term reports), and it is extended under a
 lock, so keys may be built from several threads. table_size() bounds every
@@ -269,15 +272,6 @@ class KeyPoly:
         if self.constant:
             products += theirs
         return KeyPoly._from_terms(products, self.constant & other.constant)
-
-    def at(self, ones: int) -> int:
-        """The value when exactly the variables whose bits are set in ``ones``
-        are 1: the parity of the linear bits set there, plus each term whose
-        variables are all set, plus the constant."""
-        acc = (self.linear & ones).bit_count() + self.constant
-        for m in self.nonlinear:
-            acc += m & ones == m
-        return acc & 1
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         return poly_eval(self, assignment)

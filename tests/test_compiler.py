@@ -58,7 +58,6 @@ from tlink.frames import (
     outcome_var,
     poly_eval,
     tableau_from_stage,
-    var_bit,
 )
 from tlink.gardenhose import gadget_program
 from tlink.oracle import (
@@ -546,11 +545,14 @@ class TestExecPlan:
             steps = p.plan.steps
             at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
             assert len(at) == len(bells(p))
-            for i, ins in zip(at, bells(p)):
+            for j, (i, ins) in enumerate(zip(at, bells(p))):
                 _, bits, child = steps[i]
-                # BELL r s measures (s, r): outcome k = 2x + z sets x's bit and z's
-                mx, mz = (1 << var_bit(v) for v in ins.out_vars)
+                # BELL r s measures (s, r): outcome k = 2x + z sets x's bit and
+                # z's, plan-local bits 2j and 2j + 1 of the j-th BELL
+                mx, mz = 1 << 2 * j, 1 << 2 * j + 1
                 assert bits == (0, mz, mx, mx | mz)
+                assert p.plan.names[2 * j:2 * j + 2] == tuple(
+                    (v.name, m) for v, m in zip(ins.out_vars, (mx, mz)))
                 # the rotation, fused or per gate, ends in the (batch, outcome, rest) layout
                 op, _, args = steps[i - 1]
                 assert op is _APPLY and args[-1] == (-1, 4, 2 ** (len(child) - 1))
@@ -750,9 +752,10 @@ def per_axis_branch(qubits, outcomes, amps, probs, ones, rng):
         idx[ax] = ks >> shift & 1
     children = amps[tuple(idx)]
     if rng is not None:
-        return children / np.sqrt(prob), probs * prob, [ones[0] | bits[k]]
+        return children / np.sqrt(prob), probs * prob, ones | bits[k]
     children /= np.sqrt(prob).reshape((-1,) + (1,) * (children.ndim - 1))
-    ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
+    ones = np.array([int(ones[i]) | bits[k] for i, k in zip(parents.tolist(), ks.tolist())],
+                    dtype=np.int64).reshape(-1)
     return children, probs[parents] * prob, ones
 
 
@@ -782,22 +785,27 @@ class TestBranch:
             _, kernel, args = layout[0]
             return _branch(step, kernel(amps, *args), probs, ones, draw)
 
+        # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")
         shot = frontier[:1]
-        got = run(shot, np.ones(1), [0], np.random.default_rng(seed))
-        want = per_axis_branch(qubits, outcomes, shot, np.ones(1), [0], np.random.default_rng(seed))
+        got = run(shot, 0.5, 1 << m, np.random.default_rng(seed))
+        want = per_axis_branch(qubits, outcomes, shot, 0.5, 1 << m, np.random.default_rng(seed))
+        assert type(got[1]) is float and type(got[2]) is int
         self._agree(got, want, frontier)
 
-        probs, ones = rng.random(batch), [i << m for i in range(batch)]  # masks name the parent
+        # an exhaustive frontier: one probability and one int64 mask per row
+        probs = rng.random(batch)
+        ones = np.arange(batch, dtype=np.int64) << m  # masks name the parent
         got = run(frontier, probs, ones, None)
         want = per_axis_branch(qubits, outcomes, frontier, probs, ones, None)
+        assert got[2].dtype == np.int64
         self._agree(got, want, frontier)
 
     @staticmethod
     def _agree(got, want, frontier):
         (got_amps, got_probs, got_ones), (want_amps, want_probs, want_ones) = got, want
-        assert got_ones == want_ones  # the same outcomes of the same parents
-        assert np.abs(got_probs - want_probs).max() < 1e-12
+        assert np.array_equal(got_ones, want_ones)  # the same outcomes of the same parents
+        assert np.abs(np.subtract(got_probs, want_probs)).max() < 1e-12
         assert got_amps.shape == want_amps.shape
         assert np.abs(got_amps - want_amps).max(initial=0.0) < 1e-12
         assert not np.shares_memory(got_amps, frontier)

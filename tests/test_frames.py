@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import random
@@ -20,6 +21,7 @@ from conftest import (
 )
 from tlink import frames
 from tlink.circuits import ValidationError, cnot, h, p, pdg, x, z
+from tlink.compiler import _fires, _fires_one, _plan_test
 from tlink.frames import (
     KeyPoly,
     OutcomeVar,
@@ -117,13 +119,24 @@ class TestKeyPoly:
 
 
 class TestBitmaskKeys:
-    @given(keypolys, assignments)
-    def test_mask_evaluation_matches_by_name(self, f, env):
-        ones = 0
-        for v in f.variables():
-            if env[v.name]:
-                ones |= 1 << var_bit(v)
-        assert f.at(ones) == poly_eval(f, env)
+    @given(keypolys, st.permutations(range(24)))
+    def test_mask_evaluation_matches_by_name(self, f, order):
+        # A plan's compiled test of f, with f's variables on arbitrary plan
+        # bits below 24 and the other bits set as noise, against poly_eval at
+        # every assignment: one row at a time and as one frontier.
+        names = sorted(f.variables(), key=lambda v: v.name)
+        plan_bit = {var_bit(v): bit for v, bit in zip(names, order)}
+        test = _plan_test(f, plan_bit)
+        noise = sum(1 << bit for bit in order[len(names)::2])
+        rows, want = [], []
+        for values in itertools.product((0, 1), repeat=len(names)):
+            ones = noise + sum(1 << bit for bit, value in zip(order, values) if value)
+            expected = poly_eval(f, {v.name: value for v, value in zip(names, values)})
+            assert _fires_one(test, ones) == expected
+            rows.append(ones)
+            want.append(bool(expected))
+        fire = _fires(test, np.array(rows, dtype=np.int64))
+        assert fire.dtype == bool and fire.tolist() == want
 
     @given(keypolys)
     def test_monomials_round_trip(self, f):

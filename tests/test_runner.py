@@ -1,0 +1,126 @@
+"""The frontier runner against the runner it replaced.
+
+reference_run is compiler._run as it was when every frontier row kept its
+classical bits as a Python int in a list and each conditioned step tested
+the rows one at a time in Python. It runs the same plans as the new runner,
+whose rows share one int64 array and whose tests are vectorized, so the two
+must agree bit for bit: the same branches, probabilities and states, and
+for sampled shots the same draws and the same final RNG state.
+"""
+import itertools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import layered_circuits, random_state
+from test_compiler import PARTIAL
+from tlink.compiler import (
+    _APPLY,
+    _COND,
+    _CUTOFF,
+    _run,
+    _unitary_plan,
+    compile_measure,
+    parse_program,
+    to_unitary,
+)
+from tlink.gardenhose import gadget_program
+from tlink.oracle import _extract
+
+
+def reference_fires(test, ones: int) -> int:
+    """A compiled (linear, terms, constant) test at one row's bits."""
+    linear, terms, constant = test
+    value = constant ^ bin(ones & linear).count("1") & 1
+    for term in terms:
+        value ^= ones & term == term
+    return value
+
+
+def reference_branch(step, amps, probs, ones: list[int], rng):
+    _, bits, shape = step
+    table = np.abs(amps)
+    table = np.square(table, out=table).sum(axis=2)
+    if rng is not None:
+        row = table[0].tolist()
+        u = rng.random()
+        for k, acc in enumerate(itertools.accumulate(row)):
+            if u < acc:
+                break
+        prob = row[k]
+        assert prob > 0.0
+        return (amps[0, k] / math.sqrt(prob)).reshape(shape), probs * prob, [ones[0] | bits[k]]
+    flat = table.reshape(-1)
+    kept = np.flatnonzero(flat > _CUTOFF)
+    prob = flat[kept]
+    children = amps.reshape(flat.size, -1).take(kept, axis=0)
+    children /= np.sqrt(prob)[:, None]
+    parents, ks = np.divmod(kept, len(bits))
+    ones = [ones[i] | bits[k] for i, k in zip(parents.tolist(), ks.tolist())]
+    return children.reshape(shape), probs[parents] * prob, ones
+
+
+def reference_run(plan, psi, rng) -> list[tuple[dict[str, int], float, np.ndarray]]:
+    """(outcomes, probability, output amplitudes) of every leaf, depth first."""
+    amps = psi.amps.reshape((1,) + (2,) * plan.n)
+    probs = np.ones(1)
+    ones = [0]
+    for step in plan.steps:
+        if step[0] is _APPLY:
+            amps = step[1](amps, *step[2])
+        elif step[0] is _COND:
+            _, test, kernel, args = step
+            fire = [i for i, m in enumerate(ones) if reference_fires(test, m)]
+            if len(fire) == len(ones):
+                amps = kernel(amps, *args)
+            elif fire:
+                amps[fire] = kernel(amps[fire], *args)
+        else:
+            amps, probs, ones = reference_branch(step, amps, probs, ones, rng)
+    if not ones:
+        return []
+    states = _extract(amps, list(plan.outputs))
+    return [({name: 1 if m & bit else 0 for name, bit in plan.names}, prob, vec)
+            for m, prob, vec in zip(ones, probs.tolist(), states)]
+
+
+def assert_same_leaves(got, want) -> None:
+    assert len(got) == len(want)
+    for b, (outcomes, prob, vec) in zip(got, want):
+        assert b.outcomes == outcomes and list(b.outcomes) == list(outcomes)
+        assert b.probability == prob
+        assert np.array_equal(b.state.amps, vec)
+
+
+@st.composite
+def plans(draw):
+    """(plan, wires, is a measure plan): a compiled random circuit, PARTIAL,
+    a garden-hose gadget (conditions of degree 2) or a converted circuit."""
+    kind = draw(st.sampled_from(["measure", "partial", "gadget", "unitary"]), label="kind")
+    if kind == "partial":
+        return parse_program(PARTIAL).plan, 2, True
+    if kind == "gadget":
+        p, q = draw(st.integers(0, 1), label="p"), draw(st.integers(0, 1), label="q")
+        return gadget_program(p, q).plan, 1, True
+    c = draw(layered_circuits(max_n=3, max_k=3), label="circuit")
+    if kind == "measure":
+        return compile_measure(c).plan, c.n, True
+    return _unitary_plan(to_unitary(compile_measure(c))), c.n, False
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(planned=plans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_runner_matches_the_per_row_reference(planned, seed):
+    plan, n, measure = planned
+    psi = random_state(np.random.default_rng(seed), n)
+    assert_same_leaves(_run(plan, psi, None), reference_run(plan, psi, None))
+    if not measure:
+        return
+    for shot in range(3):
+        mine, theirs = np.random.default_rng(seed + shot), np.random.default_rng(seed + shot)
+        (leaf,) = _run(plan, psi, mine)
+        assert_same_leaves([leaf], reference_run(plan, psi, theirs))
+        assert type(leaf.probability) is float and type(leaf.bits) is int
+        assert mine.bit_generator.state == theirs.bit_generator.state

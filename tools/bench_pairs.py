@@ -15,7 +15,10 @@ The file holds what was compared, the command, the host, the order, every
 run's result, and a summary per workload and metric: the medians and
 quartiles of both sides, the change in the median, and in how many pairs the
 change was better (lower, for every end-to-end metric in BENCHMARK.json).
-It is written next to this tools/ directory's parent, the repository root.
+Beside the normalized metrics it summarizes ``raw_batch_s``, the wall-clock
+batch time that run.py prints before host-speed normalization, so a claim
+can be checked against both. It is written next to this tools/ directory's
+parent, the repository root.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,6 +35,14 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMAND = "python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0"
 SIDES = ("parent", "change")
+# run.py's line with the batch time before host-speed normalization
+RAW_BATCH = re.compile(r"\(wall-clock batch, not normalized: (\S+) s\)")
+
+
+def raw_batch_s(stdout: str) -> float | None:
+    """The wall-clock batch time run.py printed, or None if it printed none."""
+    match = RAW_BATCH.search(stdout)
+    return float(match.group(1)) if match else None
 
 
 def seed_range(text: str) -> list[int]:
@@ -65,7 +77,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
     else:
         sys.stderr.write(proc.stderr)
-    return {"exit": proc.returncode, "wall_s": round(wall, 1), "result": result}
+    return {"exit": proc.returncode, "wall_s": round(wall, 1), "result": result,
+            "raw_batch_s": raw_batch_s(proc.stdout)}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -74,32 +87,42 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def compare(parent_values: list[float], change_values: list[float]) -> dict:
+    """Quartiles of both sides, the change in the median and the pairs in
+    which the change was lower; the two lists are in pair order."""
+    parent, change = quartiles(parent_values), quartiles(change_values)
+    lower = sum(c < p for p, c in zip(parent_values, change_values))
+    return {"parent": parent, "change": change,
+            "change_lower_in_pairs": f"{lower} of {len(parent_values)}",
+            "median_change_pct": round(100 * (change["median"] / parent["median"] - 1), 1)
+            if parent["median"] else None,
+            "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
+
+
 def summarize(runs: list[dict], bounds: dict[str, float]) -> dict:
-    """Per-metric medians and win counts over the pairs in which both sides ran."""
+    """Per-metric medians and win counts over the pairs in which both sides
+    ran, and the same for ``raw_batch_s`` where every such run printed it."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
-    pairs = [p for p in by_pair.values() if all(p.get(side) for side in SIDES)]
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    pairs = [p for p in by_pair.values() if all(p.get(side, {}).get("result") for side in SIDES)]
+    results = [{side: p[side]["result"] for side in SIDES} for p in pairs]
     out: dict = {
         "pairs": len(pairs),
-        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
-        "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
-        "correct": all(p[side]["correct"] for p in pairs for side in SIDES),
+        "failed": {side: sum(r[side]["failed"] for r in results) for side in SIDES},
+        "attempted": {side: sum(r[side]["attempted"] for r in results) for side in SIDES},
+        "correct": all(r[side]["correct"] for r in results for side in SIDES),
     }
     if not pairs:
         return out
-    for name in pairs[0]["parent"]["metrics"]:
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        parent, change = quartiles(values["parent"]), quartiles(values["change"])
-        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
-        entry = {"parent": parent, "change": change,
-                 "change_lower_in_pairs": f"{lower} of {len(pairs)}",
-                 "median_change_pct": round(100 * (change["median"] / parent["median"] - 1), 1)
-                 if parent["median"] else None,
-                 "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
+    for name in results[0]["parent"]["metrics"]:
+        entry = compare(*([r[side]["metrics"][name]["value"] for r in results] for side in SIDES))
         if name in bounds:
             entry["bound_pct"] = round(100 * bounds[name], 1)
         out[name] = entry
+    raw = [[p[side].get("raw_batch_s") for p in pairs] for side in SIDES]
+    if all(v is not None for values in raw for v in values):
+        out["raw_batch_s"] = compare(*raw)
     return out
 
 
@@ -137,11 +160,12 @@ def main() -> int:
                 mine.append(run)
         runs += mine
         summary[workload] = summarize(mine, bounds)
-        batch = summary[workload].get("batch_s")
-        if batch:
-            print(f"{workload}: batch_s median {batch['parent']['median']} -> "
-                  f"{batch['change']['median']} ({batch['median_change_pct']:+.1f}%), "
-                  f"lower in {batch['change_lower_in_pairs']} pairs", flush=True)
+        for name in ("batch_s", "raw_batch_s"):
+            batch = summary[workload].get(name)
+            if batch:
+                print(f"{workload}: {name} median {batch['parent']['median']} -> "
+                      f"{batch['change']['median']} ({batch['median_change_pct']:+.1f}%), "
+                      f"lower in {batch['change_lower_in_pairs']} pairs", flush=True)
 
     doc = {
         "what": args.what or (f"bench/run.py pairs: {os.path.basename(trees['parent'])} "
