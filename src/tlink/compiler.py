@@ -35,9 +35,15 @@ qubit count, its output wires and its instructions; its wire count n, its
 declared depth and its execution plan are derived from them on first use,
 so no program can carry a depth or a width that disagrees with its own
 instructions. UnitaryProgram and SpeculativeProgram derive their sizes the
-same way. A run returns its results and the outcomes it drew, nothing more:
-execute gives the output state and the value of every outcome variable,
-execute_speculative the output bits and the link outcomes.
+same way. A program's rules (qubit use, gate targets, outcome variables read
+once, conditions bound, outputs) are checked once, on first use, by one walk
+(CompiledProgram.outcome_vars) that the execution plan, to_unitary and
+enumerate_branches all read first. Construction checks nothing, so building
+a program costs only its tuples, and declared_depth and serialize_program
+read the instructions as they are. A run returns its results and the
+outcomes it drew, nothing more: execute gives the output state and the
+value of every outcome variable, execute_speculative the output bits and
+the link outcomes.
 
 Cost model for declared depth: every gate costs 1 layer, a Bell measurement
 costs 3 (CNOT, H, readout), a conditioned single-qubit correction costs 1,
@@ -59,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import (
+    _ARITY,
     _SHORT_DIGITS,
     DepthMetrics,
     Gate,
@@ -67,6 +74,7 @@ from .circuits import (
     ParseError,
     Stage,
     ValidationError,
+    _check_gate,
     _int,
     _parse_gate_line,
     _parse_header,
@@ -138,7 +146,11 @@ class Instruction(NamedTuple):
 @dataclass(frozen=True)
 class CompiledProgram:
     """A program holds only its instructions, its qubit count and its
-    output wires; everything else is derived from them on first use."""
+    output wires; everything else is derived from them on first use.
+
+    The constructor checks nothing. ``outcome_vars`` checks every program
+    rule, once, and everything that runs or converts the program reads it
+    first; a program that breaks a rule raises ValidationError there."""
 
     total_qubits: int
     logical_outputs: tuple[int, ...]
@@ -152,6 +164,12 @@ class CompiledProgram:
     def declared_depth(self) -> DepthMetrics:
         """The ASAP depth of the instructions under the cost model."""
         return _schedule_depth(self.instructions)
+
+    @cached_property
+    def outcome_vars(self) -> tuple[OutcomeVar, ...]:
+        """The outcome variables in the order the BELLs read them, x then z
+        of each, after one checked walk of the program (_checked_vars)."""
+        return _checked_vars(self)
 
     @cached_property
     def plan(self) -> "ExecPlan":
@@ -242,6 +260,83 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
         if end > total:
             total = end
     return DepthMetrics(total, len(t_layers), t_count, gate_count)
+
+
+_QUBIT_COUNT = {InstrOp.EPR: 2, InstrOp.BELL: 2, **dict.fromkeys(_COND_KINDS, 1)}
+
+
+def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
+    """The one check of a program's rules: walk the instructions once, in
+    program order, checking each against the ones before it, and return the
+    outcome variables in the order the BELLs read them.
+
+    Per instruction, in this order: its qubits are distinct and none was
+    measured by an earlier BELL. Then a GATE acts on its gate's targets,
+    with the gate's arity; an EPR or a BELL takes two qubits and a
+    correction one; an EPR's qubits are fresh (no input wire, no qubit used
+    before); a BELL reads two outcome variables that no earlier BELL read;
+    and a correction has a condition whose every variable an earlier BELL
+    read. Then no output was measured and none repeats. Last, every qubit
+    used, outputs included, is in range; only the smallest and the largest
+    are compared with total_qubits.
+    """
+    measured: set[int] = set()
+    touched = set(range(p.n))  # the input wires and every qubit used so far
+    read: list[OutcomeVar] = []
+    bound = 0  # the table bits (frames.var_bit) of the variables read so far
+    GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL  # locals: a third off the walk
+    for op, qubits, gate, out_vars, cond in p.instructions:
+        if len(qubits) > 1 and len(set(qubits)) != len(qubits):
+            raise ValidationError(f"{op.value} qubits must be distinct (qubit collision)")
+        if measured and not measured.isdisjoint(qubits):
+            _raise_measured(qubits, measured)
+        if op is GATE:
+            if gate is None:
+                raise ValidationError("GATE instruction has no gate")
+            if not (qubits is gate.targets or qubits == gate.targets):
+                raise ValidationError(f"GATE qubits {qubits} differ from its gate's targets "
+                                      f"{gate.targets}")
+            if len(qubits) != _ARITY[gate.kind]:
+                _check_gate(gate, p.total_qubits)
+        elif len(qubits) != _QUBIT_COUNT[op]:
+            raise ValidationError(f"{op.value} takes {_QUBIT_COUNT[op]} qubit(s), got {len(qubits)}")
+        elif op is EPR:
+            if not touched.isdisjoint(qubits):
+                raise ValidationError(f"EPR qubit {min(touched.intersection(qubits))} is already in use")
+        elif op is BELL:
+            if out_vars is None or len(out_vars) != 2:
+                raise ValidationError("BELL instruction needs two outcome variables")
+            for v in out_vars:
+                bit = 1 << var_bit(v)
+                if bound & bit:
+                    raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
+                bound |= bit
+            read += out_vars
+            measured.update(qubits)
+        else:
+            if cond is None:
+                raise ValidationError(f"{op.value} instruction has no condition")
+            unbound = cond.support & ~bound
+            if unbound:
+                raise ValidationError(f"unbound outcome variable {min(_names(unbound))!r}")
+        touched.update(qubits)
+    outputs = p.logical_outputs
+    if not measured.isdisjoint(outputs):
+        _raise_measured(outputs, measured)
+    if len(set(outputs)) != len(outputs):
+        q = next(q for i, q in enumerate(outputs) if q in outputs[:i])
+        raise ValidationError(f"qubit {q} is already an output")
+    touched.update(outputs)
+    if touched:
+        for q in (min(touched), max(touched)):
+            if not 0 <= q < p.total_qubits:
+                raise ValidationError(f"qubit index {q} out of range for {p.total_qubits} qubits")
+    return tuple(read)
+
+
+def _raise_measured(qubits, measured: set[int]) -> None:
+    q = next(q for q in qubits if q in measured)
+    raise ValidationError(f"qubit {q} was already measured and cannot be reused")
 
 
 def _linked(n: int, groups: tuple[tuple[Stage, ...], ...], name) -> CompiledProgram:
@@ -511,8 +606,10 @@ def parse_program(text: str) -> CompiledProgram:
 # qubits (_Schedule.flush). That keeps the window at n+2 on compiled programs:
 # the n live carriers plus the EPR pair being linked, never the next stage's
 # pre-executed gates. The plan records each step with its tensor axes and its
-# numpy kernel resolved; its qubit checks (EPR on a live qubit, any use of a
-# measured one, the window cap) are static and raise when the plan is built.
+# numpy kernel resolved. The program's rules (qubit use, outcome variables,
+# conditions, outputs) are checked before the plan is built, by the walk that
+# lists its outcome variables (CompiledProgram.outcome_vars); the plan's own
+# static check is the window cap, which raises when the plan is built.
 # A branch point is a plain Z measurement: a Bell measurement is planned as
 # its rotation (_bell_rotation), two gate steps, then a two-qubit branch point.
 # The step before a branch point also moves the measured qubits to the front,
@@ -617,11 +714,6 @@ class _Schedule:
         self.pending: tuple[np.ndarray, np.ndarray] | None = None  # (src, coef), see _gather
         self.names: list[tuple[str, int]] = []
         self.peak = n
-
-    def check_unmeasured(self, qubits) -> None:
-        for q in qubits:
-            if q in self.retired:
-                raise ValidationError(f"qubit {q} was already measured and cannot be reused")
 
     def _allocate(self, qubits: list[int]) -> None:
         """Append fresh qubits to the window: one |0>, or two as an EPR pair."""
@@ -834,15 +926,17 @@ def _bell_rotation(r: int, s: int) -> tuple[tuple[GateKind, tuple[int, ...]], ..
 def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """Replay a measure-mode program's schedule into an ExecPlan.
 
-    A Bell step is its rotation (_bell_rotation) as two gate steps, then a
-    Z measurement of (s, r), so its outcome index is k = 2x + z. The plan
-    numbers its own classical bits: the i-th outcome variable it reads gets
-    bit i, so the i-th BELL's x and z get bits 2i and 2i + 1. Each
-    condition is compiled into a test over those bits (_plan_test).
+    The program's rules are checked first, by the walk that lists its
+    outcome variables (CompiledProgram.outcome_vars); the only check left
+    here is the window cap. A Bell step is its rotation (_bell_rotation) as
+    two gate steps, then a Z measurement of (s, r), so its outcome index is
+    k = 2x + z. The plan numbers its own classical bits: the i-th outcome
+    variable gets bit i, so the i-th BELL's x and z get bits 2i and 2i + 1.
+    Each condition is compiled into a test over those bits (_plan_test).
     """
+    plan_bit = {var_bit(v): i for i, v in enumerate(p.outcome_vars)}
     sched = _Schedule(p.n)
-    touched = set(range(p.n))
-    plan_bit: dict[int, int] = {}  # table bit -> plan bit of each variable read so far
+    read = 0  # the plan bits read so far
 
     def emit(qs: tuple[int, ...], ins: Instruction) -> None:
         if ins.op is InstrOp.EPR:
@@ -852,12 +946,6 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 
     for ins in p.instructions:
         qs = ins.qubits
-        if len(set(qs)) != len(qs):
-            raise ValidationError(f"{ins.op.value} qubits must be distinct (qubit collision)")
-        sched.check_unmeasured(qs)
-        if ins.op is InstrOp.EPR and not touched.isdisjoint(qs):
-            raise ValidationError(f"EPR qubit {min(touched.intersection(qs))} is already in use")
-        touched.update(qs)
         if ins.op is InstrOp.EPR or ins.op is InstrOp.GATE:
             sched.defer(qs, ins)
             continue
@@ -867,22 +955,11 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
             sched.axes((s, r))  # a fresh s is allocated before a fresh r
             for kind, rotated in _bell_rotation(r, s):
                 sched.gate(kind, rotated)
-            outcomes = []
-            for v in ins.out_vars:
-                table_bit = var_bit(v)
-                if table_bit in plan_bit:
-                    raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
-                plan_bit[table_bit] = len(plan_bit)
-                outcomes.append((v.name, 1 << plan_bit[table_bit]))
-            sched.branch((s, r), outcomes)
+            vx, vz = ins.out_vars
+            sched.branch((s, r), [(vx.name, 1 << read), (vz.name, 1 << read + 1)])
+            read += 2
         else:
-            try:
-                test = _plan_test(ins.cond, plan_bit)
-            except KeyError:
-                name = min(v.name for v in ins.cond.variables() if var_bit(v) not in plan_bit)
-                raise ValidationError(f"unbound outcome variable {name!r}") from None
-            sched.cond(test, _COND_KINDS[ins.op], qs)
-    sched.check_unmeasured(p.logical_outputs)
+            sched.cond(_plan_test(ins.cond, plan_bit), _COND_KINDS[ins.op], qs)
     sched.flush(p.logical_outputs, emit)
     return sched.plan(p.n, p.logical_outputs)
 
@@ -890,8 +967,8 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 def _plan_test(cond: KeyPoly, plan_bit: dict[int, int]) -> tuple[int, tuple[int, ...], int]:
     """A condition compiled into a test over plan bits: (linear mask, one
     mask per term of degree >= 2, constant), with each table bit b of
-    ``cond`` moved to plan bit ``plan_bit[b]``. Raises KeyError on a
-    variable that has no plan bit."""
+    ``cond`` moved to plan bit ``plan_bit[b]``. Every variable of ``cond``
+    has a plan bit: the program walk checks that an earlier BELL read it."""
 
     def local(mask: int) -> int:
         out = 0
@@ -1059,8 +1136,7 @@ def enumerate_branches(p: CompiledProgram, input_state: StateVector,
     if max_outcome_bits > MAX_OUTCOME_BITS:
         raise ValidationError(
             f"max_outcome_bits {max_outcome_bits} exceeds the {MAX_OUTCOME_BITS}-bit cap")
-    _check_branch_bits(sum(1 for ins in p.instructions if ins.op is InstrOp.BELL),
-                       max_outcome_bits)
+    _check_branch_bits(len(p.outcome_vars) // 2, max_outcome_bits)
     return _run(p.plan, input_state, None)
 
 
@@ -1134,12 +1210,18 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     never uncomputed: like the ancillas, each holds a classical function of
     the outcomes and is discarded. Discarding both, the circuit acts on the
     logical wires exactly as the measured program does on every branch.
+
+    The program's rules are checked first, by the same walk the plan reads
+    (CompiledProgram.outcome_vars), so every variable is read once and every
+    condition is bound before the conversion starts; a program that breaks
+    a rule raises the plan's ValidationError. The conversion's own refusal
+    is a condition of degree > 1.
     """
+    p.outcome_vars  # raises on a program that breaks a rule
     gates: list[Gate] = []
     var_qubits: dict[str, int] = {}
     groups: list[BellGroup] = []
     next_q = p.total_qubits
-    copied = 0  # the outcome variables copied onto ancillas so far, as a mask
     pool: dict[int, tuple[int, int]] = {}  # parity qubit -> (variable mask, constant)
     for ins in p.instructions:
         if ins.op is InstrOp.EPR:
@@ -1154,11 +1236,6 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
-            for v in (vz, vx):
-                m = 1 << var_bit(v)
-                if copied & m:
-                    raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
-                copied |= m
             gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
             gates += [cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
@@ -1167,9 +1244,6 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             if cond.degree > 1:
                 raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
             mask, const = cond.linear, cond.constant
-            if mask & ~copied:
-                name = min(_names(mask & ~copied))
-                raise ValidationError(f"condition references unmeasured variable {name!r}")
             controlled = _CONTROLLED[ins.op]
             if mask.bit_count() == 1 and not const and ins.op is not InstrOp.COND_PDG:
                 (name,) = _names(mask)

@@ -43,8 +43,10 @@ def test_wire_list_entries_may_be_padded(tmp_path, capsys):
 # Programs that parse but reuse a qubit: an EPR pair prepared twice on the
 # same qubits, a gate on a qubit after its Bell measurement, and a correction
 # on a measured qubit whose condition is always 0 (a Bell pair measured
-# against itself reads a = b = 0). The execution plan checks qubit use
-# statically, so the last one fails although the correction never fires.
+# against itself reads a = b = 0). Qubit use is checked statically, by the
+# one walk of the program (CompiledProgram.outcome_vars) that runs before
+# the plan is built, so the last one fails although the correction never
+# fires.
 REUSED_QUBIT_PROGRAMS = [
     ("QUBITS 3\nEPR 1 2\nEPR 1 2\nOUT 0 0\n", "already in use"),
     ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nH 1\nX 2 IF a\nZ 2 IF b\nOUT 0 2\n",

@@ -168,25 +168,31 @@ class TestConversionStructure:
         assert len(up.bell_groups) == 1
 
     def test_condition_degree_guard(self):
-        u, v, w = (OutcomeVar(s) for s in ("u", "v", "w"))
+        # a valid program: u, v and w are read by BELLs on in-range qubits
+        u, v, w, y = (OutcomeVar(s) for s in ("u", "v", "w", "y"))
         cond = KeyPoly.from_monomials([{u, v, w}])
-        prog = make_program(1, [0], [
-            Instruction(InstrOp.EPR, (1, 2)),  # defines nothing; decoy
-            Instruction(InstrOp.COND_X, (0,), cond=cond),
+        prog = make_program(5, [4], [
+            Instruction(InstrOp.EPR, (1, 2)),
+            Instruction(InstrOp.EPR, (3, 4)),
+            Instruction(InstrOp.BELL, (0, 1), out_vars=(u, v)),
+            Instruction(InstrOp.BELL, (2, 3), out_vars=(w, y)),
+            Instruction(InstrOp.COND_X, (4,), cond=cond),
         ])
+        prog.plan  # the measured program runs
         with pytest.raises(ValidationError, match="degree > 1"):
             to_unitary(prog)
 
     def test_unmeasured_variable_is_named(self):
-        # the first unmeasured variable in name order
+        # the first unbound variable in name order, as the plan names it
         m0x, m3z, m5x = (KeyPoly.of(OutcomeVar(name)) for name in ("m0x", "m3z", "m5x"))
         prog = make_program(3, [2], [
             Instruction(InstrOp.EPR, (1, 2)),
             Instruction(InstrOp.BELL, (0, 1), out_vars=(OutcomeVar("m0x"), OutcomeVar("m0z"))),
             Instruction(InstrOp.COND_Z, (2,), cond=m0x ^ m5x ^ m3z),
         ])
-        with pytest.raises(ValidationError, match="unmeasured variable 'm3z'"):
-            to_unitary(prog)
+        for convert in (to_unitary, lambda p: p.plan):
+            with pytest.raises(ValidationError, match="^unbound outcome variable 'm3z'$"):
+                convert(prog)
 
 
     @pytest.mark.parametrize("names,repeated", [
