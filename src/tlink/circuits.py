@@ -21,10 +21,16 @@ and qubit indices) are an optional ``-`` followed by ASCII digits (_int);
 other text int() would take, such as ``1_0`` or ``+3``, is malformed. IR
 faults raise ValidationError from the LayeredCircuit constructor, which
 checks every circuit once however it is built, so no consumer re-checks
-one: each Clifford gate goes through _check_gate (arity, distinct CNOT
-qubits, indices in range), then the stage rules (no T in a Clifford block,
-T-layer indices in range, a T layer on every stage but the last; the one
-rule parsed text can break). layerize checks the T gates it packs.
+one: each Clifford gate is checked (no T in a Clifford block, then
+_check_gate: arity, distinct CNOT qubits, indices in range), then the stage
+rules (T-layer indices in range, a T layer on every stage but the last; the
+one rule parsed text can break). A well-formed gate passes an inline test;
+the first that fails it goes through the full checks, so every message and
+its order are _check_gate's. layerize checks the T gates it packs.
+
+Gates are laid out into stages by one greedy rule, in _StageBuilder:
+layerize packs a flat gate list with it, and compiler.to_unitary lays out
+its converted circuit with it as the gates are emitted, with no flat list.
 
 parse_circuit parses each distinct gate line once per process: a line that
 _parse_gate_line accepted, with no comment and no surrounding whitespace, is
@@ -80,6 +86,7 @@ _KINDS = {kind.value: kind for kind in GateKind}
 
 # A tuple: membership tests identity first, so no gate pays for Enum.__hash__.
 CLIFFORD_KINDS = tuple(k for k in GateKind if k is not GateKind.T)
+_CLIFFORD_ARITY = {kind: _ARITY[kind] for kind in CLIFFORD_KINDS}
 
 
 class Gate(NamedTuple):
@@ -147,9 +154,21 @@ class LayeredCircuit:
             raise ValidationError("qubit count must be positive")
         if len(stages) < 1:
             raise ValidationError("circuit needs at least one stage")
+        arity = _CLIFFORD_ARITY.get
         for i, st in enumerate(stages):
             for g in st.clifford:
-                if g.kind not in CLIFFORD_KINDS:
+                # the inline test of a well-formed gate; any other takes the
+                # full checks below, which raise their first message
+                kind, targets = g
+                if arity(kind) == len(targets):
+                    if len(targets) == 1:
+                        if 0 <= targets[0] < n:
+                            continue
+                    else:
+                        a, b = targets
+                        if a != b and 0 <= a < n and 0 <= b < n:
+                            continue
+                if kind not in CLIFFORD_KINDS:
                     raise ValidationError("T gate inside a Clifford block; use layerize")
                 _check_gate(g, n)
             for q in st.t_layer:
@@ -193,35 +212,74 @@ def flatten(c: LayeredCircuit) -> list[Gate]:
     return gates
 
 
-def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
-    """Greedily pack a flat gate list into stages.
+class _StageBuilder:
+    """The greedy stage layout, built up as gates arrive: the one
+    implementation of layerize's rule.
 
     Clifford gates accumulate; T gates on fresh qubits join the open T layer.
-    A Clifford gate, or a second T on a qubit already in the layer, closes the
-    stage immediately before itself. Gates sharing a qubit are never reordered,
-    so flattening the result is circuit-equivalent to the input. T gates are
-    checked here, the Clifford gates by the LayeredCircuit constructor.
+    A Clifford gate, or a second T on a qubit already in the layer, closes
+    the stage immediately before itself. Gates sharing a qubit are never
+    reordered, so flattening the circuit is equivalent to the gates in the
+    order they arrived. The builder checks nothing: circuit() builds a
+    LayeredCircuit, whose constructor checks the Clifford gates and the T
+    layers' range, and a T's arity is its caller's to check.
     """
-    stages: list[Stage] = []
-    cliff: list[Gate] = []
-    t_layer: set[int] = set()
+
+    __slots__ = ("_stages", "_cliff", "_t_layer", "_closed")
+
+    def __init__(self) -> None:
+        self._stages: list[Stage] = []
+        self._cliff: list[Gate] = []  # the open stage's Clifford gates
+        self._t_layer: set[int] = set()  # its T layer
+        self._closed = 0  # the gates in the closed stages
+
+    def _close(self) -> None:
+        cliff, t_layer = self._cliff, self._t_layer
+        self._closed += len(cliff) + len(t_layer)
+        self._stages.append(Stage(tuple(cliff), frozenset(t_layer)))
+        cliff.clear()
+        t_layer.clear()
+
+    def clifford(self, gates: tuple[Gate, ...] | list[Gate]) -> None:
+        """Append Clifford gates, in order."""
+        if self._t_layer:
+            self._close()
+        self._cliff += gates
+
+    def t(self, q: int) -> None:
+        """Append a T gate on qubit q."""
+        if q in self._t_layer:
+            self._close()
+        self._t_layer.add(q)
+
+    @property
+    def gate_count(self) -> int:
+        """The gates appended so far; after a Clifford gate, also the index
+        in flatten's order just past it."""
+        return self._closed + len(self._cliff) + len(self._t_layer)
+
+    def circuit(self, n: int) -> LayeredCircuit:
+        """The stages so far, the open one last, as a checked circuit on n
+        qubits."""
+        last = Stage(tuple(self._cliff), frozenset(self._t_layer))
+        return LayeredCircuit(n, (*self._stages, last))
+
+
+def layerize(gates: list[Gate], n: int) -> LayeredCircuit:
+    """Greedily pack a flat gate list into stages (_StageBuilder's rule).
+
+    Gates sharing a qubit are never reordered, so flattening the result is
+    circuit-equivalent to the input. T gates are checked here, the Clifford
+    gates by the LayeredCircuit constructor.
+    """
+    out = _StageBuilder()
     for g in gates:
         if g.kind is GateKind.T:
             _check_gate(g, n)
-            q = g.targets[0]
-            if q in t_layer:
-                stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-                cliff, t_layer = [], {q}
-            else:
-                t_layer.add(q)
+            out.t(g.targets[0])
         else:
-            if t_layer:
-                stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-                cliff, t_layer = [g], set()
-            else:
-                cliff.append(g)
-    stages.append(Stage(tuple(cliff), frozenset(t_layer)))
-    return LayeredCircuit(n, tuple(stages))
+            out.clifford((g,))
+    return out.circuit(n)
 
 
 def clifford_depth(gates: tuple[Gate, ...] | list[Gate]) -> int:

@@ -19,7 +19,10 @@ parity qubit from a reusable pool: each holds a known XOR of ancillas, is
 moved onto the condition by one CNOT per differing term, and is never
 uncomputed. A conditioned P-dagger is therefore 3 T gates however many terms
 its condition has. _unitary_plan resolves the parity qubits as classical
-bit masks, so they never widen the execution window.
+bit masks, so they never widen the execution window. The converted circuit
+is laid out into stages as its gates are emitted, by layerize's rule
+(circuits._StageBuilder), so no flat gate list is built or re-walked, and
+its gates are checked once, by the LayeredCircuit constructor.
 
 compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: stages are linked r at a
@@ -40,10 +43,12 @@ once, conditions bound, outputs) are checked once, on first use, by one walk
 (CompiledProgram.outcome_vars) that the execution plan, to_unitary and
 enumerate_branches all read first. Construction checks nothing, so building
 a program costs only its tuples, and declared_depth and serialize_program
-read the instructions as they are. A run returns its results and the
-outcomes it drew, nothing more: execute gives the output state and the
-value of every outcome variable, execute_speculative the output bits and
-the link outcomes.
+read the instructions as they are, without the walk; a BELL with no outcome
+variables or a correction with no condition raises the walk's message from
+them too, instead of a TypeError or text that does not parse. A run returns
+its results and the outcomes it drew, nothing more: execute gives the
+output state and the value of every outcome variable, execute_speculative
+the output bits and the link outcomes.
 
 Cost model for declared depth: every gate costs 1 layer, a Bell measurement
 costs 3 (CNOT, H, readout), a conditioned single-qubit correction costs 1,
@@ -78,15 +83,11 @@ from .circuits import (
     _int,
     _parse_gate_line,
     _parse_header,
-    cnot,
+    _StageBuilder,
     depth_metrics,
     flatten,
-    h,
-    layerize,
-    pdg,
     serialize_circuit,
     t,
-    x,
 )
 from .frames import (
     KeyPoly,
@@ -129,6 +130,11 @@ _COND_KINDS = {
     InstrOp.COND_Z: GateKind.Z,
 }
 _COND_OPS = {op.value: op for op in _COND_KINDS}
+
+# Builds a NamedTuple record from all its fields, as _record(Gate, (kind,
+# targets)), without the Python frame of the record's generated __new__:
+# for the records the compiler makes in bulk.
+_record = tuple.__new__
 
 
 class Instruction(NamedTuple):
@@ -240,6 +246,8 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
                 t_count += 1
                 t_layers.add(start)
         elif op is InstrOp.BELL:
+            if out_vars is None:
+                raise ValidationError("BELL instruction needs two outcome variables")
             end = start + 3
             read = 1 << var_bit(out_vars[0]) | 1 << var_bit(out_vars[1])
             if end not in read_at:
@@ -247,6 +255,8 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
                 insort(read_times, end)
             read_at[end] |= read
         else:
+            if cond is None:
+                raise ValidationError(f"{op.value} instruction has no condition")
             support = cond.support
             for ready in reversed(read_times):
                 if ready <= start:
@@ -286,7 +296,8 @@ def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
     bound = 0  # the table bits (frames.var_bit) of the variables read so far
     GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL  # locals: a third off the walk
     for op, qubits, gate, out_vars, cond in p.instructions:
-        if len(qubits) > 1 and len(set(qubits)) != len(qubits):
+        if len(qubits) > 1 and (qubits[0] == qubits[1] if len(qubits) == 2
+                                else len(set(qubits)) != len(qubits)):
             raise ValidationError(f"{op.value} qubits must be distinct (qubit collision)")
         if measured and not measured.isdisjoint(qubits):
             _raise_measured(qubits, measured)
@@ -371,23 +382,26 @@ def _linked(n: int, groups: tuple[tuple[Stage, ...], ...], name) -> CompiledProg
     def carrier(i: int, j: int) -> int:
         return j if i == 1 else second_half(i, j)
 
+    GATE, T = InstrOp.GATE, GateKind.T
     instrs: list[Instruction] = []
     for i in range(2, k_groups + 1):
         for j in range(n):
-            instrs.append(Instruction(InstrOp.EPR, (first_half(i, j), second_half(i, j))))
+            instrs.append(_record(Instruction, (InstrOp.EPR, (first_half(i, j), second_half(i, j)),
+                                                None, None, None)))
     for i, group in enumerate(groups, start=1):
         off = carrier(i, 0)  # group 1 keeps its gates as they are
         for st in group:
             for g in st.clifford:
+                kind, targets = g
                 if off:
-                    kind, targets = g
                     targets = ((targets[0] + off,) if len(targets) == 1
                                else (targets[0] + off, targets[1] + off))
-                    g = Gate(kind, targets)
-                instrs.append(Instruction(InstrOp.GATE, g.targets, g))
+                    g = _record(Gate, (kind, targets))
+                instrs.append(_record(Instruction, (GATE, targets, g, None, None)))
             for q in sorted(st.t_layer):
-                g = t(q + off)
-                instrs.append(Instruction(InstrOp.GATE, g.targets, g))
+                targets = (q + off,)
+                instrs.append(_record(Instruction, (GATE, targets, _record(Gate, (T, targets)),
+                                                    None, None)))
 
     a, b = [0] * n, [0] * n  # the frame's X and Z exponents as int masks
     for i, group in enumerate(groups, start=1):
@@ -395,23 +409,26 @@ def _linked(n: int, groups: tuple[tuple[Stage, ...], ...], name) -> CompiledProg
             push_gates(st.clifford, a, b)  # a LayeredCircuit's stage gates are Clifford
         for j in sorted(group[-1].t_layer):
             if a[j]:
-                instrs.append(Instruction(InstrOp.COND_PDG, (carrier(i, j),), None, None,
-                                          KeyPoly(a[j])))
+                instrs.append(_record(Instruction, (InstrOp.COND_PDG, (carrier(i, j),), None, None,
+                                                    KeyPoly(a[j]))))
         if i < k_groups:
             for j in range(n):
                 prefix = name(i, j)
                 vx, vz = outcome_var(prefix + "x"), outcome_var(prefix + "z")
-                instrs.append(Instruction(InstrOp.BELL, (carrier(i, j), first_half(i + 1, j)),
-                                          None, (vx, vz)))
+                instrs.append(_record(Instruction, (InstrOp.BELL,
+                                                    (carrier(i, j), first_half(i + 1, j)),
+                                                    None, (vx, vz), None)))
                 a[j] ^= 1 << var_bit(vx)
                 b[j] ^= 1 << var_bit(vz)
         else:
             for j in range(n):
-                out_q = carrier(i, j)
+                out_q = (carrier(i, j),)
                 if a[j]:
-                    instrs.append(Instruction(InstrOp.COND_X, (out_q,), None, None, KeyPoly(a[j])))
+                    instrs.append(_record(Instruction, (InstrOp.COND_X, out_q, None, None,
+                                                        KeyPoly(a[j]))))
                 if b[j]:
-                    instrs.append(Instruction(InstrOp.COND_Z, (out_q,), None, None, KeyPoly(b[j])))
+                    instrs.append(_record(Instruction, (InstrOp.COND_Z, out_q, None, None,
+                                                        KeyPoly(b[j]))))
 
     outputs = tuple(carrier(k_groups, j) for j in range(n))
     return CompiledProgram(n + 2 * n * (k_groups - 1), outputs, tuple(instrs))
@@ -489,8 +506,12 @@ def serialize_program(p: CompiledProgram) -> str:
         elif op is InstrOp.EPR:
             lines.append(f"EPR {qubits[0]} {qubits[1]}")
         elif op is InstrOp.BELL:
+            if out_vars is None:
+                raise ValidationError("BELL instruction needs two outcome variables")
             lines.append(f"BELL {qubits[0]} {qubits[1]} -> {out_vars[0].name} {out_vars[1].name}")
         else:
+            if cond is None:
+                raise ValidationError(f"{op.value} instruction has no condition")
             lines.append(f"{op._value_} {qubits[0]} IF {cond}")
     for j, q in enumerate(p.logical_outputs):
         lines.append(f"OUT {j} {q}")
@@ -1170,18 +1191,27 @@ class UnitaryProgram:
         return self.circuit.n
 
 
-def _cs_dag(a: int, q: int) -> list[Gate]:
-    # controlled-P-dagger: diag(1,1,1,-i) on (control a, target q)
-    return [pdg(a), t(a), pdg(q), t(q), cnot(a, q), t(q), cnot(a, q)]
+def _cs_dag(out: _StageBuilder, a: int, q: int) -> None:
+    """Controlled-P-dagger, diag(1,1,1,-i) on (control a, target q):
+    P-dagger and T on a, P-dagger and T on q, then CNOT(a, q), T on q and
+    CNOT(a, q) again."""
+    cx = _record(Gate, (GateKind.CNOT, (a, q)))
+    out.clifford((_record(Gate, (GateKind.PDG, (a,))),))
+    out.t(a)
+    out.clifford((_record(Gate, (GateKind.PDG, (q,))),))
+    out.t(q)
+    out.clifford((cx,))
+    out.t(q)
+    out.clifford((cx,))
 
 
-def _cz(a: int, q: int) -> list[Gate]:
-    hq = h(q)
-    return [hq, cnot(a, q), hq]
+def _cz(out: _StageBuilder, a: int, q: int) -> None:
+    hq = _record(Gate, (GateKind.H, (q,)))
+    out.clifford((hq, _record(Gate, (GateKind.CNOT, (a, q))), hq))
 
 
-def _cx(a: int, q: int) -> list[Gate]:
-    return [cnot(a, q)]
+def _cx(out: _StageBuilder, a: int, q: int) -> None:
+    out.clifford((_record(Gate, (GateKind.CNOT, (a, q))),))
 
 
 _CONTROLLED = {InstrOp.COND_X: _cx, InstrOp.COND_Z: _cz, InstrOp.COND_PDG: _cs_dag}
@@ -1216,38 +1246,50 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     condition is bound before the conversion starts; a program that breaks
     a rule raises the plan's ValidationError. The conversion's own refusal
     is a condition of degree > 1.
+
+    The circuit is laid out into stages as its gates are emitted, by the
+    greedy rule layerize uses (circuits._StageBuilder), with no flat gate
+    list. Every gate emitted is a program gate the walk has checked, or is
+    built on program qubits, ancillas or parity qubits, all in range; the
+    LayeredCircuit constructor is the one check of the result. A
+    BellGroup's gate_end counts the gates emitted up to its copy block, its
+    index in flatten's order.
     """
     p.outcome_vars  # raises on a program that breaks a rule
-    gates: list[Gate] = []
+    out = _StageBuilder()
+    clifford, t_gate = out.clifford, out.t
     var_qubits: dict[str, int] = {}
     groups: list[BellGroup] = []
     next_q = p.total_qubits
     pool: dict[int, tuple[int, int]] = {}  # parity qubit -> (variable mask, constant)
-    for ins in p.instructions:
-        if ins.op is InstrOp.EPR:
-            a, b = ins.qubits
-            gates += [h(a), cnot(a, b)]
-        elif ins.op is InstrOp.GATE:
-            gates.append(ins.gate)
-        elif ins.op is InstrOp.BELL:
-            r, s = ins.qubits
-            vx, vz = ins.out_vars
+    GATE, EPR, BELL, COND_PDG = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL, InstrOp.COND_PDG
+    H, X, T, CNOT = GateKind.H, GateKind.X, GateKind.T, GateKind.CNOT
+    for op, qubits, gate, out_vars, cond in p.instructions:
+        if op is GATE:
+            if gate[0] is T:
+                t_gate(qubits[0])
+            else:
+                clifford((gate,))
+        elif op is EPR:
+            clifford((_record(Gate, (H, qubits[:1])), _record(Gate, (CNOT, qubits))))
+        elif op is BELL:
+            r, s = qubits
+            vx, vz = out_vars
             anc_z, anc_x = next_q, next_q + 1
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
-            gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
-            gates += [cnot(r, anc_z), cnot(s, anc_x)]
-            groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
+            clifford([*(_record(Gate, g) for g in _bell_rotation(r, s)),
+                      _record(Gate, (CNOT, (r, anc_z))), _record(Gate, (CNOT, (s, anc_x)))])
+            groups.append(BellGroup(out.gate_count, r, s, anc_z, anc_x))
         else:
-            cond = ins.cond
             if cond.degree > 1:
                 raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
             mask, const = cond.linear, cond.constant
-            controlled = _CONTROLLED[ins.op]
-            if mask.bit_count() == 1 and not const and ins.op is not InstrOp.COND_PDG:
+            controlled = _CONTROLLED[op]
+            if mask.bit_count() == 1 and not const and op is not COND_PDG:
                 (name,) = _names(mask)
-                gates += controlled(var_qubits[name], ins.qubits[0])
+                controlled(out, var_qubits[name], qubits[0])
                 continue
             a, distance = None, mask.bit_count() + const  # a fresh qubit holds 0
             for q, (m, c) in pool.items():
@@ -1258,13 +1300,16 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
                 a, next_q = next_q, next_q + 1
                 pool[a] = 0, 0
             m, c = pool[a]
-            gates += [cnot(var_qubits[name], a) for name in sorted(_names(m ^ mask))]
+            moves = [_record(Gate, (CNOT, (var_qubits[name], a)))
+                     for name in sorted(_names(m ^ mask))]
             if c != const:
-                gates.append(x(a))
+                moves.append(_record(Gate, (X, (a,))))
+            if moves:
+                clifford(moves)
             pool[a] = mask, const
-            gates += controlled(a, ins.qubits[0])
+            controlled(out, a, qubits[0])
 
-    return UnitaryProgram(layerize(gates, next_q), p.logical_outputs, var_qubits, tuple(groups))
+    return UnitaryProgram(out.circuit(next_q), p.logical_outputs, var_qubits, tuple(groups))
 
 
 def serialize_circuit_of_unitary(up: UnitaryProgram) -> str:

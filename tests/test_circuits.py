@@ -446,6 +446,29 @@ class TestValidation:
         else:
             assert LayeredCircuit(n, stages).stages == stages
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from(list(GateKind)),
+        st.one_of(st.lists(st.integers(-2, n + 1), max_size=3).map(tuple),
+                  st.integers(-2, n + 1).map(lambda q: (q, q))))))
+    def test_constructor_checks_a_gate_as_check_gate_does(self, raw):
+        # One gate, good or bad, alone in a stage: the constructor's inline
+        # test of a well-formed gate lets through exactly what _check_gate
+        # does, and a bad gate raises _check_gate's message. Targets are any
+        # 0 to 3 indices in [-2, n + 1], or one index twice.
+        n, kind, targets = raw
+        gate = Gate(kind, targets)
+        try:
+            if kind is GateKind.T:
+                raise ValidationError("T gate inside a Clifford block; use layerize")
+            circuits._check_gate(gate, n)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                LayeredCircuit(n, (Stage((gate,), frozenset({0})),))
+            assert str(caught.value) == str(exc)
+        else:
+            assert LayeredCircuit(n, (Stage((gate,), frozenset({0})),)).stages[0].clifford == (gate,)
+
 
 @given(layered_circuits(max_n=2, max_k=2))
 def test_layerize_of_flatten_is_equivalent(c):

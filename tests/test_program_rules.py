@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import layered_circuits
-from tlink.circuits import Gate, GateKind, ValidationError, h, x
+from tlink.circuits import Gate, GateKind, ValidationError, h, parse_circuit, x
 from tlink.compiler import (
     CompiledProgram,
     Instruction,
@@ -17,6 +17,8 @@ from tlink.compiler import (
     compile_measure,
     enumerate_branches,
     execute,
+    report,
+    serialize_program,
     to_unitary,
 )
 from tlink.frames import KeyPoly, OutcomeVar
@@ -76,6 +78,21 @@ def run_branches(p):
 def test_faulty_program_is_refused_by_every_entry_point(total, outputs, instrs, message, run):
     with pytest.raises(ValidationError) as info:
         run(CompiledProgram(total, outputs, tuple(instrs)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("read", [lambda p: p.declared_depth,
+                                  lambda p: report(parse_circuit("QUBITS 1\nT 0\n---\n"), p),
+                                  serialize_program],
+                         ids=["declared_depth", "report", "serialize_program"])
+@pytest.mark.parametrize("case", ["bell-vars-missing", "cond-missing"])
+def test_unchecked_readers_raise_the_walks_message(case, read):
+    # declared_depth and serialize_program read the instructions without the
+    # walk; a missing field raises the walk's message there too, not a
+    # TypeError or a condition printed as None.
+    total, outputs, instrs, message = FAULTY[case]
+    with pytest.raises(ValidationError) as info:
+        read(CompiledProgram(total, outputs, tuple(instrs)))
     assert str(info.value) == message
 
 

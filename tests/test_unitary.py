@@ -15,17 +15,22 @@ from conftest import (
     random_circuit,
     random_state,
 )
+from test_program_rules import FAULTY, mutated_programs, refusal
 from tlink import cli
 from tlink.circuits import (
     Gate,
     GateKind,
+    LayeredCircuit,
+    Stage,
     ValidationError,
+    _StageBuilder,
     cnot,
     depth_metrics,
     flatten,
     h,
     layerize,
     parse_circuit,
+    pdg,
     t,
     x,
 )
@@ -141,9 +146,131 @@ def assert_branches_match_the_matrix_oracle(up: UnitaryProgram, psi: StateVector
     return got
 
 
+# The controlled forms as gate lists, control a and target q.
+REFERENCE_CONTROLLED = {
+    InstrOp.COND_X: lambda a, q: [cnot(a, q)],
+    InstrOp.COND_Z: lambda a, q: [h(q), cnot(a, q), h(q)],
+    InstrOp.COND_PDG: lambda a, q: [pdg(a), t(a), pdg(q), t(q), cnot(a, q), t(q), cnot(a, q)],
+}
+
+
+def reference_layerize(gates: list[Gate], n: int) -> LayeredCircuit:
+    """layerize's greedy rule written out on its own, without the shared
+    stage builder: a Clifford gate, or a second T on a qubit of the open T
+    layer, closes the stage before itself."""
+    stages, cliff, t_layer = [], [], set()
+    for g in gates:
+        if g.kind is GateKind.T:
+            q = g.targets[0]
+            if q in t_layer:
+                stages.append(Stage(tuple(cliff), frozenset(t_layer)))
+                cliff, t_layer = [], {q}
+            else:
+                t_layer.add(q)
+        else:
+            if t_layer:
+                stages.append(Stage(tuple(cliff), frozenset(t_layer)))
+                cliff, t_layer = [g], set()
+            else:
+                cliff.append(g)
+    stages.append(Stage(tuple(cliff), frozenset(t_layer)))
+    return LayeredCircuit(n, tuple(stages))
+
+
+def reference_to_unitary(p: CompiledProgram) -> UnitaryProgram:
+    """The conversion as one flat gate list packed afterwards
+    (reference_layerize): the same walk first, the same gates in the same
+    order and the same parity-qubit rule as to_unitary, with each
+    BellGroup's gate_end its index in the flat list. to_unitary lays out the
+    stages while it emits."""
+    p.outcome_vars
+    gates: list[Gate] = []
+    var_qubits: dict[str, int] = {}
+    groups = []
+    next_q = p.total_qubits
+    pool: dict[int, tuple[frozenset, int]] = {}  # parity qubit -> (names, constant)
+    for ins in p.instructions:
+        if ins.op is InstrOp.EPR:
+            a, b = ins.qubits
+            gates += [h(a), cnot(a, b)]
+        elif ins.op is InstrOp.GATE:
+            gates.append(ins.gate)
+        elif ins.op is InstrOp.BELL:
+            r, s = ins.qubits
+            vx, vz = ins.out_vars
+            anc_z, anc_x = next_q, next_q + 1
+            next_q += 2
+            var_qubits[vz.name] = anc_z
+            var_qubits[vx.name] = anc_x
+            gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
+            gates += [cnot(r, anc_z), cnot(s, anc_x)]
+            groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
+        else:
+            if ins.cond.degree > 1:
+                raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
+            names = frozenset(v.name for v in ins.cond.variables())
+            const = ins.cond.constant
+            controlled = REFERENCE_CONTROLLED[ins.op]
+            if len(names) == 1 and not const and ins.op is not InstrOp.COND_PDG:
+                (name,) = names
+                gates += controlled(var_qubits[name], ins.qubits[0])
+                continue
+            a, distance = None, len(names) + const
+            for q, (held, c) in pool.items():
+                d = len(held ^ names) + (c ^ const)
+                if d < distance:
+                    a, distance = q, d
+            if a is None:
+                a, next_q = next_q, next_q + 1
+                pool[a] = frozenset(), 0
+            held, c = pool[a]
+            gates += [cnot(var_qubits[name], a) for name in sorted(held ^ names)]
+            if c != const:
+                gates.append(x(a))
+            pool[a] = names, const
+            gates += controlled(a, ins.qubits[0])
+    return UnitaryProgram(reference_layerize(gates, next_q), p.logical_outputs, var_qubits,
+                          tuple(groups))
+
+
+def assert_same_conversion(got: UnitaryProgram, want: UnitaryProgram) -> None:
+    assert got.circuit.n == want.circuit.n
+    assert got.circuit.stages == want.circuit.stages
+    assert got.logical_outputs == want.logical_outputs
+    assert got.var_qubits == want.var_qubits
+    assert got.bell_groups == want.bell_groups  # gate_end included
+
+
+class TestAgainstTheFlatListConversion:
+    """to_unitary, which lays out stages as it emits gates, against the flat
+    list packed afterwards (reference_to_unitary)."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(layered_circuits(max_n=4, max_k=5))
+    def test_matches_the_reference(self, c):
+        p = compile_measure(c)
+        assert_same_conversion(to_unitary(p), reference_to_unitary(p))
+
+    @pytest.mark.parametrize("total,outputs,instrs,message", FAULTY.values(), ids=FAULTY.keys())
+    def test_faulty_programs_are_refused_alike(self, total, outputs, instrs, message):
+        p = CompiledProgram(total, outputs, tuple(instrs))
+        assert refusal(lambda: to_unitary(p)) == refusal(lambda: reference_to_unitary(p)) == message
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(mutated_programs())
+    def test_mutated_programs_convert_alike(self, p):
+        converted = []
+        got = refusal(lambda: converted.append(to_unitary(p)))
+        assert got == refusal(lambda: converted.append(reference_to_unitary(p)))
+        if got is None:
+            assert_same_conversion(*converted)
+
+
 class TestDecompositions:
     def test_controlled_pdg_exact(self):
-        got = gates_matrix(_cs_dag(0, 1), 2)
+        out = _StageBuilder()
+        _cs_dag(out, 0, 1)
+        got = gates_matrix(flatten(out.circuit(2)), 2)
         assert np.allclose(got, np.diag([1, 1, 1, -1j]))
 
 
