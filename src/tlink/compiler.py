@@ -124,12 +124,15 @@ class InstrOp(Enum):
     COND_Z = "Z"
 
 
+# The tables keyed on an instruction's op are keyed on its value, a str, as
+# op._value_: a str hashes without calling back into Python, and an InstrOp
+# would hash through the Python-level Enum.__hash__.
 _COND_KINDS = {
-    InstrOp.COND_PDG: GateKind.PDG,
-    InstrOp.COND_X: GateKind.X,
-    InstrOp.COND_Z: GateKind.Z,
+    InstrOp.COND_PDG._value_: GateKind.PDG,
+    InstrOp.COND_X._value_: GateKind.X,
+    InstrOp.COND_Z._value_: GateKind.Z,
 }
-_COND_OPS = {op.value: op for op in _COND_KINDS}
+_COND_OPS = {value: InstrOp(value) for value in _COND_KINDS}
 
 # Builds a NamedTuple record from all its fields, as _record(Gate, (kind,
 # targets)), without the Python frame of the record's generated __new__:
@@ -172,10 +175,17 @@ class CompiledProgram:
         return _schedule_depth(self.instructions)
 
     @cached_property
+    def _walk(self) -> tuple[tuple[OutcomeVar, ...], tuple[int, ...]]:
+        """One checked walk of the program (_checked_vars): the outcome
+        variables in the order the BELLs read them, x then z of each, and
+        their table bits (frames.var_bit)."""
+        return _checked_vars(self)
+
+    @property
     def outcome_vars(self) -> tuple[OutcomeVar, ...]:
         """The outcome variables in the order the BELLs read them, x then z
-        of each, after one checked walk of the program (_checked_vars)."""
-        return _checked_vars(self)
+        of each, after one checked walk of the program."""
+        return self._walk[0]
 
     @cached_property
     def plan(self) -> "ExecPlan":
@@ -272,13 +282,13 @@ def _schedule_depth(instructions: tuple[Instruction, ...]) -> DepthMetrics:
     return DepthMetrics(total, len(t_layers), t_count, gate_count)
 
 
-_QUBIT_COUNT = {InstrOp.EPR: 2, InstrOp.BELL: 2, **dict.fromkeys(_COND_KINDS, 1)}
+_QUBIT_COUNT = {InstrOp.EPR._value_: 2, InstrOp.BELL._value_: 2, **dict.fromkeys(_COND_KINDS, 1)}
 
 
-def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
+def _checked_vars(p: CompiledProgram) -> tuple[tuple[OutcomeVar, ...], tuple[int, ...]]:
     """The one check of a program's rules: walk the instructions once, in
     program order, checking each against the ones before it, and return the
-    outcome variables in the order the BELLs read them.
+    outcome variables in the order the BELLs read them with their table bits.
 
     Per instruction, in this order: its qubits are distinct and none was
     measured by an earlier BELL. Then a GATE acts on its gate's targets,
@@ -293,7 +303,8 @@ def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
     measured: set[int] = set()
     touched = set(range(p.n))  # the input wires and every qubit used so far
     read: list[OutcomeVar] = []
-    bound = 0  # the table bits (frames.var_bit) of the variables read so far
+    read_bits: list[int] = []  # the table bit (frames.var_bit) of each of read
+    bound = 0  # the mask of read_bits
     GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL  # locals: a third off the walk
     for op, qubits, gate, out_vars, cond in p.instructions:
         if len(qubits) > 1 and (qubits[0] == qubits[1] if len(qubits) == 2
@@ -309,8 +320,9 @@ def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
                                       f"{gate.targets}")
             if len(qubits) != _ARITY[gate.kind]:
                 _check_gate(gate, p.total_qubits)
-        elif len(qubits) != _QUBIT_COUNT[op]:
-            raise ValidationError(f"{op.value} takes {_QUBIT_COUNT[op]} qubit(s), got {len(qubits)}")
+        elif len(qubits) != _QUBIT_COUNT[op._value_]:
+            raise ValidationError(f"{op.value} takes {_QUBIT_COUNT[op._value_]} qubit(s), "
+                                  f"got {len(qubits)}")
         elif op is EPR:
             if not touched.isdisjoint(qubits):
                 raise ValidationError(f"EPR qubit {min(touched.intersection(qubits))} is already in use")
@@ -318,10 +330,12 @@ def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
             if out_vars is None or len(out_vars) != 2:
                 raise ValidationError("BELL instruction needs two outcome variables")
             for v in out_vars:
-                bit = 1 << var_bit(v)
+                b = var_bit(v)
+                bit = 1 << b
                 if bound & bit:
                     raise ValidationError(f"outcome variable {v.name!r} is read by two BELLs")
                 bound |= bit
+                read_bits.append(b)
             read += out_vars
             measured.update(qubits)
         else:
@@ -342,7 +356,7 @@ def _checked_vars(p: CompiledProgram) -> tuple[OutcomeVar, ...]:
         for q in (min(touched), max(touched)):
             if not 0 <= q < p.total_qubits:
                 raise ValidationError(f"qubit index {q} out of range for {p.total_qubits} qubits")
-    return tuple(read)
+    return tuple(read), tuple(read_bits)
 
 
 def _raise_measured(qubits, measured: set[int]) -> None:
@@ -624,25 +638,33 @@ def parse_program(text: str) -> CompiledProgram:
 # its windowed schedule symbolically. EPR and gate instructions are deferred;
 # a Bell measurement, a conditioned correction (whether or not it will fire)
 # and the final extraction each flush only the backward light cone of their
-# qubits (_Schedule.flush). That keeps the window at n+2 on compiled programs:
-# the n live carriers plus the EPR pair being linked, never the next stage's
-# pre-executed gates. The plan records each step with its tensor axes and its
-# numpy kernel resolved. The program's rules (qubit use, outcome variables,
+# qubits (_Schedule.flush), so the next stage's pre-executed gates stay
+# deferred. The plan records each step with its tensor axes and its numpy
+# kernel resolved. The program's rules (qubit use, outcome variables,
 # conditions, outputs) are checked before the plan is built, by the walk that
 # lists its outcome variables (CompiledProgram.outcome_vars); the plan's own
 # static check is the window cap, which raises when the plan is built.
-# A branch point is a plain Z measurement: a Bell measurement is planned as
-# its rotation (_bell_rotation), two gate steps, then a two-qubit branch point.
-# The step before a branch point also moves the measured qubits to the front,
-# in outcome order, so the branch point reads a (batch, outcome, rest) array.
+#
+# A Bell measurement takes one of two paths (_measure_plan). Against the
+# fresh half s of an EPR pair whose other half t is still deferred it is one
+# teleport step (_Schedule.teleport): by the teleportation identity each
+# outcome k = 2x + z has probability exactly 1/4 and leaves X^x Z^z of the
+# measured carrier on t, so the pair is never allocated, t takes the
+# carrier's window slot, and the step applies a Pauli without reading any
+# amplitude. Every link of a compiled program is one, so its window stays at
+# n, the live carriers. Any other Bell measurement is planned as its rotation
+# (_bell_rotation), two gate steps, then a two-qubit branch point, a plain Z
+# measurement; the step before a branch point also moves the measured qubits
+# to the front, in outcome order, so the branch point reads a (batch,
+# outcome, rest) array. That path is the only one that reads a live pair.
 #
 # Gate steps and allocations (|0> or EPR) are fused while the window holds at
 # most _FUSE_WIDTH = 8 qubits. Each is composed, when the plan is built, into
 # a pending pull map over the flattened window, and the map is flushed as one
 # gather step (_gather: a take, a multiply and, after an H, an add) before
 # every conditioned step, every branch point (with the reorder composed in),
-# the final extraction and any step on a wider window. A map holds at most
-# two terms, so at most one H.
+# every teleport step, the final extraction and any step on a wider window.
+# A map holds at most two terms, so at most one H.
 # On narrow windows a numpy call costs far more than its amplitude work, and
 # one gather replaces a run of per-gate kernel calls. The limit is where that
 # stops paying (timed on a 2-CPU x86-64 host): at 64-256 amplitudes composing
@@ -661,9 +683,11 @@ def parse_program(text: str) -> CompiledProgram:
 # is one child, so the kept children of a branch point come out of one take
 # already contiguous. A branch point replaces each entry by its kept
 # outcomes, parent-major, which is the order a depth-first expansion visits
-# them. A sampled shot is a frontier of one and draws each Bell outcome, with
-# one uniform, from the same table of outcome probabilities as an exhaustive
-# run keeps them from; its child is one row of that layout.
+# them, and a teleport step by its four outcomes in the same order. A sampled
+# shot is a frontier of one and draws each Bell outcome with one uniform: at
+# a branch point from the same table of outcome probabilities as an
+# exhaustive run keeps them from, its child one row of that layout; at a
+# teleport step as the first k with u < (k + 1) / 4.
 #
 # Classical bits are numbered per plan: a measure plan gives the i-th outcome
 # variable it reads bit i, and a unitary plan the i-th qubit it measures. Each
@@ -704,15 +728,21 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 # (_BRANCH, bits, shape) is a branch point
 # (_Schedule.branch) on a (batch, outcome, rest) frontier: outcome k sets
 # the classical bits ``bits[k]``, and the children take ``shape``, one axis
-# per remaining qubit.
-_APPLY, _COND, _BRANCH = range(3)
+# per remaining qubit. (_TELEPORT, bits, src, coef) is a Bell measurement
+# against a fresh EPR half (_Schedule.teleport): each outcome k has
+# probability 1/4, sets ``bits[k]`` and applies the pull map (src[k], coef[k])
+# to the frontier, whose shape it keeps.
+_APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 
 
 @dataclass(frozen=True)
 class ExecPlan:
     """Flat steps over a tensor window, the axes of the logical outputs at
     the end, the largest window width, and each named outcome with its
-    plan-local classical bit (as a one-bit mask)."""
+    plan-local classical bit (as a one-bit mask). A measure plan reads each
+    Bell measurement at one step: a _TELEPORT step when it teleports a
+    carrier onto a fresh EPR half, otherwise a _BRANCH step after its
+    rotation; a unitary plan has only _BRANCH steps."""
 
     n: int
     steps: tuple[tuple, ...]
@@ -725,7 +755,9 @@ class _Schedule:
     """Symbolic window replay: which qubit each tensor axis holds, which
     qubits were measured and dropped, and the items deferred until a flush
     reaches their light cone. Array axis 0 is the frontier's batch axis, so
-    the qubit on window slot i is array axis i + 1."""
+    the qubit on window slot i is array axis i + 1. A branch point removes
+    its measured qubits from the window; a teleport step hands the measured
+    carrier's slot to the other half of the pair it measured against."""
 
     def __init__(self, n: int):
         self.window = list(range(n))
@@ -810,8 +842,11 @@ class _Schedule:
         else:
             self.steps.append((_COND, test, _scale, (phase,)))
 
-    def defer(self, qubits: tuple[int, ...], item) -> None:
-        self.deferred.append((qubits, item))
+    def defer(self, qubits: tuple[int, ...], item) -> tuple:
+        """Defer ``item`` on ``qubits``; returns its entry in the buffer."""
+        entry = (qubits, item)
+        self.deferred.append(entry)
+        return entry
 
     def flush(self, qubits, emit) -> None:
         """Emit, in program order, each deferred item in the light cone of ``qubits``."""
@@ -842,14 +877,43 @@ class _Schedule:
         else:
             self._fuse(width, _lead_map(measured, width), None)
             self._flush_map(layout)
+        bits = self._read(outcomes)
+        for q in qubits:
+            self.window.remove(q)
+        self.retired.update(qubits)
+        self.steps.append((_BRANCH, bits, (-1,) + (2,) * len(self.window)))
+
+    def teleport(self, r: int, s: int, pair: tuple, outcomes) -> None:
+        """Bell-measure (r, s), where ``pair`` is the deferred EPR entry of s
+        and its other half t, as one teleport step: it drops the pair from
+        the buffer and never allocates it, and t takes r's window slot. Each outcome k =
+        2x + z, with x read from s and z from r as in branch, has probability
+        exactly 1/4 and leaves X^x Z^z of r's state on t (the teleportation
+        identity), so the step reads no amplitudes: it applies that Pauli as
+        the pull map of row k of _pauli_map and sets the classical bits
+        ``bits[k]``."""
+        deferred = self.deferred
+        for i, item in enumerate(deferred):
+            if item is pair:
+                del deferred[i]
+                break
+        a, b = pair[0]
+        t = b if a == s else a
+        (axis,) = self.axes((r,))
+        self._flush_map()
+        self.steps.append((_TELEPORT, self._read(outcomes), *_pauli_map(axis, len(self.window))))
+        self.window[axis - 1] = t
+        self.retired.update((r, s))
+
+    def _read(self, outcomes) -> tuple[int, ...]:
+        """The classical bits that each outcome k of the measured qubits sets,
+        ``outcomes`` giving each qubit's name (or None) and bit, the first
+        qubit's bit highest in k; records the named ones."""
         bits = [0]
         for _, bit in reversed(outcomes):
             bits += [b | bit for b in bits]
         self.names += [(name, bit) for name, bit in outcomes if name is not None]
-        for q in qubits:
-            self.window.remove(q)
-        self.retired.update(qubits)
-        self.steps.append((_BRANCH, tuple(bits), (-1,) + (2,) * len(self.window)))
+        return tuple(bits)
 
     def plan(self, n: int, outputs) -> ExecPlan:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
@@ -937,6 +1001,20 @@ def _lead(amps: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np
     return amps.transpose(perm).reshape(shape)
 
 
+@lru_cache(maxsize=None)
+def _pauli_map(axis: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, coef) of a teleport step on array ``axis`` of a ``width``-qubit
+    window: row k = 2x + z of each is the pull map of X^x Z^z (Z first) on
+    that axis, y[i] = coef[k, i] * x[src[k, i]], every coefficient +1 or -1.
+    Like the kernels, the maps are shared by every plan; the window cap
+    bounds how many there are."""
+    i = np.arange(1 << width)
+    bit = 1 << (width - axis)
+    sign = np.where(i & bit, -1.0, 1.0)
+    ones = np.ones(i.shape)
+    return np.stack([i, i, i ^ bit, i ^ bit]), np.stack([ones, sign, ones, -sign])
+
+
 def _bell_rotation(r: int, s: int) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
     """The Bell measurement convention, as (kind, qubits) gates: CNOT(r, s)
     then H(r) rotate the Bell basis of (r, s) onto the computational one, so
@@ -948,39 +1026,69 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """Replay a measure-mode program's schedule into an ExecPlan.
 
     The program's rules are checked first, by the walk that lists its
-    outcome variables (CompiledProgram.outcome_vars); the only check left
-    here is the window cap. A Bell step is its rotation (_bell_rotation) as
-    two gate steps, then a Z measurement of (s, r), so its outcome index is
-    k = 2x + z. The plan numbers its own classical bits: the i-th outcome
-    variable gets bit i, so the i-th BELL's x and z get bits 2i and 2i + 1.
+    outcome variables and their table bits (CompiledProgram.outcome_vars);
+    the only check left here is the window cap. The plan numbers its own
+    classical bits: the i-th outcome variable gets bit i, so the i-th BELL's
+    x and z get bits 2i and 2i + 1, and its outcome index is k = 2x + z.
     Each condition is compiled into a test over those bits (_plan_test).
+
+    A ``BELL r s`` is one teleport step (_Schedule.teleport) when s is the
+    fresh half of a deferred EPR pair: nothing has touched s since its EPR,
+    and flushing r's light cone leaves that EPR deferred, so its other half
+    t is not in the window. The EPR is never allocated: t takes r's window
+    slot and holds X^x Z^z of r's state, and the items deferred on t stay
+    deferred, since they commute with the measurement of (r, s). Every other
+    BELL is its rotation (_bell_rotation) as two gate steps, then a Z
+    measurement of (s, r). When r's cone reaches the EPR it holds every item
+    the cone of (r, s) does (nothing after the EPR touched s), so flushing r
+    alone first leaves the rotation path's plan as it was.
     """
-    plan_bit = {var_bit(v): i for i, v in enumerate(p.outcome_vars)}
+    plan_bit = {b: i for i, b in enumerate(p._walk[1])}
     sched = _Schedule(p.n)
     read = 0  # the plan bits read so far
+    # Each half of a deferred EPR pair that nothing has touched since, with
+    # the pair's deferred entry: the halves a BELL may teleport against.
+    fresh: dict[int, tuple[tuple[int, ...], Instruction]] = {}
+    GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL
 
     def emit(qs: tuple[int, ...], ins: Instruction) -> None:
-        if ins.op is InstrOp.EPR:
+        if ins.op is EPR:
+            fresh.pop(qs[0], None)
+            fresh.pop(qs[1], None)
             sched.epr(*qs)
         else:
             sched.gate(ins.gate.kind, qs)
 
     for ins in p.instructions:
-        qs = ins.qubits
-        if ins.op is InstrOp.EPR or ins.op is InstrOp.GATE:
+        op, qs = ins.op, ins.qubits
+        if op is GATE:
             sched.defer(qs, ins)
+            if fresh and not fresh.keys().isdisjoint(qs):
+                for q in qs:
+                    fresh.pop(q, None)
             continue
-        sched.flush(qs, emit)
-        if ins.op is InstrOp.BELL:
-            r, s = qs
+        if op is EPR:
+            fresh[qs[0]] = fresh[qs[1]] = sched.defer(qs, ins)
+            continue
+        if op is not BELL:
+            sched.flush(qs, emit)
+            sched.cond(_plan_test(ins.cond, plan_bit), _COND_KINDS[op._value_], qs)
+            continue
+        r, s = qs
+        pair = fresh.get(s)
+        sched.flush((r,) if pair is not None else qs, emit)
+        vx, vz = ins.out_vars
+        outcomes = [(vx.name, 1 << read), (vz.name, 1 << read + 1)]
+        read += 2
+        if pair is not None and fresh.get(s) is pair:  # r's cone left the pair deferred
+            for q in pair[0]:
+                fresh.pop(q, None)
+            sched.teleport(r, s, pair, outcomes)
+        else:
             sched.axes((s, r))  # a fresh s is allocated before a fresh r
             for kind, rotated in _bell_rotation(r, s):
                 sched.gate(kind, rotated)
-            vx, vz = ins.out_vars
-            sched.branch((s, r), [(vx.name, 1 << read), (vz.name, 1 << read + 1)])
-            read += 2
-        else:
-            sched.cond(_plan_test(ins.cond, plan_bit), _COND_KINDS[ins.op], qs)
+            sched.branch((s, r), outcomes)
     sched.flush(p.logical_outputs, emit)
     return sched.plan(p.n, p.logical_outputs)
 
@@ -1073,6 +1181,30 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
     return children.reshape(shape), probs[parents] * prob, ones
 
 
+def _teleport(step: tuple, amps: np.ndarray, probs, ones,
+              rng: np.random.Generator | None) -> tuple:
+    """One teleport step (_Schedule.teleport); returns the children, their
+    branch probabilities and their bit masks, as _branch does.
+
+    Every outcome has probability 1/4, so no amplitude is read. With ``rng``
+    the frontier is one shot: one uniform draw u picks the first k = 2x + z
+    with u < (k + 1) / 4, and the child is the shot under row k's Pauli, one
+    gather, or the shot itself when k = 0. Otherwise every row becomes four
+    children, parent-major and in outcome order, from one take and one
+    multiply, so the children are a new array.
+    """
+    _, bits, src, coef = step
+    if rng is not None:
+        k = int(rng.random() * 4)  # 4u is exact: k <= 4u < k + 1
+        if k:
+            amps = _gather(amps, src[k], coef[k], amps.shape)
+        return amps, probs * 0.25, ones | bits[k]
+    children = amps.reshape(amps.shape[0], -1).take(src, axis=1)
+    children *= coef
+    ones = ones[:, None] | np.array(bits, dtype=np.int64)
+    return children.reshape((-1,) + amps.shape[1:]), np.repeat(probs * 0.25, 4), ones.reshape(-1)
+
+
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
     """Run ``plan`` over a frontier that starts as the input state alone and
     return one Branch per leaf, in depth-first order.
@@ -1082,7 +1214,9 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     an exhaustive frontier, a Python int for a sampled shot. A conditioned
     step tests every row at once (_fires, or _fires_one for a shot) and
     applies its kernel to the rows that pass, in one call when all or none
-    of them do. A leaf keeps its mask; its outcome dict is built when read.
+    of them do. A Bell measurement is a branch point (_branch) or a
+    teleport step (_teleport); each takes one uniform draw in a sampled
+    shot. A leaf keeps its mask; its outcome dict is built when read.
     """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
@@ -1107,11 +1241,14 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
                 amps = kernel(amps, *args)
             elif count:
                 # A partial selection needs two entries or more, and a frontier
-                # that wide comes from _branch's take, so the runner owns amps
-                # and may write into it (a kernel such as X may return a view).
+                # that wide comes from the take of _branch or _teleport, so the
+                # runner owns amps and may write into it (a kernel such as X
+                # may return a view).
                 amps[fire] = kernel(amps[fire], *args)
-        else:
+        elif op is _BRANCH:
             amps, probs, ones = _branch(step, amps, probs, ones, rng)
+        else:
+            amps, probs, ones = _teleport(step, amps, probs, ones, rng)
     if rng is not None:
         probs, ones = [probs], [ones]
     else:
@@ -1214,7 +1351,8 @@ def _cx(out: _StageBuilder, a: int, q: int) -> None:
     out.clifford((_record(Gate, (GateKind.CNOT, (a, q))),))
 
 
-_CONTROLLED = {InstrOp.COND_X: _cx, InstrOp.COND_Z: _cz, InstrOp.COND_PDG: _cs_dag}
+_CONTROLLED = {InstrOp.COND_X._value_: _cx, InstrOp.COND_Z._value_: _cz,
+               InstrOp.COND_PDG._value_: _cs_dag}
 
 
 def to_unitary(p: CompiledProgram) -> UnitaryProgram:
@@ -1286,7 +1424,7 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             if cond.degree > 1:
                 raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
             mask, const = cond.linear, cond.constant
-            controlled = _CONTROLLED[op]
+            controlled = _CONTROLLED[op._value_]
             if mask.bit_count() == 1 and not const and op is not COND_PDG:
                 (name,) = _names(mask)
                 controlled(out, var_qubits[name], qubits[0])
@@ -1473,7 +1611,8 @@ def execute_speculative(sp: SpeculativeProgram,
     the output bits. Each group runs once on its teleported input; its
     pending P-dagger corrections are phases on basis states, and the final
     conditioned X undoes the link frame. Returns the output bits and the
-    link outcomes. Each link outcome is uniform: one draw u picks the first
-    k = 2x + z whose running total of outcome probabilities passes u."""
+    link outcomes. Each link is a teleport step, in a window of the n wires:
+    its outcome is uniform, and one draw u picks the first k = 2x + z with
+    u < (k + 1) / 4."""
     out, outcomes = execute(sp.program, init_state(sp.n, "".join(map(str, sp.input_bits))), rng)
     return "".join(map(str, basis_bits(out, "speculative output"))), outcomes

@@ -146,8 +146,15 @@ def _gadget_instructions(in_q: int, base: int, p_bit: int, q_key: KeyPoly,
 
 def gadget_program(p: int, q: int) -> CompiledProgram:
     """The gadget for bits p and q: the input on qubit 0, Bob's pair halves
-    on 1..4 and Alice's on 5..8."""
-    instrs, out_q = _gadget_instructions(0, 1, p & 1, KeyPoly.from_bit(q), _gadget_vars(""))
+    on 1..4 and Alice's on 5..8. Each of the four programs is built once
+    per process, keyed on the bits p & 1 and q & 1, and every call shares
+    it and its execution plan."""
+    return _gadget_program(int(p) & 1, int(q) & 1)
+
+
+@lru_cache(maxsize=None)
+def _gadget_program(p_bit: int, q_bit: int) -> CompiledProgram:
+    instrs, out_q = _gadget_instructions(0, 1, p_bit, KeyPoly.from_bit(q_bit), _gadget_vars(""))
     return CompiledProgram(9, (out_q,), tuple(instrs))
 
 

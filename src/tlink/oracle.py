@@ -11,10 +11,11 @@ Bell measurement convention (compiler._bell_rotation, its one
 implementation): measuring (r, s) rotates with CNOT(r, s) then H(r), then
 Z-measures both and reads z from r, x from s. If s was half of an EPR pair
 whose partner carried a teleported state psi, the partner afterwards holds
-X^x Z^z psi. The compiler reads both outcomes at one branch step
-(compiler._branch), after a step that puts (s, r) first so that row
-k = 2x + z is one outcome, and draws them with one uniform per Bell
-measurement.
+X^x Z^z psi. The compiler reads both outcomes at one step and draws them
+with one uniform per Bell measurement: against a fresh pair, a teleport
+step (compiler._teleport) that applies that Pauli to the partner, each
+outcome having probability 1/4; otherwise a branch step (compiler._branch),
+after a step that puts (s, r) first so that row k = 2x + z is one outcome.
 
 The gate kernels (gate_kernel) and the axis-level helpers at the end
 (allocation, EPR preparation, extraction) also serve the compiler's

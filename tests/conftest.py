@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from tlink.circuits import Gate, GateKind, LayeredCircuit, Stage, flatten
-from tlink.compiler import InstrOp
+from tlink.compiler import CompiledProgram, Instruction, InstrOp
 from tlink.frames import (
     KeyPoly,
     OutcomeVar,
@@ -231,6 +231,20 @@ def gate_strategy(n: int):
         lambda c, d: Gate(GateKind.CNOT, (c, d if d < c else d + 1)),
         st.integers(0, n - 1), st.integers(0, n - 2))
     return st.one_of(one_q, two_q)
+
+
+def rotation_twin(p: CompiledProgram) -> CompiledProgram:
+    """``p`` with ``X s`` inserted twice right before each ``BELL r s``. The
+    pair is the identity, but s is no longer untouched since its EPR, so
+    every BELL of the twin takes the rotation path (a rotation, then a
+    two-qubit Z measurement) instead of a teleport step."""
+    instrs = []
+    for ins in p.instructions:
+        if ins.op is InstrOp.BELL:
+            x = Gate(GateKind.X, ins.qubits[1:])
+            instrs += [Instruction(InstrOp.GATE, x.targets, x)] * 2
+        instrs.append(ins)
+    return CompiledProgram(p.total_qubits, p.logical_outputs, tuple(instrs))
 
 
 @st.composite

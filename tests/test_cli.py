@@ -270,12 +270,15 @@ def _speculate(tmp_path, capsys, n: int, r: int) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_speculate_link_needs_an_n_plus_2_window(tmp_path, capsys):
-    # A link runs in a window of n + 2 qubits: 13 wires exceed the 14-qubit cap.
-    code, out, err = _speculate(tmp_path, capsys, 13, 1)
-    assert code == cli.EXIT_VALIDATION
-    assert out == ""
-    assert "register window exceeds the qubit cap" in err
+@pytest.mark.parametrize("n", [13, 14])
+def test_speculate_link_runs_in_an_n_wire_window(tmp_path, capsys, n):
+    # A link teleports each carrier onto the fresh half of its pair, which
+    # takes the carrier's slot: the window stays at n, so 13 and 14 wires
+    # fit the 14-qubit cap.
+    code, out, _ = _speculate(tmp_path, capsys, n, 1)
+    assert code == cli.EXIT_OK
+    assert out == ("critical_path=2\ngroups=2\noutput=" + "11" + "0" * (n - 2)
+                   + "\nmatches_direct=true\n")
 
 
 def test_speculate_single_group_runs_at_13_wires(tmp_path, capsys):

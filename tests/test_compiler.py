@@ -14,6 +14,7 @@ from conftest import (
     project,
     random_circuit,
     random_state,
+    rotation_twin,
 )
 from test_program_text import HAND
 from tlink.circuits import (
@@ -35,6 +36,7 @@ from tlink.compiler import (
     _BRANCH,
     _CUTOFF,
     _FUSE_WIDTH,
+    _TELEPORT,
     InstrOp,
     Instruction,
     _Schedule,
@@ -42,6 +44,7 @@ from tlink.compiler import (
     _gather,
     _lead,
     _light_cone,
+    _pauli_map,
     compile_measure,
     enumerate_branches,
     execute,
@@ -507,12 +510,14 @@ class TestDepthSchedule:
 
 
 class TestExecPlan:
-    def test_peak_window_is_n_plus_2(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 7):
-            for _ in range(3):
-                c = random_circuit(rng, n, 2 * n, max_clifford=3 * n)
-                assert compile_measure(c).plan.peak_width <= n + 2
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_peak_window_is_n(self, n, k, seed):
+        # Every link teleports its carrier onto the fresh half of the next
+        # pair, which takes the carrier's slot: the window holds the n
+        # carriers and nothing else.
+        c = random_circuit(np.random.default_rng(seed), n, k, max_clifford=3 * n)
+        assert compile_measure(c).plan.peak_width == n
 
     def test_shared_plan_gives_fresh_transcripts(self, rng):
         c = random_circuit(rng, 3, 4, max_clifford=9)
@@ -538,11 +543,14 @@ class TestExecPlan:
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4)])
     def test_bell_is_its_rotation_then_a_two_axis_z_measurement(self, n, k):
+        # The rotation twins: an X pair on s before each BELL keeps it off
+        # the teleport step.
         rng = np.random.default_rng(10 * n + k)
-        programs = [compile_measure(random_circuit(rng, n, k, max_clifford=3 * n)),
-                    gadget_program(n & 1, k & 1)]
+        programs = [rotation_twin(compile_measure(random_circuit(rng, n, k, max_clifford=3 * n))),
+                    rotation_twin(gadget_program(n & 1, k & 1))]
         for p in programs:
             steps = p.plan.steps
+            assert not any(step[0] is _TELEPORT for step in steps)
             at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
             assert len(at) == len(bells(p))
             for j, (i, ins) in enumerate(zip(at, bells(p))):
@@ -560,12 +568,14 @@ class TestExecPlan:
                 assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
 
     def test_bell_rotation_is_fused_into_the_step_before_its_branch(self):
-        # Each BELL's cone is only its EPR pair, so on this narrow window the
-        # step before each branch is the pair's allocation, CNOT(r, s), H(r)
+        # Each BELL's cone is its EPR pair and the X pair on s that keeps it
+        # off the teleport step, so on this narrow window the step before
+        # each branch is the pair's allocation, X(s) twice, CNOT(r, s), H(r)
         # and the reorder that puts (s, r) first as one gather. Both times the
         # window is the carrier then the pair, so r is array axis 1 and s axis 2.
-        prog = parse_program("QUBITS 5\nEPR 1 2\nBELL 0 1 -> a b\nX 2 IF a\nZ 2 IF b\n"
-                             "EPR 3 4\nBELL 2 3 -> c d\nX 4 IF c\nZ 4 IF d\nOUT 0 4\n")
+        prog = parse_program("QUBITS 5\nEPR 1 2\nX 1\nX 1\nBELL 0 1 -> a b\nX 2 IF a\n"
+                             "Z 2 IF b\nEPR 3 4\nX 3\nX 3\nBELL 2 3 -> c d\nX 4 IF c\n"
+                             "Z 4 IF d\nOUT 0 4\n")
         steps = prog.plan.steps
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == 2
@@ -576,7 +586,8 @@ class TestExecPlan:
             assert op is _APPLY and kernel is _gather
             frontier = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
             want = _grow_epr(frontier)
-            for kind, axes in ((GateKind.CNOT, (r_ax, s_ax)), (GateKind.H, (r_ax,))):
+            for kind, axes in ((GateKind.X, (s_ax,)), (GateKind.X, (s_ax,)),
+                               (GateKind.CNOT, (r_ax, s_ax)), (GateKind.H, (r_ax,))):
                 gk, gargs = gate_kernel(kind, axes, ndim)
                 want = gk(want, *gargs)
             want = want.transpose(0, s_ax, r_ax, 3).reshape(4, 4, 2)
@@ -585,9 +596,11 @@ class TestExecPlan:
             assert np.abs(got - want).max() < 1e-12
 
     def test_wide_window_keeps_per_gate_bell_rotation(self):
-        # n = 7 links at window 9, above the fusion width: the rotation stays
-        # two per-gate kernel steps, and the reorder is one transpose step.
-        p = compile_measure(random_circuit(np.random.default_rng(7), 7, 3, max_clifford=21))
+        # The rotation twin of an n = 7 program links at window 9, above the
+        # fusion width: the rotation stays two per-gate kernel steps, and the
+        # reorder is one transpose step.
+        p = rotation_twin(compile_measure(random_circuit(np.random.default_rng(7), 7, 3,
+                                                         max_clifford=21)))
         steps = p.plan.steps
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == len(bells(p)) > 0
@@ -600,6 +613,71 @@ class TestExecPlan:
             assert sorted(perm) == list(range(ndim)) and layout == (-1, 4, 2 ** (ndim - 3))
             assert steps[i - 3] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
             assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (7, 3)])
+    def test_fresh_pair_bell_is_one_teleport_step(self, n, k):
+        # Every link of a compiled program and every BELL of a gadget
+        # measures against the fresh half of a deferred pair: one teleport
+        # step each, no rotation and no branch point, with the plan-local
+        # bits and names of the rotation path.
+        rng = np.random.default_rng(10 * n + k)
+        programs = [compile_measure(random_circuit(rng, n, k, max_clifford=3 * n)),
+                    gadget_program(n & 1, k & 1)]
+        for p in programs:
+            steps = p.plan.steps
+            at = [i for i, step in enumerate(steps) if step[0] is _TELEPORT]
+            assert len(at) == len(bells(p)) > 0
+            assert not any(step[0] is _BRANCH for step in steps)
+            for j, i in enumerate(at):
+                _, bits, src, coef = steps[i]
+                mx, mz = 1 << 2 * j, 1 << 2 * j + 1
+                assert bits == (0, mz, mx, mx | mz)
+                assert src.shape == coef.shape and src.shape[0] == 4
+            assert p.plan.names == rotation_twin(p).plan.names
+
+    @pytest.mark.parametrize("text,kinds,branches", [
+        # t takes r's slot: the window never holds the pair
+        ("QUBITS 3\nEPR 1 2\nBELL 0 1 -> a b\nOUT 0 2\n", [_TELEPORT], 4),
+        # gates deferred on t run after the Pauli
+        ("QUBITS 3\nEPR 1 2\nH 2\nT 2\nBELL 0 1 -> a b\nX 2 IF a\nOUT 0 2\n", [_TELEPORT],
+         4),
+        # s was touched after its EPR
+        ("QUBITS 3\nEPR 1 2\nH 1\nBELL 0 1 -> a b\nOUT 0 2\n", [_BRANCH], 4),
+        # r's cone reaches the pair through t
+        ("QUBITS 3\nEPR 1 2\nCNOT 2 0\nBELL 0 1 -> a b\nOUT 0 2\n", [_BRANCH], 4),
+        # r is t itself: the pair is measured in its own Bell state, one outcome
+        ("QUBITS 4\nEPR 2 3\nH 0\nCNOT 0 1\nBELL 3 2 -> a b\nOUT 0 0\nOUT 1 1\n", [_BRANCH],
+         1),
+        # the first link's t is joined to the second pair before its BELL
+        ("QUBITS 5\nEPR 1 2\nEPR 3 4\nCNOT 2 4\nBELL 0 1 -> a b\nBELL 2 3 -> c d\nOUT 0 4\n",
+         [_TELEPORT, _BRANCH], 16),
+        # entanglement swapping: r is the half of a pair that r's cone allocates
+        ("QUBITS 6\nEPR 2 3\nEPR 4 5\nCNOT 0 1\nBELL 3 4 -> a b\nOUT 0 2\nOUT 1 5\n",
+         [_TELEPORT], 4),
+    ], ids=["plain", "gates-on-t", "s-touched", "cone-reaches-t", "r-is-t", "t-joined",
+            "swap"])
+    def test_teleport_rule(self, text, kinds, branches, rng):
+        prog = parse_program(text)
+        steps = prog.plan.steps
+        assert [step[0] for step in steps if step[0] in (_TELEPORT, _BRANCH)] == kinds
+        psi = random_state(rng, prog.n)
+        assert assert_matches_reference(prog, psi) == branches
+
+    @pytest.mark.parametrize("width", range(1, 11))  # both sides of _FUSE_WIDTH
+    def test_pauli_map_is_x_after_z(self, width):
+        rng = np.random.default_rng(width)
+        shape = (3,) + (2,) * width
+        frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for axis in range(1, width + 1):
+            src, coef = _pauli_map(axis, width)
+            for k in range(4):
+                want = frontier
+                for kind, on in ((GateKind.Z, k & 1), (GateKind.X, k >> 1)):
+                    if on:
+                        kernel, args = gate_kernel(kind, (axis,), width + 1)
+                        want = kernel(want, *args)
+                got = _gather(frontier, src[k], coef[k], shape)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
@@ -695,9 +773,10 @@ class TestFusion:
         return _gather in kernels and any(k is not _gather for k in kernels)
 
     def test_sampled_window_crossing_the_fusion_width(self):
+        # The rotation twin allocates each pair: its window crosses from 7 to 9.
         rng = np.random.default_rng(9)
         c = random_circuit(rng, 7, 3)
-        prog = compile_measure(c)
+        prog = rotation_twin(compile_measure(c))
         assert prog.plan.peak_width == 9 and self._crosses(prog.plan)
         for seed in range(4):
             psi = random_state(rng, 7)

@@ -91,6 +91,18 @@ class TestRunGadget:
         with pytest.raises(dataclasses.FrozenInstanceError):
             res.p = 0
 
+    def test_each_program_is_built_once(self, rng, monkeypatch):
+        # One program, and so one plan, per pair of bits p & 1, q & 1: the
+        # truth table and later runs build no gadget program.
+        programs = {(p, q): gadget_program(p, q) for p in (0, 1) for q in (0, 1)}
+        assert gadget_program(2, 3) is programs[0, 1] and gadget_program(True, 0) is programs[1, 0]
+        plans = {pq: prog.plan for pq, prog in programs.items()}
+        monkeypatch.setattr(gardenhose, "_gadget_instructions", None)  # any build would raise
+        gadget_truth_table(seed=1)
+        res = run_gadget(3, 1, random_state(rng, 1), rng=rng)
+        assert (res.p, res.q) == (1, 1)
+        assert all(programs[pq].plan is plan for pq, plan in plans.items())
+
     def test_bell_outcomes_carry_their_owners(self):
         owners = {v.name: v.owner for ins in gadget_program(0, 1).instructions
                   if ins.op is InstrOp.BELL for v in ins.out_vars}
@@ -255,12 +267,14 @@ class TestProtocol1:
 
     def test_four_wires_fit_the_window(self):
         # Four gadgets: the plan holds the four carriers and each gadget's
-        # two unused halves, peaking at the 14-qubit cap (the run itself is
+        # two unused halves, peaking at 12 qubits, two under the 14-qubit cap:
+        # each teleport moves its carrier onto a fresh half instead of
+        # allocating the pair (the run itself is
         # test_cli.py::test_protocol1_four_wires).
         text = ("QUBITS 4\n" + "".join(f"H {j}\n" for j in range(4)) + "CNOT 0 1\nCNOT 2 3\n"
                 + "".join(f"T {j}\n" for j in range(4)) + "---\nH 0\n---\n")
         program, _ = protocol_program(parse_circuit(text), ResourcePlan(frozenset(range(4))))
-        assert program.plan.peak_width == 14
+        assert program.plan.peak_width == 12
 
     def test_ledger_counts_pairs(self, rng):
         c = parse_circuit("QUBITS 2\nCNOT 0 1\nT 0\nT 1\n---\nH 0\n---\n")

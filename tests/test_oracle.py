@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import gates_matrix, random_state
+from conftest import gates_matrix, random_state, rotation_twin
 from tlink.circuits import ValidationError, cnot, h, t, x
 from tlink.compiler import (
+    _TELEPORT,
     CompiledProgram,
     Instruction,
     InstrOp,
@@ -304,13 +305,28 @@ class TestRegister:
         assert fidelity_up_to_phase(out, StateVector(4, flat)) >= 1 - 1e-12
 
     def test_bell_drop_keeps_partner_state(self, rng):
+        # The rotation twin allocates the pair, measures (0, 1) and drops it.
         psi = random_state(rng, 1)
-        prog = parse_program(TELEPORT)
+        prog = rotation_twin(parse_program(TELEPORT))
         out, outcomes = execute(prog, psi, rng)
         assert prog.plan.peak_width == 3
         assert prog.plan.outputs == (0,)  # the measured pair's axes are gone
         got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
         assert fidelity_up_to_phase(got, psi) >= 1 - 1e-10
+
+    def test_teleport_step_moves_the_state_onto_the_partner(self, rng):
+        # Against a fresh pair the Bell measurement is one teleport step: the
+        # window never grows past the carrier, which the partner replaces.
+        psi = random_state(rng, 1)
+        prog = parse_program(TELEPORT)
+        for _ in range(8):
+            out, outcomes = execute(prog, psi, rng)
+            got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
+            assert fidelity_up_to_phase(got, psi) >= 1 - 1e-12
+        ((op, bits, _, _),) = prog.plan.steps
+        assert op is _TELEPORT and bits == (0, 2, 1, 3)  # k = 2x + z sets x's bit 1, z's bit 2
+        assert prog.plan.names == (("x", 1), ("z", 2))
+        assert prog.plan.peak_width == 1 and prog.plan.outputs == (0,)
 
     def test_epr_on_live_qubit_rejected(self):
         with pytest.raises(ValidationError, match="already in use"):

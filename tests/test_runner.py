@@ -2,10 +2,13 @@
 
 reference_run is compiler._run as it was when every frontier row kept its
 classical bits as a Python int in a list and each conditioned step tested
-the rows one at a time in Python. It runs the same plans as the new runner,
-whose rows share one int64 array and whose tests are vectorized, so the two
-must agree bit for bit: the same branches, probabilities and states, and
-for sampled shots the same draws and the same final RNG state.
+the rows one at a time in Python, plus a teleport step that treats each
+row and each outcome on its own: the oracle's Z then X kernels on the
+teleported axis. It runs the same plans as the new runner, whose rows share
+one int64 array, whose tests are vectorized and whose teleport step is one
+gather, so the two must agree bit for bit: the same branches, probabilities
+and states, and for sampled shots the same draws and the same final RNG
+state.
 """
 import itertools
 import math
@@ -14,12 +17,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layered_circuits, random_state
+from conftest import layered_circuits, random_state, rotation_twin
 from test_compiler import PARTIAL
+from tlink.circuits import GateKind
 from tlink.compiler import (
     _APPLY,
+    _BRANCH,
     _COND,
     _CUTOFF,
+    _TELEPORT,
     _run,
     _unitary_plan,
     compile_measure,
@@ -27,7 +33,7 @@ from tlink.compiler import (
     to_unitary,
 )
 from tlink.gardenhose import gadget_program
-from tlink.oracle import _extract
+from tlink.oracle import _extract, gate_kernel
 
 
 def reference_fires(test, ones: int) -> int:
@@ -62,6 +68,30 @@ def reference_branch(step, amps, probs, ones: list[int], rng):
     return children.reshape(shape), probs[parents] * prob, ones
 
 
+def reference_teleport(step, amps, probs, ones: list[int], rng):
+    """A teleport step row by row: outcome k = 2x + z of each row has
+    probability 1/4 and applies Z^z, then X^x, to the teleported axis, the
+    one whose bit the X rows of the step's map flip."""
+    _, bits, src, _ = step
+    width = amps.ndim - 1
+    axis = width + 1 - int(src[2, 0]).bit_length()
+
+    def pauli(rows, k):
+        for kind, on in ((GateKind.Z, k & 1), (GateKind.X, k >> 1)):
+            if on:
+                kernel, args = gate_kernel(kind, (axis,), width + 1)
+                rows = kernel(rows, *args)
+        return rows
+
+    if rng is not None:
+        u = rng.random()
+        k = next(k for k in range(4) if u < (k + 1) / 4)
+        return pauli(amps, k), probs * 0.25, [ones[0] | bits[k]]
+    children = [pauli(amps[i:i + 1], k) for i in range(len(ones)) for k in range(4)]
+    return (np.concatenate(children), np.repeat(probs, 4) * 0.25,
+            [m | bits[k] for m in ones for k in range(4)])
+
+
 def reference_run(plan, psi, rng) -> list[tuple[dict[str, int], float, np.ndarray]]:
     """(outcomes, probability, output amplitudes) of every leaf, depth first."""
     amps = psi.amps.reshape((1,) + (2,) * plan.n)
@@ -77,8 +107,11 @@ def reference_run(plan, psi, rng) -> list[tuple[dict[str, int], float, np.ndarra
                 amps = kernel(amps, *args)
             elif fire:
                 amps[fire] = kernel(amps[fire], *args)
-        else:
+        elif step[0] is _BRANCH:
             amps, probs, ones = reference_branch(step, amps, probs, ones, rng)
+        else:
+            assert step[0] is _TELEPORT
+            amps, probs, ones = reference_teleport(step, amps, probs, ones, rng)
     if not ones:
         return []
     states = _extract(amps, list(plan.outputs))
@@ -96,9 +129,10 @@ def assert_same_leaves(got, want) -> None:
 
 @st.composite
 def plans(draw):
-    """(plan, wires, is a measure plan): a compiled random circuit, PARTIAL,
-    a garden-hose gadget (conditions of degree 2) or a converted circuit."""
-    kind = draw(st.sampled_from(["measure", "partial", "gadget", "unitary"]), label="kind")
+    """(plan, wires, is a measure plan): a compiled random circuit (teleport
+    steps), its rotation twin (branch points), PARTIAL, a garden-hose gadget
+    (conditions of degree 2) or a converted circuit."""
+    kind = draw(st.sampled_from(["measure", "twin", "partial", "gadget", "unitary"]), label="kind")
     if kind == "partial":
         return parse_program(PARTIAL).plan, 2, True
     if kind == "gadget":
@@ -107,6 +141,8 @@ def plans(draw):
     c = draw(layered_circuits(max_n=3, max_k=3), label="circuit")
     if kind == "measure":
         return compile_measure(c).plan, c.n, True
+    if kind == "twin":
+        return rotation_twin(compile_measure(c)).plan, c.n, True
     return _unitary_plan(to_unitary(compile_measure(c))), c.n, False
 
 

@@ -1,0 +1,87 @@
+"""Teleport steps against the rotation path they replace.
+
+A Bell measurement against the fresh half of an EPR pair is planned as one
+teleport step: each outcome has probability 1/4 and leaves X^x Z^z of the
+carrier on the pair's other half. rotation_twin inserts an X pair on s
+before every BELL, which is the identity but keeps every BELL on the
+rotation path (a rotation, then a two-qubit Z measurement of the
+amplitudes). So a program and its twin must give the same branches in the
+same order, and fixed-seed shots must draw the same outcomes and leave the
+same RNG state.
+
+A gadget or protocol program ends with qubits outside its outputs (a
+gadget's unused halves), so its output state is defined up to a global
+phase: extraction takes the largest column of the rest, two such columns
+can tie, and the two plans may take different ones. Their states are
+compared up to one global phase; those of compiled programs, which end
+with the outputs alone, exactly.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import layered_circuits, random_state, rotation_twin
+from tlink.compiler import (
+    _BRANCH,
+    _TELEPORT,
+    MAX_OUTCOME_BITS,
+    compile_measure,
+    enumerate_branches,
+    execute,
+)
+from tlink.gardenhose import ResourcePlan, gadget_program, protocol_program
+
+TOL = 1e-12
+
+
+@st.composite
+def programs(draw):
+    """(program, whether its states compare exactly): a compiled random
+    circuit, a garden-hose gadget or a protocol program."""
+    kind = draw(st.sampled_from(["measure", "gadget", "protocol"]), label="kind")
+    if kind == "gadget":
+        p, q = draw(st.integers(0, 1), label="p"), draw(st.integers(0, 1), label="q")
+        return gadget_program(p, q), False
+    if kind == "measure":
+        return compile_measure(draw(layered_circuits(max_n=3, max_k=4), label="circuit")), True
+    c = draw(layered_circuits(max_n=3, max_k=1), label="circuit")
+    wires = st.lists(st.integers(0, c.n - 1), unique=True)
+    plan = ResourcePlan(frozenset(draw(wires, label="alice")), tuple(draw(wires, label="ret")))
+    return protocol_program(c, plan)[0], False
+
+
+def assert_same_state(got, want, exact: bool) -> None:
+    phase = np.vdot(want.amps, got.amps) if not exact else 1.0
+    assert abs(abs(phase) - 1.0) < TOL
+    assert np.abs(got.amps - phase * want.amps).max() < TOL
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(planned=programs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_teleport_steps_match_the_rotation_twin(planned, seed):
+    p, exact = planned
+    twin = rotation_twin(p)
+    steps = [step[0] for step in p.plan.steps]
+    assert not any(step[0] is _TELEPORT for step in twin.plan.steps)
+    assert steps.count(_TELEPORT) + steps.count(_BRANCH) == len(p.outcome_vars) // 2
+    assert p.plan.names == twin.plan.names
+    psi = random_state(np.random.default_rng(seed), p.n)
+    if len(p.outcome_vars) <= MAX_OUTCOME_BITS:
+        got, want = enumerate_branches(p, psi), enumerate_branches(twin, psi)
+        assert len(got) == len(want)
+        for b, w in zip(got, want):
+            assert b.outcomes == w.outcomes and list(b.outcomes) == list(w.outcomes)
+            assert abs(b.probability - w.probability) < TOL
+            assert_same_state(b.state, w.state, exact)
+    for shot in range(3):
+        mine, theirs = np.random.default_rng(seed + shot), np.random.default_rng(seed + shot)
+        (out, outcomes), (want_out, want_outcomes) = execute(p, psi, mine), execute(twin, psi, theirs)
+        assert outcomes == want_outcomes and list(outcomes) == list(want_outcomes)
+        assert_same_state(out, want_out, exact)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_every_compiled_link_and_gadget_bell_teleports():
+    # The property above must compare teleport steps, not two rotation paths.
+    for p in [gadget_program(p, q) for p in (0, 1) for q in (0, 1)]:
+        assert [step[0] for step in p.plan.steps].count(_TELEPORT) == 3
