@@ -106,8 +106,10 @@ from .oracle import (
     _S,
     StateVector,
     _extract,
+    _flip,
     _grow,
     _grow_epr,
+    _phase,
     apply_gate,
     basis_bits,
     gate_kernel,
@@ -639,24 +641,30 @@ def parse_program(text: str) -> CompiledProgram:
 # a Bell measurement, a conditioned correction (whether or not it will fire)
 # and the final extraction each flush only the backward light cone of their
 # qubits (_Schedule.flush), so the next stage's pre-executed gates stay
-# deferred. The plan records each step with its tensor axes and its numpy
-# kernel resolved. The program's rules (qubit use, outcome variables,
-# conditions, outputs) are checked before the plan is built, by the walk that
-# lists its outcome variables (CompiledProgram.outcome_vars); the plan's own
-# static check is the window cap, which raises when the plan is built.
+# deferred. The cone is found through a per-qubit index: each deferred item
+# links to the item deferred last on each of its qubits before it, and a
+# flush walks those links back from its qubits' last items, stopping at
+# items that have left the buffer, so a flush costs time in the items it
+# emits, not in the length of the buffer. The plan records
+# each step with its tensor axes and its numpy kernel resolved. The
+# program's rules (qubit use, outcome variables, conditions, outputs) are
+# checked before the plan is built, by the walk that lists its outcome
+# variables (CompiledProgram.outcome_vars); the plan's own static check is
+# the window cap, which raises when the plan is built.
 #
 # A Bell measurement takes one of two paths (_measure_plan). Against the
 # fresh half s of an EPR pair whose other half t is still deferred it is one
 # teleport step (_Schedule.teleport): by the teleportation identity each
 # outcome k = 2x + z has probability exactly 1/4 and leaves X^x Z^z of the
 # measured carrier on t, so the pair is never allocated, t takes the
-# carrier's window slot, and the step applies a Pauli without reading any
-# amplitude. Every link of a compiled program is one, so its window stays at
-# n, the live carriers. Any other Bell measurement is planned as its rotation
-# (_bell_rotation), two gate steps, then a two-qubit branch point, a plain Z
-# measurement; the step before a branch point also moves the measured qubits
-# to the front, in outcome order, so the branch point reads a (batch,
-# outcome, rest) array. That path is the only one that reads a live pair.
+# carrier's window slot, and the step reads no amplitude: all it leaves is
+# that Pauli. Every link of a compiled program is one, so its window stays
+# at n, the live carriers. Any other Bell measurement is planned as its
+# rotation (_bell_rotation), two gate steps, then a two-qubit branch point,
+# a plain Z measurement; the step before a branch point also moves the
+# measured qubits to the front, in outcome order, so the branch point reads
+# a (batch, outcome, rest) array. That path is the only one that reads a
+# live pair.
 #
 # Gate steps and allocations (|0> or EPR) are fused while the window holds at
 # most _FUSE_WIDTH = 8 qubits. Each is composed, when the plan is built, into
@@ -683,11 +691,24 @@ def parse_program(text: str) -> CompiledProgram:
 # is one child, so the kept children of a branch point come out of one take
 # already contiguous. A branch point replaces each entry by its kept
 # outcomes, parent-major, which is the order a depth-first expansion visits
-# them, and a teleport step by its four outcomes in the same order. A sampled
-# shot is a frontier of one and draws each Bell outcome with one uniform: at
-# a branch point from the same table of outcome probabilities as an
-# exhaustive run keeps them from, its child one row of that layout; at a
-# teleport step as the first k with u < (k + 1) / 4.
+# them, and a teleport step by its four outcomes, each under its Pauli, in
+# the same order. A sampled shot is one row and draws each Bell outcome with
+# one uniform: at a branch point from the same table of outcome
+# probabilities as an exhaustive run keeps them from, its child one row of
+# that layout; at a teleport step as the first k with u < (k + 1) / 4.
+#
+# A sampled shot carries a Pauli frame (Knill, quant-ph/0410199): its state
+# is (-1)^sign X^x Z^z of its amplitudes, Z applied first, where x and z are
+# masks over the flat window index (window slot a is bit width - 1 - a, the
+# bit _pauli_map flips) and sign is one bit. A teleport step, and a
+# conditioned X or Z that fires, only update the frame, with no numpy call.
+# The next gather takes the frame into its own pull map (_framed), so a shot
+# touches its amplitudes only where a gate acts. A conditioned P-dagger
+# commutes with the frame's Z and runs as it is unless the frame holds X on
+# its qubit; then, and before any other step and the final extraction, the
+# frame is applied to the amplitudes (_unframe). Every factor the frame moves
+# is +1 or -1, so a shot's amplitudes are bit for bit those it would get by
+# applying each Pauli where it arises.
 #
 # Classical bits are numbered per plan: a measure plan gives the i-th outcome
 # variable it reads bit i, and a unitary plan the i-th qubit it measures. Each
@@ -701,24 +722,6 @@ def parse_program(text: str) -> CompiledProgram:
 # probability as a float (_fires_one). A leaf keeps its mask, and its
 # outcome dict is built only when read (Branch.outcomes).
 
-def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
-                qubits) -> tuple[list, list]:
-    """Split deferred ``(qubits, item)`` pairs into the backward light cone
-    of ``qubits`` and the rest, both in program order. Scanning from the end,
-    an item is in the cone when it shares a qubit with ``qubits`` or with an
-    item already kept by the scan; every other item is disjoint from both, so
-    it commutes past them and may stay deferred.
-    """
-    need = set(qubits)
-    cone, rest = [], []
-    for item in reversed(buffer):
-        if need.isdisjoint(item[0]):
-            rest.append(item)
-        else:
-            cone.append(item)
-            need.update(item[0])
-    return cone[::-1], rest[::-1]
-
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
 # whole frontier; the kernel is a per-gate one, a fused _gather or the
@@ -728,10 +731,11 @@ def _light_cone(buffer: list[tuple[tuple[int, ...], object]],
 # (_BRANCH, bits, shape) is a branch point
 # (_Schedule.branch) on a (batch, outcome, rest) frontier: outcome k sets
 # the classical bits ``bits[k]``, and the children take ``shape``, one axis
-# per remaining qubit. (_TELEPORT, bits, src, coef) is a Bell measurement
-# against a fresh EPR half (_Schedule.teleport): each outcome k has
-# probability 1/4, sets ``bits[k]`` and applies the pull map (src[k], coef[k])
-# to the frontier, whose shape it keeps.
+# per remaining qubit. (_TELEPORT, bits, src, coef, bit) is a Bell
+# measurement against a fresh EPR half (_Schedule.teleport): each outcome k
+# has probability 1/4, sets ``bits[k]`` and leaves the Pauli whose pull map
+# is (src[k], coef[k]); the frontier keeps its shape. ``bit`` is the flat
+# window bit of the teleported slot, the bit a sampled shot's frame sets.
 _APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 
 
@@ -742,7 +746,9 @@ class ExecPlan:
     plan-local classical bit (as a one-bit mask). A measure plan reads each
     Bell measurement at one step: a _TELEPORT step when it teleports a
     carrier onto a fresh EPR half, otherwise a _BRANCH step after its
-    rotation; a unitary plan has only _BRANCH steps."""
+    rotation; a unitary plan has only _BRANCH steps. A plan holds no
+    per-run state: an exhaustive run applies a _TELEPORT step's Paulis
+    through its maps, and a sampled shot folds them into its Pauli frame."""
 
     n: int
     steps: tuple[tuple, ...]
@@ -757,12 +763,20 @@ class _Schedule:
     reaches their light cone. Array axis 0 is the frontier's batch axis, so
     the qubit on window slot i is array axis i + 1. A branch point removes
     its measured qubits from the window; a teleport step hands the measured
-    carrier's slot to the other half of the pair it measured against."""
+    carrier's slot to the other half of the pair it measured against.
+
+    The deferred items are indexed per qubit. Each is an entry [order,
+    qubits, item, preds]: ``order`` is its place in program order, and
+    ``preds`` holds, per qubit, the entry deferred last on that qubit before
+    it, or None. ``last[q]`` is the entry deferred last on q. An entry that
+    has left the buffer, emitted by a flush or dropped by a teleport step,
+    has its preds set to None, and a walk of the links ends there."""
 
     def __init__(self, n: int):
         self.window = list(range(n))
         self.retired: set[int] = set()
-        self.deferred: list[tuple[tuple[int, ...], object]] = []
+        self.last: dict[int, list] = {}
+        self.count = 0  # items deferred so far: the next one's place in program order
         self.steps: list[tuple] = []
         self.pending: tuple[np.ndarray, np.ndarray] | None = None  # (src, coef), see _gather
         self.names: list[tuple[str, int]] = []
@@ -842,17 +856,42 @@ class _Schedule:
         else:
             self.steps.append((_COND, test, _scale, (phase,)))
 
-    def defer(self, qubits: tuple[int, ...], item) -> tuple:
+    def defer(self, qubits: tuple[int, ...], item) -> list:
         """Defer ``item`` on ``qubits``; returns its entry in the buffer."""
-        entry = (qubits, item)
-        self.deferred.append(entry)
+        last = self.last
+        entry = [self.count, qubits, item, tuple(map(last.get, qubits))]
+        self.count += 1
+        for q in qubits:
+            last[q] = entry
         return entry
 
     def flush(self, qubits, emit) -> None:
-        """Emit, in program order, each deferred item in the light cone of ``qubits``."""
-        cone, self.deferred = _light_cone(self.deferred, qubits)
-        for qs, item in cone:
+        """Emit, in program order, each deferred item in the backward light
+        cone of ``qubits``: the items still deferred that are reached from
+        the last one on each of ``qubits`` through the links to their
+        predecessors. That is the cone a scan of the buffer from its end
+        would find, keeping each item that shares a qubit with ``qubits`` or
+        with an item already kept: a flush takes every earlier item on the
+        qubits of each item it emits, so a link to an item that is gone ends
+        a chain exactly where the scan finds nothing more."""
+        stack = list(map(self.last.get, qubits))
+        cone = []
+        while stack:
+            entry = stack.pop()
+            if entry is not None and entry[3] is not None:
+                stack += entry[3]
+                entry[3] = None
+                cone.append(entry)
+        cone.sort()  # by order, which no two entries share
+        for _, qs, item, _ in cone:
             emit(qs, item)
+
+    def drop(self, entry: list) -> None:
+        """Take a deferred item out of the buffer without emitting it. No
+        earlier item on its qubits may still be deferred, as none is for an
+        EPR, whose qubits are fresh: a walk then ends at the dropped item
+        where a scan of the buffer without it finds nothing more."""
+        entry[3] = None
 
     def branch(self, qubits: tuple[int, ...], outcomes) -> None:
         """Measure ``qubits`` in the Z basis, then drop them. ``outcomes``
@@ -883,25 +922,24 @@ class _Schedule:
         self.retired.update(qubits)
         self.steps.append((_BRANCH, bits, (-1,) + (2,) * len(self.window)))
 
-    def teleport(self, r: int, s: int, pair: tuple, outcomes) -> None:
+    def teleport(self, r: int, s: int, pair: list, outcomes) -> None:
         """Bell-measure (r, s), where ``pair`` is the deferred EPR entry of s
         and its other half t, as one teleport step: it drops the pair from
-        the buffer and never allocates it, and t takes r's window slot. Each outcome k =
-        2x + z, with x read from s and z from r as in branch, has probability
-        exactly 1/4 and leaves X^x Z^z of r's state on t (the teleportation
-        identity), so the step reads no amplitudes: it applies that Pauli as
-        the pull map of row k of _pauli_map and sets the classical bits
-        ``bits[k]``."""
-        deferred = self.deferred
-        for i, item in enumerate(deferred):
-            if item is pair:
-                del deferred[i]
-                break
-        a, b = pair[0]
+        the buffer and never allocates it, and t takes r's window slot. Each
+        outcome k = 2x + z, with x read from s and z from r as in branch, has
+        probability exactly 1/4 and leaves X^x Z^z of r's state on t (the
+        teleportation identity), so the step reads no amplitudes. It sets the
+        classical bits ``bits[k]`` and records that Pauli twice: as the pull
+        map of row k of _pauli_map, for an exhaustive run, and as the flat
+        window bit of r's slot, for a sampled shot's frame."""
+        self.drop(pair)
+        a, b = pair[1]
         t = b if a == s else a
         (axis,) = self.axes((r,))
         self._flush_map()
-        self.steps.append((_TELEPORT, self._read(outcomes), *_pauli_map(axis, len(self.window))))
+        width = len(self.window)
+        self.steps.append((_TELEPORT, self._read(outcomes), *_pauli_map(axis, width),
+                           1 << (width - axis)))
         self.window[axis - 1] = t
         self.retired.update((r, s))
 
@@ -1048,7 +1086,7 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     read = 0  # the plan bits read so far
     # Each half of a deferred EPR pair that nothing has touched since, with
     # the pair's deferred entry: the halves a BELL may teleport against.
-    fresh: dict[int, tuple[tuple[int, ...], Instruction]] = {}
+    fresh: dict[int, list] = {}
     GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL
 
     def emit(qs: tuple[int, ...], ins: Instruction) -> None:
@@ -1081,7 +1119,7 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
         outcomes = [(vx.name, 1 << read), (vz.name, 1 << read + 1)]
         read += 2
         if pair is not None and fresh.get(s) is pair:  # r's cone left the pair deferred
-            for q in pair[0]:
+            for q in pair[1]:
                 fresh.pop(q, None)
             sched.teleport(r, s, pair, outcomes)
         else:
@@ -1181,28 +1219,60 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
     return children.reshape(shape), probs[parents] * prob, ones
 
 
-def _teleport(step: tuple, amps: np.ndarray, probs, ones,
-              rng: np.random.Generator | None) -> tuple:
-    """One teleport step (_Schedule.teleport); returns the children, their
-    branch probabilities and their bit masks, as _branch does.
-
-    Every outcome has probability 1/4, so no amplitude is read. With ``rng``
-    the frontier is one shot: one uniform draw u picks the first k = 2x + z
-    with u < (k + 1) / 4, and the child is the shot under row k's Pauli, one
-    gather, or the shot itself when k = 0. Otherwise every row becomes four
-    children, parent-major and in outcome order, from one take and one
-    multiply, so the children are a new array.
-    """
-    _, bits, src, coef = step
-    if rng is not None:
-        k = int(rng.random() * 4)  # 4u is exact: k <= 4u < k + 1
-        if k:
-            amps = _gather(amps, src[k], coef[k], amps.shape)
-        return amps, probs * 0.25, ones | bits[k]
+def _teleport(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: np.ndarray) -> tuple:
+    """One teleport step (_Schedule.teleport) on an exhaustive frontier;
+    returns the children, their branch probabilities and their bit masks, as
+    _branch does. Every outcome has probability 1/4, so no amplitude is
+    read: every row becomes four children, parent-major and in outcome
+    order, each under its outcome's Pauli, from one take and one multiply,
+    so the children are a new array. A sampled shot takes the step into its
+    Pauli frame instead (_run)."""
+    _, bits, src, coef, _ = step
     children = amps.reshape(amps.shape[0], -1).take(src, axis=1)
     children *= coef
     ones = ones[:, None] | np.array(bits, dtype=np.int64)
     return children.reshape((-1,) + amps.shape[1:]), np.repeat(probs * 0.25, 4), ones.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _frame_signs(width: int, z: int, sign: int) -> np.ndarray:
+    """(-1)^(sign + popcount(j & z)) for every flat index j of a
+    ``width``-qubit window: the factor the frame's Z^z and sign put on
+    amplitude j. Frames are folded into gathers and unframed through a
+    gather only on windows of at most _FUSE_WIDTH qubits, so the cache holds
+    at most 2 * 2^w entries per width w there. The factors are complex, as a
+    gather's coef is: numpy multiplies two complex arrays faster than a
+    complex one by a float one."""
+    odd = _PARITY[np.arange(1 << width) & z] != bool(sign)
+    return np.where(odd, -1.0, 1.0).astype(complex)
+
+
+def _framed(src: np.ndarray, coef: np.ndarray, width: int, x: int, z: int, sign: int) -> tuple:
+    """The pull map (src, coef) on a ``width``-qubit window taken after the
+    frame (-1)^sign X^x Z^z: y[i] = coef[i] * s[src[i] ^ x] * a[src[i] ^ x],
+    s being _frame_signs. Every factor it adds is +1 or -1."""
+    if x:
+        src = src ^ x
+    if z or sign:
+        coef = coef * _frame_signs(width, z, sign)[src]
+    return src, coef
+
+
+def _unframe(amps: np.ndarray, x: int, z: int, sign: int) -> np.ndarray:
+    """A sampled shot's amplitudes with its frame (-1)^sign X^x Z^z applied:
+    one gather on a window of at most _FUSE_WIDTH qubits, otherwise the
+    per-gate Z then X kernels on each qubit the frame holds, then the sign."""
+    width = amps.ndim - 1
+    if width <= _FUSE_WIDTH:
+        return _gather(amps, *_framed(*_identity_map(width), width, x, z, sign), amps.shape)
+    for kind, mask in (("Z", z), ("X", x)):
+        for b in _set_bits(mask):
+            kernel, args = _cached_kernel(kind, (width - b,), width + 1)
+            amps = kernel(amps, *args)
+    return -amps if sign else amps
+
+
+_Z_DIAG = _cached_kernel("Z", (1,), 2)[1][0]  # the Z kernel's diagonal, as every Z step holds it
 
 
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
@@ -1217,6 +1287,13 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     of them do. A Bell measurement is a branch point (_branch) or a
     teleport step (_teleport); each takes one uniform draw in a sampled
     shot. A leaf keeps its mask; its outcome dict is built when read.
+
+    A sampled shot also keeps its pending Pauli frame (-1)^sign X^x Z^z
+    (see the execution section): a teleport step with outcome k = 2x' + z'
+    on window bit b puts X^x' Z^z' on b after the frame, a fired X or Z puts
+    its Pauli there, the next gather pulls through the frame (_framed), and
+    any other step that needs the amplitudes, and the extraction, first
+    apply it (_unframe).
     """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
@@ -1225,14 +1302,38 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         probs, ones = np.ones(1), np.zeros(1, dtype=np.int64)
     else:
         probs, ones = 1.0, 0
+    x = z = sign = 0  # a sampled shot's frame; an exhaustive run keeps it at 0
     for step in plan.steps:
         op = step[0]
         if op is _APPLY:
-            amps = step[1](amps, *step[2])
+            kernel, args = step[1], step[2]
+            if x | z | sign:
+                if kernel is _gather:
+                    src, coef, shape = args
+                    args = (*_framed(src, coef, amps.ndim - 1, x, z, sign), shape)
+                else:
+                    amps = _unframe(amps, x, z, sign)
+                x = z = sign = 0
+            amps = kernel(amps, *args)
         elif op is _COND:
             _, test, kernel, args = step
             if rng is not None:
                 if _fires_one(test, ones):
+                    if kernel is _flip:
+                        x ^= args[0]
+                        continue
+                    if kernel is _phase:  # a diagonal gate commutes with Z
+                        bit = args[1]
+                        if args[0] is _Z_DIAG:
+                            sign ^= (x & bit) != 0  # Z X = -X Z
+                            z ^= bit
+                            continue
+                        pending = x & bit
+                    else:
+                        pending = x | z | sign
+                    if pending:
+                        amps = _unframe(amps, x, z, sign)
+                        x = z = sign = 0
                     amps = kernel(amps, *args)
                 continue
             fire = _fires(test, ones)
@@ -1245,10 +1346,25 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
                 # runner owns amps and may write into it (a kernel such as X
                 # may return a view).
                 amps[fire] = kernel(amps[fire], *args)
-        elif op is _BRANCH:
-            amps, probs, ones = _branch(step, amps, probs, ones, rng)
+        elif op is _TELEPORT and rng is not None:
+            k = int(rng.random() * 4)  # the first k with u < (k + 1) / 4: 4u is exact
+            probs *= 0.25
+            ones |= step[1][k]
+            bit = step[4]
+            if k & 1:
+                sign ^= (x & bit) != 0
+                z ^= bit
+            if k & 2:
+                x ^= bit
+        elif op is _TELEPORT:
+            amps, probs, ones = _teleport(step, amps, probs, ones)
         else:
-            amps, probs, ones = _teleport(step, amps, probs, ones, rng)
+            if x | z | sign:
+                amps = _unframe(amps, x, z, sign)
+                x = z = sign = 0
+            amps, probs, ones = _branch(step, amps, probs, ones, rng)
+    if x | z | sign:
+        amps = _unframe(amps, x, z, sign)
     if rng is not None:
         probs, ones = [probs], [ones]
     else:

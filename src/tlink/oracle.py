@@ -42,6 +42,7 @@ from .frames import PauliMask
 
 MAX_QUBITS = 14
 _FACTOR_TOL = 1e-8  # the residual norm _extract accepts as factoring out
+_TIE_TOL = 1e-9  # columns whose norms are this close, relatively, tie in _extract
 
 _S = 1 / sqrt(2)
 GATE_MATRICES = {
@@ -234,7 +235,14 @@ def _grow_epr(amps: np.ndarray) -> np.ndarray:
 def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
     """For each batch entry of ``amps`` (batch axis first, then qubit axes),
     the normalized pure state on the qubit axes ``front``, one row each; the
-    other axes must factor out of every entry."""
+    other axes must factor out of every entry.
+
+    When they do, every column of the (front, rest) matrix is a multiple of
+    the state, and the largest one is taken. Columns whose norms are within
+    a relative _TIE_TOL of the largest tie, and the lowest-index one wins,
+    so that rounding in the amplitudes cannot change the state's global
+    phase: the two halves of an unused pair, for one, are columns of equal
+    norm."""
     width = amps.ndim - 1
     rest = [ax for ax in range(width) if ax not in front]
     mats = np.transpose(amps, [0] + [ax + 1 for ax in front + rest])
@@ -242,7 +250,8 @@ def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
     if mats.shape[2] == 1:
         vecs = mats[:, :, 0]
         return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    cols = np.argmax(np.linalg.norm(mats, axis=1), axis=1)
+    norms = np.linalg.norm(mats, axis=1)
+    cols = np.argmax(norms >= norms.max(axis=1, keepdims=True) * (1 - _TIE_TOL), axis=1)
     vecs = mats[np.arange(mats.shape[0]), :, cols]
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     overlap = np.einsum("bf,bfr->br", vecs.conj(), mats)

@@ -43,7 +43,6 @@ from tlink.compiler import (
     _branch,
     _gather,
     _lead,
-    _light_cone,
     _pauli_map,
     compile_measure,
     enumerate_branches,
@@ -311,19 +310,78 @@ def fixpoint_cone(buffer, qubits):
             [item for i, item in enumerate(buffer) if i not in chosen])
 
 
+def scan_cone(buffer, qubits):
+    """The light cone as a reversed scan of the whole buffer, the way plans
+    found it before the per-qubit index: scanning from the end, an item is in
+    the cone when it shares a qubit with ``qubits`` or with an item already
+    kept. Returns the cone and the rest, both in program order."""
+    need = set(qubits)
+    cone, rest = [], []
+    for item in reversed(buffer):
+        if need.isdisjoint(item[0]):
+            rest.append(item)
+        else:
+            cone.append(item)
+            need.update(item[0])
+    return cone[::-1], rest[::-1]
+
+
+def flushed(sched, qubits) -> list:
+    """The (qubits, item) pairs one flush of ``sched`` emits, in order."""
+    out = []
+    sched.flush(qubits, lambda qs, item: out.append((qs, item)))
+    return out
+
+
 def test_light_cone_matches_fixpoint(rng):
     grew = 0
     for _ in range(500):
         nq = int(rng.integers(2, 16))
         buffer = []
+        sched = _Schedule(0)
         for i in range(int(rng.integers(0, 40))):
             width = 2 if rng.random() < 0.3 else 1
             buffer.append((tuple(int(q) for q in rng.choice(nq, size=width, replace=False)), i))
+            sched.defer(*buffer[-1])
         qubits = tuple(int(q) for q in rng.choice(nq, size=int(rng.integers(1, 3)), replace=False))
-        cone, rest = _light_cone(buffer, qubits)
+        cone = flushed(sched, qubits)
+        rest = flushed(sched, range(nq))  # whatever is left, in program order
         assert (cone, rest) == fixpoint_cone(buffer, qubits)
         grew += any(not set(qs) & set(qubits) for qs, _ in cone)
     assert grew > 50  # the closure reaches past the items touching ``qubits``
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(["gate", "gate", "pair", "flush", "drop"]),
+                              st.lists(st.integers(0, 63), min_size=1, max_size=3)),
+                    min_size=20, max_size=80))
+def test_indexed_flush_matches_the_buffer_scan(ops):
+    # Random buffers and flush sequences, with pairs on fresh qubits dropped
+    # unflushed, as a teleport step drops its EPR: every flush of the indexed
+    # schedule emits exactly the reversed scan's cone, in program order.
+    sched = _Schedule(0)
+    buffer = []  # the scan's buffer: (qubits, item), in program order
+    entries, pairs = {}, []  # item -> its schedule entry; the items that are pairs
+    used = 8  # qubits 0..used-1 exist; a pair takes two new ones
+    for i, (op, picks) in enumerate(ops):
+        qs = tuple(dict.fromkeys(q % used for q in picks))
+        if op == "flush":
+            cone, buffer = scan_cone(buffer, qs)
+            assert flushed(sched, qs) == cone
+        elif op == "drop":
+            live = [it for it in pairs if it in {item for _, item in buffer}]
+            if live:
+                item = live[picks[0] % len(live)]
+                buffer = [entry for entry in buffer if entry[1] != item]
+                sched.drop(entries[item])
+        else:
+            if op == "pair":
+                qs = (used, used + 1)
+                used += 2
+                pairs.append(i)
+            buffer.append((qs[:2], i))
+            entries[i] = sched.defer(qs[:2], i)
+    assert flushed(sched, range(used)) == buffer
 
 
 class TestExecute:
@@ -629,10 +687,12 @@ class TestExecPlan:
             assert len(at) == len(bells(p)) > 0
             assert not any(step[0] is _BRANCH for step in steps)
             for j, i in enumerate(at):
-                _, bits, src, coef = steps[i]
+                _, bits, src, coef, bit = steps[i]
                 mx, mz = 1 << 2 * j, 1 << 2 * j + 1
                 assert bits == (0, mz, mx, mx | mz)
                 assert src.shape == coef.shape and src.shape[0] == 4
+                # the frame's bit is the one the X rows of the map flip
+                assert np.array_equal(src[2], np.arange(src.shape[1]) ^ bit)
             assert p.plan.names == rotation_twin(p).plan.names
 
     @pytest.mark.parametrize("text,kinds,branches", [

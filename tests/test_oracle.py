@@ -16,6 +16,7 @@ from tlink.frames import OutcomeVar, PauliMask
 from tlink.oracle import (
     MAX_QUBITS,
     StateVector,
+    _extract,
     apply_gate,
     apply_mask,
     fidelity_up_to_phase,
@@ -323,7 +324,7 @@ class TestRegister:
             out, outcomes = execute(prog, psi, rng)
             got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
             assert fidelity_up_to_phase(got, psi) >= 1 - 1e-12
-        ((op, bits, _, _),) = prog.plan.steps
+        ((op, bits, _, _, _),) = prog.plan.steps
         assert op is _TELEPORT and bits == (0, 2, 1, 3)  # k = 2x + z sets x's bit 1, z's bit 2
         assert prog.plan.names == (("x", 1), ("z", 2))
         assert prog.plan.peak_width == 1 and prog.plan.outputs == (0,)
@@ -352,6 +353,31 @@ class TestRegister:
         assert fidelity_up_to_phase(out, StateVector(3, np.kron(phi.amps, zeros(1)))) >= 1 - 1e-12
         out, _ = run_once("QUBITS 5\nOUT 0 0\nOUT 1 3\nOUT 2 4\n", start)
         assert fidelity_up_to_phase(out, StateVector(3, np.kron(psi.amps, zeros(2)))) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("front", [1, 2])
+    def test_extract_tie_is_the_lowest_column(self, front, rng):
+        # Two rest columns of equal norm, the second i times the first, as the
+        # halves of an unused pair can be. Whichever of them rounding makes
+        # the larger (column 1 nudged up or down until its computed norm
+        # moves by an ulp or so), column 0 is taken, unchanged, so the state
+        # and its global phase stay the same.
+        col = random_state(rng, front).amps
+
+        def columns(direction):
+            # [col, i col], the second moved an ulp at a time until its norm,
+            # computed as _extract computes it, is larger (1) or smaller (-1)
+            mats = np.stack([col, 1j * col], axis=1)
+            while direction and (np.diff(np.linalg.norm(mats, axis=0))[0] * direction <= 0):
+                re, im = mats[:, 1].real, mats[:, 1].imag
+                mats[:, 1] = (np.nextafter(re, np.copysign(np.inf, re) * direction)
+                              + 1j * np.nextafter(im, np.copysign(np.inf, im) * direction))
+            assert abs(np.linalg.norm(mats[:, 1]) / np.linalg.norm(col) - 1) < 1e-14
+            return mats.reshape((1,) + (2,) * (front + 1))
+
+        got = [_extract(columns(direction), list(range(front)))[0] for direction in (1, 0, -1)]
+        for vec in got:
+            assert np.array_equal(vec, got[1])
+        assert np.allclose(got[1], col / np.linalg.norm(col), rtol=0, atol=1e-15)  # column 0
 
     def test_window_cap(self):
         text = (f"QUBITS {MAX_QUBITS + 1}\n" + "".join(f"CNOT 0 {q}\n" for q in range(1, MAX_QUBITS + 1))

@@ -4,20 +4,23 @@ reference_run is compiler._run as it was when every frontier row kept its
 classical bits as a Python int in a list and each conditioned step tested
 the rows one at a time in Python, plus a teleport step that treats each
 row and each outcome on its own: the oracle's Z then X kernels on the
-teleported axis. It runs the same plans as the new runner, whose rows share
-one int64 array, whose tests are vectorized and whose teleport step is one
-gather, so the two must agree bit for bit: the same branches, probabilities
-and states, and for sampled shots the same draws and the same final RNG
-state.
+teleported axis, applied where the step stands. It runs the same plans as
+the new runner, whose rows share one int64 array, whose tests are
+vectorized, whose exhaustive teleport step is one gather and whose sampled
+shot carries its Paulis in a frame until a gather pulls through them, so
+the two must agree bit for bit: the same branches, probabilities and
+states, and for sampled shots the same draws and the same final RNG state.
 """
 import itertools
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layered_circuits, random_state, rotation_twin
+from conftest import layered_circuits, random_circuit, random_state, rotation_twin
 from test_compiler import PARTIAL
 from tlink.circuits import GateKind
 from tlink.compiler import (
@@ -25,7 +28,11 @@ from tlink.compiler import (
     _BRANCH,
     _COND,
     _CUTOFF,
+    _FUSE_WIDTH,
     _TELEPORT,
+    CompiledProgram,
+    InstrOp,
+    _gather,
     _run,
     _unitary_plan,
     compile_measure,
@@ -72,7 +79,7 @@ def reference_teleport(step, amps, probs, ones: list[int], rng):
     """A teleport step row by row: outcome k = 2x + z of each row has
     probability 1/4 and applies Z^z, then X^x, to the teleported axis, the
     one whose bit the X rows of the step's map flip."""
-    _, bits, src, _ = step
+    _, bits, src, _, _ = step
     width = amps.ndim - 1
     axis = width + 1 - int(src[2, 0]).bit_length()
 
@@ -127,31 +134,54 @@ def assert_same_leaves(got, want) -> None:
         assert np.array_equal(b.state.amps, vec)
 
 
+def without_last_cond_z(p: CompiledProgram) -> CompiledProgram:
+    """``p`` with its last conditioned Z dropped: a final correction missing,
+    so the frame a shot ends with holds whatever that Z would have undone."""
+    instrs = list(p.instructions)
+    last = max(i for i, ins in enumerate(instrs) if ins.op is InstrOp.COND_Z)
+    del instrs[last]
+    return CompiledProgram(p.total_qubits, p.logical_outputs, tuple(instrs))
+
+
 @st.composite
 def plans(draw):
-    """(plan, wires, is a measure plan): a compiled random circuit (teleport
-    steps), its rotation twin (branch points), PARTIAL, a garden-hose gadget
-    (conditions of degree 2) or a converted circuit."""
-    kind = draw(st.sampled_from(["measure", "twin", "partial", "gadget", "unitary"]), label="kind")
+    """(plan, wires, is a measure plan, enumerable): a compiled random
+    circuit (teleport steps), its rotation twin (branch points), PARTIAL, a
+    garden-hose gadget (conditions of degree 2), a converted circuit, or a
+    compiled circuit on 9 or 10 wires, as compiled or with its last
+    conditioned Z dropped. The wide ones run on the per-gate kernels, which
+    then also apply a shot's frame; their 4^n branches are too many to
+    enumerate, so they run sampled shots only."""
+    kind = draw(st.sampled_from(["measure", "twin", "partial", "gadget", "unitary",
+                                 "wide", "wide-broken"]), label="kind")
     if kind == "partial":
-        return parse_program(PARTIAL).plan, 2, True
+        return parse_program(PARTIAL).plan, 2, True, True
     if kind == "gadget":
         p, q = draw(st.integers(0, 1), label="p"), draw(st.integers(0, 1), label="q")
-        return gadget_program(p, q).plan, 1, True
+        return gadget_program(p, q).plan, 1, True, True
+    if kind.startswith("wide"):
+        n = draw(st.integers(9, 10), label="n")
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="circuit"))
+        p = compile_measure(random_circuit(rng, n, 2, max_clifford=3 * n))
+        if kind == "wide-broken":
+            p = without_last_cond_z(p)
+        assert p.plan.peak_width > _FUSE_WIDTH
+        return p.plan, n, True, False
     c = draw(layered_circuits(max_n=3, max_k=3), label="circuit")
     if kind == "measure":
-        return compile_measure(c).plan, c.n, True
+        return compile_measure(c).plan, c.n, True, True
     if kind == "twin":
-        return rotation_twin(compile_measure(c)).plan, c.n, True
-    return _unitary_plan(to_unitary(compile_measure(c))), c.n, False
+        return rotation_twin(compile_measure(c)).plan, c.n, True, True
+    return _unitary_plan(to_unitary(compile_measure(c))), c.n, False, True
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(planned=plans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_runner_matches_the_per_row_reference(planned, seed):
-    plan, n, measure = planned
+    plan, n, measure, enumerable = planned
     psi = random_state(np.random.default_rng(seed), n)
-    assert_same_leaves(_run(plan, psi, None), reference_run(plan, psi, None))
+    if enumerable:
+        assert_same_leaves(_run(plan, psi, None), reference_run(plan, psi, None))
     if not measure:
         return
     for shot in range(3):
@@ -160,3 +190,98 @@ def test_runner_matches_the_per_row_reference(planned, seed):
         assert_same_leaves([leaf], reference_run(plan, psi, theirs))
         assert type(leaf.probability) is float and type(leaf.bits) is int
         assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+class Forced:
+    """An RNG stand-in whose uniforms draw the given outcomes k in order, as
+    (k + 1/2) / 4: at a teleport step that is outcome k."""
+
+    def __init__(self, ks):
+        self.ks = iter(ks)
+
+    def random(self) -> float:
+        return (next(self.ks) + 0.5) / 4
+
+
+# Every function that reads or writes a frontier's amplitudes.
+KERNELS = {"_gather", "_unframe", "_phase", "_flip", "_swap", "_hadamard", "_grow", "_grow_epr",
+           "_lead", "_scale"}
+
+
+def amplitude_passes(plan, psi, rng) -> list[tuple[str, str]]:
+    """(kernel, caller) of every amplitude kernel one sampled shot calls, in
+    order; a P-dagger's diagonal kernel is named "PDG"."""
+    calls = []
+
+    def profile(frame, event, _):
+        name = frame.f_code.co_name
+        if event == "call" and name in KERNELS:
+            if name == "_phase" and frame.f_locals["vec"].flat[1] == -1j:
+                name = "PDG"
+            calls.append((name, frame.f_back.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        _run(plan, psi, rng)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def pdg_after_teleport(n: int, apart: bool) -> str:
+    """A program with conditioned P-daggers on teleported X's: carrier 0 of
+    n is teleported twice, and the last carrier gets a P-dagger conditioned
+    on its link's X outcome, a Z and an X correction. With ``apart`` the
+    first new carrier gets such a P-dagger and an H before the second link;
+    without, the second teleport finds the first one's Pauli still pending,
+    so its Z outcome meets the frame's X."""
+    a, b, c, d = n, n + 1, n + 2, n + 3
+    between = f"PDG {b} IF a\nH {b}\n" if apart else ""
+    return (f"QUBITS {n + 4}\nH 0\nT 0\nEPR {a} {b}\nBELL 0 {a} -> a b\n{between}"
+            f"EPR {c} {d}\nBELL {b} {c} -> c d\nPDG {d} IF c\nZ {d} IF b ^ d\nX {d} IF a ^ c\n"
+            f"OUT 0 {d}\n" + "".join(f"OUT {j} {j}\n" for j in range(1, n)))
+
+
+@pytest.mark.parametrize("apart", [True, False], ids=["apart", "back-to-back"])
+@pytest.mark.parametrize("n", [1, 9])  # a fused window, and one of per-gate kernels
+def test_pdg_on_a_pending_teleport_x(n, apart, rng):
+    # Every outcome of both links, forced, against the reference runner. A
+    # P-dagger fires when its link's x reads 1; when the frame then holds X
+    # on its qubit, the shot applies its frame right before it.
+    plan = parse_program(pdg_after_teleport(n, apart)).plan
+    assert plan.peak_width == n
+    psi = random_state(rng, n)
+    for ks in itertools.product(range(4), repeat=2):
+        (leaf,) = _run(plan, psi, Forced(ks))
+        assert_same_leaves([leaf], reference_run(plan, psi, Forced(ks)))
+        x1, x2 = leaf.outcomes["a"], leaf.outcomes["c"]
+        assert (x1, x2) == (ks[0] >> 1, ks[1] >> 1)
+        from_run = [kernel for kernel, caller in amplitude_passes(plan, psi, Forced(ks))
+                    if caller == "_run"]
+        fires, held = ([x1, x2], [x1, x2]) if apart else ([x2], [x1 ^ x2])  # held: the frame's X
+        fired = [i for i, kernel in enumerate(from_run) if kernel == "PDG"]
+        assert [from_run[i - 1] == "_unframe" for i in fired] == [
+            bool(x) for fire, x in zip(fires, held) if fire]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(c=layered_circuits(max_n=4, max_k=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_shot_touches_its_amplitudes_only_at_gathers(c, seed):
+    # On a fused window a sampled shot of a compiled program makes one
+    # amplitude pass per gather step of its plan and one per conditioned
+    # P-dagger that fires, each after its frame is applied if the frame
+    # holds X on its qubit, plus the frame applied before the extraction:
+    # a teleport step or a conditioned X or Z makes none.
+    plan = compile_measure(c).plan
+    assert plan.peak_width <= _FUSE_WIDTH
+    gathers = sum(step[0] is _APPLY and step[1] is _gather for step in plan.steps)
+    psi = random_state(np.random.default_rng(seed), c.n)
+    for shot in range(3):
+        calls = amplitude_passes(plan, psi, np.random.default_rng(seed + shot))
+        assert all(caller in ("_run", "_unframe") for _, caller in calls)
+        from_run = [kernel for kernel, caller in calls if caller == "_run"]
+        assert from_run.count("_gather") == gathers
+        assert set(from_run) <= {"_gather", "PDG", "_unframe"}
+        for i, kernel in enumerate(from_run):  # the frame applied before a P-dagger, or last
+            if kernel == "_unframe":
+                assert from_run[i + 1:i + 2] in (["PDG"], [])

@@ -10,11 +10,10 @@ same order, and fixed-seed shots must draw the same outcomes and leave the
 same RNG state.
 
 A gadget or protocol program ends with qubits outside its outputs (a
-gadget's unused halves), so its output state is defined up to a global
-phase: extraction takes the largest column of the rest, two such columns
-can tie, and the two plans may take different ones. Their states are
-compared up to one global phase; those of compiled programs, which end
-with the outputs alone, exactly.
+gadget's unused halves), and extraction takes a column of the rest. Two
+such columns can tie; the lowest-index one is taken, never the one that
+rounding makes larger, so these states compare as a compiled program's do,
+to 1e-12 with no global phase.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -36,30 +35,26 @@ TOL = 1e-12
 
 @st.composite
 def programs(draw):
-    """(program, whether its states compare exactly): a compiled random
-    circuit, a garden-hose gadget or a protocol program."""
+    """A compiled random circuit, a garden-hose gadget or a protocol program."""
     kind = draw(st.sampled_from(["measure", "gadget", "protocol"]), label="kind")
     if kind == "gadget":
         p, q = draw(st.integers(0, 1), label="p"), draw(st.integers(0, 1), label="q")
-        return gadget_program(p, q), False
+        return gadget_program(p, q)
     if kind == "measure":
-        return compile_measure(draw(layered_circuits(max_n=3, max_k=4), label="circuit")), True
+        return compile_measure(draw(layered_circuits(max_n=3, max_k=4), label="circuit"))
     c = draw(layered_circuits(max_n=3, max_k=1), label="circuit")
     wires = st.lists(st.integers(0, c.n - 1), unique=True)
     plan = ResourcePlan(frozenset(draw(wires, label="alice")), tuple(draw(wires, label="ret")))
-    return protocol_program(c, plan)[0], False
+    return protocol_program(c, plan)[0]
 
 
-def assert_same_state(got, want, exact: bool) -> None:
-    phase = np.vdot(want.amps, got.amps) if not exact else 1.0
-    assert abs(abs(phase) - 1.0) < TOL
-    assert np.abs(got.amps - phase * want.amps).max() < TOL
+def assert_same_state(got, want) -> None:
+    assert np.abs(got.amps - want.amps).max() < TOL
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(planned=programs(), seed=st.integers(0, 2 ** 32 - 1))
-def test_teleport_steps_match_the_rotation_twin(planned, seed):
-    p, exact = planned
+@given(p=programs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_teleport_steps_match_the_rotation_twin(p, seed):
     twin = rotation_twin(p)
     steps = [step[0] for step in p.plan.steps]
     assert not any(step[0] is _TELEPORT for step in twin.plan.steps)
@@ -72,12 +67,12 @@ def test_teleport_steps_match_the_rotation_twin(planned, seed):
         for b, w in zip(got, want):
             assert b.outcomes == w.outcomes and list(b.outcomes) == list(w.outcomes)
             assert abs(b.probability - w.probability) < TOL
-            assert_same_state(b.state, w.state, exact)
+            assert_same_state(b.state, w.state)
     for shot in range(3):
         mine, theirs = np.random.default_rng(seed + shot), np.random.default_rng(seed + shot)
         (out, outcomes), (want_out, want_outcomes) = execute(p, psi, mine), execute(twin, psi, theirs)
         assert outcomes == want_outcomes and list(outcomes) == list(want_outcomes)
-        assert_same_state(out, want_out, exact)
+        assert_same_state(out, want_out)
         assert mine.bit_generator.state == theirs.bit_generator.state
 
 
