@@ -107,8 +107,6 @@ from .oracle import (
     StateVector,
     _extract,
     _flip,
-    _grow,
-    _grow_epr,
     _phase,
     apply_gate,
     basis_bits,
@@ -661,26 +659,28 @@ def parse_program(text: str) -> CompiledProgram:
 # that Pauli. Every link of a compiled program is one, so its window stays
 # at n, the live carriers. Any other Bell measurement is planned as its
 # rotation (_bell_rotation), two gate steps, then a two-qubit branch point,
-# a plain Z measurement; the step before a branch point also moves the
-# measured qubits to the front, in outcome order, so the branch point reads
-# a (batch, outcome, rest) array. That path is the only one that reads a
-# live pair.
+# a plain Z measurement. A branch point is one step at every window width:
+# it moves the measured qubits to the front, in outcome order, and reads the
+# frontier as a (batch, outcome, rest) array (_branch). That path is the
+# only one that reads a live pair.
 #
-# Gate steps and allocations (|0> or EPR) are fused while the window holds at
-# most _FUSE_WIDTH = 8 qubits. Each is composed, when the plan is built, into
-# a pending pull map over the flattened window, and the map is flushed as one
-# gather step (_gather: a take, a multiply and, after an H, an add) before
-# every conditioned step, every branch point (with the reorder composed in),
-# every teleport step, the final extraction and any step on a wider window.
+# Gate steps are fused while the window holds at most _FUSE_WIDTH = 8
+# qubits, and allocations (|0> or EPR) at every width. Each is composed, when
+# the plan is built, into a pending pull map over the flattened window, and
+# the map is flushed as one gather step (_gather: a take, a multiply and,
+# after an H, an add) before every conditioned step, every branch point,
+# every teleport step, the final extraction and any gate on a wider window.
+# An allocation that makes the window wider than _FUSE_WIDTH is flushed at
+# once, so the map never grows past the allocation that crosses the limit.
 # A map holds at most two terms, so at most one H.
 # On narrow windows a numpy call costs far more than its amplitude work, and
 # one gather replaces a run of per-gate kernel calls. The limit is where that
 # stops paying (timed on a 2-CPU x86-64 host): at 64-256 amplitudes composing
 # a gate costs 1.5-3.2 us, about what one run of its kernel costs (1.0-6.4
 # us), while at 1,024 it costs 5-8 us against 2-5 us for most kernels; and
-# with no limit the protocol benchmark's peak memory rose by a third. Wider
-# windows keep the per-gate kernels (_cached_kernel), and conditioned steps
-# always use them.
+# with no limit the protocol benchmark's peak memory rose by a third. Gates
+# on wider windows keep the per-gate kernels (_cached_kernel), and
+# conditioned steps always use them.
 #
 # One runner (_run) executes a plan over a frontier: every live branch is
 # one entry of a batch axis of the amplitude array, so each step is one numpy
@@ -702,13 +702,14 @@ def parse_program(text: str) -> CompiledProgram:
 # masks over the flat window index (window slot a is bit width - 1 - a, the
 # bit _pauli_map flips) and sign is one bit. A teleport step, and a
 # conditioned X or Z that fires, only update the frame, with no numpy call.
-# The next gather takes the frame into its own pull map (_framed), so a shot
-# touches its amplitudes only where a gate acts. A conditioned P-dagger
-# commutes with the frame's Z and runs as it is unless the frame holds X on
-# its qubit; then, and before any other step and the final extraction, the
-# frame is applied to the amplitudes (_unframe). Every factor the frame moves
-# is +1 or -1, so a shot's amplitudes are bit for bit those it would get by
-# applying each Pauli where it arises.
+# The next gather on a window of at most _FUSE_WIDTH qubits takes the frame
+# into its own pull map (_framed), so a shot touches its amplitudes only
+# where a gate acts. A conditioned P-dagger commutes with the frame's Z and
+# runs as it is unless the frame holds X on its qubit; then, and before any
+# other step (a wide allocation's gather among them) and the final
+# extraction, the frame is applied to the amplitudes (_unframe). Every
+# factor the frame moves is +1 or -1, so a shot's amplitudes are bit for bit
+# those it would get by applying each Pauli where it arises.
 #
 # Classical bits are numbered per plan: a measure plan gives the i-th outcome
 # variable it reads bit i, and a unitary plan the i-th qubit it measures. Each
@@ -717,25 +718,27 @@ def parse_program(text: str) -> CompiledProgram:
 # does not depend on the process-wide variable table. An exhaustive run keeps
 # its rows' bits as one int64 array (at most 24 bits: MAX_OUTCOME_BITS for a
 # measure plan, four per Bell group for a unitary one), so a conditioned step
-# is one vectorized test of every row (_fires); a sampled shot keeps its one
-# row's bits as a Python int, which any number of bits fits, and its
-# probability as a float (_fires_one). A leaf keeps its mask, and its
-# outcome dict is built only when read (Branch.outcomes).
+# is one vectorized test of every row, its parities from np.bitwise_count
+# (_fires); a sampled shot keeps its one row's bits as a Python int, which
+# any number of bits fits, and its probability as a float (_fires_one). A
+# leaf keeps its mask, and its outcome dict is built only when read
+# (Branch.outcomes).
 
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
-# whole frontier; the kernel is a per-gate one, a fused _gather or the
-# reorder _lead. (_COND, test, kernel, args) runs a per-gate kernel, or the
-# phase _scale, on the entries whose mask of classical bits that read 1
-# passes ``test``, a compiled (linear, terms, constant) triple (_plan_test).
-# (_BRANCH, bits, shape) is a branch point
-# (_Schedule.branch) on a (batch, outcome, rest) frontier: outcome k sets
-# the classical bits ``bits[k]``, and the children take ``shape``, one axis
-# per remaining qubit. (_TELEPORT, bits, src, coef, bit) is a Bell
-# measurement against a fresh EPR half (_Schedule.teleport): each outcome k
-# has probability 1/4, sets ``bits[k]`` and leaves the Pauli whose pull map
-# is (src[k], coef[k]); the frontier keeps its shape. ``bit`` is the flat
-# window bit of the teleported slot, the bit a sampled shot's frame sets.
+# whole frontier; the kernel is a per-gate one or a fused _gather. (_COND,
+# test, kernel, args) runs a per-gate kernel, or the phase _scale, on the
+# entries whose mask of classical bits that read 1 passes ``test``, a
+# compiled (linear, terms, constant) triple (_plan_test). (_BRANCH, bits,
+# perm, layout, shape) is a branch point (_Schedule.branch): the frontier
+# is transposed by ``perm`` and reshaped to the (batch, outcome, rest)
+# ``layout``, outcome k sets the classical bits ``bits[k]``, and the
+# children take ``shape``, one axis per remaining qubit. (_TELEPORT, bits,
+# src, coef, bit) is a Bell measurement against a fresh EPR half
+# (_Schedule.teleport): each outcome k has probability 1/4, sets
+# ``bits[k]`` and leaves the Pauli whose pull map is (src[k], coef[k]); the
+# frontier keeps its shape. ``bit`` is the flat window bit of the
+# teleported slot, the bit a sampled shot's frame sets.
 _APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 
 
@@ -746,9 +749,11 @@ class ExecPlan:
     plan-local classical bit (as a one-bit mask). A measure plan reads each
     Bell measurement at one step: a _TELEPORT step when it teleports a
     carrier onto a fresh EPR half, otherwise a _BRANCH step after its
-    rotation; a unitary plan has only _BRANCH steps. A plan holds no
-    per-run state: an exhaustive run applies a _TELEPORT step's Paulis
-    through its maps, and a sampled shot folds them into its Pauli frame."""
+    rotation; a unitary plan has only _BRANCH steps. A branch point is
+    that one step at every window width, and an allocation is always part
+    of a gather step. A plan holds no per-run state: an exhaustive run
+    applies a _TELEPORT step's Paulis through its maps, and a sampled shot
+    folds them into its Pauli frame."""
 
     n: int
     steps: tuple[tuple, ...]
@@ -758,12 +763,16 @@ class ExecPlan:
 
 
 class _Schedule:
-    """Symbolic window replay: which qubit each tensor axis holds, which
-    qubits were measured and dropped, and the items deferred until a flush
-    reaches their light cone. Array axis 0 is the frontier's batch axis, so
-    the qubit on window slot i is array axis i + 1. A branch point removes
-    its measured qubits from the window; a teleport step hands the measured
-    carrier's slot to the other half of the pair it measured against.
+    """Symbolic window replay: which qubit each tensor axis holds, the
+    pending pull map of the gates and allocations not yet emitted, and the
+    items deferred until a flush reaches their light cone. Array axis 0 is
+    the frontier's batch axis, so the qubit on window slot i is array axis
+    i + 1. A branch point removes its measured qubits from the window; a
+    teleport step hands the measured carrier's slot to the other half of the
+    pair it measured against. The window width decides only how a gate runs:
+    composed into the pending map up to _FUSE_WIDTH qubits, a per-gate
+    kernel step above; an allocation onto a window wider than that flushes
+    the map it joined at once.
 
     The deferred items are indexed per qubit. Each is an entry [order,
     qubits, item, preds]: ``order`` is its place in program order, and
@@ -774,7 +783,6 @@ class _Schedule:
 
     def __init__(self, n: int):
         self.window = list(range(n))
-        self.retired: set[int] = set()
         self.last: dict[int, list] = {}
         self.count = 0  # items deferred so far: the next one's place in program order
         self.steps: list[tuple] = []
@@ -783,17 +791,17 @@ class _Schedule:
         self.peak = n
 
     def _allocate(self, qubits: list[int]) -> None:
-        """Append fresh qubits to the window: one |0>, or two as an EPR pair."""
+        """Append fresh qubits to the window, one |0> or two as an EPR pair,
+        by composing their map into the pending one; on a window wider than
+        _FUSE_WIDTH, where gates do not fuse, that map is flushed at once."""
         width = len(self.window) + len(qubits)
         if width > MAX_QUBITS:
             raise ValidationError("register window exceeds the qubit cap")
         self.peak = max(self.peak, width)
+        self._fuse(width, *_alloc_map(len(qubits), width))
+        self.window += qubits
         if width > _FUSE_WIDTH:
             self._flush_map()
-            self.steps.append((_APPLY, _grow if len(qubits) == 1 else _grow_epr, ()))
-        else:
-            self._fuse(width, *_alloc_map(len(qubits), width))
-        self.window += qubits
 
     def axes(self, qubits) -> tuple[int, ...]:
         """Array axes of ``qubits``, allocating fresh |0> ones as needed."""
@@ -816,9 +824,10 @@ class _Schedule:
             self._fuse(width, *_gate_map(kind._value_, axes, width))
 
     def _fuse(self, width: int, src: np.ndarray | None, coef: np.ndarray | None) -> None:
-        """Compose one gate's, allocation's or reorder's pull map, onto a
-        ``width``-qubit window, after the pending map. A map holds at most two terms, so one
-        with two terms (from an H) is flushed before the next H."""
+        """Compose one gate's or allocation's pull map, onto a
+        ``width``-qubit window, after the pending map. A map holds at most
+        two terms, so one with two terms (from an H) is flushed before the
+        next H."""
         if self.pending is None or (src is not None and src.ndim == 2 and self.pending[0].ndim == 2):
             self._flush_map()
             ident_src, ident_coef = _identity_map(width)
@@ -832,13 +841,11 @@ class _Schedule:
             pcoef = pcoef * coef
         self.pending = psrc, pcoef
 
-    def _flush_map(self, shape: tuple[int, ...] | None = None) -> None:
+    def _flush_map(self) -> None:
         """Emit the pending map, if any, as one gather step that leaves the
-        frontier in ``shape``, by default one axis per window qubit."""
+        frontier with one axis per window qubit."""
         if self.pending is not None:
-            if shape is None:
-                shape = (-1,) + (2,) * len(self.window)
-            self.steps.append((_APPLY, _gather, (*self.pending, shape)))
+            self.steps.append((_APPLY, _gather, (*self.pending, (-1,) + (2,) * len(self.window))))
             self.pending = None
 
     def cond(self, test, kind: GateKind, qubits: tuple[int, ...]) -> None:
@@ -899,28 +906,20 @@ class _Schedule:
         k reads bit j of k, the first qubit highest, from qubit j, and sets
         the classical bits ``bits[k]``.
 
-        The step before the branch point lays the frontier out as (batch,
-        2^m, rest): the m measured qubits lead in outcome order, so row k of
-        axis 1 is outcome k, and the other qubits follow in window order. On
-        a narrow window the reorder is composed into the pending gather
-        (_lead_map), so the allocations, the basis change and the reorder
-        stay one step; on a wider one it is one transpose-and-reshape step
-        (_lead)."""
+        It is one step, at every window width. The step carries the axis
+        permutation that puts the m measured qubits first, in outcome order,
+        and the others after them in window order, and the (batch, 2^m,
+        rest) layout that _branch reshapes the reordered frontier into, so
+        that row k of axis 1 is outcome k."""
         measured = self.axes(qubits)
+        self._flush_map()
         width, m = len(self.window), len(qubits)
-        layout = (-1, 1 << m, 1 << (width - m))
-        if width > _FUSE_WIDTH:
-            self._flush_map()
-            rest = [ax for ax in range(1, width + 1) if ax not in measured]
-            self.steps.append((_APPLY, _lead, ((0, *measured, *rest), layout)))
-        else:
-            self._fuse(width, _lead_map(measured, width), None)
-            self._flush_map(layout)
+        rest = [ax for ax in range(1, width + 1) if ax not in measured]
         bits = self._read(outcomes)
         for q in qubits:
             self.window.remove(q)
-        self.retired.update(qubits)
-        self.steps.append((_BRANCH, bits, (-1,) + (2,) * len(self.window)))
+        self.steps.append((_BRANCH, bits, (0, *measured, *rest), (-1, 1 << m, 1 << (width - m)),
+                           (-1,) + (2,) * len(self.window)))
 
     def teleport(self, r: int, s: int, pair: list, outcomes) -> None:
         """Bell-measure (r, s), where ``pair`` is the deferred EPR entry of s
@@ -941,7 +940,6 @@ class _Schedule:
         self.steps.append((_TELEPORT, self._read(outcomes), *_pauli_map(axis, width),
                            1 << (width - axis)))
         self.window[axis - 1] = t
-        self.retired.update((r, s))
 
     def _read(self, outcomes) -> tuple[int, ...]:
         """The classical bits that each outcome k of the measured qubits sets,
@@ -969,7 +967,8 @@ def _cached_kernel(kind: str, axes: tuple[int, ...], ndim: int) -> tuple:
 
 
 # Gate fusion. On a window of at most _FUSE_WIDTH qubits a run of gate and
-# allocation steps is one pull map over the flattened window,
+# allocation steps, and on a wider one an allocation with the run before it,
+# is one pull map over the flattened window,
 # y[i] = sum_t coef[t, i] * x[src[t, i]], with src and coef of one row (1-D)
 # or two (after an H). The maps of single gates and allocations come from
 # integer bit operations on the flat index i, big-endian in the window's
@@ -1020,23 +1019,6 @@ def _gather(amps: np.ndarray, src: np.ndarray, coef: np.ndarray, shape: tuple) -
     if src.ndim == 2:
         out = out[:, 0] + out[:, 1]
     return out.reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _lead_map(measured: tuple[int, ...], width: int) -> np.ndarray:
-    """src of the permutation of a ``width``-qubit window that moves array
-    axes ``measured`` to the front, in that order, the others keeping theirs."""
-    slots = [ax - 1 for ax in measured] + [s for s in range(width) if s + 1 not in measured]
-    i = np.arange(1 << width)
-    src = np.zeros_like(i)
-    for j, slot in enumerate(slots):
-        src |= (i >> (width - 1 - j) & 1) << (width - 1 - slot)
-    return src
-
-
-def _lead(amps: np.ndarray, perm: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """The reorder before a branch point on a wide window (_Schedule.branch)."""
-    return amps.transpose(perm).reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -1157,46 +1139,35 @@ def _fires_one(test: tuple, ones: int) -> int:
     return acc & 1
 
 
-# The parity of every 12-bit value. An exhaustive frontier's masks hold at
-# most 24 bits, so a linear test is one or two lookups.
-_PARITY_BITS = 12
-_PARITY_MASK = (1 << _PARITY_BITS) - 1
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << _PARITY_BITS)], dtype=bool)
-
-
 def _fires(test: tuple, ones: np.ndarray) -> np.ndarray:
     """_fires_one for every row of an exhaustive frontier at once: ``ones``
     holds one int64 mask per row, and the result is a bool per row."""
     linear, terms, constant = test
-    masked = ones & linear
-    fire = _PARITY[masked & _PARITY_MASK]
-    for shift in range(_PARITY_BITS, linear.bit_length(), _PARITY_BITS):
-        fire ^= _PARITY[masked >> shift & _PARITY_MASK]
-    if constant:
-        fire = ~fire
+    fire = np.bitwise_count(ones & linear) & 1 != constant
     for term in terms:
         fire ^= ones & term == term
     return fire
 
 
 def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator | None) -> tuple:
-    """One branch point, a Z measurement of the leading qubits of a (batch,
-    outcome, rest) frontier (_Schedule.branch); returns the children,
-    reshaped to one axis per remaining qubit, their branch probabilities and
-    their bit masks.
+    """One branch point, a Z measurement (_Schedule.branch): the frontier is
+    reordered into its (batch, outcome, rest) layout, the measured qubits
+    leading in outcome order; returns the children, reshaped to one axis per
+    remaining qubit, their branch probabilities and their bit masks.
 
     The outcome marginals are one (batch, outcome) table, k = 2x + z at a
     Bell step. With ``rng`` the frontier is one shot of a measure plan, its
     probability a float and its mask an int: its outcome is the first k at
-    which the running sum of its row passes one uniform draw (else the last
-    k), and its child is row k divided by the square root of its
-    probability. Otherwise ``probs`` and ``ones`` are arrays with one entry
-    per row, and every outcome above _CUTOFF is kept, parent-major and in
-    outcome order, as the rows of the flattened (batch * outcome) axis that
-    one take gathers. Either way a child is a new array, never a view of
-    the caller's input.
+    which the running sum of its row passes one uniform draw, else (the
+    draw at or above the rounded sum) the last k above _CUTOFF, and its
+    child is row k divided by the square root of its probability. Otherwise
+    ``probs`` and ``ones`` are arrays with one entry per row, and every
+    outcome above _CUTOFF is kept, parent-major and in outcome order, as the
+    rows of the flattened (batch * outcome) axis that one take gathers.
+    Either way a child is a new array, never a view of the caller's input.
     """
-    _, bits, shape = step
+    _, bits, perm, layout, shape = step
+    amps = amps.transpose(perm).reshape(layout)
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=2)
     if rng is not None:
@@ -1204,7 +1175,9 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
         u = rng.random()
         for k, acc in enumerate(accumulate(row)):
             if u < acc:
-                break  # else k stays at the last outcome
+                break
+        else:
+            k = max((j for j, p in enumerate(row) if p > _CUTOFF), default=k)
         prob = row[k]
         if prob <= 0.0:
             raise ValidationError(f"measurement outcome {(k & 1, k >> 1)} has zero probability")
@@ -1238,12 +1211,12 @@ def _teleport(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: np.ndarray
 def _frame_signs(width: int, z: int, sign: int) -> np.ndarray:
     """(-1)^(sign + popcount(j & z)) for every flat index j of a
     ``width``-qubit window: the factor the frame's Z^z and sign put on
-    amplitude j. Frames are folded into gathers and unframed through a
-    gather only on windows of at most _FUSE_WIDTH qubits, so the cache holds
-    at most 2 * 2^w entries per width w there. The factors are complex, as a
-    gather's coef is: numpy multiplies two complex arrays faster than a
-    complex one by a float one."""
-    odd = _PARITY[np.arange(1 << width) & z] != bool(sign)
+    amplitude j. Frames are folded into gathers, and unframed through a
+    gather, only on windows of at most _FUSE_WIDTH qubits (_run, _unframe),
+    so the cache holds at most 2 * 2^w entries per width w there. The
+    factors are complex, as a gather's coef is: numpy multiplies two
+    complex arrays faster than a complex one by a float one."""
+    odd = np.bitwise_count(np.arange(1 << width) & z) & 1 != sign
     return np.where(odd, -1.0, 1.0).astype(complex)
 
 
@@ -1308,7 +1281,9 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         if op is _APPLY:
             kernel, args = step[1], step[2]
             if x | z | sign:
-                if kernel is _gather:
+                # Frame signs are cached for narrow windows only, so the
+                # gather of a wide allocation gets the frame applied first.
+                if kernel is _gather and amps.ndim - 1 <= _FUSE_WIDTH:
                     src, coef, shape = args
                     args = (*_framed(src, coef, amps.ndim - 1, x, z, sign), shape)
                 else:
@@ -1606,7 +1581,7 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     sched = _Schedule(up.n)
-    measured = sched.retired
+    measured: set[int] = set()  # the qubits of the branch points so far
     classical: dict[int, tuple[int, int]] = {}  # classical qubit -> (mask, constant)
     quantum = set(up.logical_outputs).union(  # qubits that are never parity qubits
         *((grp.r, grp.s, grp.anc_z, grp.anc_x) for grp in up.bell_groups))
@@ -1651,6 +1626,7 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
         bits = [1 << (base + j) for j in range(len(order))]
         classical.update((q, (bit, 0)) for q, bit in zip(order, bits))
         sched.branch(order, [(var_of_qubit.get(q), bit) for q, bit in zip(order, bits)])
+        measured.update(order)
     for g in gates[start:]:
         sched.defer(g.targets, g)
     sched.flush(up.logical_outputs, emit)

@@ -14,19 +14,22 @@ whose partner carried a teleported state psi, the partner afterwards holds
 X^x Z^z psi. The compiler reads both outcomes at one step and draws them
 with one uniform per Bell measurement: against a fresh pair, a teleport
 step (compiler._teleport) that applies that Pauli to the partner, each
-outcome having probability 1/4; otherwise a branch step (compiler._branch),
-after a step that puts (s, r) first so that row k = 2x + z is one outcome.
+outcome having probability 1/4; otherwise a branch step (compiler._branch)
+that puts (s, r) first, so that row k = 2x + z is one outcome.
 
-The gate kernels (gate_kernel) and the axis-level helpers at the end
-(allocation, EPR preparation, extraction) also serve the compiler's
-execution plan: it runs every program, the garden-hose gadget, the
-protocol and the grouped speculative runs included, over a window of qubits
-from which measured pairs are factored out, so long runs stay within the
-size cap, with every live branch as one entry of a leading batch axis. The plan uses these kernels only for its
-conditioned steps and on windows wider than 8 qubits; on narrower ones it
-fuses runs of gates and allocations into gather steps of its own
-(compiler._gather), so there the executor no longer shares kernels with
-this oracle, and the tests compare the two. Extraction is always shared.
+The gate kernels (gate_kernel) and extraction (_extract) also serve the
+compiler's execution plan: it runs every program, the garden-hose gadget,
+the protocol and the grouped speculative runs included, over a window of
+qubits from which measured pairs are factored out, so long runs stay within
+the size cap, with every live branch as one entry of a leading batch axis.
+The plan uses the gate kernels only for its conditioned steps, for gates on
+windows wider than 8 qubits and to apply a sampled shot's Pauli frame
+there; on narrower windows it fuses runs of gates into gather steps of its
+own (compiler._gather), and at every width it composes allocations into
+them, so the executor no longer shares those with this oracle, and the
+tests compare the two. The allocation helpers _grow and _grow_epr serve
+only as the tests' reference for the plan's allocation maps. Extraction is
+always shared.
 Distinct states may be processed in parallel; none of these objects is
 shared-mutable.
 """
@@ -212,9 +215,11 @@ def fidelity_up_to_phase(u: StateVector, v: StateVector) -> float:
 
 
 # -- axis-level helpers --------------------------------------------------------
-# Used by the compiler's execution plan, whose amplitude array carries one
-# leading batch axis (one entry per live branch) before the window's qubit
-# axes. Each helper returns a new array.
+# Helpers on an amplitude array that carries one leading batch axis (one
+# entry per live branch) before the window's qubit axes, as the compiler's
+# execution plan does. The plan composes allocations into its gather steps
+# (compiler._alloc_map); _grow and _grow_epr are the tests' reference for
+# those maps, and _extract is the plan's extraction. Each returns a new array.
 
 def _grow(amps: np.ndarray) -> np.ndarray:
     """Append one fresh |0> axis."""

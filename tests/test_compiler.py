@@ -41,8 +41,8 @@ from tlink.compiler import (
     Instruction,
     _Schedule,
     _branch,
+    _frame_signs,
     _gather,
-    _lead,
     _pauli_map,
     compile_measure,
     enumerate_branches,
@@ -612,25 +612,32 @@ class TestExecPlan:
             at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
             assert len(at) == len(bells(p))
             for j, (i, ins) in enumerate(zip(at, bells(p))):
-                _, bits, child = steps[i]
+                _, bits, perm, layout, child = steps[i]
                 # BELL r s measures (s, r): outcome k = 2x + z sets x's bit and
                 # z's, plan-local bits 2j and 2j + 1 of the j-th BELL
                 mx, mz = 1 << 2 * j, 1 << 2 * j + 1
                 assert bits == (0, mz, mx, mx | mz)
                 assert p.plan.names[2 * j:2 * j + 2] == tuple(
                     (v.name, m) for v, m in zip(ins.out_vars, (mx, mz)))
-                # the rotation, fused or per gate, ends in the (batch, outcome, rest) layout
-                op, _, args = steps[i - 1]
-                assert op is _APPLY and args[-1] == (-1, 4, 2 ** (len(child) - 1))
-                # a plain Z measurement: bit masks and a shape only, no kernels
+                # one step: it puts the two measured axes first, then lays the
+                # frontier out as (batch, outcome, rest)
+                width = len(child) + 1
+                assert perm[0] == 0 and sorted(perm) == list(range(width + 1))
+                assert layout == (-1, 4, 2 ** (width - 2))
+                # the step before it is the fused rotation, on the window as it
+                # stands: no reorder
+                op, kernel, args = steps[i - 1]
+                assert op is _APPLY and kernel is _gather and args[-1] == (-1,) + (2,) * width
+                # a plain Z measurement: bit masks, axes and shapes only, no kernels
                 assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
 
     def test_bell_rotation_is_fused_into_the_step_before_its_branch(self):
         # Each BELL's cone is its EPR pair and the X pair on s that keeps it
         # off the teleport step, so on this narrow window the step before
-        # each branch is the pair's allocation, X(s) twice, CNOT(r, s), H(r)
-        # and the reorder that puts (s, r) first as one gather. Both times the
-        # window is the carrier then the pair, so r is array axis 1 and s axis 2.
+        # each branch is the pair's allocation, X(s) twice, CNOT(r, s) and
+        # H(r) as one gather, and the branch point itself puts (s, r) first.
+        # Both times the window is the carrier then the pair, so r is array
+        # axis 1 and s axis 2.
         prog = parse_program("QUBITS 5\nEPR 1 2\nX 1\nX 1\nBELL 0 1 -> a b\nX 2 IF a\n"
                              "Z 2 IF b\nEPR 3 4\nX 3\nX 3\nBELL 2 3 -> c d\nX 4 IF c\n"
                              "Z 4 IF d\nOUT 0 4\n")
@@ -648,29 +655,30 @@ class TestExecPlan:
                                (GateKind.CNOT, (r_ax, s_ax)), (GateKind.H, (r_ax,))):
                 gk, gargs = gate_kernel(kind, axes, ndim)
                 want = gk(want, *gargs)
-            want = want.transpose(0, s_ax, r_ax, 3).reshape(4, 4, 2)
             got = kernel(frontier, *args)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
+            _, _, perm, layout, child = steps[i]
+            assert perm == (0, s_ax, r_ax, 3) and layout == (-1, 4, 2) and child == (-1, 2)
 
     def test_wide_window_keeps_per_gate_bell_rotation(self):
         # The rotation twin of an n = 7 program links at window 9, above the
-        # fusion width: the rotation stays two per-gate kernel steps, and the
-        # reorder is one transpose step.
+        # fusion width: the rotation stays two per-gate kernel steps, right
+        # before the branch point that reorders the frontier itself.
         p = rotation_twin(compile_measure(random_circuit(np.random.default_rng(7), 7, 3,
                                                          max_clifford=21)))
         steps = p.plan.steps
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == len(bells(p)) > 0
         for i in at:
-            op, kernel, (perm, layout) = steps[i - 1]
-            assert op is _APPLY and kernel is _lead
+            _, _, perm, layout, child = steps[i]
             ndim = len(perm)
             s_ax, r_ax = perm[1:3]
             assert ndim - 1 > _FUSE_WIDTH
             assert sorted(perm) == list(range(ndim)) and layout == (-1, 4, 2 ** (ndim - 3))
-            assert steps[i - 3] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
-            assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
+            assert child == (-1,) + (2,) * (ndim - 3)
+            assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
+            assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (7, 3)])
     def test_fresh_pair_bell_is_one_teleport_step(self, n, k):
@@ -827,6 +835,54 @@ class TestFusion:
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_allocations_compose_at_every_width(self, data):
+        # Gates fuse up to _FUSE_WIDTH and run per gate above it. An
+        # allocation joins the pending map at every width, and one onto a
+        # window wider than _FUSE_WIDTH ends a gather step at once.
+        width = data.draw(st.integers(1, 10), label="width")
+        sched = _Schedule(width)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        shape = (2,) + (2,) * width
+        frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = frontier
+        wide_gates = 0
+        for _ in range(data.draw(st.integers(1, 12), label="ops")):
+            op = data.draw(st.sampled_from(
+                ["gate"] + ["zero"] * (width < 12) + ["epr"] * (width + 2 <= 12)))
+            if op == "gate":
+                kind = data.draw(st.sampled_from(_FUSED_KINDS))
+                arity = 2 if kind is GateKind.CNOT else 1
+                if arity > width:
+                    continue
+                qubits = tuple(data.draw(st.permutations(range(width)))[:arity])
+                sched.gate(kind, qubits)
+                kernel, args = gate_kernel(kind, tuple(q + 1 for q in qubits), width + 1)
+                want = kernel(want, *args)
+                wide_gates += width > _FUSE_WIDTH
+                continue
+            if op == "zero":
+                sched.axes((width,))  # qubit labels are window slots
+                want = _grow(want)
+                width += 1
+            else:
+                sched.epr(width, width + 1)
+                want = _grow_epr(want)
+                width += 2
+            if width > _FUSE_WIDTH:
+                assert sched.pending is None
+                assert sched.steps[-1][:2] == (_APPLY, _gather)
+                assert sched.steps[-1][2][-1] == (-1,) + (2,) * width
+        steps = sched.plan(0, ()).steps
+        kernels = [kernel for _, kernel, _ in steps]
+        assert len(kernels) - kernels.count(_gather) == wide_gates  # the per-gate steps
+        got = frontier
+        for _, kernel, args in steps:
+            got = kernel(got, *args)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
     @staticmethod
     def _crosses(plan):
         kernels = [step[1] for step in plan.steps if step[0] is _APPLY]
@@ -917,17 +973,12 @@ class TestBranch:
         outcomes = [(None, 1 << j) for j in range(m)]
         sched = _Schedule(width)
         sched.branch(qubits, outcomes)
-        *layout, step = sched.plan(0, ()).steps
-        assert len(layout) == 1 and step[0] is _BRANCH
-
-        def run(amps, probs, ones, draw):
-            _, kernel, args = layout[0]
-            return _branch(step, kernel(amps, *args), probs, ones, draw)
+        (step,) = sched.plan(0, ()).steps  # one step at every width
 
         # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")
         shot = frontier[:1]
-        got = run(shot, 0.5, 1 << m, np.random.default_rng(seed))
+        got = _branch(step, shot, 0.5, 1 << m, np.random.default_rng(seed))
         want = per_axis_branch(qubits, outcomes, shot, 0.5, 1 << m, np.random.default_rng(seed))
         assert type(got[1]) is float and type(got[2]) is int
         self._agree(got, want, frontier)
@@ -935,7 +986,7 @@ class TestBranch:
         # an exhaustive frontier: one probability and one int64 mask per row
         probs = rng.random(batch)
         ones = np.arange(batch, dtype=np.int64) << m  # masks name the parent
-        got = run(frontier, probs, ones, None)
+        got = _branch(step, frontier, probs, ones, None)
         want = per_axis_branch(qubits, outcomes, frontier, probs, ones, None)
         assert got[2].dtype == np.int64
         self._agree(got, want, frontier)
@@ -1017,6 +1068,78 @@ T 5
 OUT 0 3
 OUT 1 5
 """
+
+
+class Forced:
+    """An RNG stand-in whose uniforms draw the given outcomes k in order, as
+    (k + 1/2) / 4: at a teleport step that is outcome k, and so it is at a
+    branch point whose four outcomes each have probability 1/4."""
+
+    def __init__(self, ks):
+        self.ks = iter(ks)
+
+    def random(self) -> float:
+        return (next(self.ks) + 0.5) / 4
+
+
+def chain_stage(n: int) -> str:
+    """One stage on n wires, as gate lines: H on each, a CNOT chain, T on each."""
+    return ("".join(f"H {q}\n" for q in range(n))
+            + "".join(f"CNOT {q} {q + 1}\n" for q in range(n - 1))
+            + "".join(f"T {q}\n" for q in range(n)))
+
+
+def rotation_path(n: int) -> str:
+    """A hand-built program for chain_stage(n), n >= 2: wire 0 is teleported
+    onto a fresh pair half n + 1, which is then linked over a second pair
+    whose half n + 2 is touched first (X twice), so that its BELL is a
+    rotation and a branch point on an (n + 2)-qubit window. The second
+    pair's allocation is the first step after the teleport step, so a shot
+    meets it with the teleport's Pauli still in its frame; the corrections
+    of both links come last."""
+    a, b, c, d = n, n + 1, n + 2, n + 3
+    return (f"QUBITS {n + 4}\n" + chain_stage(n)
+            + f"EPR {a} {b}\nBELL 0 {a} -> a b\nEPR {c} {d}\nX {c}\nX {c}\n"
+            f"BELL {b} {c} -> c d\nZ {d} IF b ^ d\nX {d} IF a ^ c\nOUT 0 {d}\n"
+            + "".join(f"OUT {j} {j}\n" for j in range(1, n)))
+
+
+class TestRotationPath:
+    """Branch points on windows of every width, against the dense oracle."""
+
+    # a window of 6, one that crosses _FUSE_WIDTH at the pair's allocation
+    # (7 to 9), and one of 12, wider than _FUSE_WIDTH throughout
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_branch_point_at_every_width_matches_the_dense_oracle(self, n, rng):
+        prog = parse_program(rotation_path(n))
+        steps = prog.plan.steps
+        assert prog.plan.peak_width == n + 2
+        ops = [step[0] for step in steps]
+        assert [op for op in ops if op in (_TELEPORT, _BRANCH)] == [_TELEPORT, _BRANCH]
+        # the pair's allocation is one gather step onto n + 2 qubits, right
+        # after the teleport step, whatever the width
+        op, kernel, args = steps[ops.index(_TELEPORT) + 1]
+        assert op is _APPLY and kernel is _gather and args[-1] == (-1,) + (2,) * (n + 2)
+        _, _, perm, layout, child = steps[ops.index(_BRANCH)]
+        assert len(perm) == n + 3 and layout == (-1, 4, 2 ** n) and len(child) == n + 1
+
+        psi = random_state(rng, n)
+        assert assert_matches_reference(prog, psi) == 16
+        # shots: every forced outcome pair, then seeded draws
+        runs = [Forced(ks) for ks in itertools.product(range(4), repeat=2)]
+        runs += [np.random.default_rng(seed) for seed in range(4)]
+        want = apply_circuit(psi, parse_circuit(f"QUBITS {n}\n{chain_stage(n)}---\n"))
+        cached = _frame_signs.cache_info().currsize
+        for draws in runs:
+            out, outcomes = execute(prog, psi, draws)
+            prob, state = branch_reference(prog, psi, outcomes)
+            assert prob == pytest.approx(1 / 16, abs=1e-12)
+            assert fidelity_up_to_phase(out, state) >= 1 - 1e-10
+            assert fidelity_up_to_phase(out, want) == pytest.approx(1.0, abs=1e-10)
+        if n > _FUSE_WIDTH:
+            # the allocation's gather reads a wide window, so a shot applies
+            # its frame first: frame signs are cached for narrow windows only
+            assert _frame_signs.cache_info().currsize == cached
 
 
 class TestFrontier:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import layered_circuits, random_circuit, random_state, rotation_twin
-from test_compiler import PARTIAL
+from test_compiler import PARTIAL, Forced, branch_reference
 from tlink.circuits import GateKind
 from tlink.compiler import (
     _APPLY,
@@ -32,15 +32,20 @@ from tlink.compiler import (
     _TELEPORT,
     CompiledProgram,
     InstrOp,
+    _branch,
+    _fires,
+    _fires_one,
     _gather,
     _run,
+    _Schedule,
     _unitary_plan,
     compile_measure,
+    execute,
     parse_program,
     to_unitary,
 )
 from tlink.gardenhose import gadget_program
-from tlink.oracle import _extract, gate_kernel
+from tlink.oracle import StateVector, _extract, fidelity_up_to_phase, gate_kernel
 
 
 def reference_fires(test, ones: int) -> int:
@@ -52,8 +57,30 @@ def reference_fires(test, ones: int) -> int:
     return value
 
 
+two_bit_terms = st.lists(st.integers(0, 61), min_size=2, max_size=2, unique=True).map(
+    lambda bits: 1 << bits[0] | 1 << bits[1])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(linear=st.integers(0, 2 ** 62 - 1), terms=st.lists(two_bit_terms, max_size=4),
+       constant=st.integers(0, 1),
+       rows=st.lists(st.integers(0, 2 ** 62 - 1), min_size=1, max_size=16))
+def test_fires_matches_the_one_row_test(linear, terms, constant, rows):
+    # Masks of up to 62 bits, terms of degree 2 and a constant: every row of
+    # the vectorized test agrees with the one-row test and with the
+    # reference, whatever bits the masks use.
+    test = (linear, tuple(terms), constant)
+    fire = _fires(test, np.array(rows, dtype=np.int64))
+    assert fire.dtype == bool and fire.shape == (len(rows),)
+    assert fire.tolist() == [bool(_fires_one(test, row)) for row in rows]
+    assert fire.tolist() == [bool(reference_fires(test, row)) for row in rows]
+
+
 def reference_branch(step, amps, probs, ones: list[int], rng):
-    _, bits, shape = step
+    """A branch point: a draw at or above the row's rounded sum takes the
+    last outcome above _CUTOFF, one an exhaustive run keeps."""
+    _, bits, perm, layout, shape = step
+    amps = amps.transpose(perm).reshape(layout)
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=2)
     if rng is not None:
@@ -62,6 +89,8 @@ def reference_branch(step, amps, probs, ones: list[int], rng):
         for k, acc in enumerate(itertools.accumulate(row)):
             if u < acc:
                 break
+        else:
+            k = max(j for j, p in enumerate(row) if p > _CUTOFF)
         prob = row[k]
         assert prob > 0.0
         return (amps[0, k] / math.sqrt(prob)).reshape(shape), probs * prob, [ones[0] | bits[k]]
@@ -192,20 +221,47 @@ def test_runner_matches_the_per_row_reference(planned, seed):
         assert mine.bit_generator.state == theirs.bit_generator.state
 
 
-class Forced:
-    """An RNG stand-in whose uniforms draw the given outcomes k in order, as
-    (k + 1/2) / 4: at a teleport step that is outcome k."""
-
-    def __init__(self, ks):
-        self.ks = iter(ks)
+class NearlyOne:
+    """An RNG stand-in whose every uniform is the largest float below 1."""
 
     def random(self) -> float:
-        return (next(self.ks) + 0.5) / 4
+        return float(np.nextafter(1.0, 0.0))
+
+
+def test_a_draw_above_the_rounded_sum_takes_the_last_live_outcome():
+    # Qubit 0 in |0> and qubit 2 fresh: the Bell measurement reads x = 0 and
+    # a uniform z, so outcomes 2 and 3 have probability 0. On about half of
+    # these inputs the row's rounded sum is below the draw, which then
+    # takes outcome 1, the last one above _CUTOFF, not outcome 3.
+    prog = parse_program("QUBITS 4\nBELL 0 2 -> a b\nOUT 0 1\nOUT 1 3\n")
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        psi = StateVector(2, np.kron([1.0, 0.0], random_state(rng, 1).amps))
+        out, outcomes = execute(prog, psi, NearlyOne())
+        assert outcomes == {"a": 0, "b": 1}
+        prob, state = branch_reference(prog, psi, outcomes)
+        assert prob == pytest.approx(0.5, abs=1e-12)
+        assert fidelity_up_to_phase(out, state) >= 1 - 1e-12
+        (leaf,) = _run(prog.plan, psi, NearlyOne())
+        assert_same_leaves([leaf], reference_run(prog.plan, psi, NearlyOne()))
+
+
+def test_a_draw_above_the_rounded_sum_skips_a_residue():
+    # Outcome 3 holds a rounding residue of probability 1e-40 and the row sums
+    # to 1 - 1.3e-15, so a draw just below 1 passes every running sum: the
+    # shot takes outcome 1, not outcome 3 renormalized from noise.
+    sched = _Schedule(2)
+    sched.branch((0, 1), [(None, 2), (None, 1)])  # outcome k sets bits k
+    (step,) = sched.plan(0, ()).steps
+    amps = np.array([[[0.6, 0.8 * (1 - 1e-15)], [0.0, 1e-20]]], dtype=complex)
+    child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne())
+    assert ones == 1 and prob == abs(amps[0, 0, 1]) ** 2
+    assert child.shape == (1,) and child[0] == pytest.approx(1.0)
 
 
 # Every function that reads or writes a frontier's amplitudes.
 KERNELS = {"_gather", "_unframe", "_phase", "_flip", "_swap", "_hadamard", "_grow", "_grow_epr",
-           "_lead", "_scale"}
+           "_scale"}
 
 
 def amplitude_passes(plan, psi, rng) -> list[tuple[str, str]]:
