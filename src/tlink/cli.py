@@ -176,9 +176,6 @@ def cmd_gadget(args) -> int:
 def cmd_protocol1(args) -> int:
     tolerance = _tolerance(args)
     circuit = _read_circuit(args.infile)
-    if circuit.t_depth > 1:
-        print("error=t_depth_above_1 hint=use_crossterms", file=sys.stderr)
-        return EXIT_VALIDATION
     seed = _seed(args)
     plan = ResourcePlan(alice_wires=_parse_wires(args.alice),
                         return_to_alice=tuple(sorted(_parse_wires(args.return_wires))))

@@ -18,11 +18,12 @@ outcome ancilla when an X or Z waits on one outcome alone, and otherwise a
 parity qubit from a reusable pool: each holds a known XOR of ancillas, is
 moved onto the condition by one CNOT per differing term, and is never
 uncomputed. A conditioned P-dagger is therefore 3 T gates however many terms
-its condition has. _unitary_plan resolves the parity qubits as classical
-bit masks, so they never widen the execution window. The converted circuit
-is laid out into stages as its gates are emitted, by layerize's rule
-(circuits._StageBuilder), so no flat gate list is built or re-walked, and
-its gates are checked once, by the LayeredCircuit constructor.
+its condition has. _unitary_plan reads each Bell group as its BELL is read
+and resolves the ancillas and parity qubits as classical bit masks, so they
+never widen the execution window. The converted circuit is laid out into
+stages as its gates are emitted, by layerize's rule (circuits._StageBuilder),
+so no flat gate list is built or re-walked, and its gates are checked once,
+by the LayeredCircuit constructor.
 
 compile_speculative / execute_speculative implement the grouped extension
 for circuits that act classically on basis states: stages are linked r at a
@@ -658,11 +659,12 @@ def parse_program(text: str) -> CompiledProgram:
 # carrier's window slot, and the step reads no amplitude: all it leaves is
 # that Pauli. Every link of a compiled program is one, so its window stays
 # at n, the live carriers. Any other Bell measurement is planned as its
-# rotation (_bell_rotation), two gate steps, then a two-qubit branch point,
-# a plain Z measurement. A branch point is one step at every window width:
-# it moves the measured qubits to the front, in outcome order, and reads the
-# frontier as a (batch, outcome, rest) array (_branch). That path is the
-# only one that reads a live pair.
+# rotation (_bell_rotation), two gate steps, then a branch point
+# (_Schedule.branch), a Z measurement of the rotated pair (s, r). A unitary
+# plan reads each Bell group the same way, right after the group's rotation
+# (_unitary_plan). A branch point is one step at every window width: it
+# moves s then r to the front and reads the frontier as a (batch, outcome,
+# rest) array (_branch). That path is the only one that reads a live pair.
 #
 # Gate steps are fused while the window holds at most _FUSE_WIDTH = 8
 # qubits, and allocations (|0> or EPR) at every width. Each is composed, when
@@ -711,18 +713,18 @@ def parse_program(text: str) -> CompiledProgram:
 # factor the frame moves is +1 or -1, so a shot's amplitudes are bit for bit
 # those it would get by applying each Pauli where it arises.
 #
-# Classical bits are numbered per plan: a measure plan gives the i-th outcome
-# variable it reads bit i, and a unitary plan the i-th qubit it measures. Each
-# condition is compiled once, when the plan is built, into a test over those
-# bits, (linear mask, masks of the terms of degree >= 2, constant), so a plan
-# does not depend on the process-wide variable table. An exhaustive run keeps
-# its rows' bits as one int64 array (at most 24 bits: MAX_OUTCOME_BITS for a
-# measure plan, four per Bell group for a unitary one), so a conditioned step
-# is one vectorized test of every row, its parities from np.bitwise_count
-# (_fires); a sampled shot keeps its one row's bits as a Python int, which
-# any number of bits fits, and its probability as a float (_fires_one). A
-# leaf keeps its mask, and its outcome dict is built only when read
-# (Branch.outcomes).
+# Classical bits are numbered per plan, by one rule for both plans
+# (_Schedule._read): the i-th Bell measurement read gives x bit 2i and z bit
+# 2i + 1, and its outcome k = 2x + z sets them. Each condition is compiled
+# once, when the plan is built, into a test over those bits, (linear mask,
+# masks of the terms of degree >= 2, constant), so a plan does not depend on
+# the process-wide variable table. An exhaustive run keeps its rows' bits as
+# one int64 array (at most MAX_OUTCOME_BITS bits, which both enumerations
+# check first), so a conditioned step is one vectorized test of every row,
+# its parities from np.bitwise_count (_fires); a sampled shot keeps its one
+# row's bits as a Python int, which any number of bits fits, and its
+# probability as a float (_fires_one). A leaf keeps its mask, and its
+# outcome dict is built only when read (Branch.outcomes).
 
 
 # Plan step opcodes. (_APPLY, kernel, args) runs kernel(amps, *args) on the
@@ -746,10 +748,10 @@ _APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 class ExecPlan:
     """Flat steps over a tensor window, the axes of the logical outputs at
     the end, the largest window width, and each named outcome with its
-    plan-local classical bit (as a one-bit mask). A measure plan reads each
-    Bell measurement at one step: a _TELEPORT step when it teleports a
-    carrier onto a fresh EPR half, otherwise a _BRANCH step after its
-    rotation; a unitary plan has only _BRANCH steps. A branch point is
+    plan-local classical bit (_Schedule._read). A plan reads each Bell
+    measurement at one step: a _TELEPORT step when a measure plan teleports
+    a carrier onto a fresh EPR half, otherwise a _BRANCH step after its
+    rotation, as a unitary plan reads every Bell group. A branch point is
     that one step at every window width, and an allocation is always part
     of a gather step. A plan holds no per-run state: an exhaustive run
     applies a _TELEPORT step's Paulis through its maps, and a sampled shot
@@ -787,7 +789,7 @@ class _Schedule:
         self.count = 0  # items deferred so far: the next one's place in program order
         self.steps: list[tuple] = []
         self.pending: tuple[np.ndarray, np.ndarray] | None = None  # (src, coef), see _gather
-        self.names: list[tuple[str, int]] = []
+        self.names: list[tuple[str | None, int]] = []  # every classical bit read (_read)
         self.peak = n
 
     def _allocate(self, qubits: list[int]) -> None:
@@ -900,62 +902,61 @@ class _Schedule:
         where a scan of the buffer without it finds nothing more."""
         entry[3] = None
 
-    def branch(self, qubits: tuple[int, ...], outcomes) -> None:
-        """Measure ``qubits`` in the Z basis, then drop them. ``outcomes``
-        gives each qubit's outcome name (or None) and classical bit. Outcome
-        k reads bit j of k, the first qubit highest, from qubit j, and sets
-        the classical bits ``bits[k]``.
+    def branch(self, s: int, r: int, vx: str | None, vz: str | None) -> tuple[int, ...]:
+        """Read the rotated Bell pair (s, r) (_bell_rotation) with a Z
+        measurement, then drop both: x from s and z from r, named ``vx`` and
+        ``vz`` (or None). Outcome k = 2x + z sets the classical bits
+        ``bits[k]`` (_read), which are returned.
 
         It is one step, at every window width. The step carries the axis
-        permutation that puts the m measured qubits first, in outcome order,
-        and the others after them in window order, and the (batch, 2^m,
-        rest) layout that _branch reshapes the reordered frontier into, so
-        that row k of axis 1 is outcome k."""
-        measured = self.axes(qubits)
+        permutation that puts s then r first and the others after them in
+        window order, and the (batch, 4, rest) layout that _branch reshapes
+        the reordered frontier into, so that row k of axis 1 is outcome k."""
+        measured = self.axes((s, r))
         self._flush_map()
-        width, m = len(self.window), len(qubits)
+        width = len(self.window)
         rest = [ax for ax in range(1, width + 1) if ax not in measured]
-        bits = self._read(outcomes)
-        for q in qubits:
-            self.window.remove(q)
-        self.steps.append((_BRANCH, bits, (0, *measured, *rest), (-1, 1 << m, 1 << (width - m)),
-                           (-1,) + (2,) * len(self.window)))
+        self.window = [self.window[ax - 1] for ax in rest]
+        bits = self._read(vx, vz)
+        self.steps.append((_BRANCH, bits, (0, *measured, *rest), (-1, 4, 1 << (width - 2)),
+                           (-1,) + (2,) * (width - 2)))
+        return bits
 
-    def teleport(self, r: int, s: int, pair: list, outcomes) -> None:
+    def teleport(self, r: int, s: int, pair: list, vx: str, vz: str) -> None:
         """Bell-measure (r, s), where ``pair`` is the deferred EPR entry of s
         and its other half t, as one teleport step: it drops the pair from
         the buffer and never allocates it, and t takes r's window slot. Each
-        outcome k = 2x + z, with x read from s and z from r as in branch, has
-        probability exactly 1/4 and leaves X^x Z^z of r's state on t (the
-        teleportation identity), so the step reads no amplitudes. It sets the
-        classical bits ``bits[k]`` and records that Pauli twice: as the pull
-        map of row k of _pauli_map, for an exhaustive run, and as the flat
-        window bit of r's slot, for a sampled shot's frame."""
+        outcome k = 2x + z, named and numbered as in branch, has probability
+        exactly 1/4 and leaves X^x Z^z of r's state on t (the teleportation
+        identity), so the step reads no amplitudes. It sets the classical
+        bits ``bits[k]`` and records that Pauli twice: as the pull map of row
+        k of _pauli_map, for an exhaustive run, and as the flat window bit of
+        r's slot, for a sampled shot's frame."""
         self.drop(pair)
         a, b = pair[1]
         t = b if a == s else a
         (axis,) = self.axes((r,))
         self._flush_map()
         width = len(self.window)
-        self.steps.append((_TELEPORT, self._read(outcomes), *_pauli_map(axis, width),
+        self.steps.append((_TELEPORT, self._read(vx, vz), *_pauli_map(axis, width),
                            1 << (width - axis)))
         self.window[axis - 1] = t
 
-    def _read(self, outcomes) -> tuple[int, ...]:
-        """The classical bits that each outcome k of the measured qubits sets,
-        ``outcomes`` giving each qubit's name (or None) and bit, the first
-        qubit's bit highest in k; records the named ones."""
-        bits = [0]
-        for _, bit in reversed(outcomes):
-            bits += [b | bit for b in bits]
-        self.names += [(name, bit) for name, bit in outcomes if name is not None]
-        return tuple(bits)
+    def _read(self, vx: str | None, vz: str | None) -> tuple[int, ...]:
+        """Number the classical bits of the next Bell measurement, the one
+        rule of both plans: the i-th read gives x bit 2i and z bit 2i + 1,
+        entries 2i and 2i + 1 of ``names`` with their names (or None).
+        Returns the bits each outcome k = 2x + z sets."""
+        x = 1 << len(self.names)
+        z = x << 1
+        self.names += [(vx, x), (vz, z)]
+        return 0, z, x, x | z
 
     def plan(self, n: int, outputs) -> ExecPlan:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
         self._flush_map()
         return ExecPlan(n, tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
-                        tuple(self.names))
+                        tuple(named for named in self.names if named[0] is not None))
 
 
 @lru_cache(maxsize=None)
@@ -1047,10 +1048,10 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
 
     The program's rules are checked first, by the walk that lists its
     outcome variables and their table bits (CompiledProgram.outcome_vars);
-    the only check left here is the window cap. The plan numbers its own
-    classical bits: the i-th outcome variable gets bit i, so the i-th BELL's
-    x and z get bits 2i and 2i + 1, and its outcome index is k = 2x + z.
-    Each condition is compiled into a test over those bits (_plan_test).
+    the only check left here is the window cap. The schedule reads the i-th
+    BELL's x and z into bits 2i and 2i + 1 (_Schedule._read), so the walk's
+    i-th outcome variable gets bit i, and each condition is compiled into a
+    test over those bits (_plan_test).
 
     A ``BELL r s`` is one teleport step (_Schedule.teleport) when s is the
     fresh half of a deferred EPR pair: nothing has touched s since its EPR,
@@ -1065,7 +1066,6 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     """
     plan_bit = {b: i for i, b in enumerate(p._walk[1])}
     sched = _Schedule(p.n)
-    read = 0  # the plan bits read so far
     # Each half of a deferred EPR pair that nothing has touched since, with
     # the pair's deferred entry: the halves a BELL may teleport against.
     fresh: dict[int, list] = {}
@@ -1098,17 +1098,15 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
         pair = fresh.get(s)
         sched.flush((r,) if pair is not None else qs, emit)
         vx, vz = ins.out_vars
-        outcomes = [(vx.name, 1 << read), (vz.name, 1 << read + 1)]
-        read += 2
         if pair is not None and fresh.get(s) is pair:  # r's cone left the pair deferred
             for q in pair[1]:
                 fresh.pop(q, None)
-            sched.teleport(r, s, pair, outcomes)
+            sched.teleport(r, s, pair, vx.name, vz.name)
         else:
             sched.axes((s, r))  # a fresh s is allocated before a fresh r
             for kind, rotated in _bell_rotation(r, s):
                 sched.gate(kind, rotated)
-            sched.branch((s, r), outcomes)
+            sched.branch(s, r, vx.name, vz.name)
     sched.flush(p.logical_outputs, emit)
     return sched.plan(p.n, p.logical_outputs)
 
@@ -1150,13 +1148,13 @@ def _fires(test: tuple, ones: np.ndarray) -> np.ndarray:
 
 
 def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator | None) -> tuple:
-    """One branch point, a Z measurement (_Schedule.branch): the frontier is
-    reordered into its (batch, outcome, rest) layout, the measured qubits
-    leading in outcome order; returns the children, reshaped to one axis per
-    remaining qubit, their branch probabilities and their bit masks.
+    """One branch point, the Z measurement of a rotated Bell pair
+    (_Schedule.branch): the frontier is reordered into its (batch, outcome,
+    rest) layout, s then r leading; returns the children, reshaped to one
+    axis per remaining qubit, their branch probabilities and their bit masks.
 
-    The outcome marginals are one (batch, outcome) table, k = 2x + z at a
-    Bell step. With ``rng`` the frontier is one shot of a measure plan, its
+    The outcome marginals are one (batch, 4) table, k = 2x + z. With
+    ``rng`` the frontier is one shot of a measure plan, its
     probability a float and its mask an int: its outcome is the first k at
     which the running sum of its row passes one uniform draw, else (the
     draw at or above the rounded sum) the last k above _CUTOFF, and its
@@ -1252,12 +1250,11 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     """Run ``plan`` over a frontier that starts as the input state alone and
     return one Branch per leaf, in depth-first order.
 
-    ``ones`` holds the mask of plan bits that read 1 (outcome variables for
-    a measure plan, measured qubits for a unitary one): one int64 per row of
-    an exhaustive frontier, a Python int for a sampled shot. A conditioned
-    step tests every row at once (_fires, or _fires_one for a shot) and
-    applies its kernel to the rows that pass, in one call when all or none
-    of them do. A Bell measurement is a branch point (_branch) or a
+    ``ones`` holds the mask of plan bits that read 1 (_Schedule._read): one
+    int64 per row of an exhaustive frontier, a Python int for a sampled
+    shot. A conditioned step tests every row at once (_fires, or _fires_one
+    for a shot) and applies its kernel to the rows that pass, in one call
+    when all or none of them do. A Bell measurement is a branch point (_branch) or a
     teleport step (_teleport); each takes one uniform draw in a sampled
     shot. A leaf keeps its mask; its outcome dict is built when read.
 
@@ -1394,7 +1391,8 @@ def enumerate_branches(p: CompiledProgram, input_state: StateVector,
 @dataclass(frozen=True)
 class BellGroup:
     """Bookkeeping for one converted Bell measurement: the flat-gate index
-    just past its copy block and the four write-once qubits involved."""
+    just past its rotation, where _unitary_plan reads the pair (r, s), and
+    the pair and the two ancillas that copy its z and x bits."""
 
     gate_end: int
     r: int
@@ -1450,9 +1448,9 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     """Deferred-measurement transform of a measure-mode program.
 
     Each Bell measurement becomes its basis rotation (_bell_rotation)
-    followed by coherent copies of the two outcome bits onto fresh ancillas:
-    the Z measurement that would read them is deferred, and the measured
-    qubits are left in the rotated basis and never touched again.
+    followed by coherent copies of its z (from r) and x (from s) onto fresh
+    ancillas: the Z measurement that would read them is deferred, and the
+    measured qubits are left in the rotated basis and never touched again.
 
     Each conditioned correction, which must be linear, becomes one
     controlled gate (_CONTROLLED). An X or Z conditioned on one outcome
@@ -1481,8 +1479,8 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
     list. Every gate emitted is a program gate the walk has checked, or is
     built on program qubits, ancillas or parity qubits, all in range; the
     LayeredCircuit constructor is the one check of the result. A
-    BellGroup's gate_end counts the gates emitted up to its copy block, its
-    index in flatten's order.
+    BellGroup's gate_end counts the gates emitted up to and including its
+    rotation, the index in flatten's order just past it.
     """
     p.outcome_vars  # raises on a program that breaks a rule
     out = _StageBuilder()
@@ -1508,9 +1506,9 @@ def to_unitary(p: CompiledProgram) -> UnitaryProgram:
             next_q += 2
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
-            clifford([*(_record(Gate, g) for g in _bell_rotation(r, s)),
-                      _record(Gate, (CNOT, (r, anc_z))), _record(Gate, (CNOT, (s, anc_x)))])
+            clifford([_record(Gate, g) for g in _bell_rotation(r, s)])
             groups.append(BellGroup(out.gate_count, r, s, anc_z, anc_x))
+            clifford((_record(Gate, (CNOT, (r, anc_z))), _record(Gate, (CNOT, (s, anc_x)))))
         else:
             if cond.degree > 1:
                 raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
@@ -1556,19 +1554,21 @@ def _scale(amps: np.ndarray, phase: complex) -> np.ndarray:
 def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     """Replay a converted linear program's schedule into an ExecPlan.
 
-    After each Bell copy block its four qubits (r, s, anc_z, anc_x) are
-    Z-measured in one branch point: from there on they are only ever
-    controls of CNOTs, so measuring them there commutes with the rest of the
-    circuit. The i-th measured qubit's classical bit is 1 << i. A measured
-    qubit is read-only: any gate on it but a CNOT from it raises.
+    Right after each Bell group's rotation its pair is read as a measure
+    plan reads a BELL (_Schedule.branch), its bits named after the ancillas
+    that copy them, if var_qubits names them. From there on r and s are only
+    controls of CNOTs, so reading them there commutes with the rest of the
+    circuit. A measured qubit is read-only: any gate on it but a CNOT from
+    it raises.
 
     ``classical`` holds the parity of every classical qubit, measured or
     parity, as (mask of classical bits, constant). A parity qubit is one
-    that has never been a window axis, is neither an output nor in a Bell
-    group, and is first written by a CNOT from a classical qubit. It never
-    enters the window; its gates are resolved here, once. A CNOT from a
-    classical qubit onto it XORs the control's parity into its own, and an
-    X flips its constant, so neither adds a step. P, P-dagger, T or Z on it
+    that has never been a window axis, is neither an output nor a measured
+    qubit of a Bell group, and is first written by a CNOT from a classical
+    qubit, as each ancilla is by its copy from r or s. It never enters the
+    window; its gates are resolved here, once. A CNOT from a classical
+    qubit onto it XORs the control's parity into its own, and an X flips
+    its constant, so neither adds a step. P, P-dagger, T or Z on it
     is a phase on the branches where it holds 1, and a CNOT from a classical
     qubit onto a window qubit an X on the branches where the control holds
     1: one conditioned step each, whose test is the parity's (mask, (),
@@ -1581,10 +1581,10 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     gates = flatten(up.circuit)
     var_of_qubit = {q: v for v, q in up.var_qubits.items()}
     sched = _Schedule(up.n)
-    measured: set[int] = set()  # the qubits of the branch points so far
+    measured: set[int] = set()  # the Bell pairs read so far
     classical: dict[int, tuple[int, int]] = {}  # classical qubit -> (mask, constant)
     quantum = set(up.logical_outputs).union(  # qubits that are never parity qubits
-        *((grp.r, grp.s, grp.anc_z, grp.anc_x) for grp in up.bell_groups))
+        *((grp.r, grp.s) for grp in up.bell_groups))
 
     def emit(qs: tuple[int, ...], g: Gate) -> None:
         kind = g.kind
@@ -1620,13 +1620,11 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
         for g in gates[start:grp.gate_end]:
             sched.defer(g.targets, g)
         start = grp.gate_end
-        order = (grp.r, grp.s, grp.anc_z, grp.anc_x)
-        sched.flush(order, emit)
-        base = len(measured)
-        bits = [1 << (base + j) for j in range(len(order))]
-        classical.update((q, (bit, 0)) for q, bit in zip(order, bits))
-        sched.branch(order, [(var_of_qubit.get(q), bit) for q, bit in zip(order, bits)])
-        measured.update(order)
+        r, s = grp.r, grp.s
+        sched.flush((r, s), emit)
+        _, z, x, _ = sched.branch(s, r, var_of_qubit.get(grp.anc_x), var_of_qubit.get(grp.anc_z))
+        classical[r], classical[s] = (z, 0), (x, 0)
+        measured.update((r, s))
     for g in gates[start:]:
         sched.defer(g.targets, g)
     sched.flush(up.logical_outputs, emit)
@@ -1634,9 +1632,10 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector) -> list[Branch]:
-    """Branch enumeration for a converted circuit: every outcome of the
-    measured Bell and ancilla qubits (see _unitary_plan) of positive
-    probability, through the same runner as measure-mode programs. Refuses,
+    """Branch enumeration for a converted circuit: every outcome of its
+    Bell groups (see _unitary_plan) of positive probability, through the
+    same runner as measure-mode programs, so to_unitary(p) gives the
+    branches of enumerate_branches(p) in the same order. Refuses,
     before any amplitude work, circuits whose Bell groups carry more than
     MAX_OUTCOME_BITS classical bits (2 per group)."""
     _check_branch_bits(len(up.bell_groups), MAX_OUTCOME_BITS)

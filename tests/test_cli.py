@@ -226,6 +226,18 @@ def test_protocol1_four_wires(tmp_path, capsys):
     assert float(out["fidelity"]) >= 1 - 1e-10
 
 
+def test_protocol1_refuses_t_depth_two(tmp_path, capsys):
+    # protocol_program's refusal is the command's one error line
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 1\nT 0\n---\nH 0\nT 0\n---\n")
+    assert cli.main(["protocol1", "--in", str(circuit), "--alice", "0"]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("validation error: T-depth > 1 needs corrections that mix both "
+                            "parties' bits; the simplified gadget does not extend "
+                            "(see analyze_cross_terms)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["stats", "--in", "{bad}"],
     ["compile", "--in", "{bad}", "--out", "{out}"],

@@ -962,30 +962,29 @@ class TestBranch:
     def test_branch_matches_the_per_axis_branch(self, data):
         width = data.draw(st.integers(2, 10), label="width")  # both sides of _FUSE_WIDTH
         batch = data.draw(st.integers(1, 4), label="batch")
-        m = data.draw(st.integers(1, min(4, width)), label="measured")
-        qubits = tuple(data.draw(st.permutations(range(width)), label="order")[:m])
+        qubits = tuple(data.draw(st.permutations(range(width)), label="order")[:2])  # (s, r)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         shape = (batch,) + (2,) * width
         frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if data.draw(st.booleans(), label="dead"):  # outcomes of probability 0
             frontier[(slice(None),) * (qubits[-1] + 1) + (1,)] = 0
         frontier /= np.linalg.norm(frontier.reshape(batch, -1), axis=1).reshape((-1,) + (1,) * width)
-        outcomes = [(None, 1 << j) for j in range(m)]
+        outcomes = [(None, 1), (None, 2)]  # the first read: x from s is bit 0, z from r bit 1
         sched = _Schedule(width)
-        sched.branch(qubits, outcomes)
+        assert sched.branch(*qubits, None, None) == (0, 2, 1, 3)
         (step,) = sched.plan(0, ()).steps  # one step at every width
 
         # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")
         shot = frontier[:1]
-        got = _branch(step, shot, 0.5, 1 << m, np.random.default_rng(seed))
-        want = per_axis_branch(qubits, outcomes, shot, 0.5, 1 << m, np.random.default_rng(seed))
+        got = _branch(step, shot, 0.5, 4, np.random.default_rng(seed))
+        want = per_axis_branch(qubits, outcomes, shot, 0.5, 4, np.random.default_rng(seed))
         assert type(got[1]) is float and type(got[2]) is int
         self._agree(got, want, frontier)
 
         # an exhaustive frontier: one probability and one int64 mask per row
         probs = rng.random(batch)
-        ones = np.arange(batch, dtype=np.int64) << m  # masks name the parent
+        ones = np.arange(batch, dtype=np.int64) << 2  # masks name the parent
         got = _branch(step, frontier, probs, ones, None)
         want = per_axis_branch(qubits, outcomes, frontier, probs, ones, None)
         assert got[2].dtype == np.int64

@@ -251,11 +251,11 @@ def test_a_draw_above_the_rounded_sum_skips_a_residue():
     # to 1 - 1.3e-15, so a draw just below 1 passes every running sum: the
     # shot takes outcome 1, not outcome 3 renormalized from noise.
     sched = _Schedule(2)
-    sched.branch((0, 1), [(None, 2), (None, 1)])  # outcome k sets bits k
+    sched.branch(0, 1, None, None)  # outcome k = 2x + z sets x's bit 1 and z's bit 2
     (step,) = sched.plan(0, ()).steps
     amps = np.array([[[0.6, 0.8 * (1 - 1e-15)], [0.0, 1e-20]]], dtype=complex)
     child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne())
-    assert ones == 1 and prob == abs(amps[0, 0, 1]) ** 2
+    assert ones == 2 and prob == abs(amps[0, 0, 1]) ** 2
     assert child.shape == (1,) and child[0] == pytest.approx(1.0)
 
 

@@ -121,7 +121,7 @@ def assert_branches_match_the_matrix_oracle(up: UnitaryProgram, psi: StateVector
     total = up.total_qubits
     full = apply_gates(padded(psi, total), flatten(up.circuit), total)
     var_of = {q: v for v, q in up.var_qubits.items()}
-    groups = [(var_of[g.anc_z], var_of[g.anc_x]) for g in up.bell_groups]
+    groups = [(var_of[g.anc_x], var_of[g.anc_z]) for g in up.bell_groups]
     ancillas = [up.var_qubits[v] for pair in groups for v in pair]
     rest = [q for q in range(total) if q not in ancillas]
     front = [rest.index(q) for q in up.logical_outputs]
@@ -129,8 +129,8 @@ def assert_branches_match_the_matrix_oracle(up: UnitaryProgram, psi: StateVector
     rows = np.moveaxis(full.reshape((2,) * total), ancillas, range(len(ancillas)))
     rows = rows.reshape(2 ** len(ancillas), -1)
     want = []
-    # The plan measures r (the z bit) before s (the x bit): per group,
-    # branches come in lexicographic (z, x) order.
+    # The plan reads each group as a measure plan reads a BELL, outcome
+    # k = 2x + z: per group, branches come in lexicographic (x, z) order.
     for row, bits in enumerate(itertools.product((0, 1), repeat=len(ancillas))):
         amps = rows[row]
         prob = float(np.linalg.norm(amps) ** 2)
@@ -181,8 +181,8 @@ def reference_to_unitary(p: CompiledProgram) -> UnitaryProgram:
     """The conversion as one flat gate list packed afterwards
     (reference_layerize): the same walk first, the same gates in the same
     order and the same parity-qubit rule as to_unitary, with each
-    BellGroup's gate_end its index in the flat list. to_unitary lays out the
-    stages while it emits."""
+    BellGroup's gate_end the index in the flat list just past its rotation.
+    to_unitary lays out the stages while it emits."""
     p.outcome_vars
     gates: list[Gate] = []
     var_qubits: dict[str, int] = {}
@@ -203,8 +203,8 @@ def reference_to_unitary(p: CompiledProgram) -> UnitaryProgram:
             var_qubits[vz.name] = anc_z
             var_qubits[vx.name] = anc_x
             gates += [Gate(kind, qs) for kind, qs in _bell_rotation(r, s)]
-            gates += [cnot(r, anc_z), cnot(s, anc_x)]
             groups.append(BellGroup(len(gates), r, s, anc_z, anc_x))
+            gates += [cnot(r, anc_z), cnot(s, anc_x)]
         else:
             if ins.cond.degree > 1:
                 raise ValidationError("condition degree > 1 cannot be converted to controlled gates")
@@ -343,11 +343,13 @@ class TestMeasuredQubitGates:
     """A CNOT from a measured qubit of a Bell group onto a live one becomes
     an X on the target if the qubit's bit is set; any other gate on a
     measured qubit is rejected. Qubit 5, never in the window, becomes a
-    parity qubit when a CNOT from a measured qubit first writes it."""
+    parity qubit when a CNOT from a measured qubit first writes it. The
+    group reads z from r = 1 and x from s = 2 and names them through its
+    ancillas 3 and 4, which no gate touches."""
 
-    def program(self, after):
+    def program(self, after, var_qubits=(("vr", 3), ("vs", 4))):
         gates = [h(1), h(2), *after]
-        up = UnitaryProgram(layerize(gates, 6), (0,), {"vr": 1, "vs": 2},
+        up = UnitaryProgram(layerize(gates, 6), (0,), dict(var_qubits),
                             (BellGroup(2, 1, 2, 3, 4),))
         assert flatten(up.circuit) == gates
         return up
@@ -379,13 +381,24 @@ class TestMeasuredQubitGates:
         # and a T phase on the branches where it holds 1, in two steps
         up = self.program([cnot(1, 5), cnot(2, 5), x(5), t(5), cnot(5, 0)])
         plan = _unitary_plan(up)
-        assert plan.peak_width == 5
+        assert plan.peak_width == 3
         assert sum(1 for step in plan.steps if step[0] is _COND) == 2
         psi = random_state(rng, 1)
         for b in enumerate_unitary_branches(up, psi):
             flip = b.outcomes["vr"] ^ b.outcomes["vs"] ^ 1
             want = (psi.amps[::-1] if flip else psi.amps) * (np.exp(1j * np.pi / 4) if flip else 1)
             assert np.allclose(b.state.amps, want, atol=1e-12)
+
+    def test_unnamed_ancillas_read_unnamed_bits(self, rng):
+        # no name for either ancilla: the group is still read, with no outcome
+        # names, and its bits still drive the CNOT from r
+        up = self.program([cnot(1, 0)], var_qubits=())
+        psi = random_state(rng, 1)
+        branches = enumerate_unitary_branches(up, psi)
+        assert [b.outcomes for b in branches] == [{}] * 4
+        for b, flip in zip(branches, (0, 1, 0, 1)):  # outcome k = 2x + z, z from r
+            want = psi.amps[::-1] if flip else psi.amps
+            assert fidelity_up_to_phase(b.state, init_state(1, want)) >= 1 - 1e-10
 
     def test_an_output_is_never_a_parity_qubit(self, rng):
         # output 5 is first written by a CNOT from measured qubit 1: it is
@@ -588,11 +601,29 @@ class TestFrontierAgainstReference:
             enumerate_unitary_branches(seven, random_state(rng, 2))
 
 
-def test_each_bell_group_is_one_four_axis_z_measurement(rng):
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(layered_circuits(max_n=2, max_k=4))
+def test_unitary_branches_are_the_measured_programs_branches(c):
+    # Deferred measurement (Nielsen & Chuang 4.4): the converted circuit
+    # reads each Bell group where the measured program reads its BELL, with
+    # the same bits, so both list the same branches in the same order.
+    p = compile_measure(c)
+    psi = random_state(np.random.default_rng(c.n), c.n)
+    got = enumerate_unitary_branches(to_unitary(p), psi)
+    want = enumerate_branches(p, psi)
+    assert [list(b.outcomes.items()) for b in got] == [list(b.outcomes.items()) for b in want]
+    for b, w in zip(got, want):
+        assert b.probability == pytest.approx(w.probability, abs=1e-12)
+        assert fidelity_up_to_phase(b.state, w.state) >= 1 - 1e-12
+
+
+def test_each_bell_group_is_one_two_axis_z_measurement(rng):
     for k in (2, 3, 4):
         up = to_unitary(compile_measure(random_circuit(rng, 1, k, allow_empty_final=False)))
         branches = [step for step in _unitary_plan(up).steps if step[0] is _BRANCH]
-        assert [len(step[1]) for step in branches] == [16] * len(up.bell_groups)
+        # group j reads (s, r) as a measure plan reads its j-th BELL
+        assert [step[1] for step in branches] == [
+            (0, 2 << 2 * j, 1 << 2 * j, 3 << 2 * j) for j in range(len(up.bell_groups))]
         # a plain Z measurement: bit masks and a shape only, no kernels
         assert all(isinstance(v, int) for step in branches for part in step[1:] for v in part)
 
@@ -610,22 +641,24 @@ def test_unitary_program_sizes_are_derived(rng):
 
 @pytest.mark.parametrize("n,k", [(4, 8), (4, 16), (4, 32), (4, 64), (16, 16)])
 def test_rc_family_keeps_the_t_count_and_the_window(monkeypatch, n, k):
-    # Each conditioned P-dagger costs 3 T gates, and the parity qubits never
-    # enter the execution window, which peaks at n + 4. rc(16,16) has no
-    # plan: its window would exceed the qubit cap.
+    # Each conditioned P-dagger costs 3 T gates, and neither the parity
+    # qubits nor the outcome ancillas ever enter the execution window, which
+    # peaks at n + 2. rc(16,16) has no plan: its window would exceed the
+    # qubit cap.
     c = random_circuit(np.random.default_rng(0), n, k, max_clifford=3 * n)
     prog = compile_measure(c)
     up = to_unitary(prog)
     assert depth_metrics(up.circuit).t_count == depth_metrics(c).t_count + 3 * cond_pdg_count(prog)
-    if n + 4 > MAX_QUBITS:
+    if n + 2 > MAX_QUBITS:
         return
     allocated = []
     allocate = _Schedule._allocate
     monkeypatch.setattr(_Schedule, "_allocate",
                         lambda sched, qubits: allocate(sched, allocated.extend(qubits) or qubits))
-    assert _unitary_plan(up).peak_width <= n + 4
+    assert _unitary_plan(up).peak_width <= n + 2
     parity = held_parities(up, prog.total_qubits)
     assert parity and parity.keys().isdisjoint(allocated)
+    assert set(up.var_qubits.values()).isdisjoint(allocated)
 
 
 # SHA-256 over 24 seeded circuits with n = 1..6: for each, its unitary-mode
