@@ -693,16 +693,17 @@ def parse_program(text: str) -> CompiledProgram:
 # is one child, so the kept children of a branch point come out of one take
 # already contiguous. A branch point replaces each entry by its kept
 # outcomes, parent-major, which is the order a depth-first expansion visits
-# them, and a teleport step by its four outcomes, each under its Pauli, in
-# the same order. A sampled shot is one row and draws each Bell outcome with
-# one uniform: at a branch point from the same table of outcome
-# probabilities as an exhaustive run keeps them from, its child one row of
-# that layout; at a teleport step as the first k with u < (k + 1) / 4.
+# them, and a teleport step by its four outcomes, each under its Pauli (the
+# oracle's Z then X kernels on the teleported slot, _pauli), in the same
+# order. A sampled shot is one row and draws each Bell outcome with one
+# uniform: at a branch point from the same table of outcome probabilities
+# as an exhaustive run keeps them from, its child one row of that layout;
+# at a teleport step as the first k with u < (k + 1) / 4.
 #
 # A sampled shot carries a Pauli frame (Knill, quant-ph/0410199): its state
 # is (-1)^sign X^x Z^z of its amplitudes, Z applied first, where x and z are
 # masks over the flat window index (window slot a is bit width - 1 - a, the
-# bit _pauli_map flips) and sign is one bit. A teleport step, and a
+# bit a teleport step holds) and sign is one bit. A teleport step, and a
 # conditioned X or Z that fires, only update the frame, with no numpy call.
 # The next gather on a window of at most _FUSE_WIDTH qubits takes the frame
 # into its own pull map (_framed), so a shot touches its amplitudes only
@@ -732,15 +733,14 @@ def parse_program(text: str) -> CompiledProgram:
 # test, kernel, args) runs a per-gate kernel, or the phase _scale, on the
 # entries whose mask of classical bits that read 1 passes ``test``, a
 # compiled (linear, terms, constant) triple (_plan_test). (_BRANCH, bits,
-# perm, layout, shape) is a branch point (_Schedule.branch): the frontier
-# is transposed by ``perm`` and reshaped to the (batch, outcome, rest)
-# ``layout``, outcome k sets the classical bits ``bits[k]``, and the
-# children take ``shape``, one axis per remaining qubit. (_TELEPORT, bits,
-# src, coef, bit) is a Bell measurement against a fresh EPR half
-# (_Schedule.teleport): each outcome k has probability 1/4, sets
-# ``bits[k]`` and leaves the Pauli whose pull map is (src[k], coef[k]); the
-# frontier keeps its shape. ``bit`` is the flat window bit of the
-# teleported slot, the bit a sampled shot's frame sets.
+# perm) is a branch point (_Schedule.branch): the frontier is transposed by
+# ``perm``, which puts the measured pair first, and read as (batch,
+# outcome, rest); outcome k sets the classical bits ``bits[k]``, and the
+# children keep one axis per remaining qubit. (_TELEPORT, bits, bit) is a
+# Bell measurement against a fresh EPR half (_Schedule.teleport): each
+# outcome k = 2x + z has probability 1/4, sets ``bits[k]`` and leaves
+# X^x Z^z on ``bit``, the flat window bit of the teleported slot; the
+# frontier keeps its shape.
 _APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 
 
@@ -753,8 +753,9 @@ class ExecPlan:
     a carrier onto a fresh EPR half, otherwise a _BRANCH step after its
     rotation, as a unitary plan reads every Bell group. A branch point is
     that one step at every window width, and an allocation is always part
-    of a gather step. A plan holds no per-run state: an exhaustive run
-    applies a _TELEPORT step's Paulis through its maps, and a sampled shot
+    of a gather step. A read step holds only classical bits and axes or a
+    window bit. A plan holds no per-run state: an exhaustive run applies a
+    _TELEPORT step's Paulis to its children (_pauli), and a sampled shot
     folds them into its Pauli frame."""
 
     n: int
@@ -908,18 +909,16 @@ class _Schedule:
         ``vz`` (or None). Outcome k = 2x + z sets the classical bits
         ``bits[k]`` (_read), which are returned.
 
-        It is one step, at every window width. The step carries the axis
-        permutation that puts s then r first and the others after them in
-        window order, and the (batch, 4, rest) layout that _branch reshapes
-        the reordered frontier into, so that row k of axis 1 is outcome k."""
+        It is one step, at every window width. The step carries only the
+        bits and the axis permutation that puts s then r first and the others
+        after them in window order; _branch reads the reordered frontier as
+        (batch, 4, rest), so that row k of axis 1 is outcome k."""
         measured = self.axes((s, r))
         self._flush_map()
-        width = len(self.window)
-        rest = [ax for ax in range(1, width + 1) if ax not in measured]
+        rest = [ax for ax in range(1, len(self.window) + 1) if ax not in measured]
         self.window = [self.window[ax - 1] for ax in rest]
         bits = self._read(vx, vz)
-        self.steps.append((_BRANCH, bits, (0, *measured, *rest), (-1, 4, 1 << (width - 2)),
-                           (-1,) + (2,) * (width - 2)))
+        self.steps.append((_BRANCH, bits, (0, *measured, *rest)))
         return bits
 
     def teleport(self, r: int, s: int, pair: list, vx: str, vz: str) -> None:
@@ -929,17 +928,15 @@ class _Schedule:
         outcome k = 2x + z, named and numbered as in branch, has probability
         exactly 1/4 and leaves X^x Z^z of r's state on t (the teleportation
         identity), so the step reads no amplitudes. It sets the classical
-        bits ``bits[k]`` and records that Pauli twice: as the pull map of row
-        k of _pauli_map, for an exhaustive run, and as the flat window bit of
-        r's slot, for a sampled shot's frame."""
+        bits ``bits[k]`` and records where that Pauli acts as the flat window
+        bit of r's slot: an exhaustive run applies it there (_pauli), and a
+        sampled shot sets that bit of its frame."""
         self.drop(pair)
         a, b = pair[1]
         t = b if a == s else a
         (axis,) = self.axes((r,))
         self._flush_map()
-        width = len(self.window)
-        self.steps.append((_TELEPORT, self._read(vx, vz), *_pauli_map(axis, width),
-                           1 << (width - axis)))
+        self.steps.append((_TELEPORT, self._read(vx, vz), 1 << (len(self.window) - axis)))
         self.window[axis - 1] = t
 
     def _read(self, vx: str | None, vz: str | None) -> tuple[int, ...]:
@@ -1020,20 +1017,6 @@ def _gather(amps: np.ndarray, src: np.ndarray, coef: np.ndarray, shape: tuple) -
     if src.ndim == 2:
         out = out[:, 0] + out[:, 1]
     return out.reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _pauli_map(axis: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, coef) of a teleport step on array ``axis`` of a ``width``-qubit
-    window: row k = 2x + z of each is the pull map of X^x Z^z (Z first) on
-    that axis, y[i] = coef[k, i] * x[src[k, i]], every coefficient +1 or -1.
-    Like the kernels, the maps are shared by every plan; the window cap
-    bounds how many there are."""
-    i = np.arange(1 << width)
-    bit = 1 << (width - axis)
-    sign = np.where(i & bit, -1.0, 1.0)
-    ones = np.ones(i.shape)
-    return np.stack([i, i, i ^ bit, i ^ bit]), np.stack([ones, sign, ones, -sign])
 
 
 def _bell_rotation(r: int, s: int) -> tuple[tuple[GateKind, tuple[int, ...]], ...]:
@@ -1149,9 +1132,11 @@ def _fires(test: tuple, ones: np.ndarray) -> np.ndarray:
 
 def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator | None) -> tuple:
     """One branch point, the Z measurement of a rotated Bell pair
-    (_Schedule.branch): the frontier is reordered into its (batch, outcome,
-    rest) layout, s then r leading; returns the children, reshaped to one
-    axis per remaining qubit, their branch probabilities and their bit masks.
+    (_Schedule.branch): the frontier is reordered by the step's permutation,
+    s then r leading, and read as (batch, outcome, rest), its layout
+    derived from the frontier's own width; returns the children, reshaped
+    to one axis per remaining qubit, their branch probabilities and their
+    bit masks.
 
     The outcome marginals are one (batch, 4) table, k = 2x + z. With
     ``rng`` the frontier is one shot of a measure plan, its
@@ -1164,8 +1149,10 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
     rows of the flattened (batch * outcome) axis that one take gathers.
     Either way a child is a new array, never a view of the caller's input.
     """
-    _, bits, perm, layout, shape = step
-    amps = amps.transpose(perm).reshape(layout)
+    _, bits, perm = step
+    rest = amps.ndim - 3  # the qubits left once s and r are read
+    shape = (-1,) + (2,) * rest
+    amps = amps.transpose(perm).reshape(-1, 4, 1 << rest)
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=2)
     if rng is not None:
@@ -1195,14 +1182,29 @@ def _teleport(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: np.ndarray
     returns the children, their branch probabilities and their bit masks, as
     _branch does. Every outcome has probability 1/4, so no amplitude is
     read: every row becomes four children, parent-major and in outcome
-    order, each under its outcome's Pauli, from one take and one multiply,
-    so the children are a new array. A sampled shot takes the step into its
-    Pauli frame instead (_run)."""
-    _, bits, src, coef, _ = step
-    children = amps.reshape(amps.shape[0], -1).take(src, axis=1)
-    children *= coef
+    order, child k = 2x + z under X^x Z^z on the step's window bit (_pauli),
+    stacked into a new array. A sampled shot takes the step into its Pauli
+    frame instead (_run)."""
+    _, bits, bit = step
+    z = _pauli(amps, 0, bit)
+    children = np.stack([amps, z, _pauli(amps, bit, 0), _pauli(z, bit, 0)], axis=1)
     ones = ones[:, None] | np.array(bits, dtype=np.int64)
     return children.reshape((-1,) + amps.shape[1:]), np.repeat(probs * 0.25, 4), ones.reshape(-1)
+
+
+_Z_DIAG = _cached_kernel("Z", (1,), 2)[1][0]  # the Z kernel's diagonal, as every Z step holds it
+
+
+def _pauli(amps: np.ndarray, x: int, z: int) -> np.ndarray:
+    """X^x Z^z on every frontier entry, x and z masks over the flat window
+    index: the oracle's Z kernel on each bit of z, then its X kernel on each
+    bit of x, a kernel's ``post`` being the bit itself. Every factor is +1
+    or -1; with no bit set the frontier is returned as it is."""
+    for b in _set_bits(z):
+        amps = _phase(amps, _Z_DIAG, 1 << b)
+    for b in _set_bits(x):
+        amps = _flip(amps, 1 << b)
+    return amps
 
 
 @lru_cache(maxsize=None)
@@ -1231,19 +1233,13 @@ def _framed(src: np.ndarray, coef: np.ndarray, width: int, x: int, z: int, sign:
 
 def _unframe(amps: np.ndarray, x: int, z: int, sign: int) -> np.ndarray:
     """A sampled shot's amplitudes with its frame (-1)^sign X^x Z^z applied:
-    one gather on a window of at most _FUSE_WIDTH qubits, otherwise the
-    per-gate Z then X kernels on each qubit the frame holds, then the sign."""
+    one gather on a window of at most _FUSE_WIDTH qubits, otherwise _pauli,
+    then the sign."""
     width = amps.ndim - 1
     if width <= _FUSE_WIDTH:
         return _gather(amps, *_framed(*_identity_map(width), width, x, z, sign), amps.shape)
-    for kind, mask in (("Z", z), ("X", x)):
-        for b in _set_bits(mask):
-            kernel, args = _cached_kernel(kind, (width - b,), width + 1)
-            amps = kernel(amps, *args)
+    amps = _pauli(amps, x, z)
     return -amps if sign else amps
-
-
-_Z_DIAG = _cached_kernel("Z", (1,), 2)[1][0]  # the Z kernel's diagonal, as every Z step holds it
 
 
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
@@ -1322,7 +1318,7 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
             k = int(rng.random() * 4)  # the first k with u < (k + 1) / 4: 4u is exact
             probs *= 0.25
             ones |= step[1][k]
-            bit = step[4]
+            bit = step[2]
             if k & 1:
                 sign ^= (x & bit) != 0
                 z ^= bit

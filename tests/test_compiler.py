@@ -37,13 +37,14 @@ from tlink.compiler import (
     _CUTOFF,
     _FUSE_WIDTH,
     _TELEPORT,
+    CompiledProgram,
     InstrOp,
     Instruction,
     _Schedule,
     _branch,
     _frame_signs,
     _gather,
-    _pauli_map,
+    _teleport,
     compile_measure,
     enumerate_branches,
     execute,
@@ -612,23 +613,22 @@ class TestExecPlan:
             at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
             assert len(at) == len(bells(p))
             for j, (i, ins) in enumerate(zip(at, bells(p))):
-                _, bits, perm, layout, child = steps[i]
+                _, bits, perm = steps[i]
                 # BELL r s measures (s, r): outcome k = 2x + z sets x's bit and
                 # z's, plan-local bits 2j and 2j + 1 of the j-th BELL
                 mx, mz = 1 << 2 * j, 1 << 2 * j + 1
                 assert bits == (0, mz, mx, mx | mz)
                 assert p.plan.names[2 * j:2 * j + 2] == tuple(
                     (v.name, m) for v, m in zip(ins.out_vars, (mx, mz)))
-                # one step: it puts the two measured axes first, then lays the
-                # frontier out as (batch, outcome, rest)
-                width = len(child) + 1
+                # one step: it puts the two measured axes first; _branch lays
+                # the frontier out as (batch, outcome, rest) from its width
+                width = len(perm) - 1
                 assert perm[0] == 0 and sorted(perm) == list(range(width + 1))
-                assert layout == (-1, 4, 2 ** (width - 2))
                 # the step before it is the fused rotation, on the window as it
                 # stands: no reorder
                 op, kernel, args = steps[i - 1]
                 assert op is _APPLY and kernel is _gather and args[-1] == (-1,) + (2,) * width
-                # a plain Z measurement: bit masks, axes and shapes only, no kernels
+                # a plain Z measurement: bit masks and axes only, no kernels
                 assert all(isinstance(v, int) for part in steps[i][1:] for v in part)
 
     def test_bell_rotation_is_fused_into_the_step_before_its_branch(self):
@@ -646,7 +646,7 @@ class TestExecPlan:
         assert len(at) == 2
         r_ax, s_ax, ndim = 1, 2, 4
         rng = np.random.default_rng(3)
-        for i in at:
+        for j, i in enumerate(at):
             op, kernel, args = steps[i - 1]
             assert op is _APPLY and kernel is _gather
             frontier = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
@@ -658,8 +658,12 @@ class TestExecPlan:
             got = kernel(frontier, *args)
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
-            _, _, perm, layout, child = steps[i]
-            assert perm == (0, s_ax, r_ax, 3) and layout == (-1, 4, 2) and child == (-1, 2)
+            bits = (0, 2 << 2 * j, 1 << 2 * j, 3 << 2 * j)
+            assert steps[i] == (_BRANCH, bits, (0, s_ax, r_ax, 3))
+            # the (batch, 4, 2) layout and the one-qubit children follow from
+            # the frontier's width
+            children, _, _ = _branch(steps[i], got, np.ones(4), np.zeros(4, dtype=np.int64), None)
+            assert children.shape[1:] == (2,)
 
     def test_wide_window_keeps_per_gate_bell_rotation(self):
         # The rotation twin of an n = 7 program links at window 9, above the
@@ -671,36 +675,47 @@ class TestExecPlan:
         at = [i for i, step in enumerate(steps) if step[0] is _BRANCH]
         assert len(at) == len(bells(p)) > 0
         for i in at:
-            _, _, perm, layout, child = steps[i]
+            _, _, perm = steps[i]
             ndim = len(perm)
             s_ax, r_ax = perm[1:3]
             assert ndim - 1 > _FUSE_WIDTH
-            assert sorted(perm) == list(range(ndim)) and layout == (-1, 4, 2 ** (ndim - 3))
-            assert child == (-1,) + (2,) * (ndim - 3)
+            assert sorted(perm) == list(range(ndim))
             assert steps[i - 2] == (_APPLY, *gate_kernel(GateKind.CNOT, (r_ax, s_ax), ndim))
             assert steps[i - 1] == (_APPLY, *gate_kernel(GateKind.H, (r_ax,), ndim))
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (3, 4), (7, 3)])
-    def test_fresh_pair_bell_is_one_teleport_step(self, n, k):
+    def test_fresh_pair_bell_is_one_teleport_step(self, n, k, monkeypatch):
         # Every link of a compiled program and every BELL of a gadget
         # measures against the fresh half of a deferred pair: one teleport
         # step each, no rotation and no branch point, with the plan-local
-        # bits and names of the rotation path.
+        # bits and names of the rotation path. The step's bit is the flat
+        # window bit of the teleported slot, the slot that the pair's other
+        # half t takes, read off the window as the step leaves it.
+        slots = []
+        teleport = _Schedule.teleport
+
+        def watched(sched, r, s, pair, vx, vz):
+            teleport(sched, r, s, pair, vx, vz)
+            (t,) = set(pair[1]) - {s}
+            slots.append(1 << (len(sched.window) - 1 - sched.window.index(t)))
+
+        monkeypatch.setattr(_Schedule, "teleport", watched)
         rng = np.random.default_rng(10 * n + k)
+        gadget = gadget_program(n & 1, k & 1)
         programs = [compile_measure(random_circuit(rng, n, k, max_clifford=3 * n)),
-                    gadget_program(n & 1, k & 1)]
+                    CompiledProgram(gadget.total_qubits, gadget.logical_outputs,
+                                    gadget.instructions)]  # a new program: its plan is built here
         for p in programs:
+            slots.clear()
             steps = p.plan.steps
             at = [i for i, step in enumerate(steps) if step[0] is _TELEPORT]
-            assert len(at) == len(bells(p)) > 0
+            assert len(at) == len(bells(p)) == len(slots) > 0
             assert not any(step[0] is _BRANCH for step in steps)
             for j, i in enumerate(at):
-                _, bits, src, coef, bit = steps[i]
+                _, bits, bit = steps[i]
                 mx, mz = 1 << 2 * j, 1 << 2 * j + 1
                 assert bits == (0, mz, mx, mx | mz)
-                assert src.shape == coef.shape and src.shape[0] == 4
-                # the frame's bit is the one the X rows of the map flip
-                assert np.array_equal(src[2], np.arange(src.shape[1]) ^ bit)
+                assert bit == slots[j] and bit < 1 << p.plan.peak_width
             assert p.plan.names == rotation_twin(p).plan.names
 
     @pytest.mark.parametrize("text,kinds,branches", [
@@ -731,21 +746,28 @@ class TestExecPlan:
         psi = random_state(rng, prog.n)
         assert assert_matches_reference(prog, psi) == branches
 
-    @pytest.mark.parametrize("width", range(1, 11))  # both sides of _FUSE_WIDTH
-    def test_pauli_map_is_x_after_z(self, width):
+    @pytest.mark.parametrize("width", range(1, MAX_QUBITS + 1))  # both sides of _FUSE_WIDTH
+    def test_teleport_children_are_x_after_z(self, width):
+        # Child k = 2x + z of every row of an exhaustive teleport step is
+        # the row under the oracle's Z^z then X^x on the teleported axis.
         rng = np.random.default_rng(width)
         shape = (3,) + (2,) * width
         frontier = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        probs, ones = np.full(3, 0.5), np.arange(3, dtype=np.int64) << 2
         for axis in range(1, width + 1):
-            src, coef = _pauli_map(axis, width)
+            step = (_TELEPORT, (0, 2, 1, 3), 1 << (width - axis))
+            children, child_probs, child_ones = _teleport(step, frontier, probs, ones)
+            assert children.shape == (12,) + shape[1:]
+            assert not np.shares_memory(children, frontier)
+            assert np.array_equal(child_probs, np.full(12, 0.125))
+            assert child_ones.tolist() == [m | b for m in ones.tolist() for b in (0, 2, 1, 3)]
             for k in range(4):
                 want = frontier
                 for kind, on in ((GateKind.Z, k & 1), (GateKind.X, k >> 1)):
                     if on:
                         kernel, args = gate_kernel(kind, (axis,), width + 1)
                         want = kernel(want, *args)
-                got = _gather(frontier, src[k], coef[k], shape)
-                assert np.array_equal(got, want)
+                assert np.array_equal(children[k::4], want)
 
     @pytest.mark.parametrize("text,match", [
         ("QUBITS 3\nH 1\nEPR 1 2\nOUT 0 0\n", "already in use"),
@@ -1119,8 +1141,10 @@ class TestRotationPath:
         # after the teleport step, whatever the width
         op, kernel, args = steps[ops.index(_TELEPORT) + 1]
         assert op is _APPLY and kernel is _gather and args[-1] == (-1,) + (2,) * (n + 2)
-        _, _, perm, layout, child = steps[ops.index(_BRANCH)]
-        assert len(perm) == n + 3 and layout == (-1, 4, 2 ** n) and len(child) == n + 1
+        # the branch point holds its bits and its permutation of the n + 2
+        # window axes and the batch axis; its layout follows from that width
+        step = steps[ops.index(_BRANCH)]
+        assert len(step) == 3 and len(step[2]) == n + 3
 
         psi = random_state(rng, n)
         assert assert_matches_reference(prog, psi) == 16

@@ -324,8 +324,9 @@ class TestRegister:
             out, outcomes = execute(prog, psi, rng)
             got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
             assert fidelity_up_to_phase(got, psi) >= 1 - 1e-12
-        ((op, bits, _, _, _),) = prog.plan.steps
+        ((op, bits, bit),) = prog.plan.steps
         assert op is _TELEPORT and bits == (0, 2, 1, 3)  # k = 2x + z sets x's bit 1, z's bit 2
+        assert bit == 1  # the carrier's slot, the one slot of the window
         assert prog.plan.names == (("x", 1), ("z", 2))
         assert prog.plan.peak_width == 1 and prog.plan.outputs == (0,)
 

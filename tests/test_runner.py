@@ -6,10 +6,11 @@ the rows one at a time in Python, plus a teleport step that treats each
 row and each outcome on its own: the oracle's Z then X kernels on the
 teleported axis, applied where the step stands. It runs the same plans as
 the new runner, whose rows share one int64 array, whose tests are
-vectorized, whose exhaustive teleport step is one gather and whose sampled
-shot carries its Paulis in a frame until a gather pulls through them, so
-the two must agree bit for bit: the same branches, probabilities and
-states, and for sampled shots the same draws and the same final RNG state.
+vectorized, whose exhaustive teleport step makes every row's four children
+at once and whose sampled shot carries its Paulis in a frame until a gather
+pulls through them, so the two must agree bit for bit: the same branches,
+probabilities and states, and for sampled shots the same draws and the same
+final RNG state.
 """
 import itertools
 import math
@@ -78,9 +79,11 @@ def test_fires_matches_the_one_row_test(linear, terms, constant, rows):
 
 def reference_branch(step, amps, probs, ones: list[int], rng):
     """A branch point: a draw at or above the row's rounded sum takes the
-    last outcome above _CUTOFF, one an exhaustive run keeps."""
-    _, bits, perm, layout, shape = step
-    amps = amps.transpose(perm).reshape(layout)
+    last outcome above _CUTOFF, one an exhaustive run keeps. The layout is
+    (batch, outcome, rest) and the children keep one axis per qubit left."""
+    _, bits, perm = step
+    shape = (-1,) + (2,) * (amps.ndim - 3)
+    amps = amps.transpose(perm).reshape(-1, 4, 2 ** (amps.ndim - 3))
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=2)
     if rng is not None:
@@ -107,10 +110,10 @@ def reference_branch(step, amps, probs, ones: list[int], rng):
 def reference_teleport(step, amps, probs, ones: list[int], rng):
     """A teleport step row by row: outcome k = 2x + z of each row has
     probability 1/4 and applies Z^z, then X^x, to the teleported axis, the
-    one whose bit the X rows of the step's map flip."""
-    _, bits, src, _, _ = step
+    one whose flat window bit the step holds."""
+    _, bits, bit = step
     width = amps.ndim - 1
-    axis = width + 1 - int(src[2, 0]).bit_length()
+    axis = width + 1 - bit.bit_length()
 
     def pauli(rows, k):
         for kind, on in ((GateKind.Z, k & 1), (GateKind.X, k >> 1)):

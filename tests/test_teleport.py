@@ -19,16 +19,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import layered_circuits, random_state, rotation_twin
+from conftest import layered_circuits, random_circuit, random_state, rotation_twin
 from tlink.compiler import (
     _BRANCH,
     _TELEPORT,
     MAX_OUTCOME_BITS,
+    _unitary_plan,
     compile_measure,
     enumerate_branches,
     execute,
+    to_unitary,
 )
 from tlink.gardenhose import ResourcePlan, gadget_program, protocol_program
+from tlink.oracle import MAX_QUBITS
 
 TOL = 1e-12
 
@@ -80,3 +83,36 @@ def test_every_compiled_link_and_gadget_bell_teleports():
     # The property above must compare teleport steps, not two rotation paths.
     for p in [gadget_program(p, q) for p in (0, 1) for q in (0, 1)]:
         assert [step[0] for step in p.plan.steps].count(_TELEPORT) == 3
+
+
+def ints(value) -> bool:
+    """Whether ``value`` is an int or a tuple of them, nested to any depth."""
+    return type(value) is int or type(value) is tuple and all(map(ints, value))
+
+
+def test_read_steps_hold_only_ints():
+    # A read step keeps what a run cannot derive: its classical bits and a
+    # permutation of axes or one window bit, never an array built when the
+    # plan is. Compiled programs up to the window cap, their rotation twins
+    # (whose windows are two qubits wider), the gadgets, protocol programs
+    # and converted programs' unitary plans.
+    rng = np.random.default_rng(29)
+    compiled = [compile_measure(random_circuit(rng, n, 3, max_clifford=3 * n))
+                for n in range(1, MAX_QUBITS + 1)]
+    twins = [rotation_twin(p) for p in compiled if p.n + 2 <= MAX_QUBITS]
+    gadgets = [gadget_program(p, q) for p in (0, 1) for q in (0, 1)]
+    protocols = []
+    for n in (1, 2, 3):
+        c = random_circuit(rng, n, 1, max_clifford=2 * n)
+        alice = frozenset(q for q in range(n) if rng.random() < 0.5)
+        protocols.append(protocol_program(c, ResourcePlan(alice, ()))[0])
+    plans = [p.plan for p in compiled + twins + gadgets + protocols]
+    plans += [_unitary_plan(to_unitary(p)) for p in compiled[:4]]
+    kinds = set()
+    for plan in plans:
+        for step in plan.steps:
+            if step[0] in (_TELEPORT, _BRANCH):
+                kinds.add(step[0])
+                assert ints(step), step  # no ndarray, no kernel
+    assert kinds == {_TELEPORT, _BRANCH}
+    assert max(plan.peak_width for plan in plans) == MAX_QUBITS
