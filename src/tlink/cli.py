@@ -52,11 +52,13 @@ EXIT_FIDELITY = 4
 
 
 def _read_text(path: str) -> str:
-    """A text input file; bytes that are not UTF-8 are a parse error."""
+    """A text input file; bytes that are not UTF-8 are a parse error, and a
+    UTF-8 byte-order mark is dropped at the start only, so the offset of a
+    bad byte is its offset in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})", line) from None
@@ -169,8 +171,9 @@ def cmd_gadget(args) -> int:
     print(f"mask_a={res.mask.a[0]} mask_b={res.mask.b[0]}")
     print(f"key_a={res.symbolic_mask.a[0]}")
     print(f"key_b={res.symbolic_mask.b[0]}")
-    print(f"fidelity={fidelity_up_to_phase(undo_gadget(res), psi):.12f}")
-    return EXIT_OK
+    fid = fidelity_up_to_phase(undo_gadget(res), psi)
+    print(f"fidelity={fid:.12f}")
+    return EXIT_FIDELITY if fid < 1.0 - tolerance else EXIT_OK
 
 
 def cmd_protocol1(args) -> int:

@@ -652,7 +652,8 @@ def parse_program(text: str) -> CompiledProgram:
 # the window cap, which raises when the plan is built.
 #
 # A Bell measurement takes one of two paths (_measure_plan). Against the
-# fresh half s of an EPR pair whose other half t is still deferred it is one
+# untouched half s of an EPR pair whose other half t is still deferred (the
+# last item deferred on s is that EPR, still in the buffer) it is one
 # teleport step (_Schedule.teleport): by the teleportation identity each
 # outcome k = 2x + z has probability exactly 1/4 and leaves X^x Z^z of the
 # measured carrier on t, so the pair is never allocated, t takes the
@@ -693,9 +694,9 @@ def parse_program(text: str) -> CompiledProgram:
 # is one child, so the kept children of a branch point come out of one take
 # already contiguous. A branch point replaces each entry by its kept
 # outcomes, parent-major, which is the order a depth-first expansion visits
-# them, and a teleport step by its four outcomes, each under its Pauli (the
-# oracle's Z then X kernels on the teleported slot, _pauli), in the same
-# order. A sampled shot is one row and draws each Bell outcome with one
+# them, and a teleport step by its four outcomes, each under its Pauli on
+# the teleported slot's axis (_teleport), in the same order. A sampled shot
+# is one row and draws each Bell outcome with one
 # uniform: at a branch point from the same table of outcome probabilities
 # as an exhaustive run keeps them from, its child one row of that layout;
 # at a teleport step as the first k with u < (k + 1) / 4.
@@ -737,7 +738,7 @@ def parse_program(text: str) -> CompiledProgram:
 # ``perm``, which puts the measured pair first, and read as (batch,
 # outcome, rest); outcome k sets the classical bits ``bits[k]``, and the
 # children keep one axis per remaining qubit. (_TELEPORT, bits, bit) is a
-# Bell measurement against a fresh EPR half (_Schedule.teleport): each
+# Bell measurement against an untouched EPR half (_Schedule.teleport): each
 # outcome k = 2x + z has probability 1/4, sets ``bits[k]`` and leaves
 # X^x Z^z on ``bit``, the flat window bit of the teleported slot; the
 # frontier keeps its shape.
@@ -750,19 +751,22 @@ class ExecPlan:
     the end, the largest window width, and each named outcome with its
     plan-local classical bit (_Schedule._read). A plan reads each Bell
     measurement at one step: a _TELEPORT step when a measure plan teleports
-    a carrier onto a fresh EPR half, otherwise a _BRANCH step after its
+    a carrier onto an untouched EPR half, otherwise a _BRANCH step after its
     rotation, as a unitary plan reads every Bell group. A branch point is
     that one step at every window width, and an allocation is always part
     of a gather step. A read step holds only classical bits and axes or a
-    window bit. A plan holds no per-run state: an exhaustive run applies a
-    _TELEPORT step's Paulis to its children (_pauli), and a sampled shot
-    folds them into its Pauli frame."""
+    window bit. A plan holds no per-run state: an exhaustive run stacks a
+    _TELEPORT step's four Pauli children (_teleport), and a sampled shot
+    folds the Pauli into its frame."""
 
-    n: int
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
     peak_width: int
     names: tuple[tuple[str, int], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.outputs)
 
 
 class _Schedule:
@@ -929,8 +933,8 @@ class _Schedule:
         exactly 1/4 and leaves X^x Z^z of r's state on t (the teleportation
         identity), so the step reads no amplitudes. It sets the classical
         bits ``bits[k]`` and records where that Pauli acts as the flat window
-        bit of r's slot: an exhaustive run applies it there (_pauli), and a
-        sampled shot sets that bit of its frame."""
+        bit of r's slot: an exhaustive run makes the four children on that
+        axis (_teleport), and a sampled shot sets that bit of its frame."""
         self.drop(pair)
         a, b = pair[1]
         t = b if a == s else a
@@ -949,10 +953,10 @@ class _Schedule:
         self.names += [(vx, x), (vz, z)]
         return 0, z, x, x | z
 
-    def plan(self, n: int, outputs) -> ExecPlan:
+    def plan(self, outputs) -> ExecPlan:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
         self._flush_map()
-        return ExecPlan(n, tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
+        return ExecPlan(tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
                         tuple(named for named in self.names if named[0] is not None))
 
 
@@ -1037,53 +1041,43 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
     test over those bits (_plan_test).
 
     A ``BELL r s`` is one teleport step (_Schedule.teleport) when s is the
-    fresh half of a deferred EPR pair: nothing has touched s since its EPR,
-    and flushing r's light cone leaves that EPR deferred, so its other half
-    t is not in the window. The EPR is never allocated: t takes r's window
-    slot and holds X^x Z^z of r's state, and the items deferred on t stay
-    deferred, since they commute with the measurement of (r, s). Every other
-    BELL is its rotation (_bell_rotation) as two gate steps, then a Z
-    measurement of (s, r). When r's cone reaches the EPR it holds every item
-    the cone of (r, s) does (nothing after the EPR touched s), so flushing r
-    alone first leaves the rotation path's plan as it was.
+    untouched half of a deferred EPR pair, as the buffer's index shows: the
+    item deferred last on s is its EPR (no gate on s since), and it has not
+    left the buffer (no flush emitted it, no teleport step dropped it),
+    before and after r's light cone is flushed, so its other half t is not
+    in the window. The EPR is never allocated: t takes r's window slot and
+    holds X^x Z^z of r's state, and the items deferred on t stay deferred,
+    since they commute with the measurement of (r, s). Every other BELL is
+    its rotation (_bell_rotation) as two gate steps, then a Z measurement of
+    (s, r). When r's cone reaches the EPR it holds every item the cone of
+    (r, s) does (nothing after the EPR touched s), so flushing r alone first
+    leaves the rotation path's plan as it was.
     """
     plan_bit = {b: i for i, b in enumerate(p._walk[1])}
     sched = _Schedule(p.n)
-    # Each half of a deferred EPR pair that nothing has touched since, with
-    # the pair's deferred entry: the halves a BELL may teleport against.
-    fresh: dict[int, list] = {}
     GATE, EPR, BELL = InstrOp.GATE, InstrOp.EPR, InstrOp.BELL
 
     def emit(qs: tuple[int, ...], ins: Instruction) -> None:
         if ins.op is EPR:
-            fresh.pop(qs[0], None)
-            fresh.pop(qs[1], None)
             sched.epr(*qs)
         else:
             sched.gate(ins.gate.kind, qs)
 
     for ins in p.instructions:
         op, qs = ins.op, ins.qubits
-        if op is GATE:
+        if op is GATE or op is EPR:
             sched.defer(qs, ins)
-            if fresh and not fresh.keys().isdisjoint(qs):
-                for q in qs:
-                    fresh.pop(q, None)
-            continue
-        if op is EPR:
-            fresh[qs[0]] = fresh[qs[1]] = sched.defer(qs, ins)
             continue
         if op is not BELL:
             sched.flush(qs, emit)
             sched.cond(_plan_test(ins.cond, plan_bit), _COND_KINDS[op._value_], qs)
             continue
         r, s = qs
-        pair = fresh.get(s)
-        sched.flush((r,) if pair is not None else qs, emit)
+        pair = sched.last.get(s)  # its EPR, if nothing has touched s since
+        teleports = pair is not None and pair[3] is not None and pair[2].op is EPR
+        sched.flush((r,) if teleports else qs, emit)
         vx, vz = ins.out_vars
-        if pair is not None and fresh.get(s) is pair:  # r's cone left the pair deferred
-            for q in pair[1]:
-                fresh.pop(q, None)
+        if teleports and pair[3] is not None:  # r's cone left the pair deferred
             sched.teleport(r, s, pair, vx.name, vz.name)
         else:
             sched.axes((s, r))  # a fresh s is allocated before a fresh r
@@ -1091,7 +1085,7 @@ def _measure_plan(p: CompiledProgram) -> ExecPlan:
                 sched.gate(kind, rotated)
             sched.branch(s, r, vx.name, vz.name)
     sched.flush(p.logical_outputs, emit)
-    return sched.plan(p.n, p.logical_outputs)
+    return sched.plan(p.logical_outputs)
 
 
 def _plan_test(cond: KeyPoly, plan_bit: dict[int, int]) -> tuple[int, tuple[int, ...], int]:
@@ -1182,29 +1176,19 @@ def _teleport(step: tuple, amps: np.ndarray, probs: np.ndarray, ones: np.ndarray
     returns the children, their branch probabilities and their bit masks, as
     _branch does. Every outcome has probability 1/4, so no amplitude is
     read: every row becomes four children, parent-major and in outcome
-    order, child k = 2x + z under X^x Z^z on the step's window bit (_pauli),
-    stacked into a new array. A sampled shot takes the step into its Pauli
-    frame instead (_run)."""
+    order, child k = 2x + z under X^x Z^z on the step's window bit: with
+    that slot as axis 2 of a (batch, rest, 2, bit) view, Z is the Z kernel's
+    multiply and X reverses the axis, and one stack makes a new array. A
+    sampled shot takes the step into its Pauli frame instead (_run)."""
     _, bits, bit = step
-    z = _pauli(amps, 0, bit)
-    children = np.stack([amps, z, _pauli(amps, bit, 0), _pauli(z, bit, 0)], axis=1)
+    v = amps.reshape(len(amps), -1, 2, bit)
+    z = v * _Z_DIAG
+    children = np.stack([v, z, v[:, :, ::-1], z[:, :, ::-1]], axis=1)
     ones = ones[:, None] | np.array(bits, dtype=np.int64)
     return children.reshape((-1,) + amps.shape[1:]), np.repeat(probs * 0.25, 4), ones.reshape(-1)
 
 
 _Z_DIAG = _cached_kernel("Z", (1,), 2)[1][0]  # the Z kernel's diagonal, as every Z step holds it
-
-
-def _pauli(amps: np.ndarray, x: int, z: int) -> np.ndarray:
-    """X^x Z^z on every frontier entry, x and z masks over the flat window
-    index: the oracle's Z kernel on each bit of z, then its X kernel on each
-    bit of x, a kernel's ``post`` being the bit itself. Every factor is +1
-    or -1; with no bit set the frontier is returned as it is."""
-    for b in _set_bits(z):
-        amps = _phase(amps, _Z_DIAG, 1 << b)
-    for b in _set_bits(x):
-        amps = _flip(amps, 1 << b)
-    return amps
 
 
 @lru_cache(maxsize=None)
@@ -1233,12 +1217,16 @@ def _framed(src: np.ndarray, coef: np.ndarray, width: int, x: int, z: int, sign:
 
 def _unframe(amps: np.ndarray, x: int, z: int, sign: int) -> np.ndarray:
     """A sampled shot's amplitudes with its frame (-1)^sign X^x Z^z applied:
-    one gather on a window of at most _FUSE_WIDTH qubits, otherwise _pauli,
-    then the sign."""
+    one gather on a window of at most _FUSE_WIDTH qubits, else the oracle's
+    Z kernel on each bit of z, then its X kernel on each bit of x (``post``
+    the bit itself), then the sign."""
     width = amps.ndim - 1
     if width <= _FUSE_WIDTH:
         return _gather(amps, *_framed(*_identity_map(width), width, x, z, sign), amps.shape)
-    amps = _pauli(amps, x, z)
+    for b in _set_bits(z):
+        amps = _phase(amps, _Z_DIAG, 1 << b)
+    for b in _set_bits(x):
+        amps = _flip(amps, 1 << b)
     return -amps if sign else amps
 
 
@@ -1624,7 +1612,7 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     for g in gates[start:]:
         sched.defer(g.targets, g)
     sched.flush(up.logical_outputs, emit)
-    return sched.plan(up.n, up.logical_outputs)
+    return sched.plan(up.logical_outputs)
 
 
 def enumerate_unitary_branches(up: UnitaryProgram, input_state: StateVector) -> list[Branch]:

@@ -14,23 +14,24 @@ whose partner carried a teleported state psi, the partner afterwards holds
 X^x Z^z psi. The compiler reads both outcomes at one step and draws them
 with one uniform per Bell measurement: against a fresh pair, a teleport
 step (compiler._teleport), each outcome having probability 1/4, whose Pauli
-a sampled shot keeps in its Pauli frame and an exhaustive run applies with
-the Z then X kernels below; otherwise a branch step (compiler._branch) that
-puts (s, r) first, so that row k = 2x + z is one outcome.
+a sampled shot keeps in its Pauli frame and an exhaustive run applies on the
+teleported slot's axis (Z with the Z kernel's diagonal, X by reversing it);
+otherwise a branch step (compiler._branch) that puts (s, r) first, so that
+row k = 2x + z is one outcome.
 
 The gate kernels (gate_kernel) and extraction (_extract) also serve the
 compiler's execution plan: it runs every program, the garden-hose gadget,
 the protocol and the grouped speculative runs included, over a window of
 qubits from which measured pairs are factored out, so long runs stay within
 the size cap, with every live branch as one entry of a leading batch axis.
-The plan uses the gate kernels only for its conditioned steps, an
-exhaustive run's teleport steps, gates on windows wider than 8 qubits and
-a sampled shot's Pauli frame there; on narrower windows it fuses runs of
-gates into gather steps of its own (compiler._gather), and at every width
-it composes allocations into them, so the executor no longer shares those
-with this oracle, and the tests compare the two. The allocation helpers _grow and _grow_epr serve
-only as the tests' reference for the plan's allocation maps. Extraction is
-always shared.
+The plan uses the gate kernels only for its conditioned steps, gates on
+windows wider than 8 qubits and a sampled shot's Pauli frame there; on
+narrower windows it fuses runs of gates into gather steps of its own
+(compiler._gather), and at every width it composes allocations into them,
+so the executor no longer shares those with this oracle, and the tests
+compare the two. The allocation helpers _grow and _grow_epr serve only as
+the tests' reference for the plan's allocation maps. Extraction is always
+shared.
 Distinct states may be processed in parallel; none of these objects is
 shared-mutable.
 """

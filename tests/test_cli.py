@@ -257,6 +257,65 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--in", "{bom}"],
+    ["compile", "--in", "{bom}", "--out", "{out}"],
+    ["verify", "--in", "{good}", "--program", "{prog}", "--seed", "1"],
+], ids=["stats", "compile", "verify-program"])
+def test_leading_byte_order_mark_is_read_past(tmp_path, capsys, argv):
+    # Editors on some systems write a UTF-8 byte-order mark first; the file
+    # reads as it would without one.
+    good = tmp_path / "good.txt"
+    good.write_text("QUBITS 1\nH 0\nT 0\n---\n")
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+    prog = tmp_path / "prog.txt"
+    assert cli.main(["compile", "--in", str(good), "--out", str(prog)]) == cli.EXIT_OK
+    bom_prog = tmp_path / "bom_prog.txt"
+    bom_prog.write_bytes(b"\xef\xbb\xbf" + prog.read_bytes())
+    capsys.readouterr()
+    outs = []
+    for src, program in ((good, prog), (bom, bom_prog)):
+        out = tmp_path / f"out_{src.stem}.txt"
+        fmt = {"bom": src, "good": good, "prog": program, "out": out}
+        assert cli.main([a.format(**fmt) for a in argv]) == cli.EXIT_OK
+        outs.append((capsys.readouterr().out, out.read_text() if out.exists() else None))
+    assert outs[0] == outs[1] and outs[0][0]
+
+
+@pytest.mark.parametrize("text,line", [
+    (b"QUBITS 1\n\xef\xbb\xbfT 0\n---\n", 2),
+    (b"\xef\xbb\xbf\xef\xbb\xbfQUBITS 1\nT 0\n---\n", 1),
+], ids=["second-line", "twice"])
+def test_byte_order_mark_after_the_start_exits_2(tmp_path, capsys, text, line):
+    src = tmp_path / "c.txt"
+    src.write_bytes(text)
+    assert cli.main(["stats", "--in", str(src)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: line {line}:")
+
+
+def test_non_utf8_offset_counts_a_leading_byte_order_mark(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    src.write_bytes(b"\xef\xbb\xbfQUBITS 1\n\xe9\n")
+    assert cli.main(["stats", "--in", str(src)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 2:") and "(byte 12)" in err
+
+
+def test_gadget_below_tolerance_exits_4(capsys, monkeypatch):
+    argv = ["gadget", "--p", "1", "--q", "0", "--seed", "7"]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = capsys.readouterr().out
+    # A wrong undo: |1> in place of the random input state.
+    monkeypatch.setattr(cli, "undo_gadget", lambda res: cli.init_state(1, "1"))
+    assert cli.main(argv) == cli.EXIT_FIDELITY
+    out = capsys.readouterr().out
+    assert out.splitlines()[:-1] == want.splitlines()[:-1]
+    fid = float(out.splitlines()[-1].removeprefix("fidelity="))
+    assert fid < 1 - 1e-10
+    assert cli.main(argv + [f"--tolerance={1 - fid / 2}"]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3", "1", "5"])
 @pytest.mark.parametrize("argv", [
     ["verify", "--in", "{c}"],

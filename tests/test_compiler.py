@@ -849,7 +849,7 @@ class TestFusion:
                 sched.gate(kind, qubits)
                 kernel, args = gate_kernel(kind, tuple(q + 1 for q in qubits), width + 1)
                 want = kernel(want, *args)
-        steps = sched.plan(0, ()).steps
+        steps = sched.plan(()).steps
         assert steps and all(step[:2] == (_APPLY, _gather) for step in steps)
         got = frontier
         for _, kernel, args in steps:
@@ -896,7 +896,7 @@ class TestFusion:
                 assert sched.pending is None
                 assert sched.steps[-1][:2] == (_APPLY, _gather)
                 assert sched.steps[-1][2][-1] == (-1,) + (2,) * width
-        steps = sched.plan(0, ()).steps
+        steps = sched.plan(()).steps
         kernels = [kernel for _, kernel, _ in steps]
         assert len(kernels) - kernels.count(_gather) == wide_gates  # the per-gate steps
         got = frontier
@@ -994,7 +994,7 @@ class TestBranch:
         outcomes = [(None, 1), (None, 2)]  # the first read: x from s is bit 0, z from r bit 1
         sched = _Schedule(width)
         assert sched.branch(*qubits, None, None) == (0, 2, 1, 3)
-        (step,) = sched.plan(0, ()).steps  # one step at every width
+        (step,) = sched.plan(()).steps  # one step at every width
 
         # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")

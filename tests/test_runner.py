@@ -255,7 +255,7 @@ def test_a_draw_above_the_rounded_sum_skips_a_residue():
     # shot takes outcome 1, not outcome 3 renormalized from noise.
     sched = _Schedule(2)
     sched.branch(0, 1, None, None)  # outcome k = 2x + z sets x's bit 1 and z's bit 2
-    (step,) = sched.plan(0, ()).steps
+    (step,) = sched.plan(()).steps
     amps = np.array([[[0.6, 0.8 * (1 - 1e-15)], [0.0, 1e-20]]], dtype=complex)
     child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne())
     assert ones == 2 and prob == abs(amps[0, 0, 1]) ** 2
