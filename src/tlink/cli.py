@@ -70,17 +70,23 @@ def _read_circuit(path: str) -> LayeredCircuit:
 
 def _parse_wires(spec: str) -> frozenset[int]:
     """A comma-separated wire list; each entry, stripped, must be a
-    canonical integer (circuits._int), as in circuit text."""
+    canonical integer (circuits._int), as in circuit text, and no wire may
+    be listed twice."""
     spec = spec.strip()
     if not spec:
         return frozenset()
-    wires = set()
+    wires = []
     for tok in spec.split(","):
         try:
-            wires.add(_int(tok.strip()))
+            wires.append(_int(tok.strip()))
         except ValueError:
             raise ParseError(f"wire list {spec!r}: {tok.strip()!r} is not an integer") from None
-    return frozenset(wires)
+    seen = set()
+    for wire in wires:
+        if wire in seen:
+            raise ValidationError(f"wire list {spec!r} repeats wire {wire}")
+        seen.add(wire)
+    return frozenset(seen)
 
 
 def _seed(args) -> int:

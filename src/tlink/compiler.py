@@ -671,11 +671,10 @@ def parse_program(text: str) -> CompiledProgram:
 # qubits, and allocations (|0> or EPR) at every width. Each is composed, when
 # the plan is built, into a pending pull map over the flattened window, and
 # the map is flushed as one gather step (_gather: a take, a multiply and,
-# after an H, an add) before every conditioned step, every branch point,
-# every teleport step, the final extraction and any gate on a wider window.
-# An allocation that makes the window wider than _FUSE_WIDTH is flushed at
-# once, so the map never grows past the allocation that crosses the limit.
-# A map holds at most two terms, so at most one H.
+# after an H, an add) before every branch point, the final extraction and
+# any gate on a wider window. An allocation that makes the window wider than
+# _FUSE_WIDTH is flushed at once, so the map never grows past the allocation
+# that crosses the limit. A map holds at most two terms, so at most one H.
 # On narrow windows a numpy call costs far more than its amplitude work, and
 # one gather replaces a run of per-gate kernel calls. The limit is where that
 # stops paying (timed on a 2-CPU x86-64 host): at 64-256 amplitudes composing
@@ -684,6 +683,21 @@ def parse_program(text: str) -> CompiledProgram:
 # with no limit the protocol benchmark's peak memory rose by a third. Gates
 # on wider windows keep the per-gate kernels (_cached_kernel), and
 # conditioned steps always use them.
+#
+# A conditioned step (X, Z or P-dagger), a per-branch phase and a teleport
+# step do not flush the map: each is held (_Schedule._hold) and emitted
+# right after the gather that flushes it, the held steps in program order.
+# Each acts on one window slot, or none for a phase. The map is flushed
+# first before a gate on a held slot (the slot a held teleport step hands to
+# its pair's other half among them) and before any allocation, since a held
+# step's kernel and window bit are resolved at the current width. So every
+# gate composed behind a held step leaves its slot alone and commutes with
+# it, and the RNG draws keep their order: held steps stay in program order
+# and a branch point flushes them first. A teleport step reads no amplitude,
+# so an exhaustive run forks there after the gates composed behind it, once
+# for all four children. In a compiled program each link's corrections and
+# Bell measurements then wait behind one gather for the cones they flush,
+# instead of cutting them into one gather per corrected wire.
 #
 # One runner (_run) executes a plan over a frontier: every live branch is
 # one entry of a batch axis of the amplitude array, so each step is one numpy
@@ -754,10 +768,12 @@ class ExecPlan:
     a carrier onto an untouched EPR half, otherwise a _BRANCH step after its
     rotation, as a unitary plan reads every Bell group. A branch point is
     that one step at every window width, and an allocation is always part
-    of a gather step. A read step holds only classical bits and axes or a
-    window bit. A plan holds no per-run state: an exhaustive run stacks a
-    _TELEPORT step's four Pauli children (_teleport), and a sampled shot
-    folds the Pauli into its frame."""
+    of a gather step. A conditioned, phase or teleport step that was held
+    behind a fused map follows the gather that flushed it (_Schedule._hold).
+    A read step holds only classical bits and axes or a window bit. A plan
+    holds no per-run state: an exhaustive run stacks a _TELEPORT step's four
+    Pauli children (_teleport), and a sampled shot folds the Pauli into its
+    frame."""
 
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
@@ -779,7 +795,9 @@ class _Schedule:
     pair it measured against. The window width decides only how a gate runs:
     composed into the pending map up to _FUSE_WIDTH qubits, a per-gate
     kernel step above; an allocation onto a window wider than that flushes
-    the map it joined at once.
+    the map it joined at once. While a map is pending, conditioned, phase
+    and teleport steps are held behind it (``held``, on the window slots
+    ``held_axes``) and emitted, in program order, right after its gather.
 
     The deferred items are indexed per qubit. Each is an entry [order,
     qubits, item, preds]: ``order`` is its place in program order, and
@@ -794,6 +812,8 @@ class _Schedule:
         self.count = 0  # items deferred so far: the next one's place in program order
         self.steps: list[tuple] = []
         self.pending: tuple[np.ndarray, np.ndarray] | None = None  # (src, coef), see _gather
+        self.held: list[tuple] = []  # steps after the pending map, emitted right after it
+        self.held_axes: set[int] = set()  # the window slots the held steps act on
         self.names: list[tuple[str | None, int]] = []  # every classical bit read (_read)
         self.peak = n
 
@@ -804,6 +824,8 @@ class _Schedule:
         width = len(self.window) + len(qubits)
         if width > MAX_QUBITS:
             raise ValidationError("register window exceeds the qubit cap")
+        if self.held:  # held steps are resolved at the current width
+            self._flush_map()
         self.peak = max(self.peak, width)
         self._fuse(width, *_alloc_map(len(qubits), width))
         self.window += qubits
@@ -828,6 +850,8 @@ class _Schedule:
             self._flush_map()
             self.steps.append((_APPLY, *_cached_kernel(kind._value_, axes, width + 1)))
         else:
+            if not self.held_axes.isdisjoint(axes):
+                self._flush_map()
             self._fuse(width, *_gate_map(kind._value_, axes, width))
 
     def _fuse(self, width: int, src: np.ndarray | None, coef: np.ndarray | None) -> None:
@@ -850,25 +874,42 @@ class _Schedule:
 
     def _flush_map(self) -> None:
         """Emit the pending map, if any, as one gather step that leaves the
-        frontier with one axis per window qubit."""
+        frontier with one axis per window qubit, then the steps held behind
+        it in program order."""
         if self.pending is not None:
             self.steps.append((_APPLY, _gather, (*self.pending, (-1,) + (2,) * len(self.window))))
+            self.steps += self.held
             self.pending = None
+            self.held.clear()
+            self.held_axes.clear()
+
+    def _hold(self, step: tuple, axes: tuple[int, ...]) -> None:
+        """Emit a conditioned, phase or teleport step that acts on window
+        slots ``axes`` (none for a phase): at once with no map pending, else
+        held behind the map until its gather. A gate on a held slot flushes
+        the map first (gate), and so does any allocation (_allocate), so
+        every gate composed behind a held step leaves its slots alone."""
+        if self.pending is None:
+            self.steps.append(step)
+        else:
+            self.held.append(step)
+            self.held_axes.update(axes)
 
     def cond(self, test, kind: GateKind, qubits: tuple[int, ...]) -> None:
         axes = self.axes(qubits)
-        self._flush_map()
-        self.steps.append((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)))
+        self._hold((_COND, test, *_cached_kernel(kind._value_, axes, len(self.window) + 1)), axes)
 
     def phase(self, test, phase: complex) -> None:
-        """A per-branch phase. Right after a phase step with the same test,
-        nothing between them, it folds into that step as the product phase."""
-        self._flush_map()
-        last = self.steps[-1] if self.steps else None
+        """A per-branch phase, which commutes with every step of its branch,
+        so it is held behind a pending map on no slot. Right after a phase
+        step with the same test, the last step held or, with no map pending,
+        the last step emitted, it folds into that step as the product phase."""
+        steps = self.held if self.pending is not None else self.steps
+        last = steps[-1] if steps else None
         if last is not None and last[0] is _COND and last[2] is _scale and last[1] == test:
-            self.steps[-1] = (_COND, test, _scale, (last[3][0] * phase,))
+            steps[-1] = (_COND, test, _scale, (last[3][0] * phase,))
         else:
-            self.steps.append((_COND, test, _scale, (phase,)))
+            self._hold((_COND, test, _scale, (phase,)), ())
 
     def defer(self, qubits: tuple[int, ...], item) -> list:
         """Defer ``item`` on ``qubits``; returns its entry in the buffer."""
@@ -934,13 +975,14 @@ class _Schedule:
         identity), so the step reads no amplitudes. It sets the classical
         bits ``bits[k]`` and records where that Pauli acts as the flat window
         bit of r's slot: an exhaustive run makes the four children on that
-        axis (_teleport), and a sampled shot sets that bit of its frame."""
+        axis (_teleport), and a sampled shot sets that bit of its frame.
+        Behind a pending map the step is held on that slot (_hold), so a
+        gate on t flushes the map first."""
         self.drop(pair)
         a, b = pair[1]
         t = b if a == s else a
         (axis,) = self.axes((r,))
-        self._flush_map()
-        self.steps.append((_TELEPORT, self._read(vx, vz), 1 << (len(self.window) - axis)))
+        self._hold((_TELEPORT, self._read(vx, vz), 1 << (len(self.window) - axis)), (axis,))
         self.window[axis - 1] = t
 
     def _read(self, vx: str | None, vz: str | None) -> tuple[int, ...]:
@@ -1556,10 +1598,12 @@ def _unitary_plan(up: UnitaryProgram) -> ExecPlan:
     is a phase on the branches where it holds 1, and a CNOT from a classical
     qubit onto a window qubit an X on the branches where the control holds
     1: one conditioned step each, whose test is the parity's (mask, (),
-    constant). A phase right after another on the same parity, as a
-    controlled P-dagger's P-dagger then T, folds into one step
-    (_Schedule.phase). H on a parity qubit, or a CNOT from a window qubit
-    onto one, raises. Gates left deferred at the end are outside the
+    constant). Like a measure plan's corrections, these steps wait behind a
+    pending fused map for its gather (_Schedule._hold), so they do not split
+    a fused run of gates on other qubits. A phase right after another on the
+    same parity, as a controlled P-dagger's P-dagger then T, folds into one
+    step (_Schedule.phase). H on a parity qubit, or a CNOT from a window
+    qubit onto one, raises. Gates left deferred at the end are outside the
     outputs' light cone and cannot affect them.
     """
     gates = flatten(up.circuit)

@@ -21,6 +21,8 @@ from tlink.compiler import InstrOp, compile_measure
     ["protocol1", "--alice", "0", "--return-wires", "0_1"],
     ["protocol1", "--alice", "0", "--return-wires", "+1"],
     ["protocol1", "--alice", "0", "--return-wires", "\u0661"],
+    # a bad entry is a parse error even after a repeated wire
+    ["crossterms", "--alice", "1,1,x"],
 ])
 def test_bad_wire_list_exits_2(tmp_path, capsys, argv):
     circuit = tmp_path / "c.txt"
@@ -28,6 +30,25 @@ def test_bad_wire_list_exits_2(tmp_path, capsys, argv):
     code = cli.main([argv[0], "--in", str(circuit), *argv[1:]])
     assert code == cli.EXIT_PARSE
     assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,wire", [
+    (["crossterms", "--alice", "0,1,0"], 0),
+    (["crossterms", "--alice", "1, 1"], 1),
+    (["protocol1", "--alice", "0,0"], 0),
+    (["protocol1", "--alice", "0", "--return-wires", "1,1"], 1),
+    (["protocol1", "--alice", "0", "--return-wires", "0,1,1,0"], 1),
+])
+def test_repeated_wire_exits_3(tmp_path, capsys, argv, wire):
+    # A repeated wire is refused, not merged: run_protocol1 refuses a
+    # return_to_alice that repeats a wire, and the CLI says so before it.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nH 0\nCNOT 0 1\nT 1\n---\n")
+    code = cli.main([argv[0], "--in", str(circuit), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION and captured.out == ""
+    assert captured.err.startswith("validation error: wire list ")
+    assert captured.err.endswith(f" repeats wire {wire}\n")
 
 
 def test_wire_list_entries_may_be_padded(tmp_path, capsys):
