@@ -107,6 +107,19 @@ def _tolerance(args) -> float:
     return args.tolerance
 
 
+def _fails(fid: float, tolerance: float) -> bool:
+    """Whether a fidelity fails the gate 1 - ``tolerance``. A NaN fails: no
+    comparison with it holds, so a gate written as ``fid < 1 - tolerance``
+    would pass it."""
+    return not fid >= 1.0 - tolerance
+
+
+def _below(fid: float, worst: float) -> bool:
+    """Whether fidelity ``fid`` is a new minimum under ``worst``. A NaN ranks
+    below every fidelity, and the first one stays the minimum."""
+    return fid < worst or math.isnan(fid) and not math.isnan(worst)
+
+
 def cmd_compile(args) -> int:
     circuit = _read_circuit(args.infile)
     program = compile_measure(circuit)
@@ -142,17 +155,17 @@ def cmd_verify(args) -> int:
         branches = enumerate_branches(program, psi)
         for br in branches:
             fid = round(fidelity_up_to_phase(br.state, reference), 12)
-            if fid < worst[0]:
+            if _below(fid, worst[0]):
                 worst = (fid, br.outcomes)
     else:
         rng = np.random.default_rng(seed)
         for _ in range(args.shots):
             out, outcomes = execute(program, psi, rng)
             fid = round(fidelity_up_to_phase(out, reference), 12)
-            if fid < worst[0]:
+            if _below(fid, worst[0]):
                 worst = (fid, outcomes)
     print(f"min_fidelity={worst[0]:.12f}")
-    if worst[0] < 1.0 - tolerance:
+    if _fails(worst[0], tolerance):
         assignment = ",".join(f"{k}={v}" for k, v in sorted(worst[1].items())) or "-"
         print(f"worst_branch={assignment}")
         return EXIT_FIDELITY
@@ -179,7 +192,7 @@ def cmd_gadget(args) -> int:
     print(f"key_b={res.symbolic_mask.b[0]}")
     fid = fidelity_up_to_phase(undo_gadget(res), psi)
     print(f"fidelity={fid:.12f}")
-    return EXIT_FIDELITY if fid < 1.0 - tolerance else EXIT_OK
+    return EXIT_FIDELITY if _fails(fid, tolerance) else EXIT_OK
 
 
 def cmd_protocol1(args) -> int:
@@ -201,7 +214,7 @@ def cmd_protocol1(args) -> int:
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript.to_text())
-    if not check.ok or fid < 1.0 - tolerance:
+    if not check.ok or _fails(fid, tolerance):
         return EXIT_FIDELITY
     return EXIT_OK
 

@@ -108,6 +108,7 @@ from .oracle import (
     StateVector,
     _extract,
     _flip,
+    _normalized,
     _phase,
     apply_gate,
     basis_bits,
@@ -710,10 +711,13 @@ def parse_program(text: str) -> CompiledProgram:
 # outcomes, parent-major, which is the order a depth-first expansion visits
 # them, and a teleport step by its four outcomes, each under its Pauli on
 # the teleported slot's axis (_teleport), in the same order. A sampled shot
-# is one row and draws each Bell outcome with one
-# uniform: at a branch point from the same table of outcome probabilities
-# as an exhaustive run keeps them from, its child one row of that layout;
-# at a teleport step as the first k with u < (k + 1) / 4.
+# is one row. It draws the uniforms of all its Bell outcomes in one call,
+# rng.random(plan.reads), before its first step (ExecPlan.reads counts the
+# read steps), and each read takes the next: at a branch point the outcome
+# comes from the same table of outcome probabilities as an exhaustive run
+# keeps them from, its child one row of that layout; at a teleport step it
+# is the first k with u < (k + 1) / 4. One call of n draws yields the
+# doubles n calls of one would, and leaves the generator in the same state.
 #
 # A sampled shot carries a Pauli frame (Knill, quant-ph/0410199): its state
 # is (-1)^sign X^x Z^z of its amplitudes, Z applied first, where x and z are
@@ -724,10 +728,15 @@ def parse_program(text: str) -> CompiledProgram:
 # into its own pull map (_framed), so a shot touches its amplitudes only
 # where a gate acts. A conditioned P-dagger commutes with the frame's Z and
 # runs as it is unless the frame holds X on its qubit; then, and before any
-# other step (a wide allocation's gather among them) and the final
-# extraction, the frame is applied to the amplitudes (_unframe). Every
-# factor the frame moves is +1 or -1, so a shot's amplitudes are bit for bit
-# those it would get by applying each Pauli where it arises.
+# other step (a wide allocation's gather among them), the frame is applied
+# to the amplitudes (_unframe). A shot whose final window holds exactly its
+# outputs, on at most _FUSE_WIDTH qubits, as every compiled program's does,
+# leaves through one gather of the plan's output map taken through the
+# frame, which applies the frame and orders the outputs at once, then
+# normalizes the row (_framed_outputs); any other shot applies its frame,
+# then extracts (_extract). Every factor the frame moves is +1 or -1, so a
+# shot's amplitudes are bit for bit those it would get by applying each
+# Pauli where it arises.
 #
 # Classical bits are numbered per plan, by one rule for both plans
 # (_Schedule._read): the i-th Bell measurement read gives x bit 2i and z bit
@@ -770,19 +779,35 @@ class ExecPlan:
     that one step at every window width, and an allocation is always part
     of a gather step. A conditioned, phase or teleport step that was held
     behind a fused map follows the gather that flushed it (_Schedule._hold).
-    A read step holds only classical bits and axes or a window bit. A plan
-    holds no per-run state: an exhaustive run stacks a _TELEPORT step's four
-    Pauli children (_teleport), and a sampled shot folds the Pauli into its
-    frame."""
+    A read step holds only classical bits and axes or a window bit, and
+    ``reads`` counts the read steps, so that a sampled shot draws one
+    uniform for each of them in one call. A plan holds no per-run state: an
+    exhaustive run stacks a _TELEPORT step's four Pauli children
+    (_teleport), and a sampled shot folds the Pauli into its frame."""
 
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
     peak_width: int
     names: tuple[tuple[str, int], ...]
+    reads: int
 
     @property
     def n(self) -> int:
         return len(self.outputs)
+
+    @cached_property
+    def output_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, coef) of the pull map (see _gather) that reads a window of
+        exactly the n outputs in output order: src[j] is the flat window
+        index of output-order index j, both big-endian, and coef is all ones.
+        A sampled shot whose final window holds only its outputs leaves
+        through it (_run), so it is built on first use, once per plan."""
+        n = self.n
+        j = np.arange(1 << n)
+        src = np.zeros_like(j)
+        for k, slot in enumerate(self.outputs):
+            src |= (j >> (n - 1 - k) & 1) << (n - 1 - slot)
+        return src, _identity_map(n)[1]
 
 
 class _Schedule:
@@ -999,7 +1024,8 @@ class _Schedule:
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
         self._flush_map()
         return ExecPlan(tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
-                        tuple(named for named in self.names if named[0] is not None))
+                        tuple(named for named in self.names if named[0] is not None),
+                        len(self.names) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -1166,7 +1192,7 @@ def _fires(test: tuple, ones: np.ndarray) -> np.ndarray:
     return fire
 
 
-def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator | None) -> tuple:
+def _branch(step: tuple, amps: np.ndarray, probs, ones, u: float | None) -> tuple:
     """One branch point, the Z measurement of a rotated Bell pair
     (_Schedule.branch): the frontier is reordered by the step's permutation,
     s then r leading, and read as (batch, outcome, rest), its layout
@@ -1174,11 +1200,11 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
     to one axis per remaining qubit, their branch probabilities and their
     bit masks.
 
-    The outcome marginals are one (batch, 4) table, k = 2x + z. With
-    ``rng`` the frontier is one shot of a measure plan, its
+    The outcome marginals are one (batch, 4) table, k = 2x + z. Given a
+    uniform draw ``u``, the frontier is one shot of a measure plan, its
     probability a float and its mask an int: its outcome is the first k at
-    which the running sum of its row passes one uniform draw, else (the
-    draw at or above the rounded sum) the last k above _CUTOFF, and its
+    which the running sum of its row passes ``u``, else (``u`` at or above
+    the rounded sum) the last k above _CUTOFF, and its
     child is row k divided by the square root of its probability. Otherwise
     ``probs`` and ``ones`` are arrays with one entry per row, and every
     outcome above _CUTOFF is kept, parent-major and in outcome order, as the
@@ -1191,9 +1217,8 @@ def _branch(step: tuple, amps: np.ndarray, probs, ones, rng: np.random.Generator
     amps = amps.transpose(perm).reshape(-1, 4, 1 << rest)
     table = np.abs(amps)
     table = np.square(table, out=table).sum(axis=2)
-    if rng is not None:
+    if u is not None:
         row = table[0].tolist()
-        u = rng.random()
         for k, acc in enumerate(accumulate(row)):
             if u < acc:
                 break
@@ -1238,10 +1263,10 @@ def _frame_signs(width: int, z: int, sign: int) -> np.ndarray:
     """(-1)^(sign + popcount(j & z)) for every flat index j of a
     ``width``-qubit window: the factor the frame's Z^z and sign put on
     amplitude j. Frames are folded into gathers, and unframed through a
-    gather, only on windows of at most _FUSE_WIDTH qubits (_run, _unframe),
-    so the cache holds at most 2 * 2^w entries per width w there. The
-    factors are complex, as a gather's coef is: numpy multiplies two
-    complex arrays faster than a complex one by a float one."""
+    gather, only on windows of at most _FUSE_WIDTH qubits (_run, _unframe,
+    _framed_outputs), so the cache holds at most 2 * 2^w entries per width w
+    there. The factors are complex, as a gather's coef is: numpy multiplies
+    two complex arrays faster than a complex one by a float one."""
     odd = np.bitwise_count(np.arange(1 << width) & z) & 1 != sign
     return np.where(odd, -1.0, 1.0).astype(complex)
 
@@ -1272,6 +1297,24 @@ def _unframe(amps: np.ndarray, x: int, z: int, sign: int) -> np.ndarray:
     return -amps if sign else amps
 
 
+def _framed_outputs(amps: np.ndarray, plan: ExecPlan, x: int, z: int, sign: int) -> np.ndarray:
+    """The output state of a sampled shot, one row ``amps`` whose window
+    holds exactly the plan's outputs on at most _FUSE_WIDTH qubits, under its
+    frame (-1)^sign X^x Z^z: one gather of the plan's output map taken
+    through the frame (_framed), which applies the frame and puts the
+    outputs in order at once, then the row normalized (_normalized). It
+    equals _unframe then _extract bit for bit: the gather multiplies the
+    same +1 and -1 factors into the same amplitudes, and only when the frame
+    is not empty, as _unframe runs only then."""
+    src, coef = plan.output_map
+    width = amps.ndim - 1
+    if x | z | sign:
+        vec = _gather(amps, *_framed(src, coef, width, x, z, sign), (1, -1))
+    else:
+        vec = amps.reshape(1, -1).take(src, axis=1)
+    return _normalized(vec)[0]
+
+
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
     """Run ``plan`` over a frontier that starts as the input state alone and
     return one Branch per leaf, in depth-first order.
@@ -1280,16 +1323,22 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     int64 per row of an exhaustive frontier, a Python int for a sampled
     shot. A conditioned step tests every row at once (_fires, or _fires_one
     for a shot) and applies its kernel to the rows that pass, in one call
-    when all or none of them do. A Bell measurement is a branch point (_branch) or a
-    teleport step (_teleport); each takes one uniform draw in a sampled
-    shot. A leaf keeps its mask; its outcome dict is built when read.
+    when all or none of them do. A Bell measurement is a branch point
+    (_branch) or a teleport step (_teleport). A sampled shot draws one
+    uniform for each of them up front, in one ``rng.random(plan.reads)``
+    call, which yields the doubles one ``rng.random()`` per read would, and
+    leaves ``rng`` in the same state; each read takes the next. A leaf keeps
+    its mask; its outcome dict is built when read.
 
     A sampled shot also keeps its pending Pauli frame (-1)^sign X^x Z^z
     (see the execution section): a teleport step with outcome k = 2x' + z'
     on window bit b puts X^x' Z^z' on b after the frame, a fired X or Z puts
     its Pauli there, the next gather pulls through the frame (_framed), and
-    any other step that needs the amplitudes, and the extraction, first
-    apply it (_unframe).
+    any other step that needs the amplitudes first applies it (_unframe).
+    A shot whose final window holds exactly its outputs, on at most
+    _FUSE_WIDTH qubits, leaves through one gather of the plan's output map
+    taken through the frame, its row then normalized (_normalized); any
+    other shot applies its frame, then extracts its outputs (_extract).
     """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
@@ -1298,6 +1347,7 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         probs, ones = np.ones(1), np.zeros(1, dtype=np.int64)
     else:
         probs, ones = 1.0, 0
+        draws = iter(rng.random(plan.reads).tolist())
     x = z = sign = 0  # a sampled shot's frame; an exhaustive run keeps it at 0
     for step in plan.steps:
         op = step[0]
@@ -1345,7 +1395,7 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
                 # may return a view).
                 amps[fire] = kernel(amps[fire], *args)
         elif op is _TELEPORT and rng is not None:
-            k = int(rng.random() * 4)  # the first k with u < (k + 1) / 4: 4u is exact
+            k = int(next(draws) * 4)  # the first k with u < (k + 1) / 4: 4u is exact
             probs *= 0.25
             ones |= step[1][k]
             bit = step[2]
@@ -1360,10 +1410,15 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
             if x | z | sign:
                 amps = _unframe(amps, x, z, sign)
                 x = z = sign = 0
-            amps, probs, ones = _branch(step, amps, probs, ones, rng)
-    if x | z | sign:
-        amps = _unframe(amps, x, z, sign)
+            amps, probs, ones = _branch(step, amps, probs, ones,
+                                        None if rng is None else next(draws))
+    n, names = plan.n, plan.names
     if rng is not None:
+        if amps.ndim - 1 == n <= _FUSE_WIDTH:
+            vec = _framed_outputs(amps, plan, x, z, sign)
+            return [Branch(probs, StateVector(n, vec), ones, names)]
+        if x | z | sign:
+            amps = _unframe(amps, x, z, sign)
         probs, ones = [probs], [ones]
     else:
         probs, ones = probs.tolist(), ones.tolist()
@@ -1371,7 +1426,6 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         return []
     states = _extract(amps, list(plan.outputs))
     del amps  # the branches keep only the rows
-    n, names = plan.n, plan.names
     return [Branch(prob, StateVector(n, vec), m, names)
             for m, prob, vec in zip(ones, probs, states)]
 
@@ -1379,7 +1433,10 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
 def execute(p: CompiledProgram, input_state: StateVector,
             rng: np.random.Generator) -> tuple[StateVector, dict[str, int]]:
     """Run a compiled program, sampling Bell outcomes; returns the reduced
-    state on the logical output wires and the outcome of every variable."""
+    state on the logical output wires and the outcome of every variable.
+    The shot draws one uniform per Bell measurement from ``rng``, all of
+    them in one ``rng.random(n)`` call, so ``rng`` ends where n calls of
+    ``rng.random()`` would leave it (_run)."""
     (leaf,) = _run(p.plan, input_state, rng)
     return leaf.state, leaf.outcomes
 

@@ -216,7 +216,7 @@ def gadget_truth_table(input_states: list[StateVector] | None = None,
                 res = GadgetResult(p_bit, q_bit, br.outcomes, br.state)
                 fid = fidelity_up_to_phase(undo_gadget(res), psi)
                 min_fid = min(min_fid, fid)
-                if fid < 1.0 - tol:
+                if not fid >= 1.0 - tol:  # a NaN fidelity fails too
                     raise ValidationError(
                         f"gadget failed at (p,q)=({p_bit},{q_bit}), branch {br.outcomes}: "
                         f"fidelity {fid}")

@@ -11,9 +11,10 @@ Bell measurement convention (compiler._bell_rotation, its one
 implementation): measuring (r, s) rotates with CNOT(r, s) then H(r), then
 Z-measures both and reads z from r, x from s. If s was half of an EPR pair
 whose partner carried a teleported state psi, the partner afterwards holds
-X^x Z^z psi. The compiler reads both outcomes at one step and draws them
-with one uniform per Bell measurement: against a fresh pair, a teleport
-step (compiler._teleport), each outcome having probability 1/4, whose Pauli
+X^x Z^z psi. The compiler reads both outcomes at one step, and a sampled
+shot draws them with one uniform per Bell measurement, all of its uniforms
+in one call. The step is, against a fresh pair, a teleport step
+(compiler._teleport), each outcome having probability 1/4, whose Pauli
 a sampled shot keeps in its Pauli frame and an exhaustive run applies on the
 teleported slot's axis (Z with the Z kernel's diagonal, X by reversing it);
 otherwise a branch step (compiler._branch) that puts (s, r) first, so that
@@ -30,8 +31,10 @@ narrower windows it fuses runs of gates into gather steps of its own
 (compiler._gather), and at every width it composes allocations into them,
 so the executor no longer shares those with this oracle, and the tests
 compare the two. The allocation helpers _grow and _grow_epr serve only as
-the tests' reference for the plan's allocation maps. Extraction is always
-shared.
+the tests' reference for the plan's allocation maps. Row normalization
+(_normalized) is always shared: a sampled shot whose window holds exactly
+its outputs gathers them in order itself (compiler._framed_outputs), and
+every other run extracts them with _extract.
 Distinct states may be processed in parallel; none of these objects is
 shared-mutable.
 """
@@ -76,7 +79,9 @@ def _check_qubits(n: int) -> None:
 
 
 def init_state(n: int, basis) -> StateVector:
-    """Build a state from a basis bitstring or an amplitude sequence."""
+    """Build a state from a basis bitstring or an amplitude sequence of
+    norm 1 (to 1e-6); any other norm, NaN or infinite from a non-finite
+    amplitude included, is a ValidationError."""
     _check_qubits(n)
     if isinstance(basis, str):
         if len(basis) != n or set(basis) - {"0", "1"}:
@@ -88,7 +93,7 @@ def init_state(n: int, basis) -> StateVector:
         if amps.shape[0] != 2 ** n:
             raise ValidationError(f"expected {2 ** n} amplitudes, got {amps.shape[0]}")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # a non-finite amplitude makes a NaN or infinite norm
         raise ValidationError(f"state norm {norm} is not 1")
     return StateVector(n, amps / norm)
 
@@ -239,10 +244,19 @@ def _grow_epr(amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalized(vecs: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D ``vecs`` divided by its norm, the square root of
+    the sum of |v|^2 along the row: what np.linalg.norm(vecs, axis=1)
+    computes, the same operations in the same order, without its argument
+    handling. It is the one row normalization of both extraction paths,
+    _extract's and the one a sampled shot of the compiler takes."""
+    return vecs / np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=1, keepdims=True))
+
+
 def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
     """For each batch entry of ``amps`` (batch axis first, then qubit axes),
-    the normalized pure state on the qubit axes ``front``, one row each; the
-    other axes must factor out of every entry.
+    the normalized pure state on the qubit axes ``front``, one row each
+    (_normalized); the other axes must factor out of every entry.
 
     When they do, every column of the (front, rest) matrix is a multiple of
     the state, and the largest one is taken. Columns whose norms are within
@@ -255,12 +269,10 @@ def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
     mats = np.transpose(amps, [0] + [ax + 1 for ax in front + rest])
     mats = mats.reshape(amps.shape[0], 2 ** len(front), -1)
     if mats.shape[2] == 1:
-        vecs = mats[:, :, 0]
-        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        return _normalized(mats[:, :, 0])
     norms = np.linalg.norm(mats, axis=1)
     cols = np.argmax(norms >= norms.max(axis=1, keepdims=True) * (1 - _TIE_TOL), axis=1)
-    vecs = mats[np.arange(mats.shape[0]), :, cols]
-    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs = _normalized(mats[np.arange(mats.shape[0]), :, cols])
     overlap = np.einsum("bf,bfr->br", vecs.conj(), mats)
     residual = mats - vecs[:, :, None] * overlap[:, None, :]
     if mats.shape[0] and np.linalg.norm(residual, axis=(1, 2)).max() > _FACTOR_TOL:

@@ -1,4 +1,6 @@
 """CLI exit codes on bad inputs, and the unitary-mode compile/stats round trip."""
+import math
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,67 @@ def test_gadget_below_tolerance_exits_4(capsys, monkeypatch):
     fid = float(out.splitlines()[-1].removeprefix("fidelity="))
     assert fid < 1 - 1e-10
     assert cli.main(argv + [f"--tolerance={1 - fid / 2}"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{c}", "--seed", "1"],
+    ["verify", "--in", "{c}", "--seed", "1", "--exhaustive"],
+    ["protocol1", "--in", "{c}", "--alice", "0", "--seed", "1"],
+    ["gadget", "--p", "1", "--q", "0", "--seed", "7"],
+], ids=["verify", "verify-exhaustive", "protocol1", "gadget"])
+def test_nan_fidelity_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # NaN compares false with everything, so each gate must fail closed on
+    # it: exit 4, and verify reports min_fidelity=nan.
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("QUBITS 2\nH 0\nCNOT 0 1\nT 0\nT 1\n---\nH 1\n---\n")
+    argv = [a.format(c=circuit) for a in argv]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(cli, "fidelity_up_to_phase", lambda *_: math.nan)
+    assert cli.main(argv) == cli.EXIT_FIDELITY
+    got = capsys.readouterr().out.splitlines()
+    if argv[0] == "verify":
+        assert got[0] == "min_fidelity=nan" and got[1].startswith("worst_branch=")
+    else:  # every line but the fidelity is as before
+        assert [line for line in got if not line.startswith("fidelity=")] == want[:-1]
+        assert "fidelity=nan" in got
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_first_nan_is_the_worst_branch(tmp_path, capsys, monkeypatch, exhaustive):
+    # A NaN ranks below every fidelity, 0.2 included, and the first one is
+    # reported.
+    from tlink.compiler import enumerate_branches, execute, parse_program
+    from tlink.oracle import random_state
+    src = tmp_path / "c.txt"
+    src.write_text("QUBITS 1\nH 0\nT 0\n---\nH 0\n---\n")
+    prog = tmp_path / "p.txt"
+    assert cli.main(["compile", "--in", str(src), "--out", str(prog)]) == 0
+    capsys.readouterr()
+    fids = iter([0.9, math.nan, 0.2, math.nan] + [0.7] * 20)
+    monkeypatch.setattr(cli, "fidelity_up_to_phase", lambda *_: next(fids))
+    argv = ["verify", "--in", str(src), "--program", str(prog), "--seed", "3"]
+    assert cli.main(argv + (["--exhaustive"] if exhaustive else [])) == cli.EXIT_FIDELITY
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+    assert out["min_fidelity"] == "nan"
+
+    program, psi = parse_program(prog.read_text()), random_state(1, np.random.default_rng(3))
+    if exhaustive:
+        second = enumerate_branches(program, psi)[1].outcomes
+    else:
+        rng = np.random.default_rng(3)
+        second = [execute(program, psi, rng)[1] for _ in range(3)][1]
+    assert out["worst_branch"] == ",".join(f"{k}={v}" for k, v in sorted(second.items()))
+
+
+def test_nan_fidelity_fails_the_gadget_truth_table(capsys, monkeypatch):
+    # The exhaustive gadget reports a failed branch as the library's
+    # ValidationError (exit 3); a NaN fidelity is one.
+    from tlink import gardenhose
+    monkeypatch.setattr(gardenhose, "fidelity_up_to_phase", lambda *_: math.nan)
+    assert cli.main(["gadget", "--exhaustive"]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fidelity nan" in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3", "1", "5"])

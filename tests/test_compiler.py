@@ -999,7 +999,7 @@ class TestBranch:
         # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")
         shot = frontier[:1]
-        got = _branch(step, shot, 0.5, 4, np.random.default_rng(seed))
+        got = _branch(step, shot, 0.5, 4, np.random.default_rng(seed).random())
         want = per_axis_branch(qubits, outcomes, shot, 0.5, 4, np.random.default_rng(seed))
         assert type(got[1]) is float and type(got[2]) is int
         self._agree(got, want, frontier)
@@ -1094,13 +1094,16 @@ OUT 1 5
 class Forced:
     """An RNG stand-in whose uniforms draw the given outcomes k in order, as
     (k + 1/2) / 4: at a teleport step that is outcome k, and so it is at a
-    branch point whose four outcomes each have probability 1/4."""
+    branch point whose four outcomes each have probability 1/4. Like
+    Generator.random, it returns one uniform, or an array of ``size``."""
 
     def __init__(self, ks):
         self.ks = iter(ks)
 
-    def random(self) -> float:
-        return (next(self.ks) + 0.5) / 4
+    def random(self, size=None):
+        if size is None:
+            return (next(self.ks) + 0.5) / 4
+        return np.array([(next(self.ks) + 0.5) / 4 for _ in range(size)])
 
 
 def chain_stage(n: int) -> str:

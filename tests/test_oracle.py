@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gates_matrix, random_state, rotation_twin
 from tlink.circuits import ValidationError, cnot, h, t, x
@@ -17,6 +19,7 @@ from tlink.oracle import (
     MAX_QUBITS,
     StateVector,
     _extract,
+    _normalized,
     apply_gate,
     apply_mask,
     fidelity_up_to_phase,
@@ -77,6 +80,14 @@ class TestInitState:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError, match="norm"):
             init_state(1, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad,norm", [(np.nan, "nan"), (complex(0, np.nan), "nan"),
+                                          (np.inf, "inf")])
+    def test_non_finite_amplitude_rejected(self, bad, norm):
+        # NaN compares false with any tolerance, so only a norm within it
+        # passes; a NaN state would run to NaN branches.
+        with pytest.raises(ValidationError, match=f"state norm {norm} is not 1"):
+            init_state(1, [bad, 0])
 
     def test_qubit_cap(self):
         with pytest.raises(ValidationError, match="cap"):
@@ -203,18 +214,20 @@ class TestBellMeasure:
             assert (br.outcomes["u"], br.outcomes["v"]) == (br.outcomes["x"], br.outcomes["z"])
 
     def test_one_draw_per_measurement(self):
+        # A shot draws one uniform per Bell measurement, all of them in one
+        # call before its first step.
         class CountingRng:
             def __init__(self):
-                self.calls = 0
+                self.sizes = []
 
-            def random(self):
-                self.calls += 1
-                return 0.3
+            def random(self, size=None):
+                self.sizes.append(size)
+                return 0.3 if size is None else np.full(size, 0.3)
 
         counter = CountingRng()
         text = "QUBITS 5\nEPR 1 2\nEPR 3 4\nBELL 0 1 -> a b\nBELL 2 3 -> c d\nOUT 0 4\n"
         run_once(text, init_state(1, "0"), counter)
-        assert counter.calls == 2
+        assert counter.sizes == [2]
 
     @pytest.mark.parametrize("u,z", [(0.0, 0), (0.3, 0), (0.7, 1)])
     def test_draw_walks_outcomes_in_order(self, u, z):
@@ -222,8 +235,8 @@ class TestBellMeasure:
         # 1/2, 1/2, 0, 0, so the running total passes u at z = 0 when u is
         # below 1/2 and at z = 1 above it.
         class FixedRng:
-            def random(self):
-                return u
+            def random(self, size=None):
+                return u if size is None else np.full(size, u)
 
         _, bits = run_once("QUBITS 3\nBELL 0 1 -> x z\nOUT 0 2\n", init_state(1, "0"), FixedRng())
         assert bits == {"x": 0, "z": z}
@@ -379,6 +392,17 @@ class TestRegister:
         for vec in got:
             assert np.array_equal(vec, got[1])
         assert np.allclose(got[1], col / np.linalg.norm(col), rtol=0, atol=1e-15)  # column 0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_normalized_is_division_by_linalg_norm(self, rows, cols, seed):
+        # The one row normalization of both extraction paths gives the bytes
+        # of np.linalg.norm's, for rows short and longer than numpy's
+        # pairwise summation block of 128.
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        want = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        assert _normalized(vecs).tobytes() == want.tobytes()
 
     def test_window_cap(self):
         text = (f"QUBITS {MAX_QUBITS + 1}\n" + "".join(f"CNOT 0 {q}\n" for q in range(1, MAX_QUBITS + 1))

@@ -32,20 +32,23 @@ from tlink.compiler import (
     _FUSE_WIDTH,
     _TELEPORT,
     CompiledProgram,
+    ExecPlan,
     InstrOp,
     _branch,
     _fires,
     _fires_one,
+    _framed_outputs,
     _gather,
     _run,
     _Schedule,
+    _unframe,
     _unitary_plan,
     compile_measure,
     execute,
     parse_program,
     to_unitary,
 )
-from tlink.gardenhose import gadget_program
+from tlink.gardenhose import ResourcePlan, gadget_program, protocol_program
 from tlink.oracle import StateVector, _extract, fidelity_up_to_phase, gate_kernel
 
 
@@ -224,11 +227,72 @@ def test_runner_matches_the_per_row_reference(planned, seed):
         assert mine.bit_generator.state == theirs.bit_generator.state
 
 
-class NearlyOne:
-    """An RNG stand-in whose every uniform is the largest float below 1."""
+@st.composite
+def sampled_plans(draw):
+    """(plan, wires) run by sampled shots: a compiled random circuit of up to
+    5 wires and 6 stages (teleport steps), its rotation twin (branch points
+    on windows up to 7 qubits) or a protocol program (gadget and return
+    windows wider than its outputs)."""
+    kind = draw(st.sampled_from(["measure", "twin", "protocol"]), label="kind")
+    if kind == "protocol":
+        c = draw(layered_circuits(max_n=3, max_k=1), label="circuit")
+        wires = st.lists(st.integers(0, c.n - 1), unique=True)
+        plan = ResourcePlan(frozenset(draw(wires, label="alice")), tuple(draw(wires, label="ret")))
+        return protocol_program(c, plan)[0].plan, c.n
+    c = draw(layered_circuits(max_n=5, max_k=6), label="circuit")
+    p = compile_measure(c)
+    return (rotation_twin(p) if kind == "twin" else p).plan, c.n
 
-    def random(self) -> float:
-        return float(np.nextafter(1.0, 0.0))
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(planned=sampled_plans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_shots_drawn_in_one_call_match_the_per_read_draws(planned, seed):
+    # Shots one after another from one generator, as tlink verify runs them.
+    # Each shot draws all its uniforms in one call, and leaves through the
+    # folded extraction where its final window allows; the reference draws
+    # one uniform per read and extracts with _extract. The outcomes, the
+    # amplitude bytes and the generator's final state are the same.
+    plan, n = planned
+    psi = random_state(np.random.default_rng(seed), n)
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        (leaf,) = _run(plan, psi, mine)
+        ((outcomes, prob, vec),) = reference_run(plan, psi, theirs)
+        assert leaf.outcomes == outcomes and leaf.probability == prob
+        assert leaf.state.amps.tobytes() == vec.tobytes()
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(width=st.integers(1, _FUSE_WIDTH), data=st.data())
+def test_folded_extraction_is_unframe_then_extract(width, data):
+    # Any frame (-1)^sign X^x Z^z, the empty one included, and any order of
+    # the outputs on the window: one gather through the plan's output map
+    # gives the bytes of the frame applied, then _extract. Some amplitudes
+    # have exact zeros of either sign, as fresh qubits leave them.
+    outputs = tuple(data.draw(st.permutations(range(width)), label="outputs"))
+    frame = st.tuples(st.integers(0, 2 ** width - 1), st.integers(0, 2 ** width - 1),
+                      st.integers(0, 1))
+    x, z, sign = data.draw(st.one_of(st.just((0, 0, 0)), frame), label="frame")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    amps.real[rng.random(1 << width) < 0.2] = 0.0
+    amps.imag[rng.random(1 << width) < 0.2] = -0.0
+    amps = amps.reshape((1,) + (2,) * width)
+    plan = ExecPlan((), outputs, width, (), 0)
+    want = _extract(_unframe(amps, x, z, sign) if x | z | sign else amps, list(outputs))[0]
+    got = _framed_outputs(amps, plan, x, z, sign)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert plan.output_map is plan.output_map  # built once per plan
+
+
+class NearlyOne:
+    """An RNG stand-in whose every uniform is the largest float below 1: one,
+    or an array of ``size``, as Generator.random returns them."""
+
+    def random(self, size=None):
+        u = float(np.nextafter(1.0, 0.0))
+        return u if size is None else np.full(size, u)
 
 
 def test_a_draw_above_the_rounded_sum_takes_the_last_live_outcome():
@@ -257,7 +321,7 @@ def test_a_draw_above_the_rounded_sum_skips_a_residue():
     sched.branch(0, 1, None, None)  # outcome k = 2x + z sets x's bit 1 and z's bit 2
     (step,) = sched.plan(()).steps
     amps = np.array([[[0.6, 0.8 * (1 - 1e-15)], [0.0, 1e-20]]], dtype=complex)
-    child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne())
+    child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne().random())
     assert ones == 2 and prob == abs(amps[0, 0, 1]) ** 2
     assert child.shape == (1,) and child[0] == pytest.approx(1.0)
 
@@ -329,7 +393,8 @@ def test_a_shot_touches_its_amplitudes_only_at_gathers(c, seed):
     # On a fused window a sampled shot of a compiled program makes one
     # amplitude pass per gather step of its plan and one per conditioned
     # P-dagger that fires, each after its frame is applied if the frame
-    # holds X on its qubit, plus the frame applied before the extraction:
+    # holds X on its qubit, plus, when its frame is not empty at the end,
+    # the one gather that extracts its outputs through it (_framed_outputs):
     # a teleport step or a conditioned X or Z makes none.
     plan = compile_measure(c).plan
     assert plan.peak_width <= _FUSE_WIDTH
@@ -337,10 +402,12 @@ def test_a_shot_touches_its_amplitudes_only_at_gathers(c, seed):
     psi = random_state(np.random.default_rng(seed), c.n)
     for shot in range(3):
         calls = amplitude_passes(plan, psi, np.random.default_rng(seed + shot))
-        assert all(caller in ("_run", "_unframe") for _, caller in calls)
+        assert all(caller in ("_run", "_unframe", "_framed_outputs") for _, caller in calls)
+        extraction = [i for i, (_, caller) in enumerate(calls) if caller == "_framed_outputs"]
+        assert extraction in ([], [len(calls) - 1])
         from_run = [kernel for kernel, caller in calls if caller == "_run"]
         assert from_run.count("_gather") == gathers
         assert set(from_run) <= {"_gather", "PDG", "_unframe"}
-        for i, kernel in enumerate(from_run):  # the frame applied before a P-dagger, or last
+        for i, kernel in enumerate(from_run):  # the frame applied only before a P-dagger
             if kernel == "_unframe":
-                assert from_run[i + 1:i + 2] in (["PDG"], [])
+                assert from_run[i + 1:i + 2] == ["PDG"]
