@@ -108,7 +108,6 @@ from .oracle import (
     StateVector,
     _extract,
     _flip,
-    _normalized,
     _phase,
     apply_gate,
     basis_bits,
@@ -639,7 +638,7 @@ def parse_program(text: str) -> CompiledProgram:
 # A program runs from an execution plan built once per program by replaying
 # its windowed schedule symbolically. EPR and gate instructions are deferred;
 # a Bell measurement, a conditioned correction (whether or not it will fire)
-# and the final extraction each flush only the backward light cone of their
+# and the plan's final gather each flush only the backward light cone of their
 # qubits (_Schedule.flush), so the next stage's pre-executed gates stay
 # deferred. The cone is found through a per-qubit index: each deferred item
 # links to the item deferred last on each of its qubits before it, and a
@@ -672,10 +671,10 @@ def parse_program(text: str) -> CompiledProgram:
 # qubits, and allocations (|0> or EPR) at every width. Each is composed, when
 # the plan is built, into a pending pull map over the flattened window, and
 # the map is flushed as one gather step (_gather: a take, a multiply and,
-# after an H, an add) before every branch point, the final extraction and
-# any gate on a wider window. An allocation that makes the window wider than
-# _FUSE_WIDTH is flushed at once, so the map never grows past the allocation
-# that crosses the limit. A map holds at most two terms, so at most one H.
+# after an H, an add) before every branch point and any gate on a wider
+# window, and at the end of the plan. An allocation that makes the window
+# wider than _FUSE_WIDTH is flushed at once, so the map never grows past the
+# allocation that crosses the limit. A map holds at most two terms, so at most one H.
 # On narrow windows a numpy call costs far more than its amplitude work, and
 # one gather replaces a run of per-gate kernel calls. The limit is where that
 # stops paying (timed on a 2-CPU x86-64 host): at 64-256 amplitudes composing
@@ -728,15 +727,13 @@ def parse_program(text: str) -> CompiledProgram:
 # into its own pull map (_framed), so a shot touches its amplitudes only
 # where a gate acts. A conditioned P-dagger commutes with the frame's Z and
 # runs as it is unless the frame holds X on its qubit; then, and before any
-# other step (a wide allocation's gather among them), the frame is applied
-# to the amplitudes (_unframe). A shot whose final window holds exactly its
-# outputs, on at most _FUSE_WIDTH qubits, as every compiled program's does,
-# leaves through one gather of the plan's output map taken through the
-# frame, which applies the frame and orders the outputs at once, then
-# normalizes the row (_framed_outputs); any other shot applies its frame,
-# then extracts (_extract). Every factor the frame moves is +1 or -1, so a
-# shot's amplitudes are bit for bit those it would get by applying each
-# Pauli where it arises.
+# other step (a gather on a wider window among them), the frame is applied
+# to the amplitudes (_unframe). Every plan ends on one gather that puts the
+# outputs on slots 0..n-1 in output order (_Schedule.plan), so a shot's
+# frame is empty when its steps are done, and every run, sampled or
+# exhaustive, extracts its outputs from the leading axes (_extract). Every
+# factor the frame moves is +1 or -1, so a shot's amplitudes are bit for bit
+# those it would get by applying each Pauli where it arises.
 #
 # Classical bits are numbered per plan, by one rule for both plans
 # (_Schedule._read): the i-th Bell measurement read gives x bit 2i and z bit
@@ -770,44 +767,28 @@ _APPLY, _COND, _BRANCH, _TELEPORT = range(4)
 
 @dataclass(frozen=True)
 class ExecPlan:
-    """Flat steps over a tensor window, the axes of the logical outputs at
-    the end, the largest window width, and each named outcome with its
-    plan-local classical bit (_Schedule._read). A plan reads each Bell
-    measurement at one step: a _TELEPORT step when a measure plan teleports
-    a carrier onto an untouched EPR half, otherwise a _BRANCH step after its
-    rotation, as a unitary plan reads every Bell group. A branch point is
-    that one step at every window width, and an allocation is always part
-    of a gather step. A conditioned, phase or teleport step that was held
-    behind a fused map follows the gather that flushed it (_Schedule._hold).
-    A read step holds only classical bits and axes or a window bit, and
-    ``reads`` counts the read steps, so that a sampled shot draws one
-    uniform for each of them in one call. A plan holds no per-run state: an
-    exhaustive run stacks a _TELEPORT step's four Pauli children
-    (_teleport), and a sampled shot folds the Pauli into its frame."""
+    """Flat steps over a tensor window, the number n of logical outputs,
+    the largest window width, and each named outcome with its plan-local
+    classical bit (_Schedule._read). The last step is a gather that leaves
+    the outputs on window slots 0..n-1 in output order (_Schedule.plan). A
+    plan reads each Bell measurement at one step: a _TELEPORT step when a
+    measure plan teleports a carrier onto an untouched EPR half, otherwise a
+    _BRANCH step after its rotation, as a unitary plan reads every Bell
+    group. A branch point is that one step at every window width, and an
+    allocation is always part of a gather step. A conditioned, phase or
+    teleport step that was held behind a fused map follows the gather that
+    flushed it (_Schedule._hold). A read step holds only classical bits and
+    axes or a window bit, and ``reads`` counts the read steps, so that a
+    sampled shot draws one uniform for each of them in one call. A plan
+    holds no per-run state: an exhaustive run stacks a _TELEPORT step's four
+    Pauli children (_teleport), and a sampled shot folds the Pauli into its
+    frame."""
 
     steps: tuple[tuple, ...]
-    outputs: tuple[int, ...]
+    n: int
     peak_width: int
     names: tuple[tuple[str, int], ...]
     reads: int
-
-    @property
-    def n(self) -> int:
-        return len(self.outputs)
-
-    @cached_property
-    def output_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, coef) of the pull map (see _gather) that reads a window of
-        exactly the n outputs in output order: src[j] is the flat window
-        index of output-order index j, both big-endian, and coef is all ones.
-        A sampled shot whose final window holds only its outputs leaves
-        through it (_run), so it is built on first use, once per plan."""
-        n = self.n
-        j = np.arange(1 << n)
-        src = np.zeros_like(j)
-        for k, slot in enumerate(self.outputs):
-            src |= (j >> (n - 1 - k) & 1) << (n - 1 - slot)
-        return src, _identity_map(n)[1]
 
 
 class _Schedule:
@@ -1021,9 +1002,26 @@ class _Schedule:
         return 0, z, x, x | z
 
     def plan(self, outputs) -> ExecPlan:
+        """End on one gather that puts ``outputs`` on slots 0..n-1 in output
+        order, the other qubits after them in window order: composed into
+        the pending map when no step is held, else after the held steps,
+        which are resolved at the current slots. A shot's frame ends there."""
         axes = self.axes(outputs)  # allocates untouched outputs: before tuple(steps)
+        if self.held:
+            self._flush_map()
+        width = len(self.window)
+        order = [ax - 1 for ax in axes]
+        order += [a for a in range(width) if a not in order]
+        src = None
+        if order != list(range(width)):
+            i = np.arange(1 << width)
+            src = np.zeros_like(i)
+            for k, slot in enumerate(order):
+                src |= (i >> (width - 1 - k) & 1) << (width - 1 - slot)
+            self.window = [self.window[a] for a in order]
+        self._fuse(width, src, None)
         self._flush_map()
-        return ExecPlan(tuple(self.steps), tuple(ax - 1 for ax in axes), self.peak,
+        return ExecPlan(tuple(self.steps), len(outputs), self.peak,
                         tuple(named for named in self.names if named[0] is not None),
                         len(self.names) // 2)
 
@@ -1262,11 +1260,11 @@ _Z_DIAG = _cached_kernel("Z", (1,), 2)[1][0]  # the Z kernel's diagonal, as ever
 def _frame_signs(width: int, z: int, sign: int) -> np.ndarray:
     """(-1)^(sign + popcount(j & z)) for every flat index j of a
     ``width``-qubit window: the factor the frame's Z^z and sign put on
-    amplitude j. Frames are folded into gathers, and unframed through a
-    gather, only on windows of at most _FUSE_WIDTH qubits (_run, _unframe,
-    _framed_outputs), so the cache holds at most 2 * 2^w entries per width w
-    there. The factors are complex, as a gather's coef is: numpy multiplies
-    two complex arrays faster than a complex one by a float one."""
+    amplitude j. Frames are folded into gathers only on windows of at most
+    _FUSE_WIDTH qubits (_run), so the cache holds at most 2 * 2^w entries
+    per width w there. The factors are complex, as a gather's coef is:
+    numpy multiplies two complex arrays faster than a complex one by a
+    float one."""
     odd = np.bitwise_count(np.arange(1 << width) & z) & 1 != sign
     return np.where(odd, -1.0, 1.0).astype(complex)
 
@@ -1284,35 +1282,16 @@ def _framed(src: np.ndarray, coef: np.ndarray, width: int, x: int, z: int, sign:
 
 def _unframe(amps: np.ndarray, x: int, z: int, sign: int) -> np.ndarray:
     """A sampled shot's amplitudes with its frame (-1)^sign X^x Z^z applied:
-    one gather on a window of at most _FUSE_WIDTH qubits, else the oracle's
-    Z kernel on each bit of z, then its X kernel on each bit of x (``post``
-    the bit itself), then the sign."""
-    width = amps.ndim - 1
-    if width <= _FUSE_WIDTH:
-        return _gather(amps, *_framed(*_identity_map(width), width, x, z, sign), amps.shape)
+    the oracle's Z kernel on each bit of z, then its X kernel on each bit of
+    x (``post`` the bit itself), then the sign. A gather on a window of at
+    most _FUSE_WIDTH qubits takes the frame into its map instead (_framed),
+    so this runs only before a per-gate or gather step on a wider window, a
+    P-dagger on a qubit the frame holds X on, and a branch point."""
     for b in _set_bits(z):
         amps = _phase(amps, _Z_DIAG, 1 << b)
     for b in _set_bits(x):
         amps = _flip(amps, 1 << b)
     return -amps if sign else amps
-
-
-def _framed_outputs(amps: np.ndarray, plan: ExecPlan, x: int, z: int, sign: int) -> np.ndarray:
-    """The output state of a sampled shot, one row ``amps`` whose window
-    holds exactly the plan's outputs on at most _FUSE_WIDTH qubits, under its
-    frame (-1)^sign X^x Z^z: one gather of the plan's output map taken
-    through the frame (_framed), which applies the frame and puts the
-    outputs in order at once, then the row normalized (_normalized). It
-    equals _unframe then _extract bit for bit: the gather multiplies the
-    same +1 and -1 factors into the same amplitudes, and only when the frame
-    is not empty, as _unframe runs only then."""
-    src, coef = plan.output_map
-    width = amps.ndim - 1
-    if x | z | sign:
-        vec = _gather(amps, *_framed(src, coef, width, x, z, sign), (1, -1))
-    else:
-        vec = amps.reshape(1, -1).take(src, axis=1)
-    return _normalized(vec)[0]
 
 
 def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | None) -> list[Branch]:
@@ -1335,10 +1314,9 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
     on window bit b puts X^x' Z^z' on b after the frame, a fired X or Z puts
     its Pauli there, the next gather pulls through the frame (_framed), and
     any other step that needs the amplitudes first applies it (_unframe).
-    A shot whose final window holds exactly its outputs, on at most
-    _FUSE_WIDTH qubits, leaves through one gather of the plan's output map
-    taken through the frame, its row then normalized (_normalized); any
-    other shot applies its frame, then extracts its outputs (_extract).
+    A plan's last step is a gather that puts the outputs first
+    (_Schedule.plan), so every run ends on an empty frame and extracts its
+    outputs from axes 0..n-1 (_extract).
     """
     if input_state.n != plan.n:
         raise ValidationError("input state size does not match program wires")
@@ -1366,20 +1344,19 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
         elif op is _COND:
             _, test, kernel, args = step
             if rng is not None:
+                # A sampled plan is a measure plan, whose conditioned kernels
+                # are X (_flip), Z and P-dagger (_phase): a _scale phase comes
+                # only from a unitary plan, and those run exhaustively.
                 if _fires_one(test, ones):
                     if kernel is _flip:
                         x ^= args[0]
                         continue
-                    if kernel is _phase:  # a diagonal gate commutes with Z
-                        bit = args[1]
-                        if args[0] is _Z_DIAG:
-                            sign ^= (x & bit) != 0  # Z X = -X Z
-                            z ^= bit
-                            continue
-                        pending = x & bit
-                    else:
-                        pending = x | z | sign
-                    if pending:
+                    bit = args[1]
+                    if args[0] is _Z_DIAG:
+                        sign ^= (x & bit) != 0  # Z X = -X Z
+                        z ^= bit
+                        continue
+                    if x & bit:  # a P-dagger commutes with the frame's Z, not its X
                         amps = _unframe(amps, x, z, sign)
                         x = z = sign = 0
                     amps = kernel(amps, *args)
@@ -1413,18 +1390,10 @@ def _run(plan: ExecPlan, input_state: StateVector, rng: np.random.Generator | No
             amps, probs, ones = _branch(step, amps, probs, ones,
                                         None if rng is None else next(draws))
     n, names = plan.n, plan.names
-    if rng is not None:
-        if amps.ndim - 1 == n <= _FUSE_WIDTH:
-            vec = _framed_outputs(amps, plan, x, z, sign)
-            return [Branch(probs, StateVector(n, vec), ones, names)]
-        if x | z | sign:
-            amps = _unframe(amps, x, z, sign)
-        probs, ones = [probs], [ones]
-    else:
-        probs, ones = probs.tolist(), ones.tolist()
+    probs, ones = ([probs], [ones]) if rng is not None else (probs.tolist(), ones.tolist())
     if not ones:
         return []
-    states = _extract(amps, list(plan.outputs))
+    states = _extract(amps, n)
     del amps  # the branches keep only the rows
     return [Branch(prob, StateVector(n, vec), m, names)
             for m, prob, vec in zip(ones, probs, states)]

@@ -304,14 +304,16 @@ def poly_eval(p: KeyPoly, assignment: Mapping[str, int]) -> int:
         raise ValidationError(f"unbound outcome variable {exc.args[0]!r}") from None
 
 
+def _mixed_owner(term: int) -> bool:
+    """Whether the variables of a term of degree >= 2 span more than one owner."""
+    vs = _term_vars(term)
+    return any(v.owner is not vs[0].owner for v in vs)
+
+
 def cross_terms(p: KeyPoly) -> list[Monomial]:
     """Monomials of degree >= 2 whose variables span more than one owner."""
-    out = []
-    for m in p.nonlinear:
-        vs = _term_vars(m)
-        if any(v.owner is not vs[0].owner for v in vs):
-            out.append(frozenset(vs))
-    return sorted(out, key=_mono_key)
+    return sorted((frozenset(_term_vars(m)) for m in p.nonlinear if _mixed_owner(m)),
+                  key=_mono_key)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from .frames import (
     Owner,
     PauliMask,
     SymbolicMask,
+    _mixed_owner,
     _mono_key,
     _names,
     _set_bits,
@@ -534,8 +535,7 @@ def analyze_cross_terms(c: LayeredCircuit, alice_wires: frozenset[int] | set[int
     a, b, lift, terms = _analysis_frame(c, alice_wires)
     mixed = 0  # the lifted bits of the terms whose variables span more than one owner
     for i, term in enumerate(terms):
-        vs = _term_vars(term)
-        if any(v.owner is not vs[0].owner for v in vs):
+        if _mixed_owner(term):
             mixed |= 1 << (lift + i)
 
     def cross(mask: int) -> tuple[Monomial, ...]:

@@ -3,9 +3,10 @@ Dense statevector oracle: brute-force ground truth for every transformation.
 
 Qubit q is tensor axis q, so basis strings read left-to-right as qubit
 0..n-1 and the flat amplitude index is big-endian in qubit 0. States are
-capped at 14 qubits (desk scale); init_state and random_state check the cap
-before anything of size 2^n is allocated or drawn, so an oversized input is
-a ValidationError, never an allocation failure.
+capped at 14 qubits (desk scale); init_state and random_state check that the
+count is positive and within the cap before anything of size 2^n is
+allocated or drawn, so a bad count is a ValidationError, never an
+allocation failure or a stray ValueError or TypeError.
 
 Bell measurement convention (compiler._bell_rotation, its one
 implementation): measuring (r, s) rotates with CNOT(r, s) then H(r), then
@@ -26,15 +27,14 @@ the protocol and the grouped speculative runs included, over a window of
 qubits from which measured pairs are factored out, so long runs stay within
 the size cap, with every live branch as one entry of a leading batch axis.
 The plan uses the gate kernels only for its conditioned steps, gates on
-windows wider than 8 qubits and a sampled shot's Pauli frame there; on
-narrower windows it fuses runs of gates into gather steps of its own
-(compiler._gather), and at every width it composes allocations into them,
-so the executor no longer shares those with this oracle, and the tests
-compare the two. The allocation helpers _grow and _grow_epr serve only as
-the tests' reference for the plan's allocation maps. Row normalization
-(_normalized) is always shared: a sampled shot whose window holds exactly
-its outputs gathers them in order itself (compiler._framed_outputs), and
-every other run extracts them with _extract.
+windows wider than 8 qubits and a sampled shot's Pauli frame where no
+gather takes it into its map; on narrower windows it fuses runs of gates
+into gather steps of its own (compiler._gather), and at every width it
+composes allocations into them, so the executor no longer shares those
+with this oracle, and the tests compare the two. The allocation helpers _grow and _grow_epr serve only as
+the tests' reference for the plan's allocation maps. Every run, sampled or
+exhaustive, ends on a gather that puts its outputs first, then extracts
+them with _extract.
 Distinct states may be processed in parallel; none of these objects is
 shared-mutable.
 """
@@ -73,7 +73,10 @@ class StateVector:
 
 
 def _check_qubits(n: int) -> None:
-    """The size cap, checked before anything of size 2^n is allocated or drawn."""
+    """A positive count within the size cap, checked before anything of size
+    2^n is allocated or drawn."""
+    if n < 1:
+        raise ValidationError("qubit count must be positive")
     if n > MAX_QUBITS:
         raise ValidationError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit cap")
 
@@ -248,26 +251,22 @@ def _normalized(vecs: np.ndarray) -> np.ndarray:
     """Each row of the 2-D ``vecs`` divided by its norm, the square root of
     the sum of |v|^2 along the row: what np.linalg.norm(vecs, axis=1)
     computes, the same operations in the same order, without its argument
-    handling. It is the one row normalization of both extraction paths,
-    _extract's and the one a sampled shot of the compiler takes."""
+    handling. It is _extract's row normalization."""
     return vecs / np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=1, keepdims=True))
 
 
-def _extract(amps: np.ndarray, front: list[int]) -> np.ndarray:
+def _extract(amps: np.ndarray, n: int) -> np.ndarray:
     """For each batch entry of ``amps`` (batch axis first, then qubit axes),
-    the normalized pure state on the qubit axes ``front``, one row each
+    the normalized pure state on its first ``n`` qubit axes, one row each
     (_normalized); the other axes must factor out of every entry.
 
-    When they do, every column of the (front, rest) matrix is a multiple of
+    When they do, every column of the (first n, rest) matrix is a multiple of
     the state, and the largest one is taken. Columns whose norms are within
     a relative _TIE_TOL of the largest tie, and the lowest-index one wins,
     so that rounding in the amplitudes cannot change the state's global
     phase: the two halves of an unused pair, for one, are columns of equal
     norm."""
-    width = amps.ndim - 1
-    rest = [ax for ax in range(width) if ax not in front]
-    mats = np.transpose(amps, [0] + [ax + 1 for ax in front + rest])
-    mats = mats.reshape(amps.shape[0], 2 ** len(front), -1)
+    mats = amps.reshape(len(amps), 1 << n, -1)
     if mats.shape[2] == 1:
         return _normalized(mats[:, :, 0])
     norms = np.linalg.norm(mats, axis=1)

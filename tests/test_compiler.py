@@ -994,7 +994,8 @@ class TestBranch:
         outcomes = [(None, 1), (None, 2)]  # the first read: x from s is bit 0, z from r bit 1
         sched = _Schedule(width)
         assert sched.branch(*qubits, None, None) == (0, 2, 1, 3)
-        (step,) = sched.plan(()).steps  # one step at every width
+        step, last = sched.plan(()).steps  # one step at every width, then the final gather
+        assert step[0] is _BRANCH and last[:2] == (_APPLY, _gather)
 
         # a sampled shot: its probability is a float and its bits an int
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="uniform")

@@ -7,6 +7,7 @@ from conftest import gates_matrix, random_state, rotation_twin
 from tlink.circuits import ValidationError, cnot, h, t, x
 from tlink.compiler import (
     _TELEPORT,
+    _gather,
     CompiledProgram,
     Instruction,
     InstrOp,
@@ -101,6 +102,17 @@ class TestInitState:
         gen = np.random.default_rng(0)
         with pytest.raises(ValidationError, match="40 qubits exceeds the 14-qubit cap"):
             oracle_random_state(40, gen)
+        assert gen.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("n,basis", [(0, ""), (0, [1]), (-1, []), (-1, "")])
+    def test_non_positive_qubit_count_rejected(self, n, basis):
+        # The circuit reader's message, before the basis or the amplitudes
+        # are read and before random_state draws.
+        with pytest.raises(ValidationError, match="^qubit count must be positive$"):
+            init_state(n, basis)
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="^qubit count must be positive$"):
+            oracle_random_state(n, gen)
         assert gen.random() == np.random.default_rng(0).random()
 
 
@@ -324,7 +336,8 @@ class TestRegister:
         prog = rotation_twin(parse_program(TELEPORT))
         out, outcomes = execute(prog, psi, rng)
         assert prog.plan.peak_width == 3
-        assert prog.plan.outputs == (0,)  # the measured pair's axes are gone
+        # the measured pair's axes are gone: the final gather is on one qubit
+        assert prog.plan.n == 1 and prog.plan.steps[-1][2][-1] == (-1, 2)
         got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
         assert fidelity_up_to_phase(got, psi) >= 1 - 1e-10
 
@@ -337,11 +350,12 @@ class TestRegister:
             out, outcomes = execute(prog, psi, rng)
             got = apply_mask(out, PauliMask((outcomes["x"],), (outcomes["z"],)))
             assert fidelity_up_to_phase(got, psi) >= 1 - 1e-12
-        ((op, bits, bit),) = prog.plan.steps
+        (op, bits, bit), last = prog.plan.steps  # the teleport step, then the final gather
         assert op is _TELEPORT and bits == (0, 2, 1, 3)  # k = 2x + z sets x's bit 1, z's bit 2
         assert bit == 1  # the carrier's slot, the one slot of the window
+        assert last[1] is _gather and last[2][-1] == (-1, 2)  # still one slot
         assert prog.plan.names == (("x", 1), ("z", 2))
-        assert prog.plan.peak_width == 1 and prog.plan.outputs == (0,)
+        assert prog.plan.peak_width == 1 and prog.plan.n == 1
 
     def test_epr_on_live_qubit_rejected(self):
         with pytest.raises(ValidationError, match="already in use"):
@@ -388,7 +402,7 @@ class TestRegister:
             assert abs(np.linalg.norm(mats[:, 1]) / np.linalg.norm(col) - 1) < 1e-14
             return mats.reshape((1,) + (2,) * (front + 1))
 
-        got = [_extract(columns(direction), list(range(front)))[0] for direction in (1, 0, -1)]
+        got = [_extract(columns(direction), front)[0] for direction in (1, 0, -1)]
         for vec in got:
             assert np.array_equal(vec, got[1])
         assert np.allclose(got[1], col / np.linalg.norm(col), rtol=0, atol=1e-15)  # column 0

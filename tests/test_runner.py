@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import layered_circuits, random_circuit, random_state, rotation_twin
 from test_compiler import PARTIAL, Forced, branch_reference
-from tlink.circuits import GateKind
+from tlink.circuits import Gate, GateKind
 from tlink.compiler import (
     _APPLY,
     _BRANCH,
@@ -32,13 +32,13 @@ from tlink.compiler import (
     _FUSE_WIDTH,
     _TELEPORT,
     CompiledProgram,
-    ExecPlan,
     InstrOp,
     _branch,
     _fires,
     _fires_one,
-    _framed_outputs,
+    _framed,
     _gather,
+    _identity_map,
     _run,
     _Schedule,
     _unframe,
@@ -49,7 +49,14 @@ from tlink.compiler import (
     to_unitary,
 )
 from tlink.gardenhose import ResourcePlan, gadget_program, protocol_program
-from tlink.oracle import StateVector, _extract, fidelity_up_to_phase, gate_kernel
+from tlink.oracle import (
+    StateVector,
+    _extract,
+    _normalized,
+    apply_gate,
+    fidelity_up_to_phase,
+    gate_kernel,
+)
 
 
 def reference_fires(test, ones: int) -> int:
@@ -156,7 +163,7 @@ def reference_run(plan, psi, rng) -> list[tuple[dict[str, int], float, np.ndarra
             amps, probs, ones = reference_teleport(step, amps, probs, ones, rng)
     if not ones:
         return []
-    states = _extract(amps, list(plan.outputs))
+    states = _extract(amps, plan.n)
     return [({name: 1 if m & bit else 0 for name, bit in plan.names}, prob, vec)
             for m, prob, vec in zip(ones, probs.tolist(), states)]
 
@@ -248,10 +255,10 @@ def sampled_plans(draw):
 @given(planned=sampled_plans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_shots_drawn_in_one_call_match_the_per_read_draws(planned, seed):
     # Shots one after another from one generator, as tlink verify runs them.
-    # Each shot draws all its uniforms in one call, and leaves through the
-    # folded extraction where its final window allows; the reference draws
-    # one uniform per read and extracts with _extract. The outcomes, the
-    # amplitude bytes and the generator's final state are the same.
+    # Each shot draws all its uniforms in one call and folds its frame into
+    # the plan's final gather; the reference draws one uniform per read and
+    # applies each Pauli where it arises. The outcomes, the amplitude bytes
+    # and the generator's final state are the same.
     plan, n = planned
     psi = random_state(np.random.default_rng(seed), n)
     mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -263,27 +270,115 @@ def test_shots_drawn_in_one_call_match_the_per_read_draws(planned, seed):
     assert mine.bit_generator.state == theirs.bit_generator.state
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
-@given(width=st.integers(1, _FUSE_WIDTH), data=st.data())
+ALWAYS = (0, (), 1)  # a test every row passes
+
+
+def exit_plan(n: int, leftovers: list[tuple[GateKind, ...]], outputs: tuple[int, ...],
+              frame: tuple[int, int, int]):
+    """A plan on n input wires that appends one product qubit per entry of
+    ``leftovers`` (|0> under those gates), gives a sampled shot the frame
+    (x, z, sign) over the whole window through conditioned steps that
+    always fire, and ends on ``outputs``, a permutation of the input wires.
+    The map of the leftovers is flushed before the frame is set, so the
+    plan's last step is its exit alone, an identity or reordering gather."""
+    sched = _Schedule(n)
+    for q, gates in enumerate(leftovers, n):
+        sched.axes((q,))
+        for kind in gates:
+            sched.gate(kind, (q,))
+    sched._flush_map()
+    x, z, sign = frame
+    width = len(sched.window)
+
+    def on(bits: int, kind: GateKind) -> None:
+        for slot in range(width):  # window slot a is flat bit width - 1 - a
+            if bits >> (width - 1 - slot) & 1:
+                sched.cond(ALWAYS, kind, (sched.window[slot],))
+
+    on(z, GateKind.Z)
+    if sign:  # X Z X Z on one qubit leaves only the sign: Z X = -X Z
+        for kind in (GateKind.X, GateKind.Z) * 2:
+            sched.cond(ALWAYS, kind, (0,))
+    on(x, GateKind.X)
+    return sched.plan(outputs)
+
+
+def parent_exit(amps: np.ndarray, slots: tuple[int, ...], x: int, z: int, sign: int):
+    """The output state of a sampled shot as a plan left it before every
+    plan ended on its outputs: a window of exactly its outputs, on at most
+    _FUSE_WIDTH qubits, took one gather of the output map through the frame
+    and normalized the row; any other applied its frame, by one gather on a
+    narrow window and the X and Z kernels on a wide one, then moved the
+    outputs' axes first and extracted them."""
+    width, n = amps.ndim - 1, len(slots)
+    framed = x | z | sign
+    if width == n <= _FUSE_WIDTH:
+        i = np.arange(1 << n)
+        src = np.zeros_like(i)
+        for k, slot in enumerate(slots):
+            src |= (i >> (n - 1 - k) & 1) << (n - 1 - slot)
+        if not framed:
+            return _normalized(amps.reshape(1, -1).take(src, axis=1))[0]
+        return _normalized(_gather(amps, *_framed(src, _identity_map(n)[1], n, x, z, sign),
+                                   (1, -1)))[0]
+    if framed and width <= _FUSE_WIDTH:
+        amps = _gather(amps, *_framed(*_identity_map(width), width, x, z, sign), amps.shape)
+    elif framed:
+        amps = _unframe(amps, x, z, sign)
+    rest = [a for a in range(width) if a not in slots]
+    return _extract(amps.transpose([0] + [a + 1 for a in (*slots, *rest)]), n)[0]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(width=st.integers(1, 12), data=st.data())  # both sides of _FUSE_WIDTH
 def test_folded_extraction_is_unframe_then_extract(width, data):
-    # Any frame (-1)^sign X^x Z^z, the empty one included, and any order of
-    # the outputs on the window: one gather through the plan's output map
-    # gives the bytes of the frame applied, then _extract. Some amplitudes
-    # have exact zeros of either sign, as fresh qubits leave them.
-    outputs = tuple(data.draw(st.permutations(range(width)), label="outputs"))
+    # Any frame (-1)^sign X^x Z^z, the empty one included, any order of the
+    # outputs and 0-2 product qubits left over: a shot that leaves through
+    # the plan's final gather ends on the state the exit it replaced gave.
+    # Some input amplitudes are exact zeros of either sign, as fresh qubits
+    # leave them, and the gather's multiply by 1 may turn a -0.0 into +0.0,
+    # so the values are equal, and the bytes too wherever both exits
+    # multiply: through a frame, on a window of at most _FUSE_WIDTH qubits.
+    gates = st.sampled_from([(), (GateKind.H,), (GateKind.H, GateKind.T), (GateKind.X,)])
+    leftovers = data.draw(st.lists(gates, max_size=min(2, width - 1)), label="leftovers")
+    n = width - len(leftovers)
+    outputs = tuple(data.draw(st.permutations(range(n)), label="outputs"))
     frame = st.tuples(st.integers(0, 2 ** width - 1), st.integers(0, 2 ** width - 1),
                       st.integers(0, 1))
     x, z, sign = data.draw(st.one_of(st.just((0, 0, 0)), frame), label="frame")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
-    amps.real[rng.random(1 << width) < 0.2] = 0.0
-    amps.imag[rng.random(1 << width) < 0.2] = -0.0
-    amps = amps.reshape((1,) + (2,) * width)
-    plan = ExecPlan((), outputs, width, (), 0)
-    want = _extract(_unframe(amps, x, z, sign) if x | z | sign else amps, list(outputs))[0]
-    got = _framed_outputs(amps, plan, x, z, sign)
-    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-    assert plan.output_map is plan.output_map  # built once per plan
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps.real[rng.random(1 << n) < 0.2] = 0.0
+    amps.imag[rng.random(1 << n) < 0.2] = -0.0
+    psi = StateVector(n, amps / np.linalg.norm(amps))
+
+    plan = exit_plan(n, leftovers, outputs, (x, z, sign))
+    src, coef, shape = plan.steps[-1][2]
+    assert plan.steps[-1][1] is _gather and shape == (-1,) + (2,) * width
+    assert src.ndim == 1 and np.all(coef == 1)  # a permutation of the window
+    (leaf,) = _run(plan, psi, np.random.default_rng(0))
+    before = psi.amps.reshape((1,) + (2,) * n)  # the frontier the exit starts from
+    for step in plan.steps[:-1]:
+        if step[0] is _APPLY:
+            before = step[1](before, *step[2])
+    want = parent_exit(before, outputs, x, z, sign)
+    assert np.array_equal(leaf.state.amps, want)
+    if x | z | sign and width <= _FUSE_WIDTH:
+        assert leaf.state.amps.tobytes() == want.tobytes()
+
+
+def test_an_output_order_joins_the_pending_map():
+    # With no step held, the plan's order composes into the pending map: H
+    # on wire 0 with the outputs in reverse window order is one gather.
+    sched = _Schedule(2)
+    sched.gate(GateKind.H, (0,))
+    plan = sched.plan((1, 0))
+    (step,) = plan.steps
+    assert step[:2] == (_APPLY, _gather) and sched.window == [1, 0]
+    psi = random_state(np.random.default_rng(0), 2)
+    (leaf,) = _run(plan, psi, None)
+    want = apply_gate(psi, Gate(GateKind.H, (0,))).shaped().T.reshape(-1)
+    assert np.abs(leaf.state.amps - want).max() < 1e-12
 
 
 class NearlyOne:
@@ -319,7 +414,8 @@ def test_a_draw_above_the_rounded_sum_skips_a_residue():
     # shot takes outcome 1, not outcome 3 renormalized from noise.
     sched = _Schedule(2)
     sched.branch(0, 1, None, None)  # outcome k = 2x + z sets x's bit 1 and z's bit 2
-    (step,) = sched.plan(()).steps
+    step, last = sched.plan(()).steps  # the branch point, then the plan's final gather
+    assert step[0] is _BRANCH and last[:2] == (_APPLY, _gather)
     amps = np.array([[[0.6, 0.8 * (1 - 1e-15)], [0.0, 1e-20]]], dtype=complex)
     child, prob, ones = _branch(step, amps, 1.0, 0, NearlyOne().random())
     assert ones == 2 and prob == abs(amps[0, 0, 1]) ** 2
@@ -391,20 +487,17 @@ def test_pdg_on_a_pending_teleport_x(n, apart, rng):
 @given(c=layered_circuits(max_n=4, max_k=4), seed=st.integers(0, 2 ** 32 - 1))
 def test_a_shot_touches_its_amplitudes_only_at_gathers(c, seed):
     # On a fused window a sampled shot of a compiled program makes one
-    # amplitude pass per gather step of its plan and one per conditioned
-    # P-dagger that fires, each after its frame is applied if the frame
-    # holds X on its qubit, plus, when its frame is not empty at the end,
-    # the one gather that extracts its outputs through it (_framed_outputs):
-    # a teleport step or a conditioned X or Z makes none.
+    # amplitude pass per gather step of its plan, the final one that puts
+    # its outputs first included, and one per conditioned P-dagger that
+    # fires, each after its frame is applied if the frame holds X on its
+    # qubit: a teleport step or a conditioned X or Z makes none.
     plan = compile_measure(c).plan
     assert plan.peak_width <= _FUSE_WIDTH
     gathers = sum(step[0] is _APPLY and step[1] is _gather for step in plan.steps)
     psi = random_state(np.random.default_rng(seed), c.n)
     for shot in range(3):
         calls = amplitude_passes(plan, psi, np.random.default_rng(seed + shot))
-        assert all(caller in ("_run", "_unframe", "_framed_outputs") for _, caller in calls)
-        extraction = [i for i, (_, caller) in enumerate(calls) if caller == "_framed_outputs"]
-        assert extraction in ([], [len(calls) - 1])
+        assert all(caller in ("_run", "_unframe") for _, caller in calls)
         from_run = [kernel for kernel, caller in calls if caller == "_run"]
         assert from_run.count("_gather") == gathers
         assert set(from_run) <= {"_gather", "PDG", "_unframe"}

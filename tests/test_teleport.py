@@ -197,7 +197,7 @@ def plan_or_error(build, p):
         plan = build(p)
     except ValidationError as exc:
         return str(exc)
-    return plain(plan.steps), plan.outputs, plan.peak_width, plan.names
+    return plain(plan.steps), plan.n, plan.peak_width, plan.names
 
 
 def gate(kind: GateKind, *qubits: int) -> Instruction:

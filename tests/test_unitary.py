@@ -82,7 +82,9 @@ def coherent_state(up: UnitaryProgram, psi) -> StateVector:
 
 def outputs_of(up: UnitaryProgram, shaped: np.ndarray) -> StateVector:
     """The state on the logical wires; every other qubit must factor out."""
-    return StateVector(up.n, _extract(shaped[None], list(up.logical_outputs))[0])
+    outputs = list(up.logical_outputs)
+    order = outputs + [q for q in range(shaped.ndim) if q not in outputs]
+    return StateVector(up.n, _extract(shaped.transpose(order)[None], up.n)[0])
 
 
 def run_unitary_coherently(up: UnitaryProgram, psi):
